@@ -18,7 +18,7 @@ from __future__ import annotations
 from repro.bench import format_table
 from repro.datasets import load_dataset
 from repro.device import CPU, T4, V100
-from repro.serve import ServePolicy, WorkloadSpec, run_serve_session
+from repro.serve import ServePolicy, WorkloadSpec, run_cluster_session
 from repro.stats import percentile_ms
 
 from benchmarks.conftest import BENCH_SCALE
@@ -34,7 +34,7 @@ REQUESTS = 384
 
 def _session(ds, device, rate, policy, seed=0):
     spec = WorkloadSpec(num_requests=REQUESTS, arrival_rate=rate, seed=seed)
-    _, rep = run_serve_session(
+    _, rep = run_cluster_session(
         ds, device=device, spec=spec, policy=policy, seed=seed
     )
     return rep
@@ -134,7 +134,7 @@ def test_serve_slo_control(report):
     rows = []
     reports = {}
     for name, policy in cells.items():
-        _, rep = run_serve_session(
+        _, rep = run_cluster_session(
             ds, device=V100, spec=spec, policy=policy, seed=0
         )
         reports[name] = rep
@@ -187,7 +187,7 @@ def test_serve_composer_knee(report):
             spec = WorkloadSpec(
                 num_requests=256, arrival_rate=rate, seed=0
             )
-            _, rep = run_serve_session(
+            _, rep = run_cluster_session(
                 ds,
                 device=V100,
                 spec=spec,

@@ -21,14 +21,14 @@ from __future__ import annotations
 from repro.bench import format_table
 from repro.datasets import load_dataset
 from repro.device import V100
-from repro.serve import ServePolicy, WorkloadSpec, run_serve_session
+from repro.serve import ServePolicy, WorkloadSpec, run_cluster_session
 
 SLO_MS = 1.5
 
 
 def run(ds, label, rate, policy):
     spec = WorkloadSpec(num_requests=1024, arrival_rate=rate, seed=0)
-    _, report = run_serve_session(
+    _, report = run_cluster_session(
         ds, device=V100, spec=spec, policy=policy, seed=0
     )
     return [

@@ -46,6 +46,31 @@ _SYSTEMS = (
 )
 
 
+def _add_trajectory_arguments(command: argparse.ArgumentParser) -> None:
+    """The flags :func:`_finish_run` reads, for a trajectory-lane command."""
+    command.add_argument(
+        "--out-dir",
+        default=".",
+        help="directory receiving the trace and BENCH files",
+    )
+    command.add_argument(
+        "--trace-out",
+        default=None,
+        help="Chrome-trace path (default: <out-dir>/trace_<tag>.json)",
+    )
+    command.add_argument(
+        "--threshold",
+        type=float,
+        default=0.10,
+        help="relative growth that counts as a regression",
+    )
+    command.add_argument(
+        "--fail-on-regression",
+        action="store_true",
+        help="exit 3 when the comparator flags a regression",
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -111,27 +136,7 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--batch-size", type=int, default=512)
     profile.add_argument("--scale", type=float, default=0.25)
     profile.add_argument("--max-batches", type=int, default=4)
-    profile.add_argument(
-        "--out-dir",
-        default=".",
-        help="directory receiving the trace and BENCH files",
-    )
-    profile.add_argument(
-        "--trace-out",
-        default=None,
-        help="Chrome-trace path (default: <out-dir>/trace_<tag>.json)",
-    )
-    profile.add_argument(
-        "--threshold",
-        type=float,
-        default=0.10,
-        help="relative growth that counts as a regression",
-    )
-    profile.add_argument(
-        "--fail-on-regression",
-        action="store_true",
-        help="exit 3 when the comparator flags a regression",
-    )
+    _add_trajectory_arguments(profile)
     profile.add_argument(
         "--pipeline",
         action="store_true",
@@ -374,27 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "rebalance (needs --partition; dynamic lane)",
     )
     serve.add_argument("--seed", type=int, default=0)
-    serve.add_argument(
-        "--out-dir",
-        default=".",
-        help="directory receiving the trace and BENCH files",
-    )
-    serve.add_argument(
-        "--trace-out",
-        default=None,
-        help="Chrome-trace path (default: <out-dir>/trace_<tag>.json)",
-    )
-    serve.add_argument(
-        "--threshold",
-        type=float,
-        default=0.10,
-        help="relative growth that counts as a regression",
-    )
-    serve.add_argument(
-        "--fail-on-regression",
-        action="store_true",
-        help="exit 3 when the comparator flags a regression",
-    )
+    _add_trajectory_arguments(serve)
     serve.add_argument(
         "--kill",
         action="append",
@@ -683,39 +668,102 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_passed else 1
 
 
-def _cmd_profile_pipeline(args: argparse.Namespace) -> int:
-    """The ``profile --pipeline`` branch: serial vs pipelined epochs."""
+def _feature_store_options(
+    args: argparse.Namespace,
+) -> tuple[float, float, int | None]:
+    """``(cache_ratio, host_tier_ratio, hbm_budget bytes)`` with the
+    library defaults filled in for flags left unset."""
+    from repro.cache import DEFAULT_CACHE_RATIO, DEFAULT_HOST_TIER_RATIO
+
+    return (
+        args.cache_ratio if args.cache_ratio is not None else DEFAULT_CACHE_RATIO,
+        args.host_tier_ratio
+        if args.host_tier_ratio is not None
+        else DEFAULT_HOST_TIER_RATIO,
+        int(args.hbm_budget_mb * 2**20)
+        if args.hbm_budget_mb is not None
+        else None,
+    )
+
+
+def _finish_run(
+    args: argparse.Namespace,
+    profiler,
+    tag: str,
+    meta: dict[str, object],
+    metrics: dict[str, object],
+    availability: float | None = None,
+) -> int:
+    """The epilogue of every trajectory-lane command; returns its exit code.
+
+    Writes the Chrome trace and appends the ``BENCH_<tag>.json`` record
+    under ``--out-dir``, then compares against the previous record:
+    0 when clean (or merely reported), 3 for a regression under
+    ``--fail-on-regression``.  ``availability`` is what ``serve``
+    measured, passed when ``--min-availability`` gates it; falling
+    below the gate exits 4 after the record is written.
+    """
     import pathlib
 
-    from repro.cache import DEFAULT_CACHE_RATIO, DEFAULT_HOST_TIER_RATIO
-    from repro.datasets import load_dataset
-    from repro.device import get_device
-    from repro.pipeline import DEFAULT_PREFETCH_DEPTH, run_pipeline_cell
     from repro.profile import (
-        Profiler,
         append_record,
         bench_path,
         compare_metrics,
         write_chrome_trace,
     )
 
-    cache_ratio = (
-        args.cache_ratio if args.cache_ratio is not None else DEFAULT_CACHE_RATIO
+    out_dir = pathlib.Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    trace_path = (
+        pathlib.Path(args.trace_out)
+        if args.trace_out
+        else out_dir / f"trace_{tag}.json"
     )
+    write_chrome_trace(profiler, trace_path)
+    print(f"\nchrome trace: {trace_path} ({len(profiler.spans)} spans)")
+    record_path = bench_path(out_dir, tag)
+    record, previous = append_record(
+        record_path, tag=tag, meta=meta, metrics=metrics
+    )
+    print(f"trajectory: {record_path} (run {record['run']})")
+    if availability is not None:
+        gate = args.min_availability
+        if availability < gate:
+            print(
+                f"AVAILABILITY GATE FAILED: {availability:.2%} < {gate:.2%}"
+            )
+            return 4
+        print(f"availability gate: {availability:.2%} >= {gate:.2%} OK")
+    if previous is None:
+        print("no previous record; comparator skipped")
+        return 0
+    regressions = compare_metrics(
+        previous["metrics"], record["metrics"], threshold=args.threshold
+    )
+    if not regressions:
+        print(
+            f"no regressions vs run {previous['run']} "
+            f"(threshold {args.threshold:.0%})"
+        )
+        return 0
+    print(f"REGRESSIONS vs run {previous['run']}:")
+    for regression in regressions:
+        print(f"  {regression.describe()}")
+    return 3 if args.fail_on_regression else 0
+
+
+def _cmd_profile_pipeline(args: argparse.Namespace) -> int:
+    """The ``profile --pipeline`` branch: serial vs pipelined epochs."""
+    from repro.datasets import load_dataset
+    from repro.device import get_device
+    from repro.pipeline import DEFAULT_PREFETCH_DEPTH, run_pipeline_cell
+    from repro.profile import Profiler
+
+    cache_ratio, host_tier_ratio, hbm_budget = _feature_store_options(args)
     prefetch_depth = (
         args.prefetch_depth
         if args.prefetch_depth is not None
         else DEFAULT_PREFETCH_DEPTH
-    )
-    host_tier_ratio = (
-        args.host_tier_ratio
-        if args.host_tier_ratio is not None
-        else DEFAULT_HOST_TIER_RATIO
-    )
-    hbm_budget = (
-        int(args.hbm_budget_mb * 2**20)
-        if args.hbm_budget_mb is not None
-        else None
     )
     dataset = load_dataset(args.dataset, scale=args.scale)
     device = get_device(args.device)
@@ -800,21 +848,11 @@ def _cmd_profile_pipeline(args: argparse.Namespace) -> int:
         )
     )
 
-    out_dir = pathlib.Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     # Tiered runs get their own lane: their charging structure (UVA
     # host band + remote queue) is not comparable run-over-run with the
     # committed flat-cache pipeline trajectory.
     lane = "pipeline_tiered" if args.feature_tiers else "pipeline"
     tag = f"{lane}_{args.algorithm}_{args.dataset}_{args.device}"
-    trace_path = (
-        pathlib.Path(args.trace_out)
-        if args.trace_out
-        else out_dir / f"trace_{tag}.json"
-    )
-    write_chrome_trace(profiler, trace_path)
-    print(f"\nchrome trace: {trace_path} ({len(profiler.spans)} spans)")
-
     metrics = {
         "sim_seconds": pipelined.total_seconds,
         "serial_sim_seconds": serial.total_seconds,
@@ -840,44 +878,15 @@ def _cmd_profile_pipeline(args: argparse.Namespace) -> int:
         meta["prefetch"] = not args.no_prefetch
         if args.hbm_budget_mb is not None:
             meta["hbm_budget_mb"] = args.hbm_budget_mb
-    record_path = bench_path(out_dir, tag)
-    record, previous = append_record(
-        record_path, tag=tag, meta=meta, metrics=metrics
-    )
-    print(f"trajectory: {record_path} (run {record['run']})")
-    if previous is None:
-        print("no previous record; comparator skipped")
-        return 0
-    regressions = compare_metrics(
-        previous["metrics"], record["metrics"], threshold=args.threshold
-    )
-    if not regressions:
-        print(
-            f"no regressions vs run {previous['run']} "
-            f"(threshold {args.threshold:.0%})"
-        )
-        return 0
-    print(f"REGRESSIONS vs run {previous['run']}:")
-    for regression in regressions:
-        print(f"  {regression.describe()}")
-    return 3 if args.fail_on_regression else 0
+    return _finish_run(args, profiler, tag, meta, metrics)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """The ``serve`` command: one online serving session + trajectory."""
-    import pathlib
-
-    from repro.cache import DEFAULT_CACHE_RATIO, DEFAULT_HOST_TIER_RATIO
     from repro.datasets import load_dataset
     from repro.device import get_device
     from repro.errors import GSamplerError
-    from repro.profile import (
-        Profiler,
-        append_record,
-        bench_path,
-        compare_metrics,
-        write_chrome_trace,
-    )
+    from repro.profile import Profiler
     from repro.serve import (
         AutoscalePolicy,
         FailureEvent,
@@ -888,19 +897,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         run_cluster_session,
     )
 
-    cache_ratio = (
-        args.cache_ratio if args.cache_ratio is not None else DEFAULT_CACHE_RATIO
-    )
-    host_tier_ratio = (
-        args.host_tier_ratio
-        if args.host_tier_ratio is not None
-        else DEFAULT_HOST_TIER_RATIO
-    )
-    hbm_budget = (
-        int(args.hbm_budget_mb * 2**20)
-        if args.hbm_budget_mb is not None
-        else None
-    )
+    cache_ratio, host_tier_ratio, hbm_budget = _feature_store_options(args)
     dataset = load_dataset(args.dataset, scale=args.scale)
     device = get_device(args.device)
     profiler = Profiler()
@@ -981,9 +978,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 repartition_threshold=args.repartition_threshold,
             )
         with profiler.activate():
-            # A 1-replica round-robin cluster is bit-identical to the
-            # classic single-replica session, so everything routes
-            # through the cluster layer.
             simulator, report = run_cluster_session(
                 dataset,
                 algorithm=args.algorithm,
@@ -1206,8 +1200,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     )
 
-    out_dir = pathlib.Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     # Cluster sessions get their own trajectory file: their metrics
     # (replica count, router, cross-shard traffic) are not comparable
     # run-over-run with the single-replica serve trajectory.  Non-FIFO
@@ -1233,14 +1225,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # not comparable with the node-seed trajectories.
         kind = f"{args.task}_{kind}" if kind != "serve" else args.task
     tag = f"{kind}_{args.algorithm}_{args.dataset}_{args.device}"
-    trace_path = (
-        pathlib.Path(args.trace_out)
-        if args.trace_out
-        else out_dir / f"trace_{tag}.json"
-    )
-    write_chrome_trace(profiler, trace_path)
-    print(f"\nchrome trace: {trace_path} ({len(profiler.spans)} spans)")
-
     metrics = dict(report.to_metrics())
     metrics["launches"] = sum(
         replica.sample_ctx.launch_count() + replica.io_ctx.launch_count()
@@ -1311,43 +1295,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             repr(report.fingerprint()).encode()
         ).hexdigest()
         print(f"session fingerprint: {digest}")
-    record_path = bench_path(out_dir, tag)
-    record, previous = append_record(
-        record_path, tag=tag, meta=meta, metrics=metrics
+    return _finish_run(
+        args,
+        profiler,
+        tag,
+        meta,
+        metrics,
+        availability=(
+            report.availability if args.min_availability is not None else None
+        ),
     )
-    print(f"trajectory: {record_path} (run {record['run']})")
-    if args.min_availability is not None:
-        gate = args.min_availability
-        if report.availability < gate:
-            print(
-                f"AVAILABILITY GATE FAILED: {report.availability:.2%} "
-                f"< {gate:.2%}"
-            )
-            return 4
-        print(
-            f"availability gate: {report.availability:.2%} >= {gate:.2%} OK"
-        )
-    if previous is None:
-        print("no previous record; comparator skipped")
-        return 0
-    regressions = compare_metrics(
-        previous["metrics"], record["metrics"], threshold=args.threshold
-    )
-    if not regressions:
-        print(
-            f"no regressions vs run {previous['run']} "
-            f"(threshold {args.threshold:.0%})"
-        )
-        return 0
-    print(f"REGRESSIONS vs run {previous['run']}:")
-    for regression in regressions:
-        print(f"  {regression.describe()}")
-    return 3 if args.fail_on_regression else 0
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    import pathlib
-
     if args.sampler is not None:
         args.algorithm = args.sampler
     if args.algorithm is None:
@@ -1361,14 +1321,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         return _cmd_profile_pipeline(args)
 
     from repro.ir.passes.base import PassStat
-    from repro.profile import (
-        Profiler,
-        append_record,
-        bench_path,
-        build_text_report,
-        compare_metrics,
-        write_chrome_trace,
-    )
+    from repro.profile import Profiler, build_text_report
 
     profiler = Profiler()
     stats = measure_cell(
@@ -1419,16 +1372,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         )
     )
 
-    out_dir = pathlib.Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    trace_path = (
-        pathlib.Path(args.trace_out)
-        if args.trace_out
-        else out_dir / f"trace_{tag}.json"
-    )
-    write_chrome_trace(profiler, trace_path)
-    print(f"\nchrome trace: {trace_path} ({len(profiler.spans)} spans)")
-
     compile_spans = profiler.spans_by_category("compile")
     metrics = {
         "sim_seconds": stats.sim_seconds,
@@ -1451,28 +1394,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         "scale": args.scale,
         "max_batches": args.max_batches,
     }
-    record_path = bench_path(out_dir, tag)
-    record, previous = append_record(
-        record_path, tag=tag, meta=meta, metrics=metrics
-    )
-    print(f"trajectory: {record_path} (run {record['run']})")
-
-    if previous is None:
-        print("no previous record; comparator skipped")
-        return 0
-    regressions = compare_metrics(
-        previous["metrics"], record["metrics"], threshold=args.threshold
-    )
-    if not regressions:
-        print(
-            f"no regressions vs run {previous['run']} "
-            f"(threshold {args.threshold:.0%})"
-        )
-        return 0
-    print(f"REGRESSIONS vs run {previous['run']}:")
-    for regression in regressions:
-        print(f"  {regression.describe()}")
-    return 3 if args.fail_on_regression else 0
+    return _finish_run(args, profiler, tag, meta, metrics)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -64,6 +64,9 @@ class Trainer:
         self.pipeline = pipeline
         self.model = model
         self.dataset = dataset
+        #: Bytes of one feature row, the unit every gather is charged in.
+        feats = dataset.features
+        self.row_bytes = feats.shape[1] * feats.dtype.itemsize
         #: Device running the *sampling* kernels. Training compute runs on
         #: ``train_device`` (default: same device) — the paper's CPU rows
         #: sample on the CPU but still train on the GPU.
@@ -96,7 +99,7 @@ class Trainer:
         runs train identically.
         """
         plan = plan_gather(sample.all_nodes, cache)
-        record_gather(train_ctx, plan, self.dataset.features.shape[1] * 4)
+        record_gather(train_ctx, plan, self.row_bytes)
 
     def _compute_batch(
         self,
@@ -123,8 +126,8 @@ class Trainer:
         train_ctx.record(
             "train_fwd_bwd",
             flops=self.model.flops_per_sample(sample, feats.shape[1]),
-            bytes_read=gathered * feats.shape[1] * 4 * 3,
-            bytes_written=gathered * feats.shape[1] * 4,
+            bytes_read=gathered * self.row_bytes * 3,
+            bytes_written=gathered * self.row_bytes,
             tasks=max(gathered, 1),
         )
         return loss, metric

@@ -183,25 +183,18 @@ class PipelinedTrainer(Trainer):
     ) -> float:
         """Charge one batch's feature fetch; returns its completion time.
 
-        Flat path: the classic single ``feature_gather`` on ``transfer``
-        (misses as UVA ``graph_bytes``) — byte-identical to the
-        pre-tier executor.  Tiered path: only the host band is UVA
-        traffic, and the remote tail runs on its own ``remote`` queue so
-        the batch's fetch completes at the *max* of the two wires.
+        One ``feature_gather`` on ``transfer`` with the host band as UVA
+        ``graph_bytes``; a flat or absent cache plans no remote rows, so
+        that is its whole fetch.  A tiered store's remote tail runs on
+        its own ``remote`` queue, so the batch's fetch completes at the
+        *max* of the two wires.
         """
-        if not isinstance(cache, TieredFeatureStore):
-            with train_ctx.on_queue("transfer", not_before=fetch_after):
-                self._gather_features(sample, train_ctx, cache)
-            return train_ctx.queue("transfer").ready
-        row_bytes = self.dataset.features.shape[1] * 4
         # Remote rows are DMA'd straight into the staging buffer by the
         # remote wire (charged below on its own queue), so only the
-        # device + host bands go through the local gather; with no
-        # remote tail (host_ratio=1.0) this record is byte-identical to
-        # the flat path's.
+        # device + host bands go through the local gather.
         plan = plan_gather(sample.all_nodes, cache)
         with train_ctx.on_queue("transfer", not_before=fetch_after):
-            record_gather(train_ctx, plan, row_bytes)
+            record_gather(train_ctx, plan, self.row_bytes)
         transferred_at = train_ctx.queue("transfer").ready
         if plan.remote_rows > 0:
             with train_ctx.on_queue("remote", not_before=fetch_after):
@@ -209,7 +202,7 @@ class PipelinedTrainer(Trainer):
                     f"remote_tier_fetch[{cache.remote_tier.name}]",
                     tasks=plan.remote_rows,
                     fixed_seconds=cache.remote_tier.fetch_time(
-                        plan.remote_rows * row_bytes
+                        plan.remote_rows * self.row_bytes
                     ),
                 )
             transferred_at = max(transferred_at, remote.sim_end)

@@ -25,7 +25,8 @@ device simulator's clock, for one replica or a routed cluster of them:
   shard-affinity), all deterministic under the session seed;
 * :mod:`repro.serve.cluster` — N replicas advanced in global
   simulated-time order behind one router, aggregated into a cluster
-  report with per-replica and cross-shard-traffic breakdowns;
+  report with per-replica and cross-shard-traffic breakdowns (the
+  single-replica session is its ``num_replicas=1`` case);
 * :mod:`repro.serve.failures` — deterministic chaos schedules: scheduled
   replica kills, orphan retry/shed policy, hedged duplicates, optional
   revival with re-replication charged over the interconnect;
@@ -33,9 +34,6 @@ device simulator's clock, for one replica or a routed cluster of them:
   p99/occupancy-driven autoscaler (scale-up/down between arrivals, with
   spin-up and re-replication charges) plus an online hill-climbing
   tuner for each replica's ``max_batch``/``max_wait``;
-* :mod:`repro.serve.simulator` — the classic single-replica surface
-  (:class:`ServeSimulator`, :func:`run_serve_session`), kept
-  bit-identical to the pre-cluster subsystem;
 * :mod:`repro.serve.metrics` — the per-request log and the aggregate
   report (throughput, p50/p95/p99, batch histogram, shed/degraded
   counts, cache hit rate, cross-shard link traffic).
@@ -89,7 +87,6 @@ from repro.serve.router import (
     ShardAffinityRouter,
     make_router,
 )
-from repro.serve.simulator import ServeSimulator, run_serve_session
 from repro.serve.workload import (
     ARRIVAL_PROCESSES,
     Request,
@@ -127,7 +124,6 @@ __all__ = [
     "ScaleEvent",
     "ServePolicy",
     "ServeReport",
-    "ServeSimulator",
     "ShardAffinityRouter",
     "SizeBinnedComposer",
     "SuperbatchComposer",
@@ -143,6 +139,5 @@ __all__ = [
     "replica_breakdown",
     "replica_rng",
     "run_cluster_session",
-    "run_serve_session",
     "summarize",
 ]

@@ -23,7 +23,7 @@ PCIe otherwise) and surface in the report as cross-shard traffic.
 
 A 1-replica round-robin cluster replays the pre-refactor monolithic
 simulator decision-for-decision — the fingerprint-compat test holds
-``run_serve_session`` to that, bit-identically.
+``run_cluster_session`` to that, bit-identically.
 
 **The control plane.**  Two optional inputs extend the event loop past
 arrivals: a :class:`~repro.serve.failures.FailureSpec` (scheduled
@@ -42,15 +42,13 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import math
-
-import numpy as np
 
 from repro.cache import (
     DEFAULT_CACHE_RATIO,
     DEFAULT_HOST_TIER_RATIO,
     CacheStats,
     FeatureCache,
+    graph_degrees,
 )
 from repro.datasets import Dataset
 from repro.device import DeviceSpec, LinkSpec, default_link_for, get_link
@@ -260,7 +258,7 @@ class ClusterSimulator:
             updates = generate_update_stream(
                 updates,
                 num_nodes=dataset.num_nodes,
-                hotness=np.diff(dataset.graph.get("csc").indptr),
+                hotness=graph_degrees(dataset.graph),
             )
         self._updates: list[UpdateBatch] = (
             [] if updates is None else sorted(
@@ -346,21 +344,6 @@ class ClusterSimulator:
     @property
     def num_replicas(self) -> int:
         return len(self.replicas)
-
-    @property
-    def sample_ctx(self):
-        """Replica 0's sampling context (single-replica compatibility)."""
-        return self.replicas[0].sample_ctx
-
-    @property
-    def io_ctx(self):
-        """Replica 0's I/O context (single-replica compatibility)."""
-        return self.replicas[0].io_ctx
-
-    @property
-    def cache(self):
-        """Replica 0's feature cache (single-replica compatibility)."""
-        return self.replicas[0].cache
 
     def build_workload(self, spec: WorkloadSpec) -> list[Request]:
         """Generate the spec's request stream over this graph's nodes."""
@@ -885,64 +868,25 @@ class ClusterSimulator:
 def run_cluster_session(
     dataset: Dataset,
     *,
-    algorithm: str = "graphsage",
-    device: DeviceSpec,
     spec: WorkloadSpec | None = None,
-    policy: ServePolicy | None = None,
-    num_replicas: int = 1,
-    router: str | Router = "round_robin",
-    partition: str | GraphPartition | None = None,
-    link: str | LinkSpec | None = None,
-    composer: str | BatchComposer | list | tuple = "fifo",
-    cache_ratio: float = DEFAULT_CACHE_RATIO,
     seed: int = 0,
-    profiler: Profiler | None = None,
-    failures: FailureSpec | None = None,
-    autoscale: AutoscalePolicy | Autoscaler | None = None,
-    feature_tiers: bool = False,
-    host_tier_ratio: float = DEFAULT_HOST_TIER_RATIO,
-    p2p: bool = False,
-    hbm_budget: int | None = None,
-    updates: UpdateSpec | list | tuple | None = None,
-    dynamic: DynamicPolicy | None = None,
-    task: str = "node",
+    **cluster_kwargs,
 ) -> tuple[ClusterSimulator, ServeReport]:
     """One-call cluster session: build, generate workload, serve, report.
 
-    This is the cell the CLI, the cluster benchmark, and the determinism
-    guards all go through, so a fixed (spec, policy, topology, seed,
-    failure schedule, autoscale policy) tuple names exactly one
-    reproducible session.
+    ``cluster_kwargs`` are :class:`ClusterSimulator`'s keyword
+    parameters, forwarded as given.  This is the cell the CLI, the
+    cluster benchmark, and the determinism guards all go through, so a
+    fixed (spec, policy, topology, seed, failure schedule, autoscale
+    policy) tuple names exactly one reproducible session.
     """
-    cluster = ClusterSimulator(
-        dataset,
-        algorithm=algorithm,
-        device=device,
-        policy=policy,
-        num_replicas=num_replicas,
-        router=router,
-        partition=partition,
-        link=link,
-        composer=composer,
-        cache_ratio=cache_ratio,
-        seed=seed,
-        profiler=profiler,
-        failures=failures,
-        autoscale=autoscale,
-        feature_tiers=feature_tiers,
-        host_tier_ratio=host_tier_ratio,
-        p2p=p2p,
-        hbm_budget=hbm_budget,
-        updates=updates,
-        dynamic=dynamic,
-        task=task,
-    )
+    cluster = ClusterSimulator(dataset, seed=seed, **cluster_kwargs)
     if spec is None:
-        spec = WorkloadSpec(seed=seed, task=task)
-    elif spec.task != task:
+        spec = WorkloadSpec(seed=seed, task=cluster.task)
+    elif spec.task != cluster.task:
         raise ServeError(
             f"workload spec task {spec.task!r} does not match the "
-            f"session task {task!r}"
+            f"session task {cluster.task!r}"
         )
     workload = cluster.build_workload(spec)
     return cluster, cluster.run(workload)

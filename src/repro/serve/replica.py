@@ -1,8 +1,8 @@
 """One serving replica: batcher, admission, ladder, device contexts.
 
-This is the single-replica serving loop extracted from the original
-monolithic ``ServeSimulator`` so a cluster can run N of them side by
-side.  A :class:`Replica` owns everything one serving process would:
+This is the single-replica serving loop, factored out so a cluster can
+run N of them side by side.  A :class:`Replica` owns everything one
+serving process would:
 
 * its own pair of :class:`~repro.device.ExecutionContext`\\ s (sampling
   on the ``sample`` queue, host-resident feature I/O on ``transfer``),
@@ -14,13 +14,13 @@ side.  A :class:`Replica` owns everything one serving process would:
   owns, and the interconnect over which frontier nodes sampled outside
   that shard are fetched from their owners.
 
-Unlike the old monolith, the replica exposes an *incremental* event
-API — :meth:`offer` (admit or shed one arrival), :meth:`advance_until`
-(fire every batch due strictly before a timestamp), and :meth:`drain`
-(fire everything left) — so a cluster simulator can interleave N
-replicas in global simulated-time order.  Driving a single replica with
-that API replays the exact decision sequence of the original loop, which
-is what keeps the 1-replica cluster bit-identical to the pre-refactor
+The replica exposes an *incremental* event API — :meth:`offer` (admit
+or shed one arrival), :meth:`advance_until` (fire every batch due
+strictly before a timestamp), and :meth:`drain` (fire everything left) —
+so a cluster simulator can interleave N replicas in global
+simulated-time order.  Driving a single replica with that API replays
+the exact decision sequence of the original monolithic loop, which is
+what keeps the 1-replica cluster bit-identical to the pre-refactor
 simulator (the fingerprint-compat test).
 """
 
@@ -37,6 +37,7 @@ from repro.cache import (
     DEFAULT_HOST_TIER_RATIO,
     FeatureCache,
     TieredFeatureStore,
+    graph_degrees,
     plan_gather,
 )
 from repro.datasets import Dataset
@@ -50,7 +51,7 @@ from repro.device import (
 from repro.errors import ServeError
 from repro.partition import ShardView
 from repro.profile.spans import Profiler
-from repro.serve.compose import BatchComposer, make_composer
+from repro.serve.compose import BatchComposer, BatchPlan, make_composer
 from repro.serve.metrics import RequestLog
 from repro.serve.workload import (
     WORKLOAD_TASKS,
@@ -454,7 +455,7 @@ class Replica:
     # ------------------------------------------------------------------
     def degree_hotness(self) -> np.ndarray:
         """Per-node in-degree, the hotness ranking requests are drawn by."""
-        return np.diff(self.dataset.graph.get("csc").indptr)
+        return graph_degrees(self.dataset.graph)
 
     def build_workload(self, spec: WorkloadSpec) -> list[Request]:
         """Generate the spec's request stream over this graph's nodes."""
@@ -691,10 +692,7 @@ class Replica:
         batch = [self._pending[i] for i in plan.indices]
         for i in sorted(plan.indices, reverse=True):
             del self._pending[i]
-        if plan.superbatch:
-            self._serve_superbatch(batch, plan.fire, self._batch_id)
-        else:
-            self._serve_batch(batch, plan.fire, self._batch_id)
+        self._serve(batch, plan)
         self._batch_id += 1
         return plan.fire
 
@@ -757,70 +755,55 @@ class Replica:
         self.compaction_saved_rows += int(flat_pairs.size) - int(seeds.size)
         return seeds
 
-    def _serve_batch(
-        self, batch: list[Request], fire: float, batch_id: int
-    ) -> None:
-        """Run one coalesced sampler invocation and complete its requests."""
-        level = self._level
-        pipeline = self._pipelines[1 if level >= 1 else 0]
-        seeds = np.concatenate([r.seeds for r in batch])
-        if self.task == "linkpred":
-            seeds = self._compact_pairs(seeds)
-        sizes = [int(r.seeds.size) for r in batch]
-        self.padding_seeds += max(sizes) * len(sizes) - sum(sizes)
-        attrs: dict[str, object] = dict(
-            requests=len(batch), seeds=int(seeds.size), level=level
-        )
-        if self._labelled:
-            attrs["replica"] = self.replica_id
-        with self._span(f"serve_batch[{batch_id}]", "serve", **attrs):
-            with self.sample_ctx.on_queue(self._sample_queue, not_before=fire):
-                sample = pipeline.sample_batch(
-                    seeds, ctx=self.sample_ctx, rng=self._rng
-                )
-            sampled_at = self.sample_ctx.queue(self._sample_queue).ready
-            completion = self._fetch_features(sample.all_nodes, sampled_at, level)
-        self._complete(batch, fire, completion, batch_id, level)
+    def _serve(self, batch: list[Request], plan: BatchPlan) -> None:
+        """Sample for one composed batch, fetch features, complete it.
 
-    def _serve_superbatch(
-        self, batch: list[Request], fire: float, batch_id: int
-    ) -> None:
-        """Run one fused super-batch over the batch's per-request seeds.
-
-        Unlike the joint path — which concatenates every member's seeds
-        into one anonymous sample — each request is its own sampling
-        instance inside a single :meth:`~repro.sampler.CompiledSampler.run_superbatch`
-        launch sequence, and the per-request samples come back split
-        out.  The feature fetch still happens once for the whole fused
-        batch, over the *deduplicated* union of every request's nodes;
-        the rows saved versus per-request fetches are the amortization
-        the ``dedup_rows`` counter reports.
+        The composer's plan picks how the members' seeds reach the
+        sampler.  A joint batch concatenates them into one anonymous
+        :meth:`sample_batch` invocation.  A super-batch keeps each
+        request its own sampling instance inside a single
+        :meth:`~repro.sampler.CompiledSampler.run_superbatch` launch
+        sequence, and the per-request samples come back split out; the
+        feature fetch still happens once, over the *deduplicated* union
+        of every request's nodes — the rows saved versus per-request
+        fetches are the amortization ``dedup_rows`` reports.
         """
+        fire, batch_id = plan.fire, self._batch_id
         level = self._level
         pipeline = self._pipelines[1 if level >= 1 else 0]
-        seed_batches = [
-            self._compact_pairs(r.seeds) if self.task == "linkpred" else r.seeds
-            for r in batch
-        ]
-        total_seeds = sum(int(s.size) for s in seed_batches)
+        seed_sets = [r.seeds for r in batch]
+        if not plan.superbatch:
+            sizes = [int(s.size) for s in seed_sets]
+            self.padding_seeds += max(sizes) * len(sizes) - sum(sizes)
+            seed_sets = [np.concatenate(seed_sets)]
+        if self.task == "linkpred":
+            seed_sets = [self._compact_pairs(s) for s in seed_sets]
         attrs: dict[str, object] = dict(
-            requests=len(batch), seeds=total_seeds, level=level
+            requests=len(batch),
+            seeds=sum(int(s.size) for s in seed_sets),
+            level=level,
         )
         if self._labelled:
             attrs["replica"] = self.replica_id
-        with self._span(f"serve_superbatch[{batch_id}]", "serve", **attrs):
+        name = "serve_superbatch" if plan.superbatch else "serve_batch"
+        with self._span(f"{name}[{batch_id}]", "serve", **attrs):
             with self.sample_ctx.on_queue(self._sample_queue, not_before=fire):
-                samples = pipeline.sample_superbatch(
-                    seed_batches, ctx=self.sample_ctx, rng=self._rng
-                )
+                if plan.superbatch:
+                    samples = pipeline.sample_superbatch(
+                        seed_sets, ctx=self.sample_ctx, rng=self._rng
+                    )
+                    per_request = [sample.all_nodes for sample in samples]
+                    nodes = np.unique(np.concatenate(per_request))
+                    self.dedup_rows += sum(n.size for n in per_request) - int(
+                        nodes.size
+                    )
+                    self.superbatch_requests += len(batch)
+                    self.superbatch_batches += 1
+                else:
+                    nodes = pipeline.sample_batch(
+                        seed_sets[0], ctx=self.sample_ctx, rng=self._rng
+                    ).all_nodes
             sampled_at = self.sample_ctx.queue(self._sample_queue).ready
-            per_request = [sample.all_nodes for sample in samples]
-            nodes = np.unique(np.concatenate(per_request))
-            self.dedup_rows += sum(n.size for n in per_request) - int(
-                nodes.size
-            )
-            self.superbatch_requests += len(batch)
-            self.superbatch_batches += 1
             completion = self._fetch_features(nodes, sampled_at, level)
         self._complete(batch, fire, completion, batch_id, level)
 
@@ -829,22 +812,14 @@ class Replica:
     ) -> float:
         """Feature I/O for one batch's node set; returns its completion.
 
-        Shared tail of the joint and super-batched paths: cache lookup,
-        cross-shard interconnect hop for remotely-owned frontier nodes,
-        then the host feature read on the ``transfer`` queue.  With the
-        tiered store, the host-tier read keeps the flat path's exact
-        charge shape while the remote tier and the p2p band land on
-        their own queues — the fetch completes at the *max* of the three
-        wires, which is the tiered store's overlap win.
+        Cache lookup, cross-shard interconnect hop for remotely-owned
+        frontier nodes, then the host feature read on the ``transfer``
+        queue.  With the tiered store, the host-tier read keeps the flat
+        path's exact charge shape while the remote tier and the p2p band
+        land on their own queues — the fetch completes at the *max* of
+        the three wires, which is the tiered store's overlap win.
         """
-        tiered = isinstance(self.cache, TieredFeatureStore)
-        if self.cache is not None:
-            plan = plan_gather(nodes, self.cache)
-            hits = plan.device_rows
-            misses = int(nodes.size) - hits
-        else:
-            plan = plan_gather(nodes, None)
-            hits, misses = 0, int(nodes.size)
+        plan = plan_gather(nodes, self.cache)
         cached_only = level >= MAX_DEGRADE_LEVEL and self.cache is not None
         # Sharded replica: frontier nodes owned by other shards must
         # hop the interconnect from their owner's device before the
@@ -877,7 +852,7 @@ class Replica:
         # leave the transfer queue's local read/write entirely; with
         # both tiers empty (the full-budget default) the plan is
         # byte-identical to the flat path's.
-        rows = hits if cached_only else plan.gathered
+        rows = plan.device_rows if cached_only else plan.gathered
         host_rows = 0 if cached_only else plan.host_rows
         with self.io_ctx.on_queue(
             self._transfer_queue, not_before=sampled_at
@@ -890,7 +865,8 @@ class Replica:
                 graph_bytes=host_rows * self._row_bytes,
             )
         completion = self.io_ctx.queue(self._transfer_queue).ready
-        if tiered and not cached_only:
+        # A flat or absent cache plans zero remote and p2p rows.
+        if not cached_only:
             if plan.remote_rows > 0:
                 remote_bytes = plan.remote_rows * self._row_bytes
                 with self.io_ctx.on_queue(

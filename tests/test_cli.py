@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -58,3 +60,110 @@ class TestSample:
     def test_bad_system_rejected(self):
         with pytest.raises(SystemExit):
             main(["sample", "--system", "nextdoor"])
+
+
+# ----------------------------------------------------------------------
+# The run epilogue shared by profile / profile --pipeline / serve
+# ----------------------------------------------------------------------
+_SERVE = ["serve", "--requests", "48", "--scale", "0.1"]
+_PROFILE = [
+    "profile", "graphsage", "--scale", "0.1", "--batch-size", "128",
+    "--max-batches", "2",
+]
+
+
+class TestRunEpilogue:
+    """Trace + BENCH record + comparator + exit code: one contract for
+    every command that appends to a trajectory lane."""
+
+    @pytest.mark.parametrize(
+        ("argv", "tag"),
+        [
+            (_PROFILE, "gsampler_graphsage_pd_v100"),
+            (_PROFILE + ["--pipeline"], "pipeline_graphsage_pd_v100"),
+            (_SERVE, "serve_graphsage_pd_v100"),
+        ],
+        ids=["profile", "profile-pipeline", "serve"],
+    )
+    def test_shared_contract(self, tmp_path, capsys, argv, tag):
+        argv = argv + ["--out-dir", str(tmp_path)]
+        bench_file = tmp_path / f"BENCH_{tag}.json"
+
+        def doctor_previous_record():
+            data = json.loads(bench_file.read_text())
+            data["records"][-1]["metrics"]["launches"] *= 0.5
+            bench_file.write_text(json.dumps(data))
+
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "no previous record; comparator skipped" in out
+        assert f"chrome trace: {tmp_path / f'trace_{tag}.json'}" in out
+        assert json.loads((tmp_path / f"trace_{tag}.json").read_text())
+        assert json.loads(bench_file.read_text())["tag"] == tag
+
+        assert main(argv + ["--fail-on-regression"]) == 0
+        assert "no regressions vs run 1" in capsys.readouterr().out
+
+        doctor_previous_record()
+        assert main(argv + ["--fail-on-regression"]) == 3
+        out = capsys.readouterr().out
+        assert "REGRESSIONS vs run 2" in out and "launches" in out
+
+        doctor_previous_record()
+        assert main(argv) == 0
+        assert "REGRESSIONS vs run 3" in capsys.readouterr().out
+        assert len(json.loads(bench_file.read_text())["records"]) == 4
+
+    def test_trace_out_overrides_the_default_path(self, tmp_path, capsys):
+        trace = tmp_path / "elsewhere" / "t.json"
+        trace.parent.mkdir()
+        argv = _SERVE + ["--out-dir", str(tmp_path), "--trace-out", str(trace)]
+        assert main(argv) == 0
+        assert trace.exists()
+        assert not (tmp_path / "trace_serve_graphsage_pd_v100.json").exists()
+
+    @pytest.mark.parametrize(
+        ("flags", "lane"),
+        [
+            (["--replicas", "2", "--composer", "superbatch"],
+             "cluster_superbatch"),
+            (["--feature-tiers"], "tiered"),
+            (["--replicas", "2", "--kill", "1@0.2"], "elastic"),
+            (["--ingest-rate", "200000", "--ingest-edges", "64"], "dynamic"),
+            (["--task", "linkpred"], "linkpred"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else None,
+    )
+    def test_serve_flag_groups_pick_their_lane(
+        self, tmp_path, capsys, flags, lane
+    ):
+        assert main(_SERVE + flags + ["--out-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        tag = f"{lane}_graphsage_pd_v100"
+        bench = json.loads((tmp_path / f"BENCH_{tag}.json").read_text())
+        assert bench["tag"] == tag
+        assert (tmp_path / f"trace_{tag}.json").exists()
+        # Only the two-run tripwire lanes print a session digest.
+        assert ("session fingerprint: " in out) == (
+            lane in ("dynamic", "linkpred")
+        )
+
+    def test_min_availability_gate_exits_4(self, tmp_path, capsys):
+        argv = _SERVE + [
+            "--replicas", "2", "--kill", "0@0.1", "--kill", "1@0.1",
+            "--out-dir", str(tmp_path),
+        ]
+        assert main(argv + ["--min-availability", "0.999"]) == 4
+        assert "AVAILABILITY GATE FAILED" in capsys.readouterr().out
+        # The record was appended before the gate fired.
+        bench = tmp_path / "BENCH_elastic_graphsage_pd_v100.json"
+        assert len(json.loads(bench.read_text())["records"]) == 1
+        assert main(argv + ["--min-availability", "0.0"]) == 0
+        assert "availability gate: " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("spec", ["1", "x@1", "1@soon", "1@1:later"])
+    def test_malformed_kill_exits_2(self, tmp_path, capsys, spec):
+        code = main(_SERVE + ["--kill", spec, "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "bad --kill spec" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())

@@ -4,9 +4,9 @@ The contracts under test:
 
 * **Fingerprint compatibility** — the refactor of the monolithic
   simulator into replica/router/cluster layers left the single-replica
-  path bit-identical: ``run_serve_session`` (now a 1-replica round-robin
-  cluster) reproduces the fingerprint committed before the refactor,
-  pinned here as a sha256 so any behavioural drift fails loudly.
+  path bit-identical: a 1-replica round-robin ``run_cluster_session``
+  reproduces the fingerprint committed before the refactor, pinned here
+  as a sha256 so any behavioural drift fails loudly.
 * **Router determinism** — every policy is a pure function of (seed,
   workload, topology): same inputs, same ``fingerprint()``.  po2 draws
   from its own generator stream, so poisoning the ``numpy.random``
@@ -43,16 +43,14 @@ from repro.serve import (
     Replica,
     RoundRobinRouter,
     ServePolicy,
-    ServeSimulator,
     WorkloadSpec,
     make_router,
     replica_rng,
     run_cluster_session,
-    run_serve_session,
 )
 
 #: sha256 of ``repr(report.fingerprint())`` for the reference session
-#: below, captured from the pre-refactor monolithic ``ServeSimulator``
+#: below, captured from the pre-refactor monolithic simulator
 #: (commit f476f21).  The refactored layers must reproduce it exactly.
 PRE_REFACTOR_FINGERPRINT = (
     "a026a063925fbfbc035081d78798ab5fe441e64d7426000801a66ad8d9cc6c85"
@@ -86,8 +84,8 @@ def _cluster_fingerprint(pd, **kwargs):
 # Backward compatibility of the refactor
 # ----------------------------------------------------------------------
 class TestFingerprintCompat:
-    def test_run_serve_session_matches_pre_refactor_fingerprint(self, pd):
-        _, report = run_serve_session(
+    def test_one_replica_session_matches_pre_refactor_fingerprint(self, pd):
+        _, report = run_cluster_session(
             pd,
             device=V100,
             spec=REFERENCE_SPEC,
@@ -99,23 +97,8 @@ class TestFingerprintCompat:
         ).hexdigest()
         assert digest == PRE_REFACTOR_FINGERPRINT
 
-    def test_one_replica_cluster_matches_standalone_simulator(self, pd):
-        sim = ServeSimulator(
-            pd, device=V100, policy=REFERENCE_POLICY, seed=11
-        )
-        standalone = sim.run(sim.build_workload(REFERENCE_SPEC))
-        _, clustered = run_cluster_session(
-            pd,
-            device=V100,
-            spec=REFERENCE_SPEC,
-            policy=REFERENCE_POLICY,
-            num_replicas=1,
-            seed=11,
-        )
-        assert standalone.fingerprint() == clustered.fingerprint()
-
     def test_single_replica_report_shape_unchanged(self, pd):
-        _, report = run_serve_session(
+        _, report = run_cluster_session(
             pd, device=V100, spec=REFERENCE_SPEC, seed=11
         )
         assert report.replicas == 1

@@ -33,10 +33,11 @@ from repro.device import V100
 from repro.errors import ServeError
 from repro.serve import (
     COMPOSER_POLICIES,
+    ClusterSimulator,
     FifoComposer,
+    Replica,
     Request,
     ServePolicy,
-    ServeSimulator,
     SizeBinnedComposer,
     SuperbatchComposer,
     WorkloadSpec,
@@ -182,7 +183,7 @@ class TestFireTimeRegression:
         every completed request starts at or after its arrival and at or
         after every batch-mate's arrival (no causality violation, no
         index errors)."""
-        sim = ServeSimulator(
+        sim = ClusterSimulator(
             pd,
             device=V100,
             policy=ServePolicy(max_batch=4, max_wait=5e-4),
@@ -300,7 +301,7 @@ class TestMakeComposer:
             supports_superbatch = False
 
         with pytest.raises(ServeError):
-            ServeSimulator(
+            Replica(
                 pd,
                 device=V100,
                 composer="superbatch",

@@ -24,15 +24,16 @@ from repro.datasets import load_dataset
 from repro.device import V100
 from repro.errors import ServeError
 from repro.serve import (
+    ClusterSimulator,
+    Replica,
     Request,
     ServePolicy,
-    ServeSimulator,
     WorkloadSpec,
     arrival_times,
     degraded_kwargs,
     generate_workload,
     rank_probabilities,
-    run_serve_session,
+    run_cluster_session,
     summarize,
 )
 from repro.serve.metrics import RequestLog
@@ -215,8 +216,6 @@ class TestLinkpredWorkload:
             np.testing.assert_array_equal(x.seeds, y.seeds)
 
     def test_cluster_session_deterministic_and_reports_pairs(self, pd):
-        from repro.serve import run_cluster_session
-
         def run():
             _, report = run_cluster_session(
                 pd,
@@ -239,8 +238,6 @@ class TestLinkpredWorkload:
         assert metrics["pairs_served"] == float(a.pairs_served)
 
     def test_node_task_metrics_schema_unchanged(self, pd):
-        from repro.serve import run_cluster_session
-
         _, report = run_cluster_session(
             pd,
             device=V100,
@@ -271,7 +268,7 @@ def _manual_requests(arrivals, seeds_per=4, num_nodes=100):
 
 class TestBatcher:
     def _simulator(self, pd, policy):
-        return ServeSimulator(
+        return ClusterSimulator(
             pd, device=V100, policy=policy, cache_ratio=0.0, seed=0
         )
 
@@ -334,7 +331,7 @@ class TestBatcher:
 class TestAdmission:
     def test_sheds_above_capacity(self, pd):
         policy = ServePolicy(max_batch=2, max_wait=1e-3, queue_capacity=2)
-        sim = ServeSimulator(
+        sim = ClusterSimulator(
             pd, device=V100, policy=policy, cache_ratio=0.0, seed=0
         )
         # 32 simultaneous arrivals against a 2-deep queue: almost all shed.
@@ -346,7 +343,7 @@ class TestAdmission:
 
     def test_unbounded_queue_never_sheds(self, pd):
         policy = ServePolicy(max_batch=2, max_wait=1e-3, queue_capacity=None)
-        sim = ServeSimulator(
+        sim = ClusterSimulator(
             pd, device=V100, policy=policy, cache_ratio=0.0, seed=0
         )
         report = sim.run(_manual_requests([0.0] * 32))
@@ -399,7 +396,7 @@ class TestDegradation:
             slo=5e-4,
             min_samples=16,
         )
-        _, report = run_serve_session(
+        _, report = run_cluster_session(
             pd, device=V100, spec=spec, policy=policy, seed=0
         )
         assert report.degraded > 0
@@ -411,17 +408,18 @@ class TestDegradation:
         # the degraded run must finish sooner (smaller fanout, no PCIe).
         spec = WorkloadSpec(num_requests=128, arrival_rate=1e6, seed=0)
         policy = ServePolicy(max_batch=8, max_wait=1e-4, queue_capacity=None)
-        sim_full = ServeSimulator(
+        sim_full = ClusterSimulator(
             pd, device=V100, policy=policy, cache_ratio=0.1, seed=0
         )
         requests = sim_full.build_workload(spec)
         full = sim_full.run(requests)
 
-        sim_deg = ServeSimulator(
+        sim_deg = ClusterSimulator(
             pd, device=V100, policy=policy, cache_ratio=0.1, seed=0
         )
-        sim_deg._level = 2  # pin the ladder at its lowest fidelity
-        sim_deg.policy = policy  # no SLO: the level never moves
+        # Pin the ladder at its lowest fidelity; with no SLO in the
+        # policy the level never moves.
+        sim_deg.replicas[0]._level = 2
         degraded = sim_deg.run(requests)
         assert degraded.makespan < full.makespan
         assert all(
@@ -430,24 +428,28 @@ class TestDegradation:
 
     def test_cached_only_fetch_skips_pcie(self, pd):
         policy = ServePolicy(max_batch=4, max_wait=1e-4, queue_capacity=None)
-        sim = ServeSimulator(
+        sim = ClusterSimulator(
             pd, device=V100, policy=policy, cache_ratio=0.2, seed=0
         )
-        sim._level = 2
+        sim.replicas[0]._level = 2
         sim.run(_manual_requests([0.0] * 4, num_nodes=pd.num_nodes))
         fetches = [
-            l for l in sim.io_ctx.launches if l.name == "serve_feature_fetch"
+            l
+            for l in sim.replicas[0].io_ctx.launches
+            if l.name == "serve_feature_fetch"
         ]
         assert fetches and all(l.uva_bytes == 0.0 for l in fetches)
 
     def test_normal_fetch_charges_misses_over_pcie(self, pd):
         policy = ServePolicy(max_batch=4, max_wait=1e-4, queue_capacity=None)
-        sim = ServeSimulator(
+        sim = ClusterSimulator(
             pd, device=V100, policy=policy, cache_ratio=0.2, seed=0
         )
         sim.run(_manual_requests([0.0] * 4, num_nodes=pd.num_nodes))
         fetches = [
-            l for l in sim.io_ctx.launches if l.name == "serve_feature_fetch"
+            l
+            for l in sim.replicas[0].io_ctx.launches
+            if l.name == "serve_feature_fetch"
         ]
         assert fetches and all(l.uva_bytes > 0.0 for l in fetches)
 
@@ -489,7 +491,7 @@ class TestMetrics:
 
     def test_unknown_algorithm_rejected(self, pd):
         with pytest.raises(ServeError):
-            ServeSimulator(pd, algorithm="deepwalk", device=V100)
+            ClusterSimulator(pd, algorithm="deepwalk", device=V100)
 
 
 # ----------------------------------------------------------------------
@@ -507,10 +509,10 @@ class TestDeterminism:
         policy = ServePolicy(
             max_batch=8, max_wait=5e-4, queue_capacity=32, slo=2e-3
         )
-        _, a = run_serve_session(
+        _, a = run_cluster_session(
             pd, device=V100, spec=spec, policy=policy, seed=11
         )
-        _, b = run_serve_session(
+        _, b = run_cluster_session(
             pd, device=V100, spec=spec, policy=policy, seed=11
         )
         assert a.fingerprint() == b.fingerprint()
@@ -519,8 +521,8 @@ class TestDeterminism:
     def test_different_seed_differs(self, pd):
         spec_a = WorkloadSpec(num_requests=96, arrival_rate=1e5, seed=1)
         spec_b = WorkloadSpec(num_requests=96, arrival_rate=1e5, seed=2)
-        _, a = run_serve_session(pd, device=V100, spec=spec_a, seed=1)
-        _, b = run_serve_session(pd, device=V100, spec=spec_b, seed=2)
+        _, a = run_cluster_session(pd, device=V100, spec=spec_a, seed=1)
+        _, b = run_cluster_session(pd, device=V100, spec=spec_b, seed=2)
         assert a.fingerprint() != b.fingerprint()
 
 
@@ -535,7 +537,7 @@ class TestAcceptance:
             policy = ServePolicy(
                 max_batch=max_batch, max_wait=5e-4, queue_capacity=None
             )
-            _, report = run_serve_session(
+            _, report = run_cluster_session(
                 pd, device=V100, spec=spec, policy=policy, seed=0
             )
             results[max_batch] = report.throughput_rps
@@ -546,7 +548,7 @@ class TestAcceptance:
             num_requests=1024, arrival_rate=400_000.0, seed=0
         )
         slo = 15e-4  # 1.5 simulated ms
-        _, uncontrolled = run_serve_session(
+        _, uncontrolled = run_cluster_session(
             pd,
             device=V100,
             spec=spec,
@@ -555,7 +557,7 @@ class TestAcceptance:
             ),
             seed=0,
         )
-        _, controlled = run_serve_session(
+        _, controlled = run_cluster_session(
             pd,
             device=V100,
             spec=spec,
@@ -655,7 +657,7 @@ def _digest(report):
 
 class TestComposerPins:
     def test_fifo_matches_pre_refactor_pin(self, pd):
-        _, report = run_serve_session(
+        _, report = run_cluster_session(
             pd,
             device=V100,
             spec=PIN_SPEC,
@@ -668,13 +670,24 @@ class TestComposerPins:
 
     def test_default_composer_is_fifo_and_pinned(self, pd):
         # Callers that never heard of composers get the legacy behavior.
-        _, report = run_serve_session(
+        _, report = run_cluster_session(
             pd, device=V100, spec=PIN_SPEC, policy=PIN_POLICY, seed=11
         )
         assert _digest(report) == FIFO_PIN
 
+    def test_fifo_pin_on_heterogeneous_stream(self, pd):
+        _, report = run_cluster_session(
+            pd,
+            device=V100,
+            spec=PIN_HET_SPEC,
+            policy=PIN_POLICY,
+            composer="fifo",
+            seed=11,
+        )
+        assert _digest(report) == FIFO_HET_PIN
+
     def test_binned_pin_on_heterogeneous_stream(self, pd):
-        _, report = run_serve_session(
+        _, report = run_cluster_session(
             pd,
             device=V100,
             spec=PIN_HET_SPEC,
@@ -686,7 +699,7 @@ class TestComposerPins:
         assert _digest(report) == BINNED_PIN
 
     def test_superbatch_pin(self, pd):
-        _, report = run_serve_session(
+        _, report = run_cluster_session(
             pd,
             device=V100,
             spec=PIN_SPEC,
@@ -707,7 +720,7 @@ class TestComposedServing:
         fewer slots than FIFO's arbitrary arrival-order batches."""
         pads = {}
         for composer in ("fifo", "binned"):
-            _, report = run_serve_session(
+            _, report = run_cluster_session(
                 pd,
                 device=V100,
                 spec=PIN_HET_SPEC,
@@ -720,7 +733,7 @@ class TestComposedServing:
         assert pads["binned"] < pads["fifo"]
 
     def test_superbatch_counters_and_metrics(self, pd):
-        _, report = run_serve_session(
+        _, report = run_cluster_session(
             pd,
             device=V100,
             spec=PIN_SPEC,
@@ -744,7 +757,7 @@ class TestComposedServing:
     def test_fifo_metrics_unchanged_by_refactor(self, pd):
         """FIFO reports keep the exact pre-refactor metric keys — the
         trajectory lanes committed in earlier PRs must not churn."""
-        _, report = run_serve_session(
+        _, report = run_cluster_session(
             pd, device=V100, spec=PIN_SPEC, policy=PIN_POLICY, seed=11
         )
         metrics = report.to_metrics()
@@ -763,7 +776,7 @@ class TestComposedServing:
         )
         results = {}
         for composer in ("fifo", "superbatch"):
-            _, report = run_serve_session(
+            _, report = run_cluster_session(
                 pd,
                 device=V100,
                 spec=spec,
@@ -778,7 +791,7 @@ class TestComposedServing:
 
     def test_superbatch_determinism(self, pd):
         runs = [
-            run_serve_session(
+            run_cluster_session(
                 pd,
                 device=V100,
                 spec=PIN_SPEC,
@@ -792,7 +805,7 @@ class TestComposedServing:
         assert runs[0].to_metrics() == runs[1].to_metrics()
 
     def test_superbatch_window_helper(self, pd):
-        sim = ServeSimulator(
+        sim = Replica(
             pd, device=V100, policy=PIN_POLICY, seed=0, composer="superbatch"
         )
         requests = generate_workload(
@@ -821,19 +834,19 @@ class TestServeLoopRegressions:
         called); it must stay bounded by concurrent in-service work."""
         spec = WorkloadSpec(num_requests=600, arrival_rate=150_000.0, seed=3)
         policy = ServePolicy(max_batch=8, max_wait=5e-4, queue_capacity=64)
-        sim = ServeSimulator(pd, device=V100, policy=policy, seed=3)
+        sim = ClusterSimulator(pd, device=V100, policy=policy, seed=3)
         report = sim.run(sim.build_workload(spec))
         assert report.completed > 500
         # Never called outstanding(): the bound must come from the
         # completion-path prune alone.  Leak regression would leave
         # ~report.completed entries here.
-        assert len(sim._in_flight) <= 64
+        assert len(sim.replicas[0]._in_flight) <= 64
 
     def test_superbatch_window_probes_both_pipelines(self, pd):
         """The fusion window must fit whichever pipeline the ladder
         executes — the most conservative answer over full-fidelity *and*
         degraded compiled layers, not just ``_pipelines[0]``."""
-        sim = ServeSimulator(
+        sim = Replica(
             pd, device=V100, policy=PIN_POLICY, seed=0, composer="superbatch"
         )
         requests = generate_workload(
@@ -878,7 +891,7 @@ class TestServeLoopRegressions:
             slo=1e-3,
             min_samples=16,
         )
-        sim = ServeSimulator(pd, device=V100, policy=policy, seed=0)
+        sim = Replica(pd, device=V100, policy=policy, seed=0)
         # Step change: every completion suddenly breaches the SLO.
         transitions = self._ladder_transitions(sim, [5e-3] * 48)
         assert sim._level == 2
@@ -895,7 +908,7 @@ class TestServeLoopRegressions:
             slo=1e-3,
             min_samples=16,
         )
-        sim = ServeSimulator(pd, device=V100, policy=policy, seed=0)
+        sim = Replica(pd, device=V100, policy=policy, seed=0)
         sim._level = 2
         # Step recovery: latencies land well under recover_margin * slo.
         transitions = self._ladder_transitions(sim, [1e-4] * 48)
@@ -913,7 +926,7 @@ class TestServeLoopRegressions:
             slo=1e-3,
             min_samples=16,
         )
-        sim = ServeSimulator(pd, device=V100, policy=policy, seed=0)
+        sim = Replica(pd, device=V100, policy=policy, seed=0)
         # Alternate just-over / just-under the SLO for 160 completions.
         latencies = [1.05e-3 if i % 2 else 0.95e-3 for i in range(160)]
         transitions = self._ladder_transitions(sim, latencies)
