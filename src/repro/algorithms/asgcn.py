@@ -23,10 +23,9 @@ from repro.algorithms.base import (
     Algorithm,
     AlgorithmInfo,
     LayeredPipeline,
-    compile_layer,
 )
 from repro.core.matrix import Matrix
-from repro.sampler import OptimizationConfig
+from repro.sampler import OptimizationConfig, compile_sampler
 
 
 def asgcn_layer(A, frontiers, K, features, w_att):
@@ -78,7 +77,7 @@ class ASGCN(Algorithm):
             self.w_att = rng.standard_normal(features.shape[1]).astype(
                 np.float32
             ) * 0.1
-        sampler = compile_layer(
+        sampler = compile_sampler(
             asgcn_layer,
             graph,
             example_seeds,

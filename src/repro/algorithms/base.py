@@ -28,7 +28,7 @@ import numpy as np
 from repro.core import GraphSample, SampledLayer, new_rng
 from repro.core.matrix import Matrix
 from repro.device import NULL_CONTEXT, ExecutionContext
-from repro.sampler import CompiledSampler, OptimizationConfig, compile_sampler
+from repro.sampler import CompiledSampler, OptimizationConfig
 
 
 @dataclasses.dataclass
@@ -180,23 +180,3 @@ class Algorithm(abc.ABC):
         config: OptimizationConfig | None = None,
     ) -> Pipeline:
         """Compile the algorithm's pipeline for ``graph``."""
-
-
-def compile_layer(
-    layer_fn: Callable,
-    graph: Matrix,
-    example_seeds: np.ndarray,
-    *,
-    constants: dict | None = None,
-    tensors: dict[str, np.ndarray] | None = None,
-    config: OptimizationConfig | None = None,
-) -> CompiledSampler:
-    """Thin wrapper over :func:`compile_sampler` with algorithm defaults."""
-    return compile_sampler(
-        layer_fn,
-        graph,
-        example_seeds,
-        constants=constants,
-        tensors=tensors,
-        config=config,
-    )

@@ -19,10 +19,9 @@ from repro.algorithms.base import (
     Algorithm,
     AlgorithmInfo,
     LayeredPipeline,
-    compile_layer,
 )
 from repro.core.matrix import Matrix
-from repro.sampler import OptimizationConfig
+from repro.sampler import OptimizationConfig, compile_sampler
 
 
 def fastgcn_layer(A, frontiers, K):
@@ -61,7 +60,7 @@ class FastGCN(Algorithm):
         features: np.ndarray | None = None,
         config: OptimizationConfig | None = None,
     ) -> LayeredPipeline:
-        sampler = compile_layer(
+        sampler = compile_sampler(
             fastgcn_layer,
             graph,
             example_seeds,

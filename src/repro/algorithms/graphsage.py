@@ -22,10 +22,9 @@ from repro.algorithms.base import (
     Algorithm,
     AlgorithmInfo,
     LayeredPipeline,
-    compile_layer,
 )
 from repro.core.matrix import Matrix
-from repro.sampler import OptimizationConfig
+from repro.sampler import OptimizationConfig, compile_sampler
 
 
 def graphsage_layer(A, frontiers, K):
@@ -58,7 +57,7 @@ class GraphSAGE(Algorithm):
         config: OptimizationConfig | None = None,
     ) -> LayeredPipeline:
         samplers = [
-            compile_layer(
+            compile_sampler(
                 graphsage_layer,
                 graph,
                 example_seeds,

@@ -24,10 +24,9 @@ from repro.algorithms.base import (
     Algorithm,
     AlgorithmInfo,
     LayeredPipeline,
-    compile_layer,
 )
 from repro.core.matrix import Matrix
-from repro.sampler import OptimizationConfig
+from repro.sampler import OptimizationConfig, compile_sampler
 
 
 def labor_layer(A, frontiers, K):
@@ -60,7 +59,7 @@ class Labor(Algorithm):
         config: OptimizationConfig | None = None,
     ) -> LayeredPipeline:
         samplers = [
-            compile_layer(
+            compile_sampler(
                 labor_layer,
                 graph,
                 example_seeds,

@@ -24,10 +24,9 @@ from repro.algorithms.base import (
     Algorithm,
     AlgorithmInfo,
     LayeredPipeline,
-    compile_layer,
 )
 from repro.core.matrix import Matrix
-from repro.sampler import OptimizationConfig
+from repro.sampler import OptimizationConfig, compile_sampler
 
 
 def ladies_layer(A, frontiers, K):
@@ -66,7 +65,7 @@ class LADIES(Algorithm):
         features: np.ndarray | None = None,
         config: OptimizationConfig | None = None,
     ) -> LayeredPipeline:
-        sampler = compile_layer(
+        sampler = compile_sampler(
             ladies_layer,
             graph,
             example_seeds,

@@ -23,10 +23,9 @@ from repro.algorithms.base import (
     Algorithm,
     AlgorithmInfo,
     LayeredPipeline,
-    compile_layer,
 )
 from repro.core.matrix import Matrix
-from repro.sampler import OptimizationConfig
+from repro.sampler import OptimizationConfig, compile_sampler
 
 
 def pass_layer(A, frontiers, K, features, W1, W2, W3):
@@ -88,7 +87,7 @@ class PASS(Algorithm):
         if self.W1 is None or self.W1.shape[0] != features.shape[1]:
             self._init_params(features.shape[1])
         assert self.W1 is not None and self.W2 is not None
-        sampler = compile_layer(
+        sampler = compile_sampler(
             pass_layer,
             graph,
             example_seeds,

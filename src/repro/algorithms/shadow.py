@@ -21,13 +21,12 @@ from repro.algorithms.base import (
     Algorithm,
     AlgorithmInfo,
     Pipeline,
-    compile_layer,
 )
 from repro.algorithms.graphsage import graphsage_layer
 from repro.core import GraphSample, new_rng
 from repro.core.matrix import Matrix
 from repro.device import NULL_CONTEXT, ExecutionContext
-from repro.sampler import CompiledSampler, OptimizationConfig
+from repro.sampler import CompiledSampler, OptimizationConfig, compile_sampler
 
 
 @dataclasses.dataclass
@@ -152,7 +151,7 @@ class ShaDow(Algorithm):
         config: OptimizationConfig | None = None,
     ) -> ShaDowPipeline:
         samplers = [
-            compile_layer(
+            compile_sampler(
                 graphsage_layer,
                 graph,
                 example_seeds,

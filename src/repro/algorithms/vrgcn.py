@@ -22,10 +22,9 @@ from repro.algorithms.base import (
     Algorithm,
     AlgorithmInfo,
     LayeredPipeline,
-    compile_layer,
 )
 from repro.core.matrix import Matrix
-from repro.sampler import OptimizationConfig
+from repro.sampler import OptimizationConfig, compile_sampler
 
 
 def vrgcn_layer(A, frontiers, K):
@@ -62,7 +61,7 @@ class VRGCN(Algorithm):
         config: OptimizationConfig | None = None,
     ) -> LayeredPipeline:
         samplers = [
-            compile_layer(
+            compile_sampler(
                 vrgcn_layer,
                 graph,
                 example_seeds,

@@ -183,21 +183,3 @@ def speedup_over_best_baseline(
     if not others or rows.get(reference) in (None, 0):
         return float("nan")
     return min(others) / rows[reference]  # type: ignore[operator]
-
-
-def format_table(
-    header: list[str], rows: list[list[object]], title: str = ""
-) -> str:
-    """Plain-text table used by every benchmark's report output."""
-    widths = [
-        max(len(str(header[i])), *(len(str(r[i])) for r in rows)) if rows else len(str(header[i]))
-        for i in range(len(header))
-    ]
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(str(h).ljust(w) for h, w in zip(header, widths)))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in rows:
-        lines.append("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
-    return "\n".join(lines)

@@ -551,25 +551,18 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     else:
         names = [args.algorithm]
     superbatch = args.superbatch_batches or None
-    rows = []
-    all_passed = True
-    for name in names:
-        try:
-            report = verify_algorithm(
-                name,
-                trials=args.trials,
-                alpha=args.alpha,
-                seed=args.seed,
-                superbatch_batches=superbatch,
-            )
-        except GSamplerError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        all_passed = all_passed and report.passed
-        for check in report.variants:
+    common = dict(trials=args.trials, alpha=args.alpha, seed=args.seed)
+    rows: list[list[str]] = []
+
+    def contract_row(label: str, variant: str, ok: bool) -> None:
+        """A pass/fail contract: no statistic to show."""
+        rows.append([label, variant, *["-"] * 5, "ok" if ok else "FAIL"])
+
+    def check_rows(label: str, checks) -> None:
+        for check in checks:
             rows.append(
                 [
-                    name,
+                    label,
                     check.name,
                     f"{check.chi2.statistic:.2f}",
                     str(check.chi2.dof),
@@ -579,79 +572,38 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     "ok" if check.passed else "FAIL",
                 ]
             )
-    if run_dynamic:
-        try:
-            dyn = check_dynamic_equivalence(
-                trials=args.trials, alpha=args.alpha, seed=args.seed
+
+    all_passed = True
+    try:
+        for name in names:
+            report = verify_algorithm(
+                name, superbatch_batches=superbatch, **common
             )
-        except GSamplerError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        all_passed = all_passed and dyn.passed
-        rows.append(
-            [
+            all_passed = all_passed and report.passed
+            check_rows(name, report.variants)
+        if run_dynamic:
+            dyn = check_dynamic_equivalence(**common)
+            all_passed = all_passed and dyn.passed
+            contract_row(
                 "dynamic",
                 "compact-bit-identity",
-                "-",
-                "-",
-                "-",
-                "-",
-                "-",
-                "ok" if dyn.storage_identical and dyn.samples_identical
-                else "FAIL",
-            ]
-        )
-        check = dyn.marginals
-        rows.append(
-            [
-                "dynamic",
-                check.name,
-                f"{check.chi2.statistic:.2f}",
-                str(check.chi2.dof),
-                f"{check.adjusted_chi2_p:.4f}",
-                f"{check.ks.statistic:.3f}",
-                f"{check.adjusted_ks_p:.4f}",
-                "ok" if check.passed else "FAIL",
-            ]
-        )
-    if run_linkpred:
-        try:
-            lp = check_linkpred_equivalence(
-                trials=args.trials, alpha=args.alpha, seed=args.seed
+                dyn.storage_identical and dyn.samples_identical,
             )
-        except GSamplerError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        all_passed = all_passed and lp.passed
-        rows.append(
-            [
+            check_rows("dynamic", [dyn.marginals])
+        if run_linkpred:
+            lp = check_linkpred_equivalence(**common)
+            all_passed = all_passed and lp.passed
+            contract_row(
                 "linkpred",
                 "pair-contract",
-                "-",
-                "-",
-                "-",
-                "-",
-                "-",
-                "ok"
-                if lp.compaction_ok
+                lp.compaction_ok
                 and lp.no_false_negatives
-                and lp.negatives_deterministic
-                else "FAIL",
-            ]
-        )
-        for check in lp.marginals.variants:
-            rows.append(
-                [
-                    "linkpred",
-                    check.name,
-                    f"{check.chi2.statistic:.2f}",
-                    str(check.chi2.dof),
-                    f"{check.adjusted_chi2_p:.4f}",
-                    f"{check.ks.statistic:.3f}",
-                    f"{check.adjusted_ks_p:.4f}",
-                    "ok" if check.passed else "FAIL",
-                ]
+                and lp.negatives_deterministic,
             )
+            check_rows("linkpred", lp.marginals.variants)
+    except GSamplerError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(
         format_table(
             ["Algorithm", "Variant", "chi2", "dof", "adj p", "KS D",

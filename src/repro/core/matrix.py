@@ -42,7 +42,6 @@ from repro.sparse import (
     LAYOUTS,
     SparseFormat,
     as_index_array,
-    compact_rows,
     convert,
     edge_values,
 )
@@ -188,29 +187,35 @@ class Matrix:
         ``cols`` are *original* node ids when the matrix has no col map,
         otherwise local column positions.
         """
-        from repro.sparse import slice_columns
-
-        cols = as_index_array(cols)
-        src = self.get(layout) if layout else self.get(self._slice_col_layout())
-        out = slice_columns(src, cols, self.ctx, graph_read=self.is_base_graph)
-        new_col_ids = cols if self.col_ids is None else self.col_ids[cols]
-        return self._spawn(out, col_ids=new_col_ids)
+        return self._slice(cols, 1, layout)
 
     def slice_rows(self, rows: np.ndarray, layout: str | None = None) -> "Matrix":
         """``A[rows, :]`` — the out-neighbor subgraph of ``rows``."""
-        from repro.sparse import slice_rows
+        return self._slice(rows, 0, layout)
 
-        rows = as_index_array(rows)
-        src = self.get(layout) if layout else self.get(self._slice_row_layout())
-        out = slice_rows(src, rows, self.ctx, graph_read=self.is_base_graph)
-        new_row_ids = rows if self.row_ids is None else self.row_ids[rows]
-        return self._spawn(out, row_ids=new_row_ids)
+    def _slice(self, ids: np.ndarray, axis: int, layout: str | None) -> "Matrix":
+        from repro.sparse import slice_columns, slice_rows
 
-    def _slice_col_layout(self) -> str:
-        return "csc" if "csc" in self._storages else self.any_storage().layout
+        ids = as_index_array(ids)
+        src = self.get(layout) if layout else self._source_along(axis)
+        out = (slice_rows, slice_columns)[axis](
+            src, ids, self.ctx, graph_read=self.is_base_graph
+        )
+        return self._spawn_selected(out, axis, ids)
 
-    def _slice_row_layout(self) -> str:
-        return "csr" if "csr" in self._storages else self.any_storage().layout
+    def _source_along(self, axis: int) -> SparseFormat:
+        """The storage compressed along ``axis`` (rows: CSR, columns: CSC)
+        when it is materialized — slices and reductions are cheapest there —
+        else whatever is, without converting."""
+        return self._storages.get(("csr", "csc")[axis], self.any_storage())
+
+    def _spawn_selected(
+        self, storage: SparseFormat, axis: int, ids: np.ndarray
+    ) -> "Matrix":
+        """Child whose ``axis`` keeps this matrix's local positions ``ids``."""
+        old = (self.row_ids, self.col_ids)[axis]
+        new = ids if old is None else old[ids]
+        return self._spawn(storage, **{("row_ids", "col_ids")[axis]: new})
 
     # ------------------------------------------------------------------
     # Compute step
@@ -290,23 +295,10 @@ class Matrix:
     def _reduce(self, op: str, axis: int, layout: str | None) -> np.ndarray:
         from repro.sparse import reduce_cols, reduce_rows
 
-        if axis == 0:
-            src = self.get(layout) if layout else self._reduce_rows_source()
-            return reduce_rows(src, op, self.ctx)
-        if axis == 1:
-            src = self.get(layout) if layout else self._reduce_cols_source()
-            return reduce_cols(src, op, self.ctx)
-        raise ShapeError(f"reduce axis must be 0 or 1, got {axis}")
-
-    def _reduce_rows_source(self) -> SparseFormat:
-        if "csr" in self._storages:
-            return self._storages["csr"]
-        return self.any_storage()
-
-    def _reduce_cols_source(self) -> SparseFormat:
-        if "csc" in self._storages:
-            return self._storages["csc"]
-        return self.any_storage()
+        if axis not in (0, 1):
+            raise ShapeError(f"reduce axis must be 0 or 1, got {axis}")
+        src = self.get(layout) if layout else self._source_along(axis)
+        return (reduce_rows, reduce_cols)[axis](src, op, self.ctx)
 
     def __matmul__(self, dense: np.ndarray) -> np.ndarray:
         """``A @ D`` — SpMM against a dense matrix/vector."""
@@ -387,11 +379,7 @@ class Matrix:
         result = sampling.collective_sample(
             self.get("csc"), k, node_probs, replace=replace, rng=rng, ctx=self.ctx
         )
-        selected_local = result.selected_rows
-        new_row_ids = (
-            selected_local if self.row_ids is None else self.row_ids[selected_local]
-        )
-        return self._spawn(result.matrix, row_ids=new_row_ids)
+        return self._spawn_selected(result.matrix, 0, result.selected_rows)
 
     # ------------------------------------------------------------------
     # Finalize step
@@ -417,27 +405,13 @@ class Matrix:
 
     def compact(self, axis: int = 0) -> "Matrix":
         """Drop isolated rows (axis 0) or columns (axis 1), keeping id maps."""
-        if axis == 0:
-            result = compact_rows(self.any_storage(), self.ctx)
-            assert result.row_ids is not None
-            new_row_ids = (
-                result.row_ids
-                if self.row_ids is None
-                else self.row_ids[result.row_ids]
-            )
-            return self._spawn(result.matrix, row_ids=new_row_ids)
-        if axis == 1:
-            from repro.sparse import compact_cols
+        from repro.sparse import compact_cols, compact_rows
 
-            result = compact_cols(self.any_storage(), self.ctx)
-            assert result.col_ids is not None
-            new_col_ids = (
-                result.col_ids
-                if self.col_ids is None
-                else self.col_ids[result.col_ids]
-            )
-            return self._spawn(result.matrix, col_ids=new_col_ids)
-        raise ShapeError(f"compact axis must be 0 or 1, got {axis}")
+        if axis not in (0, 1):
+            raise ShapeError(f"compact axis must be 0 or 1, got {axis}")
+        result = (compact_rows, compact_cols)[axis](self.any_storage(), self.ctx)
+        kept = (result.row_ids, result.col_ids)[axis]
+        return self._spawn_selected(result.matrix, axis, kept)
 
     # ------------------------------------------------------------------
     # Export / interop

@@ -31,6 +31,7 @@ from repro.sparse import (
     edge_values,
     to_csc,
 )
+from repro.sparse.compact import _relabel
 from repro.sparse.formats import gather_ranges
 
 _ITEM = 8
@@ -307,7 +308,7 @@ def collective_sample(
     else:
         selected = np.sort(rnd.weighted_choice_without_replacement(node_probs, k, rng))
         rounds = 1
-    sub = _restrict_rows_csc(csc, selected)
+    sub = _relabel(csc, selected, 0)
     ctx.record(
         "collective_sample",
         bytes_read=node_probs.nbytes
@@ -349,27 +350,6 @@ def _distinct_rows_with_replacement(
         chosen[fresh] = True
         count += len(fresh)
     return np.flatnonzero(chosen).astype(INDEX_DTYPE), max(rounds, 1)
-
-
-def _restrict_rows_csc(csc: CSC, keep_rows: np.ndarray) -> CSC:
-    """Keep only edges whose row is in ``keep_rows``; compact rows."""
-    lut = np.full(csc.shape[0], -1, dtype=INDEX_DTYPE)
-    lut[keep_rows] = np.arange(len(keep_rows), dtype=INDEX_DTYPE)
-    new_rows = lut[csc.rows]
-    mask = new_rows >= 0
-    kept = mask.astype(INDEX_DTYPE)
-    csum = np.zeros(len(kept) + 1, dtype=INDEX_DTYPE)
-    np.cumsum(kept, out=csum[1:])
-    per_col = csum[csc.indptr[1:]] - csum[csc.indptr[:-1]]
-    indptr = np.zeros(csc.shape[1] + 1, dtype=INDEX_DTYPE)
-    np.cumsum(per_col, out=indptr[1:])
-    return CSC(
-        indptr=indptr,
-        rows=new_rows[mask],
-        values=None if csc.values is None else csc.values[mask],
-        shape=(len(keep_rows), csc.shape[1]),
-        edge_ids=None if csc.edge_ids is None else csc.edge_ids[mask],
-    )
 
 
 def _resolve_edge_bias(

@@ -22,9 +22,11 @@ from repro.ir.graph import DataFlowGraph, Node, STRUCTURE_OPS
 from repro.ir.passes.base import Pass
 
 #: Relative per-edge execution cost of each consumer op per input layout.
-#: Derived from the kernel implementations in ``repro.sparse.kernels``:
-#: e.g. column slicing reads only the selected ranges on CSC but scans the
-#: whole edge list on COO/CSR (Table 5's 1.32 / 18.42 / 14.13 ms pattern).
+#: These are the along / across / COO rule of ``repro.sparse.kernels``
+#: (stated once, in ``_slice`` and ``_reduce``) as ratios: an op along the
+#: layout's compressed axis reads pointer ranges, across it or on COO it
+#: touches every edge (Table 5's 1.32 / 18.42 / 14.13 ms pattern for
+#: ``A[:, frontiers]`` on CSC / COO / CSR).
 CONSUMER_COST: dict[str, dict[str, float]] = {
     "slice_cols": {"csc": 1.0, "coo": 12.0, "csr": 10.0},
     "slice_rows": {"csr": 1.0, "coo": 12.0, "csc": 10.0},

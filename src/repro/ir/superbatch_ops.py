@@ -22,6 +22,7 @@ from repro.core.matrix import Matrix
 from repro.device import NULL_CONTEXT, ExecutionContext
 from repro.errors import ShapeError
 from repro.sparse import CSC, INDEX_DTYPE
+from repro.sparse.compact import _relabel
 from repro.sparse.formats import gather_ranges
 
 _ITEM = 8
@@ -172,9 +173,7 @@ def sb_collective_sample(
     selected = rnd.segmented_race_select(keys, seg_ptr, k)
     selected = np.sort(selected).astype(INDEX_DTYPE)
 
-    from repro.core.sampling import _restrict_rows_csc
-
-    sub = _restrict_rows_csc(csc, selected)
+    sub = _relabel(csc, selected, 0)
     ctx.record(
         "sb_collective_sample",
         bytes_read=node_probs.nbytes

@@ -17,7 +17,8 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ir.passes.base import PassStat
 
 
-def _format_table(header: list[str], rows: list[list[object]], title: str = "") -> str:
+def format_table(header: list[str], rows: list[list[object]], title: str = "") -> str:
+    """Plain-text table used by every report and benchmark output."""
     widths = [
         max(len(str(header[i])), *(len(str(r[i])) for r in rows))
         if rows
@@ -52,7 +53,7 @@ def kernel_table(ctx: "ExecutionContext", title: str = "") -> str:
             totals.items(), key=lambda kv: kv[1], reverse=True
         )
     ]
-    return _format_table(
+    return format_table(
         ["Kernel", "Launches", "Sim ms", "%"], rows, title=title
     )
 
@@ -71,7 +72,7 @@ def pass_table(stats: "list[PassStat]", title: str = "") -> str:
         ]
         for s in stats
     ]
-    return _format_table(
+    return format_table(
         ["Pass", "Iter", "Changed", "Wall ms", "Nodes", "Edges", "Rewrites"],
         rows,
         title=title,
@@ -102,7 +103,7 @@ def build_text_report(
     parts = [
         kernel_table(ctx, title=title),
         "",
-        _format_table(["Metric", "Value"], summary_rows),
+        format_table(["Metric", "Value"], summary_rows),
     ]
     if pass_stats:
         parts += ["", pass_table(pass_stats, title="Pass pipeline")]

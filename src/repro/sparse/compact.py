@@ -15,14 +15,17 @@ import numpy as np
 
 from repro.device import NULL_CONTEXT, ExecutionContext
 from repro.errors import FormatError
+from repro.sparse import kernels
 from repro.sparse.formats import (
     COO,
     CSC,
     CSR,
     INDEX_DTYPE,
     SparseFormat,
+    _AXES,
+    _indptr_from_counts,
+    _take,
 )
-from repro.sparse import kernels
 
 
 @dataclasses.dataclass
@@ -42,50 +45,37 @@ def occupied_rows(
     matrix: SparseFormat, ctx: ExecutionContext = NULL_CONTEXT
 ) -> np.ndarray:
     """Sorted original indices of rows that carry at least one edge."""
-    if isinstance(matrix, CSR):
-        out = np.flatnonzero(matrix.row_degrees() > 0).astype(INDEX_DTYPE)
-        ctx.record(
-            "occupied_rows",
-            bytes_read=matrix.indptr.nbytes,
-            bytes_written=out.nbytes,
-            flops=matrix.shape[0],
-            tasks=max(matrix.shape[0], 1),
-        )
-        return out
-    rows, _ = kernels.edge_endpoints(matrix, ctx)
-    out = np.unique(rows)
-    ctx.record(
-        "occupied_rows",
-        bytes_read=rows.nbytes,
-        bytes_written=out.nbytes,
-        flops=max(matrix.nnz, 1) * max(1.0, np.log2(max(matrix.nnz, 2))),
-        tasks=max(matrix.nnz, 1),
-    )
-    return out
+    return _occupied(matrix, 0, ctx)
 
 
 def occupied_cols(
     matrix: SparseFormat, ctx: ExecutionContext = NULL_CONTEXT
 ) -> np.ndarray:
     """Sorted original indices of columns that carry at least one edge."""
-    if isinstance(matrix, CSC):
-        out = np.flatnonzero(matrix.col_degrees() > 0).astype(INDEX_DTYPE)
-        ctx.record(
-            "occupied_cols",
-            bytes_read=matrix.indptr.nbytes,
-            bytes_written=out.nbytes,
-            flops=matrix.shape[1],
-            tasks=max(matrix.shape[1], 1),
-        )
-        return out
-    _, cols = kernels.edge_endpoints(matrix, ctx)
-    out = np.unique(cols)
+    return _occupied(matrix, 1, ctx)
+
+
+def _occupied(
+    matrix: SparseFormat, axis: int, ctx: ExecutionContext
+) -> np.ndarray:
+    """Along the compressed axis a scan of the pointer; otherwise a
+    sort-dedupe of every edge's index on ``axis``."""
+    if matrix.axis == axis:
+        out = np.flatnonzero(matrix._degrees() > 0).astype(INDEX_DTYPE)
+        read = matrix.indptr.nbytes
+        work = flops = matrix.shape[axis]  # one pointer entry per lane
+    else:
+        ids = kernels.edge_endpoints(matrix, ctx)[axis]
+        out = np.unique(ids)
+        read = ids.nbytes
+        work = matrix.nnz  # one edge per lane, sorted
+        flops = max(work, 1) * max(1.0, np.log2(max(work, 2)))
     ctx.record(
-        "occupied_cols",
-        bytes_read=cols.nbytes,
+        f"occupied_{_AXES[axis]}",
+        bytes_read=read,
         bytes_written=out.nbytes,
-        flops=max(matrix.nnz, 1) * max(1.0, np.log2(max(matrix.nnz, 2))),
-        tasks=max(matrix.nnz, 1),
+        flops=flops,
+        tasks=max(work, 1),
     )
     return out
 
@@ -97,13 +87,12 @@ def compact_rows(
 ) -> CompactResult:
     """Drop isolated rows, renumbering survivors to ``0..R-1``.
 
-    ``keep_rows`` overrides the survivor set (used by collective_sample,
-    where the rows to keep come from the sampler rather than occupancy).
+    ``keep_rows`` overrides the survivor set with rows the caller chose
+    rather than occupancy.  (The collective samplers do not come through
+    here: their own launch record covers the restriction, so they call
+    the record-free :func:`_relabel` body directly.)
     """
-    rows_to_keep = occupied_rows(matrix, ctx) if keep_rows is None else keep_rows
-    rows_to_keep = np.asarray(rows_to_keep, dtype=INDEX_DTYPE)
-    new_matrix = _relabel_rows(matrix, rows_to_keep, ctx)
-    return CompactResult(matrix=new_matrix, row_ids=rows_to_keep, col_ids=None)
+    return _compact(matrix, 0, ctx, keep_rows)
 
 
 def compact_cols(
@@ -112,107 +101,71 @@ def compact_cols(
     keep_cols: np.ndarray | None = None,
 ) -> CompactResult:
     """Drop isolated columns, renumbering survivors to ``0..C-1``."""
-    cols_to_keep = occupied_cols(matrix, ctx) if keep_cols is None else keep_cols
-    cols_to_keep = np.asarray(cols_to_keep, dtype=INDEX_DTYPE)
-    new_matrix = _relabel_cols(matrix, cols_to_keep, ctx)
-    return CompactResult(matrix=new_matrix, row_ids=None, col_ids=cols_to_keep)
+    return _compact(matrix, 1, ctx, keep_cols)
 
 
-def _relabel_rows(
-    matrix: SparseFormat, keep: np.ndarray, ctx: ExecutionContext
-) -> SparseFormat:
-    lut = np.full(matrix.shape[0], -1, dtype=INDEX_DTYPE)
-    lut[keep] = np.arange(len(keep), dtype=INDEX_DTYPE)
-    if isinstance(matrix, COO):
-        new_rows = lut[matrix.rows]
-        mask = new_rows >= 0
-        out: SparseFormat = COO(
-            rows=new_rows[mask],
-            cols=matrix.cols[mask],
-            values=None if matrix.values is None else matrix.values[mask],
-            shape=(len(keep), matrix.shape[1]),
-            edge_ids=None if matrix.edge_ids is None else matrix.edge_ids[mask],
-        )
-    elif isinstance(matrix, CSC):
-        new_rows = lut[matrix.rows]
-        mask = new_rows >= 0
-        kept_per_col = _kept_per_segment(mask, matrix.indptr)
-        indptr = np.zeros(matrix.shape[1] + 1, dtype=INDEX_DTYPE)
-        np.cumsum(kept_per_col, out=indptr[1:])
-        out = CSC(
-            indptr=indptr,
-            rows=new_rows[mask],
-            values=None if matrix.values is None else matrix.values[mask],
-            shape=(len(keep), matrix.shape[1]),
-            edge_ids=None if matrix.edge_ids is None else matrix.edge_ids[mask],
-        )
-    elif isinstance(matrix, CSR):
-        sliced = kernels.slice_rows(matrix, keep, ctx)
-        assert isinstance(sliced, CSR)
-        out = sliced
-        return out
-    else:
-        raise FormatError(f"unknown sparse container {type(matrix).__name__}")
-    ctx.record(
-        "compact_rows",
-        bytes_read=matrix.nbytes() + keep.nbytes,
-        bytes_written=out.nbytes() + matrix.shape[0] * _id_bytes(),
-        flops=matrix.nnz + matrix.shape[0],
-        tasks=max(matrix.nnz, 1),
+def _compact(
+    matrix: SparseFormat,
+    axis: int,
+    ctx: ExecutionContext,
+    keep: np.ndarray | None,
+) -> CompactResult:
+    keep = np.asarray(
+        _occupied(matrix, axis, ctx) if keep is None else keep, dtype=INDEX_DTYPE
     )
-    return out
-
-
-def _relabel_cols(
-    matrix: SparseFormat, keep: np.ndarray, ctx: ExecutionContext
-) -> SparseFormat:
-    lut = np.full(matrix.shape[1], -1, dtype=INDEX_DTYPE)
-    lut[keep] = np.arange(len(keep), dtype=INDEX_DTYPE)
-    if isinstance(matrix, COO):
-        new_cols = lut[matrix.cols]
-        mask = new_cols >= 0
-        out: SparseFormat = COO(
-            rows=matrix.rows[mask],
-            cols=new_cols[mask],
-            values=None if matrix.values is None else matrix.values[mask],
-            shape=(matrix.shape[0], len(keep)),
-            edge_ids=None if matrix.edge_ids is None else matrix.edge_ids[mask],
-        )
-    elif isinstance(matrix, CSR):
-        new_cols = lut[matrix.cols]
-        mask = new_cols >= 0
-        kept_per_row = _kept_per_segment(mask, matrix.indptr)
-        indptr = np.zeros(matrix.shape[0] + 1, dtype=INDEX_DTYPE)
-        np.cumsum(kept_per_row, out=indptr[1:])
-        out = CSR(
-            indptr=indptr,
-            cols=new_cols[mask],
-            values=None if matrix.values is None else matrix.values[mask],
-            shape=(matrix.shape[0], len(keep)),
-            edge_ids=None if matrix.edge_ids is None else matrix.edge_ids[mask],
-        )
-    elif isinstance(matrix, CSC):
-        sliced = kernels.slice_columns(matrix, keep, ctx)
-        assert isinstance(sliced, CSC)
-        return sliced
+    if matrix.axis == axis:
+        # Along the compressed axis relabeling *is* a range-gather slice,
+        # and is recorded as one.
+        slice_axis = (kernels.slice_rows, kernels.slice_columns)[axis]
+        out = slice_axis(matrix, keep, ctx)
     else:
+        out = _relabel(matrix, keep, axis)
+        extent = matrix.shape[axis]
+        ctx.record(
+            f"compact_{_AXES[axis]}",
+            bytes_read=matrix.nbytes() + keep.nbytes,
+            bytes_written=out.nbytes() + extent * keep.itemsize,
+            flops=matrix.nnz + extent,
+            tasks=max(matrix.nnz, 1),
+        )
+    ids: list[np.ndarray | None] = [None, None]
+    ids[axis] = keep
+    return CompactResult(out, *ids)
+
+
+def _relabel(matrix: SparseFormat, keep: np.ndarray, axis: int) -> SparseFormat:
+    """Drop edges whose ``axis`` index is not in ``keep``; renumber the rest.
+
+    For COO and *across* a compressed axis, where a mask over the stored
+    index array does it and edge order (so every pointer segment) survives.
+    Records nothing: ``compact_*`` and the collective samplers price it as
+    part of their own launch.
+    """
+    lut = np.full(matrix.shape[axis], -1, dtype=INDEX_DTYPE)
+    lut[keep] = np.arange(len(keep), dtype=INDEX_DTYPE)
+    shape = (len(keep), matrix.shape[1]) if axis == 0 else (matrix.shape[0], len(keep))
+    if isinstance(matrix, COO):
+        index = [matrix.rows, matrix.cols]
+        index[axis] = lut[index[axis]]
+        mask = index[axis] >= 0
+        return COO(
+            index[0][mask],
+            index[1][mask],
+            _take(matrix.values, mask),
+            shape,
+            _take(matrix.edge_ids, mask),
+        )
+    if not isinstance(matrix, (CSR, CSC)):
         raise FormatError(f"unknown sparse container {type(matrix).__name__}")
-    ctx.record(
-        "compact_cols",
-        bytes_read=matrix.nbytes() + keep.nbytes,
-        bytes_written=out.nbytes() + matrix.shape[1] * _id_bytes(),
-        flops=matrix.nnz + matrix.shape[1],
-        tasks=max(matrix.nnz, 1),
+    new_minor = lut[matrix.minor]
+    mask = new_minor >= 0
+    # The running count of survivors, read at the old segment boundaries,
+    # is the new pointer.
+    survivors = _indptr_from_counts(mask)
+    return type(matrix)(
+        survivors[matrix.indptr],
+        new_minor[mask],
+        _take(matrix.values, mask),
+        shape,
+        _take(matrix.edge_ids, mask),
     )
-    return out
-
-
-def _kept_per_segment(mask: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Count of surviving edges per indptr segment."""
-    csum = np.zeros(len(mask) + 1, dtype=INDEX_DTYPE)
-    np.cumsum(mask, out=csum[1:])
-    return csum[indptr[1:]] - csum[indptr[:-1]]
-
-
-def _id_bytes() -> int:
-    return INDEX_DTYPE().itemsize

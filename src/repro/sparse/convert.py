@@ -17,56 +17,41 @@ import numpy as np
 
 from repro.device import NULL_CONTEXT, ExecutionContext
 from repro.errors import FormatError
-from repro.sparse.formats import COO, CSC, CSR, INDEX_DTYPE, SparseFormat
-
-
-def _take(arr: np.ndarray | None, order: np.ndarray) -> np.ndarray | None:
-    return None if arr is None else arr[order]
+from repro.sparse.formats import (
+    COO,
+    CSC,
+    CSR,
+    SparseFormat,
+    _indptr_from_counts,
+    _take,
+)
 
 
 def coo_to_csr(coo: COO, ctx: ExecutionContext = NULL_CONTEXT) -> CSR:
     """Sort the edge list by row and compress into CSR."""
-    order = np.argsort(coo.rows, kind="stable")
-    rows = coo.rows[order]
-    counts = np.bincount(rows, minlength=coo.shape[0])
-    indptr = np.zeros(coo.shape[0] + 1, dtype=INDEX_DTYPE)
-    np.cumsum(counts, out=indptr[1:])
-    out = CSR(
-        indptr=indptr,
-        cols=coo.cols[order],
-        values=_take(coo.values, order),
-        shape=coo.shape,
-        edge_ids=_take(coo.edge_ids, order),
-    )
-    # A sort-based compression touches every edge O(log E) times.
-    log_e = max(1.0, np.log2(max(coo.nnz, 2)))
-    ctx.record(
-        "convert_coo_to_csr",
-        bytes_read=coo.nbytes() * log_e,
-        bytes_written=out.nbytes(),
-        flops=coo.nnz * log_e,
-        tasks=coo.nnz,
-    )
-    return out
+    return _compress(coo, 0, ctx)
 
 
 def coo_to_csc(coo: COO, ctx: ExecutionContext = NULL_CONTEXT) -> CSC:
     """Sort the edge list by column and compress into CSC."""
-    order = np.argsort(coo.cols, kind="stable")
-    cols = coo.cols[order]
-    counts = np.bincount(cols, minlength=coo.shape[1])
-    indptr = np.zeros(coo.shape[1] + 1, dtype=INDEX_DTYPE)
-    np.cumsum(counts, out=indptr[1:])
-    out = CSC(
-        indptr=indptr,
-        rows=coo.rows[order],
-        values=_take(coo.values, order),
-        shape=coo.shape,
-        edge_ids=_take(coo.edge_ids, order),
+    return _compress(coo, 1, ctx)
+
+
+def _compress(coo: COO, axis: int, ctx: ExecutionContext) -> CSR | CSC:
+    """Sort the edge list by its ``axis`` index and build that pointer."""
+    index = (coo.rows, coo.cols)
+    order = np.argsort(index[axis], kind="stable")
+    out = (CSR, CSC)[axis](
+        _indptr_from_counts(np.bincount(index[axis], minlength=coo.shape[axis])),
+        index[1 - axis][order],
+        _take(coo.values, order),
+        coo.shape,
+        _take(coo.edge_ids, order),
     )
+    # A sort-based compression touches every edge O(log E) times.
     log_e = max(1.0, np.log2(max(coo.nnz, 2)))
     ctx.record(
-        "convert_coo_to_csc",
+        f"convert_coo_to_{out.layout}",
         bytes_read=coo.nbytes() * log_e,
         bytes_written=out.nbytes(),
         flops=coo.nnz * log_e,
@@ -77,38 +62,24 @@ def coo_to_csc(coo: COO, ctx: ExecutionContext = NULL_CONTEXT) -> CSC:
 
 def csr_to_coo(csr: CSR, ctx: ExecutionContext = NULL_CONTEXT) -> COO:
     """Decompress the row pointer into per-edge row indices (cheap)."""
-    out = COO(
-        rows=csr.expand_rows(),
-        cols=csr.cols,
-        values=csr.values,
-        shape=csr.shape,
-        edge_ids=csr.edge_ids,
-    )
-    ctx.record(
-        "convert_csr_to_coo",
-        bytes_read=csr.indptr.nbytes,
-        bytes_written=out.rows.nbytes,
-        flops=csr.nnz,
-        tasks=csr.nnz,
-    )
-    return out
+    return _decompress(csr, ctx)
 
 
 def csc_to_coo(csc: CSC, ctx: ExecutionContext = NULL_CONTEXT) -> COO:
     """Decompress the column pointer into per-edge column indices (cheap)."""
-    out = COO(
-        rows=csc.rows,
-        cols=csc.expand_cols(),
-        values=csc.values,
-        shape=csc.shape,
-        edge_ids=csc.edge_ids,
-    )
+    return _decompress(csc, ctx)
+
+
+def _decompress(matrix: CSR | CSC, ctx: ExecutionContext) -> COO:
+    """Expand the pointer into one index per edge; edge order is kept."""
+    endpoints = matrix._endpoints()
+    out = COO(*endpoints, matrix.values, matrix.shape, matrix.edge_ids)
     ctx.record(
-        "convert_csc_to_coo",
-        bytes_read=csc.indptr.nbytes,
-        bytes_written=out.cols.nbytes,
-        flops=csc.nnz,
-        tasks=csc.nnz,
+        f"convert_{matrix.layout}_to_coo",
+        bytes_read=matrix.indptr.nbytes,
+        bytes_written=endpoints[matrix.axis].nbytes,
+        flops=matrix.nnz,
+        tasks=matrix.nnz,
     )
     return out
 

@@ -22,6 +22,7 @@ the paper's convention.  All formats carry:
 from __future__ import annotations
 
 import dataclasses
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,6 +35,10 @@ VALUE_DTYPE = np.float32
 
 #: Canonical layout names, in the order used by cost tables.
 LAYOUTS = ("csc", "coo", "csr")
+
+#: Axis 0 and 1 as the index fields (COO has both; CSR/CSC the minor one)
+#: and the kernel-name strings spell them.
+_AXES = ("rows", "cols")
 
 
 def as_index_array(data: object) -> np.ndarray:
@@ -58,6 +63,34 @@ def _check_shape(shape: tuple[int, int]) -> tuple[int, int]:
     return (int(shape[0]), int(shape[1]))
 
 
+def _check_edge_payload(matrix: "SparseFormat") -> None:
+    """Coerce and length-check the optional per-edge arrays."""
+    if matrix.values is not None:
+        matrix.values = as_value_array(matrix.values)
+        if len(matrix.values) != matrix.nnz:
+            raise ShapeError("values length must equal nnz")
+    if matrix.edge_ids is not None:
+        matrix.edge_ids = as_index_array(matrix.edge_ids)
+        if len(matrix.edge_ids) != matrix.nnz:
+            raise ShapeError("edge_ids length must equal nnz")
+
+
+def _nbytes(*arrays: np.ndarray | None) -> int:
+    return sum(a.nbytes for a in arrays if a is not None)
+
+
+def _take(arr: np.ndarray | None, selection: np.ndarray) -> np.ndarray | None:
+    """An optional per-edge array under an edge selection (order or mask)."""
+    return None if arr is None else arr[selection]
+
+
+def _indptr_from_counts(counts: np.ndarray) -> np.ndarray:
+    """The pointer array whose segment ``i`` holds ``counts[i]`` edges."""
+    indptr = np.zeros(len(counts) + 1, dtype=INDEX_DTYPE)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr
+
+
 @dataclasses.dataclass
 class COO:
     """Coordinate-list storage: parallel ``rows``/``cols`` edge arrays."""
@@ -68,20 +101,17 @@ class COO:
     shape: tuple[int, int]
     edge_ids: np.ndarray | None = None
 
+    layout: ClassVar[str] = "coo"
+    #: No pointer array, so neither axis is compressed.
+    axis: ClassVar[None] = None
+
     def __post_init__(self) -> None:
         self.rows = as_index_array(self.rows)
         self.cols = as_index_array(self.cols)
         self.shape = _check_shape(self.shape)
         if self.rows.shape != self.cols.shape:
             raise ShapeError("rows and cols must have equal length")
-        if self.values is not None:
-            self.values = as_value_array(self.values)
-            if len(self.values) != len(self.rows):
-                raise ShapeError("values length must equal nnz")
-        if self.edge_ids is not None:
-            self.edge_ids = as_index_array(self.edge_ids)
-            if len(self.edge_ids) != len(self.rows):
-                raise ShapeError("edge_ids length must equal nnz")
+        _check_edge_payload(self)
         if len(self.rows) and (
             self.rows.max(initial=-1) >= self.shape[0]
             or self.cols.max(initial=-1) >= self.shape[1]
@@ -92,22 +122,71 @@ class COO:
     def nnz(self) -> int:
         return len(self.rows)
 
+    def nbytes(self) -> int:
+        """Bytes of device storage this container occupies."""
+        return _nbytes(self.rows, self.cols, self.values, self.edge_ids)
+
+
+class _Compressed:
+    """What CSR and CSC share: a pointer array over one axis.
+
+    ``indptr`` compresses axis ``axis`` (0: rows, CSR; 1: columns, CSC), so
+    the edges of one row (column) are consecutive; ``minor`` — the ``cols``
+    (``rows``) field — is each edge's index on the other axis.  Kernels are
+    written once against this pair, the way scipy's ``_cs_matrix._swap``
+    serves both of its compressed formats.
+    """
+
+    axis: ClassVar[int]
+
+    def __post_init__(self) -> None:
+        minor = _AXES[1 - self.axis]
+        self.indptr = as_index_array(self.indptr)
+        setattr(self, minor, as_index_array(getattr(self, minor)))
+        self.shape = _check_shape(self.shape)
+        extent = self.shape[self.axis]
+        if len(self.indptr) != extent + 1:
+            raise ShapeError(
+                f"indptr length {len(self.indptr)} != "
+                f"{_AXES[self.axis]} + 1 = {extent + 1}"
+            )
+        if self.indptr[0] != 0 or self.indptr[-1] != self.nnz:
+            raise FormatError("indptr must start at 0 and end at nnz")
+        if np.any(np.diff(self.indptr) < 0):
+            raise FormatError("indptr must be non-decreasing")
+        _check_edge_payload(self)
+
     @property
-    def layout(self) -> str:
-        return "coo"
+    def minor(self) -> np.ndarray:
+        """Per-edge index on the axis ``indptr`` does not compress."""
+        return getattr(self, _AXES[1 - self.axis])
+
+    @property
+    def nnz(self) -> int:
+        return len(self.minor)
+
+    def _degrees(self) -> np.ndarray:
+        """Edge count of every row (CSR) / column (CSC)."""
+        return np.diff(self.indptr)
+
+    def _expand(self) -> np.ndarray:
+        """Per-edge index on the compressed axis (the pointer, decompressed)."""
+        return np.repeat(
+            np.arange(self.shape[self.axis], dtype=INDEX_DTYPE), self._degrees()
+        )
+
+    def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-edge ``(rows, cols)`` index arrays."""
+        pair = (self._expand(), self.minor)
+        return pair if self.axis == 0 else pair[::-1]
 
     def nbytes(self) -> int:
         """Bytes of device storage this container occupies."""
-        total = self.rows.nbytes + self.cols.nbytes
-        if self.values is not None:
-            total += self.values.nbytes
-        if self.edge_ids is not None:
-            total += self.edge_ids.nbytes
-        return total
+        return _nbytes(self.indptr, self.minor, self.values, self.edge_ids)
 
 
 @dataclasses.dataclass
-class CSR:
+class CSR(_Compressed):
     """Compressed sparse row: per-row slices of column indices."""
 
     indptr: np.ndarray
@@ -116,56 +195,16 @@ class CSR:
     shape: tuple[int, int]
     edge_ids: np.ndarray | None = None
 
-    def __post_init__(self) -> None:
-        self.indptr = as_index_array(self.indptr)
-        self.cols = as_index_array(self.cols)
-        self.shape = _check_shape(self.shape)
-        if len(self.indptr) != self.shape[0] + 1:
-            raise ShapeError(
-                f"indptr length {len(self.indptr)} != rows + 1 = {self.shape[0] + 1}"
-            )
-        if self.indptr[0] != 0 or self.indptr[-1] != len(self.cols):
-            raise FormatError("indptr must start at 0 and end at nnz")
-        if np.any(np.diff(self.indptr) < 0):
-            raise FormatError("indptr must be non-decreasing")
-        if self.values is not None:
-            self.values = as_value_array(self.values)
-            if len(self.values) != len(self.cols):
-                raise ShapeError("values length must equal nnz")
-        if self.edge_ids is not None:
-            self.edge_ids = as_index_array(self.edge_ids)
-            if len(self.edge_ids) != len(self.cols):
-                raise ShapeError("edge_ids length must equal nnz")
+    layout: ClassVar[str] = "csr"
+    axis: ClassVar[int] = 0
 
-    @property
-    def nnz(self) -> int:
-        return len(self.cols)
-
-    @property
-    def layout(self) -> str:
-        return "csr"
-
-    def row_degrees(self) -> np.ndarray:
-        """Edge count of every row."""
-        return np.diff(self.indptr)
-
-    def expand_rows(self) -> np.ndarray:
-        """Per-edge row indices (the COO ``rows`` array for this layout)."""
-        return np.repeat(
-            np.arange(self.shape[0], dtype=INDEX_DTYPE), self.row_degrees()
-        )
-
-    def nbytes(self) -> int:
-        total = self.indptr.nbytes + self.cols.nbytes
-        if self.values is not None:
-            total += self.values.nbytes
-        if self.edge_ids is not None:
-            total += self.edge_ids.nbytes
-        return total
+    #: Edge count of every row; per-edge row indices (the COO ``rows``).
+    row_degrees = _Compressed._degrees
+    expand_rows = _Compressed._expand
 
 
 @dataclasses.dataclass
-class CSC:
+class CSC(_Compressed):
     """Compressed sparse column: per-column slices of row indices."""
 
     indptr: np.ndarray
@@ -174,52 +213,12 @@ class CSC:
     shape: tuple[int, int]
     edge_ids: np.ndarray | None = None
 
-    def __post_init__(self) -> None:
-        self.indptr = as_index_array(self.indptr)
-        self.rows = as_index_array(self.rows)
-        self.shape = _check_shape(self.shape)
-        if len(self.indptr) != self.shape[1] + 1:
-            raise ShapeError(
-                f"indptr length {len(self.indptr)} != cols + 1 = {self.shape[1] + 1}"
-            )
-        if self.indptr[0] != 0 or self.indptr[-1] != len(self.rows):
-            raise FormatError("indptr must start at 0 and end at nnz")
-        if np.any(np.diff(self.indptr) < 0):
-            raise FormatError("indptr must be non-decreasing")
-        if self.values is not None:
-            self.values = as_value_array(self.values)
-            if len(self.values) != len(self.rows):
-                raise ShapeError("values length must equal nnz")
-        if self.edge_ids is not None:
-            self.edge_ids = as_index_array(self.edge_ids)
-            if len(self.edge_ids) != len(self.rows):
-                raise ShapeError("edge_ids length must equal nnz")
+    layout: ClassVar[str] = "csc"
+    axis: ClassVar[int] = 1
 
-    @property
-    def nnz(self) -> int:
-        return len(self.rows)
-
-    @property
-    def layout(self) -> str:
-        return "csc"
-
-    def col_degrees(self) -> np.ndarray:
-        """Edge count of every column (in-degree of each column node)."""
-        return np.diff(self.indptr)
-
-    def expand_cols(self) -> np.ndarray:
-        """Per-edge column indices (the COO ``cols`` array)."""
-        return np.repeat(
-            np.arange(self.shape[1], dtype=INDEX_DTYPE), self.col_degrees()
-        )
-
-    def nbytes(self) -> int:
-        total = self.indptr.nbytes + self.rows.nbytes
-        if self.values is not None:
-            total += self.values.nbytes
-        if self.edge_ids is not None:
-            total += self.edge_ids.nbytes
-        return total
+    #: Edge count (in-degree) of every column; per-edge column indices.
+    col_degrees = _Compressed._degrees
+    expand_cols = _Compressed._expand
 
 
 #: Union of the three storage containers.

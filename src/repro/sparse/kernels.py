@@ -15,6 +15,7 @@ execution would pay for intermediates.
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -28,6 +29,9 @@ from repro.sparse.formats import (
     INDEX_DTYPE,
     VALUE_DTYPE,
     SparseFormat,
+    _AXES,
+    _indptr_from_counts,
+    _take,
     as_index_array,
     edge_values,
     gather_ranges,
@@ -35,6 +39,9 @@ from repro.sparse.formats import (
 
 _ITEM = 8  # bytes per index element
 _VAL = 4  # bytes per value element
+
+#: Slice kernels alone spell axis 1 "columns" in their names.
+_SLICE_AXES = ("rows", "columns")
 
 
 # ---------------------------------------------------------------------------
@@ -53,41 +60,83 @@ def slice_columns(
     read as touching the original graph's storage, which is priced as UVA
     traffic when the graph lives in host memory.
     """
-    cols = as_index_array(cols)
-    if isinstance(matrix, CSC):
-        return _slice_columns_csc(matrix, cols, ctx, graph_read)
-    if isinstance(matrix, COO):
-        return _slice_columns_coo(matrix, cols, ctx, graph_read)
-    if isinstance(matrix, CSR):
-        return _slice_columns_csr(matrix, cols, ctx, graph_read)
-    raise FormatError(f"cannot slice columns of {type(matrix).__name__}")
+    return _slice(matrix, cols, 1, ctx, graph_read)
 
 
-def _slice_columns_csc(
-    csc: CSC, cols: np.ndarray, ctx: ExecutionContext, graph_read: bool
-) -> CSC:
-    starts = csc.indptr[cols]
-    lengths = csc.indptr[cols + 1] - starts
-    flat = gather_ranges(starts, lengths)
-    indptr = np.zeros(len(cols) + 1, dtype=INDEX_DTYPE)
-    np.cumsum(lengths, out=indptr[1:])
-    out = CSC(
-        indptr=indptr,
-        rows=csc.rows[flat],
-        values=None if csc.values is None else csc.values[flat],
-        shape=(csc.shape[0], len(cols)),
-        edge_ids=None if csc.edge_ids is None else csc.edge_ids[flat],
-    )
-    read = len(cols) * 2 * _ITEM + out.nnz * (_ITEM + _VAL)
+def slice_rows(
+    matrix: SparseFormat,
+    rows: np.ndarray,
+    ctx: ExecutionContext = NULL_CONTEXT,
+    *,
+    graph_read: bool = False,
+) -> SparseFormat:
+    """``A[rows, :]`` — keep the selected rows, renumbered ``0..R-1``."""
+    return _slice(matrix, rows, 0, ctx, graph_read)
+
+
+def _slice(
+    matrix: SparseFormat,
+    ids: np.ndarray,
+    axis: int,
+    ctx: ExecutionContext,
+    graph_read: bool,
+) -> SparseFormat:
+    """Keep rows (``axis`` 0) or columns (1) ``ids``, renumbered in order.
+
+    The layout rule of Section 4.3, stated once: *along* the axis the
+    pointer compresses a slice is a gather of index ranges; *across* it,
+    or on COO (which has no pointer), every edge is sort-selected.  That
+    is why Table 5 shows ``A[:, frontiers]`` at 1.3 ms on CSC and 18.4 ms
+    on COO.
+    """
+    if not isinstance(matrix, (COO, CSR, CSC)):
+        raise FormatError(f"cannot slice {type(matrix).__name__}")
+    ids = as_index_array(ids)
+    extent = matrix.shape[axis]
+    if len(ids) and (ids.min() < 0 or ids.max() >= extent):
+        raise ShapeError(
+            f"slice ids out of range: {_SLICE_AXES[axis]} must be in [0, {extent})"
+        )
+    shape = (len(ids), matrix.shape[1]) if axis == 0 else (matrix.shape[0], len(ids))
+    if matrix.axis == axis:
+        out = _slice_along(matrix, ids, shape)
+        read = len(ids) * 2 * _ITEM + out.nnz * (_ITEM + _VAL)
+        written = out.nbytes()
+        flops = out.nnz
+        tasks = max(out.nnz, 1)  # one gather lane per edge
+    else:
+        select = _slice_coo if isinstance(matrix, COO) else _slice_across
+        out = select(matrix, ids, axis, shape)
+        # Sort-based selection sweeps the edge list O(log E) times.
+        log_e = max(1.0, np.log2(max(matrix.nnz, 2)))
+        read = matrix.nbytes() * log_e + len(ids) * _ITEM
+        written = out.nbytes() + extent * _ITEM
+        flops = matrix.nnz * log_e
+        tasks = max(matrix.nnz, 1)
     ctx.record(
-        "slice_columns_csc",
+        f"slice_{_SLICE_AXES[axis]}_{matrix.layout}",
         bytes_read=read,
-        bytes_written=out.nbytes(),
-        flops=out.nnz,
-        tasks=max(out.nnz, 1),  # one gather lane per edge
+        bytes_written=written,
+        flops=flops,
+        tasks=tasks,
         graph_bytes=read if graph_read else 0.0,
     )
     return out
+
+
+def _slice_along(
+    matrix: CSR | CSC, ids: np.ndarray, shape: tuple[int, int]
+) -> CSR | CSC:
+    starts = matrix.indptr[ids]
+    lengths = matrix.indptr[ids + 1] - starts
+    flat = gather_ranges(starts, lengths)
+    return type(matrix)(
+        _indptr_from_counts(lengths),
+        matrix.minor[flat],
+        _take(matrix.values, flat),
+        shape,
+        _take(matrix.edge_ids, flat),
+    )
 
 
 def _sorted_select(
@@ -112,169 +161,33 @@ def _sorted_select(
     return order[flat_sorted], out_index
 
 
-def _slice_columns_coo(
-    coo: COO, cols: np.ndarray, ctx: ExecutionContext, graph_read: bool
+def _slice_coo(
+    coo: COO, ids: np.ndarray, axis: int, shape: tuple[int, int]
 ) -> COO:
-    # COO has no column index: the edge list must be sorted/scanned to
-    # find each requested column's edges.  This is why Table 5 shows
-    # A[:, frontiers] at 18.4 ms on COO vs 1.3 ms on CSC.
-    flat, new_cols = _sorted_select(coo.cols, cols)
-    out = COO(
-        rows=coo.rows[flat],
-        cols=new_cols,
-        values=None if coo.values is None else coo.values[flat],
-        shape=(coo.shape[0], len(cols)),
-        edge_ids=None if coo.edge_ids is None else coo.edge_ids[flat],
+    index = [coo.rows, coo.cols]
+    flat, index[axis] = _sorted_select(index[axis], ids)
+    index[1 - axis] = index[1 - axis][flat]
+    return COO(
+        *index, _take(coo.values, flat), shape, _take(coo.edge_ids, flat)
     )
-    log_e = max(1.0, np.log2(max(coo.nnz, 2)))
-    # Sort-based selection sweeps the edge list O(log E) times.
-    read = coo.nbytes() * log_e + len(cols) * _ITEM
-    ctx.record(
-        "slice_columns_coo",
-        bytes_read=read,
-        bytes_written=out.nbytes() + coo.shape[1] * _ITEM,
-        flops=coo.nnz * log_e,
-        tasks=max(coo.nnz, 1),
-        graph_bytes=read if graph_read else 0.0,
-    )
-    return out
 
 
-def _slice_columns_csr(
-    csr: CSR, cols: np.ndarray, ctx: ExecutionContext, graph_read: bool
-) -> CSR:
-    # CSR groups by row, so selecting columns scans/sorts all edges and
-    # then rebuilds the row pointer over the survivors.
-    all_rows = csr.expand_rows()
-    flat, new_cols = _sorted_select(csr.cols, cols)
-    sel_rows = all_rows[flat]
-    # Restore row-major ordering for the CSR output.
-    order = np.argsort(sel_rows, kind="stable")
-    sel_rows = sel_rows[order]
-    counts = np.bincount(sel_rows, minlength=csr.shape[0])
-    indptr = np.zeros(csr.shape[0] + 1, dtype=INDEX_DTYPE)
-    np.cumsum(counts, out=indptr[1:])
+def _slice_across(
+    matrix: CSR | CSC, ids: np.ndarray, axis: int, shape: tuple[int, int]
+) -> CSR | CSC:
+    # The pointer groups edges by the other axis: select over all edges,
+    # then restore pointer order and rebuild the pointer over the survivors.
+    flat, new_minor = _sorted_select(matrix.minor, ids)
+    major = matrix._expand()[flat]
+    order = np.argsort(major, kind="stable")
     flat = flat[order]
-    out = CSR(
-        indptr=indptr,
-        cols=new_cols[order],
-        values=None if csr.values is None else csr.values[flat],
-        shape=(csr.shape[0], len(cols)),
-        edge_ids=None if csr.edge_ids is None else csr.edge_ids[flat],
+    return type(matrix)(
+        _indptr_from_counts(np.bincount(major, minlength=shape[1 - axis])),
+        new_minor[order],
+        _take(matrix.values, flat),
+        shape,
+        _take(matrix.edge_ids, flat),
     )
-    log_e = max(1.0, np.log2(max(csr.nnz, 2)))
-    read = csr.nbytes() * log_e + len(cols) * _ITEM
-    ctx.record(
-        "slice_columns_csr",
-        bytes_read=read,
-        bytes_written=out.nbytes() + csr.shape[1] * _ITEM,
-        flops=csr.nnz * log_e,
-        tasks=max(csr.nnz, 1),
-        graph_bytes=read if graph_read else 0.0,
-    )
-    return out
-
-
-def slice_rows(
-    matrix: SparseFormat,
-    rows: np.ndarray,
-    ctx: ExecutionContext = NULL_CONTEXT,
-    *,
-    graph_read: bool = False,
-) -> SparseFormat:
-    """``A[rows, :]`` — keep the selected rows, renumbered ``0..R-1``."""
-    rows = as_index_array(rows)
-    if isinstance(matrix, CSR):
-        return _slice_rows_csr(matrix, rows, ctx, graph_read)
-    if isinstance(matrix, COO):
-        return _slice_rows_coo(matrix, rows, ctx, graph_read)
-    if isinstance(matrix, CSC):
-        return _slice_rows_csc(matrix, rows, ctx, graph_read)
-    raise FormatError(f"cannot slice rows of {type(matrix).__name__}")
-
-
-def _slice_rows_csr(
-    csr: CSR, rows: np.ndarray, ctx: ExecutionContext, graph_read: bool
-) -> CSR:
-    starts = csr.indptr[rows]
-    lengths = csr.indptr[rows + 1] - starts
-    flat = gather_ranges(starts, lengths)
-    indptr = np.zeros(len(rows) + 1, dtype=INDEX_DTYPE)
-    np.cumsum(lengths, out=indptr[1:])
-    out = CSR(
-        indptr=indptr,
-        cols=csr.cols[flat],
-        values=None if csr.values is None else csr.values[flat],
-        shape=(len(rows), csr.shape[1]),
-        edge_ids=None if csr.edge_ids is None else csr.edge_ids[flat],
-    )
-    read = len(rows) * 2 * _ITEM + out.nnz * (_ITEM + _VAL)
-    ctx.record(
-        "slice_rows_csr",
-        bytes_read=read,
-        bytes_written=out.nbytes(),
-        flops=out.nnz,
-        tasks=max(out.nnz, 1),  # one gather lane per edge
-        graph_bytes=read if graph_read else 0.0,
-    )
-    return out
-
-
-def _slice_rows_coo(
-    coo: COO, rows: np.ndarray, ctx: ExecutionContext, graph_read: bool
-) -> COO:
-    flat, new_rows = _sorted_select(coo.rows, rows)
-    out = COO(
-        rows=new_rows,
-        cols=coo.cols[flat],
-        values=None if coo.values is None else coo.values[flat],
-        shape=(len(rows), coo.shape[1]),
-        edge_ids=None if coo.edge_ids is None else coo.edge_ids[flat],
-    )
-    log_e = max(1.0, np.log2(max(coo.nnz, 2)))
-    read = coo.nbytes() * log_e + len(rows) * _ITEM
-    ctx.record(
-        "slice_rows_coo",
-        bytes_read=read,
-        bytes_written=out.nbytes() + coo.shape[0] * _ITEM,
-        flops=coo.nnz * log_e,
-        tasks=max(coo.nnz, 1),
-        graph_bytes=read if graph_read else 0.0,
-    )
-    return out
-
-
-def _slice_rows_csc(
-    csc: CSC, rows: np.ndarray, ctx: ExecutionContext, graph_read: bool
-) -> CSC:
-    all_cols = csc.expand_cols()
-    flat, new_rows = _sorted_select(csc.rows, rows)
-    sel_cols = all_cols[flat]
-    # Restore column-major ordering for the CSC output.
-    order = np.argsort(sel_cols, kind="stable")
-    sel_cols = sel_cols[order]
-    counts = np.bincount(sel_cols, minlength=csc.shape[1])
-    indptr = np.zeros(csc.shape[1] + 1, dtype=INDEX_DTYPE)
-    np.cumsum(counts, out=indptr[1:])
-    flat = flat[order]
-    out = CSC(
-        indptr=indptr,
-        rows=new_rows[order],
-        values=None if csc.values is None else csc.values[flat],
-        shape=(len(rows), csc.shape[1]),
-        edge_ids=None if csc.edge_ids is None else csc.edge_ids[flat],
-    )
-    log_e = max(1.0, np.log2(max(csc.nnz, 2)))
-    read = csc.nbytes() * log_e + len(rows) * _ITEM
-    ctx.record(
-        "slice_rows_csc",
-        bytes_read=read,
-        bytes_written=out.nbytes() + csc.shape[0] * _ITEM,
-        flops=csc.nnz * log_e,
-        tasks=max(csc.nnz, 1),
-        graph_bytes=read if graph_read else 0.0,
-    )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -290,39 +203,24 @@ def edge_endpoints(
     """
     if isinstance(matrix, COO):
         return matrix.rows, matrix.cols
-    if isinstance(matrix, CSR):
-        rows = matrix.expand_rows()
-        ctx.record(
-            "expand_indptr",
-            bytes_read=matrix.indptr.nbytes,
-            bytes_written=rows.nbytes,
-            flops=matrix.nnz,
-            tasks=max(matrix.nnz, 1),
-        )
-        return rows, matrix.cols
-    if isinstance(matrix, CSC):
-        cols = matrix.expand_cols()
-        ctx.record(
-            "expand_indptr",
-            bytes_read=matrix.indptr.nbytes,
-            bytes_written=cols.nbytes,
-            flops=matrix.nnz,
-            tasks=max(matrix.nnz, 1),
-        )
-        return matrix.rows, cols
-    raise FormatError(f"unknown sparse container {type(matrix).__name__}")
+    if not isinstance(matrix, (CSR, CSC)):
+        raise FormatError(f"unknown sparse container {type(matrix).__name__}")
+    endpoints = matrix._endpoints()
+    ctx.record(
+        "expand_indptr",
+        bytes_read=matrix.indptr.nbytes,
+        bytes_written=endpoints[matrix.axis].nbytes,
+        flops=matrix.nnz,
+        tasks=max(matrix.nnz, 1),
+    )
+    return endpoints
 
 
 def _with_values(matrix: SparseFormat, values: np.ndarray) -> SparseFormat:
     """Copy of ``matrix`` with its values replaced (topology shared)."""
-    values = values.astype(VALUE_DTYPE, copy=False)
-    if isinstance(matrix, COO):
-        return COO(matrix.rows, matrix.cols, values, matrix.shape, matrix.edge_ids)
-    if isinstance(matrix, CSR):
-        return CSR(matrix.indptr, matrix.cols, values, matrix.shape, matrix.edge_ids)
-    if isinstance(matrix, CSC):
-        return CSC(matrix.indptr, matrix.rows, values, matrix.shape, matrix.edge_ids)
-    raise FormatError(f"unknown sparse container {type(matrix).__name__}")
+    return dataclasses.replace(
+        matrix, values=values.astype(VALUE_DTYPE, copy=False)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -463,45 +361,6 @@ def map_edges_combine(
 # ---------------------------------------------------------------------------
 # Edge-reduce operators
 # ---------------------------------------------------------------------------
-def _segment_reduce(
-    values: np.ndarray, indptr: np.ndarray, op: str
-) -> np.ndarray:
-    """Reduce contiguous segments described by ``indptr``."""
-    n = len(indptr) - 1
-    lengths = np.diff(indptr)
-    if op == "sum" or op == "mean":
-        if len(values) and not np.all(np.isfinite(values)):
-            # Prefix-sum differencing would poison every segment after a
-            # non-finite value (inf - inf = nan); scatter-add keeps
-            # inf/nan confined to their own segments, matching the
-            # COO-layout reduction so layout selection cannot change
-            # results on overflowed inputs.
-            seg_ids = np.repeat(np.arange(n, dtype=INDEX_DTYPE), lengths)
-            out = np.bincount(
-                seg_ids, weights=values.astype(np.float64), minlength=n
-            )
-        else:
-            # Exact segmented sum via prefix sums; immune to the
-            # empty-segment corner cases of ``np.add.reduceat``.
-            csum = np.zeros(len(values) + 1, dtype=np.float64)
-            np.cumsum(values, dtype=np.float64, out=csum[1:])
-            out = csum[indptr[1:]] - csum[indptr[:-1]]
-        if op == "mean":
-            with np.errstate(invalid="ignore", divide="ignore"):
-                out = out / lengths
-            out[lengths == 0] = 0.0
-        return out.astype(VALUE_DTYPE)
-    if op in ("max", "min"):
-        fill = -np.inf if op == "max" else np.inf
-        acc = np.full(n, fill, dtype=VALUE_DTYPE)
-        if len(values):
-            seg_ids = np.repeat(np.arange(n, dtype=INDEX_DTYPE), lengths)
-            ufunc = np.maximum if op == "max" else np.minimum
-            ufunc.at(acc, seg_ids, values)
-        return acc
-    raise FormatError(f"unknown reduce op {op!r}")
-
-
 def reduce_rows(
     matrix: SparseFormat, op: str = "sum", ctx: ExecutionContext = NULL_CONTEXT
 ) -> np.ndarray:
@@ -511,81 +370,67 @@ def reduce_rows(
     single segmented reduce; COO/CSC pay a scatter (histogram) pass, which
     is why Table 5 shows CSR fastest for ``sub_A.sum()``.
     """
-    vals = edge_values(matrix)
-    if isinstance(matrix, CSR):
-        out = _segment_reduce(vals, matrix.indptr, op)
-        cost_factor = 1.0
-    else:
-        rows, _ = edge_endpoints(matrix, ctx)
-        if op == "sum":
-            out = np.bincount(
-                rows, weights=vals.astype(np.float64), minlength=matrix.shape[0]
-            ).astype(VALUE_DTYPE)
-        elif op == "mean":
-            sums = np.bincount(
-                rows, weights=vals.astype(np.float64), minlength=matrix.shape[0]
-            )
-            counts = np.bincount(rows, minlength=matrix.shape[0])
-            with np.errstate(invalid="ignore", divide="ignore"):
-                out = (sums / counts).astype(VALUE_DTYPE)
-            out[counts == 0] = 0.0
-        elif op in ("max", "min"):
-            fill = -np.inf if op == "max" else np.inf
-            acc = np.full(matrix.shape[0], fill, dtype=VALUE_DTYPE)
-            ufunc = np.maximum if op == "max" else np.minimum
-            ufunc.at(acc, rows, vals)
-            out = acc
-        else:
-            raise FormatError(f"unknown reduce op {op!r}")
-        cost_factor = 2.0  # scatter with atomics
-    atomic = 1.0 if cost_factor == 1.0 else 2.0
-    ctx.record(
-        f"edge_reduce_rows_{op}",
-        bytes_read=(vals.nbytes + matrix.nnz * _ITEM) * atomic,
-        bytes_written=matrix.shape[0] * _VAL,
-        flops=matrix.nnz * cost_factor,
-        tasks=max(matrix.nnz, 1),
-    )
-    return out
+    return _reduce(matrix, op, 0, ctx)
 
 
 def reduce_cols(
     matrix: SparseFormat, op: str = "sum", ctx: ExecutionContext = NULL_CONTEXT
 ) -> np.ndarray:
     """``A.sum(axis=1)`` family: reduce each column's edges to one value."""
+    return _reduce(matrix, op, 1, ctx)
+
+
+def _reduce(
+    matrix: SparseFormat, op: str, axis: int, ctx: ExecutionContext
+) -> np.ndarray:
+    """One value per row (``axis`` 0) or column (1) from its edges' values.
+
+    Along the compressed axis the groups are the pointer's segments (one
+    segmented reduce); across it, or on COO, edges scatter to their group
+    with atomics, at twice the traffic and arithmetic.
+    """
+    if op not in ("sum", "mean", "max", "min"):
+        raise FormatError(f"unknown reduce op {op!r}")
     vals = edge_values(matrix)
-    if isinstance(matrix, CSC):
-        out = _segment_reduce(vals, matrix.indptr, op)
-        cost_factor = 1.0
-    else:
-        _, cols = edge_endpoints(matrix, ctx)
-        if op == "sum":
-            out = np.bincount(
-                cols, weights=vals.astype(np.float64), minlength=matrix.shape[1]
-            ).astype(VALUE_DTYPE)
-        elif op == "mean":
-            sums = np.bincount(
-                cols, weights=vals.astype(np.float64), minlength=matrix.shape[1]
-            )
-            counts = np.bincount(cols, minlength=matrix.shape[1])
-            with np.errstate(invalid="ignore", divide="ignore"):
-                out = (sums / counts).astype(VALUE_DTYPE)
-            out[counts == 0] = 0.0
-        elif op in ("max", "min"):
-            fill = -np.inf if op == "max" else np.inf
-            acc = np.full(matrix.shape[1], fill, dtype=VALUE_DTYPE)
-            ufunc = np.maximum if op == "max" else np.minimum
-            ufunc.at(acc, cols, vals)
-            out = acc
+    extent = matrix.shape[axis]
+    along = matrix.axis == axis
+    # Prefix-sum differencing would poison every segment after a
+    # non-finite value (inf - inf = nan); scatter-add keeps inf/nan
+    # confined to their own groups, so layout selection cannot change
+    # results on overflowed inputs.
+    prefix_sums = (
+        along and op in ("sum", "mean") and bool(np.all(np.isfinite(vals)))
+    )
+    if not prefix_sums:
+        groups = matrix._expand() if along else edge_endpoints(matrix, ctx)[axis]
+    if op in ("sum", "mean"):
+        if prefix_sums:
+            # Exact segmented sum; immune to the empty-segment corner
+            # cases of ``np.add.reduceat``.
+            csum = np.zeros(len(vals) + 1, dtype=np.float64)
+            np.cumsum(vals, dtype=np.float64, out=csum[1:])
+            out = csum[matrix.indptr[1:]] - csum[matrix.indptr[:-1]]
         else:
-            raise FormatError(f"unknown reduce op {op!r}")
-        cost_factor = 2.0
-    atomic = 1.0 if cost_factor == 1.0 else 2.0
+            out = np.bincount(
+                groups, weights=vals.astype(np.float64), minlength=extent
+            )
+        if op == "mean":
+            counts = (
+                matrix._degrees() if along else np.bincount(groups, minlength=extent)
+            )
+            with np.errstate(invalid="ignore", divide="ignore"):
+                out = out / counts
+            out[counts == 0] = 0.0
+        out = out.astype(VALUE_DTYPE)
+    else:
+        out = np.full(extent, -np.inf if op == "max" else np.inf, dtype=VALUE_DTYPE)
+        (np.maximum if op == "max" else np.minimum).at(out, groups, vals)
+    factor = 1.0 if along else 2.0  # scatter with atomics
     ctx.record(
-        f"edge_reduce_cols_{op}",
-        bytes_read=(vals.nbytes + matrix.nnz * _ITEM) * atomic,
-        bytes_written=matrix.shape[1] * _VAL,
-        flops=matrix.nnz * cost_factor,
+        f"edge_reduce_{_AXES[axis]}_{op}",
+        bytes_read=(vals.nbytes + matrix.nnz * _ITEM) * factor,
+        bytes_written=extent * _VAL,
+        flops=matrix.nnz * factor,
         tasks=max(matrix.nnz, 1),
     )
     return out
@@ -722,19 +567,14 @@ def fused_map_reduce(
     implements the LADIES ``(sub_A ** 2).sum(axis=0)`` fusion shown in
     Figure 5(c) of the paper.
     """
-    mapped = fused_map_chain(matrix, steps, NULL_CONTEXT)
-    if reduce_axis == 0:
-        out = reduce_rows(mapped, reduce_op, NULL_CONTEXT)
-        out_len = matrix.shape[0]
-    elif reduce_axis == 1:
-        out = reduce_cols(mapped, reduce_op, NULL_CONTEXT)
-        out_len = matrix.shape[1]
-    else:
+    if reduce_axis not in (0, 1):
         raise ShapeError(f"reduce axis must be 0 or 1, got {reduce_axis}")
+    mapped = fused_map_chain(matrix, steps, NULL_CONTEXT)
+    out = _reduce(mapped, reduce_op, reduce_axis, NULL_CONTEXT)
     ctx.record(
         "fused_edge_map_reduce",
         bytes_read=matrix.nnz * (_VAL + _ITEM),
-        bytes_written=out_len * _VAL,
+        bytes_written=matrix.shape[reduce_axis] * _VAL,
         flops=matrix.nnz * (len(steps) + 1.0),
         tasks=max(matrix.nnz, 1),
     )

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.device import CPU, ExecutionContext
 from repro.errors import ShapeError
 from repro.sparse import (
     convert,
@@ -57,6 +58,19 @@ class TestSlicing:
         out = slice_columns(matrix, np.array([], dtype=np.int64))
         assert out.shape == (coo.shape[0], 0)
         assert out.nnz == 0
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("offset", [-1, -2, 0, 2])
+    def test_out_of_range_ids_are_refused(self, rng, layout, axis, offset):
+        """Same typed error on every layout and axis, and no launch: before,
+        negative ids wrapped on CSC/CSR-native slices, ``n`` raised a raw
+        IndexError there, and COO / cross-axis slices returned empty."""
+        matrix = convert(random_coo(rng), layout)
+        bad = offset if offset < 0 else matrix.shape[axis] + offset
+        ctx = ExecutionContext(CPU)
+        with pytest.raises(ShapeError, match="out of range"):
+            (slice_rows, slice_columns)[axis](matrix, np.array([0, bad]), ctx)
+        assert ctx.launches == []
 
 
 @pytest.mark.parametrize("layout", ["coo", "csr", "csc"])

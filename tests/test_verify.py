@@ -301,3 +301,22 @@ class TestVerifyCli:
         )
         assert code == 0
         assert "superbatch" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "target, labels",
+        [
+            ("dynamic", ["compact-bit-identity", "snapshot-vs-rebuilt"]),
+            ("linkpred", ["pair-contract", "C0D0B0", "C1D1B1", "superbatch(x3)"]),
+        ],
+    )
+    def test_verify_serving_targets(self, capsys, target, labels):
+        """``dynamic`` / ``linkpred`` print only their own rows: a contract
+        row of dashes first, then one row per statistical check."""
+        assert cli.main(["verify", target, "--trials", "25"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-1] == "verification PASSED"
+        rows = [line.split() for line in lines[3:-1]]
+        assert {row[0] for row in rows} == {target}
+        assert rows[0][1:] == [labels[0], "-", "-", "-", "-", "-", "ok"]
+        assert [row[1] for row in rows if row[1] in labels] == labels
+        assert all(len(row) == 8 and row[-1] == "ok" for row in rows)
