@@ -72,8 +72,8 @@ def record_gather(ctx, plan: GatherPlan, row_bytes: int):
     """Charge the local-wire ``feature_gather`` launch for ``plan``.
 
     The remote tail (``plan.remote_rows``) is deliberately *not* charged
-    here — it belongs on the remote tier's own queue, which only the
-    pipelined executor models.
+    here — it belongs on the remote tier's own queue
+    (:func:`record_remote_gather`).
     """
     return ctx.record(
         "feature_gather",
@@ -81,4 +81,15 @@ def record_gather(ctx, plan: GatherPlan, row_bytes: int):
         bytes_written=plan.gathered * row_bytes,
         tasks=max(plan.gathered, 1),
         graph_bytes=plan.host_rows * row_bytes,
+    )
+
+
+def record_remote_gather(ctx, plan: GatherPlan, row_bytes: int, tier):
+    """Charge ``plan``'s remote tail on the remote ``tier``'s wire.  The
+    caller selects the queue (the tier has its own, so the tail overlaps
+    the local gather); only a tiered store plans one."""
+    return ctx.record(
+        f"remote_tier_fetch[{tier.name}]",
+        tasks=plan.remote_rows,
+        fixed_seconds=tier.fetch_time(plan.remote_rows * row_bytes),
     )

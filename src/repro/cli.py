@@ -1208,7 +1208,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         meta["replicas"] = args.replicas
         meta["router"] = args.router
         meta["partition"] = args.partition
-        meta["link"] = simulator.link.name if simulator.link else "none"
+        configured = args.link or simulator.partition is not None
+        meta["link"] = simulator.link.name if configured else "none"
         if args.max_seeds_per_request is not None:
             meta["max_seeds_per_request"] = args.max_seeds_per_request
     if args.feature_tiers:

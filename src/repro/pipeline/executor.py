@@ -37,6 +37,7 @@ from repro.cache import (
     plan_gather,
     record_gather,
 )
+from repro.cache.gather import record_remote_gather
 from repro.core import minibatches
 from repro.datasets import Dataset
 from repro.device import DeviceSpec, ExecutionContext, MemoryPool
@@ -189,21 +190,14 @@ class PipelinedTrainer(Trainer):
         its own ``remote`` queue, so the batch's fetch completes at the
         *max* of the two wires.
         """
-        # Remote rows are DMA'd straight into the staging buffer by the
-        # remote wire (charged below on its own queue), so only the
-        # device + host bands go through the local gather.
         plan = plan_gather(sample.all_nodes, cache)
         with train_ctx.on_queue("transfer", not_before=fetch_after):
-            record_gather(train_ctx, plan, self.row_bytes)
-        transferred_at = train_ctx.queue("transfer").ready
+            local = record_gather(train_ctx, plan, self.row_bytes)
+        transferred_at = local.sim_end
         if plan.remote_rows > 0:
             with train_ctx.on_queue("remote", not_before=fetch_after):
-                remote = train_ctx.record(
-                    f"remote_tier_fetch[{cache.remote_tier.name}]",
-                    tasks=plan.remote_rows,
-                    fixed_seconds=cache.remote_tier.fetch_time(
-                        plan.remote_rows * self.row_bytes
-                    ),
+                remote = record_remote_gather(
+                    train_ctx, plan, self.row_bytes, cache.remote_tier
                 )
             transferred_at = max(transferred_at, remote.sim_end)
         return transferred_at

@@ -34,6 +34,8 @@ device simulator's clock, for one replica or a routed cluster of them:
   p99/occupancy-driven autoscaler (scale-up/down between arrivals, with
   spin-up and re-replication charges) plus an online hill-climbing
   tuner for each replica's ``max_batch``/``max_wait``;
+* :mod:`repro.serve.ingest` — serve-while-ingesting: graph updates as
+  events on the cluster loop (loaded only when a session ingests);
 * :mod:`repro.serve.metrics` — the per-request log and the aggregate
   report (throughput, p50/p95/p99, batch histogram, shed/degraded
   counts, cache hit rate, cross-shard link traffic).

@@ -5,12 +5,13 @@ instances (each with its own execution-context pair, memory pool, and
 feature cache) and a :class:`~repro.serve.router.Router`.  Its event loop
 advances the whole cluster in **global simulated-time order**:
 
-1. arrivals are visited in ``(arrival, rid)`` order;
-2. before routing an arrival at time ``t``, *every* replica fires the
+1. events are visited in ``(time, priority, seq)`` order;
+2. before the event at time ``t`` is handled, *every* replica fires the
    batches due strictly before ``t`` (so queue-depth policies observe
    the same state a real balancer would — not stale snapshots);
-3. the router picks a replica; the replica admits or sheds;
-4. after the last arrival, all replicas drain.
+3. the event's handler runs — for an arrival: the router picks a
+   replica; the replica admits or sheds;
+4. after the last event, all replicas drain.
 
 Replica timelines never interact through device queues — each replica is
 its own device — so this ordering is exact, not an approximation: a
@@ -25,51 +26,49 @@ A 1-replica round-robin cluster replays the pre-refactor monolithic
 simulator decision-for-decision — the fingerprint-compat test holds
 ``run_cluster_session`` to that, bit-identically.
 
-**The control plane.**  Two optional inputs extend the event loop past
-arrivals: a :class:`~repro.serve.failures.FailureSpec` (scheduled
-replica kills, orphan retry/hedging, optional revival) and an
-:class:`~repro.serve.control.AutoscalePolicy` (periodic scale-up /
-scale-down / batch-tuning ticks).  All control events merge into the
-same global time-ordered walk the arrivals already take — kills before
-revivals before ticks before arrivals at equal timestamps — so an
-elastic chaos session is exactly as deterministic as a static one.
-Without either input the event list contains only arrivals and the loop
-degenerates to the original, which is what keeps failure-free,
-autoscaler-off sessions bit-identical to their pinned fingerprints.
+**Events and session extensions.**  An event is a
+``(time, priority, seq, handler, payload)`` tuple: the loop sorts by the
+first three and calls ``handler(time, payload)``.  The loop itself knows
+one kind, the arrival.  Replica kills and revivals (``failures=``),
+autoscaler ticks (``autoscale=``) and graph updates (``updates=`` /
+``dynamic=``) come from *session extensions* —
+:class:`~repro.serve.failures.FailureSession`,
+:class:`~repro.serve.control.AutoscaleSession`,
+:class:`~repro.serve.ingest.IngestSession` — each three calls: a
+**constructor** that validates its keyword (``ServeError`` before any
+replica is built) and owns its state; ``events(ordered_arrivals)``
+yielding its events on its rung of
+:data:`~repro.serve.control.EVENT_PRIORITY`; and
+``finish(last_event_time)``, called after the drain, returning the
+:class:`~repro.serve.metrics.ServeReport` fields it is responsible for
+(DESIGN.md, "Cluster serving", has the contract in full).  Without those
+keywords the event list holds only arrivals and the loop is the original
+walk, which is what keeps static sessions bit-identical to their pins.
 """
 
 from __future__ import annotations
 
 import contextlib
-import dataclasses
+import typing
 
 from repro.cache import (
     DEFAULT_CACHE_RATIO,
     DEFAULT_HOST_TIER_RATIO,
     CacheStats,
-    FeatureCache,
-    graph_degrees,
 )
 from repro.datasets import Dataset
 from repro.device import DeviceSpec, LinkSpec, default_link_for, get_link
-from repro.dynamic import (
-    DeltaGraph,
-    DynamicPolicy,
-    UpdateBatch,
-    UpdateSpec,
-    generate_update_stream,
-)
 from repro.errors import ServeError
-from repro.partition import (
-    GraphPartition,
-    PartitionTracker,
-    incremental_rebalance,
-    make_partition,
-)
+from repro.partition import GraphPartition, make_partition
 from repro.profile.spans import Profiler
-from repro.serve.compose import BatchComposer, make_composer
-from repro.serve.control import AutoscalePolicy, Autoscaler
-from repro.serve.failures import FailureEvent, FailureSpec
+from repro.serve.compose import BatchComposer
+from repro.serve.control import (
+    EVENT_PRIORITY,
+    AutoscalePolicy,
+    Autoscaler,
+    AutoscaleSession,
+)
+from repro.serve.failures import FailureSession, FailureSpec
 from repro.serve.metrics import (
     RequestLog,
     ServeReport,
@@ -84,16 +83,36 @@ from repro.serve.replica import (
 from repro.serve.router import Router, make_router
 from repro.serve.workload import Request, WorkloadSpec
 
-#: Same-timestamp event ordering: failures land before revivals before
-#: autoscale ticks before graph updates before arrivals, so an arrival
-#: at the instant of a kill is routed by the post-kill fleet and an
-#: arrival at the instant of an update samples the post-update graph
-#: (once the snapshot epoch installs it).
-_KILL, _REVIVE, _TICK, _UPDATE, _ARRIVAL = range(5)
+if typing.TYPE_CHECKING:
+    from repro.dynamic import DynamicPolicy, UpdateSpec
+
+#: Per-replica counters the report carries as fleet totals.  Each stays
+#: zero on a replica whose feature is off (no shard, node task, FIFO
+#: composer, flat cache), so the fold needs no feature arms.
+_FLEET_COUNTERS = (
+    "cross_shard_rows",
+    "cross_shard_bytes",
+    "link_seconds",
+    "pairs_served",
+    "compaction_saved_rows",
+    "padding_seeds",
+    "dedup_rows",
+    "superbatch_requests",
+    "superbatch_batches",
+    "p2p_rows",
+    "p2p_bytes",
+    "p2p_seconds",
+)
 
 
 class ClusterSimulator:
     """N serving replicas behind a router, on one simulated clock.
+
+    Owns the topology (partition, link, router, composers, fleet), routes
+    arrivals and runs the event loop; kills, autoscale ticks and graph
+    updates are executed by session extensions (module docstring).  A
+    simulator serves **one** session: every counter starts in a
+    constructor, so :meth:`run` refuses a second call.
 
     Parameters
     ----------
@@ -113,42 +132,33 @@ class ClusterSimulator:
         or a pre-built :class:`~repro.partition.GraphPartition` with
         ``num_shards == num_replicas``.
     link:
-        Interconnect for cross-shard frontier fetches: a name
-        (``nvlink``/``pcie``), a :class:`~repro.device.LinkSpec`, or
-        ``None`` for the device's default wiring (V100 -> NVLink).
-        Only meaningful with a partition.
+        Interconnect for cross-shard frontier fetches, re-replication
+        and shard migration: a name (``nvlink``/``pcie``), a
+        :class:`~repro.device.LinkSpec`, or ``None`` for the device's
+        default wiring (V100 -> NVLink).  Unsharded replicas' p2p bands
+        always ride the default wiring.
     composer:
-        Batch-composition policy, plumbed to every replica: a
-        :data:`~repro.serve.compose.COMPOSER_POLICIES` name, a pre-built
-        :class:`~repro.serve.compose.BatchComposer`, or a sequence of
-        either with one entry per replica (heterogeneous clusters, e.g.
-        an A/B lane comparing fifo vs super-batch under one router).
+        Batch-composition policy, as for the replica — or a sequence with
+        one entry per replica (heterogeneous clusters, e.g. an A/B lane
+        comparing fifo vs super-batch under one router).
     failures:
         Optional :class:`~repro.serve.failures.FailureSpec`: scheduled
-        replica kills plus the orphan/failover policy.  Also flips the
-        router's ``mask_dead`` from the spec's ``failover`` flag.
+        replica kills plus the orphan/failover policy (executed by a
+        :class:`~repro.serve.failures.FailureSession`).
     autoscale:
         Optional :class:`~repro.serve.control.AutoscalePolicy` (or a
-        pre-built :class:`~repro.serve.control.Autoscaler`).  The fleet
-        is pre-built at ``max_replicas`` with replicas beyond
-        ``num_replicas`` as inactive standbys, so scale-ups never
-        construct state mid-run (determinism).  Incompatible with a
-        graph partition: sharding ties the fleet size to the shard
-        count.
-    updates:
-        Optional streaming-update side of the session: an
-        :class:`~repro.dynamic.UpdateSpec` (generated here over this
-        graph's degree hotness) or a pre-built batch sequence.  Update
-        batches merge into the same global event walk as arrivals;
-        each applies to a :class:`~repro.dynamic.DeltaGraph` between
-        request batches, and the served graph refreshes on the
-        ``dynamic`` policy's snapshot/compaction cadence.  ``None``
-        (the default) builds no delta state at all, keeping static
-        sessions bit-identical to their pinned fingerprints.
-    dynamic:
-        :class:`~repro.dynamic.DynamicPolicy` knobs for the update
-        side; defaults to ``DynamicPolicy()`` when ``updates`` is set.
-        A ``repartition_threshold`` requires a graph partition.
+        pre-built :class:`~repro.serve.control.Autoscaler`), executed by
+        an :class:`~repro.serve.control.AutoscaleSession`.  The fleet is
+        pre-built at ``max_replicas`` with replicas beyond
+        ``num_replicas`` as inactive standbys; incompatible with a
+        graph partition.
+    updates, dynamic:
+        Optional streaming-update side of the session (executed by an
+        :class:`~repro.serve.ingest.IngestSession`): an
+        :class:`~repro.dynamic.UpdateSpec` or a pre-built batch
+        sequence, and the :class:`~repro.dynamic.DynamicPolicy` knobs
+        (default ``DynamicPolicy()``).  With both ``None`` the ingest
+        module is never imported.
     """
 
     def __init__(
@@ -180,34 +190,6 @@ class ClusterSimulator:
             raise ServeError(
                 f"cluster needs at least one replica, got {num_replicas}"
             )
-        if isinstance(autoscale, AutoscalePolicy):
-            autoscale = Autoscaler(autoscale)
-        self.autoscaler = autoscale
-        self.failures = failures
-        fleet = num_replicas
-        if autoscale is not None:
-            if partition is not None:
-                raise ServeError(
-                    "autoscaling is incompatible with a graph partition: "
-                    "sharding ties the fleet size to the shard count"
-                )
-            bounds = autoscale.policy
-            if not (
-                bounds.min_replicas <= num_replicas <= bounds.max_replicas
-            ):
-                raise ServeError(
-                    f"initial fleet of {num_replicas} lies outside the "
-                    f"autoscaler's [{bounds.min_replicas}, "
-                    f"{bounds.max_replicas}] bounds"
-                )
-            fleet = bounds.max_replicas
-        if failures is not None:
-            for event in failures.events:
-                if event.replica >= fleet:
-                    raise ServeError(
-                        f"failure schedule kills replica {event.replica} "
-                        f"but the fleet has {fleet} replicas"
-                    )
         self.dataset = dataset
         self.algorithm = algorithm
         self.device = device
@@ -227,73 +209,39 @@ class ClusterSimulator:
                 "replica)"
             )
         self.partition = partition
+        # The fleet's wiring, resolved once: cross-shard hops, p2p bands,
+        # re-replication and shard migration all ride what is set here.
+        wiring = default_link_for(device.name)
         if isinstance(link, str):
             link = get_link(link)
-        if link is None and partition is not None:
-            link = default_link_for(device.name)
-        self.link = link
-        self.router = (
-            router
-            if isinstance(router, Router)
-            else make_router(router, seed=seed, partition=partition)
-        )
+        self.link = link if link is not None else wiring
+        self.router = make_router(router, seed=seed, partition=partition)
+        # Session extensions, each built (and validated) from its keyword
+        # before any replica exists.
+        fleet = num_replicas
+        self.extensions: list = []
+        if autoscale is not None:
+            scaling = AutoscaleSession(self, autoscale, num_replicas)
+            fleet = scaling.fleet_size
+            self.extensions.append(scaling)
         if failures is not None:
-            self.router.mask_dead = failures.failover
-        if isinstance(composer, (list, tuple)):
-            if len(composer) != fleet:
-                raise ServeError(
-                    f"got {len(composer)} composers for {fleet} "
-                    "replicas (one per replica)"
-                )
-            composers = [make_composer(c) for c in composer]
-        else:
-            composers = [make_composer(composer)] * fleet
-        names = {c.name for c in composers}
-        #: Session-level composer label: the shared policy name, or
-        #: ``"mixed"`` for a heterogeneous cluster.
-        self.composer_name = names.pop() if len(names) == 1 else "mixed"
-        self.feature_tiers = feature_tiers
-        # --- dynamic-graph state (serve-while-ingesting) --------------
-        if isinstance(updates, UpdateSpec):
-            updates = generate_update_stream(
-                updates,
-                num_nodes=dataset.num_nodes,
-                hotness=graph_degrees(dataset.graph),
-            )
-        self._updates: list[UpdateBatch] = (
-            [] if updates is None else sorted(
-                updates, key=lambda b: (b.time, b.uid)
-            )
-        )
-        self.dynamic = (
-            dynamic
-            if dynamic is not None
-            else (DynamicPolicy() if self._updates else None)
-        )
-        if (
-            self.dynamic is not None
-            and self.dynamic.repartition_threshold is not None
-            and partition is None
-        ):
+            self.extensions.append(FailureSession(self, failures, fleet))
+        if updates is not None or dynamic is not None:
+            from repro.serve.ingest import IngestSession
+
+            self.extensions.append(IngestSession(self, updates, dynamic))
+        if not isinstance(composer, (list, tuple)):
+            composer = [composer] * fleet
+        elif len(composer) != fleet:
             raise ServeError(
-                "a repartition threshold needs a graph partition whose "
-                "drift it can track"
+                f"got {len(composer)} composers for {fleet} "
+                "replicas (one per replica)"
             )
-        self._delta = DeltaGraph(dataset.graph) if self._updates else None
-        self._tracker = (
-            PartitionTracker(partition)
-            if self._delta is not None and partition is not None
-            else None
-        )
-        #: Most recently installed graph (what the samplers currently
-        #: bind); starts as the immutable base.
-        self._current_graph = dataset.graph
-        # One compile, shared by every replica: pipelines are stateless
-        # with respect to the execution context.
-        pipelines = build_pipelines(dataset, algorithm)
-        #: Kept so snapshot installs can rebind every compiled layer's
-        #: graph once (the pipelines are shared across the fleet).
-        self._pipelines = pipelines
+        self.feature_tiers = feature_tiers
+        #: One compile, shared by every replica (pipelines are stateless
+        #: with respect to the execution context) — which is also why a
+        #: graph refresh rebinds every compiled layer's graph just once.
+        self.pipelines = build_pipelines(dataset, algorithm)
         self.replicas = [
             Replica(
                 dataset,
@@ -304,11 +252,11 @@ class ClusterSimulator:
                 seed=seed,
                 profiler=profiler,
                 replica_id=i,
-                pipelines=pipelines,
-                composer=composers[i],
+                pipelines=self.pipelines,
+                composer=composer[i],
                 queue_prefix=f"r{i}:" if fleet > 1 else "",
                 shard=partition.view(i) if partition is not None else None,
-                link=link if partition is not None else None,
+                link=self.link if partition is not None else wiring,
                 task=task,
                 active=i < num_replicas,
                 feature_tiers=feature_tiers,
@@ -319,31 +267,22 @@ class ClusterSimulator:
             )
             for i in range(fleet)
         ]
-        # Control-plane session counters (reset per run()).
-        self._kills_executed = 0
-        self._hedge_wins = 0
-        self._reprovision_bytes = 0
-        # Dynamic-session counters (reset per run()).
-        self._reset_dynamic_counters()
-
-    def _reset_dynamic_counters(self) -> None:
-        self._dyn_snapshots = 0
-        self._dyn_rebalances = 0
-        self._dyn_migrated_rows = 0
-        self._dyn_migrated_bytes = 0
-        self._dyn_refresh_seconds = 0.0
-        self._dyn_staleness_sum = 0.0
-        self._dyn_staleness_max = 0.0
-        self._dyn_staleness_edges = 0
-        #: (arrival time, edge count) of applied-but-not-yet-installed
-        #: update batches — the staleness ledger.
-        self._dyn_pending: list[tuple[float, int]] = []
-        self._dyn_last_install = 0.0
+        #: Request logs in global arrival order, and each rid's slot.
+        self.logs: list[RequestLog] = []
+        self._log_index: dict[int, int] = {}
+        self._served = False
 
     # ------------------------------------------------------------------
     @property
     def num_replicas(self) -> int:
         return len(self.replicas)
+
+    @property
+    def composer_name(self) -> str:
+        """Session-level composer label: the shared policy name, or
+        ``"mixed"`` for a heterogeneous cluster."""
+        names = {r.composer.name for r in self.replicas}
+        return names.pop() if len(names) == 1 else "mixed"
 
     def build_workload(self, spec: WorkloadSpec) -> list[Request]:
         """Generate the spec's request stream over this graph's nodes."""
@@ -355,414 +294,82 @@ class ClusterSimulator:
         return self.profiler.span(name, category, **attrs)
 
     # ------------------------------------------------------------------
-    # Control-plane execution
-    # ------------------------------------------------------------------
-    def _build_events(self, ordered: list[Request]) -> list[tuple]:
-        """Merge arrivals, kills, revivals, autoscale ticks, and graph
-        updates into one time-ordered walk (ties broken by the
-        event-kind priority, then by schedule position / rid / uid —
-        fully deterministic)."""
-        events: list[tuple] = [
-            (request.arrival, _ARRIVAL, request.rid, request)
-            for request in ordered
-        ]
-        for batch in self._updates:
-            events.append((batch.time, _UPDATE, batch.uid, batch))
-        if self.failures is not None:
-            for idx, event in enumerate(self.failures.events):
-                events.append((event.time, _KILL, idx, event))
-                if event.downtime is not None:
-                    events.append(
-                        (event.time + event.downtime, _REVIVE, idx, event)
-                    )
-        if self.autoscaler is not None and ordered:
-            horizon = ordered[-1].arrival
-            interval = self.autoscaler.policy.interval
-            tick = 1
-            while tick * interval <= horizon:
-                events.append((tick * interval, _TICK, tick, None))
-                tick += 1
-        events.sort(key=lambda e: (e[0], e[1], e[2]))
-        return events
-
-    def _append_log(self, rid: int, log: RequestLog) -> None:
-        self._log_index[rid] = len(self._logs)
-        self._logs.append(log)
-
-    def _lost_log(
-        self, request: Request, replica: int
-    ) -> RequestLog:
-        """An admitted-but-never-answered record (cluster-level loss)."""
-        return RequestLog(
-            rid=request.rid,
-            arrival=request.arrival,
-            admitted=True,
-            replica=replica,
-            seeds=int(request.seeds.size),
-        )
+    def file_log(self, log: RequestLog) -> None:
+        """File ``log`` under its rid: the first fixes the rid's slot in
+        arrival order; a later one (a retry, a winning hedge) replaces it
+        there, so the report holds one log per offered request."""
+        slot = self._log_index.setdefault(log.rid, len(self.logs))
+        if slot == len(self.logs):
+            self.logs.append(log)
+        else:
+            self.logs[slot] = log
 
     def _route_arrival(self, now: float, request: Request) -> None:
         """Route one arrival through the (possibly reduced) fleet."""
-        if not self.router.eligible(self.replicas, now):
-            # Nobody to ask: admitted by the cluster, never answered.
-            self._append_log(request.rid, self._lost_log(request, -1))
-            return
-        target = self.router.route(request, self.replicas, now)
-        if not 0 <= target < len(self.replicas):
-            raise ServeError(
-                f"router {self.router.name!r} returned replica "
-                f"{target} of {len(self.replicas)}"
-            )
-        replica = self.replicas[target]
-        if not replica.routable(now):
-            # The no-failover baseline: a blind router keeps sending
-            # arrivals to the corpse, and they die with it.
-            self._append_log(request.rid, self._lost_log(request, target))
-            return
-        self._append_log(request.rid, replica.offer(request))
-
-    def _reprovision(
-        self, replica: Replica, now: float, not_before: float
-    ) -> float:
-        """Charge a replica's state re-replication stream; its seconds.
-
-        A revived or newly activated replica does not start cold: its
-        shard (partitioned cluster) or its warm feature-cache rows
-        (unpartitioned) stream back from a peer over the cluster
-        interconnect, on the replica's transfer queue — so its first
-        post-recovery batches also queue behind the stream.
-        """
-        if replica.shard is not None:
-            rows = replica.shard.num_nodes
-        elif replica.cache is not None:
-            rows = replica.cache.cached_rows
-        else:
-            rows = 0
-        nbytes = rows * replica._row_bytes
-        if nbytes == 0:
-            return 0.0
-        link = (
-            self.link
-            if self.link is not None
-            else default_link_for(self.device.name)
-        )
-        seconds = link.bulk_transfer_time(nbytes)
-        with replica.io_ctx.on_queue(
-            replica._transfer_queue, not_before=not_before
-        ):
-            replica.io_ctx.record(
-                f"reprovision[{link.name}]",
-                tasks=rows,
-                fixed_seconds=seconds,
-            )
-        self._reprovision_bytes += nbytes
-        return seconds
-
-    def _execute_kill(self, now: float, event: FailureEvent) -> None:
-        replica = self.replicas[event.replica]
-        if not replica.alive:
-            return
-        orphans = replica.kill(now)
-        self._kills_executed += 1
-        if self.failures.orphans == "shed":
-            # Orphaned logs stay admitted-but-incomplete: lost.
-            return
-        for request, log, _was_in_flight in orphans:
-            self._reroute(now, request, log)
-
-    def _reroute(self, now: float, request: Request, log: RequestLog) -> None:
-        """Re-route one orphaned request, hedging if the spec asks."""
-        spec = self.failures
-        candidates = self._hedges.get(request.rid)
-        if candidates is not None:
-            # One copy of a hedged request died; the survivor (if any)
-            # carries on and this copy is simply cancelled.
-            remaining = [c for c in candidates if c is not log]
-            if remaining:
-                self._hedges[request.rid] = remaining
+        target = -1
+        if self.router.eligible(self.replicas, now):
+            target = self.router.route(request, self.replicas, now)
+            if not 0 <= target < len(self.replicas):
+                raise ServeError(
+                    f"router {self.router.name!r} returned replica "
+                    f"{target} of {len(self.replicas)}"
+                )
+            if self.replicas[target].routable(now):
+                self.file_log(self.replicas[target].offer(request))
                 return
-            del self._hedges[request.rid]
-        if log.retries >= spec.max_retries:
-            return  # retry budget exhausted: lost
-        eligible = self.router.eligible(self.replicas, now)
-        if not eligible:
-            return  # nowhere to go: lost
-        # The retry re-enters the batcher *now*; its log keeps the
-        # original arrival so the measured latency includes the failure.
-        retry = dataclasses.replace(request, arrival=now)
-        target = self.router.route(retry, self.replicas, now)
-        primary = self.replicas[target]
-        if not primary.routable(now):
-            return  # blind router picked a corpse: lost
-        new_log = primary.offer(retry)
-        if not new_log.admitted:
-            return  # target queue full — admitted once, never answered
-        new_log.arrival = log.arrival
-        new_log.retries = log.retries + 1
-        self._logs[self._log_index[request.rid]] = new_log
-        if spec.hedge:
-            others = [
-                i
-                for i in eligible
-                if i != target and self.replicas[i].routable(now)
-            ]
-            if others:
-                hedge_log = self.replicas[others[0]].offer(retry)
-                if hedge_log.admitted:
-                    hedge_log.arrival = log.arrival
-                    hedge_log.retries = new_log.retries
-                    new_log.hedged = True
-                    hedge_log.hedged = True
-                    self._hedges[request.rid] = [new_log, hedge_log]
-
-    def _execute_revive(self, now: float, event: FailureEvent) -> None:
-        replica = self.replicas[event.replica]
-        if replica.alive:
-            return
-        spinup = self.failures.spinup
-        transfer = self._reprovision(replica, now, now + spinup)
-        replica.revive(now, available_from=now + spinup + transfer)
-
-    def _autoscale_tick(self, now: float) -> None:
-        scaler = self.autoscaler
-        policy = scaler.policy
-        decision = scaler.decide(now, self.replicas)
-        if decision == "up":
-            standby = next(
-                (r for r in self.replicas if not r.active and r.alive), None
+        # Admitted by the cluster, never answered: there was nobody to
+        # ask (replica -1), or — the no-failover baseline — a blind
+        # router sent the arrival to a corpse and it died with it.
+        self.file_log(
+            RequestLog(
+                rid=request.rid,
+                arrival=request.arrival,
+                admitted=True,
+                replica=target,
+                seeds=int(request.seeds.size),
             )
-            if standby is not None:
-                transfer = self._reprovision(
-                    standby, now, now + policy.spinup
-                )
-                standby.activate(
-                    now, available_from=now + policy.spinup + transfer
-                )
-                scaler.record(
-                    now,
-                    "up",
-                    standby.replica_id,
-                    sum(1 for r in self.replicas if r.active),
-                )
-        elif decision == "down":
-            actives = [r for r in self.replicas if r.active and r.alive]
-            if len(actives) > policy.min_replicas:
-                victim = actives[-1]
-                victim.deactivate(now)
-                scaler.record(
-                    now,
-                    "down",
-                    victim.replica_id,
-                    sum(1 for r in self.replicas if r.active),
-                )
-        scaler.tune(now, self.replicas)
-
-    # ------------------------------------------------------------------
-    # Dynamic-graph execution (serve-while-ingesting)
-    # ------------------------------------------------------------------
-    def _execute_update(self, now: float, batch: UpdateBatch) -> None:
-        """Apply one update batch; install/compact/rebalance per policy.
-
-        Updates apply *between* request batches: the event loop fires
-        every batch due strictly before ``now`` first, so a snapshot
-        installed here is what the next fired batch samples.
-        """
-        self._delta.apply(batch)
-        self._dyn_pending.append((now, batch.num_edges))
-        if self._tracker is not None:
-            self._tracker.apply_updates(batch.src, batch.dst, batch.delete)
-        policy = self.dynamic
-        compact = (
-            policy.compact_every > 0
-            and self._delta.batches_applied % policy.compact_every == 0
         )
-        if compact:
-            self._install_graph(now, compact=True)
-        elif now - self._dyn_last_install >= policy.snapshot_every:
-            self._install_graph(now, compact=False)
-        if (
-            self._tracker is not None
-            and policy.repartition_threshold is not None
-            and self._tracker.needs_rebalance(policy.repartition_threshold)
-        ):
-            self._rebalance(now)
-
-    def _install_graph(self, now: float, *, compact: bool) -> None:
-        """Materialize the delta and swap it under the compiled layers.
-
-        The rebuild is charged to *every* replica's sample queue (each
-        device merges its own copy, so in-flight sampling queues behind
-        the refresh — the latency half of the staleness-vs-latency
-        trade).  The compiled pipelines are shared across the fleet, so
-        the graph rebinds once.
-        """
-        delta = self._delta
-        workload = (
-            delta.compact_workload() if compact else delta.merge_workload()
-        )
-        dirty = delta.drain_dirty()
-        name = "graph_compact" if compact else "graph_snapshot"
-        for replica in self.replicas:
-            with replica.sample_ctx.on_queue(
-                replica._sample_queue, not_before=now
-            ):
-                replica.sample_ctx.record(name, **workload)
-            self._dyn_refresh_seconds += self.device.kernel_time(
-                bytes_moved=workload["bytes_read"] + workload["bytes_written"],
-                flops=workload["flops"],
-                tasks=workload["tasks"],
-            )
-        matrix = delta.compact() if compact else delta.snapshot()
-        self._current_graph = matrix
-        for pipeline in self._pipelines:
-            for sampler in pipeline.samplers:
-                sampler.graph = matrix
-        if not compact:
-            self._dyn_snapshots += 1
-        self._dyn_last_install = now
-        # Staleness: each pending batch was invisible from its arrival
-        # until this install.
-        for arrived, edges in self._dyn_pending:
-            lag = now - arrived
-            self._dyn_staleness_sum += lag * edges
-            self._dyn_staleness_max = max(self._dyn_staleness_max, lag)
-            self._dyn_staleness_edges += edges
-        self._dyn_pending = []
-        if self.dynamic.invalidate_cache and dirty.size:
-            for replica in self.replicas:
-                if replica.cache is None:
-                    continue
-                replica.cache.invalidate(dirty)
-                if compact and isinstance(replica.cache, FeatureCache):
-                    # A compaction is the natural re-admission point:
-                    # refill the tombstoned slots against live degrees.
-                    replica.cache.rerank(delta.degrees())
-
-    def _rebalance(self, now: float) -> None:
-        """Bounded shard migration when degree balance drifts too far.
-
-        Moves at most ``max_migrate_rows`` nodes from the most to the
-        least loaded shard (affinity-scored, see
-        :func:`~repro.partition.incremental_rebalance`), charges each
-        receiving replica's feature-row stream over the interconnect on
-        its transfer queue — the same wire re-replication uses — and
-        rebases the drift tracker so the next trigger measures fresh
-        drift.
-        """
-        policy = self.dynamic
-        tracker = self._tracker
-        plan = incremental_rebalance(
-            self._current_graph,
-            self.partition.assignment,
-            self.num_replicas,
-            target_balance=max(tracker.baseline_balance, 1.0),
-            max_moves=policy.max_migrate_rows,
-        )
-        if plan.num_moved == 0:
-            # Nothing movable under the overshoot guard: rebase so the
-            # trigger does not refire on every subsequent batch.
-            tracker.rebase(self.partition)
-            return
-        self.partition = dataclasses.replace(
-            self.partition,
-            assignment=plan.assignment,
-            edge_cut=plan.edge_cut,
-            shard_degrees=plan.shard_degrees,
-        )
-        link = (
-            self.link
-            if self.link is not None
-            else default_link_for(self.device.name)
-        )
-        for i, replica in enumerate(self.replicas):
-            replica.shard = self.partition.view(i)
-            incoming = plan.rows_into(i)
-            if incoming.size == 0:
-                continue
-            nbytes = int(incoming.size) * replica._row_bytes
-            seconds = link.bulk_transfer_time(nbytes)
-            with replica.io_ctx.on_queue(
-                replica._transfer_queue, not_before=now
-            ):
-                replica.io_ctx.record(
-                    f"shard_migration[{link.name}]",
-                    tasks=int(incoming.size),
-                    fixed_seconds=seconds,
-                )
-            self._dyn_migrated_bytes += nbytes
-        if hasattr(self.router, "partition"):
-            self.router.partition = self.partition
-        if policy.invalidate_cache:
-            # Moved rows change owners, so every replica's residency
-            # verdict for them is stale.
-            for replica in self.replicas:
-                if replica.cache is not None:
-                    replica.cache.invalidate(plan.moved_nodes)
-        self._dyn_rebalances += 1
-        self._dyn_migrated_rows += plan.num_moved
-        tracker.rebase(self.partition)
-
-    def _resolve_hedges(self) -> None:
-        """First completion wins; the duplicate is cancelled in
-        accounting (its device time stays burned, its log is dropped)."""
-        for rid, candidates in self._hedges.items():
-            done = [c for c in candidates if c.completed]
-            if not done:
-                continue  # both copies died: the log in place stays lost
-            winner = min(done, key=lambda c: c.completion)
-            if winner is not candidates[0]:
-                self._hedge_wins += 1
-            self._logs[self._log_index[rid]] = winner
 
     # ------------------------------------------------------------------
     def run(self, requests: list[Request]) -> ServeReport:
         """Serve the whole stream across the cluster; aggregate report.
 
+        A plain discrete-event loop: arrivals plus whatever the session
+        extensions schedule, visited in ``(time, priority, seq)`` order.
         The log list is kept in global arrival order (the order arrivals
         were routed), so the cluster fingerprint is the same shape as a
-        single replica's and the 1-replica case is bit-identical to the
-        pre-refactor monolith.  Without a failure spec or autoscaler the
-        event list holds only arrivals and this loop replays the
-        pre-control-plane walk exactly.
+        single replica's.
         """
+        if self._served:
+            raise ServeError(
+                "this ClusterSimulator already served its session; "
+                "build a new one to run again"
+            )
+        self._served = True
         ordered = sorted(requests, key=lambda r: (r.arrival, r.rid))
-        control = self.failures is not None or self.autoscaler is not None
-        self._logs: list[RequestLog] = []
-        self._log_index: dict[int, int] = {}
-        self._hedges: dict[int, list[RequestLog]] = {}
-        self._kills_executed = 0
-        self._hedge_wins = 0
-        self._reprovision_bytes = 0
-        self._reset_dynamic_counters()
-        events = self._build_events(ordered)
-        # Session-scoped cache accounting: a simulator reused across
-        # sessions must not bleed one session's hit/miss tally into the
-        # next report.
+        events = [
+            (r.arrival, EVENT_PRIORITY["arrival"], r.rid, self._route_arrival, r)
+            for r in ordered
+        ]
+        for extension in self.extensions:
+            events.extend(extension.events(ordered))
+        events.sort(key=lambda e: e[:3])
         for replica in self.replicas:
             replica.begin_session()
         with self._span("serve_session", "serve", requests=len(ordered)):
-            for time, kind, _seq, payload in events:
+            for time, _priority, _seq, handler, payload in events:
                 for replica in self.replicas:
                     replica.advance_until(time)
-                if kind == _ARRIVAL:
-                    self._route_arrival(time, payload)
-                elif kind == _UPDATE:
-                    self._execute_update(time, payload)
-                elif kind == _KILL:
-                    self._execute_kill(time, payload)
-                elif kind == _REVIVE:
-                    self._execute_revive(time, payload)
-                else:
-                    self._autoscale_tick(time)
+                handler(time, payload)
             for replica in self.replicas:
                 replica.drain()
             if self.feature_tiers:
                 # One summary span per replica so the Chrome trace shows
                 # where each replica's gathered rows actually lived.
                 for replica in self.replicas:
-                    if replica.cache is None:
+                    stats = replica.cache_stats()
+                    if stats is None:
                         continue
-                    stats = replica.cache.epoch_stats()
                     with self._span(
                         f"tiered_cache[r{replica.replica_id}]",
                         "cache",
@@ -774,94 +381,24 @@ class ClusterSimulator:
                         host_rows=stats.host_rows,
                     ):
                         pass
-        self._resolve_hedges()
-        logs = self._logs
-        if control:
-            end = max(
-                (r.last_completion for r in self.replicas), default=0.0
-            )
-            for replica in self.replicas:
-                replica.close_meter(end)
+        last_event = events[-1][0] if events else 0.0
+        fields: dict[str, object] = {}
+        for extension in self.extensions:
+            fields.update(extension.finish(last_event))
         report = summarize(
-            logs,
-            cache=CacheStats.merged(
-                [
-                    r.cache.epoch_stats() if r.cache is not None else None
-                    for r in self.replicas
-                ]
-            ),
+            self.logs,
+            cache=CacheStats.merged([r.cache_stats() for r in self.replicas]),
         )
         report.replicas = self.num_replicas
         report.router = self.router.name
-        report.per_replica = replica_breakdown(logs, self.replicas)
-        report.cross_shard_rows = sum(
-            r.cross_shard_rows for r in self.replicas
-        )
-        report.cross_shard_bytes = sum(
-            r.cross_shard_bytes for r in self.replicas
-        )
-        report.link_seconds = sum(r.link_seconds for r in self.replicas)
+        report.per_replica = replica_breakdown(self.logs, self.replicas)
         report.composer = self.composer_name
-        if self.task != "node":
-            report.task = self.task
-            report.pairs_served = sum(r.pairs_served for r in self.replicas)
-            report.compaction_saved_rows = sum(
-                r.compaction_saved_rows for r in self.replicas
-            )
-        report.padding_seeds = sum(r.padding_seeds for r in self.replicas)
-        report.dedup_rows = sum(r.dedup_rows for r in self.replicas)
-        report.superbatch_requests = sum(
-            r.superbatch_requests for r in self.replicas
-        )
-        report.superbatch_batches = sum(
-            r.superbatch_batches for r in self.replicas
-        )
-        if self.feature_tiers:
-            report.feature_tiers = True
-            report.p2p_rows = sum(r.p2p_rows for r in self.replicas)
-            report.p2p_bytes = sum(r.p2p_bytes for r in self.replicas)
-            report.p2p_seconds = sum(r.p2p_seconds for r in self.replicas)
-        if control:
-            report.elastic = True
-            report.failures = self._kills_executed
-            report.hedge_wins = self._hedge_wins
-            report.gpu_seconds = sum(r.up_seconds for r in self.replicas)
-            report.reprovision_bytes = self._reprovision_bytes
-            if self.autoscaler is not None:
-                actions = [e.action for e in self.autoscaler.events]
-                report.scale_ups = actions.count("up")
-                report.scale_downs = actions.count("down")
-                report.tune_moves = actions.count("tune")
-        if self._delta is not None:
-            # Updates still pending at session end stayed invisible for
-            # the rest of the session; they count as stale to the end.
-            end = max(
-                max((r.last_completion for r in self.replicas), default=0.0),
-                events[-1][0] if events else 0.0,
-            )
-            for arrived, edges in self._dyn_pending:
-                lag = end - arrived
-                self._dyn_staleness_sum += lag * edges
-                self._dyn_staleness_max = max(self._dyn_staleness_max, lag)
-                self._dyn_staleness_edges += edges
-            self._dyn_pending = []
-            delta = self._delta
-            report.dynamic = True
-            report.ingested_edges = delta.inserted_edges
-            report.deleted_edges = delta.deleted_edges
-            report.update_batches = delta.batches_applied
-            report.snapshots = self._dyn_snapshots
-            report.compactions = delta.compactions
-            report.mean_staleness_ms = (
-                self._dyn_staleness_sum / self._dyn_staleness_edges * 1e3
-                if self._dyn_staleness_edges
-                else 0.0
-            )
-            report.max_staleness_ms = self._dyn_staleness_max * 1e3
-            report.refresh_ms = self._dyn_refresh_seconds * 1e3
-            report.rebalances = self._dyn_rebalances
-            report.migrated_rows = self._dyn_migrated_rows
-            report.migrated_bytes = self._dyn_migrated_bytes
+        report.task = self.task
+        report.feature_tiers = self.feature_tiers
+        for name in _FLEET_COUNTERS:
+            setattr(report, name, sum(getattr(r, name) for r in self.replicas))
+        for name, value in fields.items():
+            setattr(report, name, value)
         return report
 
 

@@ -3,8 +3,8 @@
 The degradation ladder (PR 4) already computes a sliding-window p99 per
 replica; this module turns that signal — plus queue occupancy — into
 *replica lifecycle* decisions instead of fidelity ones.  An
-:class:`Autoscaler` is evaluated by the cluster at a fixed simulated
-interval, between arrivals:
+:class:`Autoscaler` is evaluated at a fixed simulated interval (an
+:class:`AutoscaleSession` tick on the cluster's event loop):
 
 * **scale up** when the pooled windowed p99 breaches ``high_p99`` or
   mean outstanding-per-replica exceeds ``high_occupancy``: the lowest-id
@@ -38,6 +38,27 @@ from repro.errors import ServeError
 from repro.stats import percentile
 
 __all__ = ["AutoscalePolicy", "Autoscaler", "ScaleEvent"]
+
+#: Same-timestamp order of everything the cluster loop dispatches, stated
+#: once: failures land before revivals before autoscale ticks before
+#: graph updates before arrivals — so an arrival at the instant of a kill
+#: is routed by the post-kill fleet, and one at the instant of an update
+#: is served after that update applied.
+EVENT_PRIORITY = {"kill": 0, "revive": 1, "tick": 2, "update": 3, "arrival": 4}
+
+
+def close_meters(replicas: list) -> dict[str, object]:
+    """Close every replica's GPU-time meter; the report fields kills and
+    scale-ups share.  Idempotent, so a session with both a failure
+    schedule and an autoscaler may call it from each."""
+    end = max(r.last_completion for r in replicas)
+    for replica in replicas:
+        replica.close_meter(end)
+    return {
+        "elastic": True,
+        "gpu_seconds": sum(r.up_seconds for r in replicas),
+        "reprovision_bytes": sum(r.reprovision_bytes for r in replicas),
+    }
 
 
 @dataclasses.dataclass(frozen=True)
@@ -139,21 +160,11 @@ class ScaleEvent:
     detail: int
 
 
-class _TunerState:
-    """Per-replica hill-climber memory (direction + last observed p99)."""
-
-    __slots__ = ("direction", "last_p99")
-
-    def __init__(self) -> None:
-        self.direction = 1  # start optimistic: grow the batch
-        self.last_p99: float | None = None
-
-
 class Autoscaler:
     """Evaluates the control law over the cluster's live replicas.
 
-    The cluster owns replica lifecycle (activation, reprovision charges,
-    uptime meters); the autoscaler owns the *decision*: given the
+    :class:`AutoscaleSession` carries actions out (activation,
+    reprovision charges); the autoscaler owns the *decision*: given the
     simulated clock and the replica list, should the fleet grow, shrink,
     or hold — and how should each replica's batching knobs move.  Keeping
     the decision pure (no side effects beyond its own cooldown/tuner
@@ -163,7 +174,8 @@ class Autoscaler:
     def __init__(self, policy: AutoscalePolicy) -> None:
         self.policy = policy
         self._last_scale_at = -float("inf")
-        self._tuners: dict[int, _TunerState] = {}
+        #: replica id -> (direction, last windowed p99) of its hill-climber.
+        self._tuners: dict[int, tuple[int, float | None]] = {}
         self.events: list[ScaleEvent] = []
 
     # ------------------------------------------------------------------
@@ -176,15 +188,12 @@ class Autoscaler:
         samples: list[float] = []
         for replica in replicas:
             if replica.active and replica.alive:
-                samples.extend(replica._latency_window.values())
+                samples.extend(replica.latency_window.values())
         return percentile(samples, 99.0), len(samples)
 
     def occupancy(self, replicas: list, now: float) -> float:
         """Mean outstanding requests per *routable* active replica."""
-        live = [
-            r for r in replicas if r.active and r.alive
-            and now >= r.available_from
-        ]
+        live = [r for r in replicas if r.routable(now)]
         if not live:
             return float("inf")
         return sum(r.outstanding(now) for r in live) / len(live)
@@ -221,31 +230,30 @@ class Autoscaler:
         )
 
     # ------------------------------------------------------------------
-    def tune(self, now: float, replicas: list) -> int:
+    def tune(self, now: float, replicas: list) -> None:
         """One hill-climbing step of each active replica's batching knobs.
 
         Doubles or halves ``max_batch`` (scaling ``max_wait``
         proportionally, floored at 50 simulated microseconds) in the
         direction that last improved the replica's windowed p99,
-        reversing on regression.  Returns the number of replicas whose
-        policy actually moved.
+        reversing on regression.
         """
         if not self.policy.tune_batching:
-            return 0
-        moved = 0
+            return
         for replica in replicas:
             if not (replica.active and replica.alive):
                 continue
-            window = replica._latency_window
+            window = replica.latency_window
             if len(window) < self.policy.min_samples:
                 continue
             p99 = window.percentile(99.0)
-            state = self._tuners.setdefault(replica.replica_id, _TunerState())
-            if state.last_p99 is not None and p99 > state.last_p99:
-                state.direction = -state.direction
-            state.last_p99 = p99
+            # Start optimistic (grow the batch); reverse on regression.
+            direction, last_p99 = self._tuners.get(replica.replica_id, (1, None))
+            if last_p99 is not None and p99 > last_p99:
+                direction = -direction
+            self._tuners[replica.replica_id] = (direction, p99)
             old = replica.policy.max_batch
-            new = old * 2 if state.direction > 0 else old // 2
+            new = old * 2 if direction > 0 else old // 2
             new = max(self.policy.min_batch, min(self.policy.max_batch, new))
             if new == old:
                 continue
@@ -256,5 +264,85 @@ class Autoscaler:
                 max_wait=max(5e-5, replica.policy.max_wait * scale),
             )
             self.record(now, "tune", replica.replica_id, new)
-            moved += 1
-        return moved
+
+
+class AutoscaleSession:
+    """The ``autoscale=`` session extension (see :mod:`repro.serve.cluster`):
+    one evaluation tick per interval, executing what the controller
+    decides.  The fleet is pre-built at ``max_replicas`` with standbys
+    inactive, so a scale-up never constructs state mid-run — which ties
+    the fleet size to something other than the shard count, hence no
+    partitions."""
+
+    def __init__(
+        self,
+        session,
+        autoscale: AutoscalePolicy | Autoscaler,
+        num_replicas: int,
+    ) -> None:
+        scaler = (
+            Autoscaler(autoscale)
+            if isinstance(autoscale, AutoscalePolicy)
+            else autoscale
+        )
+        if session.partition is not None:
+            raise ServeError(
+                "autoscaling is incompatible with a graph partition: "
+                "sharding ties the fleet size to the shard count"
+            )
+        bounds = scaler.policy
+        if not bounds.min_replicas <= num_replicas <= bounds.max_replicas:
+            raise ServeError(
+                f"initial fleet of {num_replicas} lies outside the "
+                f"autoscaler's [{bounds.min_replicas}, "
+                f"{bounds.max_replicas}] bounds"
+            )
+        self.session = session
+        self.scaler = scaler
+        #: Replicas to pre-build (initial fleet plus standbys).
+        self.fleet_size = bounds.max_replicas
+
+    def events(self, ordered: list):
+        """One tick per ``interval`` up to the last arrival."""
+        if not ordered:
+            return
+        interval = self.scaler.policy.interval
+        tick = 1
+        while tick * interval <= ordered[-1].arrival:
+            yield (tick * interval, EVENT_PRIORITY["tick"], tick, self.tick, None)
+            tick += 1
+
+    def tick(self, now: float, _payload: None) -> None:
+        scaler, replicas = self.scaler, self.session.replicas
+        policy = scaler.policy
+        decision = scaler.decide(now, replicas)
+        moved = None
+        if decision == "up":
+            moved = next(
+                (r for r in replicas if not r.active and r.alive), None
+            )
+            if moved is not None:
+                ready = moved.reprovision(self.session.link, now, policy.spinup)
+                moved.activate(now, available_from=ready)
+        elif decision == "down":
+            actives = [r for r in replicas if r.active and r.alive]
+            if len(actives) > policy.min_replicas:
+                moved = actives[-1]
+                moved.deactivate(now)
+        if moved is not None:
+            scaler.record(
+                now,
+                decision,
+                moved.replica_id,
+                sum(1 for r in replicas if r.active),
+            )
+        scaler.tune(now, replicas)
+
+    def finish(self, last_event: float) -> dict[str, object]:
+        actions = [e.action for e in self.scaler.events]
+        return {
+            **close_meters(self.session.replicas),
+            "scale_ups": actions.count("up"),
+            "scale_downs": actions.count("down"),
+            "tune_moves": actions.count("tune"),
+        }

@@ -453,11 +453,7 @@ def replica_breakdown(
                 cross_shard_rows=replica.cross_shard_rows,
                 cross_shard_bytes=replica.cross_shard_bytes,
                 link_seconds=replica.link_seconds,
-                cache=(
-                    replica.cache.epoch_stats()
-                    if replica.cache is not None
-                    else None
-                ),
+                cache=replica.cache_stats(),
                 uptime_seconds=replica.up_seconds,
                 failures=replica.failures,
             )

@@ -40,13 +40,13 @@ from repro.cache import (
     graph_degrees,
     plan_gather,
 )
+from repro.cache.gather import record_remote_gather
 from repro.datasets import Dataset
 from repro.device import (
     DeviceSpec,
     ExecutionContext,
     LinkSpec,
     MemoryPool,
-    default_link_for,
 )
 from repro.errors import ServeError
 from repro.partition import ShardView
@@ -252,8 +252,9 @@ class Replica:
         The :class:`~repro.partition.ShardView` this replica owns, when
         the cluster is graph-partitioned.
     link:
-        Interconnect over which frontier nodes sampled outside ``shard``
-        are fetched from the owning replica's device.
+        Interconnect to the rest of the fleet: frontier nodes sampled
+        outside ``shard`` are fetched from their owner over it, and the
+        tiered store's p2p band (``p2p=True``) rides it too.
     """
 
     def __init__(
@@ -365,17 +366,12 @@ class Replica:
         self.cache: FeatureCache | TieredFeatureStore | None = None
         if cache_ratio > 0.0:
             if feature_tiers:
-                # p2p needs a wire even in unpartitioned clusters; fall
-                # back to the device's native link when none was given.
-                p2p_link = link
-                if p2p and p2p_link is None:
-                    p2p_link = default_link_for(device.name)
                 self.cache = TieredFeatureStore.from_dataset(
                     dataset,
                     pool=self.io_ctx.memory,
                     device_ratio=cache_ratio,
                     host_ratio=host_tier_ratio,
-                    link=p2p_link,
+                    link=link,
                     device=device,
                     replica_id=replica_id,
                     num_replicas=fleet_size,
@@ -392,10 +388,13 @@ class Replica:
                     owned_mask=shard.mask if shard is not None else None,
                 )
         feats = dataset.features
-        self._row_bytes = int(feats.shape[1]) * feats.dtype.itemsize
+        #: Bytes of one feature row (what every row-count charge scales by).
+        self.row_bytes = int(feats.shape[1]) * feats.dtype.itemsize
         # Degradation-ladder state.
         self._level = 0
-        self._latency_window = SlidingWindow(self.policy.window)
+        #: Sliding window of completed-request latencies: the ladder's
+        #: p99 monitor, and the signal the autoscaler and tuner read.
+        self.latency_window = SlidingWindow(self.policy.window)
         # Batcher state (the incremental event API's working set).
         self._pending: list[Request] = []
         self._by_rid: dict[int, RequestLog] = {}
@@ -423,6 +422,8 @@ class Replica:
         self.last_completion = 0.0
         #: Kills this replica absorbed.
         self.failures = 0
+        #: Bytes re-replicated into this replica (revivals, scale-ups).
+        self.reprovision_bytes = 0
         # Cross-shard accounting (stays zero without a shard).
         self.cross_shard_rows = 0
         self.cross_shard_bytes = 0
@@ -453,16 +454,12 @@ class Replica:
         self.compaction_saved_rows = 0
 
     # ------------------------------------------------------------------
-    def degree_hotness(self) -> np.ndarray:
-        """Per-node in-degree, the hotness ranking requests are drawn by."""
-        return graph_degrees(self.dataset.graph)
-
     def build_workload(self, spec: WorkloadSpec) -> list[Request]:
         """Generate the spec's request stream over this graph's nodes."""
         return generate_workload(
             spec,
             num_nodes=self.dataset.num_nodes,
-            hotness=self.degree_hotness(),
+            hotness=graph_degrees(self.dataset.graph),
             edges=(
                 edge_endpoints_of(self.dataset.graph)
                 if spec.task == "linkpred"
@@ -483,11 +480,10 @@ class Replica:
         with ``memory_fraction`` of this device's capacity as the
         budget, probing each compiled layer of *both* pipelines — full
         fidelity and degraded — against the representative request mix
-        and keeping the most conservative answer.  Probing only the
-        full-fidelity pipeline was a bug: when the degradation ladder is
-        engaged the fused window executes the degraded pipeline, whose
-        layers may admit a *different* window under the same budget, so
-        the window must fit whichever pipeline the ladder picks.
+        and keeping the most conservative answer: with the degradation
+        ladder engaged the fused window executes the degraded pipeline,
+        whose layers may admit a *different* window under the same
+        budget, so it must fit whichever pipeline the ladder picks.
         """
         if not example_requests:
             raise ServeError(
@@ -513,27 +509,25 @@ class Replica:
 
     # ------------------------------------------------------------------
     def begin_session(self) -> None:
-        """Per-session reset: clear the cache's hit/miss tally.
+        """Start of the (one) serving session: clear the cache's tally.
 
-        A replica reused across serving sessions (two ``advance_until``
-        streams on one simulator) would otherwise merge both sessions'
-        tallies into one :class:`~repro.cache.CacheStats`; the cluster
-        loop calls this at every session start so each report covers
-        exactly its own session.
+        Lookups made before it — warm-up probes, a test poking the
+        cache — would otherwise count in the session's
+        :class:`~repro.cache.CacheStats`.  Nothing else resets: a
+        replica, like its cluster, serves once.
         """
         if self.cache is not None:
             self.cache.reset_epoch()
+
+    def cache_stats(self):
+        """This session's cache tally; ``None`` without a cache."""
+        return self.cache.epoch_stats() if self.cache is not None else None
 
     # ------------------------------------------------------------------
     def _span(self, name: str, category: str, **attrs: object):
         if self.profiler is None:
             return contextlib.nullcontext()
         return self.profiler.span(name, category, **attrs)
-
-    @property
-    def queue_depth(self) -> int:
-        """Requests waiting in this replica's batcher queue."""
-        return len(self._pending)
 
     def outstanding(self, now: float) -> int:
         """Requests queued *or in service* at ``now`` — the load signal.
@@ -557,18 +551,16 @@ class Replica:
         """May the router send traffic here at ``now``?"""
         return self.active and self.alive and now >= self.available_from
 
-    def kill(self, now: float) -> list[tuple[Request, RequestLog, bool]]:
-        """Die at ``now``; return the orphaned requests.
+    def kill(self, now: float) -> list[tuple[Request, RequestLog]]:
+        """Die at ``now``; return the orphaned ``(request, log)`` pairs.
 
-        Each orphan is ``(request, log, was_in_flight)``: the waiting
-        queue in arrival order first, then the in-flight requests whose
-        batches would have completed after ``now`` (their device time
-        stays charged — the work was burned, the answer died with the
-        node).  The caller decides replay-vs-shed per the failure spec.
+        The waiting queue in arrival order first, then the in-flight
+        requests whose batches would have completed after ``now`` (their
+        device time stays charged — the work was burned, the answer
+        died with the node).  The caller decides replay-vs-shed per the
+        failure spec.
         """
-        orphans: list[tuple[Request, RequestLog, bool]] = []
-        for request in self._pending:
-            orphans.append((request, self._by_rid.pop(request.rid), False))
+        orphans = [(r, self._by_rid.pop(r.rid)) for r in self._pending]
         self._pending.clear()
         for completion, request in self._in_flight:
             if completion > now:
@@ -581,7 +573,7 @@ class Replica:
                     log.completion = math.nan
                     log.batch_id = -1
                     log.batch_size = 0
-                    orphans.append((request, log, True))
+                    orphans.append((request, log))
         self._in_flight = []
         self.alive = False
         self.failures += 1
@@ -636,6 +628,72 @@ class Replica:
         else:
             self._close_meter(max(end, self.last_completion))
 
+    # ------------------------------------------------------------------
+    # Device charges other layers place on this replica's queues
+    # ------------------------------------------------------------------
+    def charge_hop(
+        self,
+        kind: str,
+        link: LinkSpec,
+        rows: int,
+        not_before: float,
+        *,
+        bulk: bool = False,
+        queue: str | None = None,
+    ) -> tuple[int, float]:
+        """Move ``rows`` feature rows over ``link``; ``(bytes, seconds)``.
+
+        Every interconnect hop — cross-shard frontier rows, the p2p
+        band, re-replication, shard migration — is this one fixed-cost
+        ``kind[link]`` launch on one of the I/O context's queues
+        (``transfer`` unless given).  ``bulk`` streams pay the link's
+        per-chunk latency (:meth:`~repro.device.LinkSpec.bulk_transfer_time`).
+        """
+        nbytes = rows * self.row_bytes
+        transfer_time = link.bulk_transfer_time if bulk else link.transfer_time
+        seconds = transfer_time(nbytes)
+        with self.io_ctx.on_queue(
+            queue or self._transfer_queue, not_before=not_before
+        ):
+            self.io_ctx.record(
+                f"{kind}[{link.name}]", tasks=rows, fixed_seconds=seconds
+            )
+        return nbytes, seconds
+
+    def reprovision(self, link: LinkSpec, now: float, spinup: float) -> float:
+        """Charge this replica's state re-replication; when it is routable.
+
+        A revived or newly activated replica does not start cold: after
+        ``spinup`` its shard (partitioned cluster) or its warm
+        feature-cache rows (unpartitioned) stream back from a peer over
+        ``link``, on the transfer queue — so its first post-recovery
+        batches also queue behind the stream.
+        """
+        if self.shard is not None:
+            rows = self.shard.num_nodes
+        elif self.cache is not None:
+            rows = self.cache.cached_rows
+        else:
+            rows = 0
+        if rows * self.row_bytes == 0:
+            return now + spinup
+        nbytes, seconds = self.charge_hop(
+            "reprovision", link, rows, now + spinup, bulk=True
+        )
+        self.reprovision_bytes += nbytes
+        return now + spinup + seconds
+
+    def charge_refresh(
+        self, name: str, workload: dict, not_before: float
+    ) -> float:
+        """Charge a graph rebuild (``workload`` = its launch numbers) on
+        the sample queue, so in-flight sampling queues behind it; the
+        device seconds it took."""
+        with self.sample_ctx.on_queue(
+            self._sample_queue, not_before=not_before
+        ):
+            return self.sample_ctx.record(name, **workload).seconds
+
     def offer(self, request: Request) -> RequestLog:
         """Admit ``request`` into the waiting queue, or shed it.
 
@@ -644,24 +702,19 @@ class Replica:
         log list across replicas.
         """
         capacity = self.policy.queue_capacity
-        if capacity is not None and len(self._pending) >= capacity:
-            return RequestLog(
-                rid=request.rid,
-                arrival=request.arrival,
-                admitted=False,
-                level=self._level,
-                replica=self.replica_id,
-                seeds=int(request.seeds.size),
-            )
+        admitted = capacity is None or len(self._pending) < capacity
         log = RequestLog(
             rid=request.rid,
             arrival=request.arrival,
-            admitted=True,
+            admitted=admitted,
+            # A refusal records the ladder level in force at the time.
+            level=0 if admitted else self._level,
             replica=self.replica_id,
             seeds=int(request.seeds.size),
         )
-        self._pending.append(request)
-        self._by_rid[request.rid] = log
+        if admitted:
+            self._pending.append(request)
+            self._by_rid[request.rid] = log
         return log
 
     def _plan(self):
@@ -672,29 +725,13 @@ class Replica:
             self.sample_ctx.queue(self._sample_queue).ready,
         )
 
-    def next_fire_time(self) -> float | None:
-        """When the next batch would fire; ``None`` with an empty queue.
-
-        Delegated to the composer, which causality-clamps the time to
-        the composed batch's own members: never before the sampling
-        queue is free, never before the youngest member arrived, and a
-        partial batch waits out ``max_wait`` from its oldest member
-        (see :func:`~repro.serve.compose.clamp_fire`).
-        """
-        plan = self._plan()
-        return None if plan is None else plan.fire
-
-    def fire_next_batch(self) -> float:
-        """Compose and serve the next batch; returns its fire time."""
-        plan = self._plan()
-        if plan is None:
-            raise ServeError("no pending requests to fire")
+    def _fire(self, plan: BatchPlan) -> None:
+        """Pop the planned members off the queue and serve them."""
         batch = [self._pending[i] for i in plan.indices]
         for i in sorted(plan.indices, reverse=True):
             del self._pending[i]
         self._serve(batch, plan)
         self._batch_id += 1
-        return plan.fire
 
     def advance_until(self, now: float) -> None:
         """Fire every batch due strictly before ``now``.
@@ -702,18 +739,17 @@ class Replica:
         Strict inequality matters: an arrival landing exactly at a fire
         time joins the queue first (and the batch, if it has room) —
         the original monolithic loop's tie-break, preserved so the
-        1-replica cluster is decision-for-decision identical.
+        1-replica cluster is decision-for-decision identical.  The fire
+        time is the composer's, causality-clamped to the composed
+        batch's own members (see :func:`~repro.serve.compose.clamp_fire`).
         """
-        while True:
-            fire = self.next_fire_time()
-            if fire is None or fire >= now:
-                return
-            self.fire_next_batch()
+        while (plan := self._plan()) is not None and plan.fire < now:
+            self._fire(plan)
 
     def drain(self) -> None:
         """Fire every remaining batch (end of the arrival stream)."""
-        while self._pending:
-            self.fire_next_batch()
+        while (plan := self._plan()) is not None:
+            self._fire(plan)
 
     # ------------------------------------------------------------------
     def _observe(self, latency: float) -> None:
@@ -726,7 +762,7 @@ class Replica:
         each level's verdict waits for ``min_samples`` completions served
         *at* that level.
         """
-        window = self._latency_window
+        window = self.latency_window
         window.push(latency)
         slo = self.policy.slo
         if slo is None:
@@ -829,16 +865,9 @@ class Replica:
         if self.shard is not None and not cached_only:
             remote = self.shard.remote_count(nodes)
             if remote > 0:
-                remote_bytes = remote * self._row_bytes
-                hop = self.link.transfer_time(remote_bytes)
-                with self.io_ctx.on_queue(
-                    self._transfer_queue, not_before=sampled_at
-                ):
-                    self.io_ctx.record(
-                        f"cross_shard_fetch[{self.link.name}]",
-                        tasks=remote,
-                        fixed_seconds=hop,
-                    )
+                remote_bytes, hop = self.charge_hop(
+                    "cross_shard_fetch", self.link, remote, sampled_at
+                )
                 self.cross_shard_rows += remote
                 self.cross_shard_bytes += remote_bytes
                 self.link_seconds += hop
@@ -859,41 +888,30 @@ class Replica:
         ):
             self.io_ctx.record(
                 "serve_feature_fetch",
-                bytes_read=rows * self._row_bytes,
-                bytes_written=rows * self._row_bytes,
+                bytes_read=rows * self.row_bytes,
+                bytes_written=rows * self.row_bytes,
                 tasks=max(rows, 1),
-                graph_bytes=host_rows * self._row_bytes,
+                graph_bytes=host_rows * self.row_bytes,
             )
         completion = self.io_ctx.queue(self._transfer_queue).ready
         # A flat or absent cache plans zero remote and p2p rows.
         if not cached_only:
             if plan.remote_rows > 0:
-                remote_bytes = plan.remote_rows * self._row_bytes
                 with self.io_ctx.on_queue(
                     self._remote_queue, not_before=sampled_at
                 ):
-                    self.io_ctx.record(
-                        f"remote_tier_fetch[{self.cache.remote_tier.name}]",
-                        tasks=plan.remote_rows,
-                        fixed_seconds=self.cache.remote_tier.fetch_time(
-                            remote_bytes
-                        ),
+                    remote = record_remote_gather(
+                        self.io_ctx, plan, self.row_bytes, self.cache.remote_tier
                     )
-                completion = max(
-                    completion, self.io_ctx.queue(self._remote_queue).ready
-                )
+                completion = max(completion, remote.sim_end)
             if plan.p2p_rows > 0:
-                link = self.cache.link
-                p2p_bytes = plan.p2p_rows * self._row_bytes
-                hop = link.transfer_time(p2p_bytes)
-                with self.io_ctx.on_queue(
-                    self._p2p_queue, not_before=sampled_at
-                ):
-                    self.io_ctx.record(
-                        f"p2p_fetch[{link.name}]",
-                        tasks=plan.p2p_rows,
-                        fixed_seconds=hop,
-                    )
+                p2p_bytes, hop = self.charge_hop(
+                    "p2p_fetch",
+                    self.cache.link,
+                    plan.p2p_rows,
+                    sampled_at,
+                    queue=self._p2p_queue,
+                )
                 self.p2p_rows += plan.p2p_rows
                 self.p2p_bytes += p2p_bytes
                 self.p2p_seconds += hop

@@ -38,12 +38,12 @@ currently *in* the fleet: autoscaler standbys, scaled-down replicas, and
 replicas still inside their spin-up window are never selected —
 membership changes are control-plane actions a real balancer is told
 about.  Death is different: a crash is only visible through health
-checks, so masking dead replicas is opt-in via ``mask_dead`` (set by the
-cluster from ``FailureSpec.failover``).  With it off the router stays
-blind and keeps sending arrivals to the corpse — the no-failover
-baseline the availability benchmark contrasts.  When every replica is
-eligible, each policy takes a fast path that replays the pre-failover
-code exactly, which is what keeps failure-free sessions bit-identical
+checks, so masking dead replicas is opt-in via ``mask_dead`` (set from
+``FailureSpec.failover`` when the session has a failure schedule).  With
+it off the router stays blind and keeps sending arrivals to the corpse —
+the no-failover baseline the availability benchmark contrasts.  When
+every replica is eligible, each policy reduces to the pre-failover
+choice exactly, which is what keeps failure-free sessions bit-identical
 to their pins.
 """
 
@@ -66,7 +66,7 @@ class Router:
 
     name = "base"
 
-    #: Skip replicas a failure event killed.  Set by the cluster from
+    #: Skip replicas a failure event killed.  Set from
     #: ``FailureSpec.failover``; off, the router stays blind to deaths
     #: (the no-failover baseline) but still respects fleet membership.
     mask_dead = True
@@ -91,6 +91,10 @@ class Router:
     ) -> int:
         raise NotImplementedError
 
+    def repartition(self, partition: GraphPartition) -> None:
+        """The graph was repartitioned mid-session; only routers that
+        read the shard map care."""
+
 
 class RoundRobinRouter(Router):
     """Cycle through replicas in arrival order, ignoring their load."""
@@ -103,12 +107,9 @@ class RoundRobinRouter(Router):
     def route(
         self, request: Request, replicas: list[Replica], now: float
     ) -> int:
+        # With the full fleet eligible this is the plain modular walk.
         eligible = self.eligible(replicas, now)
-        if len(eligible) == len(replicas):
-            # Full fleet: the original modular walk, bit-identical.
-            target = self._next % len(replicas)
-        else:
-            target = eligible[self._next % len(eligible)]
+        target = eligible[self._next % len(eligible)]
         self._next += 1
         return target
 
@@ -158,18 +159,10 @@ class PowerOfTwoRouter(Router):
         eligible = self.eligible(replicas, now)
         if len(eligible) == 1:
             return eligible[0]
-        if len(eligible) == len(replicas):
-            # Full fleet: draw over raw indices, bit-identical to the
-            # pre-failover stream.
-            first, second = self._rng.choice(
-                len(replicas), size=2, replace=False
-            )
-            a, b = int(first), int(second)
-        else:
-            first, second = self._rng.choice(
-                len(eligible), size=2, replace=False
-            )
-            a, b = eligible[int(first)], eligible[int(second)]
+        # Positions into ``eligible``: with the full fleet these are the
+        # raw replica indices, so the stream matches the pre-failover one.
+        first, second = self._rng.choice(len(eligible), size=2, replace=False)
+        a, b = eligible[int(first)], eligible[int(second)]
         load_a = replicas[a].outstanding(now)
         load_b = replicas[b].outstanding(now)
         if load_a == load_b:
@@ -196,6 +189,9 @@ class ShardAffinityRouter(Router):
     def __init__(self, partition: GraphPartition) -> None:
         self.partition = partition
 
+    def repartition(self, partition: GraphPartition) -> None:
+        self.partition = partition
+
     def route(
         self, request: Request, replicas: list[Replica], now: float
     ) -> int:
@@ -216,16 +212,18 @@ class ShardAffinityRouter(Router):
 
 
 def make_router(
-    name: str,
+    name: str | Router,
     *,
     seed: int = 0,
     partition: GraphPartition | None = None,
 ) -> Router:
-    """Build a router by policy name.
+    """Build a router by policy name (passes instances through).
 
     ``seed`` feeds only the policies that draw randomness (``po2``);
     ``partition`` is required by (and only by) ``shard``.
     """
+    if isinstance(name, Router):
+        return name
     if name == "round_robin":
         return RoundRobinRouter()
     if name == "jsq":

@@ -173,10 +173,6 @@ class _StubReplica:
     def outstanding(self, now: float) -> int:
         return self._load
 
-    @property
-    def queue_depth(self) -> int:
-        return self._load
-
 
 def _stub_request():
     from repro.serve import Request
