@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import time
 
 import numpy as np
@@ -21,7 +22,7 @@ from repro.core import minibatches, new_rng
 from repro.datasets import Dataset, load_dataset
 from repro.device import DeviceSpec, ExecutionContext, get_device
 from repro.errors import UnsupportedAlgorithmError
-from repro.profile.spans import Profiler
+from repro.profile.spans import Profiler, maybe_span
 
 #: Default mini-batch size (the DGL/PyG example configuration).
 DEFAULT_BATCH_SIZE = 1024
@@ -75,10 +76,7 @@ def run_sampling_epoch(
     if max_batches is not None:
         batches = batches[:max_batches]
 
-    def span(name: str, category: str, **attrs: object):
-        if profiler is None:
-            return contextlib.nullcontext()
-        return profiler.span(name, category, **attrs)
+    span = functools.partial(maybe_span, profiler)
 
     activation = (
         profiler.activate() if profiler is not None else contextlib.nullcontext()

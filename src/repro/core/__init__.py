@@ -1,7 +1,6 @@
 """Core of the reproduction: the matrix-centric API and ECSF model."""
 
 from repro.core.ecsf import (
-    STEP_OF_OP,
     GraphSample,
     SampledLayer,
     Step,
@@ -21,7 +20,6 @@ from repro.core.sampling import (
 )
 
 __all__ = [
-    "STEP_OF_OP",
     "CollectiveResult",
     "GraphSample",
     "HeteroGraph",

@@ -10,9 +10,9 @@ stack of layers, each decomposable into four steps:
 4. **Finalize** — adjust the sample (edge re-weighting, subgraph
    induction) and produce the next layer's frontiers.
 
-This module provides the step vocabulary (used by the IR passes to reason
-about which operators may fuse) and the layer-stacking driver shared by
-all algorithm implementations.
+This module provides the step vocabulary (:mod:`repro.ir.ops` files every
+operator a user program can write under one of the four) and the
+layer-stacking driver shared by all algorithm implementations.
 """
 
 from __future__ import annotations
@@ -33,28 +33,6 @@ class Step(enum.Enum):
     COMPUTE = "compute"
     SELECT = "select"
     FINALIZE = "finalize"
-
-
-#: Which IR operator kinds belong to which ECSF step; the layout-selection
-#: pass only searches formats for EXTRACT/SELECT outputs (Section 4.3:
-#: "only the extract and select steps modify the graph structure").
-STEP_OF_OP: dict[str, Step] = {
-    "slice_cols": Step.EXTRACT,
-    "slice_rows": Step.EXTRACT,
-    "map_scalar": Step.COMPUTE,
-    "map_unary": Step.COMPUTE,
-    "map_broadcast": Step.COMPUTE,
-    "map_combine": Step.COMPUTE,
-    "reduce": Step.COMPUTE,
-    "spmm": Step.COMPUTE,
-    "sddmm": Step.COMPUTE,
-    "individual_sample": Step.SELECT,
-    "collective_sample": Step.SELECT,
-    "labor_sample": Step.SELECT,
-    "row": Step.FINALIZE,
-    "column": Step.FINALIZE,
-    "compact": Step.FINALIZE,
-}
 
 
 @dataclasses.dataclass

@@ -11,9 +11,10 @@ Step                  Operators
 Extract               ``A[:, cols]``, ``A[rows, :]``
 Compute               ``A @ D``, ``A.add/sub/mul/div(V, axis)``,
                       ``A.sum/mean/max/min(axis)``, ``A <op> v`` for
-                      ``+ - * / **``
+                      ``+ - * / **``, ``A.scale(t, i)``
 Select                ``A.individual_sample(K, probs)``,
-                      ``A.collective_sample(K, node_probs)``
+                      ``A.collective_sample(K, node_probs)``,
+                      ``A.labor_sample(K)``
 Finalize              ``A.row()``, ``A.column()``
 ====================  ====================================================
 
@@ -326,6 +327,11 @@ class Matrix:
     def log(self) -> "Matrix":
         """Element-wise log on edge values."""
         return self._unary("log")
+
+    def scale(self, tensor: np.ndarray, index: int, op: str = "mul") -> "Matrix":
+        """Combine every edge with the one element ``tensor[index]``
+        (PASS's mix of attention matrices by a learned softmax vector)."""
+        return self._map_scalar(op, np.asarray(tensor).reshape(-1)[index])
 
     def _unary(self, op: str) -> "Matrix":
         from repro.sparse import map_edges_unary

@@ -327,17 +327,6 @@ class ExecutionContext:
         """Snapshot of every named queue's timeline (serial runs: empty)."""
         return dict(self.queues)
 
-    def overlap_efficiency(self) -> float:
-        """Occupied fraction of the timeline: ``busy / elapsed``.
-
-        1.0 means perfectly packed (serial runs by construction);
-        values above 1.0 mean queues genuinely overlapped — the epoch
-        did more seconds of work than wall-clock passed.
-        """
-        if self.elapsed <= 0.0:
-            return 0.0
-        return self.busy_seconds / self.elapsed
-
     def total_bytes(self) -> float:
         return sum(l.bytes_read + l.bytes_written for l in self.launches)
 

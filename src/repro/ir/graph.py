@@ -7,9 +7,9 @@ dependencies (Section 4.1).  The IR is deliberately small: a node has an
 order is a topological order (the tracer appends nodes as the program
 executes), and passes must preserve that invariant.
 
-Stochastic operators (the two sample ops) are marked impure: CSE must not
-merge them and DCE must still drop them if unused (sampling has no side
-effects beyond its result).
+The graph itself knows nothing about individual operators: what each
+``op`` name consumes, produces and permits is declared once, in
+:mod:`repro.ir.ops`.
 """
 
 from __future__ import annotations
@@ -19,55 +19,6 @@ import itertools
 from collections.abc import Iterable
 
 from repro.errors import PassError
-
-#: Operators whose results are random draws; never CSE-merge these.
-IMPURE_OPS = frozenset(
-    {
-        "individual_sample",
-        "collective_sample",
-        "labor_sample",
-        "fused_extract_select",
-        "sb_collective_sample",
-    }
-)
-
-#: Operators that produce a sparse matrix (layout selection applies).
-MATRIX_OPS = frozenset(
-    {
-        "input_graph",
-        "slice_cols",
-        "slice_rows",
-        "map_scalar",
-        "map_unary",
-        "map_combine",
-        "map_broadcast",
-        "sddmm",
-        "individual_sample",
-        "collective_sample",
-        "labor_sample",
-        "compact",
-        "with_values",
-        "fused_extract_select",
-        "fused_map_chain",
-        "sb_slice_cols",
-        "sb_collective_sample",
-    }
-)
-
-#: Structure-changing operators: only these get layout decisions
-#: (Section 4.3: compute/finalize ops adopt their upstream layout).
-STRUCTURE_OPS = frozenset(
-    {
-        "slice_cols",
-        "slice_rows",
-        "individual_sample",
-        "collective_sample",
-        "labor_sample",
-        "fused_extract_select",
-        "sb_slice_cols",
-        "sb_collective_sample",
-    }
-)
 
 
 @dataclasses.dataclass

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ir.graph import IMPURE_OPS, DataFlowGraph
+from repro.ir.graph import DataFlowGraph
+from repro.ir.ops import OPS
 from repro.ir.passes.base import Pass
 
 
@@ -47,7 +48,7 @@ class CommonSubexpressionElimination(Pass):
         changed = False
         seen: dict[tuple, int] = {}
         for node in ir.nodes():
-            if node.op in IMPURE_OPS or node.op.startswith("input"):
+            if OPS[node.op].impure or node.op.startswith("input"):
                 continue
             key = self._key(node)
             if key is None:

@@ -18,12 +18,8 @@ Three rules, tailored to the ECSF structure of sampling programs:
 from __future__ import annotations
 
 from repro.ir.graph import DataFlowGraph, Node
+from repro.ir.ops import OPS
 from repro.ir.passes.base import Pass
-
-#: Edge-map ops eligible for chain fusion.
-_MAP_OPS = frozenset(
-    {"map_scalar", "map_unary", "map_broadcast", "map_combine", "map_tscalar"}
-)
 
 
 class ExtractSelectFusion(Pass):
@@ -119,7 +115,7 @@ class EdgeMapFusion(Pass):
     def run(self, ir: DataFlowGraph) -> bool:
         changed = False
         for node in list(ir.nodes()):
-            if node.node_id not in ir or node.op not in _MAP_OPS:
+            if node.node_id not in ir or not OPS[node.op].edge_map:
                 continue
             chain = self._chain_ending_at(ir, node)
             if len(chain) < 2:
@@ -133,14 +129,14 @@ class EdgeMapFusion(Pass):
         # Only start from chain *tails*: nodes whose (single) user is not
         # itself a map op extending the chain.
         users = ir.users(last.node_id)
-        if len(users) == 1 and users[0].op in _MAP_OPS and users[0].inputs[0] == last.node_id:
+        if len(users) == 1 and OPS[users[0].op].edge_map and users[0].inputs[0] == last.node_id:
             return []  # not a tail; handled when we reach the tail
         chain = [last]
         cur = last
         while True:
             prev_id = cur.inputs[0]
             prev = ir.node(prev_id)
-            if prev.op not in _MAP_OPS:
+            if not OPS[prev.op].edge_map:
                 break
             if ir.use_count(prev_id) != 1:
                 break
@@ -243,7 +239,7 @@ class EdgeMapReduceFusion(Pass):
             if src.op == "fused_map_chain":
                 steps = src.attrs["steps"]
                 inputs = src.inputs
-            elif src.op in _MAP_OPS:
+            elif OPS[src.op].edge_map:
                 input_pos_of = {src.inputs[0]: 0}
                 extra = list(src.inputs[1:])
                 for i, dep in enumerate(extra):

@@ -18,7 +18,8 @@ within 1 second, amortized over mini-batches".
 
 from __future__ import annotations
 
-from repro.ir.graph import DataFlowGraph, Node, STRUCTURE_OPS
+from repro.ir.graph import DataFlowGraph, Node
+from repro.ir.ops import OPS
 from repro.ir.passes.base import Pass
 
 #: Relative per-edge execution cost of each consumer op per input layout.
@@ -62,7 +63,12 @@ def _consumer_kind(node: Node) -> str:
         return "map_broadcast_rows" if node.attrs.get("axis") == 0 else (
             "map_broadcast_cols"
         )
-    if node.op in ("map_scalar", "map_unary", "map_combine", "fused_map_chain"):
+    # ``scale`` (map_tscalar) stays on the equal-cost ``default`` row it has
+    # always been priced with: GreedyLayoutPass breaks ties by row order.
+    spec = OPS[node.op]
+    if node.op == "fused_map_chain" or (
+        spec.edge_map and "tensor" not in spec.operands
+    ):
         return "map_elementwise"
     if node.op in CONSUMER_COST:
         return node.op
@@ -80,7 +86,7 @@ class LayoutSelectionPass(Pass):
     def run(self, ir: DataFlowGraph) -> bool:
         changed = False
         for node in ir.nodes():
-            if node.op not in STRUCTURE_OPS:
+            if OPS[node.op].native_layout is None:
                 continue
             layout = self._best_layout(ir, node)
             if node.layout != layout:
@@ -119,8 +125,8 @@ class LayoutSelectionPass(Pass):
         would silently mis-index — so compaction is suppressed whenever
         the slice's reduce results escape into a ``t_index``.
         """
-        if node.op not in ("slice_cols", "slice_rows", "sb_slice_cols"):
-            return False
+        if OPS[node.op].impure:
+            return False  # a select's rows are the sampled ones already
         meta = node.attrs.get("_meta")
         if meta is None:
             return False
@@ -175,27 +181,15 @@ class GreedyLayoutPass(Pass):
 
     name = "layout_greedy"
 
-    #: The format each op natively prefers for its own execution.
-    SELF_PREF = {
-        "slice_cols": "csc",
-        "slice_rows": "csr",
-        "individual_sample": "csc",
-        "collective_sample": "csc",
-        "labor_sample": "csc",
-        "fused_extract_select": "csc",
-        "sb_slice_cols": "csc",
-        "sb_collective_sample": "csc",
-    }
-
     def run(self, ir: DataFlowGraph) -> bool:
         changed = False
         for node in ir.nodes():
-            if node.op not in STRUCTURE_OPS:
+            layout = OPS[node.op].native_layout
+            if layout is None:
                 continue
             # Greedy: give the *first* consumer its favourite format,
             # conversion costs be damned.
             consumers = ir.users(node.node_id)
-            layout = self.SELF_PREF.get(node.op, "csc")
             if consumers:
                 kind = _consumer_kind(consumers[0])
                 table = CONSUMER_COST.get(kind, CONSUMER_COST["default"])

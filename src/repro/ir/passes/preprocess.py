@@ -18,18 +18,14 @@ broadcast against a per-frontier vector is not frontier-invariant.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from repro.core.matrix import Matrix
 from repro.device import NULL_CONTEXT
 from repro.ir.graph import DataFlowGraph, Node
+from repro.ir.ops import OPS
 from repro.ir.passes.base import Pass
 from repro.sparse import kernels as K
-
-#: Ops whose per-edge result does not depend on which frontiers were sliced.
-_HOISTABLE = frozenset({"map_scalar", "map_unary"})
 
 
 class PreprocessPass(Pass):
@@ -78,7 +74,7 @@ class PreprocessPass(Pass):
         for node in list(ir.nodes()):
             if node.node_id not in ir:
                 continue
-            if node.op not in _HOISTABLE and node.op != "reduce":
+            if not OPS[node.op].edge_local and node.op != "reduce":
                 continue
             if not self._is_base_graph_node(ir, node.inputs[0]):
                 continue
@@ -104,7 +100,7 @@ class PreprocessPass(Pass):
         # one pre-computed matrix.
         hoisted: dict[tuple, int] = {}
         for node in list(ir.nodes()):
-            if node.node_id not in ir or node.op not in _HOISTABLE:
+            if node.node_id not in ir or not OPS[node.op].edge_local:
                 continue
             slice_node = ir.node(node.inputs[0])
             if slice_node.op not in ("slice_cols", "slice_rows"):
@@ -172,9 +168,3 @@ def _attr_key(node: Node) -> tuple:
         if k != "_meta" and not isinstance(v, np.ndarray)
     )
 
-
-@dataclasses.dataclass
-class PreprocessReport:
-    """How many values were hoisted (for logging/tests)."""
-
-    count: int

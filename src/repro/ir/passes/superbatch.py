@@ -18,18 +18,16 @@ the paper likewise excludes model-driven algorithms from super-batching.
 
 from __future__ import annotations
 
-from repro.ir.graph import DataFlowGraph
+from repro.ir.graph import DataFlowGraph, Node
+from repro.ir.ops import OPS
 from repro.ir.passes.base import Pass
-
-#: Ops that aggregate across the row dimension and thus would mix batches
-#: if row spaces were shared.
-_ROW_MIXING = frozenset({"collective_sample"})
 
 
 def needs_block_diagonal(ir: DataFlowGraph) -> bool:
-    """Whether any operator would mix rows across batches."""
+    """Whether any operator aggregates across the row dimension and thus
+    would mix batches if row spaces were shared."""
     for node in ir.nodes():
-        if node.op in _ROW_MIXING:
+        if node.op == "collective_sample":
             return True
         if node.op == "reduce" and node.attrs.get("axis") == 0:
             return True
@@ -60,32 +58,29 @@ class SuperBatchPass(Pass):
             first.node_id, "sb_batch_ptr", (), {"name": "_batch_ptr"}, "_batch_ptr"
         )
         changed = False
-        for node in list(ir.nodes()):
-            if node.op == "slice_cols" and self._slices_base_graph(ir, node):
-                node.op = "sb_slice_cols"
-                node.inputs = (*node.inputs, ptr.node_id)
-                changed = True
-            elif node.op == "collective_sample":
-                node.op = "sb_collective_sample"
-                matrix_input = node.inputs[0]
-                probs = node.inputs[1:] if node.attrs.get("has_probs") else ()
-                node.inputs = (matrix_input, ptr.node_id, *probs)
-                changed = True
-            elif (
-                node.op == "fused_extract_reduce"
-                and node.attrs.get("axis") == 0
-                and self._slices_base_graph(ir, node)
-            ):
-                node.op = "sb_fused_extract_reduce"
-                node.inputs = (*node.inputs, ptr.node_id)
-                changed = True
+        for node in ir.nodes():
+            form = OPS[node.op].superbatch_form
+            if form is None or not self._must_segment(ir, node):
+                continue
+            # The segmented form takes the pointer where its row says.
+            at = OPS[form].operands.index("ptr")
+            node.op = form
+            node.inputs = (*node.inputs[:at], ptr.node_id, *node.inputs[at:])
+            changed = True
         # The pointer node was inserted first, so ordering still holds;
         # but if nothing was rewired, drop it again.
         if not changed:
             ir.remove_node(ptr.node_id)
         return changed
 
-    def _slices_base_graph(self, ir: DataFlowGraph, node) -> bool:
+    def _must_segment(self, ir: DataFlowGraph, node: Node) -> bool:
+        """A collective sample always; a column slice when it slices the
+        base graph (where batches would share one row space); a fused
+        slice-reduce only if it also reduces per row."""
+        if node.op == "collective_sample":
+            return True
+        if node.op == "fused_extract_reduce" and node.attrs.get("axis") != 0:
+            return False
         src = ir.node(node.inputs[0])
         meta = src.attrs.get("_meta")
         return src.op in ("input_graph", "input_precomputed") and (

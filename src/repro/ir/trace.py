@@ -186,6 +186,9 @@ class MatrixProxy(Proxy):
     def __add__(self, other: object) -> "MatrixProxy":
         return self._map_scalar("add", other)
 
+    def __radd__(self, other: object) -> "MatrixProxy":
+        return self._map_scalar("add", other)
+
     def __sub__(self, other: object) -> "MatrixProxy":
         return self._map_scalar("sub", other)
 

@@ -17,10 +17,6 @@ from repro.errors import ShapeError
 from repro.learning.nn import Linear, ReLU
 
 
-def _index_map(ids: np.ndarray) -> dict[int, int]:
-    return {int(n): i for i, n in enumerate(ids)}
-
-
 def _positions(ids: np.ndarray, universe: np.ndarray) -> np.ndarray:
     """Positions of ``ids`` inside sorted-unique ``universe``."""
     pos = np.searchsorted(universe, ids)

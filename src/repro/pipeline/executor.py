@@ -22,8 +22,8 @@ makespan of their overlap.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from repro.device import DeviceSpec, ExecutionContext, MemoryPool
 from repro.errors import ShapeError
 from repro.learning.models import SampledGNN
 from repro.learning.trainer import Trainer, TrainResult
-from repro.profile.spans import Profiler
+from repro.profile.spans import Profiler, maybe_span
 from repro.tasks import Task
 
 #: How many batches the sampler may run ahead of the trainer; 2 is the
@@ -244,10 +244,7 @@ class PipelinedTrainer(Trainer):
                 self.dataset, ratio=self.cache_ratio, pool=train_ctx.memory
             )
 
-        def span(name: str, category: str, **attrs: object):
-            if profiler is None:
-                return contextlib.nullcontext()
-            return profiler.span(name, category, **attrs)
+        span = functools.partial(maybe_span, profiler)
 
         acc_history: list[float] = []
         last_loss = float("nan")

@@ -221,3 +221,12 @@ _ACTIVE: Profiler | None = None
 def active_profiler() -> Profiler | None:
     """The profiler published by :meth:`Profiler.activate`, if any."""
     return _ACTIVE
+
+
+def maybe_span(
+    profiler: Profiler | None, name: str, category: str = "span", **attrs: object
+) -> contextlib.AbstractContextManager:
+    """``profiler.span(...)``, or a free null context without a profiler."""
+    if profiler is None:
+        return contextlib.nullcontext()
+    return profiler.span(name, category, **attrs)

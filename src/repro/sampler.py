@@ -50,15 +50,7 @@ from repro.ir.passes import (
 from repro.ir.passes.base import PassStat, run_measured_pass
 from repro.ir.trace import trace
 from repro.ir import superbatch_ops
-from repro.profile.spans import active_profiler
-
-
-def _span(name: str, category: str, **attrs: object):
-    """A profiler span when one is active, else a free null context."""
-    profiler = active_profiler()
-    if profiler is None:
-        return contextlib.nullcontext()
-    return profiler.span(name, category, **attrs)
+from repro.profile.spans import active_profiler, maybe_span
 
 
 @dataclasses.dataclass(frozen=True)
@@ -148,8 +140,11 @@ class CompiledSampler:
             if queue is not None
             else contextlib.nullcontext()
         )
-        with routed, _span(
-            "sampler.run", "exec", batch_size=int(np.size(frontiers))
+        with routed, maybe_span(
+            active_profiler(),
+            "sampler.run",
+            "exec",
+            batch_size=int(np.size(frontiers)),
         ):
             interp = Interpreter(self.ir, ctx, precomputed=self.precomputed)
             inputs: dict[str, object] = {
@@ -209,7 +204,8 @@ class CompiledSampler:
             else contextlib.nullcontext()
         )
         total_seeds = sum(int(np.size(b)) for b in frontier_batches)
-        with routed, _span(
+        with routed, maybe_span(
+            active_profiler(),
             "sampler.superbatch",
             "exec",
             num_batches=len(frontier_batches),
@@ -300,8 +296,9 @@ def compile_sampler(
     check — the mode every verification test compiles under.
     """
     config = config if config is not None else OptimizationConfig()
-    with _span("compile", "compile", config=config.label()):
-        with _span("trace", "compile"):
+    profiler = active_profiler()
+    with maybe_span(profiler, "compile", "compile", config=config.label()):
+        with maybe_span(profiler, "trace", "compile"):
             ir, info = trace(
                 fn, graph, example_frontiers, constants=constants, tensors=tensors
             )

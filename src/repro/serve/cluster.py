@@ -48,7 +48,6 @@ walk, which is what keeps static sessions bit-identical to their pins.
 
 from __future__ import annotations
 
-import contextlib
 import typing
 
 from repro.cache import (
@@ -60,7 +59,7 @@ from repro.datasets import Dataset
 from repro.device import DeviceSpec, LinkSpec, default_link_for, get_link
 from repro.errors import ServeError
 from repro.partition import GraphPartition, make_partition
-from repro.profile.spans import Profiler
+from repro.profile.spans import Profiler, maybe_span
 from repro.serve.compose import BatchComposer
 from repro.serve.control import (
     EVENT_PRIORITY,
@@ -288,11 +287,6 @@ class ClusterSimulator:
         """Generate the spec's request stream over this graph's nodes."""
         return self.replicas[0].build_workload(spec)
 
-    def _span(self, name: str, category: str, **attrs: object):
-        if self.profiler is None:
-            return contextlib.nullcontext()
-        return self.profiler.span(name, category, **attrs)
-
     # ------------------------------------------------------------------
     def file_log(self, log: RequestLog) -> None:
         """File ``log`` under its rid: the first fixes the rid's slot in
@@ -356,7 +350,9 @@ class ClusterSimulator:
         events.sort(key=lambda e: e[:3])
         for replica in self.replicas:
             replica.begin_session()
-        with self._span("serve_session", "serve", requests=len(ordered)):
+        with maybe_span(
+            self.profiler, "serve_session", "serve", requests=len(ordered)
+        ):
             for time, _priority, _seq, handler, payload in events:
                 for replica in self.replicas:
                     replica.advance_until(time)
@@ -370,7 +366,8 @@ class ClusterSimulator:
                     stats = replica.cache_stats()
                     if stats is None:
                         continue
-                    with self._span(
+                    with maybe_span(
+                        self.profiler,
                         f"tiered_cache[r{replica.replica_id}]",
                         "cache",
                         device_hits=stats.hits,

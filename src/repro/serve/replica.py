@@ -26,7 +26,6 @@ simulator (the fingerprint-compat test).
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import math
 
@@ -50,7 +49,7 @@ from repro.device import (
 )
 from repro.errors import ServeError
 from repro.partition import ShardView
-from repro.profile.spans import Profiler
+from repro.profile.spans import Profiler, maybe_span
 from repro.serve.compose import BatchComposer, BatchPlan, make_composer
 from repro.serve.metrics import RequestLog
 from repro.serve.workload import (
@@ -524,11 +523,6 @@ class Replica:
         return self.cache.epoch_stats() if self.cache is not None else None
 
     # ------------------------------------------------------------------
-    def _span(self, name: str, category: str, **attrs: object):
-        if self.profiler is None:
-            return contextlib.nullcontext()
-        return self.profiler.span(name, category, **attrs)
-
     def outstanding(self, now: float) -> int:
         """Requests queued *or in service* at ``now`` — the load signal.
 
@@ -822,7 +816,7 @@ class Replica:
         if self._labelled:
             attrs["replica"] = self.replica_id
         name = "serve_superbatch" if plan.superbatch else "serve_batch"
-        with self._span(f"{name}[{batch_id}]", "serve", **attrs):
+        with maybe_span(self.profiler, f"{name}[{batch_id}]", "serve", **attrs):
             with self.sample_ctx.on_queue(self._sample_queue, not_before=fire):
                 if plan.superbatch:
                     samples = pipeline.sample_superbatch(

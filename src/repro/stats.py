@@ -32,22 +32,6 @@ def percentile_ms(latencies, q: float) -> float:
     return percentile(latencies, q) * 1e3
 
 
-def latency_summary(latencies) -> dict[str, float]:
-    """p50/p95/p99/mean/max (all in ms) of a latency sample in seconds.
-
-    The flat dict every latency table in ``repro.serve`` and the bench
-    scripts is assembled from; empty samples yield all-zero summaries.
-    """
-    latencies = np.asarray(latencies, dtype=np.float64)
-    summary = {
-        f"p{int(q)}_ms": percentile_ms(latencies, q)
-        for q in LATENCY_PERCENTILES
-    }
-    summary["mean_ms"] = float(latencies.mean()) * 1e3 if latencies.size else 0.0
-    summary["max_ms"] = float(latencies.max()) * 1e3 if latencies.size else 0.0
-    return summary
-
-
 class SlidingWindow:
     """A bounded FIFO of float samples with percentile queries.
 

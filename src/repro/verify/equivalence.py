@@ -439,6 +439,14 @@ def _asgcn_tensors(graph: Matrix) -> dict[str, np.ndarray]:
     return {"features": features, "w_att": w_att}
 
 
+def _pass_tensors(graph: Matrix) -> dict[str, np.ndarray]:
+    rng = np.random.default_rng(11)
+    features = rng.random((graph.shape[0], 8)).astype(np.float32)
+    W1, W2 = (rng.standard_normal((2, 8, 4)) * 0.3).astype(np.float32)
+    W3 = rng.standard_normal(3).astype(np.float32)
+    return {"features": features, "W1": W1, "W2": W2, "W3": W3}
+
+
 def builtin_specs() -> dict[str, VerifySpec]:
     """Verification specs for the statistically verifiable registered
     algorithms (one compiled ECSF layer each).
@@ -452,6 +460,7 @@ def builtin_specs() -> dict[str, VerifySpec]:
     from repro.algorithms.graphsage import graphsage_layer
     from repro.algorithms.labor import labor_layer
     from repro.algorithms.ladies import ladies_layer
+    from repro.algorithms.pass_attention import pass_layer
     from repro.algorithms.vrgcn import vrgcn_layer
 
     return {
@@ -461,6 +470,11 @@ def builtin_specs() -> dict[str, VerifySpec]:
         "fastgcn": VerifySpec("fastgcn", fastgcn_layer, {"K": 10}),
         "asgcn": VerifySpec(
             "asgcn", asgcn_layer, {"K": 10}, tensors_fn=_asgcn_tensors
+        ),
+        # Model-driven: the paper excludes PASS from super-batching.
+        "pass": VerifySpec(
+            "pass", pass_layer, {"K": 4}, tensors_fn=_pass_tensors,
+            superbatch=False,
         ),
         "vrgcn": VerifySpec("vrgcn", vrgcn_layer, {"K": 3}),
         # ShaDow's expansion stage is the GraphSAGE layer program; the

@@ -6,8 +6,10 @@ here encode that contract explicitly:
 
 * **structure** — node-table key consistency, def-before-use topological
   order, registered inputs/outputs exist;
-* **operand kinds** — every operator receives the value kinds it
-  expects (a matrix where a matrix is consumed, a tensor where an index
+* **operand kinds** — every operator has a row in
+  :data:`repro.ir.ops.OPS` (the vocabulary is closed: an unknown name is
+  a violation, not a skipped node) and receives the value kinds that row
+  declares (a matrix where a matrix is consumed, a tensor where an index
   or dense operand is consumed), including the ``has_probs`` arity
   discipline of the stochastic select ops;
 * **layout legality** — layout stamps name a real sparse layout and
@@ -28,66 +30,11 @@ pass is identified immediately.
 from __future__ import annotations
 
 from repro.errors import InvariantError
-from repro.ir.graph import DataFlowGraph, Node, MATRIX_OPS, STRUCTURE_OPS
+from repro.ir.graph import DataFlowGraph
+from repro.ir.ops import OPS
 from repro.sparse import LAYOUTS
 
 __all__ = ["check_invariants"]
-
-#: Expected input kinds per op.  Tokens: ``matrix`` / ``tensor`` /
-#: ``ptr`` (the sb_batch_ptr node) / ``any``; a ``?`` prefix marks an
-#: optional trailing operand, ``*`` a variadic tail.
-_INPUT_KINDS: dict[str, tuple[str, ...]] = {
-    "input_graph": (),
-    "input_tensor": (),
-    "input_precomputed": (),
-    "const": (),
-    "sb_batch_ptr": (),
-    "slice_cols": ("matrix", "tensor"),
-    "slice_rows": ("matrix", "tensor"),
-    "map_scalar": ("matrix",),
-    "map_unary": ("matrix",),
-    "map_combine": ("matrix", "matrix"),
-    "map_broadcast": ("matrix", "tensor"),
-    "map_tscalar": ("matrix", "tensor"),
-    "reduce": ("matrix",),
-    "spmm": ("matrix", "tensor"),
-    "sddmm": ("matrix", "tensor", "tensor"),
-    "row": ("matrix",),
-    "column": ("matrix",),
-    "compact": ("matrix",),
-    "with_values": ("matrix", "tensor"),
-    "individual_sample": ("matrix", "?any"),
-    "collective_sample": ("matrix", "?tensor"),
-    "fused_extract_select": ("matrix", "tensor", "?tensor"),
-    "fused_extract_reduce": ("matrix", "tensor"),
-    "fused_map_chain": ("matrix", "*any"),
-    "fused_map_reduce": ("matrix", "*any"),
-    "sb_slice_cols": ("matrix", "tensor", "ptr"),
-    "sb_collective_sample": ("matrix", "ptr", "?tensor"),
-    "sb_fused_extract_reduce": ("matrix", "tensor", "ptr"),
-    "t_binop": ("tensor", "tensor"),
-    "t_binop_scalar": ("tensor",),
-    "t_unop": ("tensor",),
-    "t_sum": ("tensor",),
-    "t_index": ("tensor", "tensor"),
-    "t_matmul": ("tensor", "tensor"),
-}
-
-#: Stochastic select ops whose arity depends on ``has_probs``.
-_PROBS_ARITY = {
-    "individual_sample": 1,
-    "collective_sample": 1,
-    "fused_extract_select": 2,
-    "sb_collective_sample": 2,
-}
-
-
-def _value_kind(node: Node) -> str:
-    """The kind of value a node produces."""
-    if node.op == "input_precomputed":
-        return "any"  # hoisted values may be matrices or tensors
-    return "matrix" if node.op in MATRIX_OPS else "tensor"
-
 
 def _kind_matches(expected: str, actual: str) -> bool:
     if expected == "any" or actual == "any":
@@ -144,9 +91,13 @@ class _Checker:
     # ------------------------------------------------------------------
     def check_operand_kinds(self) -> None:
         for node in self.ir.nodes():
-            spec = _INPUT_KINDS.get(node.op)
-            if spec is None:
-                continue  # unknown/experimental op: structural checks only
+            row = OPS.get(node.op)
+            if row is None:
+                self.fail(
+                    f"node {node.node_id} has unknown operator {node.op!r}; "
+                    "every IR operator needs a row in repro.ir.ops.OPS"
+                )
+            spec = row.operands
             min_arity = sum(1 for s in spec if not s.startswith(("?", "*")))
             variadic = any(s.startswith("*") for s in spec)
             max_arity = len(spec) if not variadic else None
@@ -162,27 +113,26 @@ class _Checker:
                 expected = token.lstrip("?*")
                 if expected == "ptr":
                     continue  # checked in check_batch_ptr_discipline
-                actual = _value_kind(self.ir.node(dep))
+                actual = OPS[self.ir.node(dep).op].produces
                 if not _kind_matches(expected, actual):
                     self.fail(
                         f"node {node.node_id} ({node.op}) input {pos} "
                         f"(%{dep}, {self.ir.node(dep).op}) is a {actual}; "
                         f"expected a {expected}"
                     )
-            probs_extra = _PROBS_ARITY.get(node.op)
-            if probs_extra is not None:
-                base = min_arity
-                want = base + 1 if node.attrs.get("has_probs") else base
+            if row.takes_probs:
+                has_probs = bool(node.attrs.get("has_probs"))
+                want = min_arity + 1 if has_probs else min_arity
                 if n != want:
                     self.fail(
                         f"node {node.node_id} ({node.op}) has_probs="
-                        f"{bool(node.attrs.get('has_probs'))} but {n} "
-                        f"inputs (expected {want})"
+                        f"{has_probs} but {n} inputs (expected {want})"
                     )
 
     # ------------------------------------------------------------------
     def check_layout_legality(self) -> None:
         for node in self.ir.nodes():
+            structure = OPS[node.op].native_layout is not None
             if node.layout is not None:
                 if node.layout not in LAYOUTS:
                     self.fail(
@@ -190,13 +140,13 @@ class _Checker:
                         f"unknown layout {node.layout!r}; expected one of "
                         f"{LAYOUTS}"
                     )
-                if node.op not in STRUCTURE_OPS:
+                if not structure:
                     self.fail(
                         f"node {node.node_id} ({node.op}) carries a layout "
                         "decision but is not a structure operator; "
                         "compute/finalize ops must adopt upstream layout"
                     )
-            if node.compact_rows and node.op not in STRUCTURE_OPS:
+            if node.compact_rows and not structure:
                 self.fail(
                     f"node {node.node_id} ({node.op}) requests row "
                     "compaction but is not a structure operator"
@@ -205,10 +155,7 @@ class _Checker:
     # ------------------------------------------------------------------
     def check_batch_ptr_discipline(self) -> None:
         ptrs = [n for n in self.ir.nodes() if n.op == "sb_batch_ptr"]
-        sb_ops = [
-            n for n in self.ir.nodes()
-            if n.op.startswith("sb_") and n.op != "sb_batch_ptr"
-        ]
+        sb_ops = [n for n in self.ir.nodes() if "ptr" in OPS[n.op].operands]
         if len(ptrs) > 1:
             self.fail(
                 f"{len(ptrs)} sb_batch_ptr nodes present; the super-batch "
@@ -226,16 +173,9 @@ class _Checker:
                 f"sb_batch_ptr %{ptr.node_id} has no super-batch consumers; "
                 "the rewrite pass must remove an unused pointer"
             )
-        ptr_positions = {
-            "sb_slice_cols": -1,
-            "sb_collective_sample": 1,
-            "sb_fused_extract_reduce": -1,
-        }
         for node in sb_ops:
-            pos = ptr_positions.get(node.op)
-            if pos is None:
-                continue
-            if not node.inputs or node.inputs[pos] != ptr.node_id:
+            pos = OPS[node.op].operands.index("ptr")
+            if node.inputs[pos] != ptr.node_id:
                 self.fail(
                     f"node {node.node_id} ({node.op}) does not reference "
                     f"sb_batch_ptr %{ptr.node_id} at operand {pos}"

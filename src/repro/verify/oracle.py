@@ -204,7 +204,9 @@ class EagerOracle:
         rows, cols, _ = self._edge_view(matrix)
         row_feats = np.asarray(row_feats, dtype=np.float64)
         col_feats = np.asarray(col_feats, dtype=np.float64)
-        out = np.einsum("e...,e...->e", row_feats[rows], col_feats[cols])
+        products = row_feats[rows] * col_feats[cols]
+        # Contract every feature dim; an ellipsis einsum cannot sum over it.
+        out = products.sum(axis=tuple(range(1, products.ndim)))
         return matrix.with_values(out)
 
     # -- select (shared primitives, unit-tested separately) ------------

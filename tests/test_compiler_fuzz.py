@@ -5,7 +5,9 @@ Generates random straight-line sampling programs over the matrix API
 compiles each both with all optimizations and with none, runs them with
 identical RNG streams, and requires identical samples.  This is the
 strongest guarantee the pass pipeline can offer: no fusion, hoisting,
-layout choice, or CSE may change program semantics.
+layout choice, or CSE may change program semantics.  Every compile runs
+under ``debug=True``, so each generated program also exercises the IR
+invariant checker after every pass.
 """
 
 from __future__ import annotations
@@ -34,14 +36,21 @@ def _graph(seed: int):
 # One step of the random compute chain: (kind, param).
 _COMPUTE_STEPS = st.lists(
     st.sampled_from(
-        ["pow2", "mul2", "add1", "relu", "exp_clip", "div_colsum", "mul_rowsum"]
+        [
+            "pow2", "mul2", "add1", "relu", "exp_clip", "div_colsum",
+            "mul_rowsum", "scale", "combine",
+        ]
     ),
     min_size=0,
     max_size=4,
 )
 
 
-def _apply_steps(sub, steps):
+#: The one tensor input of every generated program (``scale`` reads it).
+_TENSORS = {"mix": np.array([0.5, 1.5, 0.75], dtype=np.float32)}
+
+
+def _apply_steps(sub, steps, mix):
     for step in steps:
         if step == "pow2":
             sub = sub**2
@@ -57,17 +66,23 @@ def _apply_steps(sub, steps):
             sub = sub.div(sub.sum(axis=1) + 1.0, axis=1)
         elif step == "mul_rowsum":
             sub = sub.mul(sub.sum(axis=0) + 1.0, axis=0)
+        elif step == "scale":
+            sub = sub.scale(mix, 1)
+        elif step == "combine":
+            sub = sub + sub**2
     return sub
 
 
 def _make_program(steps, select, k):
-    def program(A, frontiers, K):
+    def program(A, frontiers, K, mix):
         sub = A[:, frontiers]
-        biased = _apply_steps(sub, steps)
+        biased = _apply_steps(sub, steps, mix)
         if select == "individual":
             out = sub.individual_sample(K, biased)
         elif select == "individual_uniform":
             out = sub.individual_sample(K)
+        elif select == "labor":
+            out = sub.labor_sample(K)
         else:
             out = sub.collective_sample(K, (biased**2).sum(axis=0))
         return out, out.row()
@@ -77,7 +92,9 @@ def _make_program(steps, select, k):
 
 @given(
     steps=_COMPUTE_STEPS,
-    select=st.sampled_from(["individual", "individual_uniform", "collective"]),
+    select=st.sampled_from(
+        ["individual", "individual_uniform", "labor", "collective"]
+    ),
     k=st.integers(1, 6),
     graph_seed=st.integers(0, 50),
     run_seed=st.integers(0, 2**31 - 1),
@@ -94,16 +111,16 @@ def test_optimized_equals_plain(steps, select, k, graph_seed, run_seed):
     graph = _graph(graph_seed)
     seeds = np.arange(12)
     program = _make_program(steps, select, k)
-    optimized = compile_sampler(program, graph, seeds, constants={"K": k})
+    common = dict(constants={"K": k}, tensors=_TENSORS, debug=True)
+    optimized = compile_sampler(program, graph, seeds, **common)
     plain = compile_sampler(
-        program, graph, seeds, constants={"K": k},
-        config=OptimizationConfig.plain(),
+        program, graph, seeds, config=OptimizationConfig.plain(), **common
     )
     m_opt, next_opt = optimized.run(
-        seeds, ctx=ExecutionContext(V100), rng=new_rng(run_seed)
+        seeds, tensors=_TENSORS, ctx=ExecutionContext(V100), rng=new_rng(run_seed)
     )
     m_plain, next_plain = plain.run(
-        seeds, ctx=ExecutionContext(V100), rng=new_rng(run_seed)
+        seeds, tensors=_TENSORS, ctx=ExecutionContext(V100), rng=new_rng(run_seed)
     )
     ro, co, vo = m_opt.to_coo_arrays()
     rp, cp, vp = m_plain.to_coo_arrays()
@@ -126,13 +143,18 @@ def test_superbatch_structural_invariants(steps, k, num_batches, run_seed):
     graph edges."""
     graph = _graph(1)
     program = _make_program(steps, "individual_uniform", k)
-    sampler = compile_sampler(program, graph, np.arange(8), constants={"K": k})
+    sampler = compile_sampler(
+        program, graph, np.arange(8), constants={"K": k}, tensors=_TENSORS,
+        debug=True,
+    )
     rng = np.random.default_rng(run_seed)
     batches = [
         np.sort(rng.choice(graph.shape[0], 8, replace=False))
         for _ in range(num_batches)
     ]
-    results = sampler.run_superbatch(batches, rng=new_rng(run_seed))
+    results = sampler.run_superbatch(
+        batches, tensors=_TENSORS, rng=new_rng(run_seed)
+    )
     assert len(results) == num_batches
     from tests.conftest import to_dense
 

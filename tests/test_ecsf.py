@@ -9,11 +9,11 @@ from repro.core import (
     GraphSample,
     SampledLayer,
     Step,
-    STEP_OF_OP,
     minibatches,
     new_rng,
     run_layers,
 )
+from repro.ir import STEP_OF_OP
 
 
 def test_step_vocabulary_covers_table4():

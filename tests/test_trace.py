@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
+from repro.core.matrix import Matrix
 from repro.errors import TraceError
-from repro.ir.trace import trace
+from repro.ir.trace import MatrixProxy, trace
+from repro.sampler import compile_sampler
 
 
 def _ops(ir):
@@ -107,3 +111,52 @@ class TestTraceErrors:
 
         with pytest.raises(TraceError):
             trace(layer, small_graph, np.arange(4))
+
+
+class TestEagerTracedParity:
+    """A program written against ``Matrix`` must trace unchanged: the two
+    classes expose the same operators with the same parameter names."""
+
+    #: Eager-only storage accessors; a traced program has no storage.
+    STORAGE_ACCESSORS = {
+        "any_storage", "edge_ids", "get", "nbytes", "slice_cols", "slice_rows",
+        "to_coo_arrays", "with_values",
+    }
+
+    @staticmethod
+    def _operators(cls) -> dict[str, list[str]]:
+        """``{method: parameter names}`` of public and arithmetic methods,
+        modulo ``rng`` (the compiled sampler supplies it per run) and the
+        eager-only ``layout=`` override on the reduces."""
+        return {
+            name: [
+                p for p in list(inspect.signature(fn).parameters)[1:]
+                if p not in ("rng", "layout")
+            ]
+            for name, fn in vars(cls).items()
+            if inspect.isfunction(fn)
+            and (not name.startswith("_") or name.startswith("__"))
+            and name not in ("__init__", "__repr__")
+        }
+
+    def test_same_operators_same_parameters(self):
+        eager = self._operators(Matrix)
+        for name in self.STORAGE_ACCESSORS:
+            del eager[name]
+        assert eager == self._operators(MatrixProxy)
+
+    def test_scale_and_radd_agree_with_the_traced_program(self, small_graph):
+        def layer(A, frontiers, mix):
+            sub_A = A[:, frontiers]
+            return 1.0 + sub_A.scale(mix, 1)
+
+        frontiers, mix = np.arange(4), np.array([0.25, 0.5], dtype=np.float32)
+        eager = layer(small_graph, frontiers, mix)
+        sampler = compile_sampler(
+            layer, small_graph, frontiers, tensors={"mix": mix}, debug=True
+        )
+        traced = sampler.run(frontiers, tensors={"mix": mix})
+        np.testing.assert_array_equal(eager.values, traced.values)
+        np.testing.assert_allclose(
+            eager.values, 1.0 + 0.5 * small_graph[:, frontiers].values
+        )

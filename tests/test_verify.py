@@ -113,6 +113,29 @@ class TestExactDifferential:
             np.testing.assert_array_equal(co, cc)
             np.testing.assert_allclose(vo, vc, rtol=1e-5, atol=1e-6)
 
+    def test_oracle_sddmm_matches_kernel(self, verify_graph):
+        """SDDMM over 2-D features (the only shape the kernel accepts):
+        the oracle's contraction must agree on every edge."""
+
+        def attention(A, frontiers, features):
+            sub_A = A[:, frontiers]
+            return sub_A.sddmm(features, features[frontiers])
+
+        frontiers = np.arange(12)
+        features = np.random.default_rng(3).random((verify_graph.shape[0], 5))
+        tensors = {"features": features.astype(np.float32)}
+        oracle = trace_oracle(attention, verify_graph, frontiers, tensors=tensors)
+        sampler = compile_sampler(
+            attention, verify_graph, frontiers, tensors=tensors,
+            config=OptimizationConfig.plain(), debug=True,
+        )
+        ro, co, vo = _canonical_coo(oracle.run(frontiers, tensors=tensors))
+        rc, cc, vc = _canonical_coo(sampler.run(frontiers, tensors=tensors))
+        assert len(vo) > 0
+        np.testing.assert_array_equal(ro, rc)
+        np.testing.assert_array_equal(co, cc)
+        np.testing.assert_allclose(vo, vc, rtol=1e-5, atol=1e-6)
+
     def test_oracle_rejects_fused_ops(self, verify_graph):
         spec = builtin_specs()["graphsage"]
         frontiers = np.arange(12)
@@ -138,7 +161,9 @@ class TestDistributionEquivalence:
         report = verify_algorithm(
             algorithm, trials=verify_trials, alpha=0.01, seed=repro_seed
         )
-        assert report.num_tests == 9  # 8 configs + the super-batch path
+        # 8 configs + the super-batch path, where the algorithm has one.
+        superbatch = builtin_specs()[algorithm].superbatch
+        assert report.num_tests == (9 if superbatch else 8)
         assert report.passed, (
             f"reproduce with: pytest --repro-seed {repro_seed}\n"
             + report.summary()
