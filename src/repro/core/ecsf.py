@@ -24,6 +24,7 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from repro.core.matrix import Matrix
+from repro.sparse.formats import sorted_unique
 
 
 class Step(enum.Enum):
@@ -69,7 +70,7 @@ class GraphSample:
         parts = [self.seeds]
         for layer in self.layers:
             parts.append(layer.output_nodes)
-        return np.unique(np.concatenate(parts))
+        return sorted_unique(np.concatenate(parts))
 
     @property
     def num_edges(self) -> int:

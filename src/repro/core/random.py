@@ -21,6 +21,10 @@ from repro.errors import ShapeError
 
 _DEFAULT_SEED = 2023
 
+#: Largest dense scratch block, in elements, ``segmented_race_select``
+#: pads segments into (DESIGN.md, "Host kernels", has the measurements).
+_RACE_BLOCK_ELEMS = 1 << 18
+
 
 def new_rng(seed: int | None = _DEFAULT_SEED) -> np.random.Generator:
     """A fresh PCG64 generator; the package default seed is 2023."""
@@ -148,32 +152,111 @@ def segmented_race_select(
     """Positions of the ``k`` smallest keys within every indptr segment.
 
     ``k`` may be a scalar or a per-segment array.  Items with ``+inf``
-    keys (zero weight) are never selected; segments shorter than their
-    ``k`` return all their finite-key items.  Returns flat positions into
-    the original arrays, grouped by segment in ascending-key order.
+    keys (zero weight) are never selected, and neither are NaN keys;
+    segments shorter than their ``k`` return all their selectable items.
+    Returns flat positions into the original arrays, grouped by segment
+    in ascending-key order, equal keys in position order.
+
+    Work is linear in ``len(keys)``: segments are binned by power-of-two
+    width class (the thread / warp / block split C-SAW and NextDoor use
+    for skewed frontiers) and every bin is padded into dense
+    ``[rows, width]`` blocks of at most ``_RACE_BLOCK_ELEMS`` elements
+    (one row when a single segment is longer than that), where
+    ``argpartition`` cuts each row to its ``k`` smallest and only those
+    are sorted.  A few huge segments are simply the widest bin.
     """
+    keys = np.asarray(keys)
+    indptr = np.asarray(indptr)
+    if indptr.ndim != 1 or len(indptr) == 0 or indptr[0] != 0:
+        raise ShapeError("indptr must be a 1-D pointer array starting at 0")
     lengths = np.diff(indptr)
     n_seg = len(lengths)
+    if np.any(lengths < 0):
+        raise ShapeError("indptr must be non-decreasing")
     if keys.shape != (int(indptr[-1]),):
         raise ShapeError("keys length must equal indptr[-1]")
-    k_arr = np.full(n_seg, k, dtype=np.int64) if np.isscalar(k) else np.asarray(k)
-    if len(keys) == 0:
+    if np.ndim(k) != 0 and np.shape(k) != (n_seg,):
+        raise ShapeError(
+            f"per-segment k has shape {np.shape(k)}, expected ({n_seg},)"
+        )
+    if np.any(np.asarray(k) < 0):
+        raise ShapeError("k must be non-negative")
+    cap = np.minimum(lengths, k)
+    active = np.flatnonzero(cap > 0)
+    if len(active) == 0:
         return np.empty(0, dtype=np.int64)
-    seg_ids = np.repeat(np.arange(n_seg, dtype=np.int64), lengths)
-    order = np.lexsort((keys, seg_ids))
-    sorted_keys = keys[order]
-    # After the sort, each segment still occupies [indptr[i], indptr[i+1]).
-    finite_per_seg = _finite_prefix(sorted_keys, indptr)
-    take = np.minimum(np.minimum(k_arr, lengths), finite_per_seg)
-    from repro.sparse.formats import gather_ranges
+    from repro.sparse.formats import _indptr_from_counts, gather_ranges
 
-    picks = gather_ranges(indptr[:-1], take)
-    return order[picks]
+    # frexp's exponent of (length - 1) is its bit length: class c holds
+    # the segments of 2**(c-1) < length <= 2**c.
+    width_class = np.frexp(lengths[active] - 1)[1].astype(np.uint8)
+    binned = active[np.argsort(width_class, kind="stable")]
+    bin_ptr = _indptr_from_counts(np.bincount(width_class))
+    taken = np.zeros(n_seg, dtype=np.int64)
+    pieces = []
+    for c in np.flatnonzero(np.diff(bin_ptr)):
+        in_bin = binned[bin_ptr[c] : bin_ptr[c + 1]]
+        rows_per_block = max(1, _RACE_BLOCK_ELEMS >> int(c))
+        for lo in range(0, len(in_bin), rows_per_block):
+            rows = in_bin[lo : lo + rows_per_block]
+            picks, taken[rows] = _race_select_block(
+                keys, indptr[rows], lengths[rows], cap[rows]
+            )
+            pieces.append(picks)
+    # Blocks ran in bin order; scatter their picks back to segment order.
+    out_ptr = _indptr_from_counts(taken)
+    out = np.empty(int(out_ptr[-1]), dtype=np.int64)
+    out[gather_ranges(out_ptr[binned], taken[binned])] = np.concatenate(pieces)
+    return out
 
 
-def _finite_prefix(sorted_keys: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """Per segment, how many leading keys are finite after sorting."""
-    finite = np.isfinite(sorted_keys).astype(np.int64)
-    csum = np.zeros(len(finite) + 1, dtype=np.int64)
-    np.cumsum(finite, out=csum[1:])
-    return csum[indptr[1:]] - csum[indptr[:-1]]
+def _race_select_counts(
+    keys: np.ndarray, indptr: np.ndarray, k: int | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`segmented_race_select` plus how many picks each segment got.
+
+    Package-private, for callers that lay the picks out as a pointer
+    array.  A segment gets ``min(k, length)`` picks unless it ran out of
+    selectable keys first, and no segment can get more — so when the
+    totals agree, every segment got exactly that.
+    """
+    picks = segmented_race_select(keys, indptr, k)
+    counts = np.minimum(np.diff(indptr), k)
+    if len(picks) != counts.sum():
+        owner = np.searchsorted(indptr, picks, side="right") - 1
+        counts = np.bincount(owner, minlength=len(counts))
+    return picks, counts
+
+
+def _race_select_block(
+    keys: np.ndarray, starts: np.ndarray, lengths: np.ndarray, cap: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Race-select the segments ``[starts, starts + lengths)`` as one
+    dense block: their picks, row after row, and the count per row."""
+    width, k = int(lengths.max()), int(cap.max())
+    cols = np.arange(width, dtype=np.int64)
+    source = starts[:, None] + cols
+    np.minimum(source, len(keys) - 1, out=source)
+    block = keys[source].astype(np.float64, copy=False)
+    block[cols >= lengths[:, None]] = np.inf
+    # One column past k, so a tie across the cut is seen below.
+    edge = min(k + 1, width)
+    sel = np.argpartition(block, edge - 1, axis=1)[:, :edge]
+    sel_keys = np.take_along_axis(block, sel, axis=1)
+    order = np.argsort(sel_keys, axis=1)
+    sel = np.take_along_axis(sel, order, axis=1)
+    sel_keys = np.take_along_axis(sel_keys, order, axis=1)
+    # Neither step above is stable.  Equal keys are rare (the keys are
+    # continuous draws), so only rows that have them are sorted again.
+    tied = np.flatnonzero(
+        np.any(
+            (sel_keys[:, 1:] == sel_keys[:, :-1]) & (sel_keys[:, 1:] < np.inf),
+            axis=1,
+        )
+    )
+    if len(tied):
+        sel[tied] = np.argsort(block[tied], axis=1, kind="stable")[:, :edge]
+        sel_keys[tied] = np.take_along_axis(block[tied], sel[tied], axis=1)
+    taken = np.minimum(cap, np.count_nonzero(sel_keys[:, :k] < np.inf, axis=1))
+    picks = (sel[:, :k] + starts[:, None])[cols[:k] < taken[:, None]]
+    return picks, taken

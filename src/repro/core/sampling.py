@@ -32,7 +32,7 @@ from repro.sparse import (
     to_csc,
 )
 from repro.sparse.compact import _relabel
-from repro.sparse.formats import gather_ranges
+from repro.sparse.formats import _indptr_from_counts, gather_ranges
 
 _ITEM = 8
 _VAL = 4
@@ -79,8 +79,8 @@ def individual_sample(
     rng = rng if rng is not None else rnd.new_rng()
     csc = to_csc(matrix, ctx)
     bias = _resolve_edge_bias(csc, probs)
-    picks = _pick_per_segment(csc.indptr, bias, k, replace, rng)
-    out = _build_csc_from_picks(csc, picks, k, replace)
+    picks, counts = _pick_per_segment(csc.indptr, bias, k, replace, rng)
+    out = _build_csc_from_picks(csc, picks, counts)
     ctx.record(
         "individual_sample",
         bytes_read=csc.shape[1] * 2 * _ITEM
@@ -172,26 +172,27 @@ def fused_extract_individual_sample(
     frontiers = np.asarray(frontiers, dtype=INDEX_DTYPE)
     starts = graph_csc.indptr[frontiers]
     lengths = graph_csc.indptr[frontiers + 1] - starts
-    sub_indptr = np.zeros(len(frontiers) + 1, dtype=INDEX_DTYPE)
-    np.cumsum(lengths, out=sub_indptr[1:])
-    flat = gather_ranges(starts, lengths)
+    sub_indptr = _indptr_from_counts(lengths)
 
+    # Only a biased race reads the candidates' weights; an unbiased one
+    # never gathers the frontier ranges at all.
     if probs_edge_values is not None:
-        bias = np.asarray(probs_edge_values, dtype=np.float64)[flat]
-    elif graph_csc.values is not None and _has_nonuniform(graph_csc.values):
-        bias = graph_csc.values[flat].astype(np.float64)
+        source = np.asarray(probs_edge_values)
+    elif graph_csc._has_nonuniform_values():
+        source = graph_csc.values
     else:
-        bias = None
-    picks_local = _pick_per_segment(sub_indptr, bias, k, replace, rng)
-    picks = flat[picks_local]
-
-    # Reconstruct the per-column layout of the picks.
-    seg_of_pick = _segments_of(picks_local, sub_indptr)
-    counts = np.bincount(seg_of_pick, minlength=len(frontiers))
-    out_indptr = np.zeros(len(frontiers) + 1, dtype=INDEX_DTYPE)
-    np.cumsum(counts, out=out_indptr[1:])
+        source = None
+    bias = (
+        None
+        if source is None
+        else source[gather_ranges(starts, lengths)].astype(np.float64)
+    )
+    picks_local, counts = _pick_per_segment(sub_indptr, bias, k, replace, rng)
+    # Picks are grouped by frontier: shift each group from its extracted
+    # range back to the frontier's range in the graph.
+    picks = picks_local + np.repeat(starts - sub_indptr[:-1], counts)
     out = CSC(
-        indptr=out_indptr,
+        indptr=_indptr_from_counts(counts),
         rows=graph_csc.rows[picks],
         values=None if graph_csc.values is None else graph_csc.values[picks],
         shape=(graph_csc.shape[0], len(frontiers)),
@@ -357,7 +358,7 @@ def _resolve_edge_bias(
 ) -> np.ndarray | None:
     """Normalize the ``probs`` argument to a per-edge float array or None."""
     if probs is None:
-        if csc.values is not None and _has_nonuniform(csc.values):
+        if csc._has_nonuniform_values():
             return csc.values.astype(np.float64)
         return None
     if isinstance(probs, np.ndarray):
@@ -372,34 +373,32 @@ def _resolve_edge_bias(
     return edge_values(probs_csc).astype(np.float64)
 
 
-def _has_nonuniform(values: np.ndarray) -> bool:
-    """True when edge weights actually vary (skip the biased path if not)."""
-    return len(values) > 0 and bool(
-        np.any(values != values.flat[0])
-    )
-
-
 def _pick_per_segment(
     indptr: np.ndarray,
     bias: np.ndarray | None,
     k: int,
     replace: bool,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """Flat edge positions selected for every indptr segment."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat edge positions selected for every indptr segment, grouped by
+    segment, and how many each segment got."""
+    n_seg = len(indptr) - 1
     nnz = int(indptr[-1])
     if nnz == 0:
-        return np.empty(0, dtype=INDEX_DTYPE)
+        return np.empty(0, dtype=INDEX_DTYPE), np.zeros(n_seg, dtype=INDEX_DTYPE)
     if replace:
-        lengths = np.diff(indptr)
         if bias is None:
             seg_ids, offsets = rnd.segmented_uniform_with_replacement(
-                lengths, k, rng
+                np.diff(indptr), k, rng
             )
-            return (indptr[seg_ids] + offsets).astype(INDEX_DTYPE)
-        return _segmented_biased_with_replacement(indptr, bias, k, rng)
+            picks = (indptr[seg_ids] + offsets).astype(INDEX_DTYPE)
+        else:
+            picks = _segmented_biased_with_replacement(indptr, bias, k, rng)
+            seg_ids = _segments_of(picks, indptr)
+        return picks, np.bincount(seg_ids, minlength=n_seg)
     keys = _edge_keys(nnz, bias, rng)
-    return rnd.segmented_race_select(keys, indptr, k).astype(INDEX_DTYPE)
+    picks, counts = rnd._race_select_counts(keys, indptr, k)
+    return picks.astype(INDEX_DTYPE, copy=False), counts
 
 
 def _segmented_biased_with_replacement(
@@ -427,15 +426,12 @@ def _segments_of(flat_positions: np.ndarray, indptr: np.ndarray) -> np.ndarray:
 
 
 def _build_csc_from_picks(
-    csc: CSC, picks: np.ndarray, k: int, replace: bool
+    csc: CSC, picks: np.ndarray, counts: np.ndarray
 ) -> CSC:
-    """Assemble the sampled CSC given flat edge positions (segment-sorted)."""
-    seg_of_pick = _segments_of(picks, csc.indptr)
-    counts = np.bincount(seg_of_pick, minlength=csc.shape[1])
-    indptr = np.zeros(csc.shape[1] + 1, dtype=INDEX_DTYPE)
-    np.cumsum(counts, out=indptr[1:])
+    """Assemble the sampled CSC given flat edge positions (segment-sorted)
+    and the number of them in each column."""
     return CSC(
-        indptr=indptr,
+        indptr=_indptr_from_counts(counts),
         rows=csc.rows[picks],
         values=None if csc.values is None else csc.values[picks],
         shape=csc.shape,

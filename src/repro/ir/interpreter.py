@@ -57,6 +57,8 @@ class Interpreter:
         self.ctx = ctx
         self.precomputed = precomputed or {}
         self._last_use = self._compute_last_uses()
+        #: Row ids are block-diagonal (``b * M + node``) in this program.
+        self._superbatched = any(n.op == "sb_batch_ptr" for n in ir.nodes())
 
     def _compute_last_uses(self) -> dict[int, int]:
         """Map node id -> id of the last node that consumes it.
@@ -406,8 +408,13 @@ class Interpreter:
         return np.asarray(args[0]).sum()
 
     def _op_t_index(self, node, args, inputs, rng):
-        base, idx = args
-        return np.asarray(base)[np.asarray(idx)]
+        base, idx = (np.asarray(x) for x in args)
+        if self._superbatched:
+            # The same block-diagonal reading as in ``_op_t_binop``: a
+            # per-(batch, node) vector (length B*M) is read in place, a
+            # batch-invariant per-node one (length M) repeats per batch.
+            idx = idx % len(base)
+        return base[idx]
 
     def _op_t_matmul(self, node, args, inputs, rng):
         a, b = (np.asarray(x) for x in args)

@@ -23,7 +23,7 @@ from repro.device import NULL_CONTEXT, ExecutionContext
 from repro.errors import ShapeError
 from repro.sparse import CSC, INDEX_DTYPE
 from repro.sparse.compact import _relabel
-from repro.sparse.formats import gather_ranges
+from repro.sparse.formats import gather_ranges, sorted_unique
 
 _ITEM = 8
 _VAL = 4
@@ -182,15 +182,11 @@ def sb_collective_sample(
         flops=total_rows + csc.nnz,
         tasks=max(csc.nnz, 1),
     )
-    # Internal row structure stays in block-diagonal space (that is what
-    # keeps batches independent), but the *external* row ids fold back to
-    # original node ids so downstream per-node indexing (e.g. the LADIES
-    # and FastGCN debias steps) sees the same id space as eager runs.
-    row_ids = (
-        selected % rows_per_batch
-        if matrix.row_ids is None
-        else matrix.row_ids[selected]
-    )
+    # The external row ids stay in block-diagonal space too: the debias
+    # steps index per-(batch, node) vectors with them (the interpreter's
+    # super-batched ``t_index`` folds them for batch-invariant per-node
+    # vectors), and :func:`split_sample` folds them on the way out.
+    row_ids = selected if matrix.row_ids is None else matrix.row_ids[selected]
     return Matrix(sub, row_ids=row_ids, col_ids=matrix.col_ids, ctx=ctx)
 
 
@@ -215,7 +211,7 @@ def split_sample(
         lo, hi = int(batch_ptr[b]), int(batch_ptr[b + 1])
         e_lo, e_hi = int(csc.indptr[lo]), int(csc.indptr[hi])
         rows_b = csc.rows[e_lo:e_hi]
-        uniq, inv = np.unique(rows_b, return_inverse=True)
+        uniq, inv = sorted_unique(rows_b, csc.shape[0], return_inverse=True)
         piece_csc = CSC(
             indptr=csc.indptr[lo : hi + 1] - e_lo,
             rows=inv.astype(INDEX_DTYPE),

@@ -15,6 +15,7 @@ import numpy as np
 from repro.core import GraphSample
 from repro.errors import ShapeError
 from repro.learning.nn import Linear, ReLU
+from repro.sparse.formats import sorted_unique
 
 
 def _positions(ids: np.ndarray, universe: np.ndarray) -> np.ndarray:
@@ -126,10 +127,13 @@ class SampledGNN:
                 f"model has {self.num_layers} layers but sample has {len(layers)}"
             )
         # needed[d]: sorted node ids whose depth-d representation we need.
-        need: list[np.ndarray] = [np.unique(sample.seeds)]
+        bound = len(features)
+        need: list[np.ndarray] = [sorted_unique(sample.seeds, bound)]
         for layer in layers:
             need.append(
-                np.unique(np.concatenate([need[-1], layer.output_nodes]))
+                sorted_unique(
+                    np.concatenate([need[-1], layer.output_nodes]), bound
+                )
             )
         self._need = need
         self._agg_caches = []

@@ -59,6 +59,7 @@ from repro.serve.workload import (
     generate_workload,
 )
 from repro.tasks import edge_endpoints_of, unique_and_compact_node_pairs
+from repro.sparse.formats import sorted_unique
 from repro.stats import SlidingWindow
 
 #: Degradation-ladder depth: 0 = full fidelity, 1 = reduced fanout,
@@ -823,7 +824,7 @@ class Replica:
                         seed_sets, ctx=self.sample_ctx, rng=self._rng
                     )
                     per_request = [sample.all_nodes for sample in samples]
-                    nodes = np.unique(np.concatenate(per_request))
+                    nodes = sorted_unique(np.concatenate(per_request))
                     self.dedup_rows += sum(n.size for n in per_request) - int(
                         nodes.size
                     )

@@ -29,6 +29,7 @@ from repro.sparse.formats import (
     edge_ids_or_identity,
     edge_values,
     gather_ranges,
+    sorted_unique,
 )
 from repro.sparse.kernels import (
     edge_endpoints,
@@ -77,6 +78,7 @@ __all__ = [
     "sddmm_dot",
     "slice_columns",
     "slice_rows",
+    "sorted_unique",
     "spmm",
     "to_coo",
     "to_csc",

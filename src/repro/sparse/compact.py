@@ -25,6 +25,7 @@ from repro.sparse.formats import (
     _AXES,
     _indptr_from_counts,
     _take,
+    sorted_unique,
 )
 
 
@@ -59,14 +60,15 @@ def _occupied(
     matrix: SparseFormat, axis: int, ctx: ExecutionContext
 ) -> np.ndarray:
     """Along the compressed axis a scan of the pointer; otherwise a
-    sort-dedupe of every edge's index on ``axis``."""
+    dedupe of every edge's index on ``axis``, charged as the sort-dedupe
+    the device kernel is."""
     if matrix.axis == axis:
         out = np.flatnonzero(matrix._degrees() > 0).astype(INDEX_DTYPE)
         read = matrix.indptr.nbytes
         work = flops = matrix.shape[axis]  # one pointer entry per lane
     else:
         ids = kernels.edge_endpoints(matrix, ctx)[axis]
-        out = np.unique(ids)
+        out = sorted_unique(ids, matrix.shape[axis])
         read = ids.nbytes
         work = matrix.nnz  # one edge per lane, sorted
         flops = max(work, 1) * max(1.0, np.log2(max(work, 2)))

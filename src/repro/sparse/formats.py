@@ -36,6 +36,11 @@ VALUE_DTYPE = np.float32
 #: Canonical layout names, in the order used by cost tables.
 LAYOUTS = ("csc", "coo", "csr")
 
+#: ``sorted_unique`` scatters into a flag array only while the id space is
+#: at most this many times the input (DESIGN.md, "Host kernels", has the
+#: measurements).
+_UNIQUE_BOUND_RATIO = 64
+
 #: Axis 0 and 1 as the index fields (COO has both; CSR/CSC the minor one)
 #: and the kernel-name strings spell them.
 _AXES = ("rows", "cols")
@@ -175,6 +180,19 @@ class _Compressed:
             np.arange(self.shape[self.axis], dtype=INDEX_DTYPE), self._degrees()
         )
 
+    def _has_nonuniform_values(self) -> bool:
+        """True when edge weights actually vary (samplers skip the biased
+        path if not).  Scanned once per ``values`` array, not once per
+        call: the base graph is asked for every sampled batch."""
+        values = self.values
+        if values is None:
+            return False
+        seen = getattr(self, "_nonuniform", None)
+        if seen is None or seen[0] is not values:
+            seen = (values, len(values) > 0 and bool(np.any(values != values[0])))
+            self._nonuniform = seen
+        return seen[1]
+
     def _endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-edge ``(rows, cols)`` index arrays."""
         pair = (self._expand(), self.minor)
@@ -266,3 +284,39 @@ def gather_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
         cur = nonempty[1:]
         out[seg_starts[cur]] = starts[cur] - (starts[prev] + lengths[prev]) + 1
     return np.cumsum(out)
+
+
+def sorted_unique(
+    ids: np.ndarray, bound: int | None = None, return_inverse: bool = False
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """``np.unique`` for ids known to lie in ``[0, bound)``, without the sort.
+
+    Scatters a flag per id into a ``bound``-long array and reads the set
+    flags back in order; the inverse goes through a rank table.  The
+    output equals ``np.unique(ids, return_inverse=return_inverse)``
+    exactly.  ``bound`` defaults to ``ids.max() + 1``; an id outside
+    ``[0, bound)`` raises :class:`ShapeError`.  Non-integer ids, and id
+    spaces more than ``_UNIQUE_BOUND_RATIO`` times larger than the input
+    (where scanning the flags costs more than sorting the ids), are
+    handed to ``np.unique``.
+    """
+    ids = np.asarray(ids)
+    if ids.ndim != 1:
+        raise ShapeError(f"id array must be 1-D, got shape {ids.shape}")
+    if ids.dtype.kind not in "iu" or len(ids) == 0:
+        return np.unique(ids, return_inverse=return_inverse)
+    low, high = int(ids.min()), int(ids.max())
+    if bound is None:
+        bound = high + 1
+    if low < 0 or high >= bound:
+        raise ShapeError(f"ids span [{low}, {high}], outside [0, {bound})")
+    if bound > _UNIQUE_BOUND_RATIO * len(ids):
+        return np.unique(ids, return_inverse=return_inverse)
+    flags = np.zeros(bound, dtype=bool)
+    flags[ids] = True
+    unique = np.flatnonzero(flags)
+    if not return_inverse:
+        return unique.astype(ids.dtype, copy=False)
+    rank = np.empty(bound, dtype=np.intp)
+    rank[unique] = np.arange(len(unique), dtype=np.intp)
+    return unique.astype(ids.dtype, copy=False), rank[ids]

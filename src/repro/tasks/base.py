@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.core.ecsf import GraphSample
 from repro.datasets import Dataset
+from repro.sparse.formats import sorted_unique
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,7 +68,7 @@ def unique_and_compact_node_pairs(
     if neg_pairs is not None:
         neg_pairs = np.asarray(neg_pairs, dtype=np.int64).reshape(-1, 2)
         endpoints.append(neg_pairs.ravel())
-    seeds = np.unique(np.concatenate(endpoints))
+    seeds = sorted_unique(np.concatenate(endpoints))
     compacted_pos = np.searchsorted(seeds, pos_pairs)
     compacted_neg = (
         None if neg_pairs is None else np.searchsorted(seeds, neg_pairs)

@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
+import inspect
+import pathlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import random as rnd
 from repro.core.random import (
     AliasTable,
+    _race_select_counts,
     exponential_race_keys,
     new_rng,
     segmented_race_select,
@@ -17,6 +23,7 @@ from repro.core.random import (
     weighted_choice_without_replacement,
 )
 from repro.errors import ShapeError
+from repro.sparse.formats import _indptr_from_counts
 
 
 class TestExponentialRace:
@@ -144,3 +151,195 @@ class TestSegmentedRaceSelect:
         assert len(np.unique(picks)) == len(picks)
         for s in range(len(lengths)):
             assert (seg_of == s).sum() == min(k, lengths[s])
+
+
+# ----------------------------------------------------------------------
+# The lexsort select this module had until PR 18, kept verbatim as the
+# oracle: the dense-block select must return the same positions in the
+# same order.
+# ----------------------------------------------------------------------
+def _lexsort_race_select(keys, indptr, k):
+    from repro.sparse.formats import gather_ranges
+
+    lengths = np.diff(indptr)
+    n_seg = len(lengths)
+    if keys.shape != (int(indptr[-1]),):
+        raise ShapeError("keys length must equal indptr[-1]")
+    k_arr = np.full(n_seg, k, dtype=np.int64) if np.isscalar(k) else np.asarray(k)
+    if len(keys) == 0:
+        return np.empty(0, dtype=np.int64)
+    seg_ids = np.repeat(np.arange(n_seg, dtype=np.int64), lengths)
+    order = np.lexsort((keys, seg_ids))
+    sorted_keys = keys[order]
+    # After the sort, each segment still occupies [indptr[i], indptr[i+1]).
+    finite_per_seg = _finite_prefix(sorted_keys, indptr)
+    take = np.minimum(np.minimum(k_arr, lengths), finite_per_seg)
+    picks = gather_ranges(indptr[:-1], take)
+    return order[picks]
+
+
+def _finite_prefix(sorted_keys, indptr):
+    """Per segment, how many leading keys are finite after sorting."""
+    finite = np.isfinite(sorted_keys).astype(np.int64)
+    csum = np.zeros(len(finite) + 1, dtype=np.int64)
+    np.cumsum(finite, out=csum[1:])
+    return csum[indptr[1:]] - csum[indptr[:-1]]
+
+
+def _assert_matches_oracle(keys, indptr, k):
+    picks, counts = _race_select_counts(keys, indptr, k)
+    expected = _lexsort_race_select(keys, indptr, k)
+    np.testing.assert_array_equal(picks, expected)
+    assert picks.dtype == expected.dtype
+    owner = np.searchsorted(indptr, expected, side="right") - 1
+    np.testing.assert_array_equal(
+        counts, np.bincount(owner, minlength=len(indptr) - 1)
+    )
+
+
+#: Segment lengths on both sides of every bin edge up to 128.
+_EDGE_LENGTHS = [0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 128, 129]
+#: How keys are drawn: continuous, tie-heavy, the LADIES shape, hostile.
+_KEY_SHAPES = ("continuous", "ties", "inf_heavy", "nan_and_inf")
+
+
+def _draw_keys(shape, n, rng):
+    if shape == "continuous":
+        return rng.random(n)
+    if shape == "ties":
+        return rng.integers(0, 4, size=n).astype(np.float64)
+    keys = rng.exponential(size=n)
+    keys[rng.random(n) < 0.8] = np.inf
+    if shape == "nan_and_inf":
+        keys[rng.random(n) < 0.2] = np.nan
+    return keys
+
+
+class TestRaceSelectAgainstLexsortOracle:
+    @given(
+        st.lists(
+            st.sampled_from(_EDGE_LENGTHS) | st.integers(0, 140),
+            min_size=0,
+            max_size=40,
+        ),
+        st.sampled_from(_KEY_SHAPES),
+        st.one_of(st.integers(0, 140), st.none()),
+        st.sampled_from([1, 8, 64, 1 << 18]),
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_same_positions_same_order(
+        self, seg_lengths, key_shape, k, block_elems, seed
+    ):
+        rng = np.random.default_rng(seed)
+        indptr = _indptr_from_counts(np.array(seg_lengths, dtype=np.int64))
+        keys = _draw_keys(key_shape, int(indptr[-1]), rng)
+        if k is None:
+            # Per-segment k, including 0 and more than the segment holds.
+            k = rng.integers(0, 140, size=len(seg_lengths))
+        with mock.patch.object(rnd, "_RACE_BLOCK_ELEMS", block_elems):
+            _assert_matches_oracle(keys, indptr, k)
+
+    @pytest.mark.parametrize("k", [1, 3, 4, 5, 40, 5000])
+    def test_one_giant_segment_among_thousands_of_tiny_ones(self, k):
+        rng = np.random.default_rng(k)
+        lengths = rng.integers(0, 5, size=3000)
+        lengths[1234] = 4096
+        indptr = _indptr_from_counts(lengths)
+        _assert_matches_oracle(rng.random(int(indptr[-1])), indptr, k)
+
+    def test_few_huge_inf_heavy_segments(self):
+        """``sb_collective_sample``'s shape: 4 x 32768 rows, k = 512."""
+        rng = np.random.default_rng(0)
+        indptr = np.arange(5, dtype=np.int64) * 32768
+        keys = _draw_keys("inf_heavy", int(indptr[-1]), rng)
+        # One batch with fewer selectable rows than its k.
+        keys[32768 + 100 : 2 * 32768] = np.inf
+        _assert_matches_oracle(keys, indptr, 512)
+
+    def test_all_inf_segments_yield_nothing(self):
+        indptr = np.array([0, 3, 3, 7])
+        keys = np.array([np.inf] * 3 + [0.4, np.inf, 0.2, np.inf])
+        _assert_matches_oracle(keys, indptr, 2)
+        np.testing.assert_array_equal(
+            segmented_race_select(keys, indptr, 2), [5, 3]
+        )
+
+    def test_nan_keys_behave_like_inf(self):
+        keys = np.array([np.nan, 0.3, np.inf, 0.1, np.nan])
+        indptr = np.array([0, 5])
+        np.testing.assert_array_equal(
+            segmented_race_select(keys, indptr, 4), [3, 1]
+        )
+        _assert_matches_oracle(keys, indptr, 4)
+
+    def test_equal_keys_come_back_in_position_order(self):
+        keys = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+        indptr = np.array([0, 6])
+        np.testing.assert_array_equal(
+            segmented_race_select(keys, indptr, 4), [1, 4, 0, 2]
+        )
+
+    def test_segment_wider_than_the_block_limit_is_one_row(self):
+        rng = np.random.default_rng(3)
+        indptr = np.array([0, 2, 1002, 1010])
+        with mock.patch.object(rnd, "_RACE_BLOCK_ELEMS", 16):
+            _assert_matches_oracle(rng.random(1010), indptr, 7)
+
+
+class TestRaceSelectRefusals:
+    """Typed refusal before any work (ROADMAP direction 3)."""
+
+    @pytest.mark.parametrize(
+        "indptr, k",
+        [
+            (np.array([0, 2, 4]), -1),  # negative k
+            (np.array([0, 2, 4]), np.array([1, -1])),  # negative per-segment k
+            (np.array([0, 2, 4]), np.array([1, 1, 1])),  # one k too many
+            (np.array([0, 2, 4]), np.array([1])),  # one too few
+            (np.array([0, 3, 2, 4]), 1),  # non-monotone
+            (np.array([1, 2, 4]), 1),  # does not start at 0
+            (np.array([], dtype=np.int64), 1),  # no pointer at all
+            (np.array([[0, 4]]), 1),  # not 1-D
+        ],
+    )
+    def test_malformed_input_raises_shape_error(self, indptr, k):
+        with pytest.raises(ShapeError):
+            segmented_race_select(np.ones(4), indptr, k)
+
+    def test_zero_segments_and_zero_k_are_legal(self):
+        empty = np.empty(0, dtype=np.int64)
+        np.testing.assert_array_equal(
+            segmented_race_select(np.empty(0), np.array([0]), 3), empty
+        )
+        np.testing.assert_array_equal(
+            segmented_race_select(np.ones(4), np.array([0, 2, 4]), 0), empty
+        )
+
+
+class TestOneSelectPath:
+    def test_core_has_no_global_sort_left(self):
+        """One select path, not two: the lexsort select lives on only as
+        the oracle above.  (``git grep lexsort src/`` still lists the
+        partitioners' tie-breaks, DeltaGraph's edge order and the walk
+        top-k — none of them a select.)"""
+        core = pathlib.Path(rnd.__file__).parent
+        assert [
+            path.name for path in core.glob("*.py") if "lexsort" in path.read_text()
+        ] == []
+
+    def test_benchmark_facing_names_and_signatures_unchanged(self):
+        """``perfbench`` wraps these two by module attribute and reads
+        ``args[0]`` / ``len(result)``."""
+        assert list(inspect.signature(segmented_race_select).parameters) == [
+            "keys",
+            "indptr",
+            "k",
+        ]
+        assert list(inspect.signature(exponential_race_keys).parameters) == [
+            "weights",
+            "rng",
+        ]
+        assert rnd.segmented_race_select is segmented_race_select
+        picks = segmented_race_select(np.array([0.2, 0.1]), np.array([0, 2]), 1)
+        assert isinstance(picks, np.ndarray) and picks.tolist() == [1]

@@ -139,6 +139,49 @@ class TestFusedExtractSample:
         dense_fused = to_dense(fused)
         assert np.all((dense_fused != 0) <= (dense_sub != 0))
 
+    @pytest.mark.parametrize("replace", [False, True])
+    @pytest.mark.parametrize("bias", ["weights", "unweighted", "probs"])
+    def test_bit_identical_to_slice_then_sample(self, rng, bias, replace):
+        """Same draws, same picks, same pointer: the fused kernel rebuilds
+        the column layout from the select's per-segment counts, the
+        unfused one from its own — including columns cut short by
+        zero-probability edges, empty columns and repeated frontiers."""
+        csc = _csc(rng, rows=60, cols=40, nnz=500, weighted=bias != "unweighted")
+        # Explicit ids, so the slice carries graph positions along.
+        csc.edge_ids = np.arange(csc.nnz)
+        frontiers = np.array([3, 17, 17, 39, 0, 21, 8])
+        probs = None
+        if bias == "probs":
+            probs = rng.random(csc.nnz)
+            probs[rng.random(csc.nnz) < 0.6] = 0.0
+        fused = fused_extract_individual_sample(
+            csc, frontiers, 4, probs, replace=replace, rng=new_rng(7)
+        )
+        sliced = slice_columns(csc, frontiers)
+        eager = individual_sample(
+            sliced,
+            4,
+            None if probs is None else probs[sliced.edge_ids],
+            replace=replace,
+            rng=new_rng(7),
+        )
+        assert fused.nnz > 0
+        np.testing.assert_array_equal(fused.indptr, eager.indptr)
+        np.testing.assert_array_equal(fused.rows, eager.rows)
+        np.testing.assert_array_equal(fused.edge_ids, eager.edge_ids)
+        if bias != "unweighted":
+            np.testing.assert_array_equal(fused.values, eager.values)
+
+    def test_weight_scan_is_remembered_per_values_array(self, rng):
+        csc = _csc(rng)
+        assert csc._has_nonuniform_values()
+        assert csc._nonuniform[0] is csc.values
+        # A new values array is a new question.
+        csc.values = np.ones(csc.nnz, dtype=np.float32)
+        assert not csc._has_nonuniform_values()
+        csc.values = None
+        assert not csc._has_nonuniform_values()
+
     def test_fused_writes_less_memory(self, rng):
         """The fusion's point: no materialized subgraph (Figure 5a)."""
         from repro.device import ExecutionContext, V100

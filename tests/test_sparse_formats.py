@@ -8,8 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FormatError, ShapeError
-from repro.sparse import COO, CSC, CSR, gather_ranges
-from repro.sparse.formats import edge_ids_or_identity, edge_values
+from repro.sparse import COO, CSC, CSR, gather_ranges, sorted_unique
+from repro.sparse.formats import (
+    _UNIQUE_BOUND_RATIO,
+    edge_ids_or_identity,
+    edge_values,
+)
 
 from tests.conftest import random_coo, to_dense
 
@@ -112,6 +116,69 @@ class TestGatherRanges:
         for s, l in pairs:
             expected.extend(range(s, s + l))
         np.testing.assert_array_equal(gather_ranges(starts, lengths), expected)
+
+
+def _assert_same_as_np_unique(ids, bound=None):
+    got = sorted_unique(ids, bound)
+    want = np.unique(ids)
+    np.testing.assert_array_equal(got, want)
+    assert got.dtype == want.dtype
+    got, got_inverse = sorted_unique(ids, bound, return_inverse=True)
+    want, want_inverse = np.unique(ids, return_inverse=True)
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_array_equal(got_inverse, want_inverse)
+    assert (got.dtype, got_inverse.dtype) == (want.dtype, want_inverse.dtype)
+    assert got_inverse.shape == want_inverse.shape
+
+
+class TestSortedUnique:
+    @given(
+        st.lists(st.integers(0, 400), max_size=60),
+        st.sampled_from([np.int32, np.int64, np.uint8, np.uint32, np.uint64]),
+        st.sampled_from(["tight", "none", "flags", "fallback"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_np_unique(self, values, dtype, bound_kind):
+        ids = np.array(values, dtype=np.int64).astype(dtype)
+        if dtype == np.uint8:
+            ids = ids % 200
+        top = int(ids.max(initial=0)) + 1
+        # On both sides of the fallback threshold, and exactly on it.
+        bound = {
+            "tight": top,
+            "none": None,
+            "flags": max(top, _UNIQUE_BOUND_RATIO * len(ids)),
+            "fallback": max(top, _UNIQUE_BOUND_RATIO * len(ids) + 1),
+        }[bound_kind]
+        _assert_same_as_np_unique(ids, bound)
+
+    def test_empty_input(self):
+        _assert_same_as_np_unique(np.empty(0, dtype=np.int64))
+        _assert_same_as_np_unique(np.empty(0, dtype=np.int32), bound=10)
+
+    def test_non_integer_ids_go_to_np_unique(self):
+        _assert_same_as_np_unique(np.array([2.5, 0.5, 2.5, -1.0]))
+        _assert_same_as_np_unique(np.array([True, False, True]))
+
+    def test_tiny_gather_over_a_huge_id_space_is_not_o_bound(self):
+        # Would allocate 8 TB of flags if it scattered.
+        _assert_same_as_np_unique(np.array([7, 3, 7], dtype=np.int64), 1 << 43)
+        _assert_same_as_np_unique(np.array([(1 << 62) + 1, 5, 5]))
+
+    @pytest.mark.parametrize(
+        "ids, bound",
+        [
+            ([3, -1, 2], None),  # negative id, with and without a bound
+            ([3, -1, 2], 10),
+            ([0, 4, 5], 5),  # id == bound
+            ([1 << 40], 5),  # ... also where np.unique would take over
+            ([[1, 2], [3, 4]], None),  # not 1-D
+        ],
+    )
+    def test_out_of_range_ids_raise_shape_error(self, ids, bound):
+        for return_inverse in (False, True):
+            with pytest.raises(ShapeError):
+                sorted_unique(np.array(ids), bound, return_inverse)
 
 
 class TestDenseOracle:

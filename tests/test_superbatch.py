@@ -78,9 +78,9 @@ class TestSegmentedOps:
         )
         n = small_graph.shape[0]
         assert out.shape[0] == 10  # 5 rows per batch
-        # External row ids fold back to original node ids so per-node
-        # debias indexing works; the internal structure stays segmented.
-        assert out.row_ids.max() < n
+        # External row ids stay block-diagonal, five per batch, so the
+        # debias steps can index per-(batch, node) vectors with them.
+        np.testing.assert_array_equal(out.row_ids // n, [0] * 5 + [1] * 5)
         csc = out.get("csc")
         rows_b0 = set(csc.rows[csc.indptr[0] : csc.indptr[10]].tolist())
         rows_b1 = set(csc.rows[csc.indptr[10] : csc.indptr[20]].tolist())
@@ -127,6 +127,65 @@ class TestRunSuperbatch:
             assert matrix.shape[0] <= 6
             np.testing.assert_array_equal(matrix.column(), batch)
             assert len(nxt) <= 6
+
+    @pytest.mark.parametrize("layer", ["ladies", "asgcn_like", "fastgcn"])
+    def test_debias_reads_each_batchs_own_probabilities(self, small_graph, layer):
+        """Every batch of a super-batch is debiased by *its* selection
+        probabilities: the weights equal an eager per-batch debias of the
+        same sampled structure.  (Until PR 18 batches 1.. were divided by
+        batch 0's block of the probability vector: wrong, and NaN where
+        batch 0 had a zero.)"""
+        from repro.algorithms.fastgcn import fastgcn_layer
+        from repro.algorithms.ladies import ladies_layer as full_ladies_layer
+
+        dense = to_dense(small_graph).astype(np.float64)
+        scores = np.linspace(0.5, 2.0, small_graph.shape[0])
+
+        def asgcn_like_layer(A, frontiers, scores, K):
+            # Per-(batch, node) reduce times a batch-invariant per-node
+            # vector: the product is B*N long, like ASGCN's.
+            sub_A = A[:, frontiers]
+            probs = sub_A.sum(axis=0) * scores
+            sample_A = sub_A.collective_sample(K, probs)
+            sample_A = sample_A.div(probs[sample_A.row()], axis=0)
+            return sample_A, sample_A.row()
+
+        def expected_weights(rows, cols, batch):
+            """Eager debias of edges ``(rows, cols)``, in graph ids."""
+            sub = np.zeros_like(dense)
+            sub[:, batch] = dense[:, batch]
+            if layer == "ladies":
+                probs = (sub ** 2).sum(axis=1)
+            elif layer == "asgcn_like":
+                probs = sub.sum(axis=1) * scores
+            else:
+                probs = dense.sum(axis=1) ** 2
+            debiased = dense[rows, cols] / probs[rows]
+            if layer != "ladies":
+                return debiased
+            return debiased / np.bincount(cols, debiased, len(dense))[cols]
+
+        fn, tensors = {
+            "ladies": (full_ladies_layer, None),
+            "asgcn_like": (asgcn_like_layer, {"scores": scores}),
+            "fastgcn": (fastgcn_layer, None),
+        }[layer]
+        batches = [np.arange(lo, lo + 16) for lo in (0, 40, 90, 150)]
+        sampler = compile_sampler(
+            fn, small_graph, batches[0], constants={"K": 12}, tensors=tensors
+        )
+        results = sampler.run_superbatch(batches, tensors=tensors, rng=new_rng(5))
+        assert len(results) == len(batches) >= 3
+        for (matrix, _), batch in zip(results, batches):
+            rows, cols, weights = matrix.to_coo_arrays()
+            assert len(weights) and np.all(np.isfinite(weights))
+            assert set(cols) <= set(batch)
+            np.testing.assert_allclose(
+                weights, expected_weights(rows, cols, batch), rtol=1e-5
+            )
+            if layer == "ladies":
+                sums = np.bincount(cols, weights)[np.unique(cols)]
+                np.testing.assert_allclose(sums, 1.0, rtol=1e-5)
 
     def test_superbatch_faster_than_sequential(self, small_graph):
         """The point of super-batching: fewer, fuller launches (Figure 6)."""
