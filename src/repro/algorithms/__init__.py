@@ -1,4 +1,4 @@
-"""The 15 graph-sampling algorithms surveyed in Table 2 of the paper."""
+"""The 16 graph-sampling algorithms: Table 2 of the paper plus LABOR."""
 
 from repro.algorithms.asgcn import ASGCN, asgcn_layer
 from repro.algorithms.bandit import BanditPipeline, GCNBS, Thanos
@@ -21,6 +21,7 @@ from repro.algorithms.registry import (
     BENCHMARKED,
     COMPLEX,
     SIMPLE,
+    TABLE8_PARAMS,
     available_algorithms,
     make_algorithm,
 )
@@ -34,6 +35,7 @@ __all__ = [
     "BENCHMARKED",
     "COMPLEX",
     "SIMPLE",
+    "TABLE8_PARAMS",
     "Algorithm",
     "AlgorithmInfo",
     "BanditPipeline",

@@ -16,16 +16,16 @@ super-batches it; we follow suit.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from repro.algorithms.base import (
     DEFAULT_LAYER_WIDTH,
     Algorithm,
     AlgorithmInfo,
-    LayeredPipeline,
+    shared_width,
 )
-from repro.core.matrix import Matrix
-from repro.sampler import OptimizationConfig, compile_sampler
 
 
 def asgcn_layer(A, frontiers, K, features, w_att):
@@ -40,61 +40,28 @@ def asgcn_layer(A, frontiers, K, features, w_att):
     return sample_A, sample_A.row()
 
 
+@dataclasses.dataclass
 class ASGCN(Algorithm):
-    """AS-GCN algorithm factory."""
+    """AS-GCN: a layer-wise program reading the trainable scorer ``w_att``."""
+
+    layer_width: int = DEFAULT_LAYER_WIDTH
+    num_layers: int = 3
+    seed: int = 2023
+    w_att: np.ndarray | None = dataclasses.field(default=None, init=False)
 
     info = AlgorithmInfo(
-        name="asgcn",
-        category="layer-wise",
-        bias="dynamic",
-        fanout_gt_one=True,
-        description="Adaptive layer-wise sampling with a learned scorer",
+        "asgcn", "layer-wise", "dynamic", True,
+        "Adaptive layer-wise sampling with a learned scorer",
     )
+    layer = staticmethod(asgcn_layer)
+    programs = shared_width
+    tensors = ("w_att",)
+    superbatch = True
 
-    def __init__(
-        self,
-        layer_width: int = DEFAULT_LAYER_WIDTH,
-        num_layers: int = 3,
-        seed: int = 2023,
-    ) -> None:
-        self.layer_width = layer_width
-        self.num_layers = num_layers
-        self.seed = seed
-        self.w_att: np.ndarray | None = None
-
-    def build(
-        self,
-        graph: Matrix,
-        example_seeds: np.ndarray,
-        *,
-        features: np.ndarray | None = None,
-        config: OptimizationConfig | None = None,
-    ) -> LayeredPipeline:
-        if features is None:
-            raise ValueError("AS-GCN requires node features")
-        rng = np.random.default_rng(self.seed)
-        if self.w_att is None or self.w_att.shape != (features.shape[1],):
-            self.w_att = rng.standard_normal(features.shape[1]).astype(
-                np.float32
-            ) * 0.1
-        sampler = compile_sampler(
-            asgcn_layer,
-            graph,
-            example_seeds,
-            constants={"K": self.layer_width},
-            tensors={"features": features, "w_att": self.w_att},
-            config=config,
-        )
-
-        def tensors_fn() -> dict[str, np.ndarray]:
-            assert self.w_att is not None
-            return {"features": features, "w_att": self.w_att}
-
-        return LayeredPipeline(
-            [sampler] * self.num_layers,
-            tensors_fn=tensors_fn,
-            supports_superbatch=True,
-        )
+    def init_tensors(self, feature_dim: int) -> None:
+        if self.w_att is None or self.w_att.shape != (feature_dim,):
+            rng = np.random.default_rng(self.seed)
+            self.w_att = rng.standard_normal(feature_dim).astype(np.float32) * 0.1
 
     def apply_gradient(self, grad: np.ndarray, lr: float = 1e-3) -> None:
         """Trainer hook: update the scorer between batches."""

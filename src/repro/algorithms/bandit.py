@@ -17,19 +17,35 @@ between batches, these algorithms are excluded from super-batching.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+
 import numpy as np
 
-from repro.algorithms.base import Algorithm, AlgorithmInfo, Pipeline
-from repro.core import GraphSample, SampledLayer, new_rng
+from repro.algorithms.base import Algorithm, AlgorithmInfo, LayeredPipeline
+from repro.core import GraphSample
 from repro.core.matrix import Matrix
-from repro.device import NULL_CONTEXT, ExecutionContext
-from repro.sampler import OptimizationConfig
+from repro.device import ExecutionContext
+from repro.errors import GSamplerError, ShapeError
 
 
-class BanditPipeline(Pipeline):
+def _ucb(weights: np.ndarray, eids: np.ndarray, step: np.ndarray) -> None:
+    """GCN-BS: additive update toward high-reward arms."""
+    np.add.at(weights, eids, step)
+    np.clip(weights, 1e-6, None, out=weights)
+
+
+def _exp3(weights: np.ndarray, eids: np.ndarray, step: np.ndarray) -> None:
+    """Thanos: multiplicative-weights (EXP3) update."""
+    np.multiply.at(weights, eids, np.exp(np.clip(step, -5.0, 5.0)))
+    np.clip(weights, 1e-6, 1e6, out=weights)
+
+
+UPDATE_RULES = {"ucb": _ucb, "exp3": _exp3}
+
+
+class BanditPipeline(LayeredPipeline):
     """Weight-table-driven fanout sampling with a pluggable update rule."""
-
-    supports_superbatch = False
 
     def __init__(
         self,
@@ -39,6 +55,11 @@ class BanditPipeline(Pipeline):
         *,
         lr: float = 0.1,
     ) -> None:
+        if update_rule not in UPDATE_RULES:
+            raise GSamplerError(
+                f"unknown bandit rule {update_rule!r}; available: {sorted(UPDATE_RULES)}"
+            )
+        super().__init__([functools.partial(self.hop, k) for k in fanouts])
         self.graph = graph
         self.fanouts = fanouts
         self.update_rule = update_rule
@@ -46,101 +67,62 @@ class BanditPipeline(Pipeline):
         #: The bandit state: one positive weight per graph edge.
         self.edge_weights = np.ones(graph.nnz, dtype=np.float64)
 
-    def sample_batch(
+    def hop(
         self,
-        seeds: np.ndarray,
-        *,
-        ctx: ExecutionContext = NULL_CONTEXT,
-        rng: np.random.Generator | None = None,
-    ) -> GraphSample:
-        rng = rng if rng is not None else new_rng(None)
-        frontiers = np.asarray(seeds)
-        layers: list[SampledLayer] = []
-        base = Matrix(
-            self.graph.any_storage(), ctx=ctx, is_base_graph=True
+        k: int,
+        frontiers: np.ndarray,
+        ctx: ExecutionContext,
+        rng: np.random.Generator,
+    ) -> tuple[Matrix, np.ndarray]:
+        """Slice the frontiers' columns, sample ``k`` by current weight."""
+        base = Matrix(self.graph.any_storage(), ctx=ctx, is_base_graph=True)
+        sub = base.slice_cols(frontiers)
+        sampled = sub.individual_sample(
+            k, self.edge_weights[sub.edge_ids()], rng=rng
         )
-        for k in self.fanouts:
-            if len(frontiers) == 0:
-                break
-            sub = base.slice_cols(frontiers)
-            probs = self.edge_weights[sub.edge_ids()]
-            sampled = sub.individual_sample(k, probs, rng=rng)
-            layers.append(
-                SampledLayer(
-                    matrix=sampled,
-                    input_nodes=frontiers,
-                    output_nodes=sampled.row(),
-                )
-            )
-            frontiers = sampled.row()
-        return GraphSample(seeds=np.asarray(seeds), layers=layers)
+        # ``row()`` is charged twice per layer, as it always was here (the
+        # layer's output nodes and the next frontiers were two calls);
+        # dropping the first moves both bandit ledgers, so it waits for a
+        # PR that re-pins.
+        sampled.row()
+        return sampled, sampled.row()
 
-    def apply_rewards(self, sample: GraphSample, rewards_per_layer: list[np.ndarray]) -> None:
+    def apply_rewards(
+        self, sample: GraphSample, rewards_per_layer: list[np.ndarray]
+    ) -> None:
         """Bandit update: adjust the used edges' weights by their reward."""
-        for layer, rewards in zip(sample.layers, rewards_per_layer):
-            eids = layer.matrix.edge_ids()
-            if len(eids) != len(rewards):
-                raise ValueError(
-                    f"rewards length {len(rewards)} != sampled edges {len(eids)}"
-                )
-            if self.update_rule == "ucb":
-                # GCN-BS: additive update toward high-reward arms.
-                np.add.at(self.edge_weights, eids, self.lr * rewards)
-                np.clip(self.edge_weights, 1e-6, None, out=self.edge_weights)
-            elif self.update_rule == "exp3":
-                # Thanos: multiplicative-weights (EXP3) update.
-                factor = np.exp(np.clip(self.lr * rewards, -5.0, 5.0))
-                np.multiply.at(self.edge_weights, eids, factor)
-                np.clip(self.edge_weights, 1e-6, 1e6, out=self.edge_weights)
-            else:
-                raise ValueError(f"unknown bandit rule {self.update_rule!r}")
+        edge_ids = [layer.matrix.edge_ids() for layer in sample.layers]
+        if [len(r) for r in rewards_per_layer] != [len(e) for e in edge_ids]:
+            raise ShapeError(
+                f"rewards lengths {[len(r) for r in rewards_per_layer]} != "
+                f"sampled edges per layer {[len(e) for e in edge_ids]}"
+            )
+        for eids, rewards in zip(edge_ids, rewards_per_layer):
+            UPDATE_RULES[self.update_rule](self.edge_weights, eids, self.lr * rewards)
 
 
+@dataclasses.dataclass
 class GCNBS(Algorithm):
     """GCN-BS: bandit sampling with UCB-style additive updates."""
 
+    fanouts: tuple[int, ...] = (5, 10)
+
     info = AlgorithmInfo(
-        name="gcn_bs",
-        category="node-wise",
-        bias="dynamic",
-        fanout_gt_one=True,
-        description="Bandit fanout sampling, additive (UCB) weight updates",
+        "gcn_bs", "node-wise", "dynamic", True,
+        "Bandit fanout sampling, additive (UCB) weight updates",
     )
+    update_rule = "ucb"
 
-    def __init__(self, fanouts: tuple[int, ...] = (5, 10)) -> None:
-        self.fanouts = fanouts
-
-    def build(
-        self,
-        graph: Matrix,
-        example_seeds: np.ndarray,
-        *,
-        features: np.ndarray | None = None,
-        config: OptimizationConfig | None = None,
-    ) -> BanditPipeline:
-        return BanditPipeline(graph, self.fanouts, "ucb")
+    def direct(self, graph: Matrix) -> BanditPipeline:
+        return BanditPipeline(graph, self.fanouts, self.update_rule)
 
 
-class Thanos(Algorithm):
+@dataclasses.dataclass
+class Thanos(GCNBS):
     """Thanos: bandit sampling with EXP3-style multiplicative updates."""
 
     info = AlgorithmInfo(
-        name="thanos",
-        category="node-wise",
-        bias="dynamic",
-        fanout_gt_one=True,
-        description="Bandit fanout sampling, multiplicative (EXP3) updates",
+        "thanos", "node-wise", "dynamic", True,
+        "Bandit fanout sampling, multiplicative (EXP3) updates",
     )
-
-    def __init__(self, fanouts: tuple[int, ...] = (5, 10)) -> None:
-        self.fanouts = fanouts
-
-    def build(
-        self,
-        graph: Matrix,
-        example_seeds: np.ndarray,
-        *,
-        features: np.ndarray | None = None,
-        config: OptimizationConfig | None = None,
-    ) -> BanditPipeline:
-        return BanditPipeline(graph, self.fanouts, "exp3")
+    update_rule = "exp3"

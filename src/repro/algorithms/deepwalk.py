@@ -11,18 +11,11 @@ kernel, which is what the pipeline below launches directly.
 
 from __future__ import annotations
 
-import numpy as np
+import dataclasses
 
 from repro.algorithms import walks
-from repro.algorithms.base import (
-    DEFAULT_WALK_LENGTH,
-    Algorithm,
-    AlgorithmInfo,
-    Pipeline,
-)
+from repro.algorithms.base import DEFAULT_WALK_LENGTH, Algorithm, AlgorithmInfo
 from repro.core.matrix import Matrix
-from repro.device import NULL_CONTEXT, ExecutionContext
-from repro.sampler import OptimizationConfig
 
 
 def deepwalk_step(A, frontiers, K=1):
@@ -37,71 +30,16 @@ def deepwalk_step(A, frontiers, K=1):
     return sample_A, sample_A.row()
 
 
-class DeepWalkPipeline(Pipeline):
-    """Runs whole walk batches through the fused walk-step kernel."""
-
-    supports_superbatch = True
-
-    def __init__(self, graph: Matrix, walk_length: int) -> None:
-        self.graph = graph
-        self.walk_length = walk_length
-
-    def sample_batch(
-        self,
-        seeds: np.ndarray,
-        *,
-        ctx: ExecutionContext = NULL_CONTEXT,
-        rng: np.random.Generator | None = None,
-    ) -> walks.WalkResult:
-        return walks.uniform_walk(
-            self.graph, seeds, self.walk_length, ctx=ctx, rng=rng
-        )
-
-    def sample_superbatch(
-        self,
-        seed_batches,
-        *,
-        ctx: ExecutionContext = NULL_CONTEXT,
-        rng: np.random.Generator | None = None,
-    ) -> list[walks.WalkResult]:
-        # Walks are per-walker independent: super-batching is literal
-        # concatenation, sharing every kernel launch across batches.
-        sizes = [len(b) for b in seed_batches]
-        merged = walks.uniform_walk(
-            self.graph,
-            np.concatenate([np.asarray(b) for b in seed_batches]),
-            self.walk_length,
-            ctx=ctx,
-            rng=rng,
-        )
-        out = []
-        offset = 0
-        for size in sizes:
-            out.append(walks.WalkResult(merged.trace[:, offset : offset + size]))
-            offset += size
-        return out
-
-
+@dataclasses.dataclass
 class DeepWalk(Algorithm):
-    """DeepWalk algorithm factory."""
+    """DeepWalk: the walk driver with the uniform (fused walk-step) step."""
+
+    walk_length: int = DEFAULT_WALK_LENGTH
 
     info = AlgorithmInfo(
-        name="deepwalk",
-        category="node-wise",
-        bias="uniform",
-        fanout_gt_one=False,
-        description="Vanilla random walk, uniform neighbor per step",
+        "deepwalk", "node-wise", "uniform", False,
+        "Vanilla random walk, uniform neighbor per step",
     )
 
-    def __init__(self, walk_length: int = DEFAULT_WALK_LENGTH) -> None:
-        self.walk_length = walk_length
-
-    def build(
-        self,
-        graph: Matrix,
-        example_seeds: np.ndarray,
-        *,
-        features: np.ndarray | None = None,
-        config: OptimizationConfig | None = None,
-    ) -> DeepWalkPipeline:
-        return DeepWalkPipeline(graph, self.walk_length)
+    def direct(self, graph: Matrix) -> walks.WalkPipeline:
+        return walks.WalkPipeline(graph, self.walk_length, walks.uniform_walk)

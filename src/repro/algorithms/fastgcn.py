@@ -12,16 +12,14 @@ the selected nodes' bias so the layer estimator stays unbiased.
 
 from __future__ import annotations
 
-import numpy as np
+import dataclasses
 
 from repro.algorithms.base import (
     DEFAULT_LAYER_WIDTH,
     Algorithm,
     AlgorithmInfo,
-    LayeredPipeline,
+    shared_width,
 )
-from repro.core.matrix import Matrix
-from repro.sampler import OptimizationConfig, compile_sampler
 
 
 def fastgcn_layer(A, frontiers, K):
@@ -35,38 +33,17 @@ def fastgcn_layer(A, frontiers, K):
     return sample_A, sample_A.row()
 
 
+@dataclasses.dataclass
 class FastGCN(Algorithm):
-    """FastGCN algorithm factory."""
+    """FastGCN: LADIES's shape with a frontier-invariant bias."""
+
+    layer_width: int = DEFAULT_LAYER_WIDTH
+    num_layers: int = 3
 
     info = AlgorithmInfo(
-        name="fastgcn",
-        category="layer-wise",
-        bias="static",
-        fanout_gt_one=True,
-        description="Layer-wise sampling biased by node degree",
+        "fastgcn", "layer-wise", "static", True,
+        "Layer-wise sampling biased by node degree",
     )
-
-    def __init__(
-        self, layer_width: int = DEFAULT_LAYER_WIDTH, num_layers: int = 3
-    ) -> None:
-        self.layer_width = layer_width
-        self.num_layers = num_layers
-
-    def build(
-        self,
-        graph: Matrix,
-        example_seeds: np.ndarray,
-        *,
-        features: np.ndarray | None = None,
-        config: OptimizationConfig | None = None,
-    ) -> LayeredPipeline:
-        sampler = compile_sampler(
-            fastgcn_layer,
-            graph,
-            example_seeds,
-            constants={"K": self.layer_width},
-            config=config,
-        )
-        return LayeredPipeline(
-            [sampler] * self.num_layers, supports_superbatch=True
-        )
+    layer = staticmethod(fastgcn_layer)
+    programs = shared_width
+    superbatch = True

@@ -13,18 +13,15 @@ optimization in Figure 10's GraphSAGE columns.
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Sequence
-
-import numpy as np
 
 from repro.algorithms.base import (
     DEFAULT_SAGE_FANOUTS,
     Algorithm,
     AlgorithmInfo,
-    LayeredPipeline,
+    per_fanout,
 )
-from repro.core.matrix import Matrix
-from repro.sampler import OptimizationConfig, compile_sampler
 
 
 def graphsage_layer(A, frontiers, K):
@@ -34,36 +31,16 @@ def graphsage_layer(A, frontiers, K):
     return sample_A, sample_A.row()
 
 
+@dataclasses.dataclass
 class GraphSAGE(Algorithm):
-    """GraphSAGE algorithm factory."""
+    """GraphSAGE: one compiled program per entry of ``fanouts``."""
+
+    fanouts: Sequence[int] = DEFAULT_SAGE_FANOUTS
 
     info = AlgorithmInfo(
-        name="graphsage",
-        category="node-wise",
-        bias="uniform",
-        fanout_gt_one=True,
-        description="Uniform per-frontier fanout sampling",
+        "graphsage", "node-wise", "uniform", True,
+        "Uniform per-frontier fanout sampling",
     )
-
-    def __init__(self, fanouts: Sequence[int] = DEFAULT_SAGE_FANOUTS) -> None:
-        self.fanouts = tuple(fanouts)
-
-    def build(
-        self,
-        graph: Matrix,
-        example_seeds: np.ndarray,
-        *,
-        features: np.ndarray | None = None,
-        config: OptimizationConfig | None = None,
-    ) -> LayeredPipeline:
-        samplers = [
-            compile_sampler(
-                graphsage_layer,
-                graph,
-                example_seeds,
-                constants={"K": k},
-                config=config,
-            )
-            for k in self.fanouts
-        ]
-        return LayeredPipeline(samplers, supports_superbatch=True)
+    layer = staticmethod(graphsage_layer)
+    programs = per_fanout
+    superbatch = True

@@ -14,11 +14,9 @@ import dataclasses
 import numpy as np
 
 from repro.algorithms import walks
-from repro.algorithms.base import Algorithm, AlgorithmInfo, Pipeline
-from repro.core import new_rng
+from repro.algorithms.base import Algorithm, AlgorithmInfo
 from repro.core.matrix import Matrix
-from repro.device import NULL_CONTEXT, ExecutionContext
-from repro.sampler import OptimizationConfig
+from repro.device import ExecutionContext
 
 
 @dataclasses.dataclass
@@ -37,57 +35,32 @@ class SaintSample:
         return self.matrix.nnz
 
 
-class GraphSAINTPipeline(Pipeline):
+def saint_finalize(
+    graph: Matrix, result: walks.WalkResult, ctx: ExecutionContext
+) -> SaintSample:
     """Walk batch -> visited-node pool -> induced subgraph."""
-
-    supports_superbatch = False
-
-    def __init__(self, graph: Matrix, walk_length: int) -> None:
-        self.graph = graph
-        self.walk_length = walk_length
-
-    def sample_batch(
-        self,
-        seeds: np.ndarray,
-        *,
-        ctx: ExecutionContext = NULL_CONTEXT,
-        rng: np.random.Generator | None = None,
-    ) -> SaintSample:
-        rng = rng if rng is not None else new_rng(None)
-        result = walks.uniform_walk(
-            self.graph, seeds, self.walk_length, ctx=ctx, rng=rng
-        )
-        flat = result.trace[result.trace >= 0]
-        nodes, counts = np.unique(flat, return_counts=True)
-        induced = walks.induce_subgraph(self.graph, nodes, ctx=ctx)
-        return SaintSample(
-            roots=np.asarray(seeds),
-            nodes=nodes,
-            matrix=induced,
-            node_counts=counts,
-        )
-
-
-class GraphSAINT(Algorithm):
-    """GraphSAINT (random-walk variant) algorithm factory."""
-
-    info = AlgorithmInfo(
-        name="graphsaint",
-        category="node-wise",
-        bias="uniform",
-        fanout_gt_one=False,
-        description="Random-walk pooling plus induced training subgraph",
+    flat = result.trace[result.trace >= 0]
+    nodes, counts = np.unique(flat, return_counts=True)
+    return SaintSample(
+        roots=result.trace[0],
+        nodes=nodes,
+        matrix=walks.induce_subgraph(graph, nodes, ctx=ctx),
+        node_counts=counts,
     )
 
-    def __init__(self, walk_length: int = 4) -> None:
-        self.walk_length = walk_length
 
-    def build(
-        self,
-        graph: Matrix,
-        example_seeds: np.ndarray,
-        *,
-        features: np.ndarray | None = None,
-        config: OptimizationConfig | None = None,
-    ) -> GraphSAINTPipeline:
-        return GraphSAINTPipeline(graph, self.walk_length)
+@dataclasses.dataclass
+class GraphSAINT(Algorithm):
+    """GraphSAINT (random-walk variant): a short uniform walk, then induce."""
+
+    walk_length: int = 4
+
+    info = AlgorithmInfo(
+        "graphsaint", "node-wise", "uniform", False,
+        "Random-walk pooling plus induced training subgraph",
+    )
+
+    def direct(self, graph: Matrix) -> walks.WalkPipeline:
+        return walks.WalkPipeline(
+            graph, self.walk_length, walks.uniform_walk, finalize=saint_finalize
+        )

@@ -14,147 +14,50 @@ graphs (Section 4.5).
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+
 import numpy as np
 
 from repro.algorithms import walks
-from repro.algorithms.base import Algorithm, AlgorithmInfo, Pipeline
-from repro.core import GraphSample, SampledLayer, new_rng
+from repro.algorithms.base import Algorithm, AlgorithmInfo, LayeredPipeline
 from repro.core.matrix import Matrix
-from repro.device import NULL_CONTEXT, ExecutionContext
-from repro.sampler import OptimizationConfig
-from repro.sparse import COO, INDEX_DTYPE, to_csc
+from repro.sparse import INDEX_DTYPE
 
 
-class HetGNNPipeline(Pipeline):
-    """Restart walks + per-type top-k neighbor selection."""
-
-    supports_superbatch = False
-
-    def __init__(
-        self,
-        graph: Matrix,
-        node_types: np.ndarray,
-        *,
-        num_walks: int,
-        walk_length: int,
-        restart_prob: float,
-        k_per_type: int,
-        num_layers: int,
-    ) -> None:
-        self.graph = graph
-        self.node_types = np.asarray(node_types, dtype=INDEX_DTYPE)
-        self.num_types = int(self.node_types.max()) + 1 if len(node_types) else 1
-        self.num_walks = num_walks
-        self.walk_length = walk_length
-        self.restart_prob = restart_prob
-        self.k_per_type = k_per_type
-        self.num_layers = num_layers
-
-    def _one_layer(
-        self,
-        frontiers: np.ndarray,
-        ctx: ExecutionContext,
-        rng: np.random.Generator,
-    ) -> SampledLayer:
-        owner, node, count = walks.restart_walk_visit_counts(
-            self.graph,
-            frontiers,
-            num_walks=self.num_walks,
-            walk_length=self.walk_length,
-            restart_prob=self.restart_prob,
-            ctx=ctx,
-            rng=rng,
-        )
-        # Segment by (frontier, type) so each type contributes its own
-        # top-k to the frontier's neighborhood.
-        seg = owner * self.num_types + self.node_types[node]
-        order = np.argsort(seg, kind="stable")
-        keep_sorted = walks.top_k_per_segment(
-            seg[order], count[order].astype(np.float64), self.k_per_type
-        )
-        keep = order[keep_sorted]
-        owner, node, count = owner[keep], node[keep], count[keep]
-        coo = COO(
-            rows=node,
-            cols=owner,
-            values=count.astype(np.float32),
-            shape=(self.graph.shape[0], len(frontiers)),
-        )
-        matrix = Matrix(
-            to_csc(coo),
-            col_ids=np.asarray(frontiers, dtype=INDEX_DTYPE),
-            ctx=ctx,
-        )
-        return SampledLayer(
-            matrix=matrix,
-            input_nodes=np.asarray(frontiers),
-            output_nodes=np.unique(node),
-        )
-
-    def sample_batch(
-        self,
-        seeds: np.ndarray,
-        *,
-        ctx: ExecutionContext = NULL_CONTEXT,
-        rng: np.random.Generator | None = None,
-    ) -> GraphSample:
-        rng = rng if rng is not None else new_rng(None)
-        frontiers = np.asarray(seeds)
-        layers = []
-        for _ in range(self.num_layers):
-            if len(frontiers) == 0:
-                break
-            layer = self._one_layer(frontiers, ctx, rng)
-            layers.append(layer)
-            frontiers = layer.output_nodes
-        return GraphSample(seeds=np.asarray(seeds), layers=layers)
-
-
+@dataclasses.dataclass
 class HetGNN(Algorithm):
-    """HetGNN algorithm factory."""
+    """HetGNN: a restart-walk hop keeping ``k_per_type`` nodes per type.
+
+    Set ``node_types`` (one type id per node) before ``build`` to use real
+    types; by default ids are hashed into ``num_types`` synthetic ones.
+    """
+
+    num_types: int = 3
+    num_walks: int = 10
+    walk_length: int = 3
+    restart_prob: float = 0.5
+    k_per_type: int = 5
+    num_layers: int = 2
+    node_types: np.ndarray | None = dataclasses.field(default=None, init=False)
 
     info = AlgorithmInfo(
-        name="hetgnn",
-        category="node-wise",
-        bias="uniform",
-        fanout_gt_one=False,
-        description="Restart walks, top-k visited neighbors per node type",
+        "hetgnn", "node-wise", "uniform", False,
+        "Restart walks, top-k visited neighbors per node type",
     )
 
-    def __init__(
-        self,
-        num_types: int = 3,
-        num_walks: int = 10,
-        walk_length: int = 3,
-        restart_prob: float = 0.5,
-        k_per_type: int = 5,
-        num_layers: int = 2,
-    ) -> None:
-        self.num_types = num_types
-        self.num_walks = num_walks
-        self.walk_length = walk_length
-        self.restart_prob = restart_prob
-        self.k_per_type = k_per_type
-        self.num_layers = num_layers
-
-    def build(
-        self,
-        graph: Matrix,
-        example_seeds: np.ndarray,
-        *,
-        features: np.ndarray | None = None,
-        config: OptimizationConfig | None = None,
-        node_types: np.ndarray | None = None,
-    ) -> HetGNNPipeline:
+    def direct(self, graph: Matrix) -> LayeredPipeline:
+        node_types = self.node_types
         if node_types is None:
             # Synthetic homogeneous stand-in: hash ids into types.
             node_types = np.arange(graph.shape[0]) % self.num_types
-        return HetGNNPipeline(
+        hop = functools.partial(
+            walks.restart_walk_hop,
             graph,
-            node_types,
             num_walks=self.num_walks,
             walk_length=self.walk_length,
             restart_prob=self.restart_prob,
-            k_per_type=self.k_per_type,
-            num_layers=self.num_layers,
+            top_k=self.k_per_type,
+            node_types=np.asarray(node_types, dtype=INDEX_DTYPE),
         )
+        return LayeredPipeline([hop] * self.num_layers)

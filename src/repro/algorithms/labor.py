@@ -15,18 +15,15 @@ operator swapped: extract, skip compute, labor-sample, finalize.
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Sequence
-
-import numpy as np
 
 from repro.algorithms.base import (
     DEFAULT_SAGE_FANOUTS,
     Algorithm,
     AlgorithmInfo,
-    LayeredPipeline,
+    per_fanout,
 )
-from repro.core.matrix import Matrix
-from repro.sampler import OptimizationConfig, compile_sampler
 
 
 def labor_layer(A, frontiers, K):
@@ -36,36 +33,16 @@ def labor_layer(A, frontiers, K):
     return sample_A, sample_A.row()
 
 
+@dataclasses.dataclass
 class Labor(Algorithm):
-    """LABOR algorithm factory (drop-in for GraphSAGE pipelines)."""
+    """LABOR (drop-in for GraphSAGE pipelines)."""
+
+    fanouts: Sequence[int] = DEFAULT_SAGE_FANOUTS
 
     info = AlgorithmInfo(
-        name="labor",
-        category="node-wise",
-        bias="uniform",
-        fanout_gt_one=True,
-        description="Correlated-Bernoulli variance-reduced fanout sampling",
+        "labor", "node-wise", "uniform", True,
+        "Correlated-Bernoulli variance-reduced fanout sampling",
     )
-
-    def __init__(self, fanouts: Sequence[int] = DEFAULT_SAGE_FANOUTS) -> None:
-        self.fanouts = tuple(fanouts)
-
-    def build(
-        self,
-        graph: Matrix,
-        example_seeds: np.ndarray,
-        *,
-        features: np.ndarray | None = None,
-        config: OptimizationConfig | None = None,
-    ) -> LayeredPipeline:
-        samplers = [
-            compile_sampler(
-                labor_layer,
-                graph,
-                example_seeds,
-                constants={"K": k},
-                config=config,
-            )
-            for k in self.fanouts
-        ]
-        return LayeredPipeline(samplers, supports_superbatch=True)
+    layer = staticmethod(labor_layer)
+    programs = per_fanout
+    superbatch = True

@@ -17,16 +17,14 @@ an Edge-MapReduce + Edge-Map pair.
 
 from __future__ import annotations
 
-import numpy as np
+import dataclasses
 
 from repro.algorithms.base import (
     DEFAULT_LAYER_WIDTH,
     Algorithm,
     AlgorithmInfo,
-    LayeredPipeline,
+    shared_width,
 )
-from repro.core.matrix import Matrix
-from repro.sampler import OptimizationConfig, compile_sampler
 
 
 def ladies_layer(A, frontiers, K):
@@ -40,38 +38,17 @@ def ladies_layer(A, frontiers, K):
     return sample_A, sample_A.row()
 
 
+@dataclasses.dataclass
 class LADIES(Algorithm):
-    """LADIES algorithm factory."""
+    """LADIES: one ``layer_width`` program shared by every layer."""
+
+    layer_width: int = DEFAULT_LAYER_WIDTH
+    num_layers: int = 3
 
     info = AlgorithmInfo(
-        name="ladies",
-        category="layer-wise",
-        bias="dynamic",
-        fanout_gt_one=True,
-        description="Layer-wise sampling biased by squared edge weights",
+        "ladies", "layer-wise", "dynamic", True,
+        "Layer-wise sampling biased by squared edge weights",
     )
-
-    def __init__(
-        self, layer_width: int = DEFAULT_LAYER_WIDTH, num_layers: int = 3
-    ) -> None:
-        self.layer_width = layer_width
-        self.num_layers = num_layers
-
-    def build(
-        self,
-        graph: Matrix,
-        example_seeds: np.ndarray,
-        *,
-        features: np.ndarray | None = None,
-        config: OptimizationConfig | None = None,
-    ) -> LayeredPipeline:
-        sampler = compile_sampler(
-            ladies_layer,
-            graph,
-            example_seeds,
-            constants={"K": self.layer_width},
-            config=config,
-        )
-        return LayeredPipeline(
-            [sampler] * self.num_layers, supports_superbatch=True
-        )
+    layer = staticmethod(ladies_layer)
+    programs = shared_width
+    superbatch = True

@@ -8,179 +8,105 @@ Table 2 row: node-wise, *dynamic* bias, fanout 1 — "a neighbor's bias is
 * ``1``        if ``x`` is adjacent to ``p`` (triangle step),
 * ``1/q_param`` otherwise (exploration).
 
-Adjacency tests are done against a pre-sorted edge-key table, the same
-strategy a GPU kernel would use (binary search in the sorted edge list).
+Adjacency tests look each candidate up in its walker's own slice of the
+CSC — the previous node's in-neighbor list — the strategy a GPU kernel
+uses (a binary search per candidate; the launch is charged for one in
+the full sorted edge list).
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+
 import numpy as np
 
-from repro.algorithms.base import (
-    DEFAULT_WALK_LENGTH,
-    Algorithm,
-    AlgorithmInfo,
-    Pipeline,
-)
-from repro.algorithms.walks import WalkResult
-from repro.core import new_rng
+from repro.algorithms import walks
+from repro.algorithms.base import DEFAULT_WALK_LENGTH, Algorithm, AlgorithmInfo
 from repro.core.matrix import Matrix
 from repro.core.sampling import _segmented_biased_with_replacement, _segments_of
-from repro.device import NULL_CONTEXT, ExecutionContext
-from repro.sampler import OptimizationConfig
-from repro.sparse import INDEX_DTYPE
+from repro.device import ExecutionContext
+from repro.sparse import CSC, INDEX_DTYPE
 from repro.sparse.formats import gather_ranges
 
 _ITEM = 8
 
 
-class Node2VecPipeline(Pipeline):
-    """Second-order walk driver with vectorized bias computation."""
+def _adjacent_to_previous(
+    csc: CSC, cand: np.ndarray, lengths: np.ndarray, prev: np.ndarray
+) -> np.ndarray:
+    """Per candidate: is it an in-neighbor of its walker's previous node?
 
-    supports_superbatch = True
-
-    def __init__(
-        self, graph: Matrix, walk_length: int, p: float, q: float
-    ) -> None:
-        self.graph = graph
-        self.walk_length = walk_length
-        self.p = p
-        self.q = q
-        coo = graph.get("coo")
-        n = graph.shape[0]
-        # Sorted edge keys for O(log E) adjacency membership tests;
-        # built once per pipeline (pre-processing, amortized).
-        self._edge_keys = np.sort(coo.rows * n + coo.cols)
-
-    def _is_adjacent(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        keys = a * self.graph.shape[0] + b
-        pos = np.searchsorted(self._edge_keys, keys)
-        pos = np.minimum(pos, len(self._edge_keys) - 1)
-        return self._edge_keys[pos] == keys
-
-    def _biased_step(
-        self,
-        cur: np.ndarray,
-        prev: np.ndarray,
-        rng: np.random.Generator,
-        ctx: ExecutionContext,
-    ) -> np.ndarray:
-        csc = self.graph.get("csc")
-        starts = csc.indptr[cur]
-        lengths = csc.indptr[cur + 1] - starts
-        flat = gather_ranges(starts, lengths)
-        cand = csc.rows[flat]
-        prev_per_edge = np.repeat(prev, lengths)
-        bias = np.full(len(cand), 1.0 / self.q)
-        bias[self._is_adjacent(cand, prev_per_edge)] = 1.0
-        bias[cand == prev_per_edge] = 1.0 / self.p
-        sub_indptr = np.zeros(len(cur) + 1, dtype=INDEX_DTYPE)
-        np.cumsum(lengths, out=sub_indptr[1:])
-        picks = _segmented_biased_with_replacement(sub_indptr, bias, 1, rng)
-        nxt = np.full(len(cur), -1, dtype=INDEX_DTYPE)
-        seg = _segments_of(picks, sub_indptr)
-        nxt[seg] = cand[picks]
-        read = len(cur) * 3 * _ITEM + int(lengths.sum()) * 2 * _ITEM
-        ctx.record(
-            "node2vec_step",
-            bytes_read=read,
-            bytes_written=nxt.nbytes,
-            flops=float(lengths.sum())
-            * np.log2(max(len(self._edge_keys), 2)),  # binary searches
-            tasks=max(len(cur), 1),
-            graph_bytes=read,
-        )
-        return nxt
-
-    def sample_batch(
-        self,
-        seeds: np.ndarray,
-        *,
-        ctx: ExecutionContext = NULL_CONTEXT,
-        rng: np.random.Generator | None = None,
-    ) -> WalkResult:
-        rng = rng if rng is not None else new_rng(None)
-        from repro.core.sampling import uniform_walk_step
-
-        cur = np.asarray(seeds, dtype=INDEX_DTYPE)
-        return self._walk(cur, rng, ctx)
-
-    def _walk(
-        self,
-        cur: np.ndarray,
-        rng: np.random.Generator,
-        ctx: ExecutionContext,
-    ) -> WalkResult:
-        from repro.core.sampling import uniform_walk_step
-        trace = np.full((self.walk_length + 1, len(cur)), -1, dtype=INDEX_DTYPE)
-        trace[0] = cur
-        prev = cur
-        for step in range(self.walk_length):
-            alive = np.flatnonzero(cur >= 0)
-            if len(alive) == 0:
-                break
-            nxt = np.full(len(cur), -1, dtype=INDEX_DTYPE)
-            if step == 0:
-                # First step has no previous frontier: uniform.
-                nxt[alive] = uniform_walk_step(
-                    self.graph.get("csc"), cur[alive], rng=rng, ctx=ctx
-                )
-            else:
-                nxt[alive] = self._biased_step(cur[alive], prev[alive], rng, ctx)
-            trace[step + 1] = nxt
-            prev, cur = cur, nxt
-        return WalkResult(trace=trace)
-
-    def sample_superbatch(
-        self,
-        seed_batches,
-        *,
-        ctx: ExecutionContext = NULL_CONTEXT,
-        rng: np.random.Generator | None = None,
-    ) -> list[WalkResult]:
-        # Walkers are independent: concatenate, walk once, split.
-        rng = rng if rng is not None else new_rng(None)
-        sizes = [len(b) for b in seed_batches]
-        merged = self._walk(
-            np.concatenate([np.asarray(b, dtype=INDEX_DTYPE) for b in seed_batches]),
-            rng,
-            ctx,
-        )
-        out = []
-        offset = 0
-        for size in sizes:
-            out.append(WalkResult(merged.trace[:, offset : offset + size]))
-            offset += size
-        return out
+    Both sides are keyed ``walker * n + node``: the haystack is the
+    walkers' ``prev`` columns gathered from the CSC, already sorted when
+    rows are sorted within a column, and the candidates arrive in the same
+    walker-major order, so the search scans instead of jumping around a
+    sorted table of every edge.
+    """
+    n = csc.shape[0]
+    walkers = np.arange(len(prev), dtype=INDEX_DTYPE)
+    starts = csc.indptr[prev]
+    degrees = csc.indptr[prev + 1] - starts
+    haystack = np.repeat(walkers, degrees) * n + csc.rows[gather_ranges(starts, degrees)]
+    if np.any(haystack[1:] < haystack[:-1]):
+        haystack.sort()
+    needles = np.repeat(walkers, lengths) * n + cand
+    pos = np.minimum(np.searchsorted(haystack, needles), len(haystack) - 1)
+    return haystack[pos] == needles
 
 
+def node2vec_step(
+    p: float,
+    q: float,
+    csc: CSC,
+    history: np.ndarray,
+    alive: np.ndarray,
+    rng: np.random.Generator,
+    ctx: ExecutionContext,
+) -> np.ndarray:
+    """The second-order step, bias computed for every candidate at once."""
+    if len(history) == 1:
+        # First step has no previous frontier: uniform.
+        return walks.uniform_step(csc, history, alive, rng, ctx)
+    cur, prev = history[-1][alive], history[-2][alive]
+    starts = csc.indptr[cur]
+    lengths = csc.indptr[cur + 1] - starts
+    cand = csc.rows[gather_ranges(starts, lengths)]
+    bias = np.full(len(cand), 1.0 / q)
+    bias[_adjacent_to_previous(csc, cand, lengths, prev)] = 1.0
+    bias[cand == np.repeat(prev, lengths)] = 1.0 / p
+    sub_indptr = np.zeros(len(cur) + 1, dtype=INDEX_DTYPE)
+    np.cumsum(lengths, out=sub_indptr[1:])
+    picks = _segmented_biased_with_replacement(sub_indptr, bias, 1, rng)
+    nxt = np.full(len(cur), -1, dtype=INDEX_DTYPE)
+    nxt[_segments_of(picks, sub_indptr)] = cand[picks]
+    read = len(cur) * 3 * _ITEM + int(lengths.sum()) * 2 * _ITEM
+    ctx.record(
+        "node2vec_step",
+        bytes_read=read,
+        bytes_written=nxt.nbytes,
+        flops=float(lengths.sum()) * np.log2(max(csc.nnz, 2)),  # binary searches
+        tasks=max(len(cur), 1),
+        graph_bytes=read,
+    )
+    return nxt
+
+
+@dataclasses.dataclass
 class Node2Vec(Algorithm):
-    """Node2Vec algorithm factory."""
+    """Node2Vec: the walk driver with the second-order step."""
+
+    walk_length: int = DEFAULT_WALK_LENGTH
+    p: float = 2.0
+    q: float = 0.5
 
     info = AlgorithmInfo(
-        name="node2vec",
-        category="node-wise",
-        bias="dynamic",
-        fanout_gt_one=False,
-        description="Second-order walk biased 1/p, 1, 1/q by previous hop",
+        "node2vec", "node-wise", "dynamic", False,
+        "Second-order walk biased 1/p, 1, 1/q by previous hop",
     )
 
-    def __init__(
-        self,
-        walk_length: int = DEFAULT_WALK_LENGTH,
-        p: float = 2.0,
-        q: float = 0.5,
-    ) -> None:
-        self.walk_length = walk_length
-        self.p = p
-        self.q = q
-
-    def build(
-        self,
-        graph: Matrix,
-        example_seeds: np.ndarray,
-        *,
-        features: np.ndarray | None = None,
-        config: OptimizationConfig | None = None,
-    ) -> Node2VecPipeline:
-        return Node2VecPipeline(graph, self.walk_length, self.p, self.q)
+    def direct(self, graph: Matrix) -> walks.WalkPipeline:
+        step = functools.partial(node2vec_step, self.p, self.q)
+        return walks.WalkPipeline(
+            graph, self.walk_length, functools.partial(walks.walk, step=step)
+        )

@@ -17,15 +17,11 @@ from super-batch sampling; we do the same.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
-from repro.algorithms.base import (
-    Algorithm,
-    AlgorithmInfo,
-    LayeredPipeline,
-)
-from repro.core.matrix import Matrix
-from repro.sampler import OptimizationConfig, compile_sampler
+from repro.algorithms.base import Algorithm, AlgorithmInfo
 
 
 def pass_layer(A, frontiers, K, features, W1, W2, W3):
@@ -42,81 +38,44 @@ def pass_layer(A, frontiers, K, features, W1, W2, W3):
     return sample_A, sample_A.row()
 
 
+@dataclasses.dataclass
 class PASS(Algorithm):
-    """PASS algorithm factory (holds the trainable projections)."""
+    """PASS: holds the trainable projections ``W1``, ``W2`` and mix ``W3``.
 
-    info = AlgorithmInfo(
-        name="pass",
-        category="node-wise",
-        bias="dynamic",
-        fanout_gt_one=True,
-        description="Attention-biased fanout sampling with trainable weights",
+    It updates them with training gradients, so ``superbatch`` stays
+    False: the paper excludes such algorithms from super-batching.
+    """
+
+    fanout: int = 10
+    num_layers: int = 2
+    dim: int = 16
+    seed: int = 2023
+    W1: np.ndarray | None = dataclasses.field(default=None, init=False)
+    W2: np.ndarray | None = dataclasses.field(default=None, init=False)
+    W3: np.ndarray = dataclasses.field(
+        default_factory=lambda: np.zeros(3, dtype=np.float32), init=False
     )
 
-    def __init__(
-        self, fanout: int = 10, num_layers: int = 2, dim: int = 16, seed: int = 2023
-    ) -> None:
-        self.fanout = fanout
-        self.num_layers = num_layers
-        self.dim = dim
-        self.seed = seed
-        self.W1: np.ndarray | None = None
-        self.W2: np.ndarray | None = None
-        self.W3 = np.zeros(3, dtype=np.float32)
+    info = AlgorithmInfo(
+        "pass", "node-wise", "dynamic", True,
+        "Attention-biased fanout sampling with trainable weights",
+    )
+    layer = staticmethod(pass_layer)
+    tensors = ("W1", "W2", "W3")
 
-    def _init_params(self, feature_dim: int) -> None:
-        rng = np.random.default_rng(self.seed)
-        scale = 1.0 / np.sqrt(feature_dim)
-        self.W1 = (rng.standard_normal((feature_dim, self.dim)) * scale).astype(
-            np.float32
-        )
-        self.W2 = (rng.standard_normal((feature_dim, self.dim)) * scale).astype(
-            np.float32
-        )
+    def programs(self) -> tuple[list[dict], int]:
+        return [{"K": self.fanout}], self.num_layers
 
-    def build(
-        self,
-        graph: Matrix,
-        example_seeds: np.ndarray,
-        *,
-        features: np.ndarray | None = None,
-        config: OptimizationConfig | None = None,
-    ) -> LayeredPipeline:
-        if features is None:
-            raise ValueError("PASS requires node features")
-        if self.W1 is None or self.W1.shape[0] != features.shape[1]:
-            self._init_params(features.shape[1])
-        assert self.W1 is not None and self.W2 is not None
-        sampler = compile_sampler(
-            pass_layer,
-            graph,
-            example_seeds,
-            constants={"K": self.fanout},
-            tensors={
-                "features": features,
-                "W1": self.W1,
-                "W2": self.W2,
-                "W3": self.W3,
-            },
-            config=config,
-        )
-
-        def tensors_fn() -> dict[str, np.ndarray]:
-            assert self.W1 is not None and self.W2 is not None
-            return {
-                "features": features,
-                "W1": self.W1,
-                "W2": self.W2,
-                "W3": self.W3,
-            }
-
-        # PASS updates parameters with training gradients: the paper
-        # excludes such algorithms from super-batching.
-        return LayeredPipeline(
-            [sampler] * self.num_layers,
-            tensors_fn=tensors_fn,
-            supports_superbatch=False,
-        )
+    def init_tensors(self, feature_dim: int) -> None:
+        if self.W1 is None or self.W1.shape[0] != feature_dim:
+            rng = np.random.default_rng(self.seed)
+            scale = 1.0 / np.sqrt(feature_dim)
+            self.W1, self.W2 = (
+                (rng.standard_normal((feature_dim, self.dim)) * scale).astype(
+                    np.float32
+                )
+                for _ in range(2)
+            )
 
     def apply_gradients(
         self,

@@ -9,133 +9,51 @@ importance pooling).
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+
 import numpy as np
 
 from repro.algorithms import walks
-from repro.algorithms.base import Algorithm, AlgorithmInfo, Pipeline
-from repro.core import GraphSample, SampledLayer, new_rng
+from repro.algorithms.base import Algorithm, AlgorithmInfo, LayeredPipeline
 from repro.core.matrix import Matrix
-from repro.device import NULL_CONTEXT, ExecutionContext
-from repro.sampler import OptimizationConfig
-from repro.sparse import COO, INDEX_DTYPE, to_csc
+from repro.device import ExecutionContext
 
 
-class PinSAGEPipeline(Pipeline):
-    """Restart-walk visit counting with top-T neighbor selection."""
+@dataclasses.dataclass
+class PinSAGE(Algorithm):
+    """PinSAGE: a restart-walk hop keeping the ``top_t`` visited nodes."""
 
-    supports_superbatch = False
+    num_walks: int = 10
+    walk_length: int = 3
+    restart_prob: float = 0.5
+    top_t: int = 10
+    num_layers: int = 2
 
-    def __init__(
+    info = AlgorithmInfo(
+        "pinsage", "node-wise", "uniform", False,
+        "Restart walks, top-T visited nodes as neighbors",
+    )
+
+    def hop(
         self,
         graph: Matrix,
-        *,
-        num_walks: int,
-        walk_length: int,
-        restart_prob: float,
-        top_t: int,
-        num_layers: int,
-    ) -> None:
-        self.graph = graph
-        self.num_walks = num_walks
-        self.walk_length = walk_length
-        self.restart_prob = restart_prob
-        self.top_t = top_t
-        self.num_layers = num_layers
-
-    def _one_layer(
-        self,
         frontiers: np.ndarray,
         ctx: ExecutionContext,
         rng: np.random.Generator,
-    ) -> SampledLayer:
-        owner, node, count = walks.restart_walk_visit_counts(
-            self.graph,
-            frontiers,
-            num_walks=self.num_walks,
-            walk_length=self.walk_length,
-            restart_prob=self.restart_prob,
-            ctx=ctx,
-            rng=rng,
-        )
-        keep = walks.top_k_per_segment(owner, count.astype(np.float64), self.top_t)
-        owner, node, count = owner[keep], node[keep], count[keep]
-        # Bipartite importance matrix: visited node -> frontier, weighted
-        # by normalized visit count.
-        coo = COO(
-            rows=node,
-            cols=owner,
-            values=count.astype(np.float32),
-            shape=(self.graph.shape[0], len(frontiers)),
-        )
-        matrix = Matrix(
-            to_csc(coo),
-            col_ids=np.asarray(frontiers, dtype=INDEX_DTYPE),
-            ctx=ctx,
-        )
-        matrix = matrix.div(matrix.sum(axis=1), axis=1)
-        return SampledLayer(
-            matrix=matrix,
-            input_nodes=np.asarray(frontiers),
-            output_nodes=np.unique(node),
-        )
-
-    def sample_batch(
-        self,
-        seeds: np.ndarray,
-        *,
-        ctx: ExecutionContext = NULL_CONTEXT,
-        rng: np.random.Generator | None = None,
-    ) -> GraphSample:
-        rng = rng if rng is not None else new_rng(None)
-        frontiers = np.asarray(seeds)
-        layers = []
-        for _ in range(self.num_layers):
-            if len(frontiers) == 0:
-                break
-            layer = self._one_layer(frontiers, ctx, rng)
-            layers.append(layer)
-            frontiers = layer.output_nodes
-        return GraphSample(seeds=np.asarray(seeds), layers=layers)
-
-
-class PinSAGE(Algorithm):
-    """PinSAGE algorithm factory."""
-
-    info = AlgorithmInfo(
-        name="pinsage",
-        category="node-wise",
-        bias="uniform",
-        fanout_gt_one=False,
-        description="Restart walks, top-T visited nodes as neighbors",
-    )
-
-    def __init__(
-        self,
-        num_walks: int = 10,
-        walk_length: int = 3,
-        restart_prob: float = 0.5,
-        top_t: int = 10,
-        num_layers: int = 2,
-    ) -> None:
-        self.num_walks = num_walks
-        self.walk_length = walk_length
-        self.restart_prob = restart_prob
-        self.top_t = top_t
-        self.num_layers = num_layers
-
-    def build(
-        self,
-        graph: Matrix,
-        example_seeds: np.ndarray,
-        *,
-        features: np.ndarray | None = None,
-        config: OptimizationConfig | None = None,
-    ) -> PinSAGEPipeline:
-        return PinSAGEPipeline(
+    ) -> tuple[Matrix, np.ndarray]:
+        """Visit counts become importance weights, normalized per frontier."""
+        matrix, nxt = walks.restart_walk_hop(
             graph,
+            frontiers,
+            ctx,
+            rng,
             num_walks=self.num_walks,
             walk_length=self.walk_length,
             restart_prob=self.restart_prob,
-            top_t=self.top_t,
-            num_layers=self.num_layers,
+            top_k=self.top_t,
         )
+        return matrix.div(matrix.sum(axis=1), axis=1), nxt
+
+    def direct(self, graph: Matrix) -> LayeredPipeline:
+        return LayeredPipeline([functools.partial(self.hop, graph)] * self.num_layers)

@@ -19,7 +19,6 @@ from repro.algorithms.base import Algorithm, AlgorithmInfo, Pipeline
 from repro.core import new_rng
 from repro.core.matrix import Matrix
 from repro.device import NULL_CONTEXT, ExecutionContext
-from repro.sampler import OptimizationConfig
 from repro.sparse import INDEX_DTYPE
 
 
@@ -74,8 +73,6 @@ def drnl_labels(du: np.ndarray, dv: np.ndarray) -> np.ndarray:
 class SEALPipeline(Pipeline):
     """Per-link enclosing-subgraph extraction."""
 
-    supports_superbatch = False
-
     def __init__(self, graph: Matrix, hops: int, fanout: int) -> None:
         self.graph = graph
         self.hops = hops
@@ -117,27 +114,17 @@ class SEALPipeline(Pipeline):
         return out
 
 
+@dataclasses.dataclass
 class SEAL(Algorithm):
-    """SEAL algorithm factory."""
+    """SEAL: ``hops``-hop sampled balls around both endpoints of a link."""
+
+    hops: int = 2
+    fanout: int = 10
 
     info = AlgorithmInfo(
-        name="seal",
-        category="node-wise",
-        bias="static",
-        fanout_gt_one=True,
-        description="h-hop enclosing subgraphs with DRNL labels for links",
+        "seal", "node-wise", "static", True,
+        "h-hop enclosing subgraphs with DRNL labels for links",
     )
 
-    def __init__(self, hops: int = 2, fanout: int = 10) -> None:
-        self.hops = hops
-        self.fanout = fanout
-
-    def build(
-        self,
-        graph: Matrix,
-        example_seeds: np.ndarray,
-        *,
-        features: np.ndarray | None = None,
-        config: OptimizationConfig | None = None,
-    ) -> SEALPipeline:
+    def direct(self, graph: Matrix) -> SEALPipeline:
         return SEALPipeline(graph, self.hops, self.fanout)

@@ -17,16 +17,13 @@ import dataclasses
 import numpy as np
 
 from repro.algorithms import walks
-from repro.algorithms.base import (
-    Algorithm,
-    AlgorithmInfo,
-    Pipeline,
-)
+from repro.algorithms.base import Algorithm, AlgorithmInfo
 from repro.algorithms.graphsage import graphsage_layer
-from repro.core import GraphSample, new_rng
+from repro.core import GraphSample
 from repro.core.matrix import Matrix
-from repro.device import NULL_CONTEXT, ExecutionContext
-from repro.sampler import CompiledSampler, OptimizationConfig, compile_sampler
+from repro.core.ppr import topk_ppr_neighbors
+from repro.device import ExecutionContext
+from repro.errors import GSamplerError
 
 
 @dataclasses.dataclass
@@ -43,123 +40,53 @@ class ShadowSample:
         return self.matrix.nnz
 
 
-class ShaDowPipeline(Pipeline):
+@dataclasses.dataclass
+class ShaDow(Algorithm):
     """Fanout (or PPR) expansion + induced subgraph.
 
-    ``bias="uniform"`` expands by stacked uniform fanout layers;
-    ``bias="ppr"`` selects each seed's top-k personalized-PageRank
-    neighborhood instead — the two variants Table 2 names for ShaDow.
+    ``bias="uniform"`` expands by ``depth`` stacked GraphSAGE layers;
+    ``bias="ppr"`` runs no layer and pools each seed's top-``ppr_k``
+    personalized-PageRank neighborhood instead — the two variants Table 2
+    names for ShaDow.  Induction couples the whole batch, so there is no
+    super-batch path.
     """
 
-    supports_superbatch = False  # induction couples the whole batch
-
-    def __init__(
-        self,
-        graph: Matrix,
-        samplers: list[CompiledSampler],
-        *,
-        bias: str = "uniform",
-        ppr_k: int = 20,
-    ) -> None:
-        self.graph = graph
-        self.samplers = samplers
-        self.bias = bias
-        self.ppr_k = ppr_k
-
-    def _expand_uniform(
-        self,
-        seeds: np.ndarray,
-        ctx: ExecutionContext,
-        rng: np.random.Generator,
-    ) -> GraphSample:
-        from repro.core import SampledLayer
-
-        frontiers = np.asarray(seeds)
-        layers = []
-        for sampler in self.samplers:
-            matrix, nxt = sampler.run(frontiers, ctx=ctx, rng=rng)
-            layers.append(
-                SampledLayer(matrix=matrix, input_nodes=frontiers, output_nodes=nxt)
-            )
-            frontiers = nxt
-        return GraphSample(seeds=np.asarray(seeds), layers=layers)
-
-    def _expand_ppr(self, seeds: np.ndarray, ctx: ExecutionContext) -> np.ndarray:
-        from repro.core.ppr import topk_ppr_neighbors
-
-        pools = [np.asarray(seeds)]
-        for seed in np.asarray(seeds):
-            pools.append(
-                topk_ppr_neighbors(self.graph, int(seed), self.ppr_k, ctx=ctx)
-            )
-        return np.unique(np.concatenate(pools))
-
-    def sample_batch(
-        self,
-        seeds: np.ndarray,
-        *,
-        ctx: ExecutionContext = NULL_CONTEXT,
-        rng: np.random.Generator | None = None,
-    ) -> ShadowSample:
-        rng = rng if rng is not None else new_rng(None)
-        if self.bias == "ppr":
-            nodes = self._expand_ppr(seeds, ctx)
-            expansion = GraphSample(seeds=np.asarray(seeds), layers=[])
-        else:
-            expansion = self._expand_uniform(seeds, ctx, rng)
-            nodes = expansion.all_nodes
-        induced = walks.induce_subgraph(self.graph, nodes, ctx=ctx)
-        return ShadowSample(
-            seeds=np.asarray(seeds),
-            nodes=nodes,
-            matrix=induced,
-            expansion=expansion,
-        )
-
-
-class ShaDow(Algorithm):
-    """ShaDow-GNN algorithm factory."""
+    fanout: int = 10
+    depth: int = 2
+    bias: str = "uniform"
+    ppr_k: int = 20
 
     info = AlgorithmInfo(
-        name="shadow",
-        category="node-wise",
-        bias="static",
-        fanout_gt_one=True,
-        description="Fanout expansion then per-batch induced subgraph",
+        "shadow", "node-wise", "static", True,
+        "Fanout expansion then per-batch induced subgraph",
     )
+    layer = staticmethod(graphsage_layer)
 
-    def __init__(
-        self,
-        fanout: int = 10,
-        depth: int = 2,
-        bias: str = "uniform",
-        ppr_k: int = 20,
-    ) -> None:
-        if bias not in ("uniform", "ppr"):
-            raise ValueError(f"ShaDow bias must be 'uniform' or 'ppr', got {bias!r}")
-        self.fanout = fanout
-        self.depth = depth
-        self.bias = bias
-        self.ppr_k = ppr_k
-
-    def build(
-        self,
-        graph: Matrix,
-        example_seeds: np.ndarray,
-        *,
-        features: np.ndarray | None = None,
-        config: OptimizationConfig | None = None,
-    ) -> ShaDowPipeline:
-        samplers = [
-            compile_sampler(
-                graphsage_layer,
-                graph,
-                example_seeds,
-                constants={"K": self.fanout},
-                config=config,
+    def __post_init__(self) -> None:
+        if self.bias not in ("uniform", "ppr"):
+            raise GSamplerError(
+                f"ShaDow bias must be 'uniform' or 'ppr', got {self.bias!r}"
             )
-            for _ in range(self.depth)
-        ]
-        return ShaDowPipeline(
-            graph, samplers, bias=self.bias, ppr_k=self.ppr_k
+
+    def programs(self) -> tuple[list[dict], int]:
+        depth = self.depth if self.bias == "uniform" else 0
+        return [{"K": self.fanout}] * depth, 1
+
+    def finalize(
+        self, graph: Matrix, expansion: GraphSample, ctx: ExecutionContext
+    ) -> ShadowSample:
+        """Induce the subgraph over the nodes the expansion pooled."""
+        if self.bias == "ppr":
+            pools = [expansion.seeds] + [
+                topk_ppr_neighbors(graph, int(seed), self.ppr_k, ctx=ctx)
+                for seed in expansion.seeds
+            ]
+            nodes = np.unique(np.concatenate(pools))
+        else:
+            nodes = expansion.all_nodes
+        return ShadowSample(
+            seeds=expansion.seeds,
+            nodes=nodes,
+            matrix=walks.induce_subgraph(graph, nodes, ctx=ctx),
+            expansion=expansion,
         )

@@ -14,17 +14,10 @@ needed).
 
 from __future__ import annotations
 
+import dataclasses
 from collections.abc import Sequence
 
-import numpy as np
-
-from repro.algorithms.base import (
-    Algorithm,
-    AlgorithmInfo,
-    LayeredPipeline,
-)
-from repro.core.matrix import Matrix
-from repro.sampler import OptimizationConfig, compile_sampler
+from repro.algorithms.base import Algorithm, AlgorithmInfo, per_fanout
 
 
 def vrgcn_layer(A, frontiers, K):
@@ -38,36 +31,16 @@ def vrgcn_layer(A, frontiers, K):
     return sample_A, sample_A.row()
 
 
+@dataclasses.dataclass
 class VRGCN(Algorithm):
-    """VR-GCN algorithm factory."""
+    """VR-GCN: GraphSAGE's shape with a deliberately small fanout."""
+
+    fanouts: Sequence[int] = (2, 2)
 
     info = AlgorithmInfo(
-        name="vrgcn",
-        category="node-wise",
-        bias="uniform",
-        fanout_gt_one=True,
-        description="Small uniform fanout with variance-reduction scaling",
+        "vrgcn", "node-wise", "uniform", True,
+        "Small uniform fanout with variance-reduction scaling",
     )
-
-    def __init__(self, fanouts: Sequence[int] = (2, 2)) -> None:
-        self.fanouts = tuple(fanouts)
-
-    def build(
-        self,
-        graph: Matrix,
-        example_seeds: np.ndarray,
-        *,
-        features: np.ndarray | None = None,
-        config: OptimizationConfig | None = None,
-    ) -> LayeredPipeline:
-        samplers = [
-            compile_sampler(
-                vrgcn_layer,
-                graph,
-                example_seeds,
-                constants={"K": k},
-                config=config,
-            )
-            for k in self.fanouts
-        ]
-        return LayeredPipeline(samplers, supports_superbatch=True)
+    layer = staticmethod(vrgcn_layer)
+    programs = per_fanout
+    superbatch = True

@@ -1,22 +1,26 @@
 """Shared random-walk machinery for the walk-based algorithms.
 
 DeepWalk, Node2Vec, GraphSAINT, PinSAGE, and HetGNN all build on the same
-primitive: repeatedly pick one in-neighbor per walker.  The drivers here
-run whole walk batches through the fused walk-step kernel
-(:func:`repro.core.sampling.uniform_walk_step`), accumulate the node
-matrix, and provide visit counting for restart-based algorithms.
+primitive: repeatedly pick one in-neighbor per walker.  :func:`walk` is
+the one step loop — an algorithm is the *step* it passes (uniform,
+second-order, restarting) — and :class:`WalkPipeline` the one pipeline
+around it; the restart-walk hop, visit counting, top-k selection and
+subgraph induction the walk algorithms finish with live here too.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
+from repro.algorithms.base import Pipeline
 from repro.core import new_rng, sampling
 from repro.core.matrix import Matrix
+from repro.core.random import segmented_race_select
 from repro.device import NULL_CONTEXT, ExecutionContext
-from repro.sparse import INDEX_DTYPE
+from repro.sparse import COO, CSC, INDEX_DTYPE, to_csc
 
 
 @dataclasses.dataclass
@@ -43,6 +47,50 @@ class WalkResult:
         return np.unique(flat)
 
 
+#: One walk step: ``step(csc, history, alive, rng, ctx) -> next nodes`` of
+#: the ``alive`` walkers (``-1`` strands one).  ``history`` is the trace so
+#: far: ``history[-1]`` holds every walker's current node, ``history[-2]``
+#: the previous one (second-order steps), ``history[0]`` the origins
+#: (restarts).
+Step = Callable[
+    [CSC, np.ndarray, np.ndarray, np.random.Generator, ExecutionContext], np.ndarray
+]
+
+
+def walk(
+    graph: Matrix,
+    seeds: np.ndarray,
+    walk_length: int,
+    step: Step,
+    *,
+    ctx: ExecutionContext = NULL_CONTEXT,
+    rng: np.random.Generator | None = None,
+) -> WalkResult:
+    """The walk driver: ``step`` the live walkers ``walk_length`` times."""
+    rng = rng if rng is not None else new_rng(None)
+    csc = graph.get("csc")
+    seeds = np.asarray(seeds, dtype=INDEX_DTYPE)
+    trace = np.full((walk_length + 1, len(seeds)), -1, dtype=INDEX_DTYPE)
+    trace[0] = seeds
+    for t in range(walk_length):
+        alive = np.flatnonzero(trace[t] >= 0)
+        if len(alive) == 0:
+            break
+        trace[t + 1][alive] = step(csc, trace[: t + 1], alive, rng, ctx)
+    return WalkResult(trace=trace)
+
+
+def uniform_step(
+    csc: CSC,
+    history: np.ndarray,
+    alive: np.ndarray,
+    rng: np.random.Generator,
+    ctx: ExecutionContext,
+) -> np.ndarray:
+    """First-order uniform step: the fused walk-step kernel."""
+    return sampling.uniform_walk_step(csc, history[-1][alive], rng=rng, ctx=ctx)
+
+
 def uniform_walk(
     graph: Matrix,
     seeds: np.ndarray,
@@ -52,20 +100,62 @@ def uniform_walk(
     rng: np.random.Generator | None = None,
 ) -> WalkResult:
     """Vanilla random walk (DeepWalk's sampler): one kernel per step."""
-    rng = rng if rng is not None else new_rng(None)
-    csc = graph.get("csc")
-    cur = np.asarray(seeds, dtype=INDEX_DTYPE)
-    trace = np.full((walk_length + 1, len(cur)), -1, dtype=INDEX_DTYPE)
-    trace[0] = cur
-    for step in range(walk_length):
-        alive = np.flatnonzero(cur >= 0)
-        if len(alive) == 0:
-            break
-        nxt = np.full(len(cur), -1, dtype=INDEX_DTYPE)
-        nxt[alive] = sampling.uniform_walk_step(csc, cur[alive], rng=rng, ctx=ctx)
-        trace[step + 1] = nxt
-        cur = nxt
-    return WalkResult(trace=trace)
+    return walk(graph, seeds, walk_length, uniform_step, ctx=ctx, rng=rng)
+
+
+class WalkPipeline(Pipeline):
+    """Runs whole walk batches through a walk function.
+
+    ``walk_fn`` has :func:`uniform_walk`'s signature.  Walkers are
+    independent, so a super-batch is literal concatenation — walk once,
+    sharing every kernel launch across batches, and split.  ``finalize``
+    turns each ``WalkResult`` into the algorithm's sample (GraphSAINT's
+    induction) and, coupling a batch's walkers, rules super-batching out.
+    """
+
+    def __init__(
+        self,
+        graph: Matrix,
+        walk_length: int,
+        walk_fn: Callable[..., WalkResult],
+        *,
+        finalize: Callable[[Matrix, WalkResult, ExecutionContext], object]
+        | None = None,
+    ) -> None:
+        self.graph = graph
+        self.walk_length = walk_length
+        self.walk_fn = walk_fn
+        self.finalize = finalize
+        self.supports_superbatch = finalize is None
+
+    def sample_batch(
+        self,
+        seeds: np.ndarray,
+        *,
+        ctx: ExecutionContext = NULL_CONTEXT,
+        rng: np.random.Generator | None = None,
+    ) -> object:
+        result = self.walk_fn(self.graph, seeds, self.walk_length, ctx=ctx, rng=rng)
+        if self.finalize is not None:
+            return self.finalize(self.graph, result, ctx)
+        return result
+
+    def sample_superbatch(
+        self,
+        seed_batches: Sequence[np.ndarray],
+        *,
+        ctx: ExecutionContext = NULL_CONTEXT,
+        rng: np.random.Generator | None = None,
+    ) -> list[WalkResult]:
+        if not self.supports_superbatch:
+            return super().sample_superbatch(seed_batches, ctx=ctx, rng=rng)
+        merged = self.sample_batch(
+            np.concatenate([np.asarray(b, dtype=INDEX_DTYPE) for b in seed_batches]),
+            ctx=ctx,
+            rng=rng,
+        )
+        cuts = np.cumsum([len(b) for b in seed_batches])[:-1]
+        return [WalkResult(part) for part in np.split(merged.trace, cuts, axis=1)]
 
 
 def restart_walk_visit_counts(
@@ -85,35 +175,22 @@ def restart_walk_visit_counts(
     ``restart_prob``, and every visit to a node is counted toward that
     frontier.  Returns ``(frontier_idx, node, count)`` flat arrays.
     """
-    rng = rng if rng is not None else new_rng(None)
-    csc = graph.get("csc")
     frontiers = np.asarray(frontiers, dtype=INDEX_DTYPE)
-    n_frontiers = len(frontiers)
-    origins = np.repeat(frontiers, num_walks)
-    owner = np.repeat(
-        np.arange(n_frontiers, dtype=INDEX_DTYPE), num_walks
-    )
-    cur = origins.copy()
-    visit_keys: list[np.ndarray] = []
+    owner = np.repeat(np.arange(len(frontiers), dtype=INDEX_DTYPE), num_walks)
+
+    def restart_step(csc, history, alive, rng, ctx):
+        nxt = uniform_step(csc, history, alive, rng, ctx)
+        # Stranded walkers restart too, so no walker ever dies.
+        home = (rng.random(len(alive)) < restart_prob) | (nxt < 0)
+        nxt[home] = history[0][alive[home]]
+        return nxt
+
+    trace = walk(
+        graph, np.repeat(frontiers, num_walks), walk_length, restart_step,
+        ctx=ctx, rng=rng,
+    ).trace
     n = graph.shape[0]
-    for _ in range(walk_length):
-        alive = np.flatnonzero(cur >= 0)
-        if len(alive) == 0:
-            break
-        stepped = sampling.uniform_walk_step(csc, cur[alive], rng=rng, ctx=ctx)
-        nxt = np.full(len(cur), -1, dtype=INDEX_DTYPE)
-        nxt[alive] = stepped
-        restart = rng.random(len(cur)) < restart_prob
-        nxt[restart] = origins[restart]
-        dead = nxt < 0
-        nxt[dead] = origins[dead]  # stranded walkers restart too
-        cur = nxt
-        visit_keys.append(owner * n + cur)
-    if not visit_keys:
-        empty = np.empty(0, dtype=INDEX_DTYPE)
-        return empty, empty, empty
-    keys = np.concatenate(visit_keys)
-    uniq, counts = np.unique(keys, return_counts=True)
+    uniq, counts = np.unique(owner * n + trace[1:], return_counts=True)
     return (
         (uniq // n).astype(INDEX_DTYPE),
         (uniq % n).astype(INDEX_DTYPE),
@@ -127,19 +204,60 @@ def top_k_per_segment(
     """Indices of the ``k`` highest-scored items within every segment.
 
     ``segment`` must be sorted ascending (as returned by the visit
-    counter).  Used to pick the top-T visited neighbors in PinSAGE and
-    the per-type top-k in HetGNN.
+    counter) and ``score`` finite; ties keep the earlier item.  Used to
+    pick the top-T visited neighbors in PinSAGE and the per-type top-k in
+    HetGNN.  The selection is a race on ``-score``.
     """
-    if len(segment) == 0:
-        return np.empty(0, dtype=INDEX_DTYPE)
-    order = np.lexsort((-score, segment))
-    seg_sorted = segment[order]
-    # Rank of each item within its segment after sorting by -score.
-    boundaries = np.flatnonzero(np.diff(seg_sorted)) + 1
-    starts = np.concatenate([[0], boundaries])
-    seg_start_of = np.repeat(starts, np.diff(np.concatenate([starts, [len(seg_sorted)]])))
-    rank = np.arange(len(seg_sorted)) - seg_start_of
-    return order[rank < k]
+    bounds = np.flatnonzero(np.diff(segment)) + 1
+    indptr = np.concatenate([[0], bounds, [len(segment)]])
+    return segmented_race_select(-np.asarray(score), indptr, k)
+
+
+def restart_walk_hop(
+    graph: Matrix,
+    frontiers: np.ndarray,
+    ctx: ExecutionContext,
+    rng: np.random.Generator,
+    *,
+    num_walks: int,
+    walk_length: int,
+    restart_prob: float,
+    top_k: int,
+    node_types: np.ndarray | None = None,
+) -> tuple[Matrix, np.ndarray]:
+    """One PinSAGE/HetGNN hop: restart walks, then the ``top_k`` most
+    visited nodes per frontier — or, with ``node_types``, per (frontier,
+    type), so each type contributes its own top-k to the neighborhood.
+
+    Returns the bipartite importance matrix (visited node -> frontier,
+    weighted by visit count) and its nodes, the next frontiers.
+    """
+    owner, node, count = restart_walk_visit_counts(
+        graph,
+        frontiers,
+        num_walks=num_walks,
+        walk_length=walk_length,
+        restart_prob=restart_prob,
+        ctx=ctx,
+        rng=rng,
+    )
+    segment = owner
+    if node_types is not None:
+        segment = owner * (int(node_types.max(initial=0)) + 1) + node_types[node]
+    order = np.argsort(segment, kind="stable")
+    keep = order[
+        top_k_per_segment(segment[order], count[order].astype(np.float64), top_k)
+    ]
+    coo = COO(
+        rows=node[keep],
+        cols=owner[keep],
+        values=count[keep].astype(np.float32),
+        shape=(graph.shape[0], len(frontiers)),
+    )
+    matrix = Matrix(
+        to_csc(coo), col_ids=np.asarray(frontiers, dtype=INDEX_DTYPE), ctx=ctx
+    )
+    return matrix, np.unique(node[keep])
 
 
 def induce_subgraph(

@@ -4,7 +4,6 @@ from repro.baselines.base import (
     BaselineSystem,
     Profile,
     ProfiledPipeline,
-    plain_config,
 )
 from repro.baselines.message_passing import (
     MessagePassingGraph,
@@ -20,34 +19,27 @@ from repro.baselines.message_passing import (
 from repro.baselines.systems import (
     FIGURE7_SYSTEMS,
     FIGURE8_SYSTEMS,
-    CuGraphLike,
+    SYSTEMS,
     DGLLike,
     GSamplerSystem,
-    GunRockLike,
-    PyGLike,
-    SkyWalkerLike,
     make_system,
 )
 
 __all__ = [
     "FIGURE7_SYSTEMS",
     "FIGURE8_SYSTEMS",
+    "SYSTEMS",
     "BaselineSystem",
-    "CuGraphLike",
     "DGLLike",
     "GSamplerSystem",
-    "GunRockLike",
     "MessagePassingGraph",
     "Profile",
     "ProfiledPipeline",
-    "PyGLike",
-    "SkyWalkerLike",
     "copy_e",
     "copy_u",
     "dgl_normalize",
     "make_system",
     "matrix_normalize",
-    "plain_config",
     "reduce_max",
     "reduce_mean",
     "reduce_sum",

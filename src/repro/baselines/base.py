@@ -20,11 +20,11 @@ and differ only in the documented execution characteristics.
 
 from __future__ import annotations
 
-import abc
 import dataclasses
 
 import numpy as np
 
+from repro.algorithms import available_algorithms, make_algorithm
 from repro.algorithms.base import Pipeline
 from repro.core import new_rng
 from repro.datasets import Dataset
@@ -92,7 +92,8 @@ class ProfiledPipeline(Pipeline):
         return result
 
 
-class BaselineSystem(abc.ABC):
+@dataclasses.dataclass(frozen=True)
+class BaselineSystem:
     """One row of the comparison: a named system on a fixed device kind."""
 
     #: Display name used by benchmarks ("DGL-GPU", "SkyWalker", ...).
@@ -101,10 +102,19 @@ class BaselineSystem(abc.ABC):
     device_kind: str
     #: Whether the system can reach host-resident graphs from the GPU.
     supports_uva: bool
+    #: Algorithm names this system can run at all; ``None`` = every
+    #: registered algorithm (gSampler itself).
+    supported: frozenset[str] | None
+    #: The execution model's launch distortion; ``None`` = run natively.
+    profile: Profile | None
+    #: The optimization configuration the system's programs compile under.
+    config: OptimizationConfig
 
-    @abc.abstractmethod
     def supported_algorithms(self) -> frozenset[str]:
         """Names this system can run at all."""
+        if self.supported is None:
+            return frozenset(available_algorithms())
+        return self.supported
 
     def check_support(self, algorithm: str, dataset: Dataset) -> None:
         """Raise :class:`UnsupportedAlgorithmError` for N/A cells."""
@@ -124,16 +134,23 @@ class BaselineSystem(abc.ABC):
                 "has no UVA support",
             )
 
-    @abc.abstractmethod
     def build_pipeline(
         self,
         algorithm: str,
         dataset: Dataset,
         example_seeds: np.ndarray,
     ) -> Pipeline:
-        """Construct this system's pipeline for ``algorithm``."""
+        """Construct this system's pipeline for ``algorithm``.
 
-
-def plain_config() -> OptimizationConfig:
-    """The eager, unoptimized configuration baselines execute with."""
-    return OptimizationConfig.plain()
+        Features are always offered; only model-driven algorithms read
+        them.
+        """
+        pipeline = make_algorithm(algorithm).build(
+            dataset.graph,
+            example_seeds,
+            features=dataset.features,
+            config=self.config,
+        )
+        if self.profile is None:
+            return pipeline
+        return ProfiledPipeline(pipeline, self.profile)

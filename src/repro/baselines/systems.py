@@ -1,237 +1,112 @@
-"""Concrete baseline systems matching the paper's comparison set.
+"""The comparison set: one table, one row per system.
 
-Capability matrices mirror the N/A cells of Figures 7 and 8:
+Capability sets mirror the N/A cells of Figures 7 and 8, and each
+``Profile`` states how the system's execution model distorts a launch:
 
-* **DGL** runs everything (the paper's authors hand-implemented the
-  missing complex algorithms) on GPU or CPU, eagerly, with UVA.
+* **gSampler** itself runs every registered algorithm natively with all
+  optimizations on (the reference row).
+* **DGL** runs everything benchmarked (the paper's authors
+  hand-implemented the missing complex algorithms) on GPU or CPU, with
+  UVA, but has no native GPU Node2Vec.  It executes the plain (unfused,
+  greedily-laid-out) operator sequence; each logical kernel splits into
+  ~3 launches because eager execution materializes and re-reads
+  intermediates, and its general-purpose kernels carry a modest
+  efficiency penalty (the paper's "P beats DGL" observation).
 * **PyG** samples on CPU except DeepWalk (its only GPU sampler) and has
   no UVA; it lacks LADIES/AS-GCN/PASS entirely and runs ShaDow on CPU.
-* **SkyWalker** is a GPU walk/neighbor sampler with UVA but, being
-  vertex-centric, cannot express layer-wise or tensor-compute
-  algorithms.
-* **GunRock** only implements GraphSAGE and cannot use UVA.
-* **cuGraph** supports walks and uniform neighborhoods through a bulk
-  API with large per-call overhead, and cannot load host-resident
-  graphs (the paper's PP load never finished).
+  Its Python-level sampling loops are markedly less efficient than DGL's
+  C++ samplers (Table 1: 96.2% sampling share).
+* **SkyWalker** is a vertex-centric GPU walk/neighbor sampler with alias
+  tables and UVA — the strongest baseline for simple algorithms — but
+  cannot express layer-wise or tensor-compute algorithms.
+  Frontier-parallel execution exposes one task per frontier (poor
+  occupancy at small batches) and suffers warp divergence from skewed
+  degrees: the two effects behind gSampler's larger speedups on small
+  graphs.
+* **GunRock** is general vertex-centric graph processing: GraphSAGE only,
+  no UVA (Figure 7's PP/FS N/A cells).
+* **cuGraph** supports walks and uniform neighborhoods through a bulk API
+  and cannot load host-resident graphs (the paper's PP load never
+  finished).  The paper finds it "much slower than the other systems on
+  GPU because it is inefficient for the mini-batch sampling of graph
+  learning" — modeled as a large fixed cost per launch.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import dataclasses
 
-from repro.algorithms import make_algorithm
-from repro.algorithms.base import Pipeline
-from repro.baselines.base import BaselineSystem, Profile, ProfiledPipeline, plain_config
-from repro.datasets import Dataset
+from repro.algorithms import BENCHMARKED, SIMPLE
+from repro.baselines.base import BaselineSystem, Profile
+from repro.errors import GSamplerError
 from repro.sampler import OptimizationConfig
 
-#: Algorithms whose default parameterization needs node features.
-_NEEDS_FEATURES = frozenset({"asgcn", "pass"})
+#: What DGL runs: the benchmarked seven plus FastGCN.
+_DGL = frozenset(BENCHMARKED) | {"fastgcn"}
+_SIMPLE = frozenset(SIMPLE)
+#: The eager, unoptimized configuration every baseline executes with.
+_PLAIN = OptimizationConfig.plain()
 
-_ALL_BENCHED = frozenset(
-    {"deepwalk", "node2vec", "graphsage", "ladies", "asgcn", "pass", "shadow",
-     "fastgcn"}
-)
-
-
-def _build_inner(
-    algorithm: str,
-    dataset: Dataset,
-    example_seeds: np.ndarray,
-    config: OptimizationConfig,
-) -> Pipeline:
-    algo = make_algorithm(algorithm)
-    features = dataset.features if algorithm in _NEEDS_FEATURES else None
-    return algo.build(
-        dataset.graph, example_seeds, features=features, config=config
-    )
-
-
-class GSamplerSystem(BaselineSystem):
-    """gSampler itself, with all optimizations on (the reference row)."""
-
-    name = "gSampler"
-    device_kind = "gpu"
-    supports_uva = True
-
-    def __init__(self, config: OptimizationConfig | None = None) -> None:
-        self.config = config if config is not None else OptimizationConfig()
-
-    def supported_algorithms(self) -> frozenset[str]:
-        # ``labor`` is the Matrix-API variance-reduced sampler this
-        # reproduction adds; no comparison system implements it.
-        return _ALL_BENCHED | frozenset(
-            {"graphsaint", "pinsage", "hetgnn", "vrgcn", "seal", "gcn_bs",
-             "thanos", "labor"}
-        )
-
-    def build_pipeline(
-        self, algorithm: str, dataset: Dataset, example_seeds: np.ndarray
-    ) -> Pipeline:
-        return _build_inner(algorithm, dataset, example_seeds, self.config)
-
-
-class DGLLike(BaselineSystem):
-    """DGL's eager message-passing execution (GPU or CPU).
-
-    Runs the plain (unfused, greedily-laid-out) operator sequence; each
-    logical kernel splits into ~2 launches because eager execution
-    materializes and re-reads intermediates, and its general-purpose
-    kernels carry a modest efficiency penalty versus gSampler's
-    specialized ones (the paper's "P beats DGL" observation).
-    """
-
-    supports_uva = True
-
-    def __init__(self, device_kind: str = "gpu") -> None:
-        self.device_kind = device_kind
-        self.name = f"DGL-{device_kind.upper()}"
-
-    def supported_algorithms(self) -> frozenset[str]:
-        if self.device_kind == "gpu":
-            # No native GPU Node2Vec (Figure 7's N/A cell).
-            return _ALL_BENCHED - {"node2vec"}
-        return _ALL_BENCHED
-
-    def build_pipeline(
-        self, algorithm: str, dataset: Dataset, example_seeds: np.ndarray
-    ) -> Pipeline:
-        inner = _build_inner(algorithm, dataset, example_seeds, plain_config())
-        return ProfiledPipeline(
-            inner,
-            Profile(cost_scale=1.5, launch_multiplier=3),
-        )
-
-
-class PyGLike(BaselineSystem):
-    """PyG: CPU-based sampling loops (GPU only for DeepWalk), no UVA."""
-
-    supports_uva = False
-
-    def __init__(self, device_kind: str = "cpu") -> None:
-        self.device_kind = device_kind
-        self.name = f"PyG-{device_kind.upper()}"
-
-    def supported_algorithms(self) -> frozenset[str]:
-        if self.device_kind == "gpu":
-            return frozenset({"deepwalk"})
-        return frozenset({"graphsage", "node2vec", "shadow", "deepwalk"})
-
-    def build_pipeline(
-        self, algorithm: str, dataset: Dataset, example_seeds: np.ndarray
-    ) -> Pipeline:
-        inner = _build_inner(algorithm, dataset, example_seeds, plain_config())
-        # PyG's Python-level sampling loops are markedly less efficient
-        # than DGL's C++ samplers (Table 1: 96.2% sampling share).
-        return ProfiledPipeline(
-            inner,
-            Profile(cost_scale=2.5, launch_multiplier=2),
-        )
-
-
-class SkyWalkerLike(BaselineSystem):
-    """SkyWalker: vertex-centric GPU sampling with alias tables and UVA.
-
-    The strongest baseline for simple algorithms.  Frontier-parallel
-    execution exposes only one task per frontier (poor occupancy at small
-    batches) and suffers warp divergence from skewed degrees — the two
-    effects behind gSampler's larger speedups on small graphs.
-    """
-
-    name = "SkyWalker"
-    device_kind = "gpu"
-    supports_uva = True
-
-    def supported_algorithms(self) -> frozenset[str]:
-        return frozenset({"deepwalk", "node2vec", "graphsage"})
-
-    def build_pipeline(
-        self, algorithm: str, dataset: Dataset, example_seeds: np.ndarray
-    ) -> Pipeline:
-        inner = _build_inner(algorithm, dataset, example_seeds, plain_config())
-        return ProfiledPipeline(
-            inner,
-            Profile(cost_scale=1.1, divergence=2.0, occupancy_divisor=8.0),
-        )
-
-
-class GunRockLike(BaselineSystem):
-    """GunRock: general vertex-centric graph processing; GraphSAGE only,
-    no UVA (Figure 7's PP/FS N/A cells)."""
-
-    name = "GunRock"
-    device_kind = "gpu"
-    supports_uva = False
-
-    def supported_algorithms(self) -> frozenset[str]:
-        return frozenset({"graphsage"})
-
-    def build_pipeline(
-        self, algorithm: str, dataset: Dataset, example_seeds: np.ndarray
-    ) -> Pipeline:
-        inner = _build_inner(algorithm, dataset, example_seeds, plain_config())
-        return ProfiledPipeline(
-            inner,
-            Profile(cost_scale=1.6, divergence=3.0, occupancy_divisor=24.0),
-        )
-
-
-class CuGraphLike(BaselineSystem):
-    """cuGraph: bulk-API graph library; heavy per-call setup cost.
-
-    The paper finds it "much slower than the other systems on GPU because
-    it is inefficient for the mini-batch sampling of graph learning" —
-    modeled as a large fixed cost per launch sequence.
-    """
-
-    name = "cuGraph"
-    device_kind = "gpu"
-    supports_uva = False
-
-    def supported_algorithms(self) -> frozenset[str]:
-        return frozenset({"deepwalk", "node2vec", "graphsage"})
-
-    def build_pipeline(
-        self, algorithm: str, dataset: Dataset, example_seeds: np.ndarray
-    ) -> Pipeline:
-        inner = _build_inner(algorithm, dataset, example_seeds, plain_config())
-        return ProfiledPipeline(
-            inner,
-            Profile(cost_scale=1.5, fixed_seconds_per_launch=120e-6),
-        )
+#: (name, device_kind, supports_uva, supported, profile, config) per system.
+SYSTEMS: dict[str, BaselineSystem] = {
+    "gsampler": BaselineSystem(
+        "gSampler", "gpu", True, None, None, OptimizationConfig()
+    ),
+    "dgl-gpu": BaselineSystem(
+        "DGL-GPU", "gpu", True, _DGL - {"node2vec"},
+        Profile(cost_scale=1.5, launch_multiplier=3), _PLAIN,
+    ),
+    "dgl-cpu": BaselineSystem(
+        "DGL-CPU", "cpu", True, _DGL,
+        Profile(cost_scale=1.5, launch_multiplier=3), _PLAIN,
+    ),
+    "pyg-gpu": BaselineSystem(
+        "PyG-GPU", "gpu", False, frozenset({"deepwalk"}),
+        Profile(cost_scale=2.5, launch_multiplier=2), _PLAIN,
+    ),
+    "pyg-cpu": BaselineSystem(
+        "PyG-CPU", "cpu", False, _SIMPLE | {"shadow"},
+        Profile(cost_scale=2.5, launch_multiplier=2), _PLAIN,
+    ),
+    "skywalker": BaselineSystem(
+        "SkyWalker", "gpu", True, _SIMPLE,
+        Profile(cost_scale=1.1, divergence=2.0, occupancy_divisor=8.0), _PLAIN,
+    ),
+    "gunrock": BaselineSystem(
+        "GunRock", "gpu", False, frozenset({"graphsage"}),
+        Profile(cost_scale=1.6, divergence=3.0, occupancy_divisor=24.0), _PLAIN,
+    ),
+    "cugraph": BaselineSystem(
+        "cuGraph", "gpu", False, _SIMPLE,
+        Profile(cost_scale=1.5, fixed_seconds_per_launch=120e-6), _PLAIN,
+    ),
+}
 
 
 def make_system(name: str) -> BaselineSystem:
-    """Instantiate a system by its display name."""
-    systems: dict[str, BaselineSystem] = {
-        "gsampler": GSamplerSystem(),
-        "dgl-gpu": DGLLike("gpu"),
-        "dgl-cpu": DGLLike("cpu"),
-        "pyg-gpu": PyGLike("gpu"),
-        "pyg-cpu": PyGLike("cpu"),
-        "skywalker": SkyWalkerLike(),
-        "gunrock": GunRockLike(),
-        "cugraph": CuGraphLike(),
-    }
+    """The system registered under ``name`` (case-insensitive)."""
     try:
-        return systems[name.lower()]
+        return SYSTEMS[name.lower()]
     except KeyError:
-        raise KeyError(
-            f"unknown system {name!r}; available: {sorted(systems)}"
+        raise GSamplerError(
+            f"unknown system {name!r}; available: {sorted(SYSTEMS)}"
         ) from None
 
 
-#: Systems compared in Figure 7 (simple algorithms).
-FIGURE7_SYSTEMS = (
-    "gsampler",
-    "dgl-gpu",
-    "dgl-cpu",
-    "pyg-gpu",
-    "pyg-cpu",
-    "skywalker",
-    "gunrock",
-    "cugraph",
-)
+def GSamplerSystem(config: OptimizationConfig | None = None) -> BaselineSystem:
+    """gSampler itself, optionally under another optimization config."""
+    if config is None:
+        return SYSTEMS["gsampler"]
+    return dataclasses.replace(SYSTEMS["gsampler"], config=config)
+
+
+def DGLLike(device_kind: str = "gpu") -> BaselineSystem:
+    """DGL's eager message-passing execution on ``"gpu"`` or ``"cpu"``."""
+    return make_system(f"dgl-{device_kind}")
+
+
+#: Systems compared in Figure 7 (simple algorithms): all of them.
+FIGURE7_SYSTEMS = tuple(SYSTEMS)
 
 #: Systems compared in Figure 8 (complex algorithms).
 FIGURE8_SYSTEMS = ("gsampler", "dgl-gpu", "dgl-cpu", "pyg-cpu")

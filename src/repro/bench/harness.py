@@ -17,7 +17,8 @@ import time
 
 import numpy as np
 
-from repro.baselines import BaselineSystem, GSamplerSystem, make_system
+from repro.algorithms import make_algorithm
+from repro.baselines import BaselineSystem, make_system
 from repro.core import minibatches, new_rng
 from repro.datasets import Dataset, load_dataset
 from repro.device import DeviceSpec, ExecutionContext, get_device
@@ -91,8 +92,7 @@ def run_sampling_epoch(
         # shared pool cannot leak into the epoch's memory column.
         ctx.reset(include_peak=True)
         use_superbatch = (
-            isinstance(system, GSamplerSystem)
-            and system.config.superbatch
+            system.config.superbatch
             and pipeline.supports_superbatch
             and superbatch > 1
         )
@@ -145,9 +145,14 @@ def measure_cell(
     superbatch: int = DEFAULT_SUPERBATCH,
     profiler: Profiler | None = None,
 ) -> EpochStats | None:
-    """One cell of a comparison table; ``None`` marks an N/A cell."""
-    dataset = load_dataset(dataset_name, scale=scale)
+    """One cell of a comparison table; ``None`` marks an N/A cell.
+
+    An unknown algorithm or system is not a cell at all: it raises
+    :class:`~repro.errors.GSamplerError` before any dataset is loaded.
+    """
+    make_algorithm(algorithm)
     system = make_system(system_name)
+    dataset = load_dataset(dataset_name, scale=scale)
     device = get_device(
         "cpu" if system.device_kind == "cpu" else device_name
     )

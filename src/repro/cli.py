@@ -29,21 +29,11 @@ import hashlib
 import sys
 from collections.abc import Sequence
 
-from repro.algorithms import available_algorithms
+from repro.algorithms import available_algorithms, make_algorithm
+from repro.baselines import SYSTEMS
 from repro.bench import format_table, measure_cell
 from repro.datasets import available_datasets
-
-
-_SYSTEMS = (
-    "gsampler",
-    "dgl-gpu",
-    "dgl-cpu",
-    "pyg-gpu",
-    "pyg-cpu",
-    "skywalker",
-    "gunrock",
-    "cugraph",
-)
+from repro.errors import GSamplerError
 
 
 def _add_trajectory_arguments(command: argparse.ArgumentParser) -> None:
@@ -79,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sample = sub.add_parser("sample", help="run one sampling-epoch cell")
-    sample.add_argument("--system", default="gsampler", choices=_SYSTEMS)
+    sample.add_argument("--system", default="gsampler", choices=tuple(SYSTEMS))
     sample.add_argument("--algorithm", default="graphsage")
     sample.add_argument("--dataset", default="pd")
     sample.add_argument("--device", default="v100", choices=("v100", "t4", "cpu"))
@@ -130,7 +120,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="alias for the positional algorithm (e.g. --sampler labor "
         "profiles the variance-reduced LABOR neighbor sampler)",
     )
-    profile.add_argument("--system", default="gsampler", choices=_SYSTEMS)
+    profile.add_argument("--system", default="gsampler", choices=tuple(SYSTEMS))
     profile.add_argument("--dataset", default="pd")
     profile.add_argument("--device", default="v100", choices=("v100", "t4", "cpu"))
     profile.add_argument("--batch-size", type=int, default=512)
@@ -500,7 +490,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     rows = []
     for dataset in available_datasets():
         cells: dict[str, float | None] = {}
-        for system in _SYSTEMS:
+        for system in SYSTEMS:
             stats = measure_cell(
                 system,
                 args.algorithm,
@@ -524,7 +514,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         )
     print(
         format_table(
-            ["Graph", *_SYSTEMS],
+            ["Graph", *SYSTEMS],
             rows,
             title=f"Normalized sampling time — {args.algorithm} "
             "(gSampler = 1.0)",
@@ -534,7 +524,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from repro.errors import GSamplerError
     from repro.verify import (
         builtin_specs,
         check_dynamic_equivalence,
@@ -574,36 +563,32 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             )
 
     all_passed = True
-    try:
-        for name in names:
-            report = verify_algorithm(
-                name, superbatch_batches=superbatch, **common
-            )
-            all_passed = all_passed and report.passed
-            check_rows(name, report.variants)
-        if run_dynamic:
-            dyn = check_dynamic_equivalence(**common)
-            all_passed = all_passed and dyn.passed
-            contract_row(
-                "dynamic",
-                "compact-bit-identity",
-                dyn.storage_identical and dyn.samples_identical,
-            )
-            check_rows("dynamic", [dyn.marginals])
-        if run_linkpred:
-            lp = check_linkpred_equivalence(**common)
-            all_passed = all_passed and lp.passed
-            contract_row(
-                "linkpred",
-                "pair-contract",
-                lp.compaction_ok
-                and lp.no_false_negatives
-                and lp.negatives_deterministic,
-            )
-            check_rows("linkpred", lp.marginals.variants)
-    except GSamplerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    for name in names:
+        report = verify_algorithm(
+            name, superbatch_batches=superbatch, **common
+        )
+        all_passed = all_passed and report.passed
+        check_rows(name, report.variants)
+    if run_dynamic:
+        dyn = check_dynamic_equivalence(**common)
+        all_passed = all_passed and dyn.passed
+        contract_row(
+            "dynamic",
+            "compact-bit-identity",
+            dyn.storage_identical and dyn.samples_identical,
+        )
+        check_rows("dynamic", [dyn.marginals])
+    if run_linkpred:
+        lp = check_linkpred_equivalence(**common)
+        all_passed = all_passed and lp.passed
+        contract_row(
+            "linkpred",
+            "pair-contract",
+            lp.compaction_ok
+            and lp.no_false_negatives
+            and lp.negatives_deterministic,
+        )
+        check_rows("linkpred", lp.marginals.variants)
     print(
         format_table(
             ["Algorithm", "Variant", "chi2", "dof", "adj p", "KS D",
@@ -837,7 +822,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """The ``serve`` command: one online serving session + trajectory."""
     from repro.datasets import load_dataset
     from repro.device import get_device
-    from repro.errors import GSamplerError
     from repro.profile import Profiler
     from repro.serve import (
         AutoscalePolicy,
@@ -854,109 +838,105 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     device = get_device(args.device)
     profiler = Profiler()
     partition = None if args.partition == "none" else args.partition
-    try:
-        failures = None
-        if args.kill:
-            events = []
-            for kill in args.kill:
-                try:
-                    replica_part, _, when = kill.partition("@")
-                    when, _, down = when.partition(":")
-                    events.append(
-                        FailureEvent(
-                            time=float(when) * 1e-3,
-                            replica=int(replica_part),
-                            downtime=float(down) * 1e-3 if down else None,
-                        )
+    failures = None
+    if args.kill:
+        events = []
+        for kill in args.kill:
+            try:
+                replica_part, _, when = kill.partition("@")
+                when, _, down = when.partition(":")
+                events.append(
+                    FailureEvent(
+                        time=float(when) * 1e-3,
+                        replica=int(replica_part),
+                        downtime=float(down) * 1e-3 if down else None,
                     )
-                except ValueError:
-                    print(
-                        f"error: bad --kill spec {kill!r} "
-                        "(expected R@MS or R@MS:DOWN_MS)",
-                        file=sys.stderr,
-                    )
-                    return 2
-            failures = FailureSpec(
-                events=tuple(events),
-                orphans=args.orphans,
-                max_retries=args.max_retries,
-                hedge=args.hedge,
-                failover=not args.no_failover,
-            )
-        autoscale = None
-        if args.autoscale:
-            autoscale = AutoscalePolicy(
-                min_replicas=args.min_replicas,
-                max_replicas=args.max_replicas,
-                interval=args.scale_interval_ms * 1e-3,
-                high_p99=args.slo_ms * 1e-3,
-                tune_batching=args.tune_batching,
-                max_batch=max(64, args.max_batch),
-            )
-        spec = WorkloadSpec(
-            num_requests=args.requests,
-            arrival_rate=args.arrival_rate,
-            process=args.arrival,
-            seeds_per_request=args.seeds_per_request,
-            max_seeds_per_request=args.max_seeds_per_request,
-            skew=args.skew,
+                )
+            except ValueError:
+                print(
+                    f"error: bad --kill spec {kill!r} "
+                    "(expected R@MS or R@MS:DOWN_MS)",
+                    file=sys.stderr,
+                )
+                return 2
+        failures = FailureSpec(
+            events=tuple(events),
+            orphans=args.orphans,
+            max_retries=args.max_retries,
+            hedge=args.hedge,
+            failover=not args.no_failover,
+        )
+    autoscale = None
+    if args.autoscale:
+        autoscale = AutoscalePolicy(
+            min_replicas=args.min_replicas,
+            max_replicas=args.max_replicas,
+            interval=args.scale_interval_ms * 1e-3,
+            high_p99=args.slo_ms * 1e-3,
+            tune_batching=args.tune_batching,
+            max_batch=max(64, args.max_batch),
+        )
+    spec = WorkloadSpec(
+        num_requests=args.requests,
+        arrival_rate=args.arrival_rate,
+        process=args.arrival,
+        seeds_per_request=args.seeds_per_request,
+        max_seeds_per_request=args.max_seeds_per_request,
+        skew=args.skew,
+        seed=args.seed,
+        task=args.task,
+    )
+    policy = ServePolicy.preset(
+        args.policy,
+        max_batch=args.max_batch,
+        max_wait=args.max_wait_ms * 1e-3,
+        queue_capacity=args.queue_capacity,
+        slo=args.slo_ms * 1e-3,
+    )
+    composer = make_composer(
+        args.composer, max_requests=args.superbatch_window
+    )
+    updates = None
+    dynamic = None
+    if args.ingest_rate is not None:
+        from repro.dynamic import DynamicPolicy, UpdateSpec
+
+        updates = UpdateSpec(
+            num_edges=args.ingest_edges,
+            rate=args.ingest_rate,
+            delete_fraction=args.delete_fraction,
             seed=args.seed,
+        )
+        dynamic = DynamicPolicy(
+            snapshot_every=args.snapshot_every_ms * 1e-3,
+            compact_every=args.compact_every,
+            repartition_threshold=args.repartition_threshold,
+        )
+    with profiler.activate():
+        simulator, report = run_cluster_session(
+            dataset,
+            algorithm=args.algorithm,
+            device=device,
+            spec=spec,
+            policy=policy,
+            num_replicas=args.replicas,
+            router=args.router,
+            partition=partition,
+            link=args.link,
+            composer=composer,
+            cache_ratio=cache_ratio,
+            seed=args.seed,
+            profiler=profiler,
+            failures=failures,
+            autoscale=autoscale,
+            feature_tiers=args.feature_tiers,
+            host_tier_ratio=host_tier_ratio,
+            p2p=args.p2p,
+            hbm_budget=hbm_budget,
+            updates=updates,
+            dynamic=dynamic,
             task=args.task,
         )
-        policy = ServePolicy.preset(
-            args.policy,
-            max_batch=args.max_batch,
-            max_wait=args.max_wait_ms * 1e-3,
-            queue_capacity=args.queue_capacity,
-            slo=args.slo_ms * 1e-3,
-        )
-        composer = make_composer(
-            args.composer, max_requests=args.superbatch_window
-        )
-        updates = None
-        dynamic = None
-        if args.ingest_rate is not None:
-            from repro.dynamic import DynamicPolicy, UpdateSpec
-
-            updates = UpdateSpec(
-                num_edges=args.ingest_edges,
-                rate=args.ingest_rate,
-                delete_fraction=args.delete_fraction,
-                seed=args.seed,
-            )
-            dynamic = DynamicPolicy(
-                snapshot_every=args.snapshot_every_ms * 1e-3,
-                compact_every=args.compact_every,
-                repartition_threshold=args.repartition_threshold,
-            )
-        with profiler.activate():
-            simulator, report = run_cluster_session(
-                dataset,
-                algorithm=args.algorithm,
-                device=device,
-                spec=spec,
-                policy=policy,
-                num_replicas=args.replicas,
-                router=args.router,
-                partition=partition,
-                link=args.link,
-                composer=composer,
-                cache_ratio=cache_ratio,
-                seed=args.seed,
-                profiler=profiler,
-                failures=failures,
-                autoscale=autoscale,
-                feature_tiers=args.feature_tiers,
-                host_tier_ratio=host_tier_ratio,
-                p2p=args.p2p,
-                hbm_budget=hbm_budget,
-                updates=updates,
-                dynamic=dynamic,
-                task=args.task,
-            )
-    except GSamplerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     slo_ms = args.slo_ms
     rows = [
         ["requests (completed/shed)", f"{report.completed}/{report.shed}"],
@@ -1353,6 +1333,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point used by ``python -m repro`` and tests."""
     args = _build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except GSamplerError as exc:
+        # Every typed refusal (unknown algorithm / dataset, bad --trials,
+        # contradictory serve flags, ...) is a usage error.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "sample":
         return _cmd_sample(args)
     if args.command == "compare":
@@ -1367,10 +1357,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         print("\n".join(available_datasets()))
         return 0
     if args.command == "algorithms":
-        print("\n".join(available_algorithms()))
+        # One line per algorithm: its Table-2 row.
+        for name in available_algorithms():
+            _, category, bias, fanout_gt_one, description = make_algorithm(name).info
+            fanout = "fanout>1" if fanout_gt_one else "fanout=1"
+            print(f"{name:<11}{category:<11}{bias:<8}{fanout:<9} {description}")
         return 0
     if args.command == "systems":
-        print("\n".join(_SYSTEMS))
+        print("\n".join(SYSTEMS))
         return 0
     raise AssertionError(f"unhandled command {args.command}")  # pragma: no cover
 

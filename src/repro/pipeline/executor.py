@@ -27,6 +27,7 @@ import functools
 
 import numpy as np
 
+from repro.algorithms import TABLE8_PARAMS, make_algorithm
 from repro.algorithms.base import Pipeline
 from repro.cache import (
     DEFAULT_CACHE_RATIO,
@@ -42,7 +43,7 @@ from repro.core import minibatches
 from repro.datasets import Dataset
 from repro.device import DeviceSpec, ExecutionContext, MemoryPool
 from repro.errors import ShapeError
-from repro.learning.models import SampledGNN
+from repro.learning.models import GraphSAGEModel, LadiesGCN, SampledGNN
 from repro.learning.trainer import Trainer, TrainResult
 from repro.profile.spans import Profiler, maybe_span
 from repro.tasks import Task
@@ -341,22 +342,17 @@ class PipelinedTrainer(Trainer):
 # Serial-vs-pipelined comparison cell (CLI + benchmarks)
 # ----------------------------------------------------------------------
 
-#: Trainable algorithm configurations the comparison cell understands
-#: (the two Table-8 workloads).
-TRAINABLE_CONFIGS: dict[str, tuple[str, dict, dict, int]] = {
-    "graphsage": ("GraphSAGEModel", dict(fanouts=(5, 10)), {}, 2),
-    "ladies": ("LadiesGCN", dict(layer_width=256, num_layers=2), {}, 2),
+#: The model each Table-8 workload trains.
+_MODELS: dict[str, type[SampledGNN]] = {
+    "graphsage": GraphSAGEModel,
+    "ladies": LadiesGCN,
 }
 
 
-def _build_model(algorithm: str, dataset: Dataset, seed: int) -> SampledGNN:
-    from repro.learning import GraphSAGEModel, LadiesGCN
-
-    model_name, _, _, num_layers = TRAINABLE_CONFIGS[algorithm]
-    model_cls = {"GraphSAGEModel": GraphSAGEModel, "LadiesGCN": LadiesGCN}[
-        model_name
-    ]
-    return model_cls(
+def _build_model(
+    algorithm: str, dataset: Dataset, seed: int, num_layers: int
+) -> SampledGNN:
+    return _MODELS[algorithm](
         dataset.features.shape[1],
         32,
         dataset.num_classes,
@@ -389,20 +385,19 @@ def run_pipeline_cell(
     stream, so sampled batches and losses must match bit-for-bit; the
     only difference is the clock.  Returns ``(serial, pipelined)``.
     """
-    from repro.algorithms import make_algorithm
-
-    if algorithm not in TRAINABLE_CONFIGS:
+    if algorithm not in _MODELS:
         raise ShapeError(
             f"no trainable pipeline config for {algorithm!r}; "
-            f"available: {sorted(TRAINABLE_CONFIGS)}"
+            f"available: {sorted(_MODELS)}"
         )
-    _, algo_kwargs, _, _ = TRAINABLE_CONFIGS[algorithm]
-    algo = make_algorithm(algorithm, **algo_kwargs)
+    algo = make_algorithm(algorithm, **TABLE8_PARAMS[algorithm])
     example = dataset.train_ids[:batch_size]
+    sampler = algo.build(dataset.graph, example)
+    depth = len(sampler.samplers)  # the model is as deep as the sample
 
     serial_trainer = Trainer(
-        algo.build(dataset.graph, example),
-        _build_model(algorithm, dataset, seed),
+        sampler,
+        _build_model(algorithm, dataset, seed, depth),
         dataset,
         device=device,
         train_device=train_device,
@@ -415,7 +410,7 @@ def run_pipeline_cell(
 
     pipelined_trainer = PipelinedTrainer(
         algo.build(dataset.graph, example),
-        _build_model(algorithm, dataset, seed),
+        _build_model(algorithm, dataset, seed, depth),
         dataset,
         device=device,
         train_device=train_device,

@@ -73,7 +73,6 @@ from repro.serve.metrics import (
 from repro.serve.replica import (
     MAX_DEGRADE_LEVEL,
     POLICY_PRESETS,
-    SERVE_CONFIGS,
     Replica,
     ServePolicy,
     build_pipelines,
@@ -122,7 +121,6 @@ __all__ = [
     "RequestLog",
     "RoundRobinRouter",
     "Router",
-    "SERVE_CONFIGS",
     "ScaleEvent",
     "ServePolicy",
     "ServeReport",

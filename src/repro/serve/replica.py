@@ -31,6 +31,7 @@ import math
 
 import numpy as np
 
+from repro.algorithms import TABLE8_PARAMS, make_algorithm
 from repro.cache import (
     DEFAULT_CACHE_RATIO,
     DEFAULT_HOST_TIER_RATIO,
@@ -66,14 +67,6 @@ from repro.stats import SlidingWindow
 #: 2 = reduced fanout + cached-only features.
 MAX_DEGRADE_LEVEL = 2
 
-#: Algorithm configurations the serving simulator knows how to build,
-#: mapping to ``make_algorithm`` kwargs at full fidelity.  The degraded
-#: variant is derived by :func:`degraded_kwargs`.
-SERVE_CONFIGS: dict[str, dict] = {
-    "graphsage": dict(fanouts=(5, 10)),
-    "ladies": dict(layer_width=256, num_layers=2),
-}
-
 #: Admission/degradation presets selectable from the CLI ``--policy``
 #: flag; each maps to (bounded queue?, SLO ladder?).
 POLICY_PRESETS: dict[str, tuple[bool, bool]] = {
@@ -106,15 +99,13 @@ def build_pipelines(dataset: Dataset, algorithm: str) -> list:
     (``sample_batch`` takes ``ctx=``), so a cluster compiles once and
     shares the pair across all replicas.
     """
-    from repro.algorithms import make_algorithm
-
-    if algorithm not in SERVE_CONFIGS:
+    if algorithm not in TABLE8_PARAMS:
         raise ServeError(
             f"no serving config for {algorithm!r}; "
-            f"available: {sorted(SERVE_CONFIGS)}"
+            f"available: {sorted(TABLE8_PARAMS)}"
         )
     example = dataset.train_ids[: min(256, len(dataset.train_ids))]
-    kwargs = SERVE_CONFIGS[algorithm]
+    kwargs = TABLE8_PARAMS[algorithm]
     return [
         make_algorithm(algorithm, **kwargs).build(dataset.graph, example),
         make_algorithm(algorithm, **degraded_kwargs(kwargs)).build(
@@ -219,7 +210,7 @@ class Replica:
     dataset:
         The graph being served; seeds index its nodes.
     algorithm:
-        A :data:`SERVE_CONFIGS` key (used when ``pipelines`` is omitted).
+        A :data:`repro.algorithms.TABLE8_PARAMS` key (used when ``pipelines`` is omitted).
     device:
         Device spec for sampling *and* feature transfer.  The feature
         table itself is host-resident (the serving deployment), so cache

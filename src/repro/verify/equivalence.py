@@ -201,6 +201,49 @@ def compare_to_oracle(
     )
 
 
+#: A variant under test: its label, one run of it, and the oracle
+#: marginals ``(edge counts, value sums)`` it must match.
+_Variant = tuple[
+    str,
+    Callable[[np.random.Generator], "Matrix | list[Matrix]"],
+    tuple[dict[tuple[int, int], int], np.ndarray],
+]
+
+
+def _score(
+    variants: list[_Variant], *, name: str, trials: int, alpha: float, seed: int
+) -> EquivalenceReport:
+    """Collect every variant's marginals and compare each to its oracle."""
+    num_tests = len(variants)
+    checks: list[VariantCheck] = []
+    for index, (label, run_one, (ref_counts, ref_sums)) in enumerate(
+        variants, start=1
+    ):
+        counts, sums = collect_edge_marginals(
+            run_one, trials=trials, seed=seed + index * _SEED_STRIDE
+        )
+        checks.append(
+            compare_to_oracle(
+                ref_counts,
+                ref_sums,
+                counts,
+                sums,
+                name=label,
+                trials=trials,
+                alpha=alpha,
+                num_tests=num_tests,
+            )
+        )
+    return EquivalenceReport(
+        program=name,
+        alpha=alpha,
+        trials=trials,
+        seed=seed,
+        num_tests=num_tests,
+        variants=checks,
+    )
+
+
 def check_distribution_equivalence(
     fn: Callable,
     graph: Matrix,
@@ -220,7 +263,8 @@ def check_distribution_equivalence(
     Runs the eager oracle plus one compiled variant per
     ``OptimizationConfig`` combination (8) and, when the program follows
     the ``(matrix, next_frontiers)`` contract and ``superbatch_batches``
-    is set, the super-batched execution path.  Every compile happens
+    is set, the super-batched execution path over that many *distinct*
+    frontier sets, compared with the oracle run on the same sets.  Every compile happens
     under ``debug=True`` so the per-pass invariant checker also vets the
     pipeline.  Each variant's chi-square/KS p-values are
     Bonferroni-corrected across all variants; the report passes only if
@@ -238,11 +282,9 @@ def check_distribution_equivalence(
     def oracle_run(rng: np.random.Generator) -> Matrix:
         return _sample_matrix(oracle.run(frontiers, tensors=tensors, rng=rng))
 
-    oracle_counts, oracle_sums = collect_edge_marginals(
-        oracle_run, trials=trials, seed=seed
-    )
+    reference = collect_edge_marginals(oracle_run, trials=trials, seed=seed)
 
-    variants: list[tuple[str, Callable[[np.random.Generator], Matrix | list[Matrix]]]] = []
+    variants: list[_Variant] = []
     for config in OptimizationConfig.all_combinations():
         sampler = compile_sampler(
             fn,
@@ -261,7 +303,7 @@ def check_distribution_equivalence(
                 _sampler.run(frontiers, tensors=tensors, rng=rng)
             )
 
-        variants.append((config.label(), config_run))
+        variants.append((config.label(), config_run, reference))
 
     if superbatch_batches:
         sb_sampler = compile_sampler(
@@ -273,7 +315,20 @@ def check_distribution_equivalence(
             debug=debug,
         )
         if sb_sampler.structure == ("leaf", "leaf"):
-            batches = [frontiers] * superbatch_batches
+            # Distinct frontier sets (``frontiers`` shifted by its own
+            # length per slot), pooled per slot and held to the oracle run
+            # on the same sets: a batch that reads another batch's state
+            # (PR 18's LADIES debias) is invisible when all slots are equal.
+            batches = [
+                (frontiers + slot * len(frontiers)) % graph.shape[1]
+                for slot in range(superbatch_batches)
+            ]
+
+            def superbatch_oracle(rng: np.random.Generator) -> list[Matrix]:
+                return [
+                    _sample_matrix(oracle.run(batch, tensors=tensors, rng=rng))
+                    for batch in batches
+                ]
 
             def superbatch_run(rng: np.random.Generator) -> list[Matrix]:
                 results = sb_sampler.run_superbatch(
@@ -281,33 +336,18 @@ def check_distribution_equivalence(
                 )
                 return [matrix for matrix, _ in results]
 
-            variants.append((f"superbatch(x{superbatch_batches})", superbatch_run))
-
-    num_tests = len(variants)
-    checks: list[VariantCheck] = []
-    for index, (label, run_one) in enumerate(variants, start=1):
-        counts, sums = collect_edge_marginals(
-            run_one, trials=trials, seed=seed + index * _SEED_STRIDE
-        )
-        checks.append(
-            compare_to_oracle(
-                oracle_counts,
-                oracle_sums,
-                counts,
-                sums,
-                name=label,
-                trials=trials,
-                alpha=alpha,
-                num_tests=num_tests,
+            variants.append(
+                (
+                    f"superbatch(x{superbatch_batches})",
+                    superbatch_run,
+                    collect_edge_marginals(
+                        superbatch_oracle, trials=trials, seed=seed
+                    ),
+                )
             )
-        )
-    return EquivalenceReport(
-        program=name,
-        alpha=alpha,
-        trials=trials,
-        seed=seed,
-        num_tests=num_tests,
-        variants=checks,
+
+    return _score(
+        variants, name=name, trials=trials, alpha=alpha, seed=seed
     )
 
 
@@ -356,11 +396,9 @@ def check_serving_equivalence(
             for seeds in seed_sets
         ]
 
-    oracle_counts, oracle_sums = collect_edge_marginals(
-        oracle_run, trials=trials, seed=seed
-    )
+    reference = collect_edge_marginals(oracle_run, trials=trials, seed=seed)
 
-    variants: list[tuple[str, Callable[[np.random.Generator], list[Matrix]]]] = []
+    variants: list[_Variant] = []
     for config in OptimizationConfig.all_combinations():
         sampler = compile_sampler(
             fn,
@@ -385,33 +423,10 @@ def check_serving_equivalence(
             )
             return [matrix for matrix, _ in results]
 
-        variants.append((f"serve-{config.label()}", serve_run))
+        variants.append((f"serve-{config.label()}", serve_run, reference))
 
-    num_tests = len(variants)
-    checks: list[VariantCheck] = []
-    for index, (label, run_one) in enumerate(variants, start=1):
-        counts, sums = collect_edge_marginals(
-            run_one, trials=trials, seed=seed + index * _SEED_STRIDE
-        )
-        checks.append(
-            compare_to_oracle(
-                oracle_counts,
-                oracle_sums,
-                counts,
-                sums,
-                name=label,
-                trials=trials,
-                alpha=alpha,
-                num_tests=num_tests,
-            )
-        )
-    return EquivalenceReport(
-        program=name,
-        alpha=alpha,
-        trials=trials,
-        seed=seed,
-        num_tests=num_tests,
-        variants=checks,
+    return _score(
+        variants, name=name, trials=trials, alpha=alpha, seed=seed
     )
 
 
@@ -447,40 +462,54 @@ def _pass_tensors(graph: Matrix) -> dict[str, np.ndarray]:
     return {"features": features, "W1": W1, "W2": W2, "W3": W3}
 
 
+#: What is the verifier's own, per compiled algorithm: a fan-out small
+#: enough for the 96-node verification graph and, for the model-driven
+#: ones, seeded 8-dim stand-in tensors.  Everything else about a spec is
+#: read from the registered algorithm.
+_VERIFY_SIZES: dict[str, tuple[int, Callable | None]] = {
+    "graphsage": (4, None),
+    "labor": (4, None),
+    "ladies": (10, None),
+    "fastgcn": (10, None),
+    "asgcn": (10, _asgcn_tensors),
+    "pass": (4, _pass_tensors),
+    "vrgcn": (3, None),
+    # ShaDow's expansion stage is the GraphSAGE layer program; the
+    # induction step is deterministic and covered structurally.
+    "shadow": (6, None),
+}
+
+
 def builtin_specs() -> dict[str, VerifySpec]:
-    """Verification specs for the statistically verifiable registered
-    algorithms (one compiled ECSF layer each).
+    """Verification specs: one per registered algorithm with a traced
+    ECSF layer (a compiled algorithm without verification sizes is an
+    error, not an omission).
 
     Walk algorithms (deepwalk, node2vec, ...) drive kernels directly
     rather than compiled IR, so the pass pipeline cannot skew them; they
-    are excluded here and covered by their own structural tests.
+    have no ``layer`` and are covered by their own structural tests.
     """
-    from repro.algorithms.asgcn import asgcn_layer
-    from repro.algorithms.fastgcn import fastgcn_layer
-    from repro.algorithms.graphsage import graphsage_layer
-    from repro.algorithms.labor import labor_layer
-    from repro.algorithms.ladies import ladies_layer
-    from repro.algorithms.pass_attention import pass_layer
-    from repro.algorithms.vrgcn import vrgcn_layer
+    from repro.algorithms import available_algorithms, make_algorithm
 
-    return {
-        "graphsage": VerifySpec("graphsage", graphsage_layer, {"K": 4}),
-        "labor": VerifySpec("labor", labor_layer, {"K": 4}),
-        "ladies": VerifySpec("ladies", ladies_layer, {"K": 10}),
-        "fastgcn": VerifySpec("fastgcn", fastgcn_layer, {"K": 10}),
-        "asgcn": VerifySpec(
-            "asgcn", asgcn_layer, {"K": 10}, tensors_fn=_asgcn_tensors
-        ),
-        # Model-driven: the paper excludes PASS from super-batching.
-        "pass": VerifySpec(
-            "pass", pass_layer, {"K": 4}, tensors_fn=_pass_tensors,
-            superbatch=False,
-        ),
-        "vrgcn": VerifySpec("vrgcn", vrgcn_layer, {"K": 3}),
-        # ShaDow's expansion stage is the GraphSAGE layer program; the
-        # induction step is deterministic and covered structurally.
-        "shadow": VerifySpec("shadow", graphsage_layer, {"K": 6}),
-    }
+    specs = {}
+    for name in available_algorithms():
+        algo = make_algorithm(name)
+        if algo.layer is None:
+            continue
+        if name not in _VERIFY_SIZES:
+            raise GSamplerError(
+                f"compiled algorithm {name!r} has no verification sizes; "
+                "add a row to repro.verify.equivalence._VERIFY_SIZES"
+            )
+        fanout, tensors_fn = _VERIFY_SIZES[name]
+        specs[name] = VerifySpec(
+            name,
+            algo.layer,
+            {"K": fanout},
+            tensors_fn=tensors_fn,
+            superbatch=algo.superbatch,
+        )
+    return specs
 
 
 def verification_graph(

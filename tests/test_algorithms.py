@@ -15,7 +15,7 @@ from repro.algorithms.seal import drnl_labels
 from repro.algorithms.walks import WalkResult, top_k_per_segment
 from repro.core import GraphSample, new_rng
 from repro.device import ExecutionContext, V100
-from repro.errors import GSamplerError
+from repro.errors import GSamplerError, ShapeError
 
 from tests.conftest import to_dense
 
@@ -136,6 +136,37 @@ class TestWalkAlgorithms:
         assert opportunities > 0
         assert returns / opportunities > 0.8
 
+    def test_node2vec_adjacency_matches_the_global_edge_search(self, rng):
+        """The per-walker CSC lookup answers exactly what the binary
+        search in the sorted table of all edges (kept here as the oracle)
+        answered — also when rows are unsorted within a column."""
+        from repro.algorithms.node2vec import _adjacent_to_previous
+        from repro.sparse import CSC
+        from repro.sparse.formats import gather_ranges
+
+        n = 40
+        for trial in range(50):
+            degrees = rng.integers(0, 7, n)
+            indptr = np.concatenate([[0], np.cumsum(degrees)])
+            rows = rng.integers(0, n, indptr[-1])
+            if trial % 2:  # rows sorted within each column
+                cols = np.repeat(np.arange(n), degrees)
+                rows = rows[np.lexsort((rows, cols))]
+            csc = CSC(indptr=indptr, rows=rows, values=None, shape=(n, n))
+            cur, prev = rng.integers(0, n, (2, 25))
+            starts = indptr[cur]
+            lengths = indptr[cur + 1] - starts
+            cand = rows[gather_ranges(starts, lengths)]
+
+            edge_keys = np.sort(rows * n + np.repeat(np.arange(n), degrees))
+            keys = cand * n + np.repeat(prev, lengths)
+            pos = np.minimum(np.searchsorted(edge_keys, keys), len(edge_keys) - 1)
+
+            np.testing.assert_array_equal(
+                _adjacent_to_previous(csc, cand, lengths, prev),
+                edge_keys[pos] == keys,
+            )
+
     def test_graphsaint_induces_subgraph(self, small_graph):
         _, pipe = _build("graphsaint", small_graph, None, walk_length=3)
         out = pipe.sample_batch(np.arange(10), rng=new_rng(6))
@@ -213,8 +244,10 @@ class TestBanditAlgorithms:
     def test_reward_length_checked(self, small_graph):
         _, pipe = _build("gcn_bs", small_graph, None, fanouts=(3,))
         out = pipe.sample_batch(np.arange(10), rng=new_rng(13))
-        with pytest.raises(ValueError):
+        before = pipe.edge_weights.copy()
+        with pytest.raises(ShapeError):
             pipe.apply_rewards(out, [np.ones(1)])
+        np.testing.assert_array_equal(pipe.edge_weights, before)
 
 
 class TestModelDriven:
@@ -234,7 +267,7 @@ class TestModelDriven:
 
     def test_asgcn_requires_features(self, small_graph):
         algo = make_algorithm("asgcn")
-        with pytest.raises(ValueError):
+        with pytest.raises(GSamplerError, match="requires node features"):
             algo.build(small_graph, np.arange(4))
 
     def test_asgcn_importance_reweighting(self, small_graph, features):

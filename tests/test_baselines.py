@@ -16,7 +16,7 @@ from repro.baselines import (
 from repro.core import new_rng
 from repro.datasets import load_dataset
 from repro.device import ExecutionContext, V100
-from repro.errors import UnsupportedAlgorithmError
+from repro.errors import GSamplerError, UnsupportedAlgorithmError
 
 
 @pytest.fixture(scope="module")
@@ -66,7 +66,7 @@ class TestCapabilityMatrix:
     def test_figure_system_lists_resolve(self):
         for name in FIGURE7_SYSTEMS + FIGURE8_SYSTEMS:
             assert make_system(name) is not None
-        with pytest.raises(KeyError):
+        with pytest.raises(GSamplerError, match="unknown system"):
             make_system("nextdoor")
 
 

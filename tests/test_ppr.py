@@ -10,7 +10,7 @@ from repro.core import new_rng
 from repro.core.matrix import from_edges
 from repro.core.ppr import global_pagerank, push_ppr, topk_ppr_neighbors
 from repro.device import ExecutionContext, V100
-from repro.errors import ShapeError
+from repro.errors import GSamplerError, ShapeError
 
 
 @pytest.fixture
@@ -102,5 +102,5 @@ class TestShaDowPPRVariant:
         assert out.matrix.shape == (len(out.nodes), len(out.nodes))
 
     def test_invalid_bias_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(GSamplerError, match="bias"):
             make_algorithm("shadow", bias="metis")

@@ -1,0 +1,90 @@
+"""Refusals are typed and early: every bad name or argument raises a
+``repro.errors`` type before any compile, launch or dataset load — and a
+misspelt algorithm is never reported as one of the paper's N/A cells."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+import repro.bench.harness as harness
+from repro import cli, sampler
+from repro.algorithms import make_algorithm
+from repro.baselines import make_system
+from repro.bench import measure_cell
+from repro.errors import GSamplerError
+
+
+class TestTypedRefusals:
+    """Every refusal is a ``repro.errors`` type raised before any work."""
+
+    def test_unknown_system(self):
+        with pytest.raises(GSamplerError, match="unknown system 'nextdoor'"):
+            make_system("nextdoor")
+
+    def test_unknown_parameter_names_the_accepted_ones(self):
+        with pytest.raises(GSamplerError) as err:
+            make_algorithm("ladies", fanouts=(5,))
+        assert "fanouts" in str(err.value)
+        assert "layer_width" in str(err.value) and "num_layers" in str(err.value)
+
+    @pytest.mark.parametrize("name", ["asgcn", "pass"])
+    def test_model_driven_needs_features_before_any_compile(
+        self, name, small_graph, monkeypatch
+    ):
+        from repro.algorithms import base
+
+        def no_compile(*args, **kwargs):
+            raise AssertionError("compiled before refusing")
+
+        monkeypatch.setattr(sampler, "compile_sampler", no_compile)
+        monkeypatch.setattr(base, "compile_sampler", no_compile)
+        with pytest.raises(GSamplerError, match="requires node features"):
+            make_algorithm(name).build(small_graph, np.arange(4))
+
+    def test_shadow_bias(self):
+        with pytest.raises(GSamplerError, match="'uniform' or 'ppr'"):
+            make_algorithm("shadow", bias="metis")
+
+    def test_bandit_rule(self, small_graph):
+        from repro.algorithms import BanditPipeline
+
+        with pytest.raises(GSamplerError, match="unknown bandit rule"):
+            BanditPipeline(small_graph, (3,), "thompson")
+
+
+class TestUnknownIsNotNA:
+    """``None`` / exit 1 mean a genuine N/A cell; a misspelt name is an
+    error (exit 2) raised before any dataset is loaded."""
+
+    @pytest.fixture
+    def no_datasets(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("loaded a dataset for an unknown name")
+
+        monkeypatch.setattr(harness, "load_dataset", refuse)
+
+    def test_measure_cell_raises_on_unknown_algorithm(self, no_datasets):
+        with pytest.raises(GSamplerError, match="unknown algorithm 'graphsgae'"):
+            measure_cell("gsampler", "graphsgae", "pd")
+
+    def test_measure_cell_raises_on_unknown_system(self, no_datasets):
+        with pytest.raises(GSamplerError, match="unknown system"):
+            measure_cell("nextdoor", "graphsage", "pd")
+
+    def test_measure_cell_none_is_a_real_na_cell(self):
+        assert measure_cell("gunrock", "ladies", "pd", scale=0.1) is None
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sample", "--algorithm", "graphsgae"],
+            ["compare", "--algorithm", "graphsgae"],
+            ["profile", "graphsgae"],
+        ],
+    )
+    def test_cli_exits_2_on_unknown_algorithm(self, argv, no_datasets, capsys):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert "error: unknown algorithm 'graphsgae'; available: [" in captured.err
+        assert captured.out == ""

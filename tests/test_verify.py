@@ -171,6 +171,54 @@ class TestDistributionEquivalence:
 
 
 @pytest.mark.slow_statistical
+class TestSuperbatchSeesDistinctBatches:
+    """The super-batch variant runs distinct frontier sets, so a batch
+    that reads another batch's state fails ``verify``.  The defect
+    re-introduced here is the one PR 18 fixed: every batch but the first
+    debiased with batch 0's probabilities.  While the variant fed one set
+    to every slot it passed ``verify ladies`` for seventeen PRs."""
+
+    @staticmethod
+    def _fold_to_batch_zero(monkeypatch, graph_rows):
+        from repro.ir.interpreter import Interpreter
+
+        def t_index(self, node, args, inputs, rng):
+            base, idx = (np.asarray(x) for x in args)
+            if self._superbatched:
+                idx = idx % graph_rows
+            return base[idx]
+
+        monkeypatch.setattr(Interpreter, "_op_t_index", t_index)
+
+    def test_verify_ladies_fails_when_batches_share_probabilities(
+        self, verify_graph, repro_seed, monkeypatch
+    ):
+        intact = verify_algorithm("ladies", trials=80, seed=repro_seed)
+        assert intact.passed, intact.summary()
+        self._fold_to_batch_zero(monkeypatch, verify_graph.shape[0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            broken = verify_algorithm("ladies", trials=80, seed=repro_seed)
+        assert [v.name for v in broken.failures()] == ["superbatch(x3)"]
+
+    def test_serving_check_agrees(self, verify_graph, repro_seed, monkeypatch):
+        from repro.algorithms import ladies_layer
+        from repro.verify import check_serving_equivalence
+
+        windows = [np.arange(12) + 12 * slot for slot in range(3)]
+        common = dict(constants={"K": 10}, trials=80, seed=repro_seed)
+        intact = check_serving_equivalence(
+            ladies_layer, verify_graph, windows, **common
+        )
+        assert intact.passed, intact.summary()
+        self._fold_to_batch_zero(monkeypatch, verify_graph.shape[0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            broken = check_serving_equivalence(
+                ladies_layer, verify_graph, windows, **common
+            )
+        assert len(broken.failures()) == len(broken.variants) == 8
+
+
+@pytest.mark.slow_statistical
 class TestBrokenPassDetection:
     """A probs-dropping pass must not survive either verification layer."""
 

@@ -127,6 +127,35 @@ class TestTopKPerSegment:
         out = top_k_per_segment(np.array([]), np.array([]), 3)
         assert len(out) == 0
 
+    def test_matches_the_lexsort_position_for_position(self):
+        """``top_k_per_segment`` rides ``segmented_race_select``; the
+        lexsort it replaced stays here as the oracle — same indices in
+        the same order, ties and gaps in the segment ids included."""
+        rng = np.random.default_rng(19)
+        for _ in range(300):
+            n = int(rng.integers(0, 60))
+            segment = np.sort(rng.integers(0, 12, n)) * 3  # ids with gaps
+            score = rng.integers(0, 4, n).astype(np.float64)  # tie-heavy
+            k = int(rng.integers(0, 6))
+            np.testing.assert_array_equal(
+                top_k_per_segment(segment, score, k),
+                _top_k_by_lexsort(segment, score, k),
+            )
+
+
+def _top_k_by_lexsort(segment, score, k):
+    """The body ``top_k_per_segment`` had up to PR 18, verbatim."""
+    if len(segment) == 0:
+        return np.empty(0, dtype=np.int64)
+    order = np.lexsort((-score, segment))
+    seg_sorted = segment[order]
+    # Rank of each item within its segment after sorting by -score.
+    boundaries = np.flatnonzero(np.diff(seg_sorted)) + 1
+    starts = np.concatenate([[0], boundaries])
+    seg_start_of = np.repeat(starts, np.diff(np.concatenate([starts, [len(seg_sorted)]])))
+    rank = np.arange(len(seg_sorted)) - seg_start_of
+    return order[rank < k]
+
 
 class TestInduceSubgraph:
     def test_matches_dense_oracle(self, small_graph):
