@@ -22,7 +22,8 @@ from repro.errors import ShapeError
 _DEFAULT_SEED = 2023
 
 #: Largest dense scratch block, in elements, ``segmented_race_select``
-#: pads segments into (DESIGN.md, "Host kernels", has the measurements).
+#: pads segments into — and the padded size up to which a call is one
+#: block (DESIGN.md, "Host kernels", has the measurements).
 _RACE_BLOCK_ELEMS = 1 << 18
 
 
@@ -157,13 +158,16 @@ def segmented_race_select(
     Returns flat positions into the original arrays, grouped by segment
     in ascending-key order, equal keys in position order.
 
-    Work is linear in ``len(keys)``: segments are binned by power-of-two
-    width class (the thread / warp / block split C-SAW and NextDoor use
-    for skewed frontiers) and every bin is padded into dense
-    ``[rows, width]`` blocks of at most ``_RACE_BLOCK_ELEMS`` elements
-    (one row when a single segment is longer than that), where
-    ``argpartition`` cuts each row to its ``k`` smallest and only those
-    are sorted.  A few huge segments are simply the widest bin.
+    Work is linear in ``len(keys)``: segments are padded into dense
+    ``[rows, width]`` blocks, where one value sort per row gives the
+    threshold key that cuts the row to its ``k`` smallest.  A call whose
+    padded size — selecting segments times the longest of them — is at
+    most ``_RACE_BLOCK_ELEMS`` elements is one block, rows in segment
+    order.  A larger call bins its segments by power-of-two width class
+    (the thread / warp / block split C-SAW and NextDoor use for skewed
+    frontiers) and pads every bin into blocks of at most that many
+    elements (one row when a single segment is longer); a few huge
+    segments are simply the widest bin.
     """
     keys = np.asarray(keys)
     indptr = np.asarray(indptr)
@@ -185,11 +189,16 @@ def segmented_race_select(
     active = np.flatnonzero(cap > 0)
     if len(active) == 0:
         return np.empty(0, dtype=np.int64)
+    active_lengths = lengths[active]
+    if len(active) * int(active_lengths.max()) <= _RACE_BLOCK_ELEMS:
+        return _race_select_block(
+            keys, indptr[active], active_lengths, cap[active]
+        )[0]
     from repro.sparse.formats import _indptr_from_counts, gather_ranges
 
     # frexp's exponent of (length - 1) is its bit length: class c holds
     # the segments of 2**(c-1) < length <= 2**c.
-    width_class = np.frexp(lengths[active] - 1)[1].astype(np.uint8)
+    width_class = np.frexp(active_lengths - 1)[1].astype(np.uint8)
     binned = active[np.argsort(width_class, kind="stable")]
     bin_ptr = _indptr_from_counts(np.bincount(width_class))
     taken = np.zeros(n_seg, dtype=np.int64)
@@ -233,30 +242,45 @@ def _race_select_block(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Race-select the segments ``[starts, starts + lengths)`` as one
     dense block: their picks, row after row, and the count per row."""
-    width, k = int(lengths.max()), int(cap.max())
+    n_rows, width, k = len(starts), int(lengths.max()), int(cap.max())
     cols = np.arange(width, dtype=np.int64)
-    source = starts[:, None] + cols
-    np.minimum(source, len(keys) - 1, out=source)
-    block = keys[source].astype(np.float64, copy=False)
-    block[cols >= lengths[:, None]] = np.inf
-    # One column past k, so a tie across the cut is seen below.
-    edge = min(k + 1, width)
-    sel = np.argpartition(block, edge - 1, axis=1)[:, :edge]
-    sel_keys = np.take_along_axis(block, sel, axis=1)
-    order = np.argsort(sel_keys, axis=1)
-    sel = np.take_along_axis(sel, order, axis=1)
-    sel_keys = np.take_along_axis(sel_keys, order, axis=1)
-    # Neither step above is stable.  Equal keys are rare (the keys are
-    # continuous draws), so only rows that have them are sorted again.
-    tied = np.flatnonzero(
-        np.any(
-            (sel_keys[:, 1:] == sel_keys[:, :-1]) & (sel_keys[:, 1:] < np.inf),
-            axis=1,
-        )
-    )
-    if len(tied):
-        sel[tied] = np.argsort(block[tied], axis=1, kind="stable")[:, :edge]
-        sel_keys[tied] = np.take_along_axis(block[tied], sel[tied], axis=1)
-    taken = np.minimum(cap, np.count_nonzero(sel_keys[:, :k] < np.inf, axis=1))
-    picks = (sel[:, :k] + starts[:, None])[cols[:k] < taken[:, None]]
-    return picks, taken
+    rows = np.arange(n_rows)[:, None]
+    block = keys.take(starts[:, None] + cols, mode="clip")
+    block = block.astype(np.float64, copy=False)
+    if lengths.min() < width:
+        block[cols >= lengths[:, None]] = np.inf
+    # A row's picks are the keys up to its cap-th smallest.  When that
+    # one is +inf or NaN (sorted last) the row runs out of selectable
+    # keys first and takes every key below +inf.
+    cut = np.sort(block, axis=1)[rows[:, 0], cap - 1]
+    picked = block <= np.fmin(cut, np.finfo(np.float64).max)[:, None]
+    taken = np.count_nonzero(picked, axis=1)
+    # Keys equal to the cut on both sides of it put a row over its cap.
+    # The keys are continuous draws, so that is rare, and only those
+    # rows are sorted again, stably: equal keys go in position order.
+    over = np.flatnonzero(taken > cap)
+    if len(over):
+        order = np.argsort(block[over], axis=1, kind="stable")[:, :k]
+        redone = np.zeros((len(over), width), dtype=bool)
+        redone[np.arange(len(over))[:, None], order] = cols[:k] < cap[over, None]
+        picked[over] = redone
+        taken[over] = cap[over]
+    # Row-major, so each row's picks come in position order; a stable
+    # sort of those few keys then leaves equal ones that way.
+    flat = np.flatnonzero(picked)
+    pick_keys = block.ravel()[flat]
+    # Block element row * width + col is keys[starts[row] + col].
+    to_position = starts[:, None] - rows * width
+    if len(flat) == n_rows * k:
+        flat, pick_keys = flat.reshape(n_rows, k), pick_keys.reshape(n_rows, k)
+        order = np.argsort(pick_keys, axis=1, kind="stable")
+        return (flat[rows, order] + to_position).ravel(), taken
+    # Some row is short of k picks: pad with +inf, which sorts after
+    # every pick (no +inf or NaN key is ever picked).
+    slots = cols[:k] < taken[:, None]
+    padded_keys = np.full((n_rows, k), np.inf)
+    padded_keys[slots] = pick_keys
+    padded_flat = np.zeros((n_rows, k), dtype=np.int64)
+    padded_flat[slots] = flat
+    order = np.argsort(padded_keys, axis=1, kind="stable")
+    return (padded_flat[rows, order] + to_position)[slots], taken

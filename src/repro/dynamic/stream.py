@@ -128,7 +128,7 @@ def generate_update_stream(
     """
     # Deferred: repro.serve.cluster imports this package at module
     # scope, so a top-level serve import here would close a cycle.
-    from repro.serve.workload import rank_probabilities
+    from repro.serve.workload import _RankSampler
 
     if num_nodes < 2:
         raise ServeError(
@@ -144,7 +144,7 @@ def generate_update_stream(
             )
         hot_order = np.argsort(-hotness.astype(np.float64), kind="stable")
     rng = new_rng(spec.seed)
-    probs = rank_probabilities(num_nodes, spec.skew)
+    ranks = _RankSampler(num_nodes, spec.skew)
     batches: list[UpdateBatch] = []
     # Live inserted edges available for churn deletes, in insert order.
     reservoir: list[tuple[int, int]] = []
@@ -168,8 +168,7 @@ def generate_update_stream(
                 u, v = reservoir.pop(victim)
                 src[i], dst[i], delete[i] = u, v, True
                 continue
-            rank = int(rng.choice(num_nodes, p=probs))
-            v = int(hot_order[rank])
+            v = int(hot_order[ranks.draw_one(rng)])
             u = int(rng.integers(num_nodes))
             if u == v:
                 u = (u + 1) % num_nodes

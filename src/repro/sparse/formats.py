@@ -271,19 +271,11 @@ def gather_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     total = int(lengths.sum())
     if total == 0:
         return np.empty(0, dtype=INDEX_DTYPE)
-    # Standard vectorized "ragged arange": offsets within each segment are
-    # produced by subtracting the segment-start positions from a global
-    # arange.
-    out = np.ones(total, dtype=INDEX_DTYPE)
-    seg_starts = np.zeros(len(lengths), dtype=INDEX_DTYPE)
-    np.cumsum(lengths[:-1], out=seg_starts[1:])
-    out[seg_starts[lengths > 0]] = starts[lengths > 0]
-    nonempty = np.flatnonzero(lengths > 0)
-    if len(nonempty) > 1:
-        prev = nonempty[:-1]
-        cur = nonempty[1:]
-        out[seg_starts[cur]] = starts[cur] - (starts[prev] + lengths[prev]) + 1
-    return np.cumsum(out)
+    # Standard vectorized "ragged arange": a global arange, shifted per
+    # segment from where the segment sits in the output to where it
+    # starts in the source.
+    shift = starts - (np.cumsum(lengths) - lengths)
+    return np.repeat(shift, lengths) + np.arange(total, dtype=INDEX_DTYPE)
 
 
 def sorted_unique(

@@ -167,3 +167,12 @@ class TestRunEpilogue:
         assert code == 2
         assert "bad --kill spec" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    def test_underflowing_skew_exits_2(self, tmp_path, capsys):
+        """``rank ** -400`` leaves six non-zero probabilities for eight
+        seeds: a refusal through the one ``GSamplerError`` handler, not a
+        ``ValueError`` traceback out of ``numpy.random``."""
+        code = main(_SERVE + ["--skew", "400", "--out-dir", str(tmp_path)])
+        assert code == 2
+        assert "skew 400.0 leaves 6 of" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())

@@ -17,8 +17,14 @@ The contracts under test:
 
 from __future__ import annotations
 
+import hashlib
+import inspect
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.datasets import load_dataset
 from repro.device import V100
@@ -37,6 +43,9 @@ from repro.serve import (
     summarize,
 )
 from repro.serve.metrics import RequestLog
+from repro.serve.replica import graph_degrees
+from repro.serve.workload import _RankSampler
+from repro.tasks import edge_endpoints_of
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +118,91 @@ class TestWorkload:
         assert np.all(np.diff(p) < 0)
         uniform = rank_probabilities(50, 0.0)
         np.testing.assert_allclose(uniform, 1.0 / 50)
+
+    @given(
+        st.sampled_from([1, 2, 50, 12_000]),
+        # 400 underflows past rank 6: a probability vector with a zero tail.
+        st.sampled_from([0.0, 1.1, 3.0, 400.0]),
+        st.lists(st.integers(1, 64), min_size=1, max_size=6),
+        st.integers(0, 2**31 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_rank_sampler_replays_generator_choice(self, n, skew, sizes, seed):
+        """Same ranks, same generator state afterwards — on whichever
+        NumPy is installed, which is what licenses replaying ``choice``'s
+        collision loop instead of calling it."""
+        probs = rank_probabilities(n, skew)
+        positive = int(np.count_nonzero(probs > 0))
+        sizes = [min(size, positive) for size in sizes]
+        sampler = _RankSampler(n, skew, max(sizes))
+        ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+        for size in sizes:
+            got = sampler.draw(size, ours)
+            want = numpys.choice(n, size=size, replace=False, p=probs)
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype
+            assert sampler.draw_one(ours) == numpys.choice(n, p=probs)
+        assert ours.random() == numpys.random()
+
+    @pytest.mark.parametrize(
+        "spec, digest",
+        [
+            (
+                WorkloadSpec(num_requests=256, seed=5),
+                "d2b43e9c9a5284363e98365209fe8ea9bb4dac76a79013e8579809f2f9bc2bc8",
+            ),
+            (
+                WorkloadSpec(
+                    num_requests=256,
+                    seed=6,
+                    process="bursty",
+                    max_seeds_per_request=32,
+                ),
+                "91274c76c147ea890475f64ce2ba62cf058887e2b3ba176fb5d91bb3a0e53290",
+            ),
+            (
+                WorkloadSpec(num_requests=64, seed=7, task="linkpred"),
+                "9fc7b062b7b12420de6f10b89dde6f0a067d4556ee1be5b93a733dac3429ac6b",
+            ),
+        ],
+        ids=["node", "node-8..32-seeds", "linkpred"],
+    )
+    def test_stream_equals_the_one_recorded_before_the_cdf_was_hoisted(
+        self, pd, spec, digest
+    ):
+        """Digests recorded with ``rng.choice(..., p=...)`` per request."""
+        requests = generate_workload(
+            spec,
+            num_nodes=pd.num_nodes,
+            hotness=graph_degrees(pd.graph),
+            edges=edge_endpoints_of(pd.graph),
+        )
+        stream = hashlib.sha256()
+        for request in requests:
+            stream.update(repr((request.rid, request.arrival)).encode())
+            stream.update(request.seeds.tobytes())
+        assert stream.hexdigest() == digest
+
+    @pytest.mark.parametrize("task", ["node", "linkpred"])
+    def test_underflowing_skew_is_refused_before_any_draw(self, task):
+        """``rank ** -400`` is 0 past rank 6; NumPy's own complaint came
+        from inside ``choice``, as a ``ValueError``."""
+        spec = WorkloadSpec(num_requests=4, skew=400.0, task=task)
+        ring = np.arange(1000, dtype=np.int64)
+        with pytest.raises(ServeError, match=r"skew 400\.0 leaves 6 of 1000 .* 8"):
+            generate_workload(
+                spec, num_nodes=1000, edges=(ring, (ring + 1) % 1000)
+            )
+
+    def test_one_rank_sampler(self):
+        """Request seeds, link-prediction edges and streamed update
+        edges all draw ranks through ``_RankSampler``; no call site
+        hands ``Generator.choice`` a probability vector again."""
+        from repro.dynamic import stream
+        from repro.serve import workload
+
+        for module in (workload, stream):
+            assert not re.search(r"choice\(.*p=", inspect.getsource(module))
 
     def test_spec_validation(self):
         with pytest.raises(ServeError):

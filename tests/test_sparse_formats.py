@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import FormatError, ShapeError
@@ -108,6 +108,9 @@ class TestGatherRanges:
             gather_ranges(np.array([0]), np.array([1, 2]))
 
     @given(st.lists(st.tuples(st.integers(0, 50), st.integers(0, 6)), max_size=20))
+    # Zero-length runs at both ends and doubled in the middle, ranges
+    # that overlap and run backwards.
+    @example([(4, 0), (0, 0), (9, 2), (3, 0), (8, 0), (8, 3), (0, 1), (7, 0)])
     @settings(max_examples=60, deadline=None)
     def test_matches_python_reference(self, pairs):
         starts = np.array([p[0] for p in pairs], dtype=np.int64)
@@ -115,7 +118,9 @@ class TestGatherRanges:
         expected = []
         for s, l in pairs:
             expected.extend(range(s, s + l))
-        np.testing.assert_array_equal(gather_ranges(starts, lengths), expected)
+        out = gather_ranges(starts, lengths)
+        np.testing.assert_array_equal(out, expected)
+        assert out.dtype == np.int64
 
 
 def _assert_same_as_np_unique(ids, bound=None):
