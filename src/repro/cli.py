@@ -26,14 +26,41 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import pathlib
 import sys
 from collections.abc import Sequence
 
 from repro.algorithms import available_algorithms, make_algorithm
 from repro.baselines import SYSTEMS
 from repro.bench import format_table, measure_cell
-from repro.datasets import available_datasets
-from repro.errors import GSamplerError
+from repro.cache import DEFAULT_CACHE_RATIO, DEFAULT_HOST_TIER_RATIO
+from repro.datasets import available_datasets, load_dataset
+from repro.device import DEVICES, LINKS, get_device
+from repro.errors import GSamplerError, ServeError
+from repro.partition import PARTITION_METHODS
+from repro.profile import (
+    Profiler,
+    append_record,
+    bench_path,
+    build_text_report,
+    compare_metrics,
+    write_chrome_trace,
+)
+from repro.serve import (
+    ARRIVAL_PROCESSES,
+    COMPOSER_POLICIES,
+    ORPHAN_POLICIES,
+    POLICY_PRESETS,
+    ROUTER_POLICIES,
+    AutoscalePolicy,
+    FailureEvent,
+    FailureSpec,
+    ServePolicy,
+    WorkloadSpec,
+    make_composer,
+    run_cluster_session,
+)
+from repro.serve.workload import WORKLOAD_TASKS
 
 
 def _add_trajectory_arguments(command: argparse.ArgumentParser) -> None:
@@ -45,7 +72,6 @@ def _add_trajectory_arguments(command: argparse.ArgumentParser) -> None:
     )
     command.add_argument(
         "--trace-out",
-        default=None,
         help="Chrome-trace path (default: <out-dir>/trace_<tag>.json)",
     )
     command.add_argument(
@@ -61,6 +87,57 @@ def _add_trajectory_arguments(command: argparse.ArgumentParser) -> None:
     )
 
 
+#: ``serve`` dests that steer the run epilogue rather than the session,
+#: so they stay out of the record's ``meta``.
+_EPILOGUE_DESTS = (
+    "out_dir", "trace_out", "threshold", "fail_on_regression",
+    "min_availability",
+)
+
+
+#: Every flag more than one subcommand takes, declared once.
+_SHARED_FLAGS: dict[str, dict] = {
+    "--system": dict(default="gsampler", choices=tuple(SYSTEMS)),
+    "--algorithm": dict(default="graphsage"),
+    "--dataset": dict(default="pd"),
+    "--device": dict(default="v100", choices=DEVICES),
+    "--batch-size": dict(type=int, default=512),
+    "--scale": dict(type=float, default=0.25),
+    "--max-batches": dict(type=int, default=4),
+    "--seed": dict(type=int, default=0),
+    "--cache-ratio": dict(
+        type=float,
+        default=DEFAULT_CACHE_RATIO,
+        help="fraction of nodes whose feature rows are pinned on device "
+        "(default %(default).2f, 0 disables the cache; profile: "
+        "pipeline mode)",
+    ),
+    "--feature-tiers": dict(
+        action="store_true",
+        help="serve features through the multi-tier store (device HBM, "
+        "optional peer HBM over the interconnect, pinned host DRAM, "
+        "and a remote/disk tail on its own queue) instead of the flat "
+        "cache (profile: pipeline mode)",
+    ),
+    "--host-tier-ratio": dict(
+        type=float,
+        default=DEFAULT_HOST_TIER_RATIO,
+        help="fraction of nodes resident in the pinned-host tier "
+        "(tiered mode; default %(default).1f = no remote tail)",
+    ),
+    "--hbm-budget-mb": dict(
+        type=float,
+        help="cap each device's memory pool at this many MiB "
+        "(the knob that squeezes the device tier below the working set)",
+    ),
+}
+
+
+def _add_shared(command: argparse.ArgumentParser, *flags: str) -> None:
+    for flag in flags:
+        command.add_argument(flag, **_SHARED_FLAGS[flag])
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -69,19 +146,16 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sample = sub.add_parser("sample", help="run one sampling-epoch cell")
-    sample.add_argument("--system", default="gsampler", choices=tuple(SYSTEMS))
-    sample.add_argument("--algorithm", default="graphsage")
-    sample.add_argument("--dataset", default="pd")
-    sample.add_argument("--device", default="v100", choices=("v100", "t4", "cpu"))
-    sample.add_argument("--batch-size", type=int, default=512)
-    sample.add_argument("--scale", type=float, default=0.25)
-    sample.add_argument("--max-batches", type=int, default=None)
+    _add_shared(
+        sample, "--system", "--algorithm", "--dataset", "--device",
+        "--batch-size", "--scale", "--max-batches",
+    )
+    sample.set_defaults(max_batches=None)
 
     compare = sub.add_parser("compare", help="cross-system comparison table")
-    compare.add_argument("--algorithm", default="graphsage")
-    compare.add_argument("--scale", type=float, default=0.25)
-    compare.add_argument("--batch-size", type=int, default=512)
-    compare.add_argument("--max-batches", type=int, default=4)
+    _add_shared(
+        compare, "--algorithm", "--scale", "--batch-size", "--max-batches"
+    )
 
     verify = sub.add_parser(
         "verify",
@@ -96,7 +170,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("--trials", type=int, default=200)
     verify.add_argument("--alpha", type=float, default=0.01)
-    verify.add_argument("--seed", type=int, default=0)
+    _add_shared(verify, "--seed")
     verify.add_argument(
         "--superbatch-batches",
         type=int,
@@ -111,21 +185,17 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "algorithm",
         nargs="?",
-        default=None,
         help="algorithm to profile (e.g. graphsage, labor)",
     )
     profile.add_argument(
         "--sampler",
-        default=None,
         help="alias for the positional algorithm (e.g. --sampler labor "
         "profiles the variance-reduced LABOR neighbor sampler)",
     )
-    profile.add_argument("--system", default="gsampler", choices=tuple(SYSTEMS))
-    profile.add_argument("--dataset", default="pd")
-    profile.add_argument("--device", default="v100", choices=("v100", "t4", "cpu"))
-    profile.add_argument("--batch-size", type=int, default=512)
-    profile.add_argument("--scale", type=float, default=0.25)
-    profile.add_argument("--max-batches", type=int, default=4)
+    _add_shared(
+        profile, "--system", "--dataset", "--device", "--batch-size",
+        "--scale", "--max-batches",
+    )
     _add_trajectory_arguments(profile)
     profile.add_argument(
         "--pipeline",
@@ -133,17 +203,10 @@ def _build_parser() -> argparse.ArgumentParser:
         help="profile a pipelined training epoch (sample/transfer/compute "
         "on overlapping queues) against the serial trainer",
     )
-    profile.add_argument(
-        "--cache-ratio",
-        type=float,
-        default=None,
-        help="fraction of nodes whose feature rows are pinned on device "
-        "(pipeline mode; default 0.10, 0 disables the cache)",
-    )
+    _add_shared(profile, "--cache-ratio")
     profile.add_argument(
         "--prefetch-depth",
         type=int,
-        default=None,
         help="batches the sampler may run ahead of compute "
         "(pipeline mode; default 2)",
     )
@@ -153,26 +216,8 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         help="training epochs to simulate (pipeline mode)",
     )
-    profile.add_argument(
-        "--feature-tiers",
-        action="store_true",
-        help="serve features through the multi-tier store "
-        "(HBM -> pinned host -> remote) instead of the flat cache "
-        "(pipeline mode)",
-    )
-    profile.add_argument(
-        "--host-tier-ratio",
-        type=float,
-        default=None,
-        help="fraction of nodes resident in the pinned-host tier "
-        "(tiered mode; default 1.0 = no remote tail)",
-    )
-    profile.add_argument(
-        "--hbm-budget-mb",
-        type=float,
-        default=None,
-        help="cap the training device's memory pool at this many MiB "
-        "(the knob that squeezes the device tier below the working set)",
+    _add_shared(
+        profile, "--feature-tiers", "--host-tier-ratio", "--hbm-budget-mb"
     )
     profile.add_argument(
         "--no-prefetch",
@@ -185,18 +230,16 @@ def _build_parser() -> argparse.ArgumentParser:
         "serve",
         help="simulate an online serving session: queues, batching, SLOs",
     )
-    serve.add_argument("--algorithm", default="graphsage")
+    _add_shared(serve, "--algorithm")
     serve.add_argument(
         "--task",
         default="node",
-        choices=("node", "linkpred"),
+        choices=WORKLOAD_TASKS,
         help="request payload type: node-classification seed ids (the "
         "classic lane) or link-prediction (src, dst) pairs that are "
         "compacted to their unique endpoints before sampling",
     )
-    serve.add_argument("--dataset", default="pd")
-    serve.add_argument("--device", default="v100", choices=("v100", "t4", "cpu"))
-    serve.add_argument("--scale", type=float, default=0.25)
+    _add_shared(serve, "--dataset", "--device", "--scale")
     serve.add_argument(
         "--arrival-rate",
         type=float,
@@ -207,14 +250,13 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--arrival",
         default="poisson",
-        choices=("poisson", "bursty", "diurnal"),
+        choices=ARRIVAL_PROCESSES,
         help="arrival process shape",
     )
     serve.add_argument("--seeds-per-request", type=int, default=8)
     serve.add_argument(
         "--max-seeds-per-request",
         type=int,
-        default=None,
         help="enable heterogeneous request sizes: per-request seed "
         "count drawn uniformly from [seeds-per-request, this]",
     )
@@ -228,20 +270,19 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--router",
         default="round_robin",
-        choices=("round_robin", "jsq", "po2", "shard"),
+        choices=ROUTER_POLICIES,
         help="request-routing policy across replicas",
     )
     serve.add_argument(
         "--partition",
         default="none",
-        choices=("none", "hash", "greedy"),
+        choices=["none", *PARTITION_METHODS],
         help="graph partitioner assigning one shard per replica; "
         "cross-shard frontier rows are charged over the interconnect",
     )
     serve.add_argument(
         "--link",
-        default=None,
-        choices=("nvlink", "pcie"),
+        choices=LINKS,
         help="interconnect for cross-shard fetches (default: the "
         "device's native link, NVLink on v100)",
     )
@@ -260,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--composer",
         default="fifo",
-        choices=("fifo", "binned", "superbatch"),
+        choices=COMPOSER_POLICIES,
         help="batch-composition policy: the classic FIFO dynamic "
         "batcher, size-binned batching (no mixed seed-count bins), or "
         "cross-request super-batch fusion (one compiled run per window)",
@@ -268,7 +309,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--superbatch-window",
         type=int,
-        default=None,
         help="cap on requests fused per super-batch run (default: "
         "bounded only by the admission queue capacity)",
     )
@@ -288,31 +328,11 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--policy",
         default="full",
-        choices=("none", "shed", "degrade", "full"),
+        choices=tuple(POLICY_PRESETS),
         help="admission control: bounded-queue shedding and/or the "
         "SLO-aware degradation ladder",
     )
-    serve.add_argument(
-        "--cache-ratio",
-        type=float,
-        default=None,
-        help="fraction of nodes with device-pinned feature rows "
-        "(default 0.10, 0 disables the cache)",
-    )
-    serve.add_argument(
-        "--feature-tiers",
-        action="store_true",
-        help="serve features through the multi-tier store: device HBM, "
-        "optional peer HBM over the interconnect, pinned host DRAM, "
-        "and a remote/disk tail on its own queue",
-    )
-    serve.add_argument(
-        "--host-tier-ratio",
-        type=float,
-        default=None,
-        help="fraction of nodes resident in the pinned-host tier "
-        "(tiered mode; default 1.0 = no remote tail)",
-    )
+    _add_shared(serve, "--cache-ratio", "--feature-tiers", "--host-tier-ratio")
     serve.add_argument(
         "--p2p",
         action="store_true",
@@ -320,17 +340,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "and fetch sibling-owned rows over the interconnect when it "
         "beats host DRAM (tiered mode, NVLink clusters)",
     )
-    serve.add_argument(
-        "--hbm-budget-mb",
-        type=float,
-        default=None,
-        help="cap each replica's device memory pool at this many MiB "
-        "(the knob that squeezes the device tier below the working set)",
-    )
+    _add_shared(serve, "--hbm-budget-mb")
     serve.add_argument(
         "--ingest-rate",
         type=float,
-        default=None,
         help="stream graph updates at this many edges per simulated "
         "second while serving (enables the dynamic-graph lane)",
     )
@@ -364,16 +377,14 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--repartition-threshold",
         type=float,
-        default=None,
         help="degree-balance drift that triggers an incremental "
         "rebalance (needs --partition; dynamic lane)",
     )
-    serve.add_argument("--seed", type=int, default=0)
+    _add_shared(serve, "--seed")
     _add_trajectory_arguments(serve)
     serve.add_argument(
         "--kill",
         action="append",
-        default=None,
         metavar="R@MS[:DOWN_MS]",
         help="inject a replica failure: kill replica R at the given "
         "simulated millisecond, optionally reviving it DOWN_MS later "
@@ -382,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--orphans",
         default="retry",
-        choices=("retry", "shed"),
+        choices=ORPHAN_POLICIES,
         help="a dead replica's queued/in-flight requests are re-routed "
         "(retry) or dropped and counted lost (shed)",
     )
@@ -438,7 +449,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--min-availability",
         type=float,
-        default=None,
         help="exit 4 when availability (completed/offered) falls below "
         "this fraction — the CI chaos-smoke gate",
     )
@@ -605,22 +615,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if all_passed else 1
 
 
-def _feature_store_options(
-    args: argparse.Namespace,
-) -> tuple[float, float, int | None]:
-    """``(cache_ratio, host_tier_ratio, hbm_budget bytes)`` with the
-    library defaults filled in for flags left unset."""
-    from repro.cache import DEFAULT_CACHE_RATIO, DEFAULT_HOST_TIER_RATIO
-
-    return (
-        args.cache_ratio if args.cache_ratio is not None else DEFAULT_CACHE_RATIO,
-        args.host_tier_ratio
-        if args.host_tier_ratio is not None
-        else DEFAULT_HOST_TIER_RATIO,
-        int(args.hbm_budget_mb * 2**20)
-        if args.hbm_budget_mb is not None
-        else None,
-    )
+def _hbm_budget(args: argparse.Namespace) -> int | None:
+    """``--hbm-budget-mb`` in bytes (``None`` = the device's capacity)."""
+    if args.hbm_budget_mb is None:
+        return None
+    return int(args.hbm_budget_mb * 2**20)
 
 
 def _finish_run(
@@ -640,15 +639,6 @@ def _finish_run(
     measured, passed when ``--min-availability`` gates it; falling
     below the gate exits 4 after the record is written.
     """
-    import pathlib
-
-    from repro.profile import (
-        append_record,
-        bench_path,
-        compare_metrics,
-        write_chrome_trace,
-    )
-
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     trace_path = (
@@ -691,12 +681,8 @@ def _finish_run(
 
 def _cmd_profile_pipeline(args: argparse.Namespace) -> int:
     """The ``profile --pipeline`` branch: serial vs pipelined epochs."""
-    from repro.datasets import load_dataset
-    from repro.device import get_device
     from repro.pipeline import DEFAULT_PREFETCH_DEPTH, run_pipeline_cell
-    from repro.profile import Profiler
 
-    cache_ratio, host_tier_ratio, hbm_budget = _feature_store_options(args)
     prefetch_depth = (
         args.prefetch_depth
         if args.prefetch_depth is not None
@@ -714,11 +700,11 @@ def _cmd_profile_pipeline(args: argparse.Namespace) -> int:
             batch_size=args.batch_size,
             max_batches=args.max_batches,
             prefetch_depth=prefetch_depth,
-            cache_ratio=cache_ratio,
+            cache_ratio=args.cache_ratio,
             profiler=profiler,
             feature_tiers=args.feature_tiers,
-            host_tier_ratio=host_tier_ratio,
-            hbm_budget=hbm_budget,
+            host_tier_ratio=args.host_tier_ratio,
+            hbm_budget=_hbm_budget(args),
             prefetch=not args.no_prefetch,
         )
 
@@ -740,7 +726,7 @@ def _cmd_profile_pipeline(args: argparse.Namespace) -> int:
     cache = pipelined.cache_stats
     if cache is not None:
         rows += [
-            ["cache ratio", f"{cache_ratio:.2f}"],
+            ["cache ratio", f"{args.cache_ratio:.2f}"],
             ["cached rows", f"{cache.cached_rows} "
              f"({cache.cached_bytes // 1024} KiB)"],
             ["cache hit rate", f"{cache.hit_rate:.1%}"],
@@ -807,11 +793,11 @@ def _cmd_profile_pipeline(args: argparse.Namespace) -> int:
         "max_batches": args.max_batches,
         "epochs": args.epochs,
         "prefetch_depth": prefetch_depth,
-        "cache_ratio": cache_ratio,
+        "cache_ratio": args.cache_ratio,
     }
     if args.feature_tiers:
         meta["feature_tiers"] = True
-        meta["host_tier_ratio"] = host_tier_ratio
+        meta["host_tier_ratio"] = args.host_tier_ratio
         meta["prefetch"] = not args.no_prefetch
         if args.hbm_budget_mb is not None:
             meta["hbm_budget_mb"] = args.hbm_budget_mb
@@ -820,24 +806,8 @@ def _cmd_profile_pipeline(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """The ``serve`` command: one online serving session + trajectory."""
-    from repro.datasets import load_dataset
-    from repro.device import get_device
-    from repro.profile import Profiler
-    from repro.serve import (
-        AutoscalePolicy,
-        FailureEvent,
-        FailureSpec,
-        ServePolicy,
-        WorkloadSpec,
-        make_composer,
-        run_cluster_session,
-    )
-
-    cache_ratio, host_tier_ratio, hbm_budget = _feature_store_options(args)
     dataset = load_dataset(args.dataset, scale=args.scale)
-    device = get_device(args.device)
     profiler = Profiler()
-    partition = None if args.partition == "none" else args.partition
     failures = None
     if args.kill:
         events = []
@@ -853,12 +823,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     )
                 )
             except ValueError:
-                print(
-                    f"error: bad --kill spec {kill!r} "
-                    "(expected R@MS or R@MS:DOWN_MS)",
-                    file=sys.stderr,
-                )
-                return 2
+                raise ServeError(
+                    f"bad --kill spec {kill!r} (expected R@MS or R@MS:DOWN_MS)"
+                ) from None
         failures = FailureSpec(
             events=tuple(events),
             orphans=args.orphans,
@@ -896,8 +863,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     composer = make_composer(
         args.composer, max_requests=args.superbatch_window
     )
-    updates = None
-    dynamic = None
+    updates = dynamic = None
     if args.ingest_rate is not None:
         from repro.dynamic import DynamicPolicy, UpdateSpec
 
@@ -916,28 +882,29 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         simulator, report = run_cluster_session(
             dataset,
             algorithm=args.algorithm,
-            device=device,
+            device=get_device(args.device),
             spec=spec,
             policy=policy,
             num_replicas=args.replicas,
             router=args.router,
-            partition=partition,
+            partition=None if args.partition == "none" else args.partition,
             link=args.link,
             composer=composer,
-            cache_ratio=cache_ratio,
+            cache_ratio=args.cache_ratio,
             seed=args.seed,
             profiler=profiler,
             failures=failures,
             autoscale=autoscale,
             feature_tiers=args.feature_tiers,
-            host_tier_ratio=host_tier_ratio,
+            host_tier_ratio=args.host_tier_ratio,
             p2p=args.p2p,
-            hbm_budget=hbm_budget,
+            hbm_budget=_hbm_budget(args),
             updates=updates,
             dynamic=dynamic,
             task=args.task,
         )
-    slo_ms = args.slo_ms
+    # The feature groups the session ran with: what every arm below asks.
+    on = {group.name for group in report.groups()}
     rows = [
         ["requests (completed/shed)", f"{report.completed}/{report.shed}"],
         ["degraded requests", report.degraded],
@@ -945,14 +912,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ["p50 latency (ms)", f"{report.p50_ms:.4f}"],
         ["p95 latency (ms)", f"{report.p95_ms:.4f}"],
         ["p99 latency (ms)", f"{report.p99_ms:.4f}"],
-        ["p99 vs SLO", f"{report.p99_ms:.3f} / {slo_ms:.3f} "
-         + ("OK" if report.p99_ms <= slo_ms else "BREACH")],
+        ["p99 vs SLO", f"{report.p99_ms:.3f} / {args.slo_ms:.3f} "
+         + ("OK" if report.p99_ms <= args.slo_ms else "BREACH")],
         ["mean queueing (ms)", f"{report.mean_queue_ms:.4f}"],
         ["mean batch size", f"{report.mean_batch:.2f}"],
         ["batch histogram",
          " ".join(f"{s}:{c}" for s, c in report.batch_histogram.items())],
     ]
-    if report.task != "node":
+    if "task" in on:
         rows.append(
             ["pairs served",
              f"{report.pairs_served} "
@@ -965,19 +932,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ["cache hit rate",
              f"{cache.hit_rate:.1%} ({cache.cached_rows} rows pinned)"]
         )
-    if report.feature_tiers and cache is not None:
-        rows.append(
+    if "tiered" in on and cache is not None:
+        rows += [
             ["tier hit rates (dev/p2p/host/remote)",
              " / ".join(
                  f"{cache.tier_rate(t):.1%}"
                  for t in ("device", "p2p", "host", "remote")
-             )]
-        )
-        rows.append(
+             )],
             ["tier residency",
              f"{cache.cached_rows} rows on device, "
-             f"{cache.host_rows} pinned host"]
-        )
+             f"{cache.host_rows} pinned host"],
+        ]
         if report.p2p_rows:
             rows.append(
                 ["p2p traffic",
@@ -985,60 +950,52 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                  f"{report.p2p_bytes / 2**20:.2f} MiB / "
                  f"{report.p2p_seconds * 1e3:.4f} ms on the link"]
             )
-    if report.composer != "fifo":
-        rows.append(["composer", report.composer])
-        rows.append(["padded seed slots", report.padding_seeds])
+    if "composer" in on:
+        rows += [
+            ["composer", report.composer],
+            ["padded seed slots", report.padding_seeds],
+        ]
         if report.superbatch_batches:
-            rows.append(
+            fused = report.superbatch_requests / report.superbatch_batches
+            rows += [
                 ["super-batch fusion",
                  f"{report.superbatch_requests} requests / "
-                 f"{report.superbatch_batches} fused runs "
-                 f"(mean {report.superbatch_requests / report.superbatch_batches:.1f})"]
-            )
-            rows.append(["deduplicated feature rows", report.dedup_rows])
-    if report.elastic:
-        rows.append(
+                 f"{report.superbatch_batches} fused runs (mean {fused:.1f})"],
+                ["deduplicated feature rows", report.dedup_rows],
+            ]
+    if "elastic" in on:
+        rows += [
             ["availability",
              f"{report.availability:.2%} "
              f"({report.completed} answered, {report.lost} lost, "
-             f"{report.shed} shed)"]
-        )
-        rows.append(
+             f"{report.shed} shed)"],
             ["failures / retried / hedged",
              f"{report.failures} / {report.retried} / "
-             f"{report.hedged} ({report.hedge_wins} hedge wins)"]
-        )
+             f"{report.hedged} ({report.hedge_wins} hedge wins)"],
+        ]
         if report.scale_ups or report.scale_downs or report.tune_moves:
             rows.append(
                 ["scale ops (up/down/tune)",
                  f"{report.scale_ups} / {report.scale_downs} / "
                  f"{report.tune_moves}"]
             )
-        rows.append(
-            ["GPU-time (simulated ms)", f"{report.gpu_seconds * 1e3:.4f}"]
-        )
-        rows.append(
+        rows += [
+            ["GPU-time (simulated ms)", f"{report.gpu_seconds * 1e3:.4f}"],
             ["re-replication",
-             f"{report.reprovision_bytes / 2**20:.2f} MiB over the link"]
-        )
-    if report.dynamic:
-        rows.append(
+             f"{report.reprovision_bytes / 2**20:.2f} MiB over the link"],
+        ]
+    if "dynamic" in on:
+        rows += [
             ["ingested edges (insert/delete)",
              f"{report.ingested_edges} / {report.deleted_edges} "
-             f"over {report.update_batches} batches"]
-        )
-        rows.append(
+             f"over {report.update_batches} batches"],
             ["graph installs (snapshot/compact)",
-             f"{report.snapshots} / {report.compactions}"]
-        )
-        rows.append(
+             f"{report.snapshots} / {report.compactions}"],
             ["update staleness (mean/max ms)",
              f"{report.mean_staleness_ms:.4f} / "
-             f"{report.max_staleness_ms:.4f}"]
-        )
-        rows.append(
-            ["delta refresh time (ms)", f"{report.refresh_ms:.4f}"]
-        )
+             f"{report.max_staleness_ms:.4f}"],
+            ["delta refresh time (ms)", f"{report.refresh_ms:.4f}"],
+        ]
         if report.rebalances:
             rows.append(
                 ["incremental rebalances",
@@ -1046,27 +1003,23 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                  f"({report.migrated_rows} rows / "
                  f"{report.migrated_bytes / 2**20:.2f} MiB migrated)"]
             )
-    if report.replicas > 1:
+    if "cluster" in on:
         rows.append(["replicas / router", f"{report.replicas} / {report.router}"])
         if simulator.partition is not None:
-            rows.append(
+            rows += [
                 ["partition",
                  f"{simulator.partition.method} "
                  f"(edge cut {simulator.partition.edge_cut:.1%}, "
-                 f"link {simulator.link.name})"]
-            )
-            rows.append(
+                 f"link {simulator.link.name})"],
                 ["cross-shard traffic",
                  f"{report.cross_shard_rows} rows / "
                  f"{report.cross_shard_bytes / 2**20:.2f} MiB / "
-                 f"{report.link_seconds * 1e3:.4f} ms on the link"]
-            )
-    cluster_title = (
-        f", {report.replicas} replicas ({report.router})"
-        if report.replicas > 1
-        else ""
-    )
-    if report.composer != "fifo":
+                 f"{report.link_seconds * 1e3:.4f} ms on the link"],
+            ]
+    cluster_title = ""
+    if "cluster" in on:
+        cluster_title += f", {report.replicas} replicas ({report.router})"
+    if "composer" in on:
         cluster_title += f", composer={report.composer}"
     print(
         format_table(
@@ -1080,7 +1033,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ),
         )
     )
-    if report.replicas > 1:
+    if "cluster" in on:
         headers = ["Replica", "Requests", "Done/Shed", "p50 (ms)",
                    "p99 (ms)", "Batch", "Remote rows", "Link (ms)"]
         replica_rows = [
@@ -1096,17 +1049,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ]
             for stats in report.per_replica
         ]
-        if report.elastic:
+        if "elastic" in on:
             headers += ["Up (ms)", "Kills"]
             for row, stats in zip(replica_rows, report.per_replica):
-                row.append(f"{stats.uptime_seconds * 1e3:.4f}")
-                row.append(stats.failures)
+                row += [f"{stats.uptime_seconds * 1e3:.4f}", stats.failures]
         print(
-            format_table(
-                headers,
-                replica_rows,
-                title="Per-replica breakdown",
-            )
+            format_table(headers, replica_rows, title="Per-replica breakdown")
         )
     queue_rows = [
         [
@@ -1132,95 +1080,21 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
     )
 
-    # Cluster sessions get their own trajectory file: their metrics
-    # (replica count, router, cross-shard traffic) are not comparable
-    # run-over-run with the single-replica serve trajectory.  Non-FIFO
-    # composers likewise get their own lane — their batch shapes (and
-    # extra metric keys) are not comparable with the FIFO trajectory.
-    kind = "cluster" if args.replicas > 1 else "serve"
-    if args.composer != "fifo":
-        kind = f"{kind}_{args.composer}"
-    if report.feature_tiers:
-        # Tiered-store sessions carry per-tier keys and a different
-        # charging structure, so they live in their own lane.
-        kind = "tiered"
-    if report.elastic:
-        # Chaos/elastic sessions carry availability/scaling keys and a
-        # perturbed timeline, so they live in their own lane.
-        kind = "elastic"
-    if report.dynamic:
-        # Serve-while-ingesting sessions carry staleness/refresh keys
-        # and a mutated graph, so they live in their own lane.
-        kind = "dynamic"
-    if args.task != "node":
-        # Task-typed sessions (pair payloads, compaction counters) are
-        # not comparable with the node-seed trajectories.
-        kind = f"{args.task}_{kind}" if kind != "serve" else args.task
-    tag = f"{kind}_{args.algorithm}_{args.dataset}_{args.device}"
-    metrics = dict(report.to_metrics())
+    tag = f"{report.lane}_{args.algorithm}_{args.dataset}_{args.device}"
+    metrics = report.to_metrics()
     metrics["launches"] = sum(
         replica.sample_ctx.launch_count() + replica.io_ctx.launch_count()
         for replica in simulator.replicas
     )
+    # Every flag that shaped the session; ``link`` is the resolved wiring.
     meta = {
-        "algorithm": args.algorithm,
-        "dataset": args.dataset,
-        "device": args.device,
-        "scale": args.scale,
-        "arrival": args.arrival,
-        "arrival_rate": args.arrival_rate,
-        "requests": args.requests,
-        "seeds_per_request": args.seeds_per_request,
-        "skew": args.skew,
-        "policy": args.policy,
-        "max_batch": args.max_batch,
-        "max_wait_ms": args.max_wait_ms,
-        "queue_capacity": args.queue_capacity,
-        "slo_ms": args.slo_ms,
-        "cache_ratio": cache_ratio,
-        "seed": args.seed,
+        dest: value
+        for dest, value in vars(args).items()
+        if dest != "command" and dest not in _EPILOGUE_DESTS
     }
-    if args.composer != "fifo":
-        meta["composer"] = args.composer
-        if args.superbatch_window is not None:
-            meta["superbatch_window"] = args.superbatch_window
-    if args.replicas > 1:
-        meta["replicas"] = args.replicas
-        meta["router"] = args.router
-        meta["partition"] = args.partition
-        configured = args.link or simulator.partition is not None
-        meta["link"] = simulator.link.name if configured else "none"
-        if args.max_seeds_per_request is not None:
-            meta["max_seeds_per_request"] = args.max_seeds_per_request
-    if args.feature_tiers:
-        meta["feature_tiers"] = True
-        meta["host_tier_ratio"] = host_tier_ratio
-        meta["p2p"] = args.p2p
-        if args.hbm_budget_mb is not None:
-            meta["hbm_budget_mb"] = args.hbm_budget_mb
-    if failures is not None:
-        meta["kills"] = list(args.kill)
-        meta["orphans"] = args.orphans
-        meta["max_retries"] = args.max_retries
-        meta["hedge"] = args.hedge
-        meta["failover"] = not args.no_failover
-    if autoscale is not None:
-        meta["autoscale"] = True
-        meta["min_replicas"] = args.min_replicas
-        meta["max_replicas"] = args.max_replicas
-        meta["scale_interval_ms"] = args.scale_interval_ms
-        meta["tune_batching"] = args.tune_batching
-    if updates is not None:
-        meta["ingest_rate"] = args.ingest_rate
-        meta["ingest_edges"] = args.ingest_edges
-        meta["delete_fraction"] = args.delete_fraction
-        meta["snapshot_every_ms"] = args.snapshot_every_ms
-        meta["compact_every"] = args.compact_every
-        if args.repartition_threshold is not None:
-            meta["repartition_threshold"] = args.repartition_threshold
-    if args.task != "node":
-        meta["task"] = args.task
-    if updates is not None or args.task != "node":
+    configured = args.link or simulator.partition is not None
+    meta["link"] = simulator.link.name if configured else "none"
+    if on & {"dynamic", "task"}:
         # The determinism tripwire: two runs of the same dynamic or
         # task-typed session must print identical digests (CI diffs
         # this line).
@@ -1228,15 +1102,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             repr(report.fingerprint()).encode()
         ).hexdigest()
         print(f"session fingerprint: {digest}")
+    gated = args.min_availability is not None
     return _finish_run(
-        args,
-        profiler,
-        tag,
-        meta,
-        metrics,
-        availability=(
-            report.availability if args.min_availability is not None else None
-        ),
+        args, profiler, tag, meta, metrics,
+        availability=report.availability if gated else None,
     )
 
 
@@ -1254,7 +1123,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         return _cmd_profile_pipeline(args)
 
     from repro.ir.passes.base import PassStat
-    from repro.profile import Profiler, build_text_report
 
     profiler = Profiler()
     stats = measure_cell(

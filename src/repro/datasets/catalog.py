@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
 
@@ -97,6 +98,10 @@ def load_dataset(name: str, scale: float = 1.0, seed: int = 2023) -> Dataset:
         raise ShapeError(
             f"unknown dataset {name!r}; available: {available_datasets()}"
         ) from None
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise ShapeError(
+            f"dataset scale must be finite and positive, got {scale}"
+        )
     rng = np.random.default_rng(seed)
     blocks = None
     if spec.generator == "rmat":

@@ -16,6 +16,7 @@ from repro.device.context import (
     QueueTimeline,
 )
 from repro.device.interconnect import (
+    LINKS,
     NVLINK,
     PCIE,
     LinkSpec,
@@ -24,11 +25,13 @@ from repro.device.interconnect import (
     p2p_cheaper_than_host,
 )
 from repro.device.memory import Allocation, MemoryPool
-from repro.device.spec import CPU, GB, T4, V100, DeviceSpec, get_device
+from repro.device.spec import CPU, DEVICES, GB, T4, V100, DeviceSpec, get_device
 
 __all__ = [
     "CPU",
+    "DEVICES",
     "GB",
+    "LINKS",
     "NULL_CONTEXT",
     "NVLINK",
     "PCIE",

@@ -108,6 +108,9 @@ PCIE = LinkSpec(name="pcie", bandwidth=12e9, latency=5e-6)
 
 _REGISTRY = {spec.name: spec for spec in (NVLINK, PCIE)}
 
+#: Names :func:`get_link` accepts.
+LINKS = tuple(_REGISTRY)
+
 #: Which link a multi-device deployment of each device spec would use:
 #: V100s ship on NVLink-connected boards (DGX/p3.16xlarge, the paper's
 #: testbed); T4s and the host CPU talk over PCIe.

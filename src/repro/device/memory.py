@@ -34,6 +34,8 @@ class MemoryPool:
     """
 
     def __init__(self, capacity: int | None = None) -> None:
+        if capacity is not None and capacity < 0:
+            raise DeviceError(f"pool capacity must be >= 0, got {capacity}")
         self.capacity = capacity
         self._next_id = 0
         self._live: dict[int, Allocation] = {}

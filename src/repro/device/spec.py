@@ -151,6 +151,9 @@ CPU = DeviceSpec(
 
 _REGISTRY = {spec.name: spec for spec in (V100, T4, CPU)}
 
+#: Names :func:`get_device` accepts.
+DEVICES = tuple(_REGISTRY)
+
 
 def get_device(name: str) -> DeviceSpec:
     """Look up a built-in device spec by name (``v100``, ``t4``, ``cpu``).

@@ -20,7 +20,8 @@ import time
 #: Metrics compared by :func:`compare_metrics`; all are deterministic
 #: under the simulator, so any change is a real behavioural change.
 #: ``p99_ms`` only appears in serving trajectories (``BENCH_serve_*``);
-#: absent metrics are skipped, so other tags are unaffected.
+#: metrics absent from both records are skipped, so other tags are
+#: unaffected.
 FLAGGED_METRICS = ("sim_seconds", "launches", "peak_bytes", "p99_ms")
 
 #: Per-kernel times below this (seconds) are ignored by the comparator:
@@ -32,17 +33,22 @@ SCHEMA_VERSION = 1
 
 @dataclasses.dataclass(frozen=True)
 class Regression:
-    """One metric that got worse beyond the threshold."""
+    """One metric that got worse beyond the threshold, or vanished."""
 
     metric: str
     old: float
-    new: float
+    #: ``None`` when the new record no longer carries the metric.
+    new: float | None
 
     @property
     def ratio(self) -> float:
-        return self.new / self.old if self.old else float("inf")
+        if self.new is None or not self.old:
+            return float("inf")
+        return self.new / self.old
 
     def describe(self) -> str:
+        if self.new is None:
+            return f"{self.metric}: {self.old:.6g} -> missing"
         return (
             f"{self.metric}: {self.old:.6g} -> {self.new:.6g} "
             f"({(self.ratio - 1.0) * 100.0:+.1f}%)"
@@ -97,15 +103,17 @@ def compare_metrics(
     """Regressions in ``new`` relative to ``old`` beyond ``threshold``.
 
     A metric regresses when it *grows* by more than ``threshold``
-    (relative).  Metrics absent from either side are skipped, so records
-    written by older schema versions still compare.
+    (relative) or when the new record dropped it.  Metrics the old record
+    lacks are skipped, so records written by older schema versions still
+    compare.
     """
     regressions: list[Regression] = []
     for name in FLAGGED_METRICS:
-        if name not in old or name not in new:
+        if name not in old:
             continue
-        a, b = float(old[name]), float(new[name])  # type: ignore[arg-type]
-        if a >= 0 and b > a * (1.0 + threshold):
+        a = float(old[name])  # type: ignore[arg-type]
+        b = float(new[name]) if name in new else None  # type: ignore[arg-type]
+        if b is None or (a >= 0 and b > a * (1.0 + threshold)):
             regressions.append(Regression(metric=name, old=a, new=b))
     old_kernels = old.get("time_by_kernel")
     new_kernels = new.get("time_by_kernel")

@@ -63,6 +63,7 @@ from repro.serve.compose import (
     make_composer,
 )
 from repro.serve.metrics import (
+    FEATURE_GROUPS,
     LATENCY_PERCENTILES,
     ReplicaStats,
     RequestLog,
@@ -100,6 +101,7 @@ from repro.serve.workload import (
 __all__ = [
     "ARRIVAL_PROCESSES",
     "COMPOSER_POLICIES",
+    "FEATURE_GROUPS",
     "LATENCY_PERCENTILES",
     "MAX_DEGRADE_LEVEL",
     "POLICY_PRESETS",

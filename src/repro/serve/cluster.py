@@ -48,6 +48,7 @@ walk, which is what keeps static sessions bit-identical to their pins.
 
 from __future__ import annotations
 
+import dataclasses
 import typing
 
 from repro.cache import (
@@ -85,22 +86,12 @@ from repro.serve.workload import Request, WorkloadSpec
 if typing.TYPE_CHECKING:
     from repro.dynamic import DynamicPolicy, UpdateSpec
 
-#: Per-replica counters the report carries as fleet totals.  Each stays
-#: zero on a replica whose feature is off (no shard, node task, FIFO
-#: composer, flat cache), so the fold needs no feature arms.
-_FLEET_COUNTERS = (
-    "cross_shard_rows",
-    "cross_shard_bytes",
-    "link_seconds",
-    "pairs_served",
-    "compaction_saved_rows",
-    "padding_seeds",
-    "dedup_rows",
-    "superbatch_requests",
-    "superbatch_batches",
-    "p2p_rows",
-    "p2p_bytes",
-    "p2p_seconds",
+#: Per-replica counters the report carries as fleet totals: the
+#: :class:`ServeReport` fields declared with ``_fleet_sum()``.
+_FLEET_COUNTERS = tuple(
+    field.name
+    for field in dataclasses.fields(ServeReport)
+    if field.metadata.get("fleet_sum")
 )
 
 
@@ -188,6 +179,10 @@ class ClusterSimulator:
         if num_replicas < 1:
             raise ServeError(
                 f"cluster needs at least one replica, got {num_replicas}"
+            )
+        if not 0.0 <= cache_ratio <= 1.0:
+            raise ServeError(
+                f"cache ratio must be in [0, 1], got {cache_ratio}"
             )
         self.dataset = dataset
         self.algorithm = algorithm

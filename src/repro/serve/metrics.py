@@ -26,7 +26,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from collections import Counter
+from collections.abc import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,7 +37,9 @@ from repro.cache import CacheStats
 from repro.stats import LATENCY_PERCENTILES, percentile_ms
 
 __all__ = [
+    "FEATURE_GROUPS",
     "LATENCY_PERCENTILES",
+    "FeatureGroup",
     "ReplicaStats",
     "RequestLog",
     "ServeReport",
@@ -124,9 +129,122 @@ class ReplicaStats:
     failures: int = 0
 
 
+#: Reads one number off a report.
+_Getter = Callable[["ServeReport"], float]
+
+
+class FeatureGroup(NamedTuple):
+    """One optional serving feature: when it is on and what it records."""
+
+    name: str
+    #: The feature's predicate — written here and nowhere else.
+    active: Callable[[ServeReport], bool]
+    #: Its word in the lane tag, formatted with the report as ``r``
+    #: (:attr:`ServeReport.lane` has the precedence).
+    lane: str
+    #: ``metric key -> getter`` in trajectory-record order.
+    metrics: dict[str, _Getter]
+
+
+def _metrics(*entries) -> dict[str, _Getter]:
+    """``key -> getter``; a bare name is the report attribute it names."""
+    return dict(
+        (e, operator.attrgetter(e)) if isinstance(e, str) else e
+        for e in entries
+    )
+
+
+def _mean_fused(r: ServeReport) -> float:
+    """Requests per fused super-batch run."""
+    if not r.superbatch_batches:
+        return 0.0
+    return r.superbatch_requests / r.superbatch_batches
+
+
+def _ms(name: str) -> _Getter:
+    """A seconds-valued report field, recorded in milliseconds."""
+    return lambda r: getattr(r, name) * 1e3
+
+
+def _cache(get: Callable[[CacheStats], float]) -> _Getter:
+    """A number read off the merged cache stats (0 without a cache)."""
+    return lambda r: get(r.cache) if r.cache else 0.0
+
+
+#: What every session records, whatever it ran with.
+_BASE_METRICS = _metrics(
+    ("sim_seconds", operator.attrgetter("makespan")),
+    "throughput_rps", "p50_ms", "p95_ms", "p99_ms", "mean_queue_ms",
+    "mean_batch", "completed", "shed", "degraded",
+    ("cache_hit_rate", _cache(operator.attrgetter("hit_rate"))),
+)
+
+#: The optional features of a serving session, in trajectory-record
+#: order.  Every reader — :meth:`ServeReport.to_metrics`,
+#: :attr:`ServeReport.lane`, the ``serve`` command's table, titles and
+#: digest line — asks :meth:`ServeReport.groups` which are on.  Each
+#: combination writes its own ``BENCH_<lane>_*`` file, so a group's keys
+#: never perturb another lane's schema.
+FEATURE_GROUPS = (
+    FeatureGroup(
+        "cluster", lambda r: r.replicas > 1, "cluster",
+        _metrics(
+            "replicas", "cross_shard_rows", "cross_shard_bytes",
+            ("link_ms", _ms("link_seconds")),
+        ),
+    ),
+    FeatureGroup(
+        "task", lambda r: r.task != "node", "{r.task}",
+        _metrics("pairs_served", "compaction_saved_rows"),
+    ),
+    FeatureGroup(
+        "composer", lambda r: r.composer != "fifo", "{r.composer}",
+        _metrics(
+            "padding_seeds", "dedup_rows", "superbatch_requests",
+            ("mean_fused", _mean_fused),
+        ),
+    ),
+    FeatureGroup(
+        "tiered", lambda r: r.feature_tiers, "tiered",
+        _metrics(
+            *((f"tier_{tier}_rate", _cache(lambda c, t=tier: c.tier_rate(t)))
+              for tier in ("device", "p2p", "host", "remote")),
+            "p2p_rows", "p2p_bytes", ("p2p_ms", _ms("p2p_seconds")),
+        ),
+    ),
+    FeatureGroup(
+        "elastic", lambda r: r.elastic, "elastic",
+        _metrics(
+            "availability", "lost", "retried", "hedged", "failures",
+            "scale_ups", "scale_downs", "tune_moves", "gpu_seconds",
+            "reprovision_bytes",
+        ),
+    ),
+    FeatureGroup(
+        "dynamic", lambda r: r.dynamic, "dynamic",
+        _metrics(
+            "ingested_edges", "deleted_edges", "update_batches", "snapshots",
+            "compactions", "mean_staleness_ms", "max_staleness_ms",
+            "refresh_ms", "rebalances", "migrated_rows", "migrated_bytes",
+            ("invalidated_rows", _cache(operator.attrgetter("invalidated_rows"))),
+        ),
+    ),
+)
+
+
+def _fleet_sum(default=0):
+    """A report field the cluster fills by summing its replicas' counters
+    (each stays zero on a replica whose feature is off)."""
+    return dataclasses.field(default=default, metadata={"fleet_sum": True})
+
+
 @dataclasses.dataclass
 class ServeReport:
-    """Aggregate outcome of one serving session (replica or cluster)."""
+    """Aggregate outcome of one serving session (replica or cluster).
+
+    Everything after ``logs`` belongs to one of :data:`FEATURE_GROUPS` and
+    stays at its default while that group is off.
+    """
 
     requests: int
     completed: int
@@ -147,41 +265,33 @@ class ServeReport:
     batch_histogram: dict[int, int]
     cache: CacheStats | None
     logs: list[RequestLog]
-    #: Cluster shape: 1 for the classic single-replica session.  The
-    #: fields below stay at their defaults there, so the report (and its
-    #: fingerprint) is unchanged from the pre-cluster subsystem.
+    #: Cluster shape: 1 for the classic single-replica session.
     replicas: int = 1
     router: str = ""
     per_replica: list[ReplicaStats] = dataclasses.field(default_factory=list)
-    cross_shard_rows: int = 0
-    cross_shard_bytes: int = 0
-    link_seconds: float = 0.0
-    #: Workload task the session served.  ``"node"`` (the default) keeps
-    #: the report — and :meth:`to_metrics` — identical to the pre-task
-    #: subsystem; the pair fields below stay zero there.
+    cross_shard_rows: int = _fleet_sum()
+    cross_shard_bytes: int = _fleet_sum()
+    link_seconds: float = _fleet_sum(0.0)
+    #: Workload task the session served.
     task: str = "node"
     #: Candidate pairs (positive + negative) scored across the fleet.
-    pairs_served: int = 0
+    pairs_served: int = _fleet_sum()
     #: Raw pair-endpoint slots the per-batch compaction collapsed away.
-    compaction_saved_rows: int = 0
-    #: Batch-composition policy the session ran under.  ``"fifo"`` (the
-    #: default) keeps the report — and :meth:`to_metrics` — identical to
-    #: the pre-composer subsystem; the fields below stay zero there.
+    compaction_saved_rows: int = _fleet_sum()
+    #: Batch-composition policy the session ran under.
     composer: str = "fifo"
     #: Seed slots a padded deployment would waste: per joint batch,
     #: (max member seed count - member seed count) summed over members.
-    padding_seeds: int = 0
+    padding_seeds: int = _fleet_sum()
     #: Feature rows the super-batch path avoided re-fetching by
     #: deduplicating the fused requests' node sets.
-    dedup_rows: int = 0
+    dedup_rows: int = _fleet_sum()
     #: Requests served through the fused super-batch path, and the
     #: number of fused runs they amortized into.
-    superbatch_requests: int = 0
-    superbatch_batches: int = 0
+    superbatch_requests: int = _fleet_sum()
+    superbatch_batches: int = _fleet_sum()
     #: True when the session ran under the control plane (failure
-    #: injection and/or the autoscaler).  All fields below stay at their
-    #: defaults otherwise, so classic reports — and :meth:`to_metrics` —
-    #: are unchanged from the pre-control-plane subsystem.
+    #: injection and/or the autoscaler).
     elastic: bool = False
     #: Replica kills executed by the failure schedule.
     failures: int = 0
@@ -207,20 +317,15 @@ class ServeReport:
     #: replicas over the interconnect.
     reprovision_bytes: int = 0
     #: True when the session served features through the multi-tier
-    #: store (HBM -> peer HBM -> pinned host -> remote).  All fields
-    #: below stay at their defaults for the flat cache, so classic
-    #: reports — and :meth:`to_metrics` — are unchanged from the
-    #: single-tier subsystem.
+    #: store (HBM -> peer HBM -> pinned host -> remote).
     feature_tiers: bool = False
     #: Rows fetched from sibling replicas' HBM over the interconnect.
-    p2p_rows: int = 0
-    p2p_bytes: int = 0
+    p2p_rows: int = _fleet_sum()
+    p2p_bytes: int = _fleet_sum()
     #: Simulated seconds spent on the interconnect for those rows.
-    p2p_seconds: float = 0.0
+    p2p_seconds: float = _fleet_sum(0.0)
     #: True when the session served while ingesting graph updates
-    #: (:mod:`repro.dynamic`).  All fields below stay at their defaults
-    #: for static sessions, so classic reports — and :meth:`to_metrics`
-    #: — are unchanged from the frozen-graph subsystem.
+    #: (:mod:`repro.dynamic`).
     dynamic: bool = False
     #: Edge inserts / tombstoned deletes applied over the session.
     ingested_edges: int = 0
@@ -279,91 +384,38 @@ class ServeReport:
             (self.p50_ms, self.p95_ms, self.p99_ms, self.throughput_rps),
         )
 
-    def to_metrics(self) -> dict[str, float]:
-        """Flat metric dict for the ``BENCH_serve_*`` trajectory record.
+    def groups(self) -> list[FeatureGroup]:
+        """The :data:`FEATURE_GROUPS` this session ran with, in order."""
+        return [group for group in FEATURE_GROUPS if group.active(self)]
 
-        Cluster sessions append their own keys; the single-replica dict
-        is byte-for-byte what the pre-cluster subsystem recorded, so the
-        committed ``BENCH_serve_*`` trajectory stays comparable.
+    @property
+    def lane(self) -> str:
+        """The trajectory lane (``BENCH_<lane>_*``) this session appends to.
+
+        ``serve`` or ``cluster``, suffixed by a non-FIFO composer;
+        ``tiered`` < ``elastic`` < ``dynamic`` each override that word;
+        a non-node task prefixes the result (and stands alone for the
+        plain ``serve`` lane).
         """
-        metrics = {
-            "sim_seconds": self.makespan,
-            "throughput_rps": self.throughput_rps,
-            "p50_ms": self.p50_ms,
-            "p95_ms": self.p95_ms,
-            "p99_ms": self.p99_ms,
-            "mean_queue_ms": self.mean_queue_ms,
-            "mean_batch": self.mean_batch,
-            "completed": float(self.completed),
-            "shed": float(self.shed),
-            "degraded": float(self.degraded),
-            "cache_hit_rate": self.cache.hit_rate if self.cache else 0.0,
-        }
-        if self.replicas > 1:
-            metrics["replicas"] = float(self.replicas)
-            metrics["cross_shard_rows"] = float(self.cross_shard_rows)
-            metrics["cross_shard_bytes"] = float(self.cross_shard_bytes)
-            metrics["link_ms"] = self.link_seconds * 1e3
-        if self.task != "node":
-            # Pair-task lanes get their own trajectory tag, so new keys
-            # here never perturb the committed node-task lanes' schema.
-            metrics["pairs_served"] = float(self.pairs_served)
-            metrics["compaction_saved_rows"] = float(
-                self.compaction_saved_rows
+        words = {g.name: g.lane.format(r=self) for g in self.groups()}
+        lane = words.get("cluster", "serve")
+        if "composer" in words:
+            lane = f"{lane}_{words['composer']}"
+        for override in ("tiered", "elastic", "dynamic"):
+            lane = words.get(override, lane)
+        if "task" in words:
+            lane = (
+                words["task"] if lane == "serve" else f"{words['task']}_{lane}"
             )
-        if self.composer != "fifo":
-            # Composer lanes get their own trajectory tag, so new keys
-            # here never perturb the committed FIFO lanes' schema.
-            metrics["padding_seeds"] = float(self.padding_seeds)
-            metrics["dedup_rows"] = float(self.dedup_rows)
-            metrics["superbatch_requests"] = float(self.superbatch_requests)
-            metrics["mean_fused"] = (
-                self.superbatch_requests / self.superbatch_batches
-                if self.superbatch_batches
-                else 0.0
-            )
-        if self.feature_tiers:
-            # Tiered-store sessions append to their own BENCH_tiered_*
-            # trajectory, so these keys never perturb the classic lanes.
-            cache = self.cache
-            for tier in ("device", "p2p", "host", "remote"):
-                metrics[f"tier_{tier}_rate"] = (
-                    cache.tier_rate(tier) if cache else 0.0
-                )
-            metrics["p2p_rows"] = float(self.p2p_rows)
-            metrics["p2p_bytes"] = float(self.p2p_bytes)
-            metrics["p2p_ms"] = self.p2p_seconds * 1e3
-        if self.elastic:
-            # Elastic/chaos sessions append to their own BENCH_elastic_*
-            # trajectory, so these keys never perturb the classic lanes.
-            metrics["availability"] = self.availability
-            metrics["lost"] = float(self.lost)
-            metrics["retried"] = float(self.retried)
-            metrics["hedged"] = float(self.hedged)
-            metrics["failures"] = float(self.failures)
-            metrics["scale_ups"] = float(self.scale_ups)
-            metrics["scale_downs"] = float(self.scale_downs)
-            metrics["tune_moves"] = float(self.tune_moves)
-            metrics["gpu_seconds"] = self.gpu_seconds
-            metrics["reprovision_bytes"] = float(self.reprovision_bytes)
-        if self.dynamic:
-            # Dynamic sessions append to their own BENCH_dynamic_*
-            # trajectory, so these keys never perturb the classic lanes.
-            metrics["ingested_edges"] = float(self.ingested_edges)
-            metrics["deleted_edges"] = float(self.deleted_edges)
-            metrics["update_batches"] = float(self.update_batches)
-            metrics["snapshots"] = float(self.snapshots)
-            metrics["compactions"] = float(self.compactions)
-            metrics["mean_staleness_ms"] = self.mean_staleness_ms
-            metrics["max_staleness_ms"] = self.max_staleness_ms
-            metrics["refresh_ms"] = self.refresh_ms
-            metrics["rebalances"] = float(self.rebalances)
-            metrics["migrated_rows"] = float(self.migrated_rows)
-            metrics["migrated_bytes"] = float(self.migrated_bytes)
-            metrics["invalidated_rows"] = float(
-                self.cache.invalidated_rows if self.cache else 0
-            )
-        return metrics
+        return lane
+
+    def to_metrics(self) -> dict[str, float]:
+        """Flat metric dict for the ``BENCH_<lane>_*`` trajectory record:
+        the base keys, then each active group's (:data:`FEATURE_GROUPS`)."""
+        getters = dict(_BASE_METRICS)
+        for group in self.groups():
+            getters.update(group.metrics)
+        return {key: float(get(self)) for key, get in getters.items()}
 
 
 def summarize(
@@ -421,35 +473,25 @@ def replica_breakdown(
 ) -> list[ReplicaStats]:
     """Per-replica stats from the cluster's merged request log.
 
-    ``replicas`` supplies the non-log state (cross-shard counters and
-    cache snapshots); the latency columns come from slicing the merged
-    log by the router's assignments and reusing the shared percentile
-    helpers, so the cluster table and the aggregate report can never
-    disagree about the math.
+    The log columns are :func:`summarize` over the replica's slice of the
+    merged log (the router's assignments), so the cluster table and the
+    aggregate report cannot disagree about the math; ``replicas`` supplies
+    the non-log state (cross-shard counters, cache snapshots, uptime).
     """
     out = []
     for replica in replicas:
         rid = replica.replica_id
-        mine = [log for log in logs if log.replica == rid]
-        done = [log for log in mine if log.completed]
-        latencies = np.array([log.latency for log in done], dtype=np.float64)
-        batch_sizes = {
-            (log.batch_id, log.batch_size) for log in done if log.batch_id >= 0
-        }
+        mine = summarize([log for log in logs if log.replica == rid])
         out.append(
             ReplicaStats(
                 replica_id=rid,
-                requests=len(mine),
-                completed=len(done),
-                shed=sum(1 for log in mine if not log.admitted),
-                degraded=sum(1 for log in done if log.level > 0),
-                p50_ms=percentile_ms(latencies, 50.0),
-                p99_ms=percentile_ms(latencies, 99.0),
-                mean_batch=(
-                    sum(size for _, size in batch_sizes) / len(batch_sizes)
-                    if batch_sizes
-                    else 0.0
-                ),
+                requests=mine.requests,
+                completed=mine.completed,
+                shed=mine.shed,
+                degraded=mine.degraded,
+                p50_ms=mine.p50_ms,
+                p99_ms=mine.p99_ms,
+                mean_batch=mine.mean_batch,
                 cross_shard_rows=replica.cross_shard_rows,
                 cross_shard_bytes=replica.cross_shard_bytes,
                 link_seconds=replica.link_seconds,

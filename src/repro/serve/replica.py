@@ -154,17 +154,19 @@ class ServePolicy:
             raise ServeError(
                 f"max batch must be at least 1, got {self.max_batch}"
             )
-        if self.max_wait < 0.0:
+        if not (math.isfinite(self.max_wait) and self.max_wait >= 0.0):
             raise ServeError(
-                f"max wait must be non-negative, got {self.max_wait}"
+                f"max wait must be finite and non-negative, got {self.max_wait}"
             )
         if self.queue_capacity is not None and self.queue_capacity < 1:
             raise ServeError(
                 "queue capacity must be at least 1 (or None for "
                 f"unbounded), got {self.queue_capacity}"
             )
-        if self.slo is not None and self.slo <= 0.0:
-            raise ServeError(f"SLO must be positive, got {self.slo}")
+        if self.slo is not None and not (
+            math.isfinite(self.slo) and self.slo > 0.0
+        ):
+            raise ServeError(f"SLO must be finite and positive, got {self.slo}")
         if not 0.0 < self.recover_margin < 1.0:
             raise ServeError(
                 f"recover margin must be in (0, 1), got {self.recover_margin}"

@@ -131,6 +131,17 @@ class TestRunEpilogue:
             (["--replicas", "2", "--kill", "1@0.2"], "elastic"),
             (["--ingest-rate", "200000", "--ingest-edges", "64"], "dynamic"),
             (["--task", "linkpred"], "linkpred"),
+            # Combined groups (tags recorded before ``ServeReport.lane``
+            # replaced the CLI's ladder): elastic overrides tiered, the
+            # task prefixes, and --autoscale's fleet of four stays
+            # "elastic" although --replicas is 1.
+            (["--feature-tiers", "--replicas", "2", "--kill", "1@0.2"],
+             "elastic"),
+            (["--task", "linkpred", "--replicas", "2", "--composer",
+              "superbatch"], "linkpred_cluster_superbatch"),
+            (["--ingest-rate", "200000", "--ingest-edges", "64", "--task",
+              "linkpred"], "linkpred_dynamic"),
+            (["--autoscale", "--composer", "superbatch"], "elastic"),
         ],
         ids=lambda v: v if isinstance(v, str) else None,
     )
@@ -145,8 +156,23 @@ class TestRunEpilogue:
         assert (tmp_path / f"trace_{tag}.json").exists()
         # Only the two-run tripwire lanes print a session digest.
         assert ("session fingerprint: " in out) == (
-            lane in ("dynamic", "linkpred")
+            "dynamic" in lane or "linkpred" in lane
         )
+
+    def test_serve_meta_records_every_session_flag(self, tmp_path):
+        """``meta`` is the parsed namespace, not a hand-picked subset: a
+        heterogeneous single-replica record names its size range."""
+        from repro.cli import _EPILOGUE_DESTS, _build_parser
+
+        argv = _SERVE + ["--max-seeds-per-request", "16"]
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+        bench = tmp_path / "BENCH_serve_graphsage_pd_v100.json"
+        meta = json.loads(bench.read_text())["records"][-1]["meta"]
+        assert meta["max_seeds_per_request"] == 16
+        assert meta["link"] == "none" and meta["kill"] is None
+        dests = set(vars(_build_parser().parse_args(argv))) - {"command"}
+        assert set(meta) == dests - set(_EPILOGUE_DESTS)
+        assert set(_EPILOGUE_DESTS) <= dests
 
     def test_min_availability_gate_exits_4(self, tmp_path, capsys):
         argv = _SERVE + [

@@ -36,7 +36,9 @@ from repro.serve import (
     FailureSpec,
     ServePolicy,
     WorkloadSpec,
+    replica_breakdown,
     run_cluster_session,
+    summarize,
 )
 
 
@@ -256,6 +258,31 @@ class TestFailures:
         assert all(log.completed for log in hedged)
         # The winning copy's replica must have been alive to answer.
         assert all(log.replica != 1 for log in hedged)
+
+    def test_replica_breakdown_is_summarize_of_the_replicas_slice(self, pd):
+        """Retried and hedged logs included: the per-replica table and the
+        aggregate report are one fold, field for field."""
+        simulator, report = run_cluster_session(
+            pd,
+            device=V100,
+            spec=SPEC,
+            policy=POLICY,
+            num_replicas=3,
+            router="jsq",
+            failures=FailureSpec.single_kill(1, 8e-4, downtime=4e-4, hedge=True),
+            seed=7,
+        )
+        assert report.hedged > 0
+        breakdown = replica_breakdown(report.logs, simulator.replicas)
+        assert breakdown == report.per_replica
+        for stats in breakdown:
+            mine = summarize(
+                [log for log in report.logs if log.replica == stats.replica_id]
+            )
+            assert mine.requests > 0
+            for field in ("requests", "completed", "shed", "degraded",
+                          "p50_ms", "p99_ms", "mean_batch"):
+                assert getattr(stats, field) == getattr(mine, field), field
 
     def test_uptime_meter_stops_at_kill(self, pd):
         report = _chaos(pd, failures=FailureSpec.single_kill(1, 8e-4))

@@ -323,6 +323,18 @@ class TestTrajectory:
         new = dict(self._metrics(), wall_seconds=50.0)
         assert not compare_metrics(old, new)
 
+    def test_vanished_flagged_metric_is_a_regression(self):
+        """Dropping ``p99_ms`` from the record must not pass the gate;
+        a metric neither record carries (old schemas) is still skipped."""
+        old = dict(self._metrics(), p99_ms=0.5)
+        new = self._metrics()
+        (flagged,) = compare_metrics(old, new)
+        assert flagged.metric == "p99_ms" and flagged.new is None
+        assert flagged.describe() == "p99_ms: 0.5 -> missing"
+        assert not compare_metrics(new, new)
+        # New in this record: nothing to compare against yet.
+        assert not compare_metrics(new, old)
+
     def test_compare_latest(self, tmp_path):
         path = bench_path(tmp_path, "t")
         append_record(path, tag="t", meta=self.META, metrics=self._metrics())

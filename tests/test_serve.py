@@ -589,6 +589,101 @@ class TestMetrics:
 
 
 # ----------------------------------------------------------------------
+# Record schema golden: the six optional feature groups, no session run
+# ----------------------------------------------------------------------
+_BASE_KEYS = (
+    "sim_seconds", "throughput_rps", "p50_ms", "p95_ms", "p99_ms",
+    "mean_queue_ms", "mean_batch", "completed", "shed", "degraded",
+    "cache_hit_rate",
+)
+#: ``group -> (report fields that switch it on, the keys it appends)``, in
+#: record order.  Literal on purpose: this is the committed lanes' schema.
+_GROUP_SCHEMA = {
+    "cluster": (
+        {"replicas": 2},
+        ("replicas", "cross_shard_rows", "cross_shard_bytes", "link_ms"),
+    ),
+    "task": (
+        {"task": "linkpred"},
+        ("pairs_served", "compaction_saved_rows"),
+    ),
+    "composer": (
+        {"composer": "superbatch"},
+        ("padding_seeds", "dedup_rows", "superbatch_requests", "mean_fused"),
+    ),
+    "tiered": (
+        {"feature_tiers": True},
+        ("tier_device_rate", "tier_p2p_rate", "tier_host_rate",
+         "tier_remote_rate", "p2p_rows", "p2p_bytes", "p2p_ms"),
+    ),
+    "elastic": (
+        {"elastic": True},
+        ("availability", "lost", "retried", "hedged", "failures",
+         "scale_ups", "scale_downs", "tune_moves", "gpu_seconds",
+         "reprovision_bytes"),
+    ),
+    "dynamic": (
+        {"dynamic": True},
+        ("ingested_edges", "deleted_edges", "update_batches", "snapshots",
+         "compactions", "mean_staleness_ms", "max_staleness_ms",
+         "refresh_ms", "rebalances", "migrated_rows", "migrated_bytes",
+         "invalidated_rows"),
+    ),
+}
+#: Lane tag per on/off combination (bit ``i`` = group ``i`` of
+#: ``_GROUP_SCHEMA``), recorded from the ``kind`` ladder ``_cmd_serve``
+#: carried before ``ServeReport.lane`` replaced it.
+_LANES = {
+    "000000": "serve", "000001": "dynamic", "000010": "elastic",
+    "000011": "dynamic", "000100": "tiered", "000101": "dynamic",
+    "000110": "elastic", "000111": "dynamic", "001000": "serve_superbatch",
+    "001001": "dynamic", "001010": "elastic", "001011": "dynamic",
+    "001100": "tiered", "001101": "dynamic", "001110": "elastic",
+    "001111": "dynamic", "010000": "linkpred", "010001": "linkpred_dynamic",
+    "010010": "linkpred_elastic", "010011": "linkpred_dynamic",
+    "010100": "linkpred_tiered", "010101": "linkpred_dynamic",
+    "010110": "linkpred_elastic", "010111": "linkpred_dynamic",
+    "011000": "linkpred_serve_superbatch", "011001": "linkpred_dynamic",
+    "011010": "linkpred_elastic", "011011": "linkpred_dynamic",
+    "011100": "linkpred_tiered", "011101": "linkpred_dynamic",
+    "011110": "linkpred_elastic", "011111": "linkpred_dynamic",
+    "100000": "cluster", "100001": "dynamic", "100010": "elastic",
+    "100011": "dynamic", "100100": "tiered", "100101": "dynamic",
+    "100110": "elastic", "100111": "dynamic", "101000": "cluster_superbatch",
+    "101001": "dynamic", "101010": "elastic", "101011": "dynamic",
+    "101100": "tiered", "101101": "dynamic", "101110": "elastic",
+    "101111": "dynamic", "110000": "linkpred_cluster",
+    "110001": "linkpred_dynamic", "110010": "linkpred_elastic",
+    "110011": "linkpred_dynamic", "110100": "linkpred_tiered",
+    "110101": "linkpred_dynamic", "110110": "linkpred_elastic",
+    "110111": "linkpred_dynamic", "111000": "linkpred_cluster_superbatch",
+    "111001": "linkpred_dynamic", "111010": "linkpred_elastic",
+    "111011": "linkpred_dynamic", "111100": "linkpred_tiered",
+    "111101": "linkpred_dynamic", "111110": "linkpred_elastic",
+    "111111": "linkpred_dynamic",
+}
+
+
+class TestRecordSchema:
+    @pytest.mark.parametrize("bits", sorted(_LANES))
+    def test_every_group_combination(self, bits):
+        report = summarize([])
+        keys = list(_BASE_KEYS)
+        on = []
+        for bit, (name, (switch, appended)) in zip(bits, _GROUP_SCHEMA.items()):
+            if bit == "1":
+                for field, value in switch.items():
+                    setattr(report, field, value)
+                keys += appended
+                on.append(name)
+        metrics = report.to_metrics()
+        assert list(metrics) == keys
+        assert all(type(value) is float for value in metrics.values())
+        assert [group.name for group in report.groups()] == on
+        assert report.lane == _LANES[bits]
+
+
+# ----------------------------------------------------------------------
 # Determinism guard (satellite): bit-identical logs and percentiles
 # ----------------------------------------------------------------------
 class TestDeterminism:

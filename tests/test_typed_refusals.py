@@ -53,6 +53,32 @@ class TestTypedRefusals:
             BanditPipeline(small_graph, (3,), "thompson")
 
 
+class TestServeFlagBoundaries:
+    """A ``serve`` flag value the library cannot honour exits 2 where it
+    enters — no NumPy traceback, no NaN-derived record in the lane."""
+
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--scale", "0"], "scale must be finite and positive"),
+            (["--scale", "-1"], "scale must be finite and positive"),
+            (["--arrival-rate", "nan"], "arrival rate must be finite"),
+            (["--arrival-rate", "inf"], "arrival rate must be finite"),
+            (["--max-wait-ms", "nan"], "max wait must be finite"),
+            (["--slo-ms", "nan"], "SLO must be finite"),
+            (["--cache-ratio", "-0.5"], "cache ratio must be in [0, 1]"),
+            (["--hbm-budget-mb", "-1"], "pool capacity must be >= 0"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_exits_2_and_writes_nothing(self, flags, message, tmp_path, capsys):
+        argv = ["serve", "--requests", "48", "--scale", "0.1", *flags]
+        assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+        assert not list(tmp_path.iterdir())
+
+
 class TestUnknownIsNotNA:
     """``None`` / exit 1 mean a genuine N/A cell; a misspelt name is an
     error (exit 2) raised before any dataset is loaded."""
