@@ -3,7 +3,7 @@
 Unlike the figure/table benchmarks, this one exercises the
 ``repro.profile`` subsystem end to end under the bench harness: span
 capture across compile and execution, the text report, the Chrome-trace
-export, and the trajectory comparator — while asserting the profiler's
+export, and the lane-record round trip — while asserting the profiler's
 core contract, that tracing attributes every simulated second without
 changing any measured number.
 """
@@ -18,11 +18,11 @@ from repro.datasets import load_dataset
 from repro.device import V100
 from repro.profile import (
     Profiler,
-    append_record,
     bench_path,
     build_text_report,
-    compare_latest,
+    moved,
     write_chrome_trace,
+    write_record,
 )
 
 from benchmarks.conftest import BENCH_SCALE, MAX_BATCHES
@@ -65,7 +65,7 @@ def test_profile_graphsage_pd(benchmark, report, tmp_path):
     trace = json.loads(trace_path.read_text())
     assert all(e.get("dur", 0) >= 0 for e in trace["traceEvents"])
 
-    # Trajectory round trip: identical metrics never flag a regression.
+    # Lane round trip: rewriting an identical record moves nothing.
     metrics = {
         "sim_seconds": stats.sim_seconds,
         "launches": stats.launches,
@@ -74,6 +74,8 @@ def test_profile_graphsage_pd(benchmark, report, tmp_path):
     }
     path = bench_path(tmp_path, "profile_graphsage_pd_v100")
     meta = {"algorithm": "graphsage", "dataset": "pd", "device": "v100"}
-    append_record(path, tag="profile_graphsage_pd_v100", meta=meta, metrics=metrics)
-    append_record(path, tag="profile_graphsage_pd_v100", meta=meta, metrics=metrics)
-    assert compare_latest(path) == []
+    record = {"meta": meta, "metrics": metrics}
+    assert write_record(path, tag="profile_graphsage_pd_v100", **record) is None
+    first = path.read_bytes()
+    previous = write_record(path, tag="profile_graphsage_pd_v100", **record)
+    assert moved(previous, record) == [] and path.read_bytes() == first

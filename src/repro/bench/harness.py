@@ -22,7 +22,7 @@ from repro.baselines import BaselineSystem, make_system
 from repro.core import minibatches, new_rng
 from repro.datasets import Dataset, load_dataset
 from repro.device import DeviceSpec, ExecutionContext, get_device
-from repro.errors import UnsupportedAlgorithmError
+from repro.errors import ShapeError, UnsupportedAlgorithmError
 from repro.profile.spans import Profiler, maybe_span
 
 #: Default mini-batch size (the DGL/PyG example configuration).
@@ -152,6 +152,8 @@ def measure_cell(
     """
     make_algorithm(algorithm)
     system = make_system(system_name)
+    if max_batches is not None and max_batches < 1:
+        raise ShapeError(f"max batches must be >= 1 or None, got {max_batches}")
     dataset = load_dataset(dataset_name, scale=scale)
     device = get_device(
         "cpu" if system.device_kind == "cpu" else device_name

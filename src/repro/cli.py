@@ -11,14 +11,14 @@
   eager reference executor (the ``repro.verify`` subsystem);
 * ``profile`` — trace one sampling epoch with the span profiler
   (the ``repro.profile`` subsystem): print a Table-9-style report,
-  write a Chrome-trace/Perfetto JSON, and append a ``BENCH_<tag>.json``
-  trajectory record, flagging regressions against the previous run;
+  write a Chrome-trace/Perfetto JSON, and replace the one-record
+  ``BENCH_<tag>.json`` golden, listing every key that moved;
 * ``serve`` — simulate an online inference-sampling session (the
   ``repro.serve`` subsystem): a seeded arrival process drives the
   dynamic batcher under an admission/degradation policy, and the run
   reports throughput, p50/p95/p99 latency, shed/degraded counts, and
-  the batch-size histogram, with the same trace + ``BENCH_serve_*``
-  trajectory contract as ``profile``;
+  the batch-size histogram, with the same trace + ``BENCH_<lane>_*``
+  golden contract as ``profile``;
 * ``datasets`` / ``algorithms`` / ``systems`` — list what is available.
 """
 
@@ -38,13 +38,14 @@ from repro.datasets import available_datasets, load_dataset
 from repro.device import DEVICES, LINKS, get_device
 from repro.errors import GSamplerError, ServeError
 from repro.partition import PARTITION_METHODS
+from repro.pipeline import DEFAULT_PREFETCH_DEPTH, run_pipeline_cell
 from repro.profile import (
     Profiler,
-    append_record,
     bench_path,
     build_text_report,
-    compare_metrics,
+    moved,
     write_chrome_trace,
+    write_record,
 )
 from repro.serve import (
     ARRIVAL_PROCESSES,
@@ -63,8 +64,8 @@ from repro.serve import (
 from repro.serve.workload import WORKLOAD_TASKS
 
 
-def _add_trajectory_arguments(command: argparse.ArgumentParser) -> None:
-    """The flags :func:`_finish_run` reads, for a trajectory-lane command."""
+def _add_lane_arguments(command: argparse.ArgumentParser) -> None:
+    """The flags :func:`_finish_run` reads, for a lane-writing command."""
     command.add_argument(
         "--out-dir",
         default=".",
@@ -75,23 +76,16 @@ def _add_trajectory_arguments(command: argparse.ArgumentParser) -> None:
         help="Chrome-trace path (default: <out-dir>/trace_<tag>.json)",
     )
     command.add_argument(
-        "--threshold",
-        type=float,
-        default=0.10,
-        help="relative growth that counts as a regression",
-    )
-    command.add_argument(
         "--fail-on-regression",
         action="store_true",
-        help="exit 3 when the comparator flags a regression",
+        help="exit 3 when the BENCH record this run replaced differs",
     )
 
 
-#: ``serve`` dests that steer the run epilogue rather than the session,
-#: so they stay out of the record's ``meta``.
+#: Dests that steer the run epilogue rather than the run, so they stay
+#: out of the record's ``meta``.
 _EPILOGUE_DESTS = (
-    "out_dir", "trace_out", "threshold", "fail_on_regression",
-    "min_availability",
+    "out_dir", "trace_out", "fail_on_regression", "min_availability",
 )
 
 
@@ -184,19 +178,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     profile.add_argument(
         "algorithm",
-        nargs="?",
         help="algorithm to profile (e.g. graphsage, labor)",
-    )
-    profile.add_argument(
-        "--sampler",
-        help="alias for the positional algorithm (e.g. --sampler labor "
-        "profiles the variance-reduced LABOR neighbor sampler)",
     )
     _add_shared(
         profile, "--system", "--dataset", "--device", "--batch-size",
         "--scale", "--max-batches",
     )
-    _add_trajectory_arguments(profile)
+    _add_lane_arguments(profile)
     profile.add_argument(
         "--pipeline",
         action="store_true",
@@ -207,8 +195,9 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument(
         "--prefetch-depth",
         type=int,
+        default=DEFAULT_PREFETCH_DEPTH,
         help="batches the sampler may run ahead of compute "
-        "(pipeline mode; default 2)",
+        "(pipeline mode; default %(default)s)",
     )
     profile.add_argument(
         "--epochs",
@@ -381,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "rebalance (needs --partition; dynamic lane)",
     )
     _add_shared(serve, "--seed")
-    _add_trajectory_arguments(serve)
+    _add_lane_arguments(serve)
     serve.add_argument(
         "--kill",
         action="append",
@@ -626,18 +615,20 @@ def _finish_run(
     args: argparse.Namespace,
     profiler,
     tag: str,
-    meta: dict[str, object],
     metrics: dict[str, object],
     availability: float | None = None,
+    **resolved: object,
 ) -> int:
-    """The epilogue of every trajectory-lane command; returns its exit code.
+    """The epilogue of every lane-writing command; returns its exit code.
 
-    Writes the Chrome trace and appends the ``BENCH_<tag>.json`` record
-    under ``--out-dir``, then compares against the previous record:
-    0 when clean (or merely reported), 3 for a regression under
-    ``--fail-on-regression``.  ``availability`` is what ``serve``
-    measured, passed when ``--min-availability`` gates it; falling
-    below the gate exits 4 after the record is written.
+    Writes the Chrome trace and replaces the ``BENCH_<tag>.json`` record
+    under ``--out-dir``, then lists every key on which the replaced
+    record differs: 0 when none does (or merely reported), 3 under
+    ``--fail-on-regression``.  The record's ``meta`` is the parsed
+    command line, with ``resolved`` naming what the run made of a flag
+    left to its default.  ``availability`` is what ``serve`` measured,
+    passed when ``--min-availability`` gates it; falling below the gate
+    exits 4 after the record is written.
     """
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -648,11 +639,14 @@ def _finish_run(
     )
     write_chrome_trace(profiler, trace_path)
     print(f"\nchrome trace: {trace_path} ({len(profiler.spans)} spans)")
+    meta = {
+        dest: value
+        for dest, value in vars(args).items()
+        if dest != "command" and dest not in _EPILOGUE_DESTS
+    } | resolved
     record_path = bench_path(out_dir, tag)
-    record, previous = append_record(
-        record_path, tag=tag, meta=meta, metrics=metrics
-    )
-    print(f"trajectory: {record_path} (run {record['run']})")
+    previous = write_record(record_path, tag=tag, meta=meta, metrics=metrics)
+    print(f"lane record: {record_path}")
     if availability is not None:
         gate = args.min_availability
         if availability < gate:
@@ -662,32 +656,20 @@ def _finish_run(
             return 4
         print(f"availability gate: {availability:.2%} >= {gate:.2%} OK")
     if previous is None:
-        print("no previous record; comparator skipped")
+        print("new lane: no record to compare against")
         return 0
-    regressions = compare_metrics(
-        previous["metrics"], record["metrics"], threshold=args.threshold
-    )
-    if not regressions:
-        print(
-            f"no regressions vs run {previous['run']} "
-            f"(threshold {args.threshold:.0%})"
-        )
+    changes = moved(previous, {"meta": meta, "metrics": metrics})
+    if not changes:
+        print("identical to the record it replaced")
         return 0
-    print(f"REGRESSIONS vs run {previous['run']}:")
-    for regression in regressions:
-        print(f"  {regression.describe()}")
+    print("MOVED vs the record it replaced:")
+    for key, old, new in changes:
+        print(f"  {key}: {old!r} -> {new!r}")
     return 3 if args.fail_on_regression else 0
 
 
 def _cmd_profile_pipeline(args: argparse.Namespace) -> int:
     """The ``profile --pipeline`` branch: serial vs pipelined epochs."""
-    from repro.pipeline import DEFAULT_PREFETCH_DEPTH, run_pipeline_cell
-
-    prefetch_depth = (
-        args.prefetch_depth
-        if args.prefetch_depth is not None
-        else DEFAULT_PREFETCH_DEPTH
-    )
     dataset = load_dataset(args.dataset, scale=args.scale)
     device = get_device(args.device)
     profiler = Profiler()
@@ -699,7 +681,7 @@ def _cmd_profile_pipeline(args: argparse.Namespace) -> int:
             epochs=args.epochs,
             batch_size=args.batch_size,
             max_batches=args.max_batches,
-            prefetch_depth=prefetch_depth,
+            prefetch_depth=args.prefetch_depth,
             cache_ratio=args.cache_ratio,
             profiler=profiler,
             feature_tiers=args.feature_tiers,
@@ -718,7 +700,7 @@ def _cmd_profile_pipeline(args: argparse.Namespace) -> int:
         ["pipelined epoch time (simulated ms)",
          f"{pipelined.total_seconds * 1e3:.4f}"],
         ["reduction", f"{reduction:.1%}"],
-        ["prefetch depth", prefetch_depth],
+        ["prefetch depth", args.prefetch_depth],
         ["loss parity",
          "bit-identical" if serial.final_loss == pipelined.final_loss
          else "DIVERGED"],
@@ -772,8 +754,7 @@ def _cmd_profile_pipeline(args: argparse.Namespace) -> int:
     )
 
     # Tiered runs get their own lane: their charging structure (UVA
-    # host band + remote queue) is not comparable run-over-run with the
-    # committed flat-cache pipeline trajectory.
+    # host band + remote queue) is not the flat-cache pipeline's.
     lane = "pipeline_tiered" if args.feature_tiers else "pipeline"
     tag = f"{lane}_{args.algorithm}_{args.dataset}_{args.device}"
     metrics = {
@@ -784,28 +765,11 @@ def _cmd_profile_pipeline(args: argparse.Namespace) -> int:
         "cache_hit_rate": cache.hit_rate if cache is not None else 0.0,
         "final_loss": pipelined.final_loss,
     }
-    meta = {
-        "algorithm": args.algorithm,
-        "dataset": args.dataset,
-        "device": args.device,
-        "batch_size": args.batch_size,
-        "scale": args.scale,
-        "max_batches": args.max_batches,
-        "epochs": args.epochs,
-        "prefetch_depth": prefetch_depth,
-        "cache_ratio": args.cache_ratio,
-    }
-    if args.feature_tiers:
-        meta["feature_tiers"] = True
-        meta["host_tier_ratio"] = args.host_tier_ratio
-        meta["prefetch"] = not args.no_prefetch
-        if args.hbm_budget_mb is not None:
-            meta["hbm_budget_mb"] = args.hbm_budget_mb
-    return _finish_run(args, profiler, tag, meta, metrics)
+    return _finish_run(args, profiler, tag, metrics)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    """The ``serve`` command: one online serving session + trajectory."""
+    """The ``serve`` command: one online serving session + lane record."""
     dataset = load_dataset(args.dataset, scale=args.scale)
     profiler = Profiler()
     failures = None
@@ -1086,39 +1050,22 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         replica.sample_ctx.launch_count() + replica.io_ctx.launch_count()
         for replica in simulator.replicas
     )
-    # Every flag that shaped the session; ``link`` is the resolved wiring.
-    meta = {
-        dest: value
-        for dest, value in vars(args).items()
-        if dest != "command" and dest not in _EPILOGUE_DESTS
-    }
+    # The determinism pin: the digest of every request's log, so a lane
+    # is byte-stable only if the whole session is.
+    metrics["fingerprint"] = hashlib.sha256(
+        repr(report.fingerprint()).encode()
+    ).hexdigest()
+    print(f"session fingerprint: {metrics['fingerprint']}")
     configured = args.link or simulator.partition is not None
-    meta["link"] = simulator.link.name if configured else "none"
-    if on & {"dynamic", "task"}:
-        # The determinism tripwire: two runs of the same dynamic or
-        # task-typed session must print identical digests (CI diffs
-        # this line).
-        digest = hashlib.sha256(
-            repr(report.fingerprint()).encode()
-        ).hexdigest()
-        print(f"session fingerprint: {digest}")
     gated = args.min_availability is not None
     return _finish_run(
-        args, profiler, tag, meta, metrics,
+        args, profiler, tag, metrics,
         availability=report.availability if gated else None,
+        link=simulator.link.name if configured else "none",
     )
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    if args.sampler is not None:
-        args.algorithm = args.sampler
-    if args.algorithm is None:
-        print(
-            "error: profile needs an algorithm (positional or --sampler)",
-            file=sys.stderr,
-        )
-        return 2
-
     if args.pipeline:
         return _cmd_profile_pipeline(args)
 
@@ -1173,29 +1120,22 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         )
     )
 
-    compile_spans = profiler.spans_by_category("compile")
+    # Host clocks are printed (above, and here), never recorded.
+    compile_wall = sum(
+        span.host_duration
+        for span in profiler.spans_by_category("compile")
+        if span.name == "compile"
+    )
+    print(f"compile wall time (s): {compile_wall:.3f}")
     metrics = {
         "sim_seconds": stats.sim_seconds,
-        "wall_seconds": stats.wall_seconds,
         "launches": stats.launches,
         "peak_bytes": stats.peak_memory_bytes,
         "sm_percent": stats.sm_percent,
         "num_batches": stats.num_batches,
-        "compile_wall_seconds": sum(
-            s.host_duration for s in compile_spans if s.name == "compile"
-        ),
         "time_by_kernel": ctx.time_by_kernel(),
     }
-    meta = {
-        "system": stats.system,
-        "algorithm": args.algorithm,
-        "dataset": args.dataset,
-        "device": stats.device,
-        "batch_size": args.batch_size,
-        "scale": args.scale,
-        "max_batches": args.max_batches,
-    }
-    return _finish_run(args, profiler, tag, meta, metrics)
+    return _finish_run(args, profiler, tag, metrics)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

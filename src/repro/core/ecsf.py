@@ -24,6 +24,7 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from repro.core.matrix import Matrix
+from repro.errors import ShapeError
 from repro.sparse.formats import sorted_unique
 
 
@@ -119,6 +120,8 @@ def minibatches(
     drop_last: bool = False,
 ) -> list[np.ndarray]:
     """Split seed nodes into mini-batches for one epoch."""
+    if batch_size < 1:
+        raise ShapeError(f"batch size must be >= 1, got {batch_size}")
     node_ids = np.asarray(node_ids)
     if shuffle:
         rng = rng if rng is not None else np.random.default_rng()

@@ -390,6 +390,12 @@ def run_pipeline_cell(
             f"no trainable pipeline config for {algorithm!r}; "
             f"available: {sorted(_MODELS)}"
         )
+    if epochs < 1 or batch_size < 1:
+        raise ShapeError(
+            f"epochs and batch size must be >= 1, got {epochs} and {batch_size}"
+        )
+    if max_batches is not None and max_batches < 1:
+        raise ShapeError(f"max batches must be >= 1 or None, got {max_batches}")
     algo = make_algorithm(algorithm, **TABLE8_PARAMS[algorithm])
     example = dataset.train_ids[:batch_size]
     sampler = algo.build(dataset.graph, example)

@@ -1,4 +1,4 @@
-"""Profiling & trace subsystem: span tracer, exports, and trajectories.
+"""Profiling & trace subsystem: span tracer, exports, and lane records.
 
 Four layers turn the flat kernel-launch ledger into attributable cost:
 
@@ -10,8 +10,8 @@ Four layers turn the flat kernel-launch ledger into attributable cost:
 * :mod:`repro.profile.chrome` — Chrome-trace/Perfetto JSON export;
 * :mod:`repro.profile.report` — the Table-9-style text report
   (time-by-kernel, launches, SM%, pool peak, pass pipeline);
-* :mod:`repro.profile.trajectory` — persisted ``BENCH_<tag>.json``
-  records with a regression comparator.
+* :mod:`repro.profile.trajectory` — the one-record ``BENCH_<tag>.json``
+  goldens and the key-by-key diff against the record a run replaced.
 
 CLI: ``gsampler-repro profile <algorithm> --device <spec>``.
 
@@ -23,30 +23,18 @@ run.
 from repro.profile.chrome import to_chrome_trace, write_chrome_trace
 from repro.profile.report import build_text_report, kernel_table, pass_table
 from repro.profile.spans import Profiler, Span, active_profiler
-from repro.profile.trajectory import (
-    FLAGGED_METRICS,
-    Regression,
-    append_record,
-    bench_path,
-    compare_latest,
-    compare_metrics,
-    load_trajectory,
-)
+from repro.profile.trajectory import bench_path, moved, write_record
 
 __all__ = [
-    "FLAGGED_METRICS",
     "Profiler",
-    "Regression",
     "Span",
     "active_profiler",
-    "append_record",
     "bench_path",
     "build_text_report",
-    "compare_latest",
-    "compare_metrics",
     "kernel_table",
-    "load_trajectory",
+    "moved",
     "pass_table",
     "to_chrome_trace",
     "write_chrome_trace",
+    "write_record",
 ]

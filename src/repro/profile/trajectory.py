@@ -1,141 +1,70 @@
-"""Benchmark trajectory records (``BENCH_<tag>.json``) and the comparator.
+"""Golden lane records (``BENCH_<tag>.json``).
 
-A trajectory file accumulates one record per profiled run of the same
-(algorithm, dataset, device) cell, so the repository's history answers
-"did this change make the hot path faster or slower?" with data instead
-of guesswork.  The comparator diffs the newest record against the one
-before it and flags any *deterministic* metric (simulated seconds, launch
-count, pool peak, per-kernel seconds) that regressed beyond a relative
-threshold — host wall time is recorded but never flagged, because it
-varies with machine load.
+Every number a lane reports is simulated, hence a pure function of
+(commit, command) — so a lane file holds exactly one record,
+``{schema, tag, meta, metrics}``, with no run counter, timestamp or
+host-clock key: replaying the command rewrites the file byte for byte.
+A record that differs from the one it replaced means the commit moved a
+simulated number — a bug, or a re-pin that commits the new file.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import pathlib
-import time
 
-#: Metrics compared by :func:`compare_metrics`; all are deterministic
-#: under the simulator, so any change is a real behavioural change.
-#: ``p99_ms`` only appears in serving trajectories (``BENCH_serve_*``);
-#: metrics absent from both records are skipped, so other tags are
-#: unaffected.
-FLAGGED_METRICS = ("sim_seconds", "launches", "peak_bytes", "p99_ms")
+from repro.errors import GSamplerError
 
-#: Per-kernel times below this (seconds) are ignored by the comparator:
-#: a 10% swing on a nanosecond kernel is noise amplification, not signal.
-KERNEL_FLOOR_SECONDS = 1e-9
-
-SCHEMA_VERSION = 1
-
-
-@dataclasses.dataclass(frozen=True)
-class Regression:
-    """One metric that got worse beyond the threshold, or vanished."""
-
-    metric: str
-    old: float
-    #: ``None`` when the new record no longer carries the metric.
-    new: float | None
-
-    @property
-    def ratio(self) -> float:
-        if self.new is None or not self.old:
-            return float("inf")
-        return self.new / self.old
-
-    def describe(self) -> str:
-        if self.new is None:
-            return f"{self.metric}: {self.old:.6g} -> missing"
-        return (
-            f"{self.metric}: {self.old:.6g} -> {self.new:.6g} "
-            f"({(self.ratio - 1.0) * 100.0:+.1f}%)"
-        )
+SCHEMA_VERSION = 2
+_MISSING = "<missing>"
 
 
 def bench_path(directory: str | pathlib.Path, tag: str) -> pathlib.Path:
-    """The trajectory file for ``tag`` under ``directory``."""
+    """The lane file for ``tag`` under ``directory``."""
     return pathlib.Path(directory) / f"BENCH_{tag}.json"
 
 
-def load_trajectory(path: str | pathlib.Path) -> dict:
-    """Read a trajectory file; an empty skeleton if it does not exist."""
-    path = pathlib.Path(path)
-    if not path.exists():
-        return {"schema": SCHEMA_VERSION, "tag": "", "records": []}
-    data = json.loads(path.read_text())
-    data.setdefault("records", [])
-    return data
+def write_record(
+    path: str | pathlib.Path, *, tag: str, meta: dict, metrics: dict
+) -> dict | None:
+    """Replace the lane's record; returns the one it replaced, if any.
 
-
-def append_record(
-    path: str | pathlib.Path,
-    *,
-    tag: str,
-    meta: dict[str, object],
-    metrics: dict[str, object],
-) -> tuple[dict, dict | None]:
-    """Append one run record; returns ``(new_record, previous_record)``."""
-    path = pathlib.Path(path)
-    data = load_trajectory(path)
-    data["schema"] = SCHEMA_VERSION
-    data["tag"] = tag
-    previous = data["records"][-1] if data["records"] else None
-    record = {
-        "run": len(data["records"]) + 1,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "meta": dict(meta),
-        "metrics": dict(metrics),
-    }
-    data["records"].append(record)
-    path.write_text(json.dumps(data, indent=1))
-    return record, previous
-
-
-def compare_metrics(
-    old: dict[str, object],
-    new: dict[str, object],
-    *,
-    threshold: float = 0.10,
-) -> list[Regression]:
-    """Regressions in ``new`` relative to ``old`` beyond ``threshold``.
-
-    A metric regresses when it *grows* by more than ``threshold``
-    (relative) or when the new record dropped it.  Metrics the old record
-    lacks are skipped, so records written by older schema versions still
-    compare.
+    A non-finite value is refused (``ValueError``: NaN is not JSON) and a
+    file of another schema is refused typed, both before any write.
     """
-    regressions: list[Regression] = []
-    for name in FLAGGED_METRICS:
-        if name not in old:
-            continue
-        a = float(old[name])  # type: ignore[arg-type]
-        b = float(new[name]) if name in new else None  # type: ignore[arg-type]
-        if b is None or (a >= 0 and b > a * (1.0 + threshold)):
-            regressions.append(Regression(metric=name, old=a, new=b))
-    old_kernels = old.get("time_by_kernel")
-    new_kernels = new.get("time_by_kernel")
-    if isinstance(old_kernels, dict) and isinstance(new_kernels, dict):
-        for kernel, seconds in sorted(old_kernels.items()):
-            if kernel not in new_kernels:
-                continue
-            a, b = float(seconds), float(new_kernels[kernel])
-            if a > KERNEL_FLOOR_SECONDS and b > a * (1.0 + threshold):
-                regressions.append(
-                    Regression(metric=f"kernel:{kernel}", old=a, new=b)
-                )
-    return regressions
+    path = pathlib.Path(path)
+    record = {
+        "schema": SCHEMA_VERSION, "tag": tag, "meta": meta, "metrics": metrics,
+    }
+    text = json.dumps(record, indent=1, allow_nan=False) + "\n"
+    previous = json.loads(path.read_text()) if path.exists() else None
+    if previous is not None and previous.get("schema") != SCHEMA_VERSION:
+        raise GSamplerError(
+            f"{path} is not a schema-{SCHEMA_VERSION} lane record "
+            f"(schema {previous.get('schema')!r}); delete it and re-run"
+        )
+    path.write_text(text)
+    return previous
 
 
-def compare_latest(
-    path: str | pathlib.Path, *, threshold: float = 0.10
-) -> list[Regression]:
-    """Compare the last two records of a trajectory file."""
-    records = load_trajectory(path)["records"]
-    if len(records) < 2:
-        return []
-    return compare_metrics(
-        records[-2]["metrics"], records[-1]["metrics"], threshold=threshold
-    )
+def _flatten(record: dict) -> dict[str, object]:
+    """``section.key`` -> value, dict values (``time_by_kernel``) opened."""
+    flat: dict[str, object] = {}
+    for section in ("meta", "metrics"):
+        for key, value in record[section].items():
+            if isinstance(value, dict):
+                flat |= {f"{section}.{key}.{k}": v for k, v in value.items()}
+            else:
+                flat[f"{section}.{key}"] = value
+    return flat
+
+
+def moved(previous: dict, record: dict) -> list[tuple[str, object, object]]:
+    """``(key, old, new)`` for every ``meta``/``metrics`` key that differs
+    (``"<missing>"`` where only one record carries the key)."""
+    old, new = _flatten(previous), _flatten(record)
+    return [
+        (key, old.get(key, _MISSING), new.get(key, _MISSING))
+        for key in sorted(old.keys() | new.keys())
+        if old.get(key, _MISSING) != new.get(key, _MISSING)
+    ]

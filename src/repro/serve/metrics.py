@@ -142,7 +142,7 @@ class FeatureGroup(NamedTuple):
     #: Its word in the lane tag, formatted with the report as ``r``
     #: (:attr:`ServeReport.lane` has the precedence).
     lane: str
-    #: ``metric key -> getter`` in trajectory-record order.
+    #: ``metric key -> getter`` in lane-record order.
     metrics: dict[str, _Getter]
 
 
@@ -179,10 +179,10 @@ _BASE_METRICS = _metrics(
     ("cache_hit_rate", _cache(operator.attrgetter("hit_rate"))),
 )
 
-#: The optional features of a serving session, in trajectory-record
+#: The optional features of a serving session, in lane-record
 #: order.  Every reader — :meth:`ServeReport.to_metrics`,
-#: :attr:`ServeReport.lane`, the ``serve`` command's table, titles and
-#: digest line — asks :meth:`ServeReport.groups` which are on.  Each
+#: :attr:`ServeReport.lane`, the ``serve`` command's table and titles
+#: — asks :meth:`ServeReport.groups` which are on.  Each
 #: combination writes its own ``BENCH_<lane>_*`` file, so a group's keys
 #: never perturb another lane's schema.
 FEATURE_GROUPS = (
@@ -390,7 +390,7 @@ class ServeReport:
 
     @property
     def lane(self) -> str:
-        """The trajectory lane (``BENCH_<lane>_*``) this session appends to.
+        """The lane (``BENCH_<lane>_*``) this session writes.
 
         ``serve`` or ``cluster``, suffixed by a non-FIFO composer;
         ``tiered`` < ``elastic`` < ``dynamic`` each override that word;
@@ -410,7 +410,7 @@ class ServeReport:
         return lane
 
     def to_metrics(self) -> dict[str, float]:
-        """Flat metric dict for the ``BENCH_<lane>_*`` trajectory record:
+        """Flat metric dict for the ``BENCH_<lane>_*`` lane record:
         the base keys, then each active group's (:data:`FEATURE_GROUPS`)."""
         getters = dict(_BASE_METRICS)
         for group in self.groups():

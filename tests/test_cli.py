@@ -73,8 +73,8 @@ _PROFILE = [
 
 
 class TestRunEpilogue:
-    """Trace + BENCH record + comparator + exit code: one contract for
-    every command that appends to a trajectory lane."""
+    """Trace + one-record BENCH golden + moved keys + exit code: one
+    contract for every command that writes a lane."""
 
     @pytest.mark.parametrize(
         ("argv", "tag"),
@@ -89,30 +89,33 @@ class TestRunEpilogue:
         argv = argv + ["--out-dir", str(tmp_path)]
         bench_file = tmp_path / f"BENCH_{tag}.json"
 
-        def doctor_previous_record():
-            data = json.loads(bench_file.read_text())
-            data["records"][-1]["metrics"]["launches"] *= 0.5
-            bench_file.write_text(json.dumps(data))
-
         assert main(argv) == 0
         out = capsys.readouterr().out
-        assert "no previous record; comparator skipped" in out
+        assert "new lane: no record to compare against" in out
         assert f"chrome trace: {tmp_path / f'trace_{tag}.json'}" in out
         assert json.loads((tmp_path / f"trace_{tag}.json").read_text())
-        assert json.loads(bench_file.read_text())["tag"] == tag
+        golden = bench_file.read_bytes()
+        record = json.loads(golden)
+        assert record.keys() == {"schema", "tag", "meta", "metrics"}
+        assert record["tag"] == tag
 
+        # The same command twice leaves the file byte-identical.
         assert main(argv + ["--fail-on-regression"]) == 0
-        assert "no regressions vs run 1" in capsys.readouterr().out
+        assert "identical to the record it replaced" in capsys.readouterr().out
+        assert bench_file.read_bytes() == golden
 
-        doctor_previous_record()
-        assert main(argv + ["--fail-on-regression"]) == 3
-        out = capsys.readouterr().out
-        assert "REGRESSIONS vs run 2" in out and "launches" in out
-
-        doctor_previous_record()
-        assert main(argv) == 0
-        assert "REGRESSIONS vs run 3" in capsys.readouterr().out
-        assert len(json.loads(bench_file.read_text())["records"]) == 4
+        # One doctored metric: exactly that key is listed; exit 3 only
+        # under the flag, and the run's own record replaces the doctored one.
+        record["metrics"]["launches"] *= 2
+        for flags, code in ((["--fail-on-regression"], 3), ([], 0)):
+            bench_file.write_text(json.dumps(record))
+            assert main(argv + flags) == code
+            out = capsys.readouterr().out
+            (listed,) = out.split("MOVED vs the record it replaced:\n")[
+                1
+            ].splitlines()
+            assert listed.startswith("  metrics.launches: ")
+            assert bench_file.read_bytes() == golden
 
     def test_trace_out_overrides_the_default_path(self, tmp_path, capsys):
         trace = tmp_path / "elsewhere" / "t.json"
@@ -154,10 +157,8 @@ class TestRunEpilogue:
         bench = json.loads((tmp_path / f"BENCH_{tag}.json").read_text())
         assert bench["tag"] == tag
         assert (tmp_path / f"trace_{tag}.json").exists()
-        # Only the two-run tripwire lanes print a session digest.
-        assert ("session fingerprint: " in out) == (
-            "dynamic" in lane or "linkpred" in lane
-        )
+        # Every session prints the digest its record pins.
+        assert f"session fingerprint: {bench['metrics']['fingerprint']}" in out
 
     def test_serve_meta_records_every_session_flag(self, tmp_path):
         """``meta`` is the parsed namespace, not a hand-picked subset: a
@@ -167,7 +168,7 @@ class TestRunEpilogue:
         argv = _SERVE + ["--max-seeds-per-request", "16"]
         assert main(argv + ["--out-dir", str(tmp_path)]) == 0
         bench = tmp_path / "BENCH_serve_graphsage_pd_v100.json"
-        meta = json.loads(bench.read_text())["records"][-1]["meta"]
+        meta = json.loads(bench.read_text())["meta"]
         assert meta["max_seeds_per_request"] == 16
         assert meta["link"] == "none" and meta["kill"] is None
         dests = set(vars(_build_parser().parse_args(argv))) - {"command"}
@@ -181,9 +182,8 @@ class TestRunEpilogue:
         ]
         assert main(argv + ["--min-availability", "0.999"]) == 4
         assert "AVAILABILITY GATE FAILED" in capsys.readouterr().out
-        # The record was appended before the gate fired.
-        bench = tmp_path / "BENCH_elastic_graphsage_pd_v100.json"
-        assert len(json.loads(bench.read_text())["records"]) == 1
+        # The record was written before the gate fired.
+        assert (tmp_path / "BENCH_elastic_graphsage_pd_v100.json").exists()
         assert main(argv + ["--min-availability", "0.0"]) == 0
         assert "availability gate: " in capsys.readouterr().out
 

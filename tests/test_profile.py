@@ -1,4 +1,4 @@
-"""Profiling-subsystem tests: spans, exports, trajectories, and the CLI.
+"""Profiling-subsystem tests: spans, exports, lane records, and the CLI.
 
 The overriding contract under test: profiling is an *observer*.  With a
 profiler attached (or not), simulated times, launch ledgers, and sampled
@@ -18,17 +18,16 @@ from repro.bench import run_sampling_epoch
 from repro.cli import main
 from repro.datasets import load_dataset
 from repro.device import V100, ExecutionContext
+from repro.errors import GSamplerError
 from repro.profile import (
     Profiler,
     active_profiler,
-    append_record,
     bench_path,
     build_text_report,
-    compare_latest,
-    compare_metrics,
-    load_trajectory,
+    moved,
     to_chrome_trace,
     write_chrome_trace,
+    write_record,
 )
 from repro.profile.chrome import DEVICE_PID, HOST_PID
 
@@ -278,72 +277,75 @@ class TestTextReport:
 class TestTrajectory:
     META = {"algorithm": "graphsage", "dataset": "pd", "device": "v100"}
 
-    def _metrics(self, sim=1.0, launches=10, peak=1000, kernels=None):
+    def _record(self, sim=1.0, launches=10, peak=1000, kernels=None, **meta):
         return {
-            "sim_seconds": sim,
-            "launches": launches,
-            "peak_bytes": peak,
-            "wall_seconds": 5.0,
-            "time_by_kernel": dict(kernels or {"k": sim}),
+            "meta": self.META | meta,
+            "metrics": {
+                "sim_seconds": sim,
+                "launches": launches,
+                "peak_bytes": peak,
+                "time_by_kernel": dict(kernels or {"k": sim}),
+            },
         }
 
-    def test_append_and_reload(self, tmp_path):
-        path = bench_path(tmp_path, "t")
-        record, previous = append_record(
-            path, tag="t", meta=self.META, metrics=self._metrics()
-        )
-        assert previous is None and record["run"] == 1
-        record2, previous2 = append_record(
-            path, tag="t", meta=self.META, metrics=self._metrics(sim=1.1)
-        )
-        assert record2["run"] == 2
-        assert previous2["metrics"]["sim_seconds"] == 1.0
-        data = load_trajectory(path)
-        assert len(data["records"]) == 2 and data["tag"] == "t"
+    def _keys(self, old, new):
+        return [key for key, _, _ in moved(old, new)]
 
-    def test_comparator_flags_growth_beyond_threshold(self):
-        old = self._metrics(sim=1.0, launches=10, peak=1000)
-        new = self._metrics(sim=1.2, launches=10, peak=1050)
-        flagged = compare_metrics(old, new, threshold=0.10)
-        assert [r.metric for r in flagged] == ["sim_seconds", "kernel:k"]
-        assert flagged[0].ratio == pytest.approx(1.2)
-        # Below threshold: nothing flagged.
-        assert not compare_metrics(old, self._metrics(sim=1.05), threshold=0.10)
-        # Improvements are never regressions.
-        assert not compare_metrics(old, self._metrics(sim=0.5), threshold=0.10)
+    def test_write_returns_the_record_it_replaced(self, tmp_path):
+        path = bench_path(tmp_path, "t")
+        first, second = self._record(), self._record(sim=1.1)
+        assert write_record(path, tag="t", **first) is None
+        once = path.read_bytes()
+        previous = write_record(path, tag="t", **first)
+        assert path.read_bytes() == once and not moved(previous, first)
+        previous = write_record(path, tag="t", **second)
+        assert previous["metrics"]["sim_seconds"] == 1.0
+        # One record, nothing host- or history-dependent in it.
+        assert json.loads(path.read_text()) == {
+            "schema": 2, "tag": "t", **second
+        }
 
     def test_comparator_flags_launches_and_peak(self):
-        old = self._metrics()
-        new = self._metrics(launches=20, peak=5000)
-        metrics = {r.metric for r in compare_metrics(old, new)}
-        assert metrics == {"launches", "peak_bytes"}
-
-    def test_wall_seconds_never_flagged(self):
-        old = self._metrics()
-        new = dict(self._metrics(), wall_seconds=50.0)
-        assert not compare_metrics(old, new)
+        old = self._record()
+        new = self._record(launches=20, peak=500)
+        assert moved(old, new) == [
+            ("metrics.launches", 10, 20),
+            ("metrics.peak_bytes", 1000, 500),  # any move, either direction
+        ]
 
     def test_vanished_flagged_metric_is_a_regression(self):
-        """Dropping ``p99_ms`` from the record must not pass the gate;
-        a metric neither record carries (old schemas) is still skipped."""
-        old = dict(self._metrics(), p99_ms=0.5)
-        new = self._metrics()
-        (flagged,) = compare_metrics(old, new)
-        assert flagged.metric == "p99_ms" and flagged.new is None
-        assert flagged.describe() == "p99_ms: 0.5 -> missing"
-        assert not compare_metrics(new, new)
-        # New in this record: nothing to compare against yet.
-        assert not compare_metrics(new, old)
+        """Dropping ``p99_ms`` from the record must not pass the gate —
+        and neither must a key the replaced record never carried."""
+        old = self._record()
+        old["metrics"]["p99_ms"] = 0.5
+        new = self._record()
+        assert moved(old, new) == [("metrics.p99_ms", 0.5, "<missing>")]
+        assert moved(new, old) == [("metrics.p99_ms", "<missing>", 0.5)]
+        assert not moved(new, new)
 
-    def test_compare_latest(self, tmp_path):
+    def test_one_kernel_moved(self):
+        old = self._record(kernels={"slice": 1e-12, "select": 2.0})
+        new = self._record(kernels={"slice": 2e-12, "select": 2.0})
+        assert self._keys(old, new) == ["metrics.time_by_kernel.slice"]
+
+    def test_differing_meta_is_moved(self):
+        assert self._keys(self._record(), self._record(seed=1)) == ["meta.seed"]
+
+    def test_nan_refused_before_the_file_is_touched(self, tmp_path):
         path = bench_path(tmp_path, "t")
-        append_record(path, tag="t", meta=self.META, metrics=self._metrics())
-        assert compare_latest(path) == []  # single record: nothing to diff
-        append_record(
-            path, tag="t", meta=self.META, metrics=self._metrics(sim=2.0)
-        )
-        flagged = compare_latest(path, threshold=0.10)
-        assert any(r.metric == "sim_seconds" for r in flagged)
+        write_record(path, tag="t", **self._record())
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            write_record(path, tag="t", **self._record(sim=float("nan")))
+        assert path.read_bytes() == before
+
+    def test_schema_1_file_is_refused_not_misread(self, tmp_path):
+        path = bench_path(tmp_path, "t")
+        history = {"schema": 1, "tag": "t", "records": [{"run": 1}]}
+        path.write_text(json.dumps(history))
+        with pytest.raises(GSamplerError, match="not a schema-2 lane record"):
+            write_record(path, tag="t", **self._record())
+        assert json.loads(path.read_text()) == history
 
 
 class TestProfileCli:
@@ -364,41 +366,39 @@ class TestProfileCli:
         bench = json.loads(
             (tmp_path / "BENCH_gsampler_graphsage_pd_v100.json").read_text()
         )
-        assert len(bench["records"]) == 1
-        metrics = bench["records"][0]["metrics"]
+        assert bench.keys() == {"schema", "tag", "meta", "metrics"}
+        metrics = bench["metrics"]
         assert metrics["sim_seconds"] > 0
         assert metrics["launches"] > 0
         assert metrics["time_by_kernel"]
+        # Host clocks are printed, not recorded.
+        assert "host wall time" in out and "compile wall time" in out
+        assert not [key for key in metrics if "wall" in key]
 
     def test_profile_is_deterministic_across_runs(self, tmp_path, capsys):
+        bench_file = tmp_path / "BENCH_gsampler_graphsage_pd_v100.json"
         assert main(self.ARGS + ["--out-dir", str(tmp_path)]) == 0
+        first = bench_file.read_bytes()
         assert main(self.ARGS + ["--out-dir", str(tmp_path)]) == 0
-        capsys.readouterr()
-        bench = json.loads(
-            (tmp_path / "BENCH_gsampler_graphsage_pd_v100.json").read_text()
-        )
-        first, second = (r["metrics"] for r in bench["records"])
-        assert first["sim_seconds"] == second["sim_seconds"]
-        assert first["time_by_kernel"] == second["time_by_kernel"]
+        assert "identical to the record it replaced" in capsys.readouterr().out
+        assert bench_file.read_bytes() == first
 
     def test_fail_on_regression_exit_code(self, tmp_path, capsys):
         assert main(self.ARGS + ["--out-dir", str(tmp_path)]) == 0
-        # Rewrite history to claim the previous run was much cheaper, so
-        # the next run must look like a regression.
+        # Doctor the record so the next run's differs from it — in the
+        # "improved" direction: any move of a simulated number fails.
         bench_file = tmp_path / "BENCH_gsampler_graphsage_pd_v100.json"
-        data = json.loads(bench_file.read_text())
-        data["records"][-1]["metrics"]["sim_seconds"] *= 0.5
-        bench_file.write_text(json.dumps(data))
+        doctored = json.loads(bench_file.read_text())
+        doctored["metrics"]["sim_seconds"] *= 2.0
+        bench_file.write_text(json.dumps(doctored))
         code = main(
             self.ARGS + ["--out-dir", str(tmp_path), "--fail-on-regression"]
         )
         out = capsys.readouterr().out
         assert code == 3
-        assert "REGRESSIONS" in out
-        # Without the flag the regression is reported but not fatal.
-        data = json.loads(bench_file.read_text())
-        data["records"][-1]["metrics"]["sim_seconds"] *= 0.5
-        bench_file.write_text(json.dumps(data))
+        assert "MOVED" in out and "metrics.sim_seconds" in out
+        # Without the flag the move is reported but not fatal.
+        bench_file.write_text(json.dumps(doctored))
         assert main(self.ARGS + ["--out-dir", str(tmp_path)]) == 0
 
     def test_unsupported_cell_exits_nonzero(self, tmp_path, capsys):

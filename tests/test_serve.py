@@ -787,7 +787,7 @@ class TestServeCLI:
         import json
 
         from repro.cli import main
-        from repro.profile import bench_path, load_trajectory
+        from repro.profile import bench_path
 
         args = [
             "serve",
@@ -799,12 +799,12 @@ class TestServeCLI:
         assert main(args) == 0
         # Poison the recorded p99 so the next identical run "regresses".
         path = bench_path(tmp_path, "serve_graphsage_pd_v100")
-        data = load_trajectory(path)
-        data["records"][-1]["metrics"]["p99_ms"] *= 0.5
+        data = json.loads(path.read_text())
+        data["metrics"]["p99_ms"] *= 0.5
         path.write_text(json.dumps(data))
         capsys.readouterr()
         assert main(args) == 3
-        assert "p99_ms" in capsys.readouterr().out
+        assert "metrics.p99_ms" in capsys.readouterr().out
 
     def test_serve_bad_policy_config(self, capsys):
         from repro.cli import main

@@ -79,6 +79,55 @@ class TestServeFlagBoundaries:
         assert not list(tmp_path.iterdir())
 
 
+class TestEpochFlagBoundaries:
+    """An epoch shape with no batches in it exits 2 — not a ``range()`` /
+    ``IndexError`` traceback, a silently dropped batch, or a NaN loss
+    written into a lane."""
+
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--batch-size", "0"], "batch size must be >= 1"),
+            (["--batch-size", "-3"], "batch size must be >= 1"),
+            (["--max-batches", "0"], "max batches must be >= 1 or None"),
+            (["--max-batches", "-1"], "max batches must be >= 1 or None"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["sample"], ["compare"], ["profile", "graphsage"],
+            ["profile", "graphsage", "--pipeline"],
+        ],
+        ids=" ".join,
+    )
+    def test_exits_2_and_writes_nothing(
+        self, command, flags, message, tmp_path, capsys
+    ):
+        argv = [*command, "--scale", "0.1", *flags]
+        if command[0] == "profile":
+            argv += ["--out-dir", str(tmp_path)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+        assert not list(tmp_path.iterdir())
+
+    def test_zero_epochs_is_refused_not_recorded_as_nan(self, tmp_path, capsys):
+        argv = ["profile", "graphsage", "--pipeline", "--scale", "0.1"]
+        assert cli.main([*argv, "--epochs", "0", "--out-dir", str(tmp_path)]) == 2
+        assert "epochs and batch size must be >= 1" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_max_batches_is_refused_before_any_dataset(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("loaded a dataset for an empty epoch")
+
+        monkeypatch.setattr(harness, "load_dataset", refuse)
+        with pytest.raises(GSamplerError, match="max batches"):
+            measure_cell("gsampler", "graphsage", "pd", max_batches=0)
+
+
 class TestUnknownIsNotNA:
     """``None`` / exit 1 mean a genuine N/A cell; a misspelt name is an
     error (exit 2) raised before any dataset is loaded."""
