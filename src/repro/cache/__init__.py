@@ -8,7 +8,8 @@ package provides the degree-ordered static cache the pipelined epoch
 executor (:mod:`repro.pipeline`) charges feature gathers through, plus
 the multi-tier store (:mod:`repro.cache.tiered`) that extends it past
 HBM scale: device HBM -> sibling HBM over the interconnect -> pinned
-host DRAM -> a remote/disk tier.
+host DRAM -> a remote/disk tier.  Which of the two (or neither) fronts a
+table is decided in :mod:`repro.cache.store` and nowhere else.
 """
 
 from repro.cache.feature_cache import (
@@ -19,12 +20,12 @@ from repro.cache.feature_cache import (
 )
 from repro.cache.gather import GatherPlan, plan_gather, record_gather
 from repro.cache.ranking import degree_order, graph_degrees
+from repro.cache.store import FeatureSource
 from repro.cache.tiered import (
     DEFAULT_HOST_TIER_RATIO,
     REMOTE_TIER,
     GatherSplit,
     TieredFeatureStore,
-    TierSpec,
 )
 
 __all__ = [
@@ -33,11 +34,11 @@ __all__ = [
     "REMOTE_TIER",
     "CacheStats",
     "FeatureCache",
+    "FeatureSource",
     "GatherPlan",
     "GatherSplit",
     "plan_gather",
     "record_gather",
-    "TierSpec",
     "TieredFeatureStore",
     "admit_rows",
     "degree_order",

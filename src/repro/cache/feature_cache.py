@@ -26,7 +26,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.cache.ranking import degree_order, graph_degrees
+from repro.cache.ranking import degree_order
 from repro.device.memory import Allocation, MemoryPool
 from repro.errors import MemoryBudgetError, ShapeError
 
@@ -234,38 +234,6 @@ class FeatureCache:
         leaves the cache empty and the pool untouched.
         """
         return admit_rows(self.pool, self.row_bytes, min(want, len(order)), tag)
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_dataset(
-        cls,
-        dataset,
-        *,
-        ratio: float = DEFAULT_CACHE_RATIO,
-        pool: MemoryPool,
-        owned_mask: np.ndarray | None = None,
-    ) -> "FeatureCache":
-        """The standard policy: rank by in-degree of the dataset graph.
-
-        ``owned_mask`` is the sharded-replica variant: when a replica
-        owns a :class:`~repro.partition.ShardView` and shard-affinity
-        routing sends it mostly owned-shard traffic, ranking by *global*
-        degree pins hot rows the replica rarely serves.  With a mask,
-        owned nodes rank by their degree and every non-owned node is
-        scored below the coldest owned node, so the budget goes to rows
-        this replica will actually be asked for (non-owned rows are
-        still admissible last, if the plan is larger than the shard).
-        Without a mask (shardless replicas, the training pipeline) the
-        global ranking is the explicit fallback.
-        """
-        degrees = graph_degrees(dataset.graph)
-        return cls(
-            dataset.features,
-            degrees,
-            ratio=ratio,
-            pool=pool,
-            owned_mask=owned_mask,
-        )
 
     # ------------------------------------------------------------------
     @property

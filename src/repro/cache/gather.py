@@ -1,8 +1,8 @@
 """One cache-aware feature-gather accounting path for every consumer.
 
 The serial trainer, the pipelined executor, and the serving replica all
-charge a per-batch ``feature_gather`` launch whose shape depends on what
-(if anything) fronts the feature table: nothing, a flat
+charge a per-batch gather launch whose shape depends on what (if
+anything) fronts the feature table: nothing, a flat
 :class:`~repro.cache.FeatureCache`, or a
 :class:`~repro.cache.TieredFeatureStore`.  Keeping three hand-rolled
 copies of that split in sync is how cache accounting drifts, so the
@@ -47,6 +47,11 @@ class GatherPlan:
         """Rows served straight from local HBM (cache hits)."""
         return self.gathered - self.host_rows
 
+    def cached_only(self) -> "GatherPlan":
+        """The plan restricted to its device rows: every other row is
+        answered from a stale/default embedding and crosses no wire."""
+        return GatherPlan(gathered=self.device_rows, host_rows=0)
+
 
 def plan_gather(
     nodes: np.ndarray,
@@ -68,28 +73,19 @@ def plan_gather(
     return GatherPlan(gathered=total, host_rows=host_rows)
 
 
-def record_gather(ctx, plan: GatherPlan, row_bytes: int):
-    """Charge the local-wire ``feature_gather`` launch for ``plan``.
+def record_gather(
+    ctx, plan: GatherPlan, row_bytes: int, name: str = "feature_gather"
+):
+    """Charge the local-wire gather launch (``name``) for ``plan``.
 
     The remote tail (``plan.remote_rows``) is deliberately *not* charged
     here — it belongs on the remote tier's own queue
-    (:func:`record_remote_gather`).
+    (:meth:`~repro.cache.FeatureSource.charge`).
     """
     return ctx.record(
-        "feature_gather",
+        name,
         bytes_read=plan.gathered * row_bytes,
         bytes_written=plan.gathered * row_bytes,
         tasks=max(plan.gathered, 1),
         graph_bytes=plan.host_rows * row_bytes,
-    )
-
-
-def record_remote_gather(ctx, plan: GatherPlan, row_bytes: int, tier):
-    """Charge ``plan``'s remote tail on the remote ``tier``'s wire.  The
-    caller selects the queue (the tier has its own, so the tail overlaps
-    the local gather); only a tiered store plans one."""
-    return ctx.record(
-        f"remote_tier_fetch[{tier.name}]",
-        tasks=plan.remote_rows,
-        fixed_seconds=tier.fetch_time(plan.remote_rows * row_bytes),
     )

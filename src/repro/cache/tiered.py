@@ -22,14 +22,14 @@ a missed row actually lives:
   mechanism as the flat cache's misses (the executor charges these
   rows as ``graph_bytes``), so flat-vs-tiered comparisons differ in
   structure, never in the per-byte host price;
-* **remote** — the cold tail, behind a :class:`TierSpec` with its own
-  latency + bandwidth (a disaggregated store / NVMe), charged as a
+* **remote** — the cold tail, behind its own
+  :class:`~repro.device.LinkSpec` (a tier fetch *is* a bulk transfer
+  over some wire: a disaggregated store, NVMe), charged as a
   ``fixed_seconds`` launch on its own queue so it overlaps the PCIe
   read instead of serializing behind it.
 
-The store only *classifies and counts*; charging stays in the executors
-(:mod:`repro.pipeline` and :mod:`repro.serve.replica`), which own the
-queue names — the same split of concerns the flat cache uses.
+The store only *classifies and counts*; :mod:`repro.cache.store` charges
+what it planned, on the queues of the context its consumer hands over.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from repro.cache.feature_cache import (
     CacheStats,
     admit_rows,
 )
-from repro.cache.ranking import degree_order, graph_degrees
+from repro.cache.ranking import degree_order
 from repro.device.interconnect import LinkSpec, p2p_cheaper_than_host
 from repro.device.memory import Allocation, MemoryPool
 from repro.errors import ShapeError
@@ -56,45 +56,10 @@ TIER_DEVICE, TIER_P2P, TIER_HOST, TIER_REMOTE = range(4)
 #: charge-for-charge identical to the flat cache (no remote tail).
 DEFAULT_HOST_TIER_RATIO = 1.0
 
-
-@dataclasses.dataclass(frozen=True)
-class TierSpec:
-    """Analytical price of one non-device storage tier.
-
-    Same shape as :class:`~repro.device.LinkSpec` — a fixed per-fetch
-    latency plus a bandwidth term — because a tier fetch *is* a bulk
-    transfer over some wire (PCIe DMA, NVMe queue pair, network).
-    """
-
-    name: str
-    #: Sustained read bandwidth in bytes/second.
-    bandwidth: float
-    #: Fixed per-fetch setup cost in seconds.
-    latency: float
-
-    def __post_init__(self) -> None:
-        if self.bandwidth <= 0.0:
-            raise ShapeError(
-                f"{self.name}: tier bandwidth must be positive, "
-                f"got {self.bandwidth}"
-            )
-        if self.latency < 0.0:
-            raise ShapeError(
-                f"{self.name}: tier latency must be non-negative, "
-                f"got {self.latency}"
-            )
-
-    def fetch_time(self, nbytes: float) -> float:
-        """Simulated seconds to read ``nbytes`` from this tier."""
-        if nbytes <= 0.0:
-            return 0.0
-        return self.latency + nbytes / self.bandwidth
-
-
 #: Remote/disk tier default: a disaggregated feature service or local
 #: NVMe — ~2.5 GB/s sustained reads, ~100 us per fetch (queue + network
 #: round trip).  Roughly the paper's "features don't fit" deployments.
-REMOTE_TIER = TierSpec(name="remote", bandwidth=2.5e9, latency=100e-6)
+REMOTE_TIER = LinkSpec(name="remote", bandwidth=2.5e9, latency=100e-6)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -151,7 +116,7 @@ class TieredFeatureStore:
         pool: MemoryPool,
         device_ratio: float = DEFAULT_CACHE_RATIO,
         host_ratio: float = DEFAULT_HOST_TIER_RATIO,
-        remote_tier: TierSpec = REMOTE_TIER,
+        remote_tier: LinkSpec = REMOTE_TIER,
         link: LinkSpec | None = None,
         device=None,
         replica_id: int = 0,
@@ -223,43 +188,6 @@ class TieredFeatureStore:
         self._host_hits = 0
         self._remote_hits = 0
         self._invalidated = 0
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_dataset(
-        cls,
-        dataset,
-        *,
-        pool: MemoryPool,
-        device_ratio: float = DEFAULT_CACHE_RATIO,
-        host_ratio: float = DEFAULT_HOST_TIER_RATIO,
-        remote_tier: TierSpec = REMOTE_TIER,
-        link: LinkSpec | None = None,
-        device=None,
-        replica_id: int = 0,
-        num_replicas: int = 1,
-        p2p: bool = False,
-    ) -> "TieredFeatureStore":
-        """The standard policy: rank by in-degree of the dataset graph.
-
-        Global degrees even for sharded replicas: the p2p band is a
-        fleet-wide construct (every replica must agree on the stripe),
-        so per-shard ranking would break the symmetric-stripe contract.
-        """
-        degrees = graph_degrees(dataset.graph)
-        return cls(
-            dataset.features,
-            degrees,
-            pool=pool,
-            device_ratio=device_ratio,
-            host_ratio=host_ratio,
-            remote_tier=remote_tier,
-            link=link,
-            device=device,
-            replica_id=replica_id,
-            num_replicas=num_replicas,
-            p2p=p2p,
-        )
 
     # ------------------------------------------------------------------
     @property

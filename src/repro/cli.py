@@ -61,7 +61,7 @@ from repro.serve import (
     make_composer,
     run_cluster_session,
 )
-from repro.serve.workload import WORKLOAD_TASKS
+from repro.tasks import available_tasks
 
 
 def _add_lane_arguments(command: argparse.ArgumentParser) -> None:
@@ -223,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--task",
         default="node",
-        choices=WORKLOAD_TASKS,
+        choices=available_tasks(),
         help="request payload type: node-classification seed ids (the "
         "classic lane) or link-prediction (src, dst) pairs that are "
         "compacted to their unique endpoints before sampling",
@@ -770,6 +770,11 @@ def _cmd_profile_pipeline(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """The ``serve`` command: one online serving session + lane record."""
+    gate = args.min_availability
+    if gate is not None and not 0.0 <= gate <= 1.0:
+        raise ServeError(
+            f"--min-availability is a fraction in [0, 1], got {gate}"
+        )
     dataset = load_dataset(args.dataset, scale=args.scale)
     profiler = Profiler()
     failures = None

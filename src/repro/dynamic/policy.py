@@ -40,9 +40,6 @@ class DynamicPolicy:
     repartition_threshold: float | None = None
     #: Cap on rows moved per incremental rebalance.
     max_migrate_rows: int = 256
-    #: Invalidate cached feature rows whose degree band changed when a
-    #: snapshot/compaction installs (the satellite `invalidate()` path).
-    invalidate_cache: bool = True
 
     def __post_init__(self) -> None:
         if self.snapshot_every < 0.0:

@@ -5,7 +5,7 @@ simulated device queues:
 
 * ``sample``   — the sampling pipeline's kernels (on the sampling device);
 * ``transfer`` — per-batch feature gathers, PCIe-bound for host-resident
-  features, with a :class:`~repro.cache.FeatureCache` short-circuiting
+  features, with a :class:`~repro.cache.FeatureSource` short-circuiting
   hot rows to device memory;
 * ``compute``  — the model's forward/backward launches.
 
@@ -33,15 +33,12 @@ from repro.cache import (
     DEFAULT_CACHE_RATIO,
     DEFAULT_HOST_TIER_RATIO,
     CacheStats,
-    FeatureCache,
-    TieredFeatureStore,
+    FeatureSource,
     plan_gather,
-    record_gather,
 )
-from repro.cache.gather import record_remote_gather
 from repro.core import minibatches
 from repro.datasets import Dataset
-from repro.device import DeviceSpec, ExecutionContext, MemoryPool
+from repro.device import DeviceSpec, ExecutionContext
 from repro.errors import ShapeError
 from repro.learning.models import GraphSAGEModel, LadiesGCN, SampledGNN
 from repro.learning.trainer import Trainer, TrainResult
@@ -107,25 +104,12 @@ class PipelinedTrainer(Trainer):
         Staging-buffer bound: sampling of batch ``i`` may not start
         before compute of batch ``i - prefetch_depth`` finished.  Must
         be at least 1; 2 (the default) gives classic double buffering.
-    cache_ratio:
-        Fraction of nodes whose feature rows are pinned on the training
-        device (degree-ordered; see :class:`~repro.cache.FeatureCache`).
-        ``0.0`` disables caching.  The pinned bytes are charged to the
-        training context's memory pool, so an over-large ratio is
-        evicted down (or refused) against that pool's capacity.
-    feature_tiers:
-        Serve feature rows through the multi-tier store
-        (:class:`~repro.cache.TieredFeatureStore`) instead of the flat
-        cache: the device tier's gathers stay on-device, the pinned-host
-        band crosses PCIe as UVA traffic, and the remote tail runs as a
-        ``fixed_seconds`` launch on its own ``remote`` queue, overlapped
-        with the PCIe read.
-    host_tier_ratio:
-        Fraction of nodes in the pinned-host tier (tiered mode only).
-    hbm_budget:
-        Byte capacity of the training context's memory pool — the knob
-        that caps the device tier below the working set.  ``None`` keeps
-        the unbounded default.
+    cache_ratio, feature_tiers, host_tier_ratio, hbm_budget:
+        The feature-store knobs, passed to the
+        :class:`~repro.cache.FeatureSource` each :meth:`train` builds:
+        the pinned bytes are charged to the training context's memory
+        pool, so an over-large ratio is evicted down (or refused)
+        against ``hbm_budget``.
     prefetch:
         When True (the default), batch ``i+1``'s feature fetch overlaps
         batch ``i``'s compute — the async-prefetch loader.  False models
@@ -176,34 +160,6 @@ class PipelinedTrainer(Trainer):
         self.prefetch = prefetch
 
     # ------------------------------------------------------------------
-    def _fetch_batch(
-        self,
-        sample,
-        train_ctx: ExecutionContext,
-        cache,
-        fetch_after: float,
-    ) -> float:
-        """Charge one batch's feature fetch; returns its completion time.
-
-        One ``feature_gather`` on ``transfer`` with the host band as UVA
-        ``graph_bytes``; a flat or absent cache plans no remote rows, so
-        that is its whole fetch.  A tiered store's remote tail runs on
-        its own ``remote`` queue, so the batch's fetch completes at the
-        *max* of the two wires.
-        """
-        plan = plan_gather(sample.all_nodes, cache)
-        with train_ctx.on_queue("transfer", not_before=fetch_after):
-            local = record_gather(train_ctx, plan, self.row_bytes)
-        transferred_at = local.sim_end
-        if plan.remote_rows > 0:
-            with train_ctx.on_queue("remote", not_before=fetch_after):
-                remote = record_remote_gather(
-                    train_ctx, plan, self.row_bytes, cache.remote_tier
-                )
-            transferred_at = max(transferred_at, remote.sim_end)
-        return transferred_at
-
-    # ------------------------------------------------------------------
     def train(
         self,
         epochs: int,
@@ -214,36 +170,25 @@ class PipelinedTrainer(Trainer):
         sample_ctx = ExecutionContext(
             self.device, graph_on_device=self.dataset.graph_on_device
         )
-        # Tiered mode prices the host-tier band as UVA traffic, so the
-        # training context's "graph" (= the feature table) must be
-        # host-resident regardless of where the topology lives; compute
-        # launches declare no graph_bytes, so their pricing is unchanged.
+        features = FeatureSource(
+            self.dataset,
+            cache_ratio=self.cache_ratio,
+            feature_tiers=self.feature_tiers,
+            host_tier_ratio=self.host_tier_ratio,
+            hbm_budget=self.hbm_budget,
+        )
+        # Compute launches declare no graph_bytes, so where the source
+        # places the feature table never changes their pricing.
         train_ctx = ExecutionContext(
             self.train_device,
-            graph_on_device=(
-                False if self.feature_tiers else self.dataset.graph_on_device
+            graph_on_device=features.table_on_device(
+                self.dataset.graph_on_device
             ),
-            memory=(
-                MemoryPool(self.hbm_budget)
-                if self.hbm_budget is not None
-                else None
-            ),
+            memory=features.pool,
         )
         if profiler is not None:
             profiler.attach(sample_ctx)
             train_ctx.profiler = profiler
-        cache: FeatureCache | TieredFeatureStore | None = None
-        if self.feature_tiers and self.cache_ratio > 0.0:
-            cache = TieredFeatureStore.from_dataset(
-                self.dataset,
-                pool=train_ctx.memory,
-                device_ratio=self.cache_ratio,
-                host_ratio=self.host_tier_ratio,
-            )
-        elif self.cache_ratio > 0.0:
-            cache = FeatureCache.from_dataset(
-                self.dataset, ratio=self.cache_ratio, pool=train_ctx.memory
-            )
 
         span = functools.partial(maybe_span, profiler)
 
@@ -283,8 +228,10 @@ class PipelinedTrainer(Trainer):
                         fetch_after = sampled_at
                         if not self.prefetch and compute_done:
                             fetch_after = max(sampled_at, compute_done[-1])
-                        transferred_at = self._fetch_batch(
-                            sample, train_ctx, cache, fetch_after
+                        transferred_at = features.charge(
+                            train_ctx,
+                            plan_gather(sample.all_nodes, features.store),
+                            not_before=fetch_after,
                         )
                         with train_ctx.on_queue(
                             "compute", not_before=transferred_at
@@ -295,20 +242,7 @@ class PipelinedTrainer(Trainer):
                         compute_done.append(train_ctx.queue("compute").ready)
                     last_loss = loss
                     epoch_acc.append(acc)
-                if cache is not None:
-                    stats = cache.epoch_stats()
-                    attrs: dict[str, object] = dict(
-                        hits=stats.hits,
-                        misses=stats.misses,
-                        hit_rate=round(stats.hit_rate, 4),
-                        cached_rows=stats.cached_rows,
-                    )
-                    if self.feature_tiers:
-                        attrs.update(
-                            host_hits=stats.host_hits,
-                            remote_hits=stats.remote_hits,
-                            host_rows=stats.host_rows,
-                        )
+                if (attrs := features.epoch_attrs()) is not None:
                     with span(f"cache[{epoch}]", "cache", **attrs):
                         pass
             acc_history.append(float(np.mean(epoch_acc)) if epoch_acc else 0.0)
@@ -334,7 +268,7 @@ class PipelinedTrainer(Trainer):
             accuracy_history=acc_history,
             prefetch_depth=self.prefetch_depth,
             queue_reports=reports,
-            cache_stats=cache.epoch_stats() if cache is not None else None,
+            cache_stats=features.stats(),
         )
 
 

@@ -21,7 +21,6 @@ Example::
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import itertools
 from collections.abc import Callable, Iterator, Sequence
@@ -124,23 +123,16 @@ class CompiledSampler:
         tensors: dict[str, np.ndarray] | None = None,
         ctx: ExecutionContext = NULL_CONTEXT,
         rng: np.random.Generator | None = None,
-        queue: str | None = None,
-        not_before: float = 0.0,
     ) -> object:
         """Execute one mini-batch; returns values shaped like the trace.
 
-        ``queue`` routes every launch of this batch onto the named
-        simulated queue (see :meth:`ExecutionContext.on_queue`), with
-        ``not_before`` as the dependency edge — the hook the pipelined
-        executor uses to overlap sampling with transfer and compute.
+        Launches land on whichever simulated queue the caller has
+        active (:meth:`ExecutionContext.on_queue`) — how the pipelined
+        executor and the serving replica overlap sampling with transfer
+        and compute.
         """
         rng = rng if rng is not None else new_rng(None)
-        routed = (
-            ctx.on_queue(queue, not_before=not_before)
-            if queue is not None
-            else contextlib.nullcontext()
-        )
-        with routed, maybe_span(
+        with maybe_span(
             active_profiler(),
             "sampler.run",
             "exec",
@@ -177,16 +169,12 @@ class CompiledSampler:
         tensors: dict[str, np.ndarray] | None = None,
         ctx: ExecutionContext = NULL_CONTEXT,
         rng: np.random.Generator | None = None,
-        queue: str | None = None,
-        not_before: float = 0.0,
     ) -> list[tuple[Matrix, np.ndarray]]:
         """Sample several independent mini-batches in one launch sequence.
 
         The compiled program must follow the standard one-layer contract
         ``(sample_matrix, next_frontiers)``; each batch's results are
-        split back out and returned in order.  ``queue``/``not_before``
-        route the whole super-batch onto a simulated queue, as in
-        :meth:`run`.
+        split back out and returned in order.
         """
         if self.structure != ("leaf", "leaf"):
             raise TraceError(
@@ -198,13 +186,8 @@ class CompiledSampler:
             # (the serving composer may legitimately plan zero batches).
             return []
         rng = rng if rng is not None else new_rng(None)
-        routed = (
-            ctx.on_queue(queue, not_before=not_before)
-            if queue is not None
-            else contextlib.nullcontext()
-        )
         total_seeds = sum(int(np.size(b)) for b in frontier_batches)
-        with routed, maybe_span(
+        with maybe_span(
             active_profiler(),
             "sampler.superbatch",
             "exec",

@@ -1,8 +1,9 @@
 """The cluster layer: N replicas behind a router on one simulated clock.
 
 A :class:`ClusterSimulator` owns N :class:`~repro.serve.replica.Replica`
-instances (each with its own execution-context pair, memory pool, and
-feature cache) and a :class:`~repro.serve.router.Router`.  Its event loop
+instances (each with its own execution-context pair and
+:class:`~repro.cache.FeatureSource`) and a
+:class:`~repro.serve.router.Router`.  Its event loop
 advances the whole cluster in **global simulated-time order**:
 
 1. events are visited in ``(time, priority, seq)`` order;
@@ -48,13 +49,14 @@ walk, which is what keeps static sessions bit-identical to their pins.
 
 from __future__ import annotations
 
-import dataclasses
 import typing
 
 from repro.cache import (
     DEFAULT_CACHE_RATIO,
     DEFAULT_HOST_TIER_RATIO,
     CacheStats,
+    FeatureSource,
+    graph_degrees,
 )
 from repro.datasets import Dataset
 from repro.device import DeviceSpec, LinkSpec, default_link_for, get_link
@@ -70,6 +72,7 @@ from repro.serve.control import (
 )
 from repro.serve.failures import FailureSession, FailureSpec
 from repro.serve.metrics import (
+    FLEET_COUNTERS,
     RequestLog,
     ServeReport,
     replica_breakdown,
@@ -81,18 +84,11 @@ from repro.serve.replica import (
     build_pipelines,
 )
 from repro.serve.router import Router, make_router
-from repro.serve.workload import Request, WorkloadSpec
+from repro.serve.workload import Request, WorkloadSpec, generate_workload
+from repro.tasks import make_task
 
 if typing.TYPE_CHECKING:
     from repro.dynamic import DynamicPolicy, UpdateSpec
-
-#: Per-replica counters the report carries as fleet totals: the
-#: :class:`ServeReport` fields declared with ``_fleet_sum()``.
-_FLEET_COUNTERS = tuple(
-    field.name
-    for field in dataclasses.fields(ServeReport)
-    if field.metadata.get("fleet_sum")
-)
 
 
 class ClusterSimulator:
@@ -106,11 +102,17 @@ class ClusterSimulator:
 
     Parameters
     ----------
-    dataset, algorithm, device, policy, cache_ratio, seed, profiler:
+    dataset, algorithm, device, policy, seed, profiler:
         As for :class:`~repro.serve.replica.Replica`; every replica gets
-        the same policy and its own cache/contexts.  ``seed`` derives
+        the same policy and its own contexts.  ``seed`` derives
         each replica's independent RNG stream (replica 0 keeps the
         session stream — the single-replica compatibility guarantee).
+    cache_ratio, feature_tiers, host_tier_ratio, p2p, hbm_budget:
+        The feature-store knobs, forwarded to each replica's
+        :class:`~repro.cache.FeatureSource`.
+    task:
+        A :func:`repro.tasks.available_tasks` name: what request
+        payloads mean.  Resolved once; every replica shares the task.
     num_replicas:
         Serving replicas to run (>= 1).
     router:
@@ -187,9 +189,9 @@ class ClusterSimulator:
         self.dataset = dataset
         self.algorithm = algorithm
         self.device = device
-        #: Workload task every replica serves (``"node"`` or
-        #: ``"linkpred"``); validated by the replicas.
-        self.task = task
+        #: The :class:`~repro.tasks.Task` every replica decodes request
+        #: payloads with.
+        self.task = make_task(task)
         self.policy = policy if policy is not None else ServePolicy()
         self.profiler = profiler
         if isinstance(partition, str):
@@ -236,31 +238,44 @@ class ClusterSimulator:
         #: with respect to the execution context) — which is also why a
         #: graph refresh rebinds every compiled layer's graph just once.
         self.pipelines = build_pipelines(dataset, algorithm)
-        self.replicas = [
-            Replica(
+        fleet_link = self.link if partition is not None else wiring
+        self.replicas = []
+        for i in range(fleet):
+            shard = partition.view(i) if partition is not None else None
+            features = FeatureSource(
                 dataset,
-                algorithm=algorithm,
-                device=device,
-                policy=self.policy,
                 cache_ratio=cache_ratio,
-                seed=seed,
-                profiler=profiler,
-                replica_id=i,
-                pipelines=self.pipelines,
-                composer=composer[i],
-                queue_prefix=f"r{i}:" if fleet > 1 else "",
-                shard=partition.view(i) if partition is not None else None,
-                link=self.link if partition is not None else wiring,
-                task=task,
-                active=i < num_replicas,
                 feature_tiers=feature_tiers,
                 host_tier_ratio=host_tier_ratio,
                 p2p=p2p,
                 hbm_budget=hbm_budget,
+                link=fleet_link,
+                device=device,
+                replica_id=i,
                 fleet_size=fleet,
+                # Shard-affinity routing sends a sharded replica mostly
+                # owned-shard traffic, so it ranks its cache by owned rows.
+                owned_mask=shard.mask if shard is not None else None,
             )
-            for i in range(fleet)
-        ]
+            self.replicas.append(
+                Replica(
+                    dataset,
+                    algorithm=algorithm,
+                    device=device,
+                    policy=self.policy,
+                    seed=seed,
+                    profiler=profiler,
+                    replica_id=i,
+                    pipelines=self.pipelines,
+                    composer=composer[i],
+                    queue_prefix=f"r{i}:" if fleet > 1 else "",
+                    shard=shard,
+                    link=fleet_link,
+                    task=self.task,
+                    active=i < num_replicas,
+                    features=features,
+                )
+            )
         #: Request logs in global arrival order, and each rid's slot.
         self.logs: list[RequestLog] = []
         self._log_index: dict[int, int] = {}
@@ -280,7 +295,13 @@ class ClusterSimulator:
 
     def build_workload(self, spec: WorkloadSpec) -> list[Request]:
         """Generate the spec's request stream over this graph's nodes."""
-        return self.replicas[0].build_workload(spec)
+        graph = self.dataset.graph
+        return generate_workload(
+            spec,
+            num_nodes=self.dataset.num_nodes,
+            hotness=graph_degrees(graph),
+            edges=self.task.request_edges(graph),
+        )
 
     # ------------------------------------------------------------------
     def file_log(self, log: RequestLog) -> None:
@@ -343,8 +364,10 @@ class ClusterSimulator:
         for extension in self.extensions:
             events.extend(extension.events(ordered))
         events.sort(key=lambda e: e[:3])
+        # Lookups made before the session — warm-up probes, a test
+        # poking a cache — must not count in its cache tally.
         for replica in self.replicas:
-            replica.begin_session()
+            replica.features.reset_stats()
         with maybe_span(
             self.profiler, "serve_session", "serve", requests=len(ordered)
         ):
@@ -354,23 +377,16 @@ class ClusterSimulator:
                 handler(time, payload)
             for replica in self.replicas:
                 replica.drain()
-            if self.feature_tiers:
-                # One summary span per replica so the Chrome trace shows
-                # where each replica's gathered rows actually lived.
-                for replica in self.replicas:
-                    stats = replica.cache_stats()
-                    if stats is None:
-                        continue
+            # One summary span per tiered replica, so the Chrome trace
+            # shows where its gathered rows actually lived.
+            for replica in self.replicas:
+                attrs = replica.features.session_attrs()
+                if attrs is not None:
                     with maybe_span(
                         self.profiler,
                         f"tiered_cache[r{replica.replica_id}]",
                         "cache",
-                        device_hits=stats.hits,
-                        p2p_hits=stats.p2p_hits,
-                        host_hits=stats.host_hits,
-                        remote_hits=stats.remote_hits,
-                        device_rows=stats.cached_rows,
-                        host_rows=stats.host_rows,
+                        **attrs,
                     ):
                         pass
         last_event = events[-1][0] if events else 0.0
@@ -379,15 +395,17 @@ class ClusterSimulator:
             fields.update(extension.finish(last_event))
         report = summarize(
             self.logs,
-            cache=CacheStats.merged([r.cache_stats() for r in self.replicas]),
+            cache=CacheStats.merged(
+                [r.features.stats() for r in self.replicas]
+            ),
         )
         report.replicas = self.num_replicas
         report.router = self.router.name
         report.per_replica = replica_breakdown(self.logs, self.replicas)
         report.composer = self.composer_name
-        report.task = self.task
+        report.task = self.task.name
         report.feature_tiers = self.feature_tiers
-        for name in _FLEET_COUNTERS:
+        for name in FLEET_COUNTERS:
             setattr(report, name, sum(getattr(r, name) for r in self.replicas))
         for name, value in fields.items():
             setattr(report, name, value)
@@ -411,11 +429,11 @@ def run_cluster_session(
     """
     cluster = ClusterSimulator(dataset, seed=seed, **cluster_kwargs)
     if spec is None:
-        spec = WorkloadSpec(seed=seed, task=cluster.task)
-    elif spec.task != cluster.task:
+        spec = WorkloadSpec(seed=seed, task=cluster.task.name)
+    elif spec.task != cluster.task.name:
         raise ServeError(
             f"workload spec task {spec.task!r} does not match the "
-            f"session task {cluster.task!r}"
+            f"session task {cluster.task.name!r}"
         )
     workload = cluster.build_workload(spec)
     return cluster, cluster.run(workload)

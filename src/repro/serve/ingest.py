@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.cache import FeatureCache, graph_degrees
+from repro.cache import graph_degrees
 from repro.dynamic import (
     DeltaGraph,
     DynamicPolicy,
@@ -147,15 +147,13 @@ class IngestSession:
             self.snapshots += 1
         self._last_install = now
         self._settle_staleness(now)
-        if self.policy.invalidate_cache and dirty.size:
+        if dirty.size:
+            # Rows whose degree band changed fall out of residency; a
+            # compaction is the natural re-admission point, so it hands
+            # over the live degrees to refill against.
+            degrees = delta.degrees() if compact else None
             for replica in session.replicas:
-                if replica.cache is None:
-                    continue
-                replica.cache.invalidate(dirty)
-                if compact and isinstance(replica.cache, FeatureCache):
-                    # A compaction is the natural re-admission point:
-                    # refill the tombstoned slots against live degrees.
-                    replica.cache.rerank(delta.degrees())
+                replica.features.graph_updated(dirty, degrees)
 
     def _rebalance(self, now: float) -> None:
         """Bounded shard migration when degree balance drifts too far.
@@ -197,12 +195,10 @@ class IngestSession:
             )
             self.migrated_bytes += nbytes
         session.router.repartition(session.partition)
-        if self.policy.invalidate_cache:
-            # Moved rows change owners, so every replica's residency
-            # verdict for them is stale.
-            for replica in session.replicas:
-                if replica.cache is not None:
-                    replica.cache.invalidate(plan.moved_nodes)
+        # Moved rows change owners, so every replica's residency verdict
+        # for them is stale.
+        for replica in session.replicas:
+            replica.features.graph_updated(plan.moved_nodes)
         self.rebalances += 1
         self.migrated_rows += plan.num_moved
         tracker.rebase(session.partition)

@@ -418,6 +418,15 @@ class ServeReport:
         return {key: float(get(self)) for key, get in getters.items()}
 
 
+#: ``counter -> zero`` of every report field declared ``_fleet_sum()``:
+#: what a replica starts its session with and the cluster sums back up.
+FLEET_COUNTERS = {
+    field.name: field.default
+    for field in dataclasses.fields(ServeReport)
+    if field.metadata.get("fleet_sum")
+}
+
+
 def summarize(
     logs: list[RequestLog], *, cache: CacheStats | None = None
 ) -> ServeReport:
@@ -495,7 +504,7 @@ def replica_breakdown(
                 cross_shard_rows=replica.cross_shard_rows,
                 cross_shard_bytes=replica.cross_shard_bytes,
                 link_seconds=replica.link_seconds,
-                cache=replica.cache_stats(),
+                cache=replica.features.stats(),
                 uptime_seconds=replica.up_seconds,
                 failures=replica.failures,
             )

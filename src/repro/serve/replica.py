@@ -5,8 +5,12 @@ run N of them side by side.  A :class:`Replica` owns everything one
 serving process would:
 
 * its own pair of :class:`~repro.device.ExecutionContext`\\ s (sampling
-  on the ``sample`` queue, host-resident feature I/O on ``transfer``),
-* its own :class:`~repro.cache.FeatureCache` charged to its own pool,
+  on the ``sample`` queue, host-resident feature I/O on the wires its
+  feature source names),
+* the parts it is handed: the compiled pipeline pair, the
+  :class:`~repro.tasks.Task` that says what a payload means, and the
+  :class:`~repro.cache.FeatureSource` (pool + store, or none) fronting
+  its feature table,
 * the dynamic batcher (max_batch/max_wait), bounded-queue admission,
   and the SLO-aware degradation ladder,
 * optionally a :class:`~repro.partition.ShardView` plus a
@@ -32,36 +36,18 @@ import math
 import numpy as np
 
 from repro.algorithms import TABLE8_PARAMS, make_algorithm
-from repro.cache import (
-    DEFAULT_CACHE_RATIO,
-    DEFAULT_HOST_TIER_RATIO,
-    FeatureCache,
-    TieredFeatureStore,
-    graph_degrees,
-    plan_gather,
-)
-from repro.cache.gather import record_remote_gather
+from repro.cache import FeatureSource, plan_gather
 from repro.datasets import Dataset
-from repro.device import (
-    DeviceSpec,
-    ExecutionContext,
-    LinkSpec,
-    MemoryPool,
-)
+from repro.device import DeviceSpec, ExecutionContext, LinkSpec
 from repro.errors import ServeError
 from repro.partition import ShardView
 from repro.profile.spans import Profiler, maybe_span
 from repro.serve.compose import BatchComposer, BatchPlan, make_composer
-from repro.serve.metrics import RequestLog
-from repro.serve.workload import (
-    WORKLOAD_TASKS,
-    Request,
-    WorkloadSpec,
-    generate_workload,
-)
-from repro.tasks import edge_endpoints_of, unique_and_compact_node_pairs
+from repro.serve.metrics import FLEET_COUNTERS, RequestLog
+from repro.serve.workload import Request
 from repro.sparse.formats import sorted_unique
 from repro.stats import SlidingWindow
+from repro.tasks import Task, make_task
 
 #: Degradation-ladder depth: 0 = full fidelity, 1 = reduced fanout,
 #: 2 = reduced fanout + cached-only features.
@@ -205,7 +191,7 @@ class ServePolicy:
 
 
 class Replica:
-    """One serving replica with its own device contexts and cache.
+    """One serving replica: its device contexts plus the parts it is handed.
 
     Parameters
     ----------
@@ -216,12 +202,9 @@ class Replica:
     device:
         Device spec for sampling *and* feature transfer.  The feature
         table itself is host-resident (the serving deployment), so cache
-        misses cross PCIe; the cache's pinned rows are charged to the
-        I/O context's memory pool.
+        misses cross PCIe.
     policy:
         Batching/admission/degradation knobs.
-    cache_ratio:
-        Fraction of nodes whose feature rows are pinned on device.
     seed:
         Session seed; replica ``replica_id`` derives its own RNG stream
         from it (:func:`replica_rng`).
@@ -247,7 +230,18 @@ class Replica:
     link:
         Interconnect to the rest of the fleet: frontier nodes sampled
         outside ``shard`` are fetched from their owner over it, and the
-        tiered store's p2p band (``p2p=True``) rides it too.
+        feature source's p2p rows ride it too.
+    task:
+        The :class:`~repro.tasks.Task` that decodes request payloads
+        into sampler seeds (node classification when omitted —
+        byte-identical to the pre-task replica).
+    active:
+        False for an autoscaler standby, which receives no traffic.
+    features:
+        The :class:`~repro.cache.FeatureSource` fronting the feature
+        table: its pool backs the I/O context, its wires are the I/O
+        queues, its store (if any) is :attr:`cache`.  The default flat
+        cache when omitted.
     """
 
     def __init__(
@@ -257,7 +251,6 @@ class Replica:
         algorithm: str = "graphsage",
         device: DeviceSpec,
         policy: ServePolicy | None = None,
-        cache_ratio: float = DEFAULT_CACHE_RATIO,
         seed: int = 0,
         profiler: Profiler | None = None,
         replica_id: int = 0,
@@ -266,36 +259,18 @@ class Replica:
         queue_prefix: str = "",
         shard: ShardView | None = None,
         link: LinkSpec | None = None,
-        task: str = "node",
+        task: Task | None = None,
         active: bool = True,
-        feature_tiers: bool = False,
-        host_tier_ratio: float = DEFAULT_HOST_TIER_RATIO,
-        p2p: bool = False,
-        hbm_budget: int | None = None,
-        fleet_size: int = 1,
+        features: FeatureSource | None = None,
     ) -> None:
         if shard is not None and link is None:
             raise ServeError(
                 "a sharded replica needs an interconnect link to fetch "
                 "remote frontier rows over"
             )
-        if p2p and not feature_tiers:
-            raise ServeError(
-                "p2p feature fetch needs the tiered store (feature_tiers)"
-            )
-        if task not in WORKLOAD_TASKS:
-            raise ServeError(
-                f"unknown serving task {task!r}; "
-                f"available: {list(WORKLOAD_TASKS)}"
-            )
-        self.dataset = dataset
         self.algorithm = algorithm
         self.device = device
-        #: Workload task: how request payloads decode into sampler
-        #: seeds.  ``"node"`` (the default) treats them as seed nodes —
-        #: byte-identical to the pre-task replica; ``"linkpred"``
-        #: compacts flattened endpoint pairs to a unique node set first.
-        self.task = task
+        self.task = task if task is not None else make_task("node")
         self.policy = policy if policy is not None else ServePolicy()
         self.profiler = profiler
         self.replica_id = replica_id
@@ -315,37 +290,29 @@ class Replica:
                 f"composer {self.composer.name!r} needs a super-batch "
                 f"capable algorithm; {algorithm!r} excludes super-batching"
             )
+        self.features = (
+            features if features is not None else FeatureSource(dataset)
+        )
+        #: The store fronting the feature table (``None`` without one).
+        self.cache = self.features.store
+        self._prefix = queue_prefix
         self._sample_queue = f"{queue_prefix}sample"
         self._transfer_queue = f"{queue_prefix}transfer"
-        self._remote_queue = f"{queue_prefix}remote"
         self._p2p_queue = f"{queue_prefix}p2p"
-        #: True when part of a multi-replica cluster; batch spans then
-        #: carry the replica id (standalone spans stay byte-identical to
-        #: the pre-refactor trace).
-        self._labelled = bool(queue_prefix)
-        self.feature_tiers = feature_tiers
         self.sample_ctx = ExecutionContext(
             device,
             graph_on_device=dataset.graph_on_device,
             queues=(self._sample_queue,),
         )
         # Feature fetches run on their own context with a host-resident
-        # "graph" (= the feature table), so misses are priced over PCIe.
-        # The tiered store adds two more wires: the remote tier and the
-        # p2p band each get their own queue, so a batch's tier fetches
-        # overlap (completion is their max, not their sum).  The flat
-        # path declares only ``transfer`` — its contexts, queue stats,
-        # and trace rows stay byte-identical to the pre-tier subsystem.
-        io_queues = (
-            (self._transfer_queue, self._remote_queue, self._p2p_queue)
-            if feature_tiers
-            else (self._transfer_queue,)
-        )
+        # "graph" (= the feature table), so misses are priced over PCIe;
+        # the source says which queues its fetches need, and each wire
+        # having its own is why a batch's tier fetches overlap.
         self.io_ctx = ExecutionContext(
             device,
             graph_on_device=False,
-            queues=io_queues,
-            memory=MemoryPool(hbm_budget) if hbm_budget is not None else None,
+            queues=self.features.wires(queue_prefix),
+            memory=self.features.pool,
         )
         if profiler is not None:
             # The first replica's sampling ledger doubles as the
@@ -356,33 +323,6 @@ class Replica:
             else:
                 self.sample_ctx.profiler = profiler
             self.io_ctx.profiler = profiler
-        self.cache: FeatureCache | TieredFeatureStore | None = None
-        if cache_ratio > 0.0:
-            if feature_tiers:
-                self.cache = TieredFeatureStore.from_dataset(
-                    dataset,
-                    pool=self.io_ctx.memory,
-                    device_ratio=cache_ratio,
-                    host_ratio=host_tier_ratio,
-                    link=link,
-                    device=device,
-                    replica_id=replica_id,
-                    num_replicas=fleet_size,
-                    p2p=p2p,
-                )
-            else:
-                # Sharded replicas score by owned rows (shard-affinity
-                # routing sends them owned-shard traffic); shardless
-                # replicas keep the global-degree ranking.
-                self.cache = FeatureCache.from_dataset(
-                    dataset,
-                    ratio=cache_ratio,
-                    pool=self.io_ctx.memory,
-                    owned_mask=shard.mask if shard is not None else None,
-                )
-        feats = dataset.features
-        #: Bytes of one feature row (what every row-count charge scales by).
-        self.row_bytes = int(feats.shape[1]) * feats.dtype.itemsize
         # Degradation-ladder state.
         self._level = 0
         #: Sliding window of completed-request latencies: the ladder's
@@ -417,49 +357,12 @@ class Replica:
         self.failures = 0
         #: Bytes re-replicated into this replica (revivals, scale-ups).
         self.reprovision_bytes = 0
-        # Cross-shard accounting (stays zero without a shard).
-        self.cross_shard_rows = 0
-        self.cross_shard_bytes = 0
-        self.link_seconds = 0.0
-        # Peer-to-peer tier accounting (stays zero without the tiered
-        # store's p2p band) — charged on the interconnect exactly like
-        # cross-shard frontier fetches.
-        self.p2p_rows = 0
-        self.p2p_bytes = 0
-        self.p2p_seconds = 0.0
-        # Composition accounting.  ``padding_seeds`` models a padded
-        # deployment: each joint batch is charged (max member seed count
-        # - member seed count) summed over members — what size-binning
-        # minimizes.  ``dedup_rows`` counts feature rows the super-batch
-        # path avoided re-fetching by deduplicating across fused
-        # requests; ``superbatch_requests`` counts requests served
-        # through the fused path.
-        self.padding_seeds = 0
-        self.dedup_rows = 0
-        self.superbatch_requests = 0
-        self.superbatch_batches = 0
-        # Pair-task accounting (stays zero for node workloads).
-        #: Candidate pairs (positive + negative) this replica scored.
-        self.pairs_served = 0
-        #: Raw endpoint slots the per-batch compaction collapsed away
-        #: (raw pair endpoints minus unique seed nodes) — the sampling
-        #: and feature-fetch work the compaction avoided.
-        self.compaction_saved_rows = 0
+        # This replica's share of every fleet total the report carries
+        # (``ServeReport``'s ``_fleet_sum()`` fields, documented there).
+        for name, zero in FLEET_COUNTERS.items():
+            setattr(self, name, zero)
 
     # ------------------------------------------------------------------
-    def build_workload(self, spec: WorkloadSpec) -> list[Request]:
-        """Generate the spec's request stream over this graph's nodes."""
-        return generate_workload(
-            spec,
-            num_nodes=self.dataset.num_nodes,
-            hotness=graph_degrees(self.dataset.graph),
-            edges=(
-                edge_endpoints_of(self.dataset.graph)
-                if spec.task == "linkpred"
-                else None
-            ),
-        )
-
     def superbatch_window(
         self,
         example_requests: list[Request],
@@ -499,22 +402,6 @@ class Replica:
                 for sampler in samplers
             )
         return min(sizes)
-
-    # ------------------------------------------------------------------
-    def begin_session(self) -> None:
-        """Start of the (one) serving session: clear the cache's tally.
-
-        Lookups made before it — warm-up probes, a test poking the
-        cache — would otherwise count in the session's
-        :class:`~repro.cache.CacheStats`.  Nothing else resets: a
-        replica, like its cluster, serves once.
-        """
-        if self.cache is not None:
-            self.cache.reset_epoch()
-
-    def cache_stats(self):
-        """This session's cache tally; ``None`` without a cache."""
-        return self.cache.epoch_stats() if self.cache is not None else None
 
     # ------------------------------------------------------------------
     def outstanding(self, now: float) -> int:
@@ -637,7 +524,7 @@ class Replica:
         (``transfer`` unless given).  ``bulk`` streams pay the link's
         per-chunk latency (:meth:`~repro.device.LinkSpec.bulk_transfer_time`).
         """
-        nbytes = rows * self.row_bytes
+        nbytes = rows * self.features.row_bytes
         transfer_time = link.bulk_transfer_time if bulk else link.transfer_time
         seconds = transfer_time(nbytes)
         with self.io_ctx.on_queue(
@@ -657,13 +544,12 @@ class Replica:
         ``link``, on the transfer queue — so its first post-recovery
         batches also queue behind the stream.
         """
-        if self.shard is not None:
-            rows = self.shard.num_nodes
-        elif self.cache is not None:
-            rows = self.cache.cached_rows
-        else:
-            rows = 0
-        if rows * self.row_bytes == 0:
+        rows = (
+            self.shard.num_nodes
+            if self.shard is not None
+            else self.features.cached_rows
+        )
+        if rows * self.features.row_bytes == 0:
             return now + spinup
         nbytes, seconds = self.charge_hop(
             "reprovision", link, rows, now + spinup, bulk=True
@@ -765,18 +651,12 @@ class Replica:
             self._level -= 1
             window.clear()
 
-    def _compact_pairs(self, flat_pairs: np.ndarray) -> np.ndarray:
-        """Compact flattened endpoint pairs to the unique seed-node set.
-
-        The graphbolt-style compaction step of the link-prediction path:
-        a batch's candidate pairs collapse to one sorted unique node
-        array the sampler (and the feature fetch) runs over once, no
-        matter how many pairs share an endpoint.
-        """
-        pairs = flat_pairs.reshape(-1, 2)
-        seeds, _, _ = unique_and_compact_node_pairs(pairs)
-        self.pairs_served += len(pairs)
-        self.compaction_saved_rows += int(flat_pairs.size) - int(seeds.size)
+    def _seeds_of(self, payload: np.ndarray) -> np.ndarray:
+        """The task's sampler seeds for ``payload``; tallies the pairs it
+        scores and the endpoint slots its compaction collapsed away."""
+        seeds, pairs = self.task.request_seeds(payload)
+        self.pairs_served += pairs
+        self.compaction_saved_rows += int(payload.size) - int(seeds.size)
         return seeds
 
     def _serve(self, batch: list[Request], plan: BatchPlan) -> None:
@@ -800,14 +680,15 @@ class Replica:
             sizes = [int(s.size) for s in seed_sets]
             self.padding_seeds += max(sizes) * len(sizes) - sum(sizes)
             seed_sets = [np.concatenate(seed_sets)]
-        if self.task == "linkpred":
-            seed_sets = [self._compact_pairs(s) for s in seed_sets]
+        seed_sets = [self._seeds_of(payload) for payload in seed_sets]
         attrs: dict[str, object] = dict(
             requests=len(batch),
             seeds=sum(int(s.size) for s in seed_sets),
             level=level,
         )
-        if self._labelled:
+        if self._prefix:
+            # In a fleet, batch spans carry the replica id (standalone
+            # spans stay byte-identical to the pre-refactor trace).
             attrs["replica"] = self.replica_id
         name = "serve_superbatch" if plan.superbatch else "serve_batch"
         with maybe_span(self.profiler, f"{name}[{batch_id}]", "serve", **attrs):
@@ -837,20 +718,19 @@ class Replica:
         """Feature I/O for one batch's node set; returns its completion.
 
         Cache lookup, cross-shard interconnect hop for remotely-owned
-        frontier nodes, then the host feature read on the ``transfer``
-        queue.  With the tiered store, the host-tier read keeps the flat
-        path's exact charge shape while the remote tier and the p2p band
-        land on their own queues — the fetch completes at the *max* of
-        the three wires, which is the tiered store's overlap win.
+        frontier nodes, then the feature source's own charge (local read
+        on ``transfer``, remote tail on its queue) and the p2p hop on
+        its queue — the fetch completes at the *max* of the wires.
         """
         plan = plan_gather(nodes, self.cache)
-        cached_only = level >= MAX_DEGRADE_LEVEL and self.cache is not None
-        # Sharded replica: frontier nodes owned by other shards must
-        # hop the interconnect from their owner's device before the
-        # local feature read.  Cached-only service skips the hop the
-        # same way it skips PCIe — remote misses are answered from
-        # stale/default embeddings.
-        if self.shard is not None and not cached_only:
+        if level >= MAX_DEGRADE_LEVEL and self.cache is not None:
+            # Cached-only service reads just the device-resident rows:
+            # misses — cross-shard, host, p2p or remote — are answered
+            # from stale/default embeddings and cross no wire at all.
+            plan = plan.cached_only()
+        elif self.shard is not None:
+            # Frontier nodes owned by other shards hop the interconnect
+            # from their owner's device before the local feature read.
             remote = self.shard.remote_count(nodes)
             if remote > 0:
                 remote_bytes, hop = self.charge_hop(
@@ -859,53 +739,29 @@ class Replica:
                 self.cross_shard_rows += remote
                 self.cross_shard_bytes += remote_bytes
                 self.link_seconds += hop
-        # Cached-only service reads just the device-resident rows;
-        # misses are answered from stale/default embeddings instead
-        # of crossing PCIe — zero host traffic, smaller reads.
-        # Only the pinned-host band crosses PCIe as UVA traffic (same
-        # per-byte price as a flat miss).  With the tiered store, p2p
-        # and remote rows are DMA'd straight into the staging buffer by
-        # their own wires (charged below, on their own queues), so they
-        # leave the transfer queue's local read/write entirely; with
-        # both tiers empty (the full-budget default) the plan is
-        # byte-identical to the flat path's.
-        rows = plan.device_rows if cached_only else plan.gathered
-        host_rows = 0 if cached_only else plan.host_rows
-        with self.io_ctx.on_queue(
-            self._transfer_queue, not_before=sampled_at
-        ):
-            self.io_ctx.record(
-                "serve_feature_fetch",
-                bytes_read=rows * self.row_bytes,
-                bytes_written=rows * self.row_bytes,
-                tasks=max(rows, 1),
-                graph_bytes=host_rows * self.row_bytes,
+        completion = self.features.charge(
+            self.io_ctx,
+            plan,
+            not_before=sampled_at,
+            prefix=self._prefix,
+            name="serve_feature_fetch",
+        )
+        if plan.p2p_rows > 0:
+            # Peer HBM is DMA'd straight into the staging buffer over
+            # the fleet link, so it leaves the transfer queue entirely.
+            p2p_bytes, hop = self.charge_hop(
+                "p2p_fetch",
+                self.link,
+                plan.p2p_rows,
+                sampled_at,
+                queue=self._p2p_queue,
             )
-        completion = self.io_ctx.queue(self._transfer_queue).ready
-        # A flat or absent cache plans zero remote and p2p rows.
-        if not cached_only:
-            if plan.remote_rows > 0:
-                with self.io_ctx.on_queue(
-                    self._remote_queue, not_before=sampled_at
-                ):
-                    remote = record_remote_gather(
-                        self.io_ctx, plan, self.row_bytes, self.cache.remote_tier
-                    )
-                completion = max(completion, remote.sim_end)
-            if plan.p2p_rows > 0:
-                p2p_bytes, hop = self.charge_hop(
-                    "p2p_fetch",
-                    self.cache.link,
-                    plan.p2p_rows,
-                    sampled_at,
-                    queue=self._p2p_queue,
-                )
-                self.p2p_rows += plan.p2p_rows
-                self.p2p_bytes += p2p_bytes
-                self.p2p_seconds += hop
-                completion = max(
-                    completion, self.io_ctx.queue(self._p2p_queue).ready
-                )
+            self.p2p_rows += plan.p2p_rows
+            self.p2p_bytes += p2p_bytes
+            self.p2p_seconds += hop
+            completion = max(
+                completion, self.io_ctx.queue(self._p2p_queue).ready
+            )
         return completion
 
     def _complete(

@@ -1,7 +1,7 @@
 """Task abstraction: what a workload *is*, decoupled from how it samples.
 
 Every layer of the stack historically assumed node classification over
-node-id seeds.  A :class:`Task` owns the three places that assumption
+node-id seeds.  A :class:`Task` owns the four places that assumption
 leaked:
 
 * **seed generation** — which ids an epoch iterates (node ids for
@@ -11,7 +11,10 @@ leaked:
   :func:`unique_and_compact_node_pairs` compaction from raw node pairs
   to a unique seed set plus local-index pairs;
 * **model head + loss** — softmax cross-entropy over class logits
-  versus binary scoring of compacted node pairs.
+  versus binary scoring of compacted node pairs;
+* **request payloads** — what the units an online request draws *are*
+  (nodes, or positive edges plus forged negatives), what it ships, and
+  which sampler seeds a replica makes of it (the ``request_*`` hooks).
 
 The trainer, pipelined executor, and serving replica all consume this
 protocol; the default :class:`~repro.tasks.NodeClassificationTask`
@@ -116,15 +119,30 @@ class Task(abc.ABC):
         """
 
     # ------------------------------------------------------------------
-    def verify_check(self, *, trials: int = 200, alpha: float = 0.01,
-                     seed: int = 0):
-        """Oracle hook: the statistical check guarding this task's path.
+    # Serving: what a request's payload means
+    # ------------------------------------------------------------------
+    def request_edges(self, graph) -> tuple[np.ndarray, np.ndarray] | None:
+        """``(src, dst)`` arrays :meth:`request_units` ranks; ``None``
+        when requests draw nodes."""
+        return None
 
-        Node classification is covered by the per-algorithm equivalence
-        sweep; pair tasks override this with their bespoke check.
-        """
-        from repro.verify import verify_algorithm
+    @abc.abstractmethod
+    def request_units(
+        self,
+        num_nodes: int,
+        hotness: np.ndarray | None = None,
+        edges: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> np.ndarray:
+        """Bind the served graph; every unit id a request may draw,
+        hottest first (ties toward lower ids)."""
 
-        return verify_algorithm(
-            "graphsage", trials=trials, alpha=alpha, seed=seed
-        )
+    @abc.abstractmethod
+    def request_payload(
+        self, units: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """The int64 payload a request drawing ``units`` ships."""
+
+    @abc.abstractmethod
+    def request_seeds(self, payload: np.ndarray) -> tuple[np.ndarray, int]:
+        """Sampler seeds of one payload (or several, concatenated), and
+        the candidate pairs it asks to have scored (0 for node tasks)."""

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.core.ecsf import GraphSample
 from repro.datasets import Dataset
-from repro.errors import GSamplerError
+from repro.errors import GSamplerError, ServeError
 from repro.tasks.base import Task, TaskBatch, unique_and_compact_node_pairs
 
 __all__ = [
@@ -111,39 +111,73 @@ class LinkPredictionTask(Task):
 
     # ------------------------------------------------------------------
     def prepare(self, dataset: Dataset) -> None:
-        self._src, self._dst = edge_endpoints_of(dataset.graph)
-        self._num_nodes = dataset.num_nodes
-        self._live_keys = np.sort(
-            edge_keys(self._src, self._dst, self._num_nodes)
-        )
+        self._bind(*edge_endpoints_of(dataset.graph), dataset.num_nodes)
 
-    def _require_prepared(self) -> None:
-        if self._live_keys is None:
+    def _bind(self, src: np.ndarray, dst: np.ndarray, num_nodes: int) -> None:
+        self._src, self._dst, self._num_nodes = src, dst, num_nodes
+        self._live_keys = np.sort(edge_keys(src, dst, num_nodes))
+
+    def _bound_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._src is None or self._dst is None:
             raise GSamplerError(
                 "LinkPredictionTask.prepare(dataset) must run first"
             )
+        return self._src, self._dst
 
     def train_units(self, dataset: Dataset) -> np.ndarray:
-        self._require_prepared()
-        assert self._src is not None
-        return np.arange(len(self._src), dtype=np.int64)
+        return np.arange(len(self._bound_edges()[0]), dtype=np.int64)
+
+    def _pairs(
+        self, edge_ids: np.ndarray, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Global-id ``(P, 2)`` positive pairs of ``edge_ids`` and one
+        forged negative (same source, corrupted destination) per positive."""
+        src, dst = self._bound_edges()
+        edge_ids = np.asarray(edge_ids, dtype=np.int64)
+        pos_src = src[edge_ids]
+        neg_dst = negative_sample(
+            pos_src, self._num_nodes, self._live_keys, rng
+        )
+        return (
+            np.stack([pos_src, dst[edge_ids]], axis=1),
+            np.stack([pos_src, neg_dst], axis=1),
+        )
 
     def materialize(
         self, units: np.ndarray, rng: np.random.Generator
     ) -> TaskBatch:
-        self._require_prepared()
-        assert self._src is not None and self._dst is not None
-        assert self._live_keys is not None
-        edge_ids = np.asarray(units, dtype=np.int64)
-        pos_src = self._src[edge_ids]
-        pos_dst = self._dst[edge_ids]
-        neg_dst = negative_sample(
-            pos_src, self._num_nodes, self._live_keys, rng
+        nodes, cpos, cneg = unique_and_compact_node_pairs(
+            *self._pairs(units, rng)
         )
-        pos = np.stack([pos_src, pos_dst], axis=1)
-        neg = np.stack([pos_src, neg_dst], axis=1)
-        nodes, cpos, cneg = unique_and_compact_node_pairs(pos, neg)
         return TaskBatch(nodes=nodes, pos_pairs=cpos, neg_pairs=cneg)
+
+    # -- serving: a payload is flattened pairs, positives then negatives -
+    def request_edges(self, graph) -> tuple[np.ndarray, np.ndarray]:
+        return edge_endpoints_of(graph)
+
+    def request_units(self, num_nodes, hotness=None, edges=None) -> np.ndarray:
+        if edges is None:
+            raise ServeError(
+                "a linkpred workload needs the graph's (src, dst) edge "
+                "arrays to draw positive pairs from"
+            )
+        src = np.asarray(edges[0], dtype=np.int64)
+        self._bind(src, np.asarray(edges[1], dtype=np.int64), num_nodes)
+        # Edges inherit their source node's hotness, so skewed traffic
+        # concentrates on the hot nodes' edges just as node requests do.
+        edge_hotness = hotness[src] if hotness is not None else -src
+        return np.argsort(-edge_hotness.astype(np.float64), kind="stable")
+
+    def request_payload(
+        self, units: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        return np.concatenate(self._pairs(units, rng)).ravel()
+
+    def request_seeds(self, payload: np.ndarray) -> tuple[np.ndarray, int]:
+        """The graphbolt-style compaction step: however many pairs share
+        an endpoint, the sampler and the feature fetch see it once."""
+        pairs = payload.reshape(-1, 2)
+        return unique_and_compact_node_pairs(pairs)[0], len(pairs)
 
     def output_dim(self, dataset: Dataset) -> int:
         return self.embedding_dim
@@ -190,10 +224,3 @@ class LinkPredictionTask(Task):
             scores[: len(batch.pos_pairs)], scores[len(batch.pos_pairs):]
         )
         return loss, grad_emb, auc
-
-    # ------------------------------------------------------------------
-    def verify_check(self, *, trials: int = 200, alpha: float = 0.01,
-                     seed: int = 0):
-        from repro.verify.linkpred import check_linkpred_equivalence
-
-        return check_linkpred_equivalence(trials=trials, alpha=alpha, seed=seed)

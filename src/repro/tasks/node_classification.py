@@ -38,6 +38,20 @@ class NodeClassificationTask(Task):
     def output_dim(self, dataset: Dataset) -> int:
         return dataset.num_classes
 
+    # -- serving: a payload is the sorted seed nodes themselves ----------
+    def request_units(self, num_nodes, hotness=None, edges=None) -> np.ndarray:
+        if hotness is None:
+            return np.arange(num_nodes, dtype=np.int64)
+        return np.argsort(-hotness.astype(np.float64), kind="stable")
+
+    def request_payload(
+        self, units: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        return np.sort(units).astype(np.int64)
+
+    def request_seeds(self, payload: np.ndarray) -> tuple[np.ndarray, int]:
+        return payload, 0
+
     def loss_and_metric(
         self,
         model,

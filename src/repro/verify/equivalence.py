@@ -72,6 +72,11 @@ def collect_edge_marginals(
         trial += 1
         result = run_one(rng)
         matrices = result if isinstance(result, list) else [result]
+        if not matrices:
+            raise GSamplerError(
+                f"a verification run yielded no sample; {trials} trials "
+                "can never be reached"
+            )
         for matrix in matrices:
             rows, cols, values = matrix.to_coo_arrays()
             for r, c in zip(rows.tolist(), cols.tolist()):
@@ -272,6 +277,11 @@ def check_distribution_equivalence(
     """
     if trials < 1:
         raise GSamplerError(f"verification needs at least 1 trial, got {trials}")
+    if superbatch_batches is not None and superbatch_batches < 0:
+        raise GSamplerError(
+            "super-batch verification needs a non-negative batch count "
+            f"(0 disables it), got {superbatch_batches}"
+        )
     if not 0.0 < alpha < 1.0:
         raise GSamplerError(f"alpha must be in (0, 1), got {alpha}")
     frontiers = np.asarray(frontiers)

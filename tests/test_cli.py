@@ -187,6 +187,21 @@ class TestRunEpilogue:
         assert main(argv + ["--min-availability", "0.0"]) == 0
         assert "availability gate: " in capsys.readouterr().out
 
+    @pytest.mark.parametrize("gate", ["2", "-1", "nan"])
+    def test_min_availability_outside_0_1_exits_2(
+        self, tmp_path, capsys, monkeypatch, gate
+    ):
+        """``2`` once ran the whole session, wrote the lane, then failed
+        "100.00% < 200.00%" (exit 4); ``-1`` and ``nan`` passed silently."""
+        def no_dataset(*args, **kwargs):
+            raise AssertionError("refuse before any dataset is loaded")
+
+        monkeypatch.setattr("repro.cli.load_dataset", no_dataset)
+        argv = _SERVE + ["--min-availability", gate, "--out-dir", str(tmp_path)]
+        assert main(argv) == 2
+        assert "--min-availability is a fraction in [0, 1]" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("spec", ["1", "x@1", "1@soon", "1@1:later"])
     def test_malformed_kill_exits_2(self, tmp_path, capsys, spec):
         code = main(_SERVE + ["--kill", spec, "--out-dir", str(tmp_path)])

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cache import FeatureCache
+from repro.cache import FeatureCache, graph_degrees
 from repro.cache.feature_cache import CacheStats
 from repro.core import new_rng
 from repro.datasets import load_dataset
@@ -263,7 +263,9 @@ class TestFeatureCache:
     def test_trainer_charges_only_misses_over_pcie(self):
         ds = load_dataset("pp", scale=0.1)  # host-resident features
         pool = MemoryPool()
-        cache = FeatureCache.from_dataset(ds, ratio=0.5, pool=pool)
+        cache = FeatureCache(
+            ds.features, graph_degrees(ds.graph), ratio=0.5, pool=pool
+        )
         row_bytes = ds.features.shape[1] * 4
         cold = np.setdiff1d(
             np.arange(ds.features.shape[0]), cache.cached_ids

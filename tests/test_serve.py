@@ -26,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cache import graph_degrees
 from repro.datasets import load_dataset
 from repro.device import V100
 from repro.errors import ServeError
@@ -43,7 +44,6 @@ from repro.serve import (
     summarize,
 )
 from repro.serve.metrics import RequestLog
-from repro.serve.replica import graph_degrees
 from repro.serve.workload import _RankSampler
 from repro.tasks import edge_endpoints_of
 

@@ -31,6 +31,7 @@ import pytest
 from repro.cache import (
     CacheStats,
     FeatureCache,
+    FeatureSource,
     TieredFeatureStore,
     admit_rows,
 )
@@ -41,11 +42,17 @@ from repro.cache.tiered import (
     TIER_P2P,
     TIER_REMOTE,
     GatherSplit,
-    TierSpec,
 )
 from repro.datasets import load_dataset
-from repro.device import NVLINK, PCIE, V100, MemoryPool, p2p_cheaper_than_host
-from repro.errors import ServeError, ShapeError
+from repro.device import (
+    NVLINK,
+    PCIE,
+    V100,
+    LinkSpec,
+    MemoryPool,
+    p2p_cheaper_than_host,
+)
+from repro.errors import DeviceError, ServeError, ShapeError
 from repro.pipeline import run_pipeline_cell
 from repro.serve import WorkloadSpec, run_cluster_session
 
@@ -110,26 +117,20 @@ class TestOwnedMaskScoring:
         n = pd.features.shape[0]
         owned = np.zeros(n, dtype=bool)
         owned[n // 2 :] = True  # this replica owns the top-id half
-        cache = FeatureCache.from_dataset(
-            pd, ratio=0.1, pool=MemoryPool(), owned_mask=owned
-        )
+        cache = FeatureSource(pd, cache_ratio=0.1, owned_mask=owned).store
         # Plan (10% of nodes) is far smaller than the owned half, so
         # every pinned row must be owned.
         assert cache.cached_rows > 0
         assert owned[cache.cached_ids].all()
 
     def test_global_ranking_without_mask(self, pd):
-        a = FeatureCache.from_dataset(pd, ratio=0.1, pool=MemoryPool())
-        b = FeatureCache.from_dataset(
-            pd, ratio=0.1, pool=MemoryPool(), owned_mask=None
-        )
+        a = FeatureSource(pd, cache_ratio=0.1).store
+        b = FeatureSource(pd, cache_ratio=0.1, owned_mask=None).store
         assert np.array_equal(a.cached_ids, b.cached_ids)
 
     def test_mask_shape_checked(self, pd):
         with pytest.raises(ShapeError):
-            FeatureCache.from_dataset(
-                pd, pool=MemoryPool(), owned_mask=np.ones(3, dtype=bool)
-            )
+            FeatureSource(pd, owned_mask=np.ones(3, dtype=bool))
 
 
 # ----------------------------------------------------------------------
@@ -165,7 +166,7 @@ class TestCacheStats:
         assert m.lookups == 12
 
     def test_release_reads_zero_evicted(self, pd):
-        cache = FeatureCache.from_dataset(pd, ratio=0.1, pool=MemoryPool())
+        cache = FeatureSource(pd, cache_ratio=0.1).store
         assert cache.epoch_stats().evicted_rows == 0
         cache.release()
         stats = cache.epoch_stats()
@@ -191,19 +192,21 @@ class TestCacheStats:
 
 
 # ----------------------------------------------------------------------
-# TierSpec / GatherSplit
+# A tier's price (a LinkSpec) / GatherSplit
 # ----------------------------------------------------------------------
 class TestTierSpec:
     def test_fetch_time_latency_plus_bandwidth(self):
-        tier = TierSpec(name="t", bandwidth=1e9, latency=1e-4)
-        assert tier.fetch_time(0) == 0.0
-        assert tier.fetch_time(1e9) == pytest.approx(1e-4 + 1.0)
+        tier = LinkSpec(name="t", bandwidth=1e9, latency=1e-4)
+        assert tier.transfer_time(0) == 0.0
+        assert tier.transfer_time(1e9) == pytest.approx(1e-4 + 1.0)
+        # The default remote tier kept its name and numbers.
+        assert REMOTE_TIER == LinkSpec("remote", bandwidth=2.5e9, latency=100e-6)
 
     def test_validation(self):
-        with pytest.raises(ShapeError):
-            TierSpec(name="bad", bandwidth=0.0, latency=0.0)
-        with pytest.raises(ShapeError):
-            TierSpec(name="bad", bandwidth=1e9, latency=-1.0)
+        with pytest.raises(DeviceError):
+            LinkSpec(name="bad", bandwidth=0.0, latency=0.0)
+        with pytest.raises(DeviceError):
+            LinkSpec(name="bad", bandwidth=1e9, latency=-1.0)
 
     def test_gather_split_total(self):
         assert GatherSplit(1, 2, 3, 4).total == 10

@@ -18,6 +18,9 @@ Failing statistical tests print the root seed; rerun with
 
 from __future__ import annotations
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -374,6 +377,24 @@ class TestVerifyCli:
         )
         assert code == 0
         assert "superbatch" not in capsys.readouterr().out
+
+    def test_negative_superbatch_batches_exits_2(self):
+        """``range(-1)`` built zero batches and the marginal collector span
+        forever waiting for a sample; run out of process so a relapse is a
+        timeout, not a hung suite."""
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "verify", "graphsage",
+             "--trials", "5", "--superbatch-batches", "-1"],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 2, done.stderr[-2000:]
+        assert "non-negative batch count" in done.stderr
+
+    def test_a_run_that_yields_no_sample_raises(self):
+        with pytest.raises(GSamplerError, match="yielded no sample"):
+            collect_edge_marginals(lambda rng: [], trials=3, seed=0)
 
     @pytest.mark.parametrize(
         "target, labels",
