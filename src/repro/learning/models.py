@@ -15,7 +15,8 @@ import numpy as np
 from repro.core import GraphSample
 from repro.errors import ShapeError
 from repro.learning.nn import Linear, ReLU
-from repro.sparse.formats import sorted_unique
+from repro.sparse.formats import edge_values, sorted_unique
+from repro.sparse.kernels import scatter_add
 
 
 def _positions(ids: np.ndarray, universe: np.ndarray) -> np.ndarray:
@@ -26,38 +27,53 @@ def _positions(ids: np.ndarray, universe: np.ndarray) -> np.ndarray:
     return pos
 
 
+def _endpoint_positions(
+    local: np.ndarray, ids: np.ndarray | None, universe: np.ndarray
+) -> np.ndarray:
+    """Position inside sorted-unique ``universe`` of every edge endpoint.
+
+    ``local`` indexes the block's id table ``ids``.  The table is looked up
+    once (one search per node, not per edge) and gathered through
+    ``local``; only an id some edge touches has to be in ``universe``.  A
+    block without a table carries original ids on that axis.
+    """
+    if ids is None:
+        return _positions(local, universe)
+    pos = np.searchsorted(universe, ids)
+    found = pos < len(universe)
+    found[found] = universe[pos[found]] == ids[found]
+    if not found[local].all():
+        raise ShapeError("node set mismatch between sample layers")
+    return pos[local]
+
+
 class _AggregationCache:
     """Per-layer cached arrays needed by the backward pass."""
 
     def __init__(self) -> None:
         self.src_pos: np.ndarray | None = None
         self.dst_pos: np.ndarray | None = None
+        self.self_pos: np.ndarray | None = None
         self.weights: np.ndarray | None = None
         self.norm: np.ndarray | None = None
         self.h_src: np.ndarray | None = None
 
 
 def _weighted_mean_aggregate(
-    rows: np.ndarray,
-    cols: np.ndarray,
+    src_pos: np.ndarray,
+    dst_pos: np.ndarray,
     weights: np.ndarray,
     h_src: np.ndarray,
-    src_universe: np.ndarray,
-    dst_universe: np.ndarray,
+    num_dst: int,
     cache: _AggregationCache,
 ) -> np.ndarray:
     """agg[dst] = sum_e w_e * h_src[src_e] / sum_e w_e, vectorized."""
-    src_pos = _positions(rows, src_universe)
-    dst_pos = _positions(cols, dst_universe)
-    dim = h_src.shape[1]
-    agg = np.zeros((len(dst_universe), dim), dtype=np.float64)
-    np.add.at(agg, dst_pos, weights[:, None].astype(np.float64) * h_src[src_pos])
-    norm = np.zeros(len(dst_universe), dtype=np.float64)
-    np.add.at(norm, dst_pos, weights.astype(np.float64))
-    norm = np.maximum(norm, 1e-12)
+    weights = weights.astype(np.float64)
+    agg = scatter_add(dst_pos, weights[:, None] * h_src[src_pos], num_dst)
+    norm = np.maximum(scatter_add(dst_pos, weights, num_dst), 1e-12)
     agg = (agg / norm[:, None]).astype(np.float32)
     cache.src_pos, cache.dst_pos = src_pos, dst_pos
-    cache.weights, cache.norm = weights.astype(np.float64), norm
+    cache.weights, cache.norm = weights, norm
     cache.h_src = h_src
     return agg
 
@@ -68,13 +84,9 @@ def _aggregate_backward(
     """Gradient of the weighted mean w.r.t. the source representations."""
     assert cache.src_pos is not None
     grad_scaled = grad_agg.astype(np.float64) / cache.norm[:, None]
-    grad_src = np.zeros((num_src, grad_agg.shape[1]), dtype=np.float64)
-    np.add.at(
-        grad_src,
-        cache.src_pos,
-        cache.weights[:, None] * grad_scaled[cache.dst_pos],
-    )
-    return grad_src.astype(np.float32)
+    return scatter_add(
+        cache.src_pos, cache.weights[:, None] * grad_scaled[cache.dst_pos], num_src
+    ).astype(np.float32)
 
 
 class SampledGNN:
@@ -116,7 +128,6 @@ class SampledGNN:
         # Forward caches for backward.
         self._need: list[np.ndarray] = []
         self._agg_caches: list[_AggregationCache] = []
-        self._edge_arrays: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     # ------------------------------------------------------------------
     def forward(self, sample: GraphSample, features: np.ndarray) -> np.ndarray:
@@ -135,25 +146,32 @@ class SampledGNN:
                     np.concatenate([need[-1], layer.output_nodes]), bound
                 )
             )
+        for depth, layer in enumerate(layers):
+            weights = edge_values(layer.matrix.any_storage())
+            if not np.isfinite(weights).all():
+                raise ShapeError(
+                    f"sample layer {depth} has non-finite edge weights"
+                )
         self._need = need
         self._agg_caches = []
-        self._edge_arrays = []
         h = features[need[self.num_layers]].astype(np.float32)
         for depth in reversed(range(self.num_layers)):
-            layer = layers[depth]
-            rows, cols, weights = layer.matrix.to_coo_arrays()
-            self._edge_arrays.append((rows, cols, weights))
+            matrix = layers[depth].matrix
+            coo = matrix.get("coo")
             cache = _AggregationCache()
             agg = _weighted_mean_aggregate(
-                rows, cols, weights, h, need[depth + 1], need[depth], cache
+                _endpoint_positions(coo.rows, matrix.row_ids, need[depth + 1]),
+                _endpoint_positions(coo.cols, matrix.col_ids, need[depth]),
+                edge_values(coo),
+                h,
+                len(need[depth]),
+                cache,
             )
             self._agg_caches.append(cache)
-            li = depth
-            out = self.neigh_layers[li].forward(agg)
+            out = self.neigh_layers[depth].forward(agg)
             if self.use_self:
-                self_pos = _positions(need[depth], need[depth + 1])
-                cache.self_pos = self_pos  # type: ignore[attr-defined]
-                out = out + self.self_layers[li].forward(h[self_pos])
+                cache.self_pos = _positions(need[depth], need[depth + 1])
+                out = out + self.self_layers[depth].forward(h[cache.self_pos])
             if depth > 0:
                 out = self.activations[depth - 1].forward(out)
             h = out
@@ -169,8 +187,10 @@ class SampledGNN:
         grad_h = np.zeros(
             (self._h_final_rows, grad_logits.shape[1]), dtype=np.float32
         )
+        # Seeds may repeat and this sum runs in float32, so it stays the
+        # unbuffered scatter: ``scatter_add`` would round once, from float64.
         np.add.at(grad_h, self._seed_pos, grad_logits)
-        for i, depth in enumerate(range(self.num_layers)):
+        for depth in range(self.num_layers):
             cache = self._agg_caches[self.num_layers - 1 - depth]
             if depth > 0:
                 grad_h = self.activations[depth - 1].backward(grad_h)
@@ -179,8 +199,10 @@ class SampledGNN:
                 grad_agg, cache, num_src=len(need[depth + 1])
             )
             if self.use_self:
-                grad_self = self.self_layers[depth].backward(grad_h)
-                np.add.at(grad_src, cache.self_pos, grad_self)  # type: ignore[attr-defined]
+                # ``self_pos`` are distinct positions: a plain indexed add.
+                grad_src[cache.self_pos] += self.self_layers[depth].backward(
+                    grad_h
+                )
             grad_h = grad_src
         # grad_h now holds d(loss)/d(features of deepest nodes); we do not
         # train input features, so it is dropped.

@@ -41,6 +41,7 @@ from repro.sparse.kernels import (
     map_edges_unary,
     reduce_cols,
     reduce_rows,
+    scatter_add,
     sddmm_dot,
     slice_columns,
     slice_rows,
@@ -75,6 +76,7 @@ __all__ = [
     "occupied_rows",
     "reduce_cols",
     "reduce_rows",
+    "scatter_add",
     "sddmm_dot",
     "slice_columns",
     "slice_rows",

@@ -439,6 +439,52 @@ def _reduce(
 # ---------------------------------------------------------------------------
 # Dense interactions
 # ---------------------------------------------------------------------------
+def scatter_add(groups: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """``out[groups[e]] += values[e]`` into float64 zeros, one row per group.
+
+    Bit-equal to ``out = np.zeros((size,) + values.shape[1:]);
+    np.add.at(out, groups, values)``: ``np.bincount`` adds a bin's weights in
+    input order, as the unbuffered ``ufunc.at`` does, but in one buffered
+    pass (DESIGN "Host kernels").  Trailing axes are flattened into
+    ``group * width + column`` bins, a block of columns at a time so the
+    index temporary stays under 8 MB whatever the edge count.  A group
+    outside ``[0, size)`` raises :class:`ShapeError` — ``add.at`` would
+    wrap a negative one and ``bincount`` silently grow the output.
+    """
+    groups = as_index_array(groups)
+    values = np.asarray(values, dtype=np.float64)
+    n = len(groups)
+    if values.shape[:1] != (n,):
+        raise ShapeError(
+            f"scatter_add wants one value row per group id, got {n} ids "
+            f"and values of shape {values.shape}"
+        )
+    if n and not 0 <= groups.min() <= groups.max() < size:
+        raise ShapeError(
+            f"scatter_add groups span [{groups.min()}, {groups.max()}], "
+            f"outside [0, {size})"
+        )
+    shape = (size,) + values.shape[1:]
+    if values.size == 0:
+        return np.zeros(shape, dtype=np.float64)
+    width = values.size // n
+    flat = values.reshape(n, width)
+    block = min(width, max(1, (1 << 20) // n))
+    bins = groups[:, None] * block + np.arange(block)
+    parts = []
+    for start in range(0, width, block):
+        w = min(block, width - start)
+        sums = np.bincount(
+            bins[:, :w].ravel(),
+            weights=flat[:, start : start + w].ravel(),
+            minlength=size * block,
+        )
+        parts.append(sums.reshape(size, block)[:, :w])
+    # One block is the common case: its sums are the result, not a copy.
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    return out.reshape(shape)
+
+
 def spmm(
     matrix: SparseFormat,
     dense: np.ndarray,
@@ -457,9 +503,9 @@ def spmm(
         )
     rows, cols = edge_endpoints(matrix, ctx)
     vals = edge_values(matrix)
-    out = np.zeros((matrix.shape[0], dense.shape[1]), dtype=np.float64)
-    np.add.at(out, rows, vals[:, None].astype(np.float64) * dense[cols])
-    result = out.astype(VALUE_DTYPE)
+    result = scatter_add(
+        rows, vals[:, None].astype(np.float64) * dense[cols], matrix.shape[0]
+    ).astype(VALUE_DTYPE)
     k = dense.shape[1]
     ctx.record(
         "spmm",

@@ -20,6 +20,7 @@ import numpy as np
 from repro.core.ecsf import GraphSample
 from repro.datasets import Dataset
 from repro.errors import GSamplerError, ServeError
+from repro.sparse.kernels import scatter_add
 from repro.tasks.base import Task, TaskBatch, unique_and_compact_node_pairs
 
 __all__ = [
@@ -217,9 +218,10 @@ class LinkPredictionTask(Task):
         )
         sig = 1.0 / (1.0 + np.exp(-scores))
         dscore = ((sig - labels) / len(pairs)).astype(np.float32)
-        grad_emb = np.zeros_like(emb, dtype=np.float32)
-        np.add.at(grad_emb, left, dscore[:, None] * emb[right])
-        np.add.at(grad_emb, right, dscore[:, None] * emb[left])
+        grad_emb = (
+            scatter_add(left, dscore[:, None] * emb[right], len(emb))
+            + scatter_add(right, dscore[:, None] * emb[left], len(emb))
+        ).astype(np.float32)
         auc = pair_auc(
             scores[: len(batch.pos_pairs)], scores[len(batch.pos_pairs):]
         )

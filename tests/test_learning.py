@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from repro.algorithms import make_algorithm
-from repro.core import new_rng
+from repro.core import GraphSample, Matrix, SampledLayer, new_rng
 from repro.datasets import load_dataset
 from repro.device import V100
 from repro.errors import ShapeError
+from repro.sparse import COO
 from repro.learning import (
     GraphSAGEModel,
     LadiesGCN,
@@ -142,6 +143,49 @@ class TestModels:
         model = LadiesGCN(8, 16, 4, num_layers=2, rng=rng)
         logits = model.forward(sample, feats)
         assert logits.shape == (10, 4)
+
+
+def _one_block(row_ids, output_nodes):
+    """Seeds 10 and 20 fed by nodes 5, 10 and 30, as a one-layer sample.
+
+    ``row_ids=None`` is the block whose rows are original ids (40 nodes).
+    """
+    storage = COO(
+        rows=np.array([5, 10, 30] if row_ids is None else [0, 1, 2]),
+        cols=np.array([0, 1, 0]),
+        values=np.array([1.0, 2.0, 3.0], dtype=np.float32),
+        shape=(40 if row_ids is None else len(row_ids), 2),
+    )
+    seeds = np.array([10, 20])
+    matrix = Matrix(storage, row_ids=row_ids, col_ids=seeds)
+    layer = SampledLayer(matrix, input_nodes=seeds, output_nodes=output_nodes)
+    return GraphSample(seeds=seeds, layers=[layer])
+
+
+class TestBlockIdTables:
+    """``forward`` looks a block's id tables up once, then gathers per edge."""
+
+    def _logits(self, sample):
+        feats = np.random.default_rng(3).random((40, 6)).astype(np.float32)
+        model = GraphSAGEModel(6, 8, 3, num_layers=1, rng=np.random.default_rng(4))
+        return model.forward(sample, feats)
+
+    def test_table_and_original_ids_agree(self):
+        nodes = np.array([5, 10, 30])
+        with_table = self._logits(_one_block(nodes, nodes))
+        original = self._logits(_one_block(None, nodes))
+        assert np.array_equal(with_table, original)
+
+    def test_table_row_no_edge_touches_may_be_outside_the_layer(self):
+        nodes = np.array([5, 10, 30])
+        padded = self._logits(_one_block(np.array([5, 10, 30, 39]), nodes))
+        assert np.array_equal(padded, self._logits(_one_block(nodes, nodes)))
+
+    @pytest.mark.parametrize("row_ids", [np.array([5, 10, 30]), None])
+    def test_edge_endpoint_outside_the_layer_is_a_mismatch(self, row_ids):
+        sample = _one_block(row_ids, np.array([5, 10]))
+        with pytest.raises(ShapeError, match="node set mismatch"):
+            self._logits(sample)
 
 
 class TestTrainer:

@@ -12,9 +12,16 @@ Covers the three contracts the pipelined path must keep:
 
 from __future__ import annotations
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import repro
 from repro.cache import FeatureCache, graph_degrees
 from repro.cache.feature_cache import CacheStats
 from repro.core import new_rng
@@ -309,6 +316,44 @@ class TestPipelinedParity:
         assert serial.final_loss == pipelined.final_loss
         assert serial.accuracy_history == pipelined.accuracy_history
         assert serial.final_accuracy == pipelined.final_accuracy
+
+    def test_perfbench_cells_train_to_the_pinned_floats(self):
+        """The ``train_pipeline`` cells, float for float: a host kernel swap
+        under ``SampledGNN`` (DESIGN "Host kernels") must not move a loss.
+
+        A child with one BLAS thread, as perfbench runs it: OpenBLAS's
+        threaded GEMM sums in another order (1 ulp on the graphsage loss).
+        """
+        script = (
+            "import json\n"
+            "from repro.datasets import load_dataset\n"
+            "from repro.device import V100\n"
+            "from repro.pipeline import run_pipeline_cell\n"
+            "ds = load_dataset('pd', scale=1.0)\n"
+            "cells = {}\n"
+            "for algorithm, max_batches in (('graphsage', 16), ('ladies', 40)):\n"
+            "    cells[algorithm] = [\n"
+            "        (r.final_loss, r.final_accuracy)\n"
+            "        for r in run_pipeline_cell(\n"
+            "            algorithm, ds, device=V100, batch_size=256,\n"
+            "            max_batches=max_batches, seed=1)]\n"
+            "print(json.dumps(cells))\n"
+        )
+        one_thread = dict.fromkeys(
+            ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), "1"
+        )
+        src = pathlib.Path(repro.__file__).parents[1]
+        child = subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, **one_thread, "PYTHONPATH": str(src)},
+            capture_output=True, text=True, check=True, timeout=300,
+        )
+        graphsage = [0.12613797187805176, 0.65673828125]
+        ladies = [0.08021184802055359, 0.80576171875]
+        assert json.loads(child.stdout) == {
+            "graphsage": [graphsage, graphsage],  # serial == pipelined
+            "ladies": [ladies, ladies],
+        }
 
     def test_pipelining_reduces_epoch_time(self, pd_cell):
         serial, pipelined = pd_cell

@@ -12,6 +12,7 @@ from repro.errors import ShapeError
 from repro.sparse import (
     convert,
     edge_endpoints,
+    edge_values,
     fused_map_chain,
     fused_map_reduce,
     map_edges_broadcast,
@@ -20,6 +21,7 @@ from repro.sparse import (
     map_edges_unary,
     reduce_cols,
     reduce_rows,
+    scatter_add,
     sddmm_dot,
     slice_columns,
     slice_rows,
@@ -167,7 +169,74 @@ class TestReduce:
             assert out[j] == pytest.approx(expected, rel=1e-5), (op, j)
 
 
+def add_at(groups, values, size):
+    """The unbuffered scatter ``scatter_add`` replaced, kept as its oracle."""
+    values = np.asarray(values)
+    out = np.zeros((size,) + values.shape[1:], dtype=np.float64)
+    np.add.at(out, groups, values)
+    return out
+
+
+class TestScatterAdd:
+    """``scatter_add`` is ``np.add.at`` into float64 zeros, bit for bit."""
+
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        edges=st.integers(0, 300),
+        size=st.integers(1, 40),
+        tail=st.sampled_from([(), (1,), (3,), (33,), (2, 3)]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_add_at(self, seed, edges, size, tail, dtype):
+        rng = np.random.default_rng(seed)
+        # Unsorted, repeated, and (``high < size``) with the top ids absent.
+        groups = rng.integers(0, rng.integers(1, size + 1), edges)
+        values = (rng.standard_normal((edges, *tail)) * 1e3).astype(dtype)
+        out = scatter_add(groups, values, size)
+        assert out.dtype == np.float64 and out.shape == (size, *tail)
+        assert np.array_equal(out, add_at(groups, values, size))
+
+    def test_column_blocks_equal_one_pass(self, rng):
+        # 9000 x 130 > 2**20 flat bins: two column blocks, the last narrower.
+        groups = rng.integers(0, 700, 9000)
+        values = rng.standard_normal((9000, 130))
+        assert np.array_equal(
+            scatter_add(groups, values, 800), add_at(groups, values, 800)
+        )
+
+    def test_nan_stays_in_its_group(self):
+        out = scatter_add(np.array([1, 0, 1]), np.array([1.0, np.nan, 2.0]), 3)
+        assert np.isnan(out[0]) and out[1] == 3.0 and out[2] == 0.0
+
+    @pytest.mark.parametrize("bad", [[0, 3], [-1, 0]])
+    def test_group_outside_size_refused(self, bad):
+        with pytest.raises(ShapeError, match="outside"):
+            scatter_add(np.array(bad), np.ones((2, 4)), 3)
+
+    def test_one_value_row_per_group(self):
+        with pytest.raises(ShapeError, match="one value row per group"):
+            scatter_add(np.array([0, 1]), np.ones((3, 4)), 3)
+
+
 class TestDenseInteraction:
+    @given(
+        seed=st.integers(0, 2**31 - 1),
+        nnz=st.integers(0, 60),
+        k=st.sampled_from([None, 1, 5]),
+        layout=st.sampled_from(["coo", "csr", "csc"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_spmm_equals_add_at(self, seed, nnz, k, layout):
+        rng = np.random.default_rng(seed)
+        matrix = convert(random_coo(rng, rows=9, cols=6, nnz=nnz, unique=False), layout)
+        dense = rng.standard_normal(6 if k is None else (6, k)).astype(np.float32)
+        rows, cols = edge_endpoints(matrix)
+        vals = edge_values(matrix).astype(np.float64)
+        products = vals * dense[cols] if k is None else vals[:, None] * dense[cols]
+        expected = add_at(rows, products, 9).astype(np.float32)
+        assert np.array_equal(spmm(matrix, dense), expected)
+
     def test_spmm_matches_dense(self, rng):
         coo = random_coo(rng, rows=10, cols=6, nnz=30)
         d = rng.random((6, 4)).astype(np.float32)
@@ -191,8 +260,6 @@ class TestDenseInteraction:
         cf = rng.random((5, 3)).astype(np.float32)
         out = sddmm_dot(coo, bf, cf)
         rows, cols = edge_endpoints(out)
-        from repro.sparse import edge_values
-
         for r, c, v in zip(rows, cols, edge_values(out)):
             assert v == pytest.approx(float(bf[r] @ cf[c]), rel=1e-4)
 

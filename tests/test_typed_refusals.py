@@ -12,7 +12,8 @@ from repro import cli, sampler
 from repro.algorithms import make_algorithm
 from repro.baselines import make_system
 from repro.bench import measure_cell
-from repro.errors import GSamplerError
+from repro.core import new_rng
+from repro.errors import GSamplerError, ShapeError
 
 
 class TestTypedRefusals:
@@ -51,6 +52,27 @@ class TestTypedRefusals:
 
         with pytest.raises(GSamplerError, match="unknown bandit rule"):
             BanditPipeline(small_graph, (3,), "thompson")
+
+    @pytest.mark.parametrize("poison", [np.nan, np.inf])
+    def test_non_finite_edge_weight_names_its_layer_before_aggregating(
+        self, poison, small_graph, rng, monkeypatch
+    ):
+        """One NaN weight used to come back as an all-NaN row, then a NaN loss."""
+        from repro.learning import GraphSAGEModel, models
+
+        def no_aggregate(*args, **kwargs):
+            raise AssertionError("aggregated before refusing")
+
+        seeds = np.arange(8)
+        pipeline = make_algorithm("graphsage", fanouts=(3, 3)).build(
+            small_graph, seeds
+        )
+        sample = pipeline.sample_batch(seeds, rng=new_rng(0))
+        sample.layers[1].matrix.any_storage().values[0] = poison
+        monkeypatch.setattr(models, "scatter_add", no_aggregate)
+        model = GraphSAGEModel(8, 16, 4, num_layers=2, rng=rng)
+        with pytest.raises(ShapeError, match="layer 1 has non-finite edge weights"):
+            model.forward(sample, rng.random((200, 8)).astype(np.float32))
 
 
 class TestServeFlagBoundaries:
