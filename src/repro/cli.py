@@ -13,18 +13,22 @@
   (the ``repro.profile`` subsystem): print a Table-9-style report,
   write a Chrome-trace/Perfetto JSON, and replace the one-record
   ``BENCH_<tag>.json`` golden, listing every key that moved;
+* ``pipeline`` — train one epoch serially, then with sampling, transfer
+  and compute overlapped on device queues (the ``repro.pipeline``
+  subsystem), under the same trace + lane contract as ``profile``;
 * ``serve`` — simulate an online inference-sampling session (the
   ``repro.serve`` subsystem): a seeded arrival process drives the
-  dynamic batcher under an admission/degradation policy, and the run
-  reports throughput, p50/p95/p99 latency, shed/degraded counts, and
-  the batch-size histogram, with the same trace + ``BENCH_<lane>_*``
-  golden contract as ``profile``;
+  dynamic batcher under an admission/degradation policy, with the same
+  trace + ``BENCH_<lane>_*`` golden contract;
 * ``datasets`` / ``algorithms`` / ``systems`` — list what is available.
+
+``pipeline`` and ``serve`` print exactly the metrics their lane records.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import pathlib
 import sys
@@ -38,7 +42,11 @@ from repro.datasets import available_datasets, load_dataset
 from repro.device import DEVICES, LINKS, get_device
 from repro.errors import GSamplerError, ServeError
 from repro.partition import PARTITION_METHODS
-from repro.pipeline import DEFAULT_PREFETCH_DEPTH, run_pipeline_cell
+from repro.pipeline import (
+    DEFAULT_PREFETCH_DEPTH,
+    PIPELINE_MODELS,
+    run_pipeline_cell,
+)
 from repro.profile import (
     Profiler,
     bench_path,
@@ -56,6 +64,7 @@ from repro.serve import (
     AutoscalePolicy,
     FailureEvent,
     FailureSpec,
+    ReplicaStats,
     ServePolicy,
     WorkloadSpec,
     make_composer,
@@ -103,15 +112,14 @@ _SHARED_FLAGS: dict[str, dict] = {
         type=float,
         default=DEFAULT_CACHE_RATIO,
         help="fraction of nodes whose feature rows are pinned on device "
-        "(default %(default).2f, 0 disables the cache; profile: "
-        "pipeline mode)",
+        "(default %(default).2f, 0 disables the cache)",
     ),
     "--feature-tiers": dict(
         action="store_true",
         help="serve features through the multi-tier store (device HBM, "
         "optional peer HBM over the interconnect, pinned host DRAM, "
         "and a remote/disk tail on its own queue) instead of the flat "
-        "cache (profile: pipeline mode)",
+        "cache",
     ),
     "--host-tier-ratio": dict(
         type=float,
@@ -185,30 +193,37 @@ def _build_parser() -> argparse.ArgumentParser:
         "--scale", "--max-batches",
     )
     _add_lane_arguments(profile)
-    profile.add_argument(
-        "--pipeline",
-        action="store_true",
-        help="profile a pipelined training epoch (sample/transfer/compute "
-        "on overlapping queues) against the serial trainer",
+
+    pipeline = sub.add_parser(
+        "pipeline",
+        help="train one epoch serially, then with sample/transfer/compute "
+        "on overlapping queues: report, Chrome trace, BENCH record",
     )
-    _add_shared(profile, "--cache-ratio")
-    profile.add_argument(
+    pipeline.add_argument(
+        "algorithm",
+        choices=tuple(PIPELINE_MODELS),
+        help="the Table-8 workload to train",
+    )
+    _add_shared(
+        pipeline, "--dataset", "--device", "--batch-size", "--scale",
+        "--max-batches",
+    )
+    _add_lane_arguments(pipeline)
+    _add_shared(pipeline, "--cache-ratio")
+    pipeline.add_argument(
         "--prefetch-depth",
         type=int,
         default=DEFAULT_PREFETCH_DEPTH,
         help="batches the sampler may run ahead of compute "
-        "(pipeline mode; default %(default)s)",
+        "(default %(default)s)",
     )
-    profile.add_argument(
-        "--epochs",
-        type=int,
-        default=1,
-        help="training epochs to simulate (pipeline mode)",
+    pipeline.add_argument(
+        "--epochs", type=int, default=1, help="training epochs to simulate"
     )
     _add_shared(
-        profile, "--feature-tiers", "--host-tier-ratio", "--hbm-budget-mb"
+        pipeline, "--feature-tiers", "--host-tier-ratio", "--hbm-budget-mb"
     )
-    profile.add_argument(
+    pipeline.add_argument(
         "--no-prefetch",
         action="store_true",
         help="model a synchronous loader: a batch's feature fetch "
@@ -611,6 +626,32 @@ def _hbm_budget(args: argparse.Namespace) -> int | None:
     return int(args.hbm_budget_mb * 2**20)
 
 
+def _cell(value: object) -> str:
+    """One printed value: a fractional float to six significant digits."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
+
+
+def _print_queues(queues) -> None:
+    """The "Queue timelines" table, one ``(queue, context, busy seconds,
+    end seconds, launches)`` row per simulated device queue."""
+    rows = [
+        [name, where, f"{busy * 1e3:.4f}", f"{end * 1e3:.4f}", launches,
+         f"{busy / end:.0%}" if end else "0%"]
+        for name, where, busy, end, launches in queues
+    ]
+    header = ["Queue", "Context", "Busy (ms)", "End (ms)", "Launches", "Util"]
+    print(format_table(header, rows, title="Queue timelines"))
+
+
+def _print_record(tag: str, metrics: dict[str, object]) -> None:
+    """The ``Metric | Value`` summary: exactly the ``metrics`` the lane
+    records, in record order — nothing printed that is not recorded."""
+    rows = [[key, _cell(value)] for key, value in metrics.items()]
+    print(format_table(["Metric", "Value"], rows, title=f"Lane {tag}"))
+
+
 def _finish_run(
     args: argparse.Namespace,
     profiler,
@@ -668,16 +709,15 @@ def _finish_run(
     return 3 if args.fail_on_regression else 0
 
 
-def _cmd_profile_pipeline(args: argparse.Namespace) -> int:
-    """The ``profile --pipeline`` branch: serial vs pipelined epochs."""
+def _cmd_pipeline(args: argparse.Namespace) -> int:
+    """The ``pipeline`` command: serial vs pipelined epochs + lane record."""
     dataset = load_dataset(args.dataset, scale=args.scale)
-    device = get_device(args.device)
     profiler = Profiler()
     with profiler.activate():
         serial, pipelined = run_pipeline_cell(
             args.algorithm,
             dataset,
-            device=device,
+            device=get_device(args.device),
             epochs=args.epochs,
             batch_size=args.batch_size,
             max_batches=args.max_batches,
@@ -689,82 +729,34 @@ def _cmd_profile_pipeline(args: argparse.Namespace) -> int:
             hbm_budget=_hbm_budget(args),
             prefetch=not args.no_prefetch,
         )
-
-    reduction = (
-        1.0 - pipelined.total_seconds / serial.total_seconds
-        if serial.total_seconds
-        else 0.0
-    )
-    rows = [
-        ["serial epoch time (simulated ms)", f"{serial.total_seconds * 1e3:.4f}"],
-        ["pipelined epoch time (simulated ms)",
-         f"{pipelined.total_seconds * 1e3:.4f}"],
-        ["reduction", f"{reduction:.1%}"],
-        ["prefetch depth", args.prefetch_depth],
-        ["loss parity",
-         "bit-identical" if serial.final_loss == pipelined.final_loss
-         else "DIVERGED"],
-    ]
-    cache = pipelined.cache_stats
-    if cache is not None:
-        rows += [
-            ["cache ratio", f"{args.cache_ratio:.2f}"],
-            ["cached rows", f"{cache.cached_rows} "
-             f"({cache.cached_bytes // 1024} KiB)"],
-            ["cache hit rate", f"{cache.hit_rate:.1%}"],
-        ]
-        if args.feature_tiers:
-            rows.append(
-                ["tier hit rates (dev/host/remote)",
-                 " / ".join(
-                     f"{cache.tier_rate(t):.1%}"
-                     for t in ("device", "host", "remote")
-                 )]
-            )
-            rows.append(
-                ["prefetch", "async" if not args.no_prefetch else
-                 "synchronous loader"]
-            )
-    print(
-        format_table(
-            ["Metric", "Value"],
-            rows,
-            title=(
-                f"Pipelined epochs — {args.algorithm} on {args.dataset} "
-                f"({args.device}), {args.epochs} epoch(s)"
-            ),
+    # The command's correctness contract: pipelining moves the clock only.
+    if serial.final_loss != pipelined.final_loss:
+        raise GSamplerError(
+            f"pipelined loss {pipelined.final_loss!r} diverged from the "
+            f"serial loss {serial.final_loss!r}"
         )
+    _print_queues(
+        (r.queue, r.device, r.busy_seconds, r.end_seconds, r.launches)
+        for r in pipelined.queue_reports
     )
-    print(
-        format_table(
-            ["Queue", "Device", "Busy (ms)", "End (ms)", "Launches", "Util"],
-            [
-                [
-                    r.queue,
-                    r.device,
-                    f"{r.busy_seconds * 1e3:.4f}",
-                    f"{r.end_seconds * 1e3:.4f}",
-                    r.launches,
-                    f"{r.utilization:.0%}",
-                ]
-                for r in pipelined.queue_reports
-            ],
-            title="Queue timelines",
-        )
-    )
-
     # Tiered runs get their own lane: their charging structure (UVA
     # host band + remote queue) is not the flat-cache pipeline's.
     lane = "pipeline_tiered" if args.feature_tiers else "pipeline"
     tag = f"{lane}_{args.algorithm}_{args.dataset}_{args.device}"
+    cache = pipelined.cache_stats
     metrics = {
         "sim_seconds": pipelined.total_seconds,
         "serial_sim_seconds": serial.total_seconds,
-        "overlap_reduction": reduction,
+        "overlap_reduction": (
+            1.0 - pipelined.total_seconds / serial.total_seconds
+            if serial.total_seconds
+            else 0.0
+        ),
         "launches": sum(r.launches for r in pipelined.queue_reports),
         "cache_hit_rate": cache.hit_rate if cache is not None else 0.0,
         "final_loss": pipelined.final_loss,
     }
+    _print_record(tag, metrics)
     return _finish_run(args, profiler, tag, metrics)
 
 
@@ -872,183 +864,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             dynamic=dynamic,
             task=args.task,
         )
-    # The feature groups the session ran with: what every arm below asks.
-    on = {group.name for group in report.groups()}
-    rows = [
-        ["requests (completed/shed)", f"{report.completed}/{report.shed}"],
-        ["degraded requests", report.degraded],
-        ["throughput (req/s, simulated)", f"{report.throughput_rps:,.0f}"],
-        ["p50 latency (ms)", f"{report.p50_ms:.4f}"],
-        ["p95 latency (ms)", f"{report.p95_ms:.4f}"],
-        ["p99 latency (ms)", f"{report.p99_ms:.4f}"],
-        ["p99 vs SLO", f"{report.p99_ms:.3f} / {args.slo_ms:.3f} "
-         + ("OK" if report.p99_ms <= args.slo_ms else "BREACH")],
-        ["mean queueing (ms)", f"{report.mean_queue_ms:.4f}"],
-        ["mean batch size", f"{report.mean_batch:.2f}"],
-        ["batch histogram",
-         " ".join(f"{s}:{c}" for s, c in report.batch_histogram.items())],
+    columns = [
+        field.name
+        for field in dataclasses.fields(ReplicaStats)
+        if field.type in ("int", "float")
     ]
-    if "task" in on:
-        rows.append(
-            ["pairs served",
-             f"{report.pairs_served} "
-             f"({report.compaction_saved_rows} frontier rows saved "
-             "by endpoint compaction)"]
-        )
-    cache = report.cache
-    if cache is not None:
-        rows.append(
-            ["cache hit rate",
-             f"{cache.hit_rate:.1%} ({cache.cached_rows} rows pinned)"]
-        )
-    if "tiered" in on and cache is not None:
-        rows += [
-            ["tier hit rates (dev/p2p/host/remote)",
-             " / ".join(
-                 f"{cache.tier_rate(t):.1%}"
-                 for t in ("device", "p2p", "host", "remote")
-             )],
-            ["tier residency",
-             f"{cache.cached_rows} rows on device, "
-             f"{cache.host_rows} pinned host"],
-        ]
-        if report.p2p_rows:
-            rows.append(
-                ["p2p traffic",
-                 f"{report.p2p_rows} rows / "
-                 f"{report.p2p_bytes / 2**20:.2f} MiB / "
-                 f"{report.p2p_seconds * 1e3:.4f} ms on the link"]
-            )
-    if "composer" in on:
-        rows += [
-            ["composer", report.composer],
-            ["padded seed slots", report.padding_seeds],
-        ]
-        if report.superbatch_batches:
-            fused = report.superbatch_requests / report.superbatch_batches
-            rows += [
-                ["super-batch fusion",
-                 f"{report.superbatch_requests} requests / "
-                 f"{report.superbatch_batches} fused runs (mean {fused:.1f})"],
-                ["deduplicated feature rows", report.dedup_rows],
-            ]
-    if "elastic" in on:
-        rows += [
-            ["availability",
-             f"{report.availability:.2%} "
-             f"({report.completed} answered, {report.lost} lost, "
-             f"{report.shed} shed)"],
-            ["failures / retried / hedged",
-             f"{report.failures} / {report.retried} / "
-             f"{report.hedged} ({report.hedge_wins} hedge wins)"],
-        ]
-        if report.scale_ups or report.scale_downs or report.tune_moves:
-            rows.append(
-                ["scale ops (up/down/tune)",
-                 f"{report.scale_ups} / {report.scale_downs} / "
-                 f"{report.tune_moves}"]
-            )
-        rows += [
-            ["GPU-time (simulated ms)", f"{report.gpu_seconds * 1e3:.4f}"],
-            ["re-replication",
-             f"{report.reprovision_bytes / 2**20:.2f} MiB over the link"],
-        ]
-    if "dynamic" in on:
-        rows += [
-            ["ingested edges (insert/delete)",
-             f"{report.ingested_edges} / {report.deleted_edges} "
-             f"over {report.update_batches} batches"],
-            ["graph installs (snapshot/compact)",
-             f"{report.snapshots} / {report.compactions}"],
-            ["update staleness (mean/max ms)",
-             f"{report.mean_staleness_ms:.4f} / "
-             f"{report.max_staleness_ms:.4f}"],
-            ["delta refresh time (ms)", f"{report.refresh_ms:.4f}"],
-        ]
-        if report.rebalances:
-            rows.append(
-                ["incremental rebalances",
-                 f"{report.rebalances} "
-                 f"({report.migrated_rows} rows / "
-                 f"{report.migrated_bytes / 2**20:.2f} MiB migrated)"]
-            )
-    if "cluster" in on:
-        rows.append(["replicas / router", f"{report.replicas} / {report.router}"])
-        if simulator.partition is not None:
-            rows += [
-                ["partition",
-                 f"{simulator.partition.method} "
-                 f"(edge cut {simulator.partition.edge_cut:.1%}, "
-                 f"link {simulator.link.name})"],
-                ["cross-shard traffic",
-                 f"{report.cross_shard_rows} rows / "
-                 f"{report.cross_shard_bytes / 2**20:.2f} MiB / "
-                 f"{report.link_seconds * 1e3:.4f} ms on the link"],
-            ]
-    cluster_title = ""
-    if "cluster" in on:
-        cluster_title += f", {report.replicas} replicas ({report.router})"
-    if "composer" in on:
-        cluster_title += f", composer={report.composer}"
-    print(
-        format_table(
-            ["Metric", "Value"],
-            rows,
-            title=(
-                f"Online serving — {args.algorithm} on {args.dataset} "
-                f"({args.device}), {args.arrival} arrivals @ "
-                f"{args.arrival_rate:,.0f} req/s, policy={args.policy}"
-                f"{cluster_title}"
-            ),
-        )
-    )
-    if "cluster" in on:
-        headers = ["Replica", "Requests", "Done/Shed", "p50 (ms)",
-                   "p99 (ms)", "Batch", "Remote rows", "Link (ms)"]
-        replica_rows = [
-            [
-                stats.replica_id,
-                stats.requests,
-                f"{stats.completed}/{stats.shed}",
-                f"{stats.p50_ms:.4f}",
-                f"{stats.p99_ms:.4f}",
-                f"{stats.mean_batch:.2f}",
-                stats.cross_shard_rows,
-                f"{stats.link_seconds * 1e3:.4f}",
-            ]
-            for stats in report.per_replica
-        ]
-        if "elastic" in on:
-            headers += ["Up (ms)", "Kills"]
-            for row, stats in zip(replica_rows, report.per_replica):
-                row += [f"{stats.uptime_seconds * 1e3:.4f}", stats.failures]
-        print(
-            format_table(headers, replica_rows, title="Per-replica breakdown")
-        )
-    queue_rows = [
-        [
-            q.name,
-            ctx_name,
-            f"{q.busy_seconds * 1e3:.4f}",
-            f"{q.ready * 1e3:.4f}",
-            q.launches,
-            f"{q.busy_seconds / q.ready:.0%}" if q.ready else "0%",
-        ]
+    replica_rows = [
+        [_cell(getattr(stats, column)) for column in columns]
+        for stats in report.per_replica
+    ]
+    print(format_table(columns, replica_rows, title="Per-replica breakdown"))
+    _print_queues(
+        (q.name, where, q.busy_seconds, q.ready, q.launches)
         for replica in simulator.replicas
-        for ctx_name, ctx in (
-            ("sampling", replica.sample_ctx),
-            ("feature I/O", replica.io_ctx),
+        for where, ctx in (
+            ("sampling", replica.sample_ctx), ("feature I/O", replica.io_ctx)
         )
         for q in ctx.queue_stats().values()
-    ]
-    print(
-        format_table(
-            ["Queue", "Context", "Busy (ms)", "End (ms)", "Launches", "Util"],
-            queue_rows,
-            title="Queue timelines",
-        )
     )
-
     tag = f"{report.lane}_{args.algorithm}_{args.dataset}_{args.device}"
     metrics = report.to_metrics()
     metrics["launches"] = sum(
@@ -1060,7 +893,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     metrics["fingerprint"] = hashlib.sha256(
         repr(report.fingerprint()).encode()
     ).hexdigest()
-    print(f"session fingerprint: {metrics['fingerprint']}")
+    _print_record(tag, metrics)
     configured = args.link or simulator.partition is not None
     gated = args.min_availability is not None
     return _finish_run(
@@ -1071,9 +904,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    if args.pipeline:
-        return _cmd_profile_pipeline(args)
-
     from repro.ir.passes.base import PassStat
 
     profiler = Profiler()
@@ -1164,6 +994,8 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_verify(args)
     if args.command == "profile":
         return _cmd_profile(args)
+    if args.command == "pipeline":
+        return _cmd_pipeline(args)
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "datasets":

@@ -13,6 +13,7 @@ edge and every trained weight — stays bit-identical to the serial path.
 
 from repro.pipeline.executor import (
     DEFAULT_PREFETCH_DEPTH,
+    PIPELINE_MODELS,
     PipelinedTrainer,
     PipelinedTrainResult,
     QueueReport,
@@ -21,6 +22,7 @@ from repro.pipeline.executor import (
 
 __all__ = [
     "DEFAULT_PREFETCH_DEPTH",
+    "PIPELINE_MODELS",
     "PipelinedTrainer",
     "PipelinedTrainResult",
     "QueueReport",

@@ -276,8 +276,9 @@ class PipelinedTrainer(Trainer):
 # Serial-vs-pipelined comparison cell (CLI + benchmarks)
 # ----------------------------------------------------------------------
 
-#: The model each Table-8 workload trains.
-_MODELS: dict[str, type[SampledGNN]] = {
+#: The model each Table-8 workload trains (the ``pipeline`` command's
+#: algorithm choices).
+PIPELINE_MODELS: dict[str, type[SampledGNN]] = {
     "graphsage": GraphSAGEModel,
     "ladies": LadiesGCN,
 }
@@ -286,7 +287,7 @@ _MODELS: dict[str, type[SampledGNN]] = {
 def _build_model(
     algorithm: str, dataset: Dataset, seed: int, num_layers: int
 ) -> SampledGNN:
-    return _MODELS[algorithm](
+    return PIPELINE_MODELS[algorithm](
         dataset.features.shape[1],
         32,
         dataset.num_classes,
@@ -319,10 +320,10 @@ def run_pipeline_cell(
     stream, so sampled batches and losses must match bit-for-bit; the
     only difference is the clock.  Returns ``(serial, pipelined)``.
     """
-    if algorithm not in _MODELS:
+    if algorithm not in PIPELINE_MODELS:
         raise ShapeError(
             f"no trainable pipeline config for {algorithm!r}; "
-            f"available: {sorted(_MODELS)}"
+            f"available: {sorted(PIPELINE_MODELS)}"
         )
     if epochs < 1 or batch_size < 1:
         raise ShapeError(

@@ -53,6 +53,12 @@ from repro.tasks import Task, make_task
 #: 2 = reduced fanout + cached-only features.
 MAX_DEGRADE_LEVEL = 2
 
+#: Sliding-window length (completed requests) of the p99 monitor.
+LATENCY_WINDOW = 64
+
+#: The ladder steps back up once windowed p99 < RECOVER_MARGIN * slo.
+RECOVER_MARGIN = 0.7
+
 #: Admission/degradation presets selectable from the CLI ``--policy``
 #: flag; each maps to (bounded queue?, SLO ladder?).
 POLICY_PRESETS: dict[str, tuple[bool, bool]] = {
@@ -128,12 +134,8 @@ class ServePolicy:
     #: p99 latency target in simulated seconds; ``None`` disables the
     #: degradation ladder.
     slo: float | None = None
-    #: Sliding-window length (completed requests) for the p99 monitor.
-    window: int = 64
     #: Samples required in the window before the ladder may move.
     min_samples: int = 32
-    #: The ladder steps back up once windowed p99 < recover_margin * slo.
-    recover_margin: float = 0.7
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -153,12 +155,8 @@ class ServePolicy:
             math.isfinite(self.slo) and self.slo > 0.0
         ):
             raise ServeError(f"SLO must be finite and positive, got {self.slo}")
-        if not 0.0 < self.recover_margin < 1.0:
-            raise ServeError(
-                f"recover margin must be in (0, 1), got {self.recover_margin}"
-            )
-        if self.window < 1 or self.min_samples < 1:
-            raise ServeError("p99 window and min_samples must be positive")
+        if self.min_samples < 1:
+            raise ServeError("min_samples must be positive")
 
     @classmethod
     def preset(
@@ -327,7 +325,7 @@ class Replica:
         self._level = 0
         #: Sliding window of completed-request latencies: the ladder's
         #: p99 monitor, and the signal the autoscaler and tuner read.
-        self.latency_window = SlidingWindow(self.policy.window)
+        self.latency_window = SlidingWindow(LATENCY_WINDOW)
         # Batcher state (the incremental event API's working set).
         self._pending: list[Request] = []
         self._by_rid: dict[int, RequestLog] = {}
@@ -647,7 +645,7 @@ class Replica:
         if p99 > slo and self._level < MAX_DEGRADE_LEVEL:
             self._level += 1
             window.clear()
-        elif p99 < self.policy.recover_margin * slo and self._level > 0:
+        elif p99 < RECOVER_MARGIN * slo and self._level > 0:
             self._level -= 1
             window.clear()
 

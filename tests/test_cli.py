@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
@@ -63,7 +64,7 @@ class TestSample:
 
 
 # ----------------------------------------------------------------------
-# The run epilogue shared by profile / profile --pipeline / serve
+# The run epilogue shared by profile / pipeline / serve
 # ----------------------------------------------------------------------
 _SERVE = ["serve", "--requests", "48", "--scale", "0.1"]
 _PROFILE = [
@@ -80,10 +81,10 @@ class TestRunEpilogue:
         ("argv", "tag"),
         [
             (_PROFILE, "gsampler_graphsage_pd_v100"),
-            (_PROFILE + ["--pipeline"], "pipeline_graphsage_pd_v100"),
+            (["pipeline", *_PROFILE[1:]], "pipeline_graphsage_pd_v100"),
             (_SERVE, "serve_graphsage_pd_v100"),
         ],
-        ids=["profile", "profile-pipeline", "serve"],
+        ids=["profile", "pipeline", "serve"],
     )
     def test_shared_contract(self, tmp_path, capsys, argv, tag):
         argv = argv + ["--out-dir", str(tmp_path)]
@@ -158,7 +159,8 @@ class TestRunEpilogue:
         assert bench["tag"] == tag
         assert (tmp_path / f"trace_{tag}.json").exists()
         # Every session prints the digest its record pins.
-        assert f"session fingerprint: {bench['metrics']['fingerprint']}" in out
+        digest = bench["metrics"]["fingerprint"]
+        assert re.search(rf"^fingerprint +{digest} *$", out, re.MULTILINE)
 
     def test_serve_meta_records_every_session_flag(self, tmp_path):
         """``meta`` is the parsed namespace, not a hand-picked subset: a

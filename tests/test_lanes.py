@@ -25,7 +25,7 @@ REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 LANES: dict[str, list[str]] = {
     "gsampler_graphsage_pd_v100": ["profile", "graphsage"],
     "gsampler_labor_pd_v100": ["profile", "labor"],
-    "pipeline_graphsage_pd_v100": ["profile", "graphsage", "--pipeline"],
+    "pipeline_graphsage_pd_v100": ["pipeline", "graphsage"],
     "serve_graphsage_pd_v100": ["serve"],
     "serve_superbatch_graphsage_pd_v100": ["serve", "--composer", "superbatch"],
     "cluster_graphsage_pd_v100": [
@@ -65,6 +65,20 @@ def golden(tag: str) -> dict:
     return json.loads(bench_path(REPO_ROOT, tag).read_text())
 
 
+def printed_metric_keys(out: str) -> list[str]:
+    """The first column of the ``Metric | Value`` table in ``out``."""
+    lines = out.splitlines()
+    start = lines.index(
+        next(line for line in lines if line.split() == ["Metric", "Value"])
+    )
+    keys = []
+    for line in lines[start + 2:]:  # past the header and its rule
+        if not line.strip():
+            break
+        keys.append(line.split()[0])
+    return keys
+
+
 def test_lanes_and_committed_files_are_a_bijection():
     committed = {
         path.stem.removeprefix("BENCH_")
@@ -83,10 +97,13 @@ def test_replaying_a_lane_rewrites_it_byte_for_byte(tag, tmp_path, capsys):
     repin = f"python -m repro {' '.join(argv)} --out-dir ."
     assert code == 0, f"{out}\nif the move is meant, re-pin: {repin}"
     assert pathlib.Path(replayed).read_bytes() == committed.read_bytes(), repin
+    metrics = golden(tag)["metrics"]
     # Host clocks are printed, never recorded.
-    assert not {"wall_seconds", "compile_wall_seconds"} & golden(tag)[
-        "metrics"
-    ].keys()
+    assert not {"wall_seconds", "compile_wall_seconds"} & metrics.keys()
+    # serve and pipeline print the record they write: no fact printed
+    # that is not recorded, none recorded that is not printed.
+    if argv[0] in ("serve", "pipeline"):
+        assert printed_metric_keys(out) == list(metrics)
 
 
 @pytest.mark.parametrize("tag", LANES)

@@ -463,8 +463,6 @@ class TestAdmission:
             ServePolicy(queue_capacity=0)
         with pytest.raises(ServeError):
             ServePolicy(slo=0.0)
-        with pytest.raises(ServeError):
-            ServePolicy(recover_margin=1.5)
 
 
 # ----------------------------------------------------------------------
@@ -778,7 +776,7 @@ class TestServeCLI:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "p99 latency (ms)" in out
+        assert "p99_ms" in out
         assert "throughput" in out
         assert (tmp_path / "BENCH_serve_graphsage_pd_v100.json").exists()
         assert (tmp_path / "trace_serve_graphsage_pd_v100.json").exists()
@@ -1099,7 +1097,7 @@ class TestServeLoopRegressions:
         )
         sim = Replica(pd, device=V100, policy=policy, seed=0)
         sim._level = 2
-        # Step recovery: latencies land well under recover_margin * slo.
+        # Step recovery: latencies land well under RECOVER_MARGIN * slo.
         transitions = self._ladder_transitions(sim, [1e-4] * 48)
         assert sim._level == 0
         assert len(transitions) == 2

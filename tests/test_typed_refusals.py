@@ -120,7 +120,7 @@ class TestEpochFlagBoundaries:
         "command",
         [
             ["sample"], ["compare"], ["profile", "graphsage"],
-            ["profile", "graphsage", "--pipeline"],
+            ["pipeline", "graphsage"],
         ],
         ids=" ".join,
     )
@@ -128,7 +128,7 @@ class TestEpochFlagBoundaries:
         self, command, flags, message, tmp_path, capsys
     ):
         argv = [*command, "--scale", "0.1", *flags]
-        if command[0] == "profile":
+        if command[0] in ("profile", "pipeline"):
             argv += ["--out-dir", str(tmp_path)]
         assert cli.main(argv) == 2
         captured = capsys.readouterr()
@@ -136,7 +136,7 @@ class TestEpochFlagBoundaries:
         assert not list(tmp_path.iterdir())
 
     def test_zero_epochs_is_refused_not_recorded_as_nan(self, tmp_path, capsys):
-        argv = ["profile", "graphsage", "--pipeline", "--scale", "0.1"]
+        argv = ["pipeline", "graphsage", "--scale", "0.1"]
         assert cli.main([*argv, "--epochs", "0", "--out-dir", str(tmp_path)]) == 2
         assert "epochs and batch size must be >= 1" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
@@ -160,6 +160,7 @@ class TestUnknownIsNotNA:
             raise AssertionError("loaded a dataset for an unknown name")
 
         monkeypatch.setattr(harness, "load_dataset", refuse)
+        monkeypatch.setattr(cli, "load_dataset", refuse)
 
     def test_measure_cell_raises_on_unknown_algorithm(self, no_datasets):
         with pytest.raises(GSamplerError, match="unknown algorithm 'graphsgae'"):
@@ -185,3 +186,42 @@ class TestUnknownIsNotNA:
         captured = capsys.readouterr()
         assert "error: unknown algorithm 'graphsgae'; available: [" in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("name", ["graphsgae", "pass"])
+    def test_pipeline_refuses_an_untrainable_name_at_the_parser(
+        self, name, no_datasets, tmp_path, capsys
+    ):
+        """``profile graphsgae --pipeline`` once loaded the dataset and only
+        then found no trainable config; ``pipeline``'s choices are
+        :data:`repro.pipeline.PIPELINE_MODELS`, so argparse refuses first."""
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(["pipeline", name, "--out-dir", str(tmp_path)])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert f"invalid choice: '{name}'" in captured.err
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
+
+class TestPipelineParity:
+    def test_diverged_loss_exits_2_and_writes_nothing(
+        self, monkeypatch, tmp_path, capsys
+    ):
+        """Serial-vs-pipelined loss parity is the command's contract: a
+        divergence is refused before the trace or the record is written,
+        not printed as a "DIVERGED" row of a lane that exits 0."""
+        from repro.pipeline import run_pipeline_cell
+
+        def perturbed(*args, **kwargs):
+            serial, pipelined = run_pipeline_cell(*args, **kwargs)
+            serial.final_loss = np.nextafter(serial.final_loss, np.inf)
+            return serial, pipelined
+
+        monkeypatch.setattr(cli, "run_pipeline_cell", perturbed)
+        argv = ["pipeline", "graphsage", "--scale", "0.1", "--max-batches", "1"]
+        assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "error: pipelined loss" in captured.err
+        assert "diverged from the serial loss" in captured.err
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
