@@ -67,7 +67,6 @@ from repro.serve import (
     ReplicaStats,
     ServePolicy,
     WorkloadSpec,
-    make_composer,
     run_cluster_session,
 )
 from repro.tasks import available_tasks
@@ -96,6 +95,18 @@ def _add_lane_arguments(command: argparse.ArgumentParser) -> None:
 _EPILOGUE_DESTS = (
     "out_dir", "trace_out", "fail_on_regression", "min_availability",
 )
+
+#: ``enabler dest -> dests that change nothing while it is off``: moving
+#: one off its default with its enabler off is refused, not recorded.
+_DEPENDENT_DESTS: dict[str, tuple[str, ...]] = {
+    "kill": ("orphans", "hedge", "no_failover"),
+    "autoscale": ("min_replicas", "max_replicas", "scale_interval_ms"),
+    "ingest_rate": (
+        "ingest_edges", "delete_fraction", "snapshot_every_ms",
+        "compact_every", "repartition_threshold",
+    ),
+    "feature_tiers": ("host_tier_ratio",),
+}
 
 
 #: Every flag more than one subcommand takes, declared once.
@@ -310,12 +321,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "batcher, size-binned batching (no mixed seed-count bins), or "
         "cross-request super-batch fusion (one compiled run per window)",
     )
-    serve.add_argument(
-        "--superbatch-window",
-        type=int,
-        help="cap on requests fused per super-batch run (default: "
-        "bounded only by the admission queue capacity)",
-    )
     serve.add_argument("--max-batch", type=int, default=8)
     serve.add_argument(
         "--max-wait-ms",
@@ -402,12 +407,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(retry) or dropped and counted lost (shed)",
     )
     serve.add_argument(
-        "--max-retries",
-        type=int,
-        default=2,
-        help="re-route attempts per orphaned request before it is lost",
-    )
-    serve.add_argument(
         "--hedge",
         action="store_true",
         help="duplicate retried requests to a second replica; the first "
@@ -443,12 +442,6 @@ def _build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1.0,
         help="simulated ms between autoscaler evaluations",
-    )
-    serve.add_argument(
-        "--tune-batching",
-        action="store_true",
-        help="let the controller hill-climb each replica's "
-        "max-batch/max-wait online",
     )
     serve.add_argument(
         "--min-availability",
@@ -790,7 +783,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         failures = FailureSpec(
             events=tuple(events),
             orphans=args.orphans,
-            max_retries=args.max_retries,
             hedge=args.hedge,
             failover=not args.no_failover,
         )
@@ -801,8 +793,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_replicas=args.max_replicas,
             interval=args.scale_interval_ms * 1e-3,
             high_p99=args.slo_ms * 1e-3,
-            tune_batching=args.tune_batching,
-            max_batch=max(64, args.max_batch),
         )
     spec = WorkloadSpec(
         num_requests=args.requests,
@@ -820,9 +810,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_wait=args.max_wait_ms * 1e-3,
         queue_capacity=args.queue_capacity,
         slo=args.slo_ms * 1e-3,
-    )
-    composer = make_composer(
-        args.composer, max_requests=args.superbatch_window
     )
     updates = dynamic = None
     if args.ingest_rate is not None:
@@ -850,7 +837,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             router=args.router,
             partition=None if args.partition == "none" else args.partition,
             link=args.link,
-            composer=composer,
+            composer=args.composer,
             cache_ratio=args.cache_ratio,
             seed=args.seed,
             profiler=profiler,
@@ -977,12 +964,25 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point used by ``python -m repro`` and tests."""
     args = _build_parser().parse_args(argv)
     try:
+        _refuse_idle_dependents(args)
         return _dispatch(args)
     except GSamplerError as exc:
         # Every typed refusal (unknown algorithm / dataset, bad --trials,
         # contradictory serve flags, ...) is a usage error.
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _refuse_idle_dependents(args: argparse.Namespace) -> None:
+    """Refuse a gated flag moved off its default while its enabler is off."""
+    commands = _build_parser()._subparsers._group_actions[0].choices
+    default = commands[args.command].get_default
+    moved = {d for d, v in vars(args).items() if v != default(d)}
+    for enabler, dependents in _DEPENDENT_DESTS.items():
+        idle = [d for d in dependents if d in moved and enabler not in moved]
+        if idle:
+            flag, on = (f"--{d}".replace("_", "-") for d in (idle[0], enabler))
+            raise ServeError(f"{flag} changes nothing without {on}")
 
 
 def _dispatch(args: argparse.Namespace) -> int:

@@ -38,8 +38,6 @@ class DynamicPolicy:
     #: (absolute increase of max/mean shard degree balance over the
     #: post-partition baseline).  ``None`` disables repartitioning.
     repartition_threshold: float | None = None
-    #: Cap on rows moved per incremental rebalance.
-    max_migrate_rows: int = 256
 
     def __post_init__(self) -> None:
         if self.snapshot_every < 0.0:
@@ -57,8 +55,4 @@ class DynamicPolicy:
             raise ServeError(
                 "repartition threshold must be positive, got "
                 f"{self.repartition_threshold}"
-            )
-        if self.max_migrate_rows <= 0:
-            raise ServeError(
-                f"migration cap must be positive, got {self.max_migrate_rows}"
             )

@@ -10,7 +10,7 @@ Shape of the stream:
 
 * batches arrive as a Poisson process whose mean edge rate is
   ``spec.rate`` (so inter-batch gaps are exponential with mean
-  ``batch_edges / rate``) — memoryless, like the request baseline;
+  ``BATCH_EDGES / rate``) — memoryless, like the request baseline;
 * destination endpoints are Zipf-skewed over hotness ranks using the
   same ``rank^-skew`` law the request generator uses (hot nodes gain
   edges fastest — exactly the drift that stresses degree-ordered caches
@@ -38,6 +38,9 @@ from repro.core import new_rng
 from repro.errors import ServeError
 
 __all__ = ["UpdateBatch", "UpdateSpec", "generate_update_stream"]
+
+#: Edges per arriving batch (the ingest pipeline's micro-batch).
+BATCH_EDGES = 8
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,8 +81,6 @@ class UpdateSpec:
     num_edges: int = 256
     #: Mean ingest rate in edges per simulated second.
     rate: float = 200_000.0
-    #: Edges per arriving batch (the ingest pipeline's micro-batch).
-    batch_edges: int = 8
     #: Fraction of streamed edges that delete a previously inserted
     #: edge instead of adding a new one.
     delete_fraction: float = 0.0
@@ -96,10 +97,6 @@ class UpdateSpec:
             raise ServeError(
                 f"ingest rate must be positive, got {self.rate}"
             )
-        if self.batch_edges <= 0:
-            raise ServeError(
-                f"batch size must be positive, got {self.batch_edges}"
-            )
         if not 0.0 <= self.delete_fraction < 1.0:
             raise ServeError(
                 "delete fraction must be in [0, 1), got "
@@ -110,7 +107,7 @@ class UpdateSpec:
 
     @property
     def num_batches(self) -> int:
-        return -(-self.num_edges // self.batch_edges)
+        return -(-self.num_edges // BATCH_EDGES)
 
 
 def generate_update_stream(
@@ -152,8 +149,8 @@ def generate_update_stream(
     remaining = spec.num_edges
     uid = 0
     while remaining > 0:
-        count = min(spec.batch_edges, remaining)
-        t += rng.exponential(spec.batch_edges / spec.rate)
+        count = min(BATCH_EDGES, remaining)
+        t += rng.exponential(BATCH_EDGES / spec.rate)
         src = np.empty(count, dtype=np.int64)
         dst = np.empty(count, dtype=np.int64)
         delete = np.zeros(count, dtype=bool)

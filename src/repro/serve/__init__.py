@@ -32,8 +32,7 @@ device simulator's clock, for one replica or a routed cluster of them:
   revival with re-replication charged over the interconnect;
 * :mod:`repro.serve.control` — the elastic control plane: a windowed
   p99/occupancy-driven autoscaler (scale-up/down between arrivals, with
-  spin-up and re-replication charges) plus an online hill-climbing
-  tuner for each replica's ``max_batch``/``max_wait``;
+  spin-up and re-replication charges);
 * :mod:`repro.serve.ingest` — serve-while-ingesting: graph updates as
   events on the cluster loop (loaded only when a session ingests);
 * :mod:`repro.serve.metrics` — the per-request log and the aggregate

@@ -13,9 +13,9 @@ composition is delegated to a pluggable :class:`BatchComposer`:
 * :class:`SizeBinnedComposer` — requests are grouped into power-of-two
   seed-count bins and batches never mix bins, so a padded deployment
   wastes no slots padding a 1-seed lookup up to a 64-seed scan.
-* :class:`SuperbatchComposer` — every pending request (up to an
-  optional window cap) is taken at once and executed as one
-  super-batched compiled run (``sampler.run_superbatch``): independent
+* :class:`SuperbatchComposer` — every pending request is taken at once
+  and executed as one super-batched compiled run
+  (``sampler.run_superbatch``): independent
   per-request sampling instances fused into a single launch sequence,
   then split back per request.  This generalizes the paper's
   super-batch optimization (Table 7) from training epochs to the
@@ -211,27 +211,16 @@ class SuperbatchComposer(BatchComposer):
 
     Fires on the same triggers as the FIFO batcher — ``max_batch``
     requests pending, or the oldest has waited ``max_wait`` — but takes
-    the *entire* pending queue (up to ``max_requests``) when it does,
-    executing it as one ``run_superbatch`` launch sequence with
-    per-request results split back out.  Under load this amortizes the
-    per-launch overhead over the whole window instead of one dynamic
-    batch: the serving analogue of the paper's super-batch optimization.
-
-    ``max_requests`` caps the fusion window (e.g. from
-    ``choose_superbatch_size`` under a sampling memory budget); ``None``
-    leaves the window bounded only by the admission queue capacity.
+    the *entire* pending queue when it does (bounded only by the
+    admission queue capacity), executing it as one ``run_superbatch``
+    launch sequence with per-request results split back out.  Under load
+    this amortizes the per-launch overhead over the whole window instead
+    of one dynamic batch: the serving analogue of the paper's super-batch
+    optimization.
     """
 
     name = "superbatch"
     requires_superbatch = True
-
-    def __init__(self, max_requests: int | None = None) -> None:
-        if max_requests is not None and max_requests < 1:
-            raise ServeError(
-                "super-batch window must be at least 1 request (or None "
-                f"for unbounded), got {max_requests}"
-            )
-        self.max_requests = max_requests
 
     def plan(
         self,
@@ -241,45 +230,25 @@ class SuperbatchComposer(BatchComposer):
     ) -> BatchPlan | None:
         if not pending:
             return None
-        cap = self.max_requests
-        members = list(pending if cap is None else pending[:cap])
-        full = len(pending) >= policy.max_batch or (
-            cap is not None and len(pending) >= cap
-        )
+        members = list(pending)
+        full = len(pending) >= policy.max_batch
         fire = clamp_fire(members, queue_ready, full=full, policy=policy)
         return BatchPlan(
             indices=tuple(range(len(members))), fire=fire, superbatch=True
         )
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SuperbatchComposer(max_requests={self.max_requests})"
 
-
-def make_composer(
-    composer: str | BatchComposer, *, max_requests: int | None = None
-) -> BatchComposer:
-    """Build a composer from a policy name (passes instances through).
-
-    ``max_requests`` applies to the super-batch policy only (its fusion
-    window); naming any other policy with a window set is an error, not
-    a silent ignore.
-    """
+def make_composer(composer: str | BatchComposer) -> BatchComposer:
+    """Build a composer from a policy name (passes instances through)."""
     if isinstance(composer, BatchComposer):
         return composer
     if composer == "fifo":
-        made: BatchComposer = FifoComposer()
-    elif composer == "binned":
-        made = SizeBinnedComposer()
-    elif composer == "superbatch":
-        return SuperbatchComposer(max_requests=max_requests)
-    else:
-        raise ServeError(
-            f"unknown composer {composer!r}; available: "
-            f"{sorted(COMPOSER_POLICIES)}"
-        )
-    if max_requests is not None:
-        raise ServeError(
-            f"composer {composer!r} takes no super-batch window "
-            "(--superbatch-window applies to --composer superbatch)"
-        )
-    return made
+        return FifoComposer()
+    if composer == "binned":
+        return SizeBinnedComposer()
+    if composer == "superbatch":
+        return SuperbatchComposer()
+    raise ServeError(
+        f"unknown composer {composer!r}; available: "
+        f"{sorted(COMPOSER_POLICIES)}"
+    )

@@ -1,4 +1,4 @@
-"""The serving control plane: elastic autoscaling and batch autotuning.
+"""The serving control plane: elastic autoscaling.
 
 The degradation ladder (PR 4) already computes a sliding-window p99 per
 replica; this module turns that signal — plus queue occupancy — into
@@ -11,19 +11,13 @@ replica; this module turns that signal — plus queue occupancy — into
   standby replica is activated, pays the spin-up latency plus a
   re-replication transfer over the interconnect (its shard, or its warm
   cache rows, must stream in before it is routable);
-* **scale down** when p99 sits below ``low_p99`` *and* occupancy below
-  ``low_occupancy``: the highest-id active replica stops receiving
-  traffic and drains what it holds.  GPU-time accounting
+* **scale down** when p99 sits below half of ``high_p99`` *and*
+  occupancy below ``low_occupancy``: the highest-id active replica stops
+  receiving traffic and drains what it holds.  GPU-time accounting
   (``ServeReport.gpu_seconds``) closes its meter when the drain ends,
   so "elastic vs static at equal GPU-hours" is an honest comparison;
 * a **cooldown** separates consecutive scale operations, the standard
   guard against control-loop flapping.
-
-The same controller optionally *autotunes batching* per replica
-(``tune_batching``): a deterministic hill-climber doubles or halves
-``max_batch`` (scaling ``max_wait`` with it) and keeps the direction
-while the replica's windowed p99 improves, reversing when it worsens —
-the knee-finding loop from the batching benchmark, run online.
 
 Everything here is deterministic: decisions are pure functions of the
 simulated clock and the replicas' windowed signals, so an elastic
@@ -72,11 +66,9 @@ class AutoscalePolicy:
     interval: float = 1e-3
     #: Windowed completions required before latency signals are trusted.
     min_samples: int = 16
-    #: Pooled windowed p99 (seconds) above which the fleet grows.
+    #: Pooled windowed p99 (seconds) above which the fleet grows; below
+    #: half of it (with low occupancy) the fleet may shrink.
     high_p99: float = 2e-3
-    #: p99 below which (together with low occupancy) the fleet shrinks.
-    #: Defaults to half the high threshold.
-    low_p99: float | None = None
     #: Mean outstanding requests per active replica to scale up at.
     high_occupancy: float = 8.0
     #: Occupancy below which scale-down is allowed.
@@ -86,12 +78,6 @@ class AutoscalePolicy:
     #: Process-start latency a newly activated replica pays before its
     #: re-replication transfer begins.
     spinup: float = 1e-3
-    #: Hill-climb ``max_batch``/``max_wait`` per replica on the same
-    #: evaluation ticks.
-    tune_batching: bool = False
-    #: Bounds for the tuner's ``max_batch`` hill-climb.
-    min_batch: int = 1
-    max_batch: int = 64
 
     def __post_init__(self) -> None:
         if self.min_replicas < 1:
@@ -111,13 +97,6 @@ class AutoscalePolicy:
             raise ServeError(
                 f"high p99 threshold must be positive, got {self.high_p99}"
             )
-        if self.low_p99 is not None and not (
-            0.0 < self.low_p99 < self.high_p99
-        ):
-            raise ServeError(
-                f"low p99 threshold must lie in (0, high_p99), got "
-                f"{self.low_p99}"
-            )
         if self.low_occupancy < 0.0 or self.high_occupancy <= self.low_occupancy:
             raise ServeError(
                 "occupancy thresholds must satisfy 0 <= low < high, got "
@@ -135,16 +114,6 @@ class AutoscalePolicy:
             raise ServeError(
                 f"min samples must be positive, got {self.min_samples}"
             )
-        if not 1 <= self.min_batch <= self.max_batch:
-            raise ServeError(
-                "tuner batch bounds must satisfy 1 <= min <= max, got "
-                f"min={self.min_batch} max={self.max_batch}"
-            )
-
-    @property
-    def scale_in_p99(self) -> float:
-        """The effective low-p99 threshold (default ``high_p99 / 2``)."""
-        return self.low_p99 if self.low_p99 is not None else self.high_p99 / 2.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -152,11 +121,11 @@ class ScaleEvent:
     """One executed control action, for the report's scale log."""
 
     time: float
-    #: ``"up"``, ``"down"``, or ``"tune"``.
+    #: ``"up"`` or ``"down"``.
     action: str
     #: Replica the action targeted.
     replica: int
-    #: Active replicas *after* the action (tune: the new max_batch).
+    #: Live active replicas *after* the action.
     detail: int
 
 
@@ -166,16 +135,13 @@ class Autoscaler:
     :class:`AutoscaleSession` carries actions out (activation,
     reprovision charges); the autoscaler owns the *decision*: given the
     simulated clock and the replica list, should the fleet grow, shrink,
-    or hold — and how should each replica's batching knobs move.  Keeping
-    the decision pure (no side effects beyond its own cooldown/tuner
-    memory) is what keeps elastic sessions deterministic.
+    or hold.  Keeping the decision pure (no side effects beyond its own
+    cooldown clock) is what keeps elastic sessions deterministic.
     """
 
     def __init__(self, policy: AutoscalePolicy) -> None:
         self.policy = policy
         self._last_scale_at = -float("inf")
-        #: replica id -> (direction, last windowed p99) of its hill-climber.
-        self._tuners: dict[int, tuple[int, float | None]] = {}
         self.events: list[ScaleEvent] = []
 
     # ------------------------------------------------------------------
@@ -207,7 +173,7 @@ class Autoscaler:
         p99, samples = self.pooled_p99(replicas)
         occupancy = self.occupancy(replicas, now)
         latency_hot = samples >= policy.min_samples and p99 > policy.high_p99
-        latency_cold = samples >= policy.min_samples and p99 < policy.scale_in_p99
+        latency_cold = samples >= policy.min_samples and p99 < policy.high_p99 / 2
         if (
             (latency_hot or occupancy > policy.high_occupancy)
             and active < policy.max_replicas
@@ -223,47 +189,10 @@ class Autoscaler:
 
     def record(self, now: float, action: str, replica: int, detail: int) -> None:
         """Log an executed action and start the cooldown clock."""
-        if action in ("up", "down"):
-            self._last_scale_at = now
+        self._last_scale_at = now
         self.events.append(
             ScaleEvent(time=now, action=action, replica=replica, detail=detail)
         )
-
-    # ------------------------------------------------------------------
-    def tune(self, now: float, replicas: list) -> None:
-        """One hill-climbing step of each active replica's batching knobs.
-
-        Doubles or halves ``max_batch`` (scaling ``max_wait``
-        proportionally, floored at 50 simulated microseconds) in the
-        direction that last improved the replica's windowed p99,
-        reversing on regression.
-        """
-        if not self.policy.tune_batching:
-            return
-        for replica in replicas:
-            if not (replica.active and replica.alive):
-                continue
-            window = replica.latency_window
-            if len(window) < self.policy.min_samples:
-                continue
-            p99 = window.percentile(99.0)
-            # Start optimistic (grow the batch); reverse on regression.
-            direction, last_p99 = self._tuners.get(replica.replica_id, (1, None))
-            if last_p99 is not None and p99 > last_p99:
-                direction = -direction
-            self._tuners[replica.replica_id] = (direction, p99)
-            old = replica.policy.max_batch
-            new = old * 2 if direction > 0 else old // 2
-            new = max(self.policy.min_batch, min(self.policy.max_batch, new))
-            if new == old:
-                continue
-            scale = new / old
-            replica.policy = dataclasses.replace(
-                replica.policy,
-                max_batch=new,
-                max_wait=max(5e-5, replica.policy.max_wait * scale),
-            )
-            self.record(now, "tune", replica.replica_id, new)
 
 
 class AutoscaleSession:
@@ -334,9 +263,8 @@ class AutoscaleSession:
                 now,
                 decision,
                 moved.replica_id,
-                sum(1 for r in replicas if r.active),
+                sum(1 for r in replicas if r.active and r.alive),
             )
-        scaler.tune(now, replicas)
 
     def finish(self, last_event: float) -> dict[str, object]:
         actions = [e.action for e in self.scaler.events]
@@ -344,5 +272,4 @@ class AutoscaleSession:
             **close_meters(self.session.replicas),
             "scale_ups": actions.count("up"),
             "scale_downs": actions.count("down"),
-            "tune_moves": actions.count("tune"),
         }

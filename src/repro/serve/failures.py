@@ -4,10 +4,7 @@ happens to the requests they were holding.
 A :class:`FailureSpec` is a *schedule*, not a process: every kill (and
 optional revival) is a concrete ``(time, replica)`` pair, so a fixed
 spec names exactly one deterministic chaos experiment — the same
-property the workload specs have.  The seeded constructor
-(:meth:`FailureSpec.random`) draws a schedule from its own
-:class:`numpy.random.Generator` stream once, up front; after that the
-spec is as reproducible as a hand-written one.
+property the workload specs have.
 
 Failure semantics (executed by :class:`FailureSession`, whose kill and
 revive handlers the cluster's event loop calls at their scheduled times):
@@ -18,7 +15,7 @@ revive handlers the cluster's event loop calls at their scheduled times):
   those batches burned stays burned — the work was really done, the
   answer just never made it out);
 * **orphans** are either ``"retry"``-ed — re-routed through the router
-  at time ``t`` with a bounded per-request retry budget, optionally
+  at time ``t``, at most :data:`MAX_RETRIES` times each, optionally
   *hedged* (a duplicate sent to a second replica; the first completion
   wins and the loser is cancelled in accounting) — or ``"shed"``
   (dropped on the floor and counted as lost);
@@ -35,7 +32,6 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.core import new_rng
 from repro.errors import ServeError
 from repro.serve.control import EVENT_PRIORITY, close_meters
 from repro.serve.metrics import RequestLog
@@ -43,6 +39,9 @@ from repro.serve.workload import Request
 
 #: What happens to a dead replica's queued + in-flight requests.
 ORPHAN_POLICIES = ("retry", "shed")
+
+#: Re-route attempts per orphaned request before it is declared lost.
+MAX_RETRIES = 2
 
 
 @dataclasses.dataclass(frozen=True)
@@ -79,8 +78,6 @@ class FailureSpec:
     events: tuple[FailureEvent, ...]
     #: ``"retry"`` re-routes orphaned requests, ``"shed"`` drops them.
     orphans: str = "retry"
-    #: Re-route attempts per request before it is declared lost.
-    max_retries: int = 2
     #: Send retried requests to *two* replicas; first completion wins.
     hedge: bool = False
     #: Mask dead replicas from the routers.  ``False`` keeps the
@@ -96,10 +93,6 @@ class FailureSpec:
             raise ServeError(
                 f"unknown orphan policy {self.orphans!r}; available: "
                 f"{list(ORPHAN_POLICIES)}"
-            )
-        if self.max_retries < 0:
-            raise ServeError(
-                f"max retries must be non-negative, got {self.max_retries}"
             )
         if self.spinup < 0.0:
             raise ServeError(
@@ -121,46 +114,6 @@ class FailureSpec:
         return cls(
             events=(
                 FailureEvent(time=time, replica=replica, downtime=downtime),
-            ),
-            **kwargs,
-        )
-
-    @classmethod
-    def random(
-        cls,
-        *,
-        num_kills: int,
-        num_replicas: int,
-        horizon: float,
-        seed: int = 0,
-        downtime: float | None = None,
-        **kwargs: object,
-    ) -> "FailureSpec":
-        """A seeded schedule: ``num_kills`` uniform over ``(0, horizon)``.
-
-        Victims are drawn uniformly over replica ids; the schedule is
-        fixed once drawn, so two specs built from equal arguments are
-        identical (the chaos determinism test's contract).
-        """
-        if num_kills < 1:
-            raise ServeError(
-                f"a chaos schedule needs at least one kill, got {num_kills}"
-            )
-        if num_replicas < 1:
-            raise ServeError(
-                f"need at least one replica to kill, got {num_replicas}"
-            )
-        if horizon <= 0.0:
-            raise ServeError(
-                f"chaos horizon must be positive, got {horizon}"
-            )
-        rng = new_rng(seed)
-        times = sorted(float(t) for t in rng.uniform(0.0, horizon, num_kills))
-        victims = [int(v) for v in rng.integers(0, num_replicas, num_kills)]
-        return cls(
-            events=tuple(
-                FailureEvent(time=t, replica=v, downtime=downtime)
-                for t, v in zip(times, victims)
             ),
             **kwargs,
         )
@@ -217,7 +170,7 @@ class FailureSession:
                 self._hedges[request.rid] = remaining
                 return
             del self._hedges[request.rid]
-        if log.retries >= spec.max_retries:
+        if log.retries >= MAX_RETRIES:
             return  # retry budget exhausted: lost
         eligible = router.eligible(replicas, now)
         if not eligible:

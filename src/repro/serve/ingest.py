@@ -26,6 +26,9 @@ from repro.errors import ServeError
 from repro.partition import PartitionTracker, incremental_rebalance
 from repro.serve.control import EVENT_PRIORITY
 
+#: Cap on rows moved per incremental rebalance.
+MAX_MIGRATE_ROWS = 256
+
 
 class IngestSession:
     """The ``updates=`` / ``dynamic=`` session extension (see
@@ -158,7 +161,7 @@ class IngestSession:
     def _rebalance(self, now: float) -> None:
         """Bounded shard migration when degree balance drifts too far.
 
-        Moves at most ``max_migrate_rows`` nodes from the most to the
+        Moves at most :data:`MAX_MIGRATE_ROWS` nodes from the most to the
         least loaded shard (affinity-scored, see
         :func:`~repro.partition.incremental_rebalance`), charges each
         receiving replica's feature-row stream over the interconnect on
@@ -172,7 +175,7 @@ class IngestSession:
             session.partition.assignment,
             session.num_replicas,
             target_balance=max(tracker.baseline_balance, 1.0),
-            max_moves=self.policy.max_migrate_rows,
+            max_moves=MAX_MIGRATE_ROWS,
         )
         if plan.num_moved == 0:
             # Nothing movable under the overshoot guard: rebase so the

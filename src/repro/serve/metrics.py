@@ -216,8 +216,7 @@ FEATURE_GROUPS = (
         "elastic", lambda r: r.elastic, "elastic",
         _metrics(
             "availability", "lost", "retried", "hedged", "failures",
-            "scale_ups", "scale_downs", "tune_moves", "gpu_seconds",
-            "reprovision_bytes",
+            "scale_ups", "scale_downs", "gpu_seconds", "reprovision_bytes",
         ),
     ),
     FeatureGroup(
@@ -308,8 +307,6 @@ class ServeReport:
     #: Autoscaler actions executed.
     scale_ups: int = 0
     scale_downs: int = 0
-    #: Batching-knob moves the online tuner made.
-    tune_moves: int = 0
     #: Summed per-replica in-service simulated seconds — the GPU-hours
     #: denominator of the elastic-vs-static comparison.
     gpu_seconds: float = 0.0

@@ -324,7 +324,7 @@ class Replica:
         # Degradation-ladder state.
         self._level = 0
         #: Sliding window of completed-request latencies: the ladder's
-        #: p99 monitor, and the signal the autoscaler and tuner read.
+        #: p99 monitor, and the signal the autoscaler reads.
         self.latency_window = SlidingWindow(LATENCY_WINDOW)
         # Batcher state (the incremental event API's working set).
         self._pending: list[Request] = []
@@ -359,47 +359,6 @@ class Replica:
         # (``ServeReport``'s ``_fleet_sum()`` fields, documented there).
         for name, zero in FLEET_COUNTERS.items():
             setattr(self, name, zero)
-
-    # ------------------------------------------------------------------
-    def superbatch_window(
-        self,
-        example_requests: list[Request],
-        *,
-        memory_fraction: float = 0.25,
-        max_size: int = 64,
-    ) -> int:
-        """Largest fusion window fitting the sampling memory budget.
-
-        Reuses :meth:`~repro.sampler.CompiledSampler.choose_superbatch_size`
-        with ``memory_fraction`` of this device's capacity as the
-        budget, probing each compiled layer of *both* pipelines — full
-        fidelity and degraded — against the representative request mix
-        and keeping the most conservative answer: with the degradation
-        ladder engaged the fused window executes the degraded pipeline,
-        whose layers may admit a *different* window under the same
-        budget, so it must fit whichever pipeline the ladder picks.
-        """
-        if not example_requests:
-            raise ServeError(
-                "superbatch window sizing needs at least one example request"
-            )
-        budget = int(self.device.memory_capacity * memory_fraction)
-        seed_sets = [r.seeds for r in example_requests]
-        sizes = []
-        for pipeline in self._pipelines:
-            samplers = getattr(pipeline, "samplers", None)
-            if not samplers:
-                raise ServeError(
-                    f"{self.algorithm!r} has no compiled layers to probe a "
-                    "super-batch window against"
-                )
-            sizes.extend(
-                sampler.choose_superbatch_size(
-                    seed_sets, memory_budget=budget, max_size=max_size
-                )
-                for sampler in samplers
-            )
-        return min(sizes)
 
     # ------------------------------------------------------------------
     def outstanding(self, now: float) -> int:

@@ -10,8 +10,7 @@ The composer contract under test (see ``repro.serve.compose``):
   free, never before the batch's own youngest member arrived, and a
   partial FIFO batch waits out ``max_wait`` from its oldest member;
 * no composer exceeds its size invariants (``max_batch`` members for
-  fifo/binned, one seed-count bin per binned batch, the window cap for
-  superbatch);
+  fifo/binned, one seed-count bin per binned batch);
 * per-request super-batch outputs equal a direct single-request run
   (checked under exhaustive fanouts, where sampling is deterministic
   regardless of the RNG stream);
@@ -67,13 +66,6 @@ def _stream(rng, n, *, max_seeds=40, num_nodes=400):
     ]
 
 
-def _composer_for(name, rng):
-    if name == "superbatch":
-        cap = int(rng.integers(1, 24)) if rng.random() < 0.5 else None
-        return SuperbatchComposer(max_requests=cap)
-    return make_composer(name)
-
-
 CASES_PER_COMPOSER = 70  # x3 composers >= 200 fuzz cases
 
 
@@ -85,7 +77,7 @@ class TestComposerContract:
     def test_fuzz_exactly_once_causality_and_size_caps(self, name):
         for case in range(CASES_PER_COMPOSER):
             rng = np.random.default_rng(1000 * case + hash(name) % 1000)
-            composer = _composer_for(name, rng)
+            composer = make_composer(name)
             policy = ServePolicy(
                 max_batch=int(rng.integers(1, 11)),
                 max_wait=float(rng.random() * 1e-3),
@@ -120,8 +112,6 @@ class TestComposerContract:
                     assert len(bins) == 1, f"case {case}: mixed bins {bins}"
                 if name == "superbatch":
                     assert plan.superbatch
-                    if composer.max_requests is not None:
-                        assert len(members) <= composer.max_requests
                 served.extend(m.rid for m in members)
                 for i in sorted(plan.indices, reverse=True):
                     del pending[i]
@@ -282,7 +272,7 @@ class TestMakeComposer:
             assert make_composer(name).name == name
 
     def test_instances_pass_through(self):
-        composer = SuperbatchComposer(max_requests=4)
+        composer = SuperbatchComposer()
         assert make_composer(composer) is composer
 
     def test_unknown_name_rejected(self):
@@ -290,11 +280,19 @@ class TestMakeComposer:
             make_composer("lifo")
 
     def test_window_only_valid_for_superbatch(self):
-        assert make_composer("superbatch", max_requests=8).max_requests == 8
-        with pytest.raises(ServeError):
-            make_composer("fifo", max_requests=8)
-        with pytest.raises(ServeError):
-            SuperbatchComposer(max_requests=0)
+        """Only the super-batch composer fuses a window, and its window is
+        the whole pending queue: no cap below the admission bound."""
+        pending = _stream(np.random.default_rng(2), 20)
+        policy = ServePolicy(max_batch=4, max_wait=2e-3, queue_capacity=None)
+        plans = {
+            name: make_composer(name).plan(pending, policy, 0.0)
+            for name in COMPOSER_POLICIES
+        }
+        assert plans["superbatch"].superbatch
+        assert plans["superbatch"].indices == tuple(range(20))
+        for name in ("fifo", "binned"):
+            assert not plans[name].superbatch
+            assert len(plans[name].indices) <= policy.max_batch
 
     def test_superbatch_requires_capable_pipeline(self, pd):
         class _NoSuperbatch:

@@ -191,7 +191,7 @@ class TestUpdateStream:
             np.testing.assert_array_equal(x.weights, y.weights)
 
     def test_stream_shape_and_ordering(self):
-        spec = UpdateSpec(num_edges=30, batch_edges=8, seed=1)
+        spec = UpdateSpec(num_edges=30, seed=1)
         stream = generate_update_stream(spec, num_nodes=20)
         assert sum(b.num_edges for b in stream) == 30
         times = [b.time for b in stream]
@@ -229,8 +229,6 @@ class TestUpdateStream:
             DynamicPolicy(snapshot_every=-1.0)
         with pytest.raises(ServeError):
             DynamicPolicy(repartition_threshold=0.0)
-        with pytest.raises(ServeError):
-            DynamicPolicy(max_migrate_rows=0)
 
 
 # ----------------------------------------------------------------------

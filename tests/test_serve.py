@@ -617,8 +617,7 @@ _GROUP_SCHEMA = {
     "elastic": (
         {"elastic": True},
         ("availability", "lost", "retried", "hedged", "failures",
-         "scale_ups", "scale_downs", "tune_moves", "gpu_seconds",
-         "reprovision_bytes"),
+         "scale_ups", "scale_downs", "gpu_seconds", "reprovision_bytes"),
     ),
     "dynamic": (
         {"dynamic": True},
@@ -991,19 +990,6 @@ class TestComposedServing:
         assert runs[0].fingerprint() == runs[1].fingerprint()
         assert runs[0].to_metrics() == runs[1].to_metrics()
 
-    def test_superbatch_window_helper(self, pd):
-        sim = Replica(
-            pd, device=V100, policy=PIN_POLICY, seed=0, composer="superbatch"
-        )
-        requests = generate_workload(
-            WorkloadSpec(num_requests=16, arrival_rate=1e5, seed=0),
-            num_nodes=pd.num_nodes,
-        )
-        window = sim.superbatch_window(requests)
-        assert window >= 1
-        with pytest.raises(ServeError):
-            sim.superbatch_window([])
-
     def test_request_log_seeds_outside_fingerprint(self):
         """The new per-request seed-count field is observability only:
         it must not perturb the fingerprint key."""
@@ -1028,34 +1014,6 @@ class TestServeLoopRegressions:
         # completion-path prune alone.  Leak regression would leave
         # ~report.completed entries here.
         assert len(sim.replicas[0]._in_flight) <= 64
-
-    def test_superbatch_window_probes_both_pipelines(self, pd):
-        """The fusion window must fit whichever pipeline the ladder
-        executes — the most conservative answer over full-fidelity *and*
-        degraded compiled layers, not just ``_pipelines[0]``."""
-        sim = Replica(
-            pd, device=V100, policy=PIN_POLICY, seed=0, composer="superbatch"
-        )
-        requests = generate_workload(
-            WorkloadSpec(num_requests=16, arrival_rate=1e5, seed=0),
-            num_nodes=pd.num_nodes,
-        )
-        budget = int(V100.memory_capacity * 0.25)
-        seed_sets = [r.seeds for r in requests]
-        per_pipeline = [
-            min(
-                sampler.choose_superbatch_size(
-                    seed_sets, memory_budget=budget, max_size=64
-                )
-                for sampler in pipeline.samplers
-            )
-            for pipeline in sim._pipelines
-        ]
-        window = sim.superbatch_window(requests)
-        assert window == min(per_pipeline)
-        # And in particular no larger than what the degraded pipeline
-        # admits (the pre-fix code ignored it entirely).
-        assert window <= per_pipeline[1]
 
     def _ladder_transitions(self, sim, latencies):
         """Feed synthetic completions; return the push index of every

@@ -150,6 +150,30 @@ class TestEpochFlagBoundaries:
             measure_cell("gsampler", "graphsage", "pd", max_batches=0)
 
 
+#: A non-default value for every flag that needs an enabler (``None``: a
+#: bare switch).
+_MOVED = {
+    "orphans": "shed", "hedge": None, "no_failover": None,
+    "min_replicas": "2", "max_replicas": "3", "scale_interval_ms": "2",
+    "ingest_edges": "64", "delete_fraction": "0.5", "snapshot_every_ms": "1",
+    "compact_every": "4", "repartition_threshold": "0.1",
+    "host_tier_ratio": "0.5",
+}
+
+#: ``(command, enabler, dependent)`` for every dependent each command takes.
+_IDLE_DEPENDENTS = [
+    pytest.param(command, enabler, dest, id=f"{command[0]} {dest}")
+    for enabler, dependents in cli._DEPENDENT_DESTS.items()
+    for dest in dependents
+    for command in (["serve"], ["pipeline", "graphsage"])
+    if command[0] == "serve" or enabler == "feature_tiers"
+]
+
+
+def _flag(dest: str) -> str:
+    return "--" + dest.replace("_", "-")
+
+
 class TestUnknownIsNotNA:
     """``None`` / exit 1 mean a genuine N/A cell; a misspelt name is an
     error (exit 2) raised before any dataset is loaded."""
@@ -201,6 +225,28 @@ class TestUnknownIsNotNA:
         assert f"invalid choice: '{name}'" in captured.err
         assert captured.out == ""
         assert not list(tmp_path.iterdir())
+
+
+    @pytest.mark.parametrize(("command", "enabler", "dest"), _IDLE_DEPENDENTS)
+    def test_a_flag_without_its_enabler_exits_2(
+        self, command, enabler, dest, no_datasets, tmp_path, capsys
+    ):
+        """Each of these once wrote a lane whose metrics equal the default
+        run's while its ``meta`` recorded the flag."""
+        value = _MOVED[dest]
+        argv = [*command, _flag(dest), *([] if value is None else [value])]
+        assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert (
+            f"error: {_flag(dest)} changes nothing without {_flag(enabler)}"
+            in captured.err
+        )
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
+    def test_every_dependent_has_a_moved_value(self):
+        dependents = {d for ds in cli._DEPENDENT_DESTS.values() for d in ds}
+        assert dependents == _MOVED.keys()
 
 
 class TestPipelineParity:
