@@ -20,6 +20,7 @@ from repro.core import new_rng, sampling
 from repro.core.matrix import Matrix
 from repro.core.random import segmented_race_select
 from repro.device import NULL_CONTEXT, ExecutionContext
+from repro.errors import ShapeError
 from repro.sparse import COO, CSC, INDEX_DTYPE, to_csc
 
 
@@ -66,17 +67,30 @@ def walk(
     ctx: ExecutionContext = NULL_CONTEXT,
     rng: np.random.Generator | None = None,
 ) -> WalkResult:
-    """The walk driver: ``step`` the live walkers ``walk_length`` times."""
+    """The walk driver: ``step`` the live walkers ``walk_length`` times.
+
+    A ``-1`` seed is a walker that is dead from the start.  The live set
+    is carried from each step's result rather than re-read from the
+    trace: a walker the step strands (``-1``) stays dead.
+    """
+    seeds = np.asarray(seeds, dtype=INDEX_DTYPE)
+    if walk_length < 0:
+        raise ShapeError(f"walk length must be >= 0, got {walk_length}")
+    num_nodes = graph.shape[1]  # a walker's node indexes the CSC's columns
+    bad = seeds[(seeds < -1) | (seeds >= num_nodes)]
+    if len(bad):
+        raise ShapeError(f"walk seed {int(bad[0])} is outside [-1, {num_nodes})")
     rng = rng if rng is not None else new_rng(None)
     csc = graph.get("csc")
-    seeds = np.asarray(seeds, dtype=INDEX_DTYPE)
     trace = np.full((walk_length + 1, len(seeds)), -1, dtype=INDEX_DTYPE)
     trace[0] = seeds
+    alive = np.flatnonzero(seeds >= 0)
     for t in range(walk_length):
-        alive = np.flatnonzero(trace[t] >= 0)
         if len(alive) == 0:
             break
-        trace[t + 1][alive] = step(csc, trace[: t + 1], alive, rng, ctx)
+        nxt = step(csc, trace[: t + 1], alive, rng, ctx)
+        trace[t + 1][alive] = nxt
+        alive = alive[nxt >= 0]
     return WalkResult(trace=trace)
 
 

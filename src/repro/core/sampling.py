@@ -452,15 +452,25 @@ def uniform_walk_step(
 
     Returns the next node per frontier, with ``-1`` for dead ends
     (frontiers without in-edges).  Used by DeepWalk/Node2Vec/PinSAGE.
+
+    The uniform pick draws what ``segmented_uniform_with_replacement(
+    lengths, 1, rng)`` would — one ``rng.random`` per frontier with
+    in-edges, in frontier order — without its k-way repeat.
     """
     rng = rng if rng is not None else rnd.new_rng()
     frontiers = np.asarray(frontiers, dtype=INDEX_DTYPE)
     starts = graph_csc.indptr[frontiers]
     lengths = graph_csc.indptr[frontiers + 1] - starts
+    total = int(lengths.sum())
     nxt = np.full(len(frontiers), -1, dtype=INDEX_DTYPE)
     if bias_edge_values is None:
-        seg_ids, offsets = rnd.segmented_uniform_with_replacement(lengths, 1, rng)
-        nxt[seg_ids] = graph_csc.rows[starts[seg_ids] + offsets]
+        moving = np.flatnonzero(lengths > 0)
+        if len(moving):
+            span = lengths[moving]
+            offsets = (rng.random(len(moving)) * span).astype(INDEX_DTYPE)
+            # Guard against u * length rounding up onto the length.
+            np.minimum(offsets, span - 1, out=offsets)
+            nxt[moving] = graph_csc.rows[starts[moving] + offsets]
     else:
         flat = gather_ranges(starts, lengths)
         sub_indptr = np.zeros(len(frontiers) + 1, dtype=INDEX_DTYPE)
@@ -476,13 +486,13 @@ def uniform_walk_step(
     if bias_edge_values is None:
         read = len(frontiers) * 2 * _ITEM + len(frontiers) * _ITEM
     else:
-        read = len(frontiers) * 2 * _ITEM + int(lengths.sum()) * (_ITEM + _VAL)
+        read = len(frontiers) * 2 * _ITEM + total * (_ITEM + _VAL)
     ctx.record(
         "walk_step",
         bytes_read=read,
         bytes_written=nxt.nbytes,
-        flops=float(max(lengths.sum(), 1)),
-        tasks=max(int(lengths.sum()), 1),  # alias-table lanes per edge
+        flops=float(max(total, 1)),
+        tasks=max(total, 1),  # alias-table lanes per edge
         graph_bytes=read,
     )
     return nxt

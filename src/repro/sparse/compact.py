@@ -14,7 +14,7 @@ import dataclasses
 import numpy as np
 
 from repro.device import NULL_CONTEXT, ExecutionContext
-from repro.errors import FormatError
+from repro.errors import FormatError, ShapeError
 from repro.sparse import kernels
 from repro.sparse.formats import (
     COO,
@@ -23,7 +23,6 @@ from repro.sparse.formats import (
     INDEX_DTYPE,
     SparseFormat,
     _AXES,
-    _indptr_from_counts,
     _take,
     sorted_unique,
 )
@@ -112,9 +111,11 @@ def _compact(
     ctx: ExecutionContext,
     keep: np.ndarray | None,
 ) -> CompactResult:
-    keep = np.asarray(
-        _occupied(matrix, axis, ctx) if keep is None else keep, dtype=INDEX_DTYPE
-    )
+    if keep is None:
+        keep = np.asarray(_occupied(matrix, axis, ctx), dtype=INDEX_DTYPE)
+    else:
+        keep = np.asarray(keep, dtype=INDEX_DTYPE)
+        _check_keep(keep, matrix.shape[axis], axis)
     if matrix.axis == axis:
         # Along the compressed axis relabeling *is* a range-gather slice,
         # and is recorded as one.
@@ -135,13 +136,31 @@ def _compact(
     return CompactResult(out, *ids)
 
 
+def _check_keep(keep: np.ndarray, extent: int, axis: int) -> None:
+    """A caller-chosen survivor set names each kept index once, in range.
+
+    A negative id would wrap onto the last index and a repeated one would
+    leave an empty local row or column behind.
+    """
+    name = _AXES[axis][:-1]
+    bad = keep[(keep < 0) | (keep >= extent)]
+    if len(bad):
+        raise ShapeError(f"keep {name} id {int(bad[0])} is outside [0, {extent})")
+    ordered = np.sort(keep)
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+    if len(repeated):
+        raise ShapeError(f"keep {name} id {int(repeated[0])} is repeated")
+
+
 def _relabel(matrix: SparseFormat, keep: np.ndarray, axis: int) -> SparseFormat:
     """Drop edges whose ``axis`` index is not in ``keep``; renumber the rest.
 
-    For COO and *across* a compressed axis, where a mask over the stored
-    index array does it and edge order (so every pointer segment) survives.
-    Records nothing: ``compact_*`` and the collective samplers price it as
-    part of their own launch.
+    For COO and *across* a compressed axis, where one index list of the
+    surviving edges gathers every per-edge array and edge order (so every
+    pointer segment) survives.  ``keep`` must name distinct in-range ids
+    (:func:`_compact` checks a caller's; the collective samplers pass
+    sorted selections).  Records nothing: ``compact_*`` and the
+    collective samplers price it as part of their own launch.
     """
     lut = np.full(matrix.shape[axis], -1, dtype=INDEX_DTYPE)
     lut[keep] = np.arange(len(keep), dtype=INDEX_DTYPE)
@@ -149,25 +168,24 @@ def _relabel(matrix: SparseFormat, keep: np.ndarray, axis: int) -> SparseFormat:
     if isinstance(matrix, COO):
         index = [matrix.rows, matrix.cols]
         index[axis] = lut[index[axis]]
-        mask = index[axis] >= 0
+        kept = np.flatnonzero(index[axis] >= 0)
         return COO(
-            index[0][mask],
-            index[1][mask],
-            _take(matrix.values, mask),
+            index[0][kept],
+            index[1][kept],
+            _take(matrix.values, kept),
             shape,
-            _take(matrix.edge_ids, mask),
+            _take(matrix.edge_ids, kept),
         )
     if not isinstance(matrix, (CSR, CSC)):
         raise FormatError(f"unknown sparse container {type(matrix).__name__}")
     new_minor = lut[matrix.minor]
-    mask = new_minor >= 0
-    # The running count of survivors, read at the old segment boundaries,
-    # is the new pointer.
-    survivors = _indptr_from_counts(mask)
+    kept = np.flatnonzero(new_minor >= 0)
+    # How many survivors precede each old segment boundary is the new
+    # pointer.
     return type(matrix)(
-        survivors[matrix.indptr],
-        new_minor[mask],
-        _take(matrix.values, mask),
+        np.searchsorted(kept, matrix.indptr),
+        new_minor[kept],
+        _take(matrix.values, kept),
         shape,
-        _take(matrix.edge_ids, mask),
+        _take(matrix.edge_ids, kept),
     )

@@ -15,7 +15,7 @@ from repro.core.sampling import (
     uniform_walk_step,
 )
 from repro.errors import ShapeError
-from repro.sparse import slice_columns, to_csc
+from repro.sparse import CSC, slice_columns, to_csc
 
 from tests.conftest import random_coo, to_dense
 
@@ -231,6 +231,31 @@ class TestWalkStep:
         )
         # Only the column owning edge 10 can step; everyone else is -1.
         assert (nxt >= 0).sum() == 1
+
+    def test_dead_and_zero_in_degree_frontiers_draw_nothing(self):
+        """A ``-1`` frontier reads ``indptr[-1]``/``indptr[0]`` — a negative
+        length — and a node without in-edges a zero one: both stay ``-1``
+        and take no draw; the others take one each, in frontier order."""
+        csc = CSC(
+            indptr=[0, 2, 2, 3, 6], rows=[1, 2, 0, 0, 1, 3], values=None,
+            shape=(4, 4),
+        )
+        frontiers = np.array([-1, 1, 0, -1, 2, 1, 3])
+        rng = new_rng(5)
+        nxt = uniform_walk_step(csc, frontiers, rng=rng)
+        oracle = new_rng(5)
+        u = oracle.random(3)
+        offsets = np.floor(u * [2, 1, 3]).astype(np.int64)
+        expected = np.full(len(frontiers), -1)
+        expected[[2, 4, 6]] = csc.rows[np.array([0, 2, 3]) + offsets]
+        np.testing.assert_array_equal(nxt, expected)
+        assert rng.bit_generator.state == oracle.bit_generator.state
+
+        rng = new_rng(5)
+        untouched = rng.bit_generator.state
+        nxt = uniform_walk_step(csc, np.array([-1, 1, -1]), rng=rng)
+        np.testing.assert_array_equal(nxt, [-1, -1, -1])
+        assert rng.bit_generator.state == untouched
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(1, 6))

@@ -4,16 +4,21 @@ misspelt algorithm is never reported as one of the paper's N/A cells."""
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
 import repro.bench.harness as harness
 from repro import cli, sampler
 from repro.algorithms import make_algorithm
+from repro.algorithms.walks import uniform_walk
 from repro.baselines import make_system
 from repro.bench import measure_cell
 from repro.core import new_rng
+from repro.device import V100, ExecutionContext
 from repro.errors import GSamplerError, ShapeError
+from repro.sparse import COO, compact_cols, compact_rows, convert
 
 
 class TestTypedRefusals:
@@ -73,6 +78,54 @@ class TestTypedRefusals:
         model = GraphSAGEModel(8, 16, 4, num_layers=2, rng=rng)
         with pytest.raises(ShapeError, match="layer 1 has non-finite edge weights"):
             model.forward(sample, rng.random((200, 8)).astype(np.float32))
+
+
+class TestIndexBoundaries:
+    """An id the kernel would wrap, repeat or index past the end is refused
+    with a ``ShapeError`` naming it — before any launch or draw."""
+
+    @pytest.mark.parametrize("layout", ["coo", "csr", "csc"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize(
+        ("keep", "message"),
+        [
+            ([-1], "id -1 is outside [0, 4)"),
+            ([1, 4], "id 4 is outside [0, 4)"),
+            ([0, 0], "id 0 is repeated"),
+            ([3, 1, 3], "id 3 is repeated"),
+        ],
+    )
+    def test_compact_keep(self, layout, axis, keep, message):
+        """``keep_rows=[-1]`` used to relabel the last row to 0 and return
+        ``row_ids [-1]``; ``[0, 0]`` built a matrix with an orphaned row;
+        an id past the end raised a bare ``IndexError``."""
+        coo = COO(rows=[0, 1, 3], cols=[2, 0, 3], values=None, shape=(4, 4))
+        ctx = ExecutionContext(V100)
+        name = ("row", "col")[axis]
+        with pytest.raises(ShapeError, match=re.escape(f"keep {name} {message}")):
+            (compact_rows, compact_cols)[axis](
+                convert(coo, layout), ctx, np.array(keep)
+            )
+        assert ctx.launch_count() == 0
+
+    @pytest.mark.parametrize(
+        ("seeds", "walk_length", "message"),
+        [
+            ([0, 1], -1, "walk length must be >= 0, got -1"),
+            ([0, 200], 3, "walk seed 200 is outside [-1, 200)"),
+            ([-2, 0], 3, "walk seed -2 is outside [-1, 200)"),
+        ],
+    )
+    def test_walk(self, seeds, walk_length, message, small_graph):
+        """Each of these failed deep inside the driver: at ``trace[0] =
+        seeds`` or in the first step's ``indptr`` gather."""
+        ctx = ExecutionContext(V100)
+        rng = new_rng(0)
+        untouched = rng.bit_generator.state
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            uniform_walk(small_graph, np.array(seeds), walk_length, ctx=ctx, rng=rng)
+        assert ctx.launch_count() == 0
+        assert rng.bit_generator.state == untouched
 
 
 class TestServeFlagBoundaries:

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import functools
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.algorithms import walks
+from repro.algorithms.node2vec import node2vec_step
 from repro.algorithms.walks import (
     WalkResult,
     induce_subgraph,
@@ -15,7 +20,9 @@ from repro.algorithms.walks import (
     uniform_walk,
 )
 from repro.core import new_rng
-from repro.device import ExecutionContext, V100
+from repro.core.matrix import from_edges
+from repro.device import NULL_CONTEXT, ExecutionContext, V100
+from repro.sparse import INDEX_DTYPE
 
 from tests.conftest import to_dense
 
@@ -52,6 +59,93 @@ class TestUniformWalk:
         uniform_walk(small_graph, np.arange(10), 7, ctx=ctx, rng=new_rng(3))
         steps = [l for l in ctx.launches if l.name == "walk_step"]
         assert len(steps) == 7
+
+
+# ----------------------------------------------------------------------
+# The walk loop ``walks.walk`` had until it carried its live walkers,
+# kept verbatim as the oracle: it re-derived them from the trace.
+# ----------------------------------------------------------------------
+def _trace_walk(graph, seeds, walk_length, step, *, ctx=NULL_CONTEXT, rng=None):
+    rng = rng if rng is not None else new_rng(None)
+    csc = graph.get("csc")
+    seeds = np.asarray(seeds, dtype=INDEX_DTYPE)
+    trace = np.full((walk_length + 1, len(seeds)), -1, dtype=INDEX_DTYPE)
+    trace[0] = seeds
+    for t in range(walk_length):
+        alive = np.flatnonzero(trace[t] >= 0)
+        if len(alive) == 0:
+            break
+        trace[t + 1][alive] = step(csc, trace[: t + 1], alive, rng, ctx)
+    return WalkResult(trace=trace)
+
+
+_WALK = walks.walk
+
+
+def _walk_run(driver, kind, graph, seeds, walk_length, seed):
+    """``kind``'s public entry with ``walks.walk`` bound to ``driver``:
+    the trace, the generator's end state and the launch ledger."""
+    ctx = ExecutionContext(V100)
+    rng = new_rng(seed)
+    traces = []
+
+    def recorded(*args, **kwargs):
+        result = driver(*args, **kwargs)
+        traces.append(result.trace)
+        return result
+
+    with mock.patch.object(walks, "walk", recorded):
+        if kind == "uniform":
+            uniform_walk(graph, seeds, walk_length, ctx=ctx, rng=rng)
+        elif kind == "node2vec":
+            step = functools.partial(node2vec_step, 2.0, 0.5)
+            walks.walk(graph, seeds, walk_length, step, ctx=ctx, rng=rng)
+        else:
+            restart_walk_visit_counts(
+                graph, seeds, num_walks=2, walk_length=walk_length,
+                restart_prob=0.3, ctx=ctx, rng=rng,
+            )
+    ledger = [
+        (l.name, l.bytes_read, l.bytes_written, l.flops, l.tasks)
+        for l in ctx.launches
+    ]
+    (trace,) = traces
+    return trace, rng.bit_generator.state, ledger
+
+
+@st.composite
+def _walk_cases(draw):
+    """A sparse random graph — dead ends (no in-edges) are common — and
+    seeds that mix live nodes, dead ends and dead (``-1``) walkers."""
+    n = draw(st.integers(1, 25))
+    edges = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                 max_size=3 * n, unique=True)
+    )
+    graph = from_edges(
+        np.array([e[0] for e in edges], dtype=INDEX_DTYPE),
+        np.array([e[1] for e in edges], dtype=INDEX_DTYPE),
+        n,
+    )
+    seeds = np.array(
+        draw(st.lists(st.integers(-1, n - 1), max_size=20)), dtype=INDEX_DTYPE
+    )
+    return graph, seeds, draw(st.integers(0, 12)), draw(st.integers(0, 2**16))
+
+
+class TestWalkDriverOracle:
+    @pytest.mark.parametrize("kind", ["uniform", "node2vec", "restart"])
+    @given(case=_walk_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_trace_rederiving_loop(self, kind, case):
+        """Carrying the live set forward is the same walk: every trace
+        entry, every draw (the generator ends in the same state) and every
+        launch record the loop that re-read the trace each step gave."""
+        got = _walk_run(_WALK, kind, *case)
+        want = _walk_run(_trace_walk, kind, *case)
+        np.testing.assert_array_equal(got[0], want[0])
+        assert got[1] == want[1]
+        assert got[2] == want[2]
 
 
 class TestRestartWalks:
