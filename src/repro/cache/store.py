@@ -21,7 +21,7 @@ from repro.cache.ranking import graph_degrees
 from repro.cache.tiered import DEFAULT_HOST_TIER_RATIO, TieredFeatureStore
 from repro.device.interconnect import LinkSpec
 from repro.device.memory import MemoryPool
-from repro.errors import ServeError
+from repro.errors import ServeError, ShapeError
 
 
 class FeatureSource:
@@ -32,8 +32,8 @@ class FeatureSource:
     Parameters
     ----------
     cache_ratio:
-        Fraction of nodes whose rows are planned for this device's HBM;
-        ``0`` means no store at all (every row crosses PCIe).
+        Fraction of nodes whose rows are planned for this device's HBM,
+        in ``[0, 1]``; ``0`` means no store at all (every row crosses PCIe).
     feature_tiers, host_tier_ratio:
         Front the table with the :class:`~repro.cache.TieredFeatureStore`
         (and that fraction of nodes in its pinned-host tier) instead of
@@ -67,6 +67,8 @@ class FeatureSource:
         fleet_size: int = 1,
         owned_mask: np.ndarray | None = None,
     ) -> None:
+        if not 0.0 <= cache_ratio <= 1.0:  # catches NaN too
+            raise ShapeError(f"cache ratio must be in [0, 1], got {cache_ratio}")
         if p2p and not feature_tiers:
             raise ServeError(
                 "p2p feature fetch needs the tiered store (feature_tiers)"

@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import math
 import pathlib
 import sys
 from collections.abc import Sequence
@@ -40,7 +41,7 @@ from repro.bench import format_table, measure_cell
 from repro.cache import DEFAULT_CACHE_RATIO, DEFAULT_HOST_TIER_RATIO
 from repro.datasets import available_datasets, load_dataset
 from repro.device import DEVICES, LINKS, get_device
-from repro.errors import GSamplerError, ServeError
+from repro.errors import DeviceError, GSamplerError, ServeError
 from repro.partition import PARTITION_METHODS
 from repro.pipeline import (
     DEFAULT_PREFETCH_DEPTH,
@@ -614,9 +615,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 def _hbm_budget(args: argparse.Namespace) -> int | None:
     """``--hbm-budget-mb`` in bytes (``None`` = the device's capacity)."""
-    if args.hbm_budget_mb is None:
+    mb = args.hbm_budget_mb
+    if mb is None:
         return None
-    return int(args.hbm_budget_mb * 2**20)
+    if not 0.0 <= mb < math.inf:  # catches NaN too
+        raise DeviceError(f"pool capacity must be >= 0 and finite, got {mb} MiB")
+    return int(mb * 2**20)
 
 
 def _cell(value: object) -> str:
@@ -704,6 +708,7 @@ def _finish_run(
 
 def _cmd_pipeline(args: argparse.Namespace) -> int:
     """The ``pipeline`` command: serial vs pipelined epochs + lane record."""
+    hbm_budget = _hbm_budget(args)
     dataset = load_dataset(args.dataset, scale=args.scale)
     profiler = Profiler()
     with profiler.activate():
@@ -719,7 +724,7 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
             profiler=profiler,
             feature_tiers=args.feature_tiers,
             host_tier_ratio=args.host_tier_ratio,
-            hbm_budget=_hbm_budget(args),
+            hbm_budget=hbm_budget,
             prefetch=not args.no_prefetch,
         )
     # The command's correctness contract: pipelining moves the clock only.
@@ -760,6 +765,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         raise ServeError(
             f"--min-availability is a fraction in [0, 1], got {gate}"
         )
+    hbm_budget = _hbm_budget(args)
     dataset = load_dataset(args.dataset, scale=args.scale)
     profiler = Profiler()
     failures = None
@@ -846,7 +852,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             feature_tiers=args.feature_tiers,
             host_tier_ratio=args.host_tier_ratio,
             p2p=args.p2p,
-            hbm_budget=_hbm_budget(args),
+            hbm_budget=hbm_budget,
             updates=updates,
             dynamic=dynamic,
             task=args.task,

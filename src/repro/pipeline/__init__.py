@@ -2,21 +2,17 @@
 
 A serial training epoch pays ``sample + gather + train`` per batch, one
 after another.  Real GNN systems (FastGL; see PAPERS.md) overlap the
-three on separate CUDA streams, with the sampler running a bounded
-number of batches ahead of the trainer.  This package reproduces that
-schedule on the simulator's multi-queue timelines
-(:meth:`repro.device.ExecutionContext.on_queue`): the epoch's simulated
-time becomes the max over the queue timelines instead of their sum,
-while the Python-level execution order — and therefore every sampled
-edge and every trained weight — stays bit-identical to the serial path.
+three on separate CUDA streams, the sampler a bounded number of batches
+ahead.  The trainer's one loop already schedules every batch on device
+queues; this package reads the epoch as their overlap's makespan, while
+every sampled edge and trained weight stays bit-identical to the serial
+path.
 """
 
+from repro.learning.trainer import DEFAULT_PREFETCH_DEPTH, QueueReport
 from repro.pipeline.executor import (
-    DEFAULT_PREFETCH_DEPTH,
     PIPELINE_MODELS,
     PipelinedTrainer,
-    PipelinedTrainResult,
-    QueueReport,
     run_pipeline_cell,
 )
 
@@ -24,7 +20,6 @@ __all__ = [
     "DEFAULT_PREFETCH_DEPTH",
     "PIPELINE_MODELS",
     "PipelinedTrainer",
-    "PipelinedTrainResult",
     "QueueReport",
     "run_pipeline_cell",
 ]

@@ -1,29 +1,17 @@
-"""The pipelined epoch executor and its serial-vs-pipelined harness.
+"""The pipelined trainer and its serial-vs-pipelined harness.
 
-:class:`PipelinedTrainer` schedules every training epoch across three
-simulated device queues:
-
-* ``sample``   — the sampling pipeline's kernels (on the sampling device);
-* ``transfer`` — per-batch feature gathers, PCIe-bound for host-resident
-  features, with a :class:`~repro.cache.FeatureSource` short-circuiting
-  hot rows to device memory;
-* ``compute``  — the model's forward/backward launches.
-
-Dependencies mirror a real prefetching loop: batch ``i``'s transfer
-waits on its sampling, its compute waits on its transfer, queues
-serialize internally, and sampling runs at most ``prefetch_depth``
-batches ahead of compute (the staging-buffer bound).  Because the
-schedule only moves *accounting* onto queue timelines — the Python
-execution order is the serial one — sampled matrices, losses, and
-trained weights are bit-identical to :class:`~repro.learning.Trainer`;
-only the simulated clock changes, from the sum of stage times to the
-makespan of their overlap.
+:class:`PipelinedTrainer` runs :class:`~repro.learning.Trainer`'s one
+epoch loop — sampling on queue ``sample``, per-batch feature gathers on
+``transfer`` (PCIe-bound for host-resident features, with a
+:class:`~repro.cache.FeatureSource` short-circuiting hot rows to device
+memory), forward/backward on ``compute`` — and reads its clock as the
+makespan of the queues' overlap instead of the sum of their busy time.
+The Python execution order is the serial one, so sampled matrices,
+losses, and trained weights are bit-identical to the serial trainer's;
+only the simulated clock changes.
 """
 
 from __future__ import annotations
-
-import dataclasses
-import functools
 
 import numpy as np
 
@@ -32,67 +20,15 @@ from repro.algorithms.base import Pipeline
 from repro.cache import (
     DEFAULT_CACHE_RATIO,
     DEFAULT_HOST_TIER_RATIO,
-    CacheStats,
     FeatureSource,
-    plan_gather,
 )
-from repro.core import minibatches
 from repro.datasets import Dataset
-from repro.device import DeviceSpec, ExecutionContext
+from repro.device import DeviceSpec
 from repro.errors import ShapeError
 from repro.learning.models import GraphSAGEModel, LadiesGCN, SampledGNN
-from repro.learning.trainer import Trainer, TrainResult
-from repro.profile.spans import Profiler, maybe_span
+from repro.learning.trainer import DEFAULT_PREFETCH_DEPTH, Trainer, TrainResult
+from repro.profile.spans import Profiler
 from repro.tasks import Task
-
-#: How many batches the sampler may run ahead of the trainer; 2 is the
-#: classic double-buffering depth (one batch in flight per stage).
-DEFAULT_PREFETCH_DEPTH = 2
-
-
-@dataclasses.dataclass(frozen=True)
-class QueueReport:
-    """One queue's timeline summary for an epoch run."""
-
-    queue: str
-    device: str
-    busy_seconds: float
-    end_seconds: float
-    launches: int
-
-    @property
-    def utilization(self) -> float:
-        """Occupied fraction of the full makespan this queue ran under."""
-        return self.busy_seconds / self.end_seconds if self.end_seconds else 0.0
-
-
-@dataclasses.dataclass
-class PipelinedTrainResult(TrainResult):
-    """A :class:`TrainResult` whose clock is the queue-overlap makespan.
-
-    ``total_seconds`` is the max over queue end times;
-    ``sampling_seconds``/``training_seconds`` are the busy (occupied)
-    seconds of the sampling context and training context respectively,
-    so they can sum to more than ``total_seconds`` — that surplus *is*
-    the overlap win.
-    """
-
-    prefetch_depth: int = DEFAULT_PREFETCH_DEPTH
-    queue_reports: list[QueueReport] = dataclasses.field(default_factory=list)
-    cache_stats: CacheStats | None = None
-
-    @property
-    def serialized_seconds(self) -> float:
-        """What the same work would cost with no overlap at all."""
-        return sum(r.busy_seconds for r in self.queue_reports)
-
-    @property
-    def overlap_reduction(self) -> float:
-        """Fractional time saved vs running the queues back-to-back."""
-        serial = self.serialized_seconds
-        if serial <= 0.0:
-            return 0.0
-        return 1.0 - self.total_seconds / serial
 
 
 class PipelinedTrainer(Trainer):
@@ -105,8 +41,8 @@ class PipelinedTrainer(Trainer):
         before compute of batch ``i - prefetch_depth`` finished.  Must
         be at least 1; 2 (the default) gives classic double buffering.
     cache_ratio, feature_tiers, host_tier_ratio, hbm_budget:
-        The feature-store knobs, passed to the
-        :class:`~repro.cache.FeatureSource` each :meth:`train` builds:
+        The feature-store knobs, passed to the trainer's
+        :class:`~repro.cache.FeatureSource` (built, and so checked, here):
         the pinned bytes are charged to the training context's memory
         pool, so an over-large ratio is evicted down (or refused)
         against ``hbm_budget``.
@@ -153,122 +89,30 @@ class PipelinedTrainer(Trainer):
             task=task,
         )
         self.prefetch_depth = prefetch_depth
-        self.cache_ratio = cache_ratio
-        self.feature_tiers = feature_tiers
-        self.host_tier_ratio = host_tier_ratio
-        self.hbm_budget = hbm_budget
         self.prefetch = prefetch
+        self.features = FeatureSource(
+            dataset,
+            cache_ratio=cache_ratio,
+            feature_tiers=feature_tiers,
+            host_tier_ratio=host_tier_ratio,
+            hbm_budget=hbm_budget,
+        )
 
-    # ------------------------------------------------------------------
     def train(
         self,
         epochs: int,
         *,
         max_batches_per_epoch: int | None = None,
         profiler: Profiler | None = None,
-    ) -> PipelinedTrainResult:
-        sample_ctx = ExecutionContext(
-            self.device, graph_on_device=self.dataset.graph_on_device
-        )
-        features = FeatureSource(
-            self.dataset,
-            cache_ratio=self.cache_ratio,
-            feature_tiers=self.feature_tiers,
-            host_tier_ratio=self.host_tier_ratio,
-            hbm_budget=self.hbm_budget,
-        )
-        # Compute launches declare no graph_bytes, so where the source
-        # places the feature table never changes their pricing.
-        train_ctx = ExecutionContext(
-            self.train_device,
-            graph_on_device=features.table_on_device(
-                self.dataset.graph_on_device
-            ),
-            memory=features.pool,
-        )
-        if profiler is not None:
-            profiler.attach(sample_ctx)
-            train_ctx.profiler = profiler
+    ) -> TrainResult:
+        """Train ``epochs`` epochs; the clock is the queues' makespan.
 
-        span = functools.partial(maybe_span, profiler)
-
-        acc_history: list[float] = []
-        last_loss = float("nan")
-        units = self.task.train_units(self.dataset)
-        # Completion time of each batch's compute, indexed per epoch; the
-        # prefetch window looks back ``prefetch_depth`` entries.
-        for epoch in range(epochs):
-            batches = minibatches(
-                units, self.batch_size, shuffle=True, rng=self.rng
-            )
-            if max_batches_per_epoch is not None:
-                batches = batches[:max_batches_per_epoch]
-            epoch_acc: list[float] = []
-            compute_done: list[float] = []
-            with span("epoch", "epoch", index=epoch, pipelined=True):
-                for i, batch in enumerate(batches):
-                    # Staging-buffer bound: the sampler may run at most
-                    # prefetch_depth batches ahead of the trainer.
-                    slot_free = (
-                        compute_done[i - self.prefetch_depth]
-                        if i >= self.prefetch_depth
-                        else 0.0
-                    )
-                    with span(f"batch[{i}]", "batch", size=len(batch)):
-                        task_batch = self.task.materialize(batch, self.rng)
-                        with sample_ctx.on_queue("sample", not_before=slot_free):
-                            sample = self.pipeline.sample_batch(
-                                task_batch.nodes, ctx=sample_ctx, rng=self.rng
-                            )
-                        sampled_at = sample_ctx.queue("sample").ready
-                        # A synchronous loader cannot start a batch's
-                        # fetch until the previous compute finished; the
-                        # async-prefetch default starts it the moment
-                        # sampling lands.
-                        fetch_after = sampled_at
-                        if not self.prefetch and compute_done:
-                            fetch_after = max(sampled_at, compute_done[-1])
-                        transferred_at = features.charge(
-                            train_ctx,
-                            plan_gather(sample.all_nodes, features.store),
-                            not_before=fetch_after,
-                        )
-                        with train_ctx.on_queue(
-                            "compute", not_before=transferred_at
-                        ):
-                            loss, acc = self._compute_batch(
-                                sample, train_ctx, task_batch
-                            )
-                        compute_done.append(train_ctx.queue("compute").ready)
-                    last_loss = loss
-                    epoch_acc.append(acc)
-                if (attrs := features.epoch_attrs()) is not None:
-                    with span(f"cache[{epoch}]", "cache", **attrs):
-                        pass
-            acc_history.append(float(np.mean(epoch_acc)) if epoch_acc else 0.0)
-
-        reports = [
-            QueueReport(
-                queue=q.name,
-                device=ctx.device.name,
-                busy_seconds=q.busy_seconds,
-                end_seconds=q.ready,
-                launches=q.launches,
-            )
-            for ctx in (sample_ctx, train_ctx)
-            for q in ctx.queue_stats().values()
-        ]
-        return PipelinedTrainResult(
-            epochs=epochs,
-            final_accuracy=acc_history[-1] if acc_history else 0.0,
-            final_loss=last_loss,
-            total_seconds=max(sample_ctx.elapsed, train_ctx.elapsed),
-            sampling_seconds=sample_ctx.busy_seconds,
-            training_seconds=train_ctx.busy_seconds,
-            accuracy_history=acc_history,
-            prefetch_depth=self.prefetch_depth,
-            queue_reports=reports,
-            cache_stats=features.stats(),
+        A launch outside every named queue starts at its context's
+        makespan, so the clock is ``elapsed``, not the max queue end.
+        """
+        return self._run(
+            epochs, max_batches_per_epoch, profiler,
+            lambda sample, train: max(sample.elapsed, train.elapsed),
         )
 
 
@@ -313,7 +157,7 @@ def run_pipeline_cell(
     host_tier_ratio: float = DEFAULT_HOST_TIER_RATIO,
     hbm_budget: int | None = None,
     prefetch: bool = True,
-) -> tuple[TrainResult, PipelinedTrainResult]:
+) -> tuple[TrainResult, TrainResult]:
     """Train one cell twice — serial then pipelined — under equal seeds.
 
     Both runs construct their own identically-seeded model and RNG
@@ -336,7 +180,8 @@ def run_pipeline_cell(
     sampler = algo.build(dataset.graph, example)
     depth = len(sampler.samplers)  # the model is as deep as the sample
 
-    serial_trainer = Trainer(
+    # Both trainers are built — every knob checked — before either trains.
+    serial = Trainer(
         sampler,
         _build_model(algorithm, dataset, seed, depth),
         dataset,
@@ -345,11 +190,7 @@ def run_pipeline_cell(
         batch_size=batch_size,
         seed=seed,
     )
-    serial = serial_trainer.train(
-        epochs, max_batches_per_epoch=max_batches
-    )
-
-    pipelined_trainer = PipelinedTrainer(
+    pipelined = PipelinedTrainer(
         algo.build(dataset.graph, example),
         _build_model(algorithm, dataset, seed, depth),
         dataset,
@@ -364,7 +205,9 @@ def run_pipeline_cell(
         hbm_budget=hbm_budget,
         prefetch=prefetch,
     )
-    pipelined = pipelined_trainer.train(
-        epochs, max_batches_per_epoch=max_batches, profiler=profiler
+    return (
+        serial.train(epochs, max_batches_per_epoch=max_batches),
+        pipelined.train(
+            epochs, max_batches_per_epoch=max_batches, profiler=profiler
+        ),
     )
-    return serial, pipelined

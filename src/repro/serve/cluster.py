@@ -182,10 +182,6 @@ class ClusterSimulator:
             raise ServeError(
                 f"cluster needs at least one replica, got {num_replicas}"
             )
-        if not 0.0 <= cache_ratio <= 1.0:
-            raise ServeError(
-                f"cache ratio must be in [0, 1], got {cache_ratio}"
-            )
         self.dataset = dataset
         self.algorithm = algorithm
         self.device = device

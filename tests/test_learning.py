@@ -202,7 +202,7 @@ class TestTrainer:
         result = trainer.train(4, max_batches_per_epoch=6)
         assert result.final_accuracy > 0.8
         assert 0.0 < result.sampling_fraction < 1.0
-        assert result.total_seconds == pytest.approx(
+        assert result.total_seconds == (
             result.sampling_seconds + result.training_seconds
         )
 

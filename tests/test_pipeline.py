@@ -22,7 +22,12 @@ import numpy as np
 import pytest
 
 import repro
-from repro.cache import FeatureCache, graph_degrees
+from repro.cache import (
+    FeatureCache,
+    graph_degrees,
+    plan_gather,
+    record_gather,
+)
 from repro.cache.feature_cache import CacheStats
 from repro.core import new_rng
 from repro.datasets import load_dataset
@@ -31,6 +36,7 @@ from repro.errors import DeviceError, ShapeError
 from repro.learning import GraphSAGEModel
 from repro.learning.trainer import Trainer
 from repro.pipeline import PipelinedTrainer, run_pipeline_cell
+from repro.profile import Profiler
 
 
 # ----------------------------------------------------------------------
@@ -268,10 +274,11 @@ class TestFeatureCache:
         assert cache.epoch_stats().hit_rate == 0.0
 
     def test_trainer_charges_only_misses_over_pcie(self):
+        """The trainer's gather is ``plan_gather`` + ``record_gather``:
+        cached rows read device memory, only the misses cross PCIe."""
         ds = load_dataset("pp", scale=0.1)  # host-resident features
-        pool = MemoryPool()
         cache = FeatureCache(
-            ds.features, graph_degrees(ds.graph), ratio=0.5, pool=pool
+            ds.features, graph_degrees(ds.graph), ratio=0.5, pool=MemoryPool()
         )
         row_bytes = ds.features.shape[1] * 4
         cold = np.setdiff1d(
@@ -281,20 +288,8 @@ class TestFeatureCache:
         hits, misses = cache.split(nodes)
         assert hits > 0 and misses > 0
 
-        class FakeSample:
-            all_nodes = nodes
-            seeds = nodes
-
-        model = GraphSAGEModel(
-            ds.features.shape[1], 8, ds.num_classes, num_layers=2,
-            rng=np.random.default_rng(0),
-        )
-        trainer = Trainer(
-            pipeline=None, model=model, dataset=ds, device=V100, batch_size=64
-        )
         ctx = ExecutionContext(V100, graph_on_device=ds.graph_on_device)
-        trainer._gather_features(FakeSample, ctx, cache)
-        launch = ctx.launches[-1]
+        launch = record_gather(ctx, plan_gather(nodes, cache), row_bytes)
         assert launch.bytes_read == len(nodes) * row_bytes
         assert launch.uva_bytes == misses * row_bytes
 
@@ -449,3 +444,68 @@ class TestPipelinedParity:
         ds = load_dataset("pd", scale=0.25)
         with pytest.raises(ShapeError):
             run_pipeline_cell("deepwalk", ds, device=V100)
+
+
+# ----------------------------------------------------------------------
+# One loop, two clocks
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def pd_quarter():
+    return load_dataset("pd", scale=0.25)
+
+
+def _graphsage_trainer(trainer_cls, ds, **knobs):
+    from repro.algorithms import make_algorithm
+
+    algo = make_algorithm("graphsage", fanouts=(5, 10))
+    model = GraphSAGEModel(
+        ds.features.shape[1], 8, ds.num_classes, num_layers=2,
+        rng=np.random.default_rng(0),
+    )
+    return trainer_cls(
+        algo.build(ds.graph, ds.train_ids[:128]), model, ds,
+        device=CPU, train_device=V100, batch_size=128, **knobs,
+    )
+
+
+class TestOneLoopTwoClocks:
+    """``Trainer`` and ``PipelinedTrainer`` run one epoch loop; with no
+    feature store the schedule moves the makespan and nothing else.  (The
+    serial clock's exact busy sum is held by ``test_learning.py``.)"""
+
+    @pytest.fixture(scope="class")
+    def serial(self, pd_quarter):
+        trainer = _graphsage_trainer(Trainer, pd_quarter)
+        return trainer.train(2, max_batches_per_epoch=3)
+
+    @pytest.mark.parametrize("prefetch", [True, False])
+    @pytest.mark.parametrize("prefetch_depth", [1, 2, 3])
+    def test_schedule_moves_only_the_makespan(
+        self, serial, pd_quarter, prefetch_depth, prefetch
+    ):
+        pipelined = _graphsage_trainer(
+            PipelinedTrainer, pd_quarter, cache_ratio=0.0,
+            prefetch_depth=prefetch_depth, prefetch=prefetch,
+        ).train(2, max_batches_per_epoch=3)
+        assert pipelined.sampling_seconds == serial.sampling_seconds
+        assert pipelined.training_seconds == serial.training_seconds
+        assert pipelined.final_loss == serial.final_loss
+        assert pipelined.accuracy_history == serial.accuracy_history
+        assert pipelined.total_seconds < serial.total_seconds
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="SampledGNN.forward converts each layer to COO on the "
+        "sampling context outside every named queue; the fix moves "
+        "simulated numbers, so it waits for the declared re-pin",
+    )
+    def test_no_training_launch_lands_on_default(self, pd_quarter):
+        profiler = Profiler()
+        _graphsage_trainer(PipelinedTrainer, pd_quarter).train(
+            1, max_batches_per_epoch=2, profiler=profiler
+        )
+        queues = {
+            span.attrs["queue"]
+            for span in profiler.spans_by_category("kernel")
+        }
+        assert queues == {"sample", "transfer", "compute"}

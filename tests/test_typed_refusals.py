@@ -143,11 +143,47 @@ class TestServeFlagBoundaries:
             (["--slo-ms", "nan"], "SLO must be finite"),
             (["--cache-ratio", "-0.5"], "cache ratio must be in [0, 1]"),
             (["--hbm-budget-mb", "-1"], "pool capacity must be >= 0"),
+            (["--hbm-budget-mb", "nan"], "pool capacity must be >= 0"),
+            (["--hbm-budget-mb", "inf"], "pool capacity must be >= 0"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )
     def test_exits_2_and_writes_nothing(self, flags, message, tmp_path, capsys):
         argv = ["serve", "--requests", "48", "--scale", "0.1", *flags]
+        assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+        assert not list(tmp_path.iterdir())
+
+
+class TestPipelineFlagBoundaries:
+    """``serve``'s twin for ``pipeline``: a knob the trainers cannot honour
+    exits 2 before either trainer runs — not after the serial epoch, and
+    never as a lane recording the bad value."""
+
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--cache-ratio", "-0.5"], "cache ratio must be in [0, 1]"),
+            (["--cache-ratio", "nan"], "cache ratio must be in [0, 1]"),
+            (["--cache-ratio", "1.5"], "cache ratio must be in [0, 1]"),
+            (["--hbm-budget-mb", "nan"], "pool capacity must be >= 0"),
+            (["--hbm-budget-mb", "inf"], "pool capacity must be >= 0"),
+            (["--hbm-budget-mb", "-1"], "pool capacity must be >= 0"),
+            (["--prefetch-depth", "0"], "prefetch depth must be at least 1"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_exits_2_before_training_and_writes_nothing(
+        self, flags, message, tmp_path, capsys, monkeypatch
+    ):
+        from repro.learning import Trainer
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before refusing")
+
+        monkeypatch.setattr(Trainer, "_run", no_training)
+        argv = ["pipeline", "graphsage", "--scale", "0.1", *flags]
         assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
