@@ -14,6 +14,8 @@ form:
 from __future__ import annotations
 
 import dataclasses
+import os
+import threading
 
 import numpy as np
 
@@ -22,9 +24,16 @@ from repro.errors import ShapeError
 _DEFAULT_SEED = 2023
 
 #: Largest dense scratch block, in elements, ``segmented_race_select``
-#: pads segments into — and the padded size up to which a call is one
-#: block (DESIGN.md, "Host kernels", has the measurements).
+#: pads segments into — the padded size up to which a call is one block,
+#: and half the keys from which ``_host_map`` uses the pool (DESIGN.md,
+#: "Host kernels", has the measurements).
 _RACE_BLOCK_ELEMS = 1 << 18
+
+#: The host thread pool ``_host_map`` runs on, and the process that built
+#: it: a pool does not survive ``fork``, so a child builds its own.
+_POOL = None
+_POOL_PID = -1
+_POOL_LOCK = threading.Lock()
 
 
 def new_rng(seed: int | None = _DEFAULT_SEED) -> np.random.Generator:
@@ -41,11 +50,54 @@ def exponential_race_keys(
     before any positively-weighted item.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    keys = rng.exponential(size=len(weights))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        keys = keys / weights
-    keys[weights <= 0] = np.inf
+    keys = rng.standard_exponential(len(weights))
+    _race_keys_in_place(keys, weights)
     return keys
+
+
+def _race_keys_in_place(draws: np.ndarray, weights: np.ndarray) -> None:
+    """Turn Exp(1) ``draws`` into race keys ``draws / weights`` in place.
+
+    The one place draws become keys.  ``weights`` may be any real dtype:
+    the division upcasts it to float64, exactly for float32.  A
+    non-positive weight's key is ``+inf``.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(draws, weights, out=draws)
+    draws[weights <= 0] = np.inf
+
+
+def _host_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, else the count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _host_map(fn, items: list[tuple], size: int) -> list:
+    """``[fn(*item) for item in items]``, in order, on the host thread pool
+    when the work is worth splitting.
+
+    The pool runs when the process may use two or more CPUs, there are
+    two or more items and ``size`` — the keys the items share — fills at
+    least one ``_RACE_BLOCK_ELEMS`` block for each of two workers; below
+    that, the per-thread scratch costs more resident memory than the
+    split saves time (DESIGN.md, "Host parallelism").  ``fn`` must draw
+    nothing and write only its own output or its own slice: every draw
+    stays on the calling thread, in stream order.
+    """
+    if len(items) < 2 or size < 2 * _RACE_BLOCK_ELEMS or (cpus := _host_cpus()) < 2:
+        return [fn(*item) for item in items]
+    global _POOL, _POOL_PID
+    with _POOL_LOCK:
+        if _POOL_PID != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
+
+            _POOL = ThreadPoolExecutor(cpus, thread_name_prefix="repro-host")
+            _POOL_PID = os.getpid()
+        pool = _POOL
+    return list(pool.map(fn, *zip(*items)))
 
 
 def weighted_choice_without_replacement(
@@ -167,7 +219,9 @@ def segmented_race_select(
     (the thread / warp / block split C-SAW and NextDoor use for skewed
     frontiers) and pads every bin into blocks of at most that many
     elements (one row when a single segment is longer); a few huge
-    segments are simply the widest bin.
+    segments are simply the widest bin.  Those blocks run on the host
+    thread pool (:func:`_host_map`) and their picks are scattered back
+    on the calling thread.
     """
     keys = np.asarray(keys)
     indptr = np.asarray(indptr)
@@ -201,17 +255,24 @@ def segmented_race_select(
     width_class = np.frexp(active_lengths - 1)[1].astype(np.uint8)
     binned = active[np.argsort(width_class, kind="stable")]
     bin_ptr = _indptr_from_counts(np.bincount(width_class))
-    taken = np.zeros(n_seg, dtype=np.int64)
-    pieces = []
+    block_rows = []
     for c in np.flatnonzero(np.diff(bin_ptr)):
         in_bin = binned[bin_ptr[c] : bin_ptr[c + 1]]
         rows_per_block = max(1, _RACE_BLOCK_ELEMS >> int(c))
         for lo in range(0, len(in_bin), rows_per_block):
-            rows = in_bin[lo : lo + rows_per_block]
-            picks, taken[rows] = _race_select_block(
-                keys, indptr[rows], lengths[rows], cap[rows]
-            )
-            pieces.append(picks)
+            block_rows.append(in_bin[lo : lo + rows_per_block])
+    # The blocks are independent: each reads the shared keys and returns
+    # its own picks, so they may run on the host pool.
+    blocks = [
+        (keys, indptr[rows], lengths[rows], cap[rows]) for rows in block_rows
+    ]
+    taken = np.zeros(n_seg, dtype=np.int64)
+    pieces = []
+    for rows, (picks, counts) in zip(
+        block_rows, _host_map(_race_select_block, blocks, len(keys))
+    ):
+        taken[rows] = counts
+        pieces.append(picks)
     # Blocks ran in bin order; scatter their picks back to segment order.
     out_ptr = _indptr_from_counts(taken)
     out = np.empty(int(out_ptr[-1]), dtype=np.int64)

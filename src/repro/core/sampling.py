@@ -32,7 +32,7 @@ from repro.sparse import (
     to_csc,
 )
 from repro.sparse.compact import _relabel
-from repro.sparse.formats import _indptr_from_counts, gather_ranges
+from repro.sparse.formats import _indptr_from_counts, as_index_array, gather_ranges
 
 _ITEM = 8
 _VAL = 4
@@ -167,27 +167,55 @@ def fused_extract_individual_sample(
     but the extracted subgraph is never written to memory: the kernel
     reads only the frontier index ranges and writes only the sampled
     edges, which is the memory saving Figure 10's "C" bar measures.
-    """
-    rng = rng if rng is not None else rnd.new_rng()
-    frontiers = np.asarray(frontiers, dtype=INDEX_DTYPE)
-    starts = graph_csc.indptr[frontiers]
-    lengths = graph_csc.indptr[frontiers + 1] - starts
-    sub_indptr = _indptr_from_counts(lengths)
 
+    A weighted race without replacement draws its Exp(1) keys in one
+    pass, in candidate order, and turns them into keys in chunks of
+    frontiers, each gathering its own weights — on the host thread pool
+    when the candidates fill two race blocks.
+    """
+    if k <= 0:
+        raise ShapeError(f"fanout k must be positive, got {k}")
+    frontiers = _frontier_ids(frontiers, graph_csc.shape[1])
     # Only a biased race reads the candidates' weights; an unbiased one
     # never gathers the frontier ranges at all.
     if probs_edge_values is not None:
         source = np.asarray(probs_edge_values)
+        if source.shape != (graph_csc.nnz,):
+            raise ShapeError(
+                f"per-edge probs shape {source.shape} != nnz ({graph_csc.nnz},)"
+            )
     elif graph_csc._has_nonuniform_values():
         source = graph_csc.values
     else:
         source = None
-    bias = (
-        None
-        if source is None
-        else source[gather_ranges(starts, lengths)].astype(np.float64)
-    )
-    picks_local, counts = _pick_per_segment(sub_indptr, bias, k, replace, rng)
+    rng = rng if rng is not None else rnd.new_rng()
+    starts = graph_csc.indptr[frontiers]
+    lengths = graph_csc.indptr[frontiers + 1] - starts
+    sub_indptr = _indptr_from_counts(lengths)
+    total = int(sub_indptr[-1])
+
+    if source is not None and not replace and total:
+        keys = rng.standard_exponential(total)
+        # Frontier bounds of chunks of about one race block of candidates.
+        bounds = np.searchsorted(
+            sub_indptr, np.arange(0, total, rnd._RACE_BLOCK_ELEMS)
+        ).tolist() + [len(frontiers)]
+        chunks = [
+            (keys[sub_indptr[a] : sub_indptr[b]], source, starts[a:b], lengths[a:b])
+            for a, b in zip(bounds, bounds[1:])
+            if b > a
+        ]
+        rnd._host_map(_gather_race_keys, chunks, total)
+        picks_local, counts = rnd._race_select_counts(keys, sub_indptr, k)
+    else:
+        bias = (
+            None
+            if source is None
+            else source[gather_ranges(starts, lengths)].astype(np.float64)
+        )
+        picks_local, counts = _pick_per_segment(
+            sub_indptr, bias, k, replace, rng
+        )
     # Picks are grouped by frontier: shift each group from its extracted
     # range back to the frontier's range in the graph.
     picks = picks_local + np.repeat(starts - sub_indptr[:-1], counts)
@@ -206,19 +234,39 @@ def fused_extract_individual_sample(
     # scan (when biased) still reads the candidate edges once, and pays
     # the same 2 flops/edge (key generation + race compare) the unfused
     # individual_sample charges — fusion saves memory, not arithmetic.
-    read = len(frontiers) * 2 * _ITEM + (
-        int(lengths.sum()) * _VAL if bias is not None else 0
-    )
+    read = len(frontiers) * 2 * _ITEM + (total * _VAL if source is not None else 0)
     graph_read = read + out.nnz * _ITEM
     ctx.record(
         "fused_extract_individual_sample",
         bytes_read=graph_read,
         bytes_written=out.nbytes(),
-        flops=float(lengths.sum()) * (2.0 if bias is not None else 1.0),
-        tasks=max(int(lengths.sum()), 1),  # edge-parallel
+        flops=float(total) * (2.0 if source is not None else 1.0),
+        tasks=max(total, 1),  # edge-parallel
         graph_bytes=graph_read,
     )
     return out
+
+
+def _frontier_ids(frontiers: np.ndarray, num_cols: int) -> np.ndarray:
+    """Frontier column ids as an index array, refused unless every one is
+    an integer in ``[0, num_cols)`` — a negative id would wrap and a
+    fractional one be truncated silently."""
+    raw = np.asarray(frontiers)
+    if raw.size and raw.dtype.kind not in "iu":
+        raise ShapeError(f"frontier ids must be integers, got dtype {raw.dtype}")
+    ids = as_index_array(raw)
+    bad = ids[(ids < 0) | (ids >= num_cols)]
+    if len(bad):
+        raise ShapeError(f"frontier {int(bad[0])} is outside [0, {num_cols})")
+    return ids
+
+
+def _gather_race_keys(
+    draws: np.ndarray, source: np.ndarray, starts: np.ndarray, lengths: np.ndarray
+) -> None:
+    """One chunk of a fused weighted race: gather the chunk's candidate
+    weights from ``source`` and turn its slice of the draws into keys."""
+    rnd._race_keys_in_place(draws, source[gather_ranges(starts, lengths)])
 
 
 def fused_extract_reduce(

@@ -269,7 +269,11 @@ class TestRaceSelectAgainstLexsortOracle:
             # Per-segment k, including 0 and more than the segment holds.
             k = rng.integers(0, 140, size=len(seg_lengths))
         with mock.patch.object(rnd, "_RACE_BLOCK_ELEMS", block_elems):
-            _assert_matches_oracle(keys, indptr, k)
+            # Inline, then with two CPUs: a call holding two blocks' worth
+            # of keys runs its blocks on the host pool.
+            for cpus in (1, 2):
+                with mock.patch.object(rnd, "_host_cpus", return_value=cpus):
+                    _assert_matches_oracle(keys, indptr, k)
 
     def test_one_row_over_its_cap_and_one_short_is_not_a_full_block(self):
         """Three keys at the cut of row 0 and one selectable key in row 1

@@ -128,6 +128,45 @@ class TestIndexBoundaries:
         assert rng.bit_generator.state == untouched
 
 
+class TestFusedExtractSelectBoundaries:
+    """The fused extract-select refuses what ``individual_sample`` refuses,
+    with a ``ShapeError`` before its race keys are drawn or it launches."""
+
+    @pytest.mark.parametrize(
+        ("frontiers", "k", "probs_len", "message"),
+        [
+            ([0, 1], 0, 0, "fanout k must be positive, got 0"),
+            ([0, 1], -3, 0, "fanout k must be positive, got -3"),
+            ([-1, 0], 2, 0, "frontier -1 is outside [0, 200)"),
+            ([0, 200], 2, 0, "frontier 200 is outside [0, 200)"),
+            ([0.7, 1.2], 2, 0, "frontier ids must be integers, got dtype float64"),
+            ([0, 1], 2, -1, "per-edge probs shape"),
+            ([0, 1], 2, 1, "per-edge probs shape"),
+        ],
+    )
+    def test_refused_before_any_draw_or_launch(
+        self, frontiers, k, probs_len, message, small_graph
+    ):
+        """``k=0`` drew every key, recorded a launch and returned an empty
+        matrix; ``k=-3`` was refused only after the draw; frontier ``-1``
+        and ``200`` raised raw NumPy errors; ``[0.7, 1.2]`` was truncated
+        to ``[0, 1]``; probs one short raised a raw ``IndexError`` and one
+        long was accepted."""
+        from repro.core.sampling import fused_extract_individual_sample
+
+        csc = small_graph.get("csc")
+        probs = new_rng(1).random(csc.nnz + probs_len).astype(np.float32)
+        ctx = ExecutionContext(V100)
+        rng = new_rng(0)
+        untouched = rng.bit_generator.state
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            fused_extract_individual_sample(
+                csc, np.array(frontiers), k, probs, rng=rng, ctx=ctx
+            )
+        assert ctx.launch_count() == 0
+        assert rng.bit_generator.state == untouched
+
+
 class TestServeFlagBoundaries:
     """A ``serve`` flag value the library cannot honour exits 2 where it
     enters — no NumPy traceback, no NaN-derived record in the lane."""
