@@ -727,12 +727,6 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
             hbm_budget=hbm_budget,
             prefetch=not args.no_prefetch,
         )
-    # The command's correctness contract: pipelining moves the clock only.
-    if serial.final_loss != pipelined.final_loss:
-        raise GSamplerError(
-            f"pipelined loss {pipelined.final_loss!r} diverged from the "
-            f"serial loss {serial.final_loss!r}"
-        )
     _print_queues(
         (r.queue, r.device, r.busy_seconds, r.end_seconds, r.launches)
         for r in pipelined.queue_reports

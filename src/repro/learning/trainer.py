@@ -11,6 +11,10 @@ actually trains on the synthetic labels.
 One epoch loop schedules every batch on the ``sample`` / ``transfer`` /
 ``compute`` queues; a clock is one reading of it — :class:`Trainer` sums
 busy time, :class:`~repro.pipeline.PipelinedTrainer` takes the makespan.
+One run can keep two training contexts (ledgers) — the configured
+feature store's and an uncached one — so a single pass over the batches
+yields both the pipelined and the serial result
+(:func:`~repro.pipeline.run_pipeline_cell`).
 """
 
 from __future__ import annotations
@@ -141,9 +145,10 @@ class Trainer:
 
     # ------------------------------------------------------------------
     def _compute_batch(
-        self, sample: GraphSample, train_ctx: ExecutionContext, batch: TaskBatch
-    ) -> tuple[float, float]:
-        """Forward/backward/step for one batch, charged as dense compute.
+        self, sample: GraphSample, batch: TaskBatch
+    ) -> tuple[float, float, dict[str, float]]:
+        """Forward/backward/step for one batch; returns loss, metric and
+        the ``train_fwd_bwd`` launch's dense-compute cost.
 
         The task owns forward + loss (returning the gradient w.r.t. the
         model's outputs); optimizer mechanics stay here so they're
@@ -158,14 +163,27 @@ class Trainer:
         self.model.zero_grad()
         self.model.backward(grad)
         self.optimizer.step()
-        train_ctx.record(
-            "train_fwd_bwd",
+        cost = dict(
             flops=self.model.flops_per_sample(sample, feats.shape[1]),
             bytes_read=gathered * row_bytes * 3,
             bytes_written=gathered * row_bytes,
             tasks=max(gathered, 1),
         )
-        return loss, metric
+        return loss, metric, cost
+
+    def _train_context(self, features: FeatureSource) -> ExecutionContext:
+        """A training context charging its gathers through ``features``.
+
+        Compute launches declare no graph_bytes, so where the source
+        places the feature table never changes their pricing.
+        """
+        return ExecutionContext(
+            self.train_device,
+            graph_on_device=features.table_on_device(
+                self.dataset.graph_on_device
+            ),
+            memory=features.pool,
+        )
 
     def _run(
         self,
@@ -173,27 +191,33 @@ class Trainer:
         max_batches_per_epoch: int | None,
         profiler: Profiler | None,
         clock: Callable[[ExecutionContext, ExecutionContext], float],
+        serial: list[TrainResult] | None = None,
     ) -> TrainResult:
         """The one epoch loop; ``clock`` reads ``total_seconds`` off it.
 
         Batch ``i``'s transfer waits on its sampling, its compute on its
         transfer, and sampling runs at most ``prefetch_depth`` batches
         ahead of compute.  Python runs serially under any schedule.
+
+        ``serial`` (a list) asks for a second ledger: every gather and
+        ``train_fwd_bwd`` launch is also charged to an uncached training
+        context, and the serial-clock result read off it is appended to
+        the list.  ``ExecutionContext.record`` prices a launch without
+        regard to its start, so that result equals a standalone
+        :class:`Trainer` run's in every field but its queues'
+        ``end_seconds``, which follow this run's schedule (nothing reads
+        them).
         """
         features = self.features
         features.reset_stats()  # the source outlives a run; its tally does not
         sample_ctx = ExecutionContext(
             self.device, graph_on_device=self.dataset.graph_on_device
         )
-        # Compute launches declare no graph_bytes, so where the source
-        # places the feature table never changes their pricing.
-        train_ctx = ExecutionContext(
-            self.train_device,
-            graph_on_device=features.table_on_device(
-                self.dataset.graph_on_device
-            ),
-            memory=features.pool,
-        )
+        train_ctx = self._train_context(features)
+        ledgers = [(features, train_ctx)]
+        if serial is not None:
+            uncached = FeatureSource(self.dataset, cache_ratio=0.0)
+            ledgers.append((uncached, self._train_context(uncached)))
         if profiler is not None:
             profiler.attach(sample_ctx)
             train_ctx.profiler = profiler
@@ -232,17 +256,22 @@ class Trainer:
                         fetch_after = sample_ctx.queue("sample").ready
                         if not self.prefetch and compute_done:
                             fetch_after = max(fetch_after, compute_done[-1])
-                        transferred_at = features.charge(
-                            train_ctx,
-                            plan_gather(sample.all_nodes, features.store),
-                            not_before=fetch_after,
-                        )
-                        with train_ctx.on_queue(
-                            "compute", not_before=transferred_at
-                        ):
-                            loss, acc = self._compute_batch(
-                                sample, train_ctx, task_batch
+                        landed = [
+                            source.charge(
+                                ctx,
+                                plan_gather(sample.all_nodes, source.store),
+                                not_before=fetch_after,
                             )
+                            for source, ctx in ledgers
+                        ]
+                        loss, acc, cost = self._compute_batch(
+                            sample, task_batch
+                        )
+                        for (_, ctx), transferred_at in zip(ledgers, landed):
+                            with ctx.on_queue(
+                                "compute", not_before=transferred_at
+                            ):
+                                ctx.record("train_fwd_bwd", **cost)
                         compute_done.append(train_ctx.queue("compute").ready)
                     last_loss = loss
                     epoch_acc.append(acc)
@@ -251,27 +280,36 @@ class Trainer:
                         pass
             acc_history.append(float(np.mean(epoch_acc)) if epoch_acc else 0.0)
 
-        return TrainResult(
-            epochs=epochs,
-            final_accuracy=acc_history[-1] if acc_history else 0.0,
-            final_loss=last_loss,
-            total_seconds=clock(sample_ctx, train_ctx),
-            sampling_seconds=sample_ctx.busy_seconds,
-            training_seconds=train_ctx.busy_seconds,
-            accuracy_history=acc_history,
-            queue_reports=[
-                QueueReport(
-                    queue=q.name,
-                    device=ctx.device.name,
-                    busy_seconds=q.busy_seconds,
-                    end_seconds=q.ready,
-                    launches=q.launches,
-                )
-                for ctx in (sample_ctx, train_ctx)
-                for q in ctx.queue_stats().values()
-            ],
-            cache_stats=features.stats(),
-        )
+        def result(
+            source: FeatureSource,
+            ctx: ExecutionContext,
+            read: Callable[[ExecutionContext, ExecutionContext], float],
+        ) -> TrainResult:
+            return TrainResult(
+                epochs=epochs,
+                final_accuracy=acc_history[-1] if acc_history else 0.0,
+                final_loss=last_loss,
+                total_seconds=read(sample_ctx, ctx),
+                sampling_seconds=sample_ctx.busy_seconds,
+                training_seconds=ctx.busy_seconds,
+                accuracy_history=list(acc_history),
+                queue_reports=[
+                    QueueReport(
+                        queue=q.name,
+                        device=c.device.name,
+                        busy_seconds=q.busy_seconds,
+                        end_seconds=q.ready,
+                        launches=q.launches,
+                    )
+                    for c in (sample_ctx, ctx)
+                    for q in c.queue_stats().values()
+                ],
+                cache_stats=source.stats(),
+            )
+
+        if serial is not None:
+            serial.append(result(*ledgers[1], _serial_clock))
+        return result(features, train_ctx, clock)
 
     def train(
         self,
@@ -285,7 +323,9 @@ class Trainer:
         in-order queue's ``elapsed`` would, so the schedule's overlap
         never reaches this clock.
         """
-        return self._run(
-            epochs, max_batches_per_epoch, None,
-            lambda sample, train: sample.busy_seconds + train.busy_seconds,
-        )
+        return self._run(epochs, max_batches_per_epoch, None, _serial_clock)
+
+
+def _serial_clock(sample: ExecutionContext, train: ExecutionContext) -> float:
+    """The serial clock: both contexts' busy time, summed."""
+    return sample.busy_seconds + train.busy_seconds

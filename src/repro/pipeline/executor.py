@@ -8,10 +8,13 @@ memory), forward/backward on ``compute`` — and reads its clock as the
 makespan of the queues' overlap instead of the sum of their busy time.
 The Python execution order is the serial one, so sampled matrices,
 losses, and trained weights are bit-identical to the serial trainer's;
-only the simulated clock changes.
+only the simulated clock changes.  :func:`run_pipeline_cell` therefore
+trains a cell once and reads it on both clocks.
 """
 
 from __future__ import annotations
+
+import numbers
 
 import numpy as np
 
@@ -53,6 +56,10 @@ class PipelinedTrainer(Trainer):
         previous batch's compute finished, which serializes the miss
         traffic the tiered store's overlap would otherwise hide.
     """
+
+    #: Set by :func:`run_pipeline_cell` only: a list that :meth:`train`
+    #: appends the same run's serial-clock result to (``Trainer._run``).
+    _serial: list[TrainResult] | None = None
 
     def __init__(
         self,
@@ -113,6 +120,7 @@ class PipelinedTrainer(Trainer):
         return self._run(
             epochs, max_batches_per_epoch, profiler,
             lambda sample, train: max(sample.elapsed, train.elapsed),
+            serial=self._serial,
         )
 
 
@@ -158,40 +166,46 @@ def run_pipeline_cell(
     hbm_budget: int | None = None,
     prefetch: bool = True,
 ) -> tuple[TrainResult, TrainResult]:
-    """Train one cell twice — serial then pipelined — under equal seeds.
+    """Train one cell once and read it on both clocks.
 
-    Both runs construct their own identically-seeded model and RNG
-    stream, so sampled batches and losses must match bit-for-bit; the
-    only difference is the clock.  Returns ``(serial, pipelined)``.
+    One sampler, one model and one :class:`PipelinedTrainer` sample and
+    train every batch once; each gather and compute launch is charged to
+    two training contexts — an uncached one for the serial clock, the
+    configured store for the pipelined one (``Trainer._run``).  Returns
+    ``(serial, pipelined)``, each equal to what a standalone
+    :class:`~repro.learning.Trainer` / :class:`PipelinedTrainer` run
+    under the same seed reports; only the serial queues' ``end_seconds``
+    follow the shared schedule.  The profiler sees the pipelined ledger.
     """
     if algorithm not in PIPELINE_MODELS:
         raise ShapeError(
             f"no trainable pipeline config for {algorithm!r}; "
             f"available: {sorted(PIPELINE_MODELS)}"
         )
+    counts = {
+        "epochs": epochs,
+        "batch size": batch_size,
+        "prefetch depth": prefetch_depth,
+        "seed": seed,
+    }
+    if max_batches is not None:
+        counts["max batches"] = max_batches
+    for name, value in counts.items():
+        if not isinstance(value, numbers.Integral):
+            raise ShapeError(f"{name} must be an integer, got {value!r}")
     if epochs < 1 or batch_size < 1:
         raise ShapeError(
             f"epochs and batch size must be >= 1, got {epochs} and {batch_size}"
         )
     if max_batches is not None and max_batches < 1:
         raise ShapeError(f"max batches must be >= 1 or None, got {max_batches}")
+    if seed < 0:
+        raise ShapeError(f"seed must be >= 0, got {seed}")
     algo = make_algorithm(algorithm, **TABLE8_PARAMS[algorithm])
-    example = dataset.train_ids[:batch_size]
-    sampler = algo.build(dataset.graph, example)
+    sampler = algo.build(dataset.graph, dataset.train_ids[:batch_size])
     depth = len(sampler.samplers)  # the model is as deep as the sample
-
-    # Both trainers are built — every knob checked — before either trains.
-    serial = Trainer(
+    trainer = PipelinedTrainer(
         sampler,
-        _build_model(algorithm, dataset, seed, depth),
-        dataset,
-        device=device,
-        train_device=train_device,
-        batch_size=batch_size,
-        seed=seed,
-    )
-    pipelined = PipelinedTrainer(
-        algo.build(dataset.graph, example),
         _build_model(algorithm, dataset, seed, depth),
         dataset,
         device=device,
@@ -205,9 +219,9 @@ def run_pipeline_cell(
         hbm_budget=hbm_budget,
         prefetch=prefetch,
     )
-    return (
-        serial.train(epochs, max_batches_per_epoch=max_batches),
-        pipelined.train(
-            epochs, max_batches_per_epoch=max_batches, profiler=profiler
-        ),
+    trainer._serial = []
+    pipelined = trainer.train(
+        epochs, max_batches_per_epoch=max_batches, profiler=profiler
     )
+    (serial,) = trainer._serial
+    return serial, pipelined

@@ -12,6 +12,7 @@ Covers the three contracts the pipelined path must keep:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pathlib
@@ -509,3 +510,92 @@ class TestOneLoopTwoClocks:
             for span in profiler.spans_by_category("kernel")
         }
         assert queues == {"sample", "transfer", "compute"}
+
+
+# ----------------------------------------------------------------------
+# One run, two ledgers
+# ----------------------------------------------------------------------
+def _standalone_pair(algorithm, ds, *, seed, batch_size, epochs,
+                     max_batches, **knobs):
+    """What ``run_pipeline_cell`` stands for: two independent trainers."""
+    from repro.algorithms import TABLE8_PARAMS, make_algorithm
+    from repro.pipeline.executor import _build_model
+
+    def trainer(cls, **extra):
+        sampler = make_algorithm(algorithm, **TABLE8_PARAMS[algorithm]).build(
+            ds.graph, ds.train_ids[:batch_size]
+        )
+        model = _build_model(algorithm, ds, seed, len(sampler.samplers))
+        return cls(
+            sampler, model, ds, device=V100, batch_size=batch_size,
+            seed=seed, **extra,
+        ).train(epochs, max_batches_per_epoch=max_batches)
+
+    return trainer(Trainer), trainer(PipelinedTrainer, **knobs)
+
+
+def _without_queue_ends(result):
+    fields = dataclasses.asdict(result)
+    for report in fields["queue_reports"]:
+        del report["end_seconds"]
+    return fields
+
+
+class TestOneRunTwoLedgers:
+    """``run_pipeline_cell`` samples and trains each batch once; each of
+    the pair it returns equals a standalone run, float for float."""
+
+    @pytest.mark.parametrize(
+        ("algorithm", "knobs"),
+        [
+            ("graphsage", {}),
+            ("ladies", {}),
+            ("graphsage", {"feature_tiers": True}),
+            ("ladies", {"prefetch": False}),
+        ],
+        ids=["graphsage-flat", "ladies-flat", "graphsage-tiers",
+             "ladies-no-prefetch"],
+    )
+    def test_pair_equals_standalone_runs(self, pd_quarter, algorithm, knobs):
+        shape = dict(seed=4, batch_size=128, epochs=2, max_batches=3)
+        serial, pipelined = run_pipeline_cell(
+            algorithm, pd_quarter, device=V100,
+            batch_size=shape["batch_size"], epochs=shape["epochs"],
+            max_batches=shape["max_batches"], seed=shape["seed"], **knobs,
+        )
+        alone_serial, alone_pipelined = _standalone_pair(
+            algorithm, pd_quarter, **shape, **knobs
+        )
+        assert pipelined == alone_pipelined
+        # The serial queues' ends follow the shared schedule; nothing
+        # reads them.  Every other field is the standalone run's.
+        assert _without_queue_ends(serial) == _without_queue_ends(alone_serial)
+        assert serial.total_seconds == (
+            serial.sampling_seconds + serial.training_seconds
+        )
+
+    @pytest.mark.parametrize("algorithm", ["graphsage", "ladies"])
+    def test_each_cell_builds_one_sampler_and_one_model(
+        self, pd_quarter, algorithm, monkeypatch
+    ):
+        from repro.algorithms.base import Algorithm
+        from repro.pipeline import executor
+
+        calls = {"build": 0, "model": 0}
+        build = Algorithm.build
+        model_cls = executor.PIPELINE_MODELS[algorithm]
+
+        def counted_build(self, *args, **kwargs):
+            calls["build"] += 1
+            return build(self, *args, **kwargs)
+
+        def counted_model(*args, **kwargs):
+            calls["model"] += 1
+            return model_cls(*args, **kwargs)
+
+        monkeypatch.setattr(Algorithm, "build", counted_build)
+        monkeypatch.setitem(executor.PIPELINE_MODELS, algorithm, counted_model)
+        run_pipeline_cell(
+            algorithm, pd_quarter, device=V100, batch_size=128, max_batches=2
+        )
+        assert calls == {"build": 1, "model": 1}

@@ -229,6 +229,44 @@ class TestPipelineFlagBoundaries:
         assert not list(tmp_path.iterdir())
 
 
+class TestPipelineCellBoundaries:
+    """``run_pipeline_cell`` refuses a non-integer epoch shape or a negative
+    seed with a ``ShapeError`` before it builds a sampler or draws."""
+
+    @pytest.mark.parametrize(
+        ("knob", "message"),
+        [
+            ({"max_batches": 2.5}, "max batches must be an integer, got 2.5"),
+            ({"batch_size": 2.5}, "batch size must be an integer, got 2.5"),
+            ({"epochs": 1.5}, "epochs must be an integer, got 1.5"),
+            ({"epochs": None}, "epochs must be an integer, got None"),
+            (
+                {"prefetch_depth": 1.5},
+                "prefetch depth must be an integer, got 1.5",
+            ),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+        ],
+        ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items())
+        if isinstance(v, dict) else None,
+    )
+    def test_refused_before_any_build(self, knob, message, monkeypatch):
+        """``max_batches=2.5``, ``batch_size=2.5`` and ``epochs=1.5`` (or
+        ``None``) raised a raw ``TypeError`` and ``seed=-1`` NumPy's raw
+        ``ValueError``, most after the sampler was built;
+        ``prefetch_depth=1.5`` was accepted."""
+        from repro.algorithms.base import Algorithm
+        from repro.datasets import load_dataset
+        from repro.pipeline import run_pipeline_cell
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("built a sampler before refusing")
+
+        dataset = load_dataset("pd", scale=0.1)
+        monkeypatch.setattr(Algorithm, "build", no_build)
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            run_pipeline_cell("graphsage", dataset, device=V100, **knob)
+
+
 class TestEpochFlagBoundaries:
     """An epoch shape with no batches in it exits 2 — not a ``range()`` /
     ``IndexError`` traceback, a silently dropped batch, or a NaN loss
@@ -376,26 +414,3 @@ class TestUnknownIsNotNA:
         dependents = {d for ds in cli._DEPENDENT_DESTS.values() for d in ds}
         assert dependents == _MOVED.keys()
 
-
-class TestPipelineParity:
-    def test_diverged_loss_exits_2_and_writes_nothing(
-        self, monkeypatch, tmp_path, capsys
-    ):
-        """Serial-vs-pipelined loss parity is the command's contract: a
-        divergence is refused before the trace or the record is written,
-        not printed as a "DIVERGED" row of a lane that exits 0."""
-        from repro.pipeline import run_pipeline_cell
-
-        def perturbed(*args, **kwargs):
-            serial, pipelined = run_pipeline_cell(*args, **kwargs)
-            serial.final_loss = np.nextafter(serial.final_loss, np.inf)
-            return serial, pipelined
-
-        monkeypatch.setattr(cli, "run_pipeline_cell", perturbed)
-        argv = ["pipeline", "graphsage", "--scale", "0.1", "--max-batches", "1"]
-        assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 2
-        captured = capsys.readouterr()
-        assert "error: pipelined loss" in captured.err
-        assert "diverged from the serial loss" in captured.err
-        assert captured.out == ""
-        assert not list(tmp_path.iterdir())
