@@ -72,7 +72,7 @@ def main() -> None:
         "unbounded queue pushes p99 past the SLO, while the bounded\n"
         "queue shelters admitted requests by shedding the rest.  The\n"
         "cache-hit column shows the skewed workload re-touching the\n"
-        "degree-hot rows the FeatureCache pinned."
+        "degree-hot rows the feature store pinned."
     )
 
 

@@ -1,45 +1,43 @@
 """One cache-aware feature-gather accounting path for every consumer.
 
 The serial trainer, the pipelined executor, and the serving replica all
-charge a per-batch gather launch whose shape depends on what (if
-anything) fronts the feature table: nothing, a flat
-:class:`~repro.cache.FeatureCache`, or a
-:class:`~repro.cache.TieredFeatureStore`.  Keeping three hand-rolled
-copies of that split in sync is how cache accounting drifts, so the
-normalization lives here once:
+charge a per-batch gather launch whose shape depends on whether a
+:class:`~repro.cache.TieredFeatureStore` fronts the feature table.
+Keeping hand-rolled copies of that split in sync is how cache accounting
+drifts, so the normalization lives here once:
 
-* no cache        — every row crosses PCIe (``host_rows == gathered``);
-* flat cache      — cached rows served from HBM, misses cross PCIe;
-* tiered store    — device + host bands go through the local gather
-  (host band priced as UVA traffic), the remote tail is reported
-  separately so the caller can charge it on its own wire.
+* no store — every row crosses PCIe (``host_rows == gathered``);
+* a store  — device + host bands go through the local gather (host band
+  priced as UVA traffic); the p2p band and the remote tail are reported
+  separately so the caller can charge each on its own wire.
 
 Calling :func:`plan_gather` *is* the accounting event: it invokes the
-cache's ``record_gather`` exactly once, so hit/miss statistics advance
-identically to the historical inlined code.
+store's ``record_gather`` exactly once, so the hit/miss tally advances
+once per gather.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.cache.feature_cache import FeatureCache
-from repro.cache.tiered import TieredFeatureStore
+if TYPE_CHECKING:
+    from repro.cache.tiered import TieredFeatureStore
 
 
 @dataclasses.dataclass(frozen=True)
 class GatherPlan:
-    """Row split of one feature gather, normalized across cache kinds."""
+    """Row split of one feature gather by serving tier."""
 
     #: Rows moved by the local gather kernel (device + host bands).
     gathered: int
     #: Subset of ``gathered`` priced as UVA/PCIe traffic.
     host_rows: int
-    #: Rows left to the remote tier's wire (tiered store only).
+    #: Rows left to the remote tier's wire.
     remote_rows: int = 0
-    #: Rows DMA'd from sibling replicas' HBM (tiered store's p2p band).
+    #: Rows DMA'd from sibling replicas' HBM (the store's p2p band).
     p2p_rows: int = 0
 
     @property
@@ -54,23 +52,12 @@ class GatherPlan:
 
 
 def plan_gather(
-    nodes: np.ndarray,
-    cache: FeatureCache | TieredFeatureStore | None,
+    nodes: np.ndarray, store: TieredFeatureStore | None
 ) -> GatherPlan:
-    """Split one batch's rows across tiers, advancing cache statistics."""
-    total = len(nodes)
-    if cache is None:
-        return GatherPlan(gathered=total, host_rows=total)
-    if isinstance(cache, TieredFeatureStore):
-        split = cache.record_gather(nodes)
-        return GatherPlan(
-            gathered=split.device_rows + split.host_rows,
-            host_rows=split.host_rows,
-            remote_rows=split.remote_rows,
-            p2p_rows=split.p2p_rows,
-        )
-    _, host_rows = cache.record_gather(nodes)
-    return GatherPlan(gathered=total, host_rows=host_rows)
+    """Split one batch's rows across tiers, advancing the store's tally."""
+    if store is None:
+        return GatherPlan(gathered=len(nodes), host_rows=len(nodes))
+    return store.record_gather(nodes)
 
 
 def record_gather(

@@ -1,18 +1,13 @@
 """Shared degree-order ranking for feature-residency policies.
 
-Both :class:`~repro.cache.FeatureCache` and
-:class:`~repro.cache.tiered.TieredFeatureStore` pin rows along the same
+:class:`~repro.cache.tiered.TieredFeatureStore` pins rows along one
 hotness order: score nodes (by in-degree, in the standard policy),
 optionally demote rows outside the replica's owned shard below every
 owned row, and stable-argsort descending so ties break toward lower node
-ids.  This module is that ranking, extracted so
-
-* both cache kinds provably rank identically (the p2p stripe and the
-  shard-affinity scoring depend on it), and
-* the ranking accepts a *refreshable* degree array: after graph
-  mutation a :class:`~repro.dynamic.DeltaGraph` hands its live degrees
-  to :meth:`FeatureCache.rerank` and admission re-ranks against current
-  hotness instead of the seed-time snapshot.
+ids.  The ranking accepts a *refreshable* degree array: after graph
+mutation a :class:`~repro.dynamic.DeltaGraph` hands its live degrees to
+:meth:`~repro.cache.tiered.TieredFeatureStore.rerank` and admission
+re-ranks against current hotness instead of the seed-time snapshot.
 """
 
 from __future__ import annotations

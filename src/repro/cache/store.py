@@ -1,24 +1,26 @@
-"""One device's path to its feature table — the flat/tiered fork lives here.
+"""One device's path to its feature table — ``feature_tiers`` lives here.
 
 A consumer that gathers feature rows (the pipelined trainer, a serving
 replica, the ingest session that invalidates them) holds one
-:class:`FeatureSource` and never learns which store, if any, fronts the
-table.  Folding the two store classes into one is then a diff to this
-module alone.
+:class:`FeatureSource` and never learns whether a store fronts the
+table or how it is tiered.  There is one store class; ``feature_tiers``
+decides only what this module does around it: the wires a gather lands
+on, where the table sits, and the attributes of the spans it reports.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.cache.feature_cache import (
-    DEFAULT_CACHE_RATIO,
-    CacheStats,
-    FeatureCache,
-)
 from repro.cache.gather import GatherPlan, record_gather
 from repro.cache.ranking import graph_degrees
-from repro.cache.tiered import DEFAULT_HOST_TIER_RATIO, TieredFeatureStore
+from repro.cache.tiered import (
+    DEFAULT_CACHE_RATIO,
+    DEFAULT_HOST_TIER_RATIO,
+    REMOTE_TIER,
+    CacheStats,
+    TieredFeatureStore,
+)
 from repro.device.interconnect import LinkSpec
 from repro.device.memory import MemoryPool
 from repro.errors import ServeError, ShapeError
@@ -27,7 +29,7 @@ from repro.errors import ServeError, ShapeError
 class FeatureSource:
     """The feature table as one device reaches it: pool, store, wires.
 
-    Both store kinds rank rows by the dataset graph's in-degree.
+    The store ranks rows by the dataset graph's in-degree.
 
     Parameters
     ----------
@@ -35,9 +37,10 @@ class FeatureSource:
         Fraction of nodes whose rows are planned for this device's HBM,
         in ``[0, 1]``; ``0`` means no store at all (every row crosses PCIe).
     feature_tiers, host_tier_ratio:
-        Front the table with the :class:`~repro.cache.TieredFeatureStore`
-        (and that fraction of nodes in its pinned-host tier) instead of
-        the flat :class:`~repro.cache.FeatureCache`.
+        Give the store its remote and p2p wires (and that fraction of
+        nodes in its pinned-host tier).  Without ``feature_tiers`` the
+        store is a flat cache — host tier ratio 1.0, p2p off — and any
+        other ``host_tier_ratio`` is refused.
     p2p, link, device, replica_id, fleet_size:
         The tiered store's peer-to-peer band.
     hbm_budget:
@@ -47,9 +50,9 @@ class FeatureSource:
         A sharded replica's owned rows.  Shard-affinity routing sends it
         mostly owned-shard traffic, so its flat cache ranks them above
         every other row (which stay admissible last) instead of pinning
-        globally hot rows it rarely serves.  The tiered stripe is a
-        fleet-wide construct — every replica must agree on it — and
-        stays on global degrees.
+        globally hot rows it rarely serves.  A tiered store stays on
+        global degrees: its p2p stripe is a fleet-wide construct every
+        replica must agree on.
     """
 
     def __init__(
@@ -73,14 +76,19 @@ class FeatureSource:
             raise ServeError(
                 "p2p feature fetch needs the tiered store (feature_tiers)"
             )
+        if not feature_tiers and host_tier_ratio != DEFAULT_HOST_TIER_RATIO:
+            raise ShapeError(
+                f"host tier ratio {host_tier_ratio} changes nothing "
+                "without feature_tiers"
+            )
         self._tiered = feature_tiers
         self.pool = MemoryPool(hbm_budget)
         feats = dataset.features
         #: Bytes of one feature row (what every row-count charge scales by).
         self.row_bytes = int(feats.shape[1]) * feats.dtype.itemsize
         #: What fronts the table; ``None`` when nothing does.
-        self.store: FeatureCache | TieredFeatureStore | None = None
-        if cache_ratio > 0.0 and feature_tiers:
+        self.store: TieredFeatureStore | None = None
+        if cache_ratio > 0.0:
             self.store = TieredFeatureStore(
                 feats,
                 graph_degrees(dataset.graph),
@@ -92,14 +100,7 @@ class FeatureSource:
                 replica_id=replica_id,
                 num_replicas=fleet_size,
                 p2p=p2p,
-            )
-        elif cache_ratio > 0.0:
-            self.store = FeatureCache(
-                feats,
-                graph_degrees(dataset.graph),
-                ratio=cache_ratio,
-                pool=self.pool,
-                owned_mask=owned_mask,
+                owned_mask=None if feature_tiers else owned_mask,
             )
 
     # ------------------------------------------------------------------
@@ -142,12 +143,11 @@ class FeatureSource:
         with ctx.on_queue(prefix + "transfer", not_before=not_before):
             done = record_gather(ctx, plan, self.row_bytes, name).sim_end
         if plan.remote_rows > 0:
-            tier = self.store.remote_tier
             with ctx.on_queue(prefix + "remote", not_before=not_before):
                 tail = ctx.record(
-                    f"remote_tier_fetch[{tier.name}]",
+                    f"remote_tier_fetch[{REMOTE_TIER.name}]",
                     tasks=plan.remote_rows,
-                    fixed_seconds=tier.transfer_time(
+                    fixed_seconds=REMOTE_TIER.transfer_time(
                         plan.remote_rows * self.row_bytes
                     ),
                 )
@@ -175,8 +175,8 @@ class FeatureSource:
         """Rows in ``dirty`` changed degree band or owner: evict them.
 
         ``degrees`` (the live in-degrees, passed at a compaction — the
-        natural re-admission point) refills the tombstoned slots where
-        the store can re-rank; the tiered stripe is fixed per session.
+        natural re-admission point) refills a flat store's tombstoned
+        slots; a tiered store keeps its seed-time tiers for the session.
         """
         if self.store is None:
             return

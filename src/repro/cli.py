@@ -128,10 +128,9 @@ _SHARED_FLAGS: dict[str, dict] = {
     ),
     "--feature-tiers": dict(
         action="store_true",
-        help="serve features through the multi-tier store (device HBM, "
-        "optional peer HBM over the interconnect, pinned host DRAM, "
-        "and a remote/disk tail on its own queue) instead of the flat "
-        "cache",
+        help="tier the feature store (device HBM, optional peer HBM over "
+        "the interconnect, pinned host DRAM, and a remote/disk tail on its "
+        "own queue); without it the store is a flat cache",
     ),
     "--host-tier-ratio": dict(
         type=float,

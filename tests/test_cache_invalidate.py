@@ -2,14 +2,12 @@
 
 Covers the two residency-policy pieces the dynamic-graph path leans on:
 
-* :mod:`repro.cache.ranking` — the degree-order ranking extracted from
-  the flat cache and the tiered store, including the ``owned_mask``
-  demotion both of them feed through it;
-* :meth:`FeatureCache.invalidate` / :meth:`FeatureCache.rerank` and
-  :meth:`TieredFeatureStore.invalidate` — the hooks the cluster
-  simulator calls when a graph snapshot installs, with the
-  :attr:`CacheStats.invalidated_rows` accounting that surfaces in serve
-  reports.
+* :mod:`repro.cache.ranking` — the degree-order ranking the feature
+  store pins along, including the ``owned_mask`` demotion;
+* :meth:`TieredFeatureStore.invalidate` / :meth:`TieredFeatureStore.rerank`,
+  flat and tiered — the hooks the cluster simulator calls when a graph
+  snapshot installs, with the :attr:`CacheStats.invalidated_rows`
+  accounting that surfaces in serve reports.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.cache import CacheStats, FeatureCache, TieredFeatureStore
+from repro.cache import CacheStats, TieredFeatureStore
 from repro.cache.ranking import degree_order, graph_degrees
 from repro.cache.tiered import TIER_DEVICE, TIER_HOST, TIER_P2P
 from repro.core.matrix import from_edges
@@ -31,10 +29,10 @@ def _features(n=100, f=16):
 
 def _cache(scores=None, *, ratio=0.2, owned_mask=None, pool=None):
     scores = np.arange(100.0) if scores is None else scores
-    return FeatureCache(
+    return TieredFeatureStore(
         _features(),
         scores,
-        ratio=ratio,
+        device_ratio=ratio,
         pool=MemoryPool() if pool is None else pool,
         owned_mask=owned_mask,
     )
@@ -75,27 +73,18 @@ class TestDegreeOrder:
             graph_degrees(graph), np.diff(graph.get("csc").indptr)
         )
 
-    def test_both_cache_kinds_rank_identically(self):
-        scores = np.array([2.0, 7.0, 7.0, 1.0, 9.0] * 20)
-        flat = _cache(scores, ratio=0.1)
-        pool = MemoryPool()
-        store = TieredFeatureStore(
-            _features(), scores, pool=pool, device_ratio=0.1
-        )
-        np.testing.assert_array_equal(flat.cached_ids, store.cached_ids)
-
 
 # ----------------------------------------------------------------------
-# FeatureCache.invalidate / rerank
+# invalidate / rerank on the flat store (host_ratio=1.0, p2p off)
 # ----------------------------------------------------------------------
-class TestFeatureCacheInvalidate:
+class TestFlatStoreInvalidate:
     def test_invalidated_rows_miss_afterwards(self):
         cache = _cache()  # scores = arange -> cached ids 80..99
         np.testing.assert_array_equal(cache.cached_ids, np.arange(80, 100))
         assert cache.invalidate(np.array([85, 90])) == 2
         assert 85 not in cache.cached_ids and 90 not in cache.cached_ids
-        hits, misses = cache.split(np.array([85, 90, 99]))
-        assert (hits, misses) == (1, 2)
+        plan = cache.split(np.array([85, 90, 99]))
+        assert (plan.device_rows, plan.host_rows) == (1, 2)
         assert cache.epoch_stats().invalidated_rows == 2
 
     def test_uncached_rows_are_free(self):
@@ -133,8 +122,7 @@ class TestFeatureCacheInvalidate:
         assert cache.cached_rows == 17
         assert cache.rerank(np.arange(100.0)) == 20
         np.testing.assert_array_equal(cache.cached_ids, np.arange(80, 100))
-        hits, _ = cache.record_gather(np.array([80, 81, 82]))
-        assert hits == 3
+        assert cache.record_gather(np.array([80, 81, 82])).device_rows == 3
 
     def test_rerank_follows_fresh_scores(self):
         cache = _cache()
@@ -165,11 +153,12 @@ class TestFeatureCacheInvalidate:
 
 
 # ----------------------------------------------------------------------
-# TieredFeatureStore.invalidate
+# invalidate on a tiered store (host band, p2p stripe)
 # ----------------------------------------------------------------------
 class TestTieredInvalidate:
     def _store(self, **kwargs):
-        # Descending hotness: node 0 hottest, device band = 0..15.
+        # Descending hotness: node 0 hottest, device band = 0..15, host
+        # band = 16..47, remote tail = 48..63.
         scores = np.arange(64.0, 0.0, -1.0)
         features = np.zeros((64, 4), dtype=np.float32)
         return TieredFeatureStore(
@@ -177,6 +166,7 @@ class TestTieredInvalidate:
             scores,
             pool=MemoryPool(),
             device_ratio=0.25,
+            host_ratio=0.5,
             **kwargs,
         )
 
@@ -189,6 +179,14 @@ class TestTieredInvalidate:
         assert 3 in store.host_ids and 7 in store.host_ids
         np.testing.assert_array_equal(store.host_ids, np.sort(store.host_ids))
         assert store.epoch_stats().invalidated_rows == 2
+
+    def test_rerank_redraws_the_host_band(self):
+        store = self._store()
+        store.invalidate(np.array([3]))
+        assert store.rerank(np.arange(64.0)) == 16  # node 63 now hottest
+        np.testing.assert_array_equal(store.cached_ids, np.arange(48, 64))
+        np.testing.assert_array_equal(store.host_ids, np.arange(16, 48))
+        assert store.split(np.arange(16)).remote_rows == 16
 
     def test_host_and_remote_rows_are_free(self):
         store = self._store()

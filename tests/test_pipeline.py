@@ -4,8 +4,8 @@ Covers the three contracts the pipelined path must keep:
 
 * queue timelines overlap correctly (makespan, dependencies, and the
   untouched serial path);
-* the degree-ordered feature cache obeys the memory budget and its hit
-  rate grows with the cache ratio;
+* the degree-ordered feature store, flat, obeys the memory budget and
+  its hit rate grows with the cache ratio;
 * serial and pipelined training are bit-identical in everything except
   the simulated clock.
 """
@@ -24,12 +24,12 @@ import pytest
 
 import repro
 from repro.cache import (
-    FeatureCache,
+    CacheStats,
+    TieredFeatureStore,
     graph_degrees,
     plan_gather,
     record_gather,
 )
-from repro.cache.feature_cache import CacheStats
 from repro.core import new_rng
 from repro.datasets import load_dataset
 from repro.device import CPU, ExecutionContext, MemoryPool, V100
@@ -160,21 +160,30 @@ class TestQueueValidation:
 
 
 # ----------------------------------------------------------------------
-# Feature cache
+# Feature store, flat configuration (host_ratio=1.0, p2p off).  The
+# empty gather, duplicates, budget refusal, release and ratio validation
+# are checked for the flat and tiered configurations in test_tiered.py.
 # ----------------------------------------------------------------------
 def _features(n=100, f=16):
     return np.ones((n, f), dtype=np.float32)
 
 
-class TestFeatureCache:
+def _store(scores=None, *, ratio, pool=None):
+    return TieredFeatureStore(
+        _features(),
+        np.arange(100.0) if scores is None else scores,
+        device_ratio=ratio,
+        pool=MemoryPool() if pool is None else pool,
+    )
+
+
+class TestFlatStore:
     def test_caches_hottest_rows(self):
-        scores = np.arange(100, dtype=np.float64)
-        cache = FeatureCache(
-            _features(), scores, ratio=0.10, pool=MemoryPool()
-        )
+        cache = _store(np.arange(100, dtype=np.float64), ratio=0.10)
         np.testing.assert_array_equal(cache.cached_ids, np.arange(90, 100))
-        hits, misses = cache.split(np.array([0, 1, 95, 99]))
-        assert (hits, misses) == (2, 2)
+        plan = cache.split(np.array([0, 1, 95, 99]))
+        assert (plan.device_rows, plan.host_rows) == (2, 2)
+        assert plan.gathered == 4 and plan.remote_rows == plan.p2p_rows == 0
 
     def test_hit_rate_monotone_in_ratio(self):
         rng = new_rng(0)
@@ -182,9 +191,7 @@ class TestFeatureCache:
         nodes = rng.integers(0, 100, 500)
         rates = []
         for ratio in (0.0, 0.1, 0.3, 0.6, 1.0):
-            cache = FeatureCache(
-                _features(), scores, ratio=ratio, pool=MemoryPool()
-            )
+            cache = _store(scores, ratio=ratio)
             cache.record_gather(nodes)
             rates.append(cache.epoch_stats().hit_rate)
         assert rates == sorted(rates)
@@ -192,10 +199,10 @@ class TestFeatureCache:
 
     def test_budget_evicts_cold_tail(self):
         # 100 rows x 64 bytes = 6400 bytes wanted; a 2 KiB pool forces
-        # halving down to a prefix that fits.
+        # admission down to a prefix that fits.
         pool = MemoryPool(capacity=2048)
         scores = np.arange(100, dtype=np.float64)
-        cache = FeatureCache(_features(), scores, ratio=1.0, pool=pool)
+        cache = _store(scores, ratio=1.0, pool=pool)
         assert 0 < cache.cached_rows < 100
         assert pool.live_bytes <= 2048
         stats = cache.epoch_stats()
@@ -205,94 +212,46 @@ class TestFeatureCache:
             cache.cached_ids, np.arange(100 - cache.cached_rows, 100)
         )
 
-    def test_budget_refusal_leaves_pool_untouched(self):
-        pool = MemoryPool(capacity=256)  # below one 512-byte granule
-        cache = FeatureCache(
-            _features(), np.arange(100.0), ratio=0.5, pool=pool
-        )
-        assert cache.cached_rows == 0
-        assert pool.live_bytes == 0
-        cache.record_gather(np.arange(50))
-        assert cache.epoch_stats().hit_rate == 0.0
-
-    def test_release_returns_bytes(self):
-        pool = MemoryPool()
-        cache = FeatureCache(
-            _features(), np.arange(100.0), ratio=0.2, pool=pool
-        )
-        assert pool.live_bytes > 0
-        cache.release()
-        assert pool.live_bytes == 0
-        assert cache.split(np.arange(100))[0] == 0
-        cache.release()  # idempotent
-
-    def test_ratio_validated(self):
-        with pytest.raises(ShapeError):
-            FeatureCache(
-                _features(), np.arange(100.0), ratio=1.5, pool=MemoryPool()
-            )
-
-    def test_split_empty_gather_is_noop(self):
-        cache = FeatureCache(
-            _features(), np.arange(100.0), ratio=0.2, pool=MemoryPool()
-        )
-        # The bare [] literal is float64 — split must not fancy-index
-        # the residency mask with it.
-        assert cache.split(np.asarray([])) == (0, 0)
-        assert cache.record_gather(np.asarray([], dtype=np.int64)) == (0, 0)
-        assert cache.epoch_stats().hit_rate == 0.0
-
-    def test_split_duplicates_count_per_occurrence(self):
-        cache = FeatureCache(
-            _features(), np.arange(100.0), ratio=0.1, pool=MemoryPool()
-        )
-        hot = cache.cached_ids[0]
-        hits, misses = cache.split(np.array([hot, hot, hot, 0, 0]))
-        assert (hits, misses) == (3, 2)
-
-    def test_all_miss_after_eviction(self):
-        # A pool too small for even one granule refuses the cache; every
-        # later gather — including of the would-be hottest rows — misses.
-        pool = MemoryPool(capacity=256)
-        cache = FeatureCache(
-            _features(), np.arange(100.0), ratio=0.5, pool=pool
-        )
-        assert cache.cached_rows == 0
-        hits, misses = cache.split(np.arange(90, 100))
-        assert (hits, misses) == (0, 10)
-        cache.release()  # releasing a refused cache stays a no-op
-        assert pool.live_bytes == 0
-
     def test_hit_rate_zero_lookups(self):
         stats = CacheStats(
             cached_rows=10, requested_rows=10, cached_bytes=640,
             hits=0, misses=0,
         )
         assert stats.hit_rate == 0.0  # no division-by-zero
-        cache = FeatureCache(
-            _features(), np.arange(100.0), ratio=0.2, pool=MemoryPool()
-        )
-        assert cache.epoch_stats().hit_rate == 0.0
+        assert _store(ratio=0.2).epoch_stats().hit_rate == 0.0
+
+    def test_misses_are_host_hits(self):
+        """Every tier rate adds up to 1 for a flat store too: its misses
+        are host-tier lookups and its host tier is every uncached row."""
+        cache = _store(ratio=0.2)
+        cache.record_gather(np.array([0, 1, 95, 99, 99]))
+        stats = cache.epoch_stats()
+        assert stats.host_hits == stats.misses == 2
+        assert stats.host_rows == 100 - stats.cached_rows
+        assert sum(
+            stats.tier_rate(t) for t in ("device", "p2p", "host", "remote")
+        ) == pytest.approx(1.0)
 
     def test_trainer_charges_only_misses_over_pcie(self):
         """The trainer's gather is ``plan_gather`` + ``record_gather``:
         cached rows read device memory, only the misses cross PCIe."""
         ds = load_dataset("pp", scale=0.1)  # host-resident features
-        cache = FeatureCache(
-            ds.features, graph_degrees(ds.graph), ratio=0.5, pool=MemoryPool()
+        cache = TieredFeatureStore(
+            ds.features, graph_degrees(ds.graph), device_ratio=0.5,
+            pool=MemoryPool(),
         )
         row_bytes = ds.features.shape[1] * 4
         cold = np.setdiff1d(
             np.arange(ds.features.shape[0]), cache.cached_ids
         )
         nodes = np.concatenate([cache.cached_ids[:32], cold[:32]])
-        hits, misses = cache.split(nodes)
-        assert hits > 0 and misses > 0
+        plan = cache.split(nodes)
+        assert plan.device_rows > 0 and plan.host_rows > 0
 
         ctx = ExecutionContext(V100, graph_on_device=ds.graph_on_device)
         launch = record_gather(ctx, plan_gather(nodes, cache), row_bytes)
         assert launch.bytes_read == len(nodes) * row_bytes
-        assert launch.uva_bytes == misses * row_bytes
+        assert launch.uva_bytes == plan.host_rows * row_bytes
 
 
 # ----------------------------------------------------------------------

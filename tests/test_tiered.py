@@ -2,7 +2,7 @@
 
 The contracts under test:
 
-* :func:`~repro.cache.feature_cache.admit_rows` pins the *largest*
+* :func:`~repro.cache.tiered.admit_rows` pins the *largest*
   fitting row count under a tight budget (binary search), not the
   up-to-2x-smaller halving artifact the old loop produced;
 * sharded replicas rank cache admission by owned-shard degree
@@ -30,19 +30,12 @@ import pytest
 
 from repro.cache import (
     CacheStats,
-    FeatureCache,
     FeatureSource,
+    GatherPlan,
     TieredFeatureStore,
     admit_rows,
 )
-from repro.cache.tiered import (
-    REMOTE_TIER,
-    TIER_DEVICE,
-    TIER_HOST,
-    TIER_P2P,
-    TIER_REMOTE,
-    GatherSplit,
-)
+from repro.cache.tiered import REMOTE_TIER, TIER_DEVICE, TIER_P2P
 from repro.datasets import load_dataset
 from repro.device import (
     NVLINK,
@@ -72,6 +65,17 @@ def make_store(num_nodes=64, feat=4, budget=None, **kwargs):
     scores = np.arange(num_nodes, 0, -1, dtype=np.float64)
     pool = MemoryPool(budget)
     return TieredFeatureStore(features, scores, pool=pool, **kwargs)
+
+
+#: ``host_ratio`` of the flat configuration (no remote tail) and of a
+#: tiered one with a remote tail, for cases both must keep.
+FLAT_AND_TIERED = pytest.mark.parametrize(
+    "host_ratio", [1.0, 0.25], ids=["flat", "tiered"]
+)
+
+
+def total_rows(plan: GatherPlan) -> int:
+    return plan.gathered + plan.p2p_rows + plan.remote_rows
 
 
 # ----------------------------------------------------------------------
@@ -173,13 +177,23 @@ class TestCacheStats:
         assert stats.evicted_rows == 0
         assert stats.cached_rows == 0 and stats.requested_rows == 0
 
-    def test_tiered_release_reads_zero_evicted(self):
-        store = make_store(device_ratio=0.5, host_ratio=0.5)
+    @pytest.mark.parametrize(
+        "host_ratio, host_rows", [(1.0, 64), (0.25, 48)],
+        ids=["flat", "tiered"],
+    )
+    def test_store_release_returns_bytes_and_reads_zero_evicted(
+        self, host_ratio, host_rows
+    ):
+        store = make_store(device_ratio=0.5, host_ratio=host_ratio)
+        assert store.pool.live_bytes > 0
         store.release()
+        assert store.pool.live_bytes == 0
+        assert store.split(np.arange(64)).device_rows == 0
         stats = store.epoch_stats()
         assert stats.evicted_rows == 0
         # Former device rows fall back to pinned host, not remote.
-        assert stats.host_rows == 64
+        assert stats.host_rows == host_rows
+        store.release()  # idempotent
 
     def test_tier_rate_partitions_lookups(self):
         s = CacheStats(0, 0, 0, hits=5, misses=5, p2p_hits=2, host_hits=2,
@@ -192,7 +206,7 @@ class TestCacheStats:
 
 
 # ----------------------------------------------------------------------
-# A tier's price (a LinkSpec) / GatherSplit
+# A tier's price (a LinkSpec)
 # ----------------------------------------------------------------------
 class TestTierSpec:
     def test_fetch_time_latency_plus_bandwidth(self):
@@ -208,9 +222,6 @@ class TestTierSpec:
         with pytest.raises(DeviceError):
             LinkSpec(name="bad", bandwidth=1e9, latency=-1.0)
 
-    def test_gather_split_total(self):
-        assert GatherSplit(1, 2, 3, 4).total == 10
-
 
 # ----------------------------------------------------------------------
 # TieredFeatureStore: tier assignment
@@ -219,7 +230,7 @@ class TestTierAssignment:
     def test_every_node_in_exactly_one_tier(self):
         store = make_store(device_ratio=0.25, host_ratio=0.5)
         split = store.split(np.arange(64))
-        assert split.total == 64
+        assert total_rows(split) == 64
         assert split.device_rows == 16  # hottest quarter
         assert split.host_rows == 32  # next half
         assert split.remote_rows == 16  # cold tail
@@ -244,16 +255,37 @@ class TestTierAssignment:
         # Evicted rows are still hot: they land in the host tier.
         assert store.split(np.arange(4, 32)).host_rows == 28
 
-    def test_duplicates_count_per_occurrence(self):
-        store = make_store(device_ratio=0.25, host_ratio=0.25)
+    @pytest.mark.parametrize(
+        "host_ratio, rows", [(1.0, (2, 4, 0)), (0.25, (2, 1, 3))],
+        ids=["flat", "tiered"],
+    )
+    def test_duplicates_count_per_occurrence(self, host_ratio, rows):
+        store = make_store(device_ratio=0.25, host_ratio=host_ratio)
         split = store.split(np.array([0, 0, 20, 63, 63, 63]))
-        assert (split.device_rows, split.host_rows) == (2, 1)
-        assert split.remote_rows == 3
+        assert (split.device_rows, split.host_rows, split.remote_rows) == rows
 
-    def test_empty_gather_is_noop(self):
-        store = make_store()
-        assert store.split(np.array([], dtype=np.int64)).total == 0
-        assert store.record_gather(np.array([], dtype=np.int64)).total == 0
+    @FLAT_AND_TIERED
+    def test_empty_gather_is_noop(self, host_ratio):
+        store = make_store(device_ratio=0.25, host_ratio=host_ratio)
+        # The bare [] literal is float64 — split must not fancy-index
+        # the tier array with it.
+        assert store.split(np.asarray([])) == GatherPlan(0, 0)
+        assert store.record_gather(np.array([], dtype=np.int64)) == (
+            GatherPlan(0, 0)
+        )
+        assert store.epoch_stats().lookups == 0
+
+    @FLAT_AND_TIERED
+    def test_budget_refusal_leaves_pool_untouched(self, host_ratio):
+        # The 32-row plan is one 512-byte granule; the pool holds half.
+        store = make_store(budget=256, device_ratio=0.5, host_ratio=host_ratio)
+        assert store.cached_rows == 0
+        assert store.pool.live_bytes == 0
+        # Every gather misses, the would-be hottest rows included.
+        assert store.record_gather(np.arange(32)).device_rows == 0
+        assert store.epoch_stats().hit_rate == 0.0
+        store.release()  # releasing a refused store stays a no-op
+        assert store.pool.live_bytes == 0
 
     def test_record_and_reset_epoch(self):
         store = make_store(device_ratio=0.25, host_ratio=0.5)

@@ -267,6 +267,84 @@ class TestPipelineCellBoundaries:
             run_pipeline_cell("graphsage", dataset, device=V100, **knob)
 
 
+class TestFeatureStoreBoundaries:
+    """A store knob the configuration cannot honour is refused with a
+    ``ShapeError`` before any store exists, not dropped."""
+
+    @pytest.mark.parametrize(
+        "build",
+        ["FeatureSource", "PipelinedTrainer", "ClusterSimulator",
+         "run_pipeline_cell"],
+    )
+    def test_host_tier_ratio_without_tiers(self, build, monkeypatch):
+        """Each of these dropped ``host_tier_ratio=0.3`` silently and ran
+        the flat cache; only the CLI refused the flag."""
+        from repro.cache import FeatureSource, store
+        from repro.datasets import load_dataset
+        from repro.learning import GraphSAGEModel
+        from repro.pipeline import PipelinedTrainer, run_pipeline_cell
+        from repro.serve import ClusterSimulator
+
+        def no_store(*args, **kwargs):
+            raise AssertionError("built a store before refusing")
+
+        dataset = load_dataset("pd", scale=0.1)
+        pipeline = make_algorithm("graphsage", fanouts=(3,)).build(
+            dataset.graph, dataset.train_ids[:8]
+        )
+        model = GraphSAGEModel(
+            dataset.features.shape[1], 8, dataset.num_classes,
+            num_layers=1, rng=new_rng(0),
+        )
+        builds = {
+            "FeatureSource": lambda: FeatureSource(
+                dataset, host_tier_ratio=0.3
+            ),
+            "PipelinedTrainer": lambda: PipelinedTrainer(
+                pipeline, model, dataset, device=V100, host_tier_ratio=0.3
+            ),
+            "ClusterSimulator": lambda: ClusterSimulator(
+                dataset, device=V100, host_tier_ratio=0.3
+            ),
+            "run_pipeline_cell": lambda: run_pipeline_cell(
+                "graphsage", dataset, device=V100, host_tier_ratio=0.3
+            ),
+        }
+        monkeypatch.setattr(store, "TieredFeatureStore", no_store)
+        with pytest.raises(
+            ShapeError,
+            match="host tier ratio 0.3 changes nothing without feature_tiers",
+        ):
+            builds[build]()
+
+    @staticmethod
+    def _striped(pool, **kwargs):
+        from repro.cache import TieredFeatureStore
+        from repro.device import NVLINK
+
+        return TieredFeatureStore(
+            np.zeros((64, 4), dtype=np.float32), np.arange(64.0), pool=pool,
+            link=NVLINK, device=V100, num_replicas=2, p2p=True, **kwargs,
+        )
+
+    def test_owned_mask_on_a_striped_store(self):
+        from repro.device import MemoryPool
+
+        pool = MemoryPool()
+        with pytest.raises(ShapeError, match="cannot apply to the p2p stripe"):
+            self._striped(pool, owned_mask=np.ones(64, dtype=bool))
+        assert pool.live_allocations == 0
+
+    def test_rerank_on_a_striped_store(self):
+        from repro.device import MemoryPool
+
+        store = self._striped(MemoryPool())
+        pinned = store.cached_ids.copy()
+        with pytest.raises(ShapeError, match="cannot apply to the p2p stripe"):
+            store.rerank(np.arange(64.0)[::-1].copy())
+        np.testing.assert_array_equal(store.cached_ids, pinned)
+
+
 class TestEpochFlagBoundaries:
     """An epoch shape with no batches in it exits 2 — not a ``range()`` /
     ``IndexError`` traceback, a silently dropped batch, or a NaN loss
