@@ -209,6 +209,14 @@ class Algorithm:
     #: ``finalize(graph, sample, ctx)`` applied to every sample, or None.
     finalize: Callable | None = None
 
+    def __post_init__(self) -> None:
+        """Refuse a bad walk parameter when the algorithm is made, not
+        when its first batch is drawn."""
+        from repro.algorithms.walks import WALK_PARAMETERS, check_walk_parameters
+
+        params = {n: getattr(self, n) for n in WALK_PARAMETERS if hasattr(self, n)}
+        check_walk_parameters(**params)
+
     def programs(self) -> tuple[list[dict], int]:
         """The per-layer constants rule: the trace-time constants of each
         compiled program, and how many times that stack of programs runs

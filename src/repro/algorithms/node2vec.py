@@ -59,37 +59,37 @@ def node2vec_step(
     p: float,
     q: float,
     csc: CSC,
+    degree: np.ndarray,
     history: np.ndarray,
     alive: np.ndarray,
+    nodes: np.ndarray,
     rng: np.random.Generator,
     ctx: ExecutionContext,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """The second-order step, bias computed for every candidate at once."""
     if len(history) == 1:
         # First step has no previous frontier: uniform.
-        return walks.uniform_step(csc, history, alive, rng, ctx)
-    cur, prev = history[-1][alive], history[-2][alive]
-    starts = csc.indptr[cur]
-    lengths = csc.indptr[cur + 1] - starts
-    cand = csc.rows[gather_ranges(starts, lengths)]
+        return walks.uniform_step(csc, degree, history, alive, nodes, rng, ctx)
+    moved, cur, lengths = walks.movers(degree, alive, nodes)
+    prev = history[-2][moved]
+    cand = csc.rows[gather_ranges(csc.indptr[cur], lengths)]
     bias = np.full(len(cand), 1.0 / q)
     bias[_adjacent_to_previous(csc, cand, lengths, prev)] = 1.0
     bias[cand == np.repeat(prev, lengths)] = 1.0 / p
     sub_indptr = np.zeros(len(cur) + 1, dtype=INDEX_DTYPE)
     np.cumsum(lengths, out=sub_indptr[1:])
     picks = _segmented_biased_with_replacement(sub_indptr, bias, 1, rng)
-    nxt = np.full(len(cur), -1, dtype=INDEX_DTYPE)
-    nxt[_segments_of(picks, sub_indptr)] = cand[picks]
-    read = len(cur) * 3 * _ITEM + int(lengths.sum()) * 2 * _ITEM
+    # Charged as a step over every live walker, stranded ones included.
+    read = len(alive) * 3 * _ITEM + len(cand) * 2 * _ITEM
     ctx.record(
         "node2vec_step",
         bytes_read=read,
-        bytes_written=nxt.nbytes,
-        flops=float(lengths.sum()) * np.log2(max(csc.nnz, 2)),  # binary searches
-        tasks=max(len(cur), 1),
+        bytes_written=len(alive) * _ITEM,
+        flops=float(len(cand)) * np.log2(max(csc.nnz, 2)),  # binary searches
+        tasks=max(len(alive), 1),
         graph_bytes=read,
     )
-    return nxt
+    return moved[_segments_of(picks, sub_indptr)], cand[picks]
 
 
 @dataclasses.dataclass

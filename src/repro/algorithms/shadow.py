@@ -63,6 +63,7 @@ class ShaDow(Algorithm):
     layer = staticmethod(graphsage_layer)
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.bias not in ("uniform", "ppr"):
             raise GSamplerError(
                 f"ShaDow bias must be 'uniform' or 'ppr', got {self.bias!r}"

@@ -11,6 +11,7 @@ subgraph induction the walk algorithms finish with live here too.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -48,13 +49,44 @@ class WalkResult:
         return np.unique(flat)
 
 
-#: One walk step: ``step(csc, history, alive, rng, ctx) -> next nodes`` of
-#: the ``alive`` walkers (``-1`` strands one).  ``history`` is the trace so
-#: far: ``history[-1]`` holds every walker's current node, ``history[-2]``
-#: the previous one (second-order steps), ``history[0]`` the origins
-#: (restarts).
+#: The walk parameters an algorithm may take, checked when it is made.
+WALK_PARAMETERS = ("walk_length", "num_walks", "restart_prob")
+
+
+def check_walk_parameters(
+    *,
+    walk_length: object = 0,
+    num_walks: object = 0,
+    restart_prob: object = 0.0,
+) -> None:
+    """Refuse a walk parameter no walk can run with, before any draw."""
+    for name, value in (("walk length", walk_length), ("num_walks", num_walks)):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+            raise ShapeError(f"{name} must be an integer, got {value!r}")
+        if value < 0:
+            raise ShapeError(f"{name} must be >= 0, got {value}")
+    if not isinstance(restart_prob, numbers.Real) or not 0.0 <= restart_prob <= 1.0:
+        raise ShapeError(f"restart_prob must be in [0, 1], got {restart_prob!r}")
+
+
+#: One walk step: ``step(csc, degree, history, alive, nodes, rng, ctx) ->
+#: (moved, nxt)``.  ``alive`` are the live walkers, ``nodes`` their current
+#: nodes and ``degree`` the graph's in-degree table; the step returns the
+#: walkers that moved, in ``alive``'s order, and the nodes they moved to —
+#: every other walker is stranded.  ``history`` is the trace so far:
+#: ``history[-2]`` holds every walker's previous node (second-order
+#: steps), ``history[0]`` the origins (restarts).
 Step = Callable[
-    [CSC, np.ndarray, np.ndarray, np.random.Generator, ExecutionContext], np.ndarray
+    [
+        CSC,
+        np.ndarray,
+        np.ndarray,
+        np.ndarray,
+        np.ndarray,
+        np.random.Generator,
+        ExecutionContext,
+    ],
+    tuple[np.ndarray, np.ndarray],
 ]
 
 
@@ -69,40 +101,62 @@ def walk(
 ) -> WalkResult:
     """The walk driver: ``step`` the live walkers ``walk_length`` times.
 
-    A ``-1`` seed is a walker that is dead from the start.  The live set
-    is carried from each step's result rather than re-read from the
-    trace: a walker the step strands (``-1``) stays dead.
+    A ``-1`` seed is a walker that is dead from the start.  The driver
+    carries the live walkers and their current nodes from each step's
+    result; a walker the step does not move stays dead.  Seeds are checked
+    here, once: every later node is one the step read out of the graph.
     """
-    seeds = np.asarray(seeds, dtype=INDEX_DTYPE)
-    if walk_length < 0:
-        raise ShapeError(f"walk length must be >= 0, got {walk_length}")
+    check_walk_parameters(walk_length=walk_length)
     num_nodes = graph.shape[1]  # a walker's node indexes the CSC's columns
+    raw = np.asarray(seeds)
+    if raw.ndim != 1 or (raw.size and raw.dtype.kind not in "iu"):
+        raise ShapeError(
+            f"walk seeds must be a 1-D integer array, got shape {raw.shape} "
+            f"of dtype {raw.dtype}"
+        )
+    seeds = raw.astype(INDEX_DTYPE, copy=False)
     bad = seeds[(seeds < -1) | (seeds >= num_nodes)]
     if len(bad):
         raise ShapeError(f"walk seed {int(bad[0])} is outside [-1, {num_nodes})")
     rng = rng if rng is not None else new_rng(None)
     csc = graph.get("csc")
+    degree = csc.col_degrees()
     trace = np.full((walk_length + 1, len(seeds)), -1, dtype=INDEX_DTYPE)
     trace[0] = seeds
     alive = np.flatnonzero(seeds >= 0)
+    nodes = seeds[alive]
     for t in range(walk_length):
         if len(alive) == 0:
             break
-        nxt = step(csc, trace[: t + 1], alive, rng, ctx)
-        trace[t + 1][alive] = nxt
-        alive = alive[nxt >= 0]
+        alive, nodes = step(csc, degree, trace[: t + 1], alive, nodes, rng, ctx)
+        trace[t + 1][alive] = nodes
     return WalkResult(trace=trace)
+
+
+def movers(
+    degree: np.ndarray, alive: np.ndarray, nodes: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The live walkers that can move — their node has in-edges — with
+    their nodes and in-degrees; the rest leave before the step draws."""
+    lengths = degree[nodes]
+    can = lengths.nonzero()[0]
+    if len(can) == len(nodes):
+        return alive, nodes, lengths
+    return alive[can], nodes[can], lengths[can]
 
 
 def uniform_step(
     csc: CSC,
+    degree: np.ndarray,
     history: np.ndarray,
     alive: np.ndarray,
+    nodes: np.ndarray,
     rng: np.random.Generator,
     ctx: ExecutionContext,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """First-order uniform step: the fused walk-step kernel."""
-    return sampling.uniform_walk_step(csc, history[-1][alive], rng=rng, ctx=ctx)
+    moved, cur, lengths = movers(degree, alive, nodes)
+    return moved, sampling._walk_draw(csc, cur, lengths, len(alive), rng, ctx)
 
 
 def uniform_walk(
@@ -189,15 +243,20 @@ def restart_walk_visit_counts(
     ``restart_prob``, and every visit to a node is counted toward that
     frontier.  Returns ``(frontier_idx, node, count)`` flat arrays.
     """
-    frontiers = np.asarray(frontiers, dtype=INDEX_DTYPE)
+    check_walk_parameters(
+        walk_length=walk_length, num_walks=num_walks, restart_prob=restart_prob
+    )
+    frontiers = np.asarray(frontiers)  # the driver checks them as seeds
     owner = np.repeat(np.arange(len(frontiers), dtype=INDEX_DTYPE), num_walks)
 
-    def restart_step(csc, history, alive, rng, ctx):
-        nxt = uniform_step(csc, history, alive, rng, ctx)
+    def restart_step(csc, degree, history, alive, nodes, rng, ctx):
+        can = degree[nodes] > 0
+        _, moved_to = uniform_step(csc, degree, history, alive, nodes, rng, ctx)
         # Stranded walkers restart too, so no walker ever dies.
-        home = (rng.random(len(alive)) < restart_prob) | (nxt < 0)
-        nxt[home] = history[0][alive[home]]
-        return nxt
+        home = (rng.random(len(alive)) < restart_prob) | ~can
+        nxt = history[0][alive]
+        nxt[~home] = moved_to[~home[can]]
+        return alive, nxt
 
     trace = walk(
         graph, np.repeat(frontiers, num_walks), walk_length, restart_step,

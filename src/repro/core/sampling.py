@@ -32,7 +32,13 @@ from repro.sparse import (
     to_csc,
 )
 from repro.sparse.compact import _relabel
-from repro.sparse.formats import _indptr_from_counts, as_index_array, gather_ranges
+from repro.sparse.formats import (
+    FrontierRanges,
+    _indptr_from_counts,
+    frontier_ids,
+    frontier_ranges,
+    gather_ranges,
+)
 
 _ITEM = 8
 _VAL = 4
@@ -175,7 +181,7 @@ def fused_extract_individual_sample(
     """
     if k <= 0:
         raise ShapeError(f"fanout k must be positive, got {k}")
-    frontiers = _frontier_ids(frontiers, graph_csc.shape[1])
+    frontiers = frontier_ids(frontiers, graph_csc.shape[1])
     # Only a biased race reads the candidates' weights; an unbiased one
     # never gathers the frontier ranges at all.
     if probs_edge_values is not None:
@@ -247,20 +253,6 @@ def fused_extract_individual_sample(
     return out
 
 
-def _frontier_ids(frontiers: np.ndarray, num_cols: int) -> np.ndarray:
-    """Frontier column ids as an index array, refused unless every one is
-    an integer in ``[0, num_cols)`` — a negative id would wrap and a
-    fractional one be truncated silently."""
-    raw = np.asarray(frontiers)
-    if raw.size and raw.dtype.kind not in "iu":
-        raise ShapeError(f"frontier ids must be integers, got dtype {raw.dtype}")
-    ids = as_index_array(raw)
-    bad = ids[(ids < 0) | (ids >= num_cols)]
-    if len(bad):
-        raise ShapeError(f"frontier {int(bad[0])} is outside [0, {num_cols})")
-    return ids
-
-
 def _gather_race_keys(
     draws: np.ndarray, source: np.ndarray, starts: np.ndarray, lengths: np.ndarray
 ) -> None:
@@ -271,7 +263,7 @@ def _gather_race_keys(
 
 def fused_extract_reduce(
     graph_csc: CSC,
-    frontiers: np.ndarray,
+    frontiers: np.ndarray | FrontierRanges,
     op: str,
     axis: int,
     *,
@@ -284,33 +276,32 @@ def fused_extract_reduce(
     ``M[:, frontiers].sum(axis=0)``, this kernel computes the per-row (or
     per-column) reduction straight from the graph's CSC ranges — reading
     only the frontier columns' edges and writing only the output vector.
+    ``frontiers`` may be the ranges the hop's column slice of a matrix
+    with the same topology already gathered.
     """
-    frontiers = np.asarray(frontiers, dtype=INDEX_DTYPE)
-    starts = graph_csc.indptr[frontiers]
-    lengths = graph_csc.indptr[frontiers + 1] - starts
-    flat = gather_ranges(starts, lengths)
+    if op != "sum":
+        raise ShapeError(f"fused extract-reduce supports sum, got {op!r}")
+    if axis not in (0, 1):
+        raise ShapeError(f"reduce axis must be 0 or 1, got {axis}")
+    ranges = frontier_ranges(graph_csc, frontiers)
+    flat = ranges.flat
     vals = (
         np.ones(len(flat), dtype=np.float64)
         if graph_csc.values is None
         else graph_csc.values[flat].astype(np.float64)
     )
     if axis == 0:
-        if op != "sum":
-            raise ShapeError(f"fused extract-reduce supports sum, got {op!r}")
         out = np.bincount(
-            graph_csc.rows[flat], weights=vals, minlength=graph_csc.shape[0]
+            ranges.gathered, weights=vals, minlength=graph_csc.shape[0]
         ).astype(np.float32)
         out_len = graph_csc.shape[0]
-    elif axis == 1:
+    else:
         csum = np.zeros(len(vals) + 1, dtype=np.float64)
         np.cumsum(vals, out=csum[1:])
-        sub_indptr = np.zeros(len(frontiers) + 1, dtype=INDEX_DTYPE)
-        np.cumsum(lengths, out=sub_indptr[1:])
+        sub_indptr = _indptr_from_counts(ranges.lengths)
         out = (csum[sub_indptr[1:]] - csum[sub_indptr[:-1]]).astype(np.float32)
-        out_len = len(frontiers)
-    else:
-        raise ShapeError(f"reduce axis must be 0 or 1, got {axis}")
-    read = len(frontiers) * 2 * _ITEM + len(flat) * (_ITEM + _VAL)
+        out_len = len(ranges.ids)
+    read = len(ranges.ids) * 2 * _ITEM + len(flat) * (_ITEM + _VAL)
     ctx.record(
         "fused_extract_reduce",
         bytes_read=read,
@@ -503,44 +494,77 @@ def uniform_walk_step(
 
     The uniform pick draws what ``segmented_uniform_with_replacement(
     lengths, 1, rng)`` would — one ``rng.random`` per frontier with
-    in-edges, in frontier order — without its k-way repeat.
+    in-edges, in frontier order — without its k-way repeat.  Frontiers
+    must be node ids and ``bias_edge_values`` finite and non-negative;
+    anything else is refused before any draw or launch.
     """
+    frontiers = frontier_ids(frontiers, graph_csc.shape[1])
+    if bias_edge_values is not None:
+        bias_edge_values = np.asarray(bias_edge_values, dtype=np.float64)
+        if bias_edge_values.shape != (graph_csc.nnz,):
+            raise ShapeError(
+                f"per-edge bias shape {bias_edge_values.shape} != nnz "
+                f"({graph_csc.nnz},)"
+            )
+        if not np.all(np.isfinite(bias_edge_values) & (bias_edge_values >= 0)):
+            raise ShapeError("walk bias must be finite and non-negative")
     rng = rng if rng is not None else rnd.new_rng()
-    frontiers = np.asarray(frontiers, dtype=INDEX_DTYPE)
     starts = graph_csc.indptr[frontiers]
     lengths = graph_csc.indptr[frontiers + 1] - starts
-    total = int(lengths.sum())
     nxt = np.full(len(frontiers), -1, dtype=INDEX_DTYPE)
     if bias_edge_values is None:
         moving = np.flatnonzero(lengths > 0)
-        if len(moving):
-            span = lengths[moving]
-            offsets = (rng.random(len(moving)) * span).astype(INDEX_DTYPE)
-            # Guard against u * length rounding up onto the length.
-            np.minimum(offsets, span - 1, out=offsets)
-            nxt[moving] = graph_csc.rows[starts[moving] + offsets]
-    else:
-        flat = gather_ranges(starts, lengths)
-        sub_indptr = np.zeros(len(frontiers) + 1, dtype=INDEX_DTYPE)
-        np.cumsum(lengths, out=sub_indptr[1:])
-        picks = _segmented_biased_with_replacement(
-            sub_indptr, np.asarray(bias_edge_values, dtype=np.float64)[flat], 1, rng
+        nxt[moving] = _walk_draw(
+            graph_csc, frontiers[moving], lengths[moving], len(frontiers), rng, ctx
         )
-        seg = _segments_of(picks, sub_indptr)
-        nxt[seg] = graph_csc.rows[flat[picks]]
-    # Uniform picks read indptr plus the one chosen row per frontier;
-    # the biased inverse-CDF scan reads every candidate edge's row id
-    # and weight before picking, and must be charged for all of them.
-    if bias_edge_values is None:
-        read = len(frontiers) * 2 * _ITEM + len(frontiers) * _ITEM
-    else:
-        read = len(frontiers) * 2 * _ITEM + total * (_ITEM + _VAL)
+        return nxt
+    flat = gather_ranges(starts, lengths)
+    sub_indptr = _indptr_from_counts(lengths)
+    picks = _segmented_biased_with_replacement(
+        sub_indptr, bias_edge_values[flat], 1, rng
+    )
+    nxt[_segments_of(picks, sub_indptr)] = graph_csc.rows[flat[picks]]
+    # The biased inverse-CDF scan reads every candidate edge's row id and
+    # weight before picking, and is charged for all of them.
+    _record_walk_step(
+        ctx, len(frontiers), len(flat), len(flat) * (_ITEM + _VAL)
+    )
+    return nxt
+
+
+def _walk_draw(
+    graph_csc: CSC,
+    nodes: np.ndarray,
+    lengths: np.ndarray,
+    num_frontiers: int,
+    rng: np.random.Generator,
+    ctx: ExecutionContext,
+) -> np.ndarray:
+    """The uniform walk-step kernel, unchecked: one in-neighbor of every
+    node in ``nodes``, each of which has ``lengths`` (> 0) in-edges.
+
+    The walk driver's walkers at dead ends have left before this draw, so
+    it draws exactly once per moving walker; the launch is still charged
+    as a step over all ``num_frontiers`` live walkers.
+    """
+    # ``u < 1`` is at most ``1 - 2**-53``, so ``u * length`` rounds to
+    # below ``length`` for every length under ``2**53``: no clamp needed.
+    offsets = (rng.random(len(nodes)) * lengths).astype(INDEX_DTYPE)
+    nxt = graph_csc.rows[graph_csc.indptr[nodes] + offsets]
+    # Uniform picks read indptr plus the one chosen row per frontier.
+    _record_walk_step(ctx, num_frontiers, int(lengths.sum()), num_frontiers * _ITEM)
+    return nxt
+
+
+def _record_walk_step(
+    ctx: ExecutionContext, num_frontiers: int, total: int, candidate_bytes: int
+) -> None:
+    read = num_frontiers * 2 * _ITEM + candidate_bytes
     ctx.record(
         "walk_step",
         bytes_read=read,
-        bytes_written=nxt.nbytes,
+        bytes_written=num_frontiers * _ITEM,
         flops=float(max(total, 1)),
         tasks=max(total, 1),  # alias-table lanes per edge
         graph_bytes=read,
     )
-    return nxt

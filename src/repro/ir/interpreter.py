@@ -17,8 +17,11 @@ from repro.core import sampling
 from repro.core.matrix import Matrix
 from repro.device import ExecutionContext
 from repro.errors import PassError
+from repro.ir import superbatch_ops
 from repro.ir.graph import DataFlowGraph, Node
+from repro.sparse import CSC
 from repro.sparse import kernels as K
+from repro.sparse.formats import FrontierRanges, frontier_ranges
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -82,6 +85,9 @@ class Interpreter:
         """Execute the graph; returns output values in order."""
         env: dict[int, object] = {}
         handles: dict[int, object] = {}
+        #: This run's frontier ranges, by the IR values of the frontiers
+        #: (and batch pointer) they were gathered for.
+        self._ranges: dict[tuple[int, ...], FrontierRanges] = {}
         for node in self.ir.nodes():
             value = self._execute(node, env, inputs, rng)
             env[node.node_id] = value
@@ -90,6 +96,7 @@ class Interpreter:
         outputs = [env[i] for i in self.ir.outputs]
         for handle in handles.values():
             self.ctx.memory.free(handle)  # type: ignore[arg-type]
+        self._ranges.clear()
         return outputs
 
     def _account_alloc(
@@ -164,9 +171,31 @@ class Interpreter:
     # ------------------------------------------------------------------
     # Extract
     # ------------------------------------------------------------------
+    def _shared_ranges(self, node, csc, frontiers, batch_ptr=None):
+        """The ranges of ``frontiers`` (per ``batch_ptr`` when
+        super-batched) in ``csc``, gathered once per run for every kernel
+        that reads the same frontiers out of the same topology — a hop's
+        column slice of ``A`` and its extract-reduce of ``A ** 2``."""
+        key = tuple(node.inputs[1:])
+        ranges = self._ranges.get(key)
+        if ranges is None or not ranges.of(csc):
+            ranges = self._ranges[key] = (
+                frontier_ranges(csc, frontiers)
+                if batch_ptr is None
+                else superbatch_ops.block_ranges(csc, frontiers, batch_ptr)
+            )
+        return ranges
+
     def _op_slice_cols(self, node, args, inputs, rng):
         matrix, idx = args
-        return matrix.slice_cols(np.asarray(idx))
+        source = matrix._source_along(1)
+        if not isinstance(source, CSC):
+            return matrix.slice_cols(np.asarray(idx))
+        ranges = self._shared_ranges(node, source, idx)
+        out = K.slice_columns(
+            source, ranges, self.ctx, graph_read=matrix.is_base_graph
+        )
+        return matrix._spawn_selected(out, 1, ranges.ids)
 
     def _op_slice_rows(self, node, args, inputs, rng):
         matrix, idx = args
@@ -309,23 +338,23 @@ class Interpreter:
         return steps
 
     def _op_fused_extract_reduce(self, node, args, inputs, rng):
-        graph, frontiers = args[0], np.asarray(args[1])
+        graph, frontiers = args
+        csc = graph.get("csc")
         return sampling.fused_extract_reduce(
-            graph.get("csc"),
-            frontiers,
+            csc,
+            self._shared_ranges(node, csc, frontiers),
             node.attrs["op"],
             node.attrs["axis"],
             ctx=self.ctx,
         )
 
     def _op_sb_fused_extract_reduce(self, node, args, inputs, rng):
-        from repro.ir import superbatch_ops
-
         graph, frontiers, batch_ptr = args
+        csc = graph.get("csc")
         return superbatch_ops.sb_fused_extract_reduce(
             graph,
-            np.asarray(frontiers),
-            np.asarray(batch_ptr),
+            self._shared_ranges(node, csc, frontiers, batch_ptr),
+            batch_ptr,
             node.attrs["op"],
             node.attrs["axis"],
             self.ctx,
@@ -352,16 +381,16 @@ class Interpreter:
     # Super-batch operators
     # ------------------------------------------------------------------
     def _op_sb_slice_cols(self, node, args, inputs, rng):
-        from repro.ir import superbatch_ops
-
         matrix, frontiers, batch_ptr = args
+        csc = matrix.get("csc")
         return superbatch_ops.sb_slice_cols(
-            matrix, np.asarray(frontiers), np.asarray(batch_ptr), self.ctx
+            matrix,
+            self._shared_ranges(node, csc, frontiers, batch_ptr),
+            batch_ptr,
+            self.ctx,
         )
 
     def _op_sb_collective_sample(self, node, args, inputs, rng):
-        from repro.ir import superbatch_ops
-
         matrix = args[0]
         batch_ptr = np.asarray(args[1])
         probs = np.asarray(args[2]) if node.attrs.get("has_probs") else None

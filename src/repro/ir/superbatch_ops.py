@@ -15,6 +15,8 @@ input for the compute operators").
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.core import random as rnd
@@ -23,7 +25,12 @@ from repro.device import NULL_CONTEXT, ExecutionContext
 from repro.errors import ShapeError
 from repro.sparse import CSC, INDEX_DTYPE
 from repro.sparse.compact import _relabel
-from repro.sparse.formats import gather_ranges, sorted_unique
+from repro.sparse.formats import (
+    FrontierRanges,
+    _indptr_from_counts,
+    frontier_ids,
+    sorted_unique,
+)
 
 _ITEM = 8
 _VAL = 4
@@ -38,9 +45,52 @@ def batch_of_columns(batch_ptr: np.ndarray, num_cols: int) -> np.ndarray:
     ).astype(INDEX_DTYPE)
 
 
+class BlockRanges(FrontierRanges):
+    """A super-batch's frontier ranges, each edge's row also offset into
+    its batch's row block — what the block-diagonal slice and the
+    extract-reduce of one hop both read."""
+
+    def __init__(self, csc: CSC, ids: np.ndarray, batch_ptr: np.ndarray) -> None:
+        super().__init__(csc, ids)
+        self.batch_ptr = batch_ptr
+
+    @functools.cached_property
+    def block_rows(self) -> np.ndarray:
+        col_batch = batch_of_columns(self.batch_ptr, len(self.ids))
+        return self.gathered + np.repeat(col_batch, self.lengths) * self.shape[0]
+
+
+def block_ranges(
+    csc: CSC, frontiers: np.ndarray | BlockRanges, batch_ptr: np.ndarray
+) -> BlockRanges:
+    """``frontiers``' ranges in ``csc`` per ``batch_ptr``: ``frontiers``
+    itself when it is a ``BlockRanges`` of this topology and batch
+    pointer, else fresh ranges of checked ids — refused, before any
+    gather, unless the ids are columns of ``csc`` and ``batch_ptr`` runs
+    from 0 to their count without stepping back."""
+    if isinstance(frontiers, BlockRanges):
+        if frontiers.of(csc) and frontiers.batch_ptr is batch_ptr:
+            return frontiers
+        frontiers = frontiers.ids
+    ids = frontier_ids(frontiers, csc.shape[1])
+    batch_ptr = np.asarray(batch_ptr)
+    if (
+        batch_ptr.ndim != 1
+        or len(batch_ptr) < 2
+        or batch_ptr[0] != 0
+        or batch_ptr[-1] != len(ids)
+        or np.any(np.diff(batch_ptr) < 0)
+    ):
+        raise ShapeError(
+            f"batch_ptr must rise from 0 to the {len(ids)} frontiers, "
+            f"got {batch_ptr.tolist()}"
+        )
+    return BlockRanges(csc, ids, batch_ptr)
+
+
 def sb_slice_cols(
     matrix: Matrix,
-    frontiers: np.ndarray,
+    frontiers: np.ndarray | BlockRanges,
     batch_ptr: np.ndarray,
     ctx: ExecutionContext = NULL_CONTEXT,
 ) -> Matrix:
@@ -48,26 +98,20 @@ def sb_slice_cols(
 
     The output has shape ``(B * M, T_total)`` with batch ``b``'s edges
     offset into row block ``b`` — one kernel launch covering what eager
-    execution would issue as ``B`` separate slices.
+    execution would issue as ``B`` separate slices.  ``frontiers`` may be
+    the ranges the hop's extract-reduce gathers from the same topology.
     """
-    num_batches = len(batch_ptr) - 1
     csc = matrix.get("csc")
-    starts = csc.indptr[frontiers]
-    lengths = csc.indptr[frontiers + 1] - starts
-    flat = gather_ranges(starts, lengths)
-    indptr = np.zeros(len(frontiers) + 1, dtype=INDEX_DTYPE)
-    np.cumsum(lengths, out=indptr[1:])
-    col_batch = batch_of_columns(batch_ptr, len(frontiers))
-    edge_batch = np.repeat(col_batch, lengths)
-    rows = csc.rows[flat] + edge_batch * matrix.shape[0]
+    ranges = block_ranges(csc, frontiers, batch_ptr)
+    flat = ranges.flat
     out = CSC(
-        indptr=indptr,
-        rows=rows,
+        indptr=_indptr_from_counts(ranges.lengths),
+        rows=ranges.block_rows,
         values=None if csc.values is None else csc.values[flat],
-        shape=(num_batches * matrix.shape[0], len(frontiers)),
+        shape=((len(ranges.batch_ptr) - 1) * matrix.shape[0], len(ranges.ids)),
         edge_ids=flat if csc.edge_ids is None else csc.edge_ids[flat],
     )
-    read = len(frontiers) * 2 * _ITEM + out.nnz * (_ITEM + _VAL)
+    read = len(ranges.ids) * 2 * _ITEM + out.nnz * (_ITEM + _VAL)
     ctx.record(
         "sb_slice_cols",
         bytes_read=read,
@@ -76,12 +120,12 @@ def sb_slice_cols(
         tasks=max(out.nnz, 1),  # edge-parallel gather
         graph_bytes=read if matrix.is_base_graph else 0.0,
     )
-    return Matrix(out, col_ids=np.asarray(frontiers, dtype=INDEX_DTYPE), ctx=ctx)
+    return Matrix(out, col_ids=ranges.ids, ctx=ctx)
 
 
 def sb_fused_extract_reduce(
     matrix: Matrix,
-    frontiers: np.ndarray,
+    frontiers: np.ndarray | BlockRanges,
     batch_ptr: np.ndarray,
     op: str,
     axis: int,
@@ -95,26 +139,22 @@ def sb_fused_extract_reduce(
     """
     if op != "sum":
         raise ShapeError(f"fused extract-reduce supports sum, got {op!r}")
+    if axis != 0:
+        raise ShapeError("super-batched extract-reduce handles axis=0 only")
     csc = matrix.get("csc")
-    frontiers = np.asarray(frontiers, dtype=INDEX_DTYPE)
-    num_batches = len(batch_ptr) - 1
-    starts = csc.indptr[frontiers]
-    lengths = csc.indptr[frontiers + 1] - starts
-    flat = gather_ranges(starts, lengths)
+    ranges = block_ranges(csc, frontiers, batch_ptr)
+    flat = ranges.flat
     vals = (
         np.ones(len(flat), dtype=np.float64)
         if csc.values is None
         else csc.values[flat].astype(np.float64)
     )
-    if axis != 0:
-        raise ShapeError("super-batched extract-reduce handles axis=0 only")
-    col_batch = batch_of_columns(batch_ptr, len(frontiers))
-    edge_batch = np.repeat(col_batch, lengths)
-    offset_rows = csc.rows[flat] + edge_batch * matrix.shape[0]
     out = np.bincount(
-        offset_rows, weights=vals, minlength=num_batches * matrix.shape[0]
+        ranges.block_rows,
+        weights=vals,
+        minlength=(len(ranges.batch_ptr) - 1) * matrix.shape[0],
     ).astype(np.float32)
-    read = len(frontiers) * 2 * _ITEM + len(flat) * (_ITEM + _VAL)
+    read = len(ranges.ids) * 2 * _ITEM + len(flat) * (_ITEM + _VAL)
     ctx.record(
         "sb_fused_extract_reduce",
         bytes_read=read,

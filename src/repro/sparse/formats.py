@@ -22,6 +22,7 @@ the paper's convention.  All formats carry:
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import ClassVar
 
 import numpy as np
@@ -276,6 +277,72 @@ def gather_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     # starts in the source.
     shift = starts - (np.cumsum(lengths) - lengths)
     return np.repeat(shift, lengths) + np.arange(total, dtype=INDEX_DTYPE)
+
+
+def frontier_ids(frontiers: object, num_cols: int) -> np.ndarray:
+    """Frontier column ids as an index array, refused unless every one is
+    an integer in ``[0, num_cols)`` — a negative id would wrap and a
+    fractional one be truncated silently."""
+    raw = np.asarray(frontiers)
+    if raw.size and raw.dtype.kind not in "iu":
+        raise ShapeError(f"frontier ids must be integers, got dtype {raw.dtype}")
+    ids = as_index_array(raw)
+    bad = ids[(ids < 0) | (ids >= num_cols)]
+    if len(bad):
+        raise ShapeError(f"frontier {int(bad[0])} is outside [0, {num_cols})")
+    return ids
+
+
+class FrontierRanges:
+    """The edge ranges of checked ``ids`` in one compressed topology.
+
+    A hop that slices ``A[:, f]`` and extract-reduces ``(A ** 2)[:, f]``
+    reads the same ranges of the same ``indptr`` / ``rows`` twice; handed
+    one ``FrontierRanges``, the two kernels gather them once.  Each part
+    is gathered on first use, inside the kernel that first needs it.
+    """
+
+    def __init__(self, matrix: "CSR | CSC", ids: np.ndarray) -> None:
+        self.indptr = matrix.indptr
+        self.minor = matrix.minor
+        self.shape = matrix.shape
+        self.ids = ids
+
+    def of(self, matrix: "CSR | CSC") -> bool:
+        """Whether these ranges were gathered from ``matrix``'s topology."""
+        return (
+            matrix.indptr is self.indptr
+            and matrix.minor is self.minor
+            and matrix.shape == self.shape
+        )
+
+    @functools.cached_property
+    def starts(self) -> np.ndarray:
+        return self.indptr[self.ids]
+
+    @functools.cached_property
+    def lengths(self) -> np.ndarray:
+        return self.indptr[self.ids + 1] - self.starts
+
+    @functools.cached_property
+    def flat(self) -> np.ndarray:
+        """Flat position of every edge in the ranges, range by range."""
+        return gather_ranges(self.starts, self.lengths)
+
+    @functools.cached_property
+    def gathered(self) -> np.ndarray:
+        """The minor index (a CSC's row) of every edge in the ranges."""
+        return self.minor[self.flat]
+
+
+def frontier_ranges(matrix: "CSR | CSC", frontiers: object) -> FrontierRanges:
+    """``frontiers``' ranges in ``matrix``: ``frontiers`` itself when it is
+    a ``FrontierRanges`` of this topology, else a fresh one of checked ids."""
+    if isinstance(frontiers, FrontierRanges):
+        if frontiers.of(matrix):
+            return frontiers
+        frontiers = frontiers.ids
+    return FrontierRanges(matrix, frontier_ids(frontiers, matrix.shape[matrix.axis]))
 
 
 def sorted_unique(

@@ -28,6 +28,7 @@ from repro.sparse.formats import (
     CSR,
     INDEX_DTYPE,
     VALUE_DTYPE,
+    FrontierRanges,
     SparseFormat,
     _AXES,
     _indptr_from_counts,
@@ -49,7 +50,7 @@ _SLICE_AXES = ("rows", "columns")
 # ---------------------------------------------------------------------------
 def slice_columns(
     matrix: SparseFormat,
-    cols: np.ndarray,
+    cols: np.ndarray | FrontierRanges,
     ctx: ExecutionContext = NULL_CONTEXT,
     *,
     graph_read: bool = False,
@@ -58,7 +59,9 @@ def slice_columns(
 
     The output layout matches the input layout.  ``graph_read`` marks the
     read as touching the original graph's storage, which is priced as UVA
-    traffic when the graph lives in host memory.
+    traffic when the graph lives in host memory.  ``cols`` may be the
+    ranges an extract-reduce of the same hop gathers from the same
+    topology.
     """
     return _slice(matrix, cols, 1, ctx, graph_read)
 
@@ -91,7 +94,8 @@ def _slice(
     """
     if not isinstance(matrix, (COO, CSR, CSC)):
         raise FormatError(f"cannot slice {type(matrix).__name__}")
-    ids = as_index_array(ids)
+    ranges = ids if isinstance(ids, FrontierRanges) else None
+    ids = as_index_array(ids if ranges is None else ranges.ids)
     extent = matrix.shape[axis]
     if len(ids) and (ids.min() < 0 or ids.max() >= extent):
         raise ShapeError(
@@ -99,7 +103,9 @@ def _slice(
         )
     shape = (len(ids), matrix.shape[1]) if axis == 0 else (matrix.shape[0], len(ids))
     if matrix.axis == axis:
-        out = _slice_along(matrix, ids, shape)
+        if ranges is None or not ranges.of(matrix):
+            ranges = FrontierRanges(matrix, ids)
+        out = _slice_along(matrix, ranges, shape)
         read = len(ids) * 2 * _ITEM + out.nnz * (_ITEM + _VAL)
         written = out.nbytes()
         flops = out.nnz
@@ -125,17 +131,14 @@ def _slice(
 
 
 def _slice_along(
-    matrix: CSR | CSC, ids: np.ndarray, shape: tuple[int, int]
+    matrix: CSR | CSC, ranges: FrontierRanges, shape: tuple[int, int]
 ) -> CSR | CSC:
-    starts = matrix.indptr[ids]
-    lengths = matrix.indptr[ids + 1] - starts
-    flat = gather_ranges(starts, lengths)
     return type(matrix)(
-        _indptr_from_counts(lengths),
-        matrix.minor[flat],
-        _take(matrix.values, flat),
+        _indptr_from_counts(ranges.lengths),
+        ranges.gathered,
+        _take(matrix.values, ranges.flat),
         shape,
-        _take(matrix.edge_ids, flat),
+        _take(matrix.edge_ids, ranges.flat),
     )
 
 

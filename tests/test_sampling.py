@@ -232,29 +232,51 @@ class TestWalkStep:
         # Only the column owning edge 10 can step; everyone else is -1.
         assert (nxt >= 0).sum() == 1
 
-    def test_dead_and_zero_in_degree_frontiers_draw_nothing(self):
-        """A ``-1`` frontier reads ``indptr[-1]``/``indptr[0]`` — a negative
-        length — and a node without in-edges a zero one: both stay ``-1``
-        and take no draw; the others take one each, in frontier order."""
+    def test_largest_draw_picks_the_last_in_edge(self):
+        """The walk step has no clamp on ``u * length``: the largest
+        ``u`` below 1 must still land on a column's last in-edge."""
+
+        class LargestDraw:
+            def random(self, n):
+                return np.full(n, np.nextafter(1.0, 0.0))
+
+        lengths = np.array(
+            [*range(1, 200), 1023, 1024, 1025, 4095, 4096, 65535, 65536, 65537]
+        )
+        indptr = np.concatenate([[0], np.cumsum(lengths)])
+        csc = CSC(
+            indptr=indptr,
+            rows=np.arange(indptr[-1]) % len(lengths),
+            values=None,
+            shape=(len(lengths), len(lengths)),
+        )
+        frontiers = np.arange(len(lengths))
+        nxt = uniform_walk_step(csc, frontiers, rng=LargestDraw())
+        np.testing.assert_array_equal(nxt, csc.rows[indptr[1:] - 1])
+
+    def test_zero_in_degree_frontiers_draw_nothing(self):
+        """A node without in-edges stays ``-1`` and takes no draw; the
+        others take one each, in frontier order.  (A ``-1`` frontier is
+        refused: ``test_typed_refusals``.)"""
         csc = CSC(
             indptr=[0, 2, 2, 3, 6], rows=[1, 2, 0, 0, 1, 3], values=None,
             shape=(4, 4),
         )
-        frontiers = np.array([-1, 1, 0, -1, 2, 1, 3])
+        frontiers = np.array([1, 0, 2, 1, 3])
         rng = new_rng(5)
         nxt = uniform_walk_step(csc, frontiers, rng=rng)
         oracle = new_rng(5)
         u = oracle.random(3)
         offsets = np.floor(u * [2, 1, 3]).astype(np.int64)
         expected = np.full(len(frontiers), -1)
-        expected[[2, 4, 6]] = csc.rows[np.array([0, 2, 3]) + offsets]
+        expected[[1, 2, 4]] = csc.rows[np.array([0, 2, 3]) + offsets]
         np.testing.assert_array_equal(nxt, expected)
         assert rng.bit_generator.state == oracle.bit_generator.state
 
         rng = new_rng(5)
         untouched = rng.bit_generator.state
-        nxt = uniform_walk_step(csc, np.array([-1, 1, -1]), rng=rng)
-        np.testing.assert_array_equal(nxt, [-1, -1, -1])
+        nxt = uniform_walk_step(csc, np.array([1, 1]), rng=rng)
+        np.testing.assert_array_equal(nxt, [-1, -1])
         assert rng.bit_generator.state == untouched
 
 

@@ -291,3 +291,79 @@ class TestChooseSuperbatchSize:
             np.arange(8), memory_budget=budget, max_size=64
         )
         assert size == 2
+
+
+class TestSharedExtraction:
+    """Within one interpreter run, a hop's column slice of ``A`` and its
+    extract-reduce of ``A ** 2`` read the frontier ranges once."""
+
+    @staticmethod
+    def _run(name, dataset, monkeypatch, *, shared):
+        import dataclasses
+
+        from repro.algorithms import make_algorithm
+        from repro.ir.interpreter import Interpreter
+        from repro.sparse import formats
+        from tests.test_algorithm_golden import _arrays
+
+        if not shared:
+            share = Interpreter._shared_ranges
+
+            def unshared(self, *args):
+                self._ranges.clear()  # every kernel gathers its own ranges
+                return share(self, *args)
+
+            monkeypatch.setattr(Interpreter, "_shared_ranges", unshared)
+        gathers = []
+        real = formats.gather_ranges
+        monkeypatch.setattr(
+            formats, "gather_ranges", lambda *a: gathers.append(1) or real(*a)
+        )
+        seeds = dataset.train_ids[:96]
+        pipeline = make_algorithm(name).build(
+            dataset.graph, seeds[:32], features=dataset.features
+        )
+        ctx = ExecutionContext(V100)
+        rng = new_rng(11)
+        samples = [
+            pipeline.sample_batch(seeds[:32], ctx=ctx, rng=rng),
+            *pipeline.sample_superbatch(
+                [seeds[32:64], seeds[64:]], ctx=ctx, rng=rng
+            ),
+        ]
+        monkeypatch.undo()
+        # Ledger first: reading a sample's arrays may convert layouts.
+        ledger = [dataclasses.astuple(launch) for launch in ctx.launches]
+        return ledger, _arrays(samples), rng.bit_generator.state, len(gathers)
+
+    @pytest.mark.parametrize("name", ["ladies", "asgcn"])
+    def test_samples_and_ledger_equal_an_unshared_extraction(self, name, monkeypatch):
+        from repro.datasets import load_dataset
+
+        dataset = load_dataset("pd", scale=0.05)
+        got = self._run(name, dataset, monkeypatch, shared=True)
+        want = self._run(name, dataset, monkeypatch, shared=False)
+        assert got[:3] == want[:3]
+        # LADIES gathers each hop's ranges once instead of twice (plain
+        # and super-batched); AS-GCN has one extraction per hop to begin with.
+        assert got[3] == (want[3] // 2 if name == "ladies" else want[3])
+
+    def test_ranges_of_another_topology_are_gathered_afresh(self, small_graph):
+        """Ranges are reused only for the ``indptr`` / ``rows`` they were
+        gathered from; handed another matrix's, a kernel gathers its own."""
+        from repro.core.matrix import from_edges
+        from repro.core.sampling import fused_extract_reduce
+        from repro.sparse.formats import frontier_ranges
+
+        rng = np.random.default_rng(5)
+        other = from_edges(rng.integers(0, 200, 900), rng.integers(0, 200, 900), 200)
+        frontiers, batch_ptr = np.array([3, 1, 4, 1, 5, 9]), np.array([0, 2, 6])
+        stale = frontier_ranges(other.get("csc"), frontiers)
+        np.testing.assert_array_equal(
+            fused_extract_reduce(small_graph.get("csc"), stale, "sum", 0),
+            fused_extract_reduce(small_graph.get("csc"), frontiers, "sum", 0),
+        )
+        stale = superbatch_ops.block_ranges(other.get("csc"), frontiers, batch_ptr)
+        got = superbatch_ops.sb_slice_cols(small_graph, stale, batch_ptr)
+        want = superbatch_ops.sb_slice_cols(small_graph, frontiers, batch_ptr)
+        np.testing.assert_array_equal(to_dense(got), to_dense(want))

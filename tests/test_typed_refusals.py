@@ -114,11 +114,24 @@ class TestIndexBoundaries:
             ([0, 1], -1, "walk length must be >= 0, got -1"),
             ([0, 200], 3, "walk seed 200 is outside [-1, 200)"),
             ([-2, 0], 3, "walk seed -2 is outside [-1, 200)"),
+            ([0, 1], 2.5, "walk length must be an integer, got 2.5"),
+            (
+                [1.7, 2.2],
+                3,
+                "walk seeds must be a 1-D integer array, got shape (2,) of "
+                "dtype float64",
+            ),
+            (
+                [[0, 1], [2, 3]],
+                3,
+                "walk seeds must be a 1-D integer array, got shape (2, 2)",
+            ),
         ],
     )
     def test_walk(self, seeds, walk_length, message, small_graph):
         """Each of these failed deep inside the driver: at ``trace[0] =
-        seeds`` or in the first step's ``indptr`` gather."""
+        seeds`` or in the first step's ``indptr`` gather; ``[1.7, 2.2]``
+        walked from ``[1, 2]`` and a 2-D batch raised a raw ``ValueError``."""
         ctx = ExecutionContext(V100)
         rng = new_rng(0)
         untouched = rng.bit_generator.state
@@ -126,6 +139,172 @@ class TestIndexBoundaries:
             uniform_walk(small_graph, np.array(seeds), walk_length, ctx=ctx, rng=rng)
         assert ctx.launch_count() == 0
         assert rng.bit_generator.state == untouched
+
+
+class TestWalkParameterBoundaries:
+    """A walk parameter no walk can run with is refused with a
+    ``ShapeError`` when the algorithm is made, and by the restart-walk
+    counter before it draws or launches."""
+
+    @pytest.mark.parametrize(
+        ("name", "params", "message"),
+        [
+            ("deepwalk", {"walk_length": 2.5}, "must be an integer, got 2.5"),
+            ("node2vec", {"walk_length": -1}, "walk length must be >= 0, got -1"),
+            ("pinsage", {"restart_prob": 2.0}, "must be in [0, 1], got 2.0"),
+            ("pinsage", {"restart_prob": np.nan}, "must be in [0, 1], got nan"),
+            ("hetgnn", {"restart_prob": 2.0}, "must be in [0, 1], got 2.0"),
+            ("hetgnn", {"restart_prob": np.nan}, "must be in [0, 1], got nan"),
+            ("pinsage", {"num_walks": -1}, "num_walks must be >= 0, got -1"),
+            ("hetgnn", {"num_walks": -1}, "num_walks must be >= 0, got -1"),
+        ],
+    )
+    def test_make_algorithm(self, name, params, message):
+        """``walk_length=2.5`` constructed and failed later with a raw
+        ``TypeError``; ``restart_prob=2.0`` always restarted and NaN never
+        did; ``num_walks=-1`` raised NumPy's raw ``ValueError``."""
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            make_algorithm(name, **params)
+
+    @pytest.mark.parametrize(
+        ("params", "message"),
+        [
+            ({"restart_prob": 2.0}, "restart_prob must be in [0, 1], got 2.0"),
+            ({"restart_prob": -0.1}, "restart_prob must be in [0, 1], got -0.1"),
+            ({"restart_prob": np.nan}, "restart_prob must be in [0, 1], got nan"),
+            ({"num_walks": -1}, "num_walks must be >= 0, got -1"),
+            ({"num_walks": 1.5}, "num_walks must be an integer, got 1.5"),
+            ({"frontiers": [0.5, 1.5]}, "walk seeds must be a 1-D integer array"),
+        ],
+    )
+    def test_restart_walk_visit_counts(self, params, message, small_graph):
+        from repro.algorithms.walks import restart_walk_visit_counts
+
+        ctx = ExecutionContext(V100)
+        rng = new_rng(0)
+        untouched = rng.bit_generator.state
+        kwargs = {
+            "frontiers": [0, 1], "num_walks": 2, "walk_length": 3,
+            "restart_prob": 0.5, **params,
+        }
+        frontiers = np.array(kwargs.pop("frontiers"))
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            restart_walk_visit_counts(small_graph, frontiers, ctx=ctx, rng=rng, **kwargs)
+        assert ctx.launch_count() == 0
+        assert rng.bit_generator.state == untouched
+
+
+class TestWalkStepBoundaries:
+    """The exported ``uniform_walk_step`` refuses a frontier that is not a
+    node and a bias no walker can follow, before it draws or launches."""
+
+    @pytest.mark.parametrize(
+        ("frontiers", "bias", "message"),
+        [
+            ([-1, 0], None, "frontier -1 is outside [0, 200)"),
+            ([0, 200], None, "frontier 200 is outside [0, 200)"),
+            ([1.5], None, "frontier ids must be integers, got dtype float64"),
+            ([0, 1], "negative", "walk bias must be finite and non-negative"),
+            ([0, 1], "nan", "walk bias must be finite and non-negative"),
+            ([0, 1], "short", "per-edge bias shape"),
+        ],
+    )
+    def test_refused_before_any_draw_or_launch(
+        self, frontiers, bias, message, small_graph
+    ):
+        """Frontier ``-1`` returned ``-1`` and charged its launch 1 flop;
+        ``1.5`` walked from 1; a negative or NaN bias stranded every walker
+        without an error."""
+        from repro.core import uniform_walk_step
+
+        csc = small_graph.get("csc")
+        weights = np.ones(csc.nnz)
+        if bias == "negative":
+            weights[3] = -1.0
+        elif bias == "nan":
+            weights[3] = np.nan
+        elif bias == "short":
+            weights = weights[:-1]
+        ctx = ExecutionContext(V100)
+        rng = new_rng(0)
+        untouched = rng.bit_generator.state
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            uniform_walk_step(
+                csc,
+                np.array(frontiers),
+                rng=rng,
+                ctx=ctx,
+                bias_edge_values=None if bias is None else weights,
+            )
+        assert ctx.launch_count() == 0
+        assert rng.bit_generator.state == untouched
+
+
+class TestSuperbatchExtractBoundaries:
+    """The super-batched slice and extract-reduce refuse bad frontiers, a
+    batch pointer that steps back and an unsupported reduction with a
+    ``ShapeError`` before they gather or launch."""
+
+    @staticmethod
+    def _no_gather(monkeypatch):
+        from repro.ir import superbatch_ops
+        from repro.sparse import formats
+
+        def no_gather(*args):
+            raise AssertionError("gathered before refusing")
+
+        for module in (formats, superbatch_ops):
+            monkeypatch.setattr(module, "gather_ranges", no_gather, raising=False)
+
+    @pytest.mark.parametrize("kernel", ["sb_slice_cols", "sb_fused_extract_reduce"])
+    @pytest.mark.parametrize(
+        ("frontiers", "batch_ptr", "message"),
+        [
+            ([-1, 0, 1], [0, 1, 3], "frontier -1 is outside [0, 200)"),
+            ([0, 200, 1], [0, 1, 3], "frontier 200 is outside [0, 200)"),
+            ([0.5, 1.0, 2.0], [0, 1, 3], "frontier ids must be integers"),
+            ([0, 1, 2], [0, 2, 1, 3], "batch_ptr must rise from 0 to the 3 frontiers"),
+            ([0, 1, 2], [1, 3], "batch_ptr must rise from 0 to the 3 frontiers"),
+            ([0, 1, 2], [0, 2], "batch_ptr must rise from 0 to the 3 frontiers"),
+        ],
+    )
+    def test_refused_before_any_gather_or_launch(
+        self, kernel, frontiers, batch_ptr, message, small_graph, monkeypatch
+    ):
+        """Frontiers ``-1`` / ``200`` raised a raw ``IndexError``, fractional
+        ones a raw ``ValueError``, and ``[0, 2, 1, 3]`` put columns in the
+        wrong batch."""
+        from repro.ir import superbatch_ops
+
+        self._no_gather(monkeypatch)
+        ctx = ExecutionContext(V100)
+        args = (small_graph, np.array(frontiers), np.array(batch_ptr))
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            if kernel == "sb_slice_cols":
+                superbatch_ops.sb_slice_cols(*args, ctx)
+            else:
+                superbatch_ops.sb_fused_extract_reduce(*args, "sum", 0, ctx)
+        assert ctx.launch_count() == 0
+
+    @pytest.mark.parametrize(
+        ("op", "axis", "message"),
+        [
+            ("max", 0, "fused extract-reduce supports sum, got 'max'"),
+            ("sum", 1, "super-batched extract-reduce handles axis=0 only"),
+        ],
+    )
+    def test_reduction_checked_before_the_gather(
+        self, op, axis, message, small_graph, monkeypatch
+    ):
+        from repro.ir import superbatch_ops
+
+        self._no_gather(monkeypatch)
+        ctx = ExecutionContext(V100)
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            superbatch_ops.sb_fused_extract_reduce(
+                small_graph, np.array([0, 1]), np.array([0, 2]), op, axis, ctx
+            )
+        assert ctx.launch_count() == 0
 
 
 class TestFusedExtractSelectBoundaries:

@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.algorithms import walks
-from repro.algorithms.node2vec import node2vec_step
+from repro.algorithms.node2vec import _adjacent_to_previous, node2vec_step
 from repro.algorithms.walks import (
     WalkResult,
     induce_subgraph,
@@ -21,10 +22,16 @@ from repro.algorithms.walks import (
 )
 from repro.core import new_rng
 from repro.core.matrix import from_edges
+from repro.core.sampling import _segmented_biased_with_replacement, _segments_of
 from repro.device import NULL_CONTEXT, ExecutionContext, V100
+from repro.errors import ShapeError
 from repro.sparse import INDEX_DTYPE
+from repro.sparse.formats import gather_ranges
 
 from tests.conftest import to_dense
+
+_ITEM = 8
+_VAL = 4
 
 
 class TestUniformWalk:
@@ -62,35 +69,146 @@ class TestUniformWalk:
 
 
 # ----------------------------------------------------------------------
-# The walk loop ``walks.walk`` had until it carried its live walkers,
-# kept verbatim as the oracle: it re-derived them from the trace.
+# The walk driver and steps as they were until dead-end walkers left the
+# live set before each draw, kept verbatim as the oracle: every step
+# filled a -1 array for all live walkers and the driver filtered it.
 # ----------------------------------------------------------------------
-def _trace_walk(graph, seeds, walk_length, step, *, ctx=NULL_CONTEXT, rng=None):
+def _oracle_walk(graph, seeds, walk_length, step, *, ctx=NULL_CONTEXT, rng=None):
+    seeds = np.asarray(seeds, dtype=INDEX_DTYPE)
+    if walk_length < 0:
+        raise ShapeError(f"walk length must be >= 0, got {walk_length}")
+    num_nodes = graph.shape[1]  # a walker's node indexes the CSC's columns
+    bad = seeds[(seeds < -1) | (seeds >= num_nodes)]
+    if len(bad):
+        raise ShapeError(f"walk seed {int(bad[0])} is outside [-1, {num_nodes})")
     rng = rng if rng is not None else new_rng(None)
     csc = graph.get("csc")
-    seeds = np.asarray(seeds, dtype=INDEX_DTYPE)
     trace = np.full((walk_length + 1, len(seeds)), -1, dtype=INDEX_DTYPE)
     trace[0] = seeds
+    alive = np.flatnonzero(seeds >= 0)
     for t in range(walk_length):
-        alive = np.flatnonzero(trace[t] >= 0)
         if len(alive) == 0:
             break
-        trace[t + 1][alive] = step(csc, trace[: t + 1], alive, rng, ctx)
+        nxt = step(csc, trace[: t + 1], alive, rng, ctx)
+        trace[t + 1][alive] = nxt
+        alive = alive[nxt >= 0]
     return WalkResult(trace=trace)
 
 
-_WALK = walks.walk
+def _oracle_walk_step(
+    graph_csc, frontiers, rng=None, ctx=NULL_CONTEXT, bias_edge_values=None
+):
+    rng = rng if rng is not None else new_rng()
+    frontiers = np.asarray(frontiers, dtype=INDEX_DTYPE)
+    starts = graph_csc.indptr[frontiers]
+    lengths = graph_csc.indptr[frontiers + 1] - starts
+    total = int(lengths.sum())
+    nxt = np.full(len(frontiers), -1, dtype=INDEX_DTYPE)
+    if bias_edge_values is None:
+        moving = np.flatnonzero(lengths > 0)
+        if len(moving):
+            span = lengths[moving]
+            offsets = (rng.random(len(moving)) * span).astype(INDEX_DTYPE)
+            # Guard against u * length rounding up onto the length.
+            np.minimum(offsets, span - 1, out=offsets)
+            nxt[moving] = graph_csc.rows[starts[moving] + offsets]
+    else:
+        flat = gather_ranges(starts, lengths)
+        sub_indptr = np.zeros(len(frontiers) + 1, dtype=INDEX_DTYPE)
+        np.cumsum(lengths, out=sub_indptr[1:])
+        picks = _segmented_biased_with_replacement(
+            sub_indptr, np.asarray(bias_edge_values, dtype=np.float64)[flat], 1, rng
+        )
+        seg = _segments_of(picks, sub_indptr)
+        nxt[seg] = graph_csc.rows[flat[picks]]
+    # Uniform picks read indptr plus the one chosen row per frontier;
+    # the biased inverse-CDF scan reads every candidate edge's row id
+    # and weight before picking, and must be charged for all of them.
+    if bias_edge_values is None:
+        read = len(frontiers) * 2 * _ITEM + len(frontiers) * _ITEM
+    else:
+        read = len(frontiers) * 2 * _ITEM + total * (_ITEM + _VAL)
+    ctx.record(
+        "walk_step",
+        bytes_read=read,
+        bytes_written=nxt.nbytes,
+        flops=float(max(total, 1)),
+        tasks=max(total, 1),  # alias-table lanes per edge
+        graph_bytes=read,
+    )
+    return nxt
 
 
-def _walk_run(driver, kind, graph, seeds, walk_length, seed):
-    """``kind``'s public entry with ``walks.walk`` bound to ``driver``:
-    the trace, the generator's end state and the launch ledger."""
-    ctx = ExecutionContext(V100)
-    rng = new_rng(seed)
+def _oracle_uniform_step(csc, history, alive, rng, ctx):
+    return _oracle_walk_step(csc, history[-1][alive], rng=rng, ctx=ctx)
+
+
+def _oracle_node2vec_step(p, q, csc, history, alive, rng, ctx):
+    if len(history) == 1:
+        # First step has no previous frontier: uniform.
+        return _oracle_uniform_step(csc, history, alive, rng, ctx)
+    cur, prev = history[-1][alive], history[-2][alive]
+    starts = csc.indptr[cur]
+    lengths = csc.indptr[cur + 1] - starts
+    cand = csc.rows[gather_ranges(starts, lengths)]
+    bias = np.full(len(cand), 1.0 / q)
+    bias[_adjacent_to_previous(csc, cand, lengths, prev)] = 1.0
+    bias[cand == np.repeat(prev, lengths)] = 1.0 / p
+    sub_indptr = np.zeros(len(cur) + 1, dtype=INDEX_DTYPE)
+    np.cumsum(lengths, out=sub_indptr[1:])
+    picks = _segmented_biased_with_replacement(sub_indptr, bias, 1, rng)
+    nxt = np.full(len(cur), -1, dtype=INDEX_DTYPE)
+    nxt[_segments_of(picks, sub_indptr)] = cand[picks]
+    read = len(cur) * 3 * _ITEM + int(lengths.sum()) * 2 * _ITEM
+    ctx.record(
+        "node2vec_step",
+        bytes_read=read,
+        bytes_written=nxt.nbytes,
+        flops=float(lengths.sum()) * np.log2(max(csc.nnz, 2)),  # binary searches
+        tasks=max(len(cur), 1),
+        graph_bytes=read,
+    )
+    return nxt
+
+
+def _oracle_restart_step(restart_prob, csc, history, alive, rng, ctx):
+    nxt = _oracle_uniform_step(csc, history, alive, rng, ctx)
+    # Stranded walkers restart too, so no walker ever dies.
+    home = (rng.random(len(alive)) < restart_prob) | (nxt < 0)
+    nxt[home] = history[0][alive[home]]
+    return nxt
+
+
+_RESTART_PROB = 0.3
+_NUM_WALKS = 2
+
+
+def _ledger(ctx):
+    return [dataclasses.astuple(launch) for launch in ctx.launches]
+
+
+def _oracle_run(kind, graph, seeds, walk_length, seed):
+    """The oracle's trace, generator end state and launch ledger."""
+    ctx, rng = ExecutionContext(V100), new_rng(seed)
+    step = {
+        "uniform": _oracle_uniform_step,
+        "node2vec": functools.partial(_oracle_node2vec_step, 2.0, 0.5),
+        "restart": functools.partial(_oracle_restart_step, _RESTART_PROB),
+    }[kind]
+    if kind == "restart":
+        seeds = np.repeat(seeds, _NUM_WALKS)
+    trace = _oracle_walk(graph, seeds, walk_length, step, ctx=ctx, rng=rng).trace
+    return trace, rng.bit_generator.state, _ledger(ctx)
+
+
+def _walk_run(kind, graph, seeds, walk_length, seed):
+    """The same through ``kind``'s public entry, with the trace read off
+    the one driver it runs."""
+    ctx, rng = ExecutionContext(V100), new_rng(seed)
     traces = []
 
     def recorded(*args, **kwargs):
-        result = driver(*args, **kwargs)
+        result = _WALK(*args, **kwargs)
         traces.append(result.trace)
         return result
 
@@ -102,47 +220,60 @@ def _walk_run(driver, kind, graph, seeds, walk_length, seed):
             walks.walk(graph, seeds, walk_length, step, ctx=ctx, rng=rng)
         else:
             restart_walk_visit_counts(
-                graph, seeds, num_walks=2, walk_length=walk_length,
-                restart_prob=0.3, ctx=ctx, rng=rng,
+                graph, seeds, num_walks=_NUM_WALKS, walk_length=walk_length,
+                restart_prob=_RESTART_PROB, ctx=ctx, rng=rng,
             )
-    ledger = [
-        (l.name, l.bytes_read, l.bytes_written, l.flops, l.tasks)
-        for l in ctx.launches
-    ]
     (trace,) = traces
-    return trace, rng.bit_generator.state, ledger
+    return trace, rng.bit_generator.state, _ledger(ctx)
 
 
-@st.composite
-def _walk_cases(draw):
-    """A sparse random graph — dead ends (no in-edges) are common — and
-    seeds that mix live nodes, dead ends and dead (``-1``) walkers."""
-    n = draw(st.integers(1, 25))
-    edges = draw(
-        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
-                 max_size=3 * n, unique=True)
-    )
-    graph = from_edges(
+_WALK = walks.walk
+
+
+def _graph(n, edges):
+    return from_edges(
         np.array([e[0] for e in edges], dtype=INDEX_DTYPE),
         np.array([e[1] for e in edges], dtype=INDEX_DTYPE),
         n,
     )
+
+
+#: Node 0 is the one node with in-edges: every other walker is stranded
+#: before the first draw.
+_STRANDED = _graph(6, [(1, 0), (2, 0)])
+
+
+@st.composite
+def _walk_cases(draw):
+    """A sparse random graph — most nodes have no in-edges — and seeds
+    that mix live nodes, dead ends and dead (``-1``) walkers."""
+    n = draw(st.integers(1, 25))
+    edges = draw(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                 max_size=n, unique=True)
+    )
     seeds = np.array(
         draw(st.lists(st.integers(-1, n - 1), max_size=20)), dtype=INDEX_DTYPE
     )
-    return graph, seeds, draw(st.integers(0, 12)), draw(st.integers(0, 2**16))
+    walk_length, seed = draw(st.integers(0, 12)), draw(st.integers(0, 2**16))
+    return _graph(n, edges), seeds, walk_length, seed
 
 
 class TestWalkDriverOracle:
     @pytest.mark.parametrize("kind", ["uniform", "node2vec", "restart"])
     @given(case=_walk_cases())
-    @settings(max_examples=60, deadline=None)
-    def test_matches_the_trace_rederiving_loop(self, kind, case):
-        """Carrying the live set forward is the same walk: every trace
-        entry, every draw (the generator ends in the same state) and every
-        launch record the loop that re-read the trace each step gave."""
-        got = _walk_run(_WALK, kind, *case)
-        want = _walk_run(_trace_walk, kind, *case)
+    @example(case=(_STRANDED, np.array([1, 2, -1, 3, 5]), 4, 7))
+    @example(case=(_STRANDED, np.array([0, -1, 4, 0]), 0, 8))
+    @example(case=(_STRANDED, np.array([0, 0, 3, -1]), 1, 9))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_filtering_driver(self, kind, case):
+        """Dropping dead-end walkers before the draw is the same walk:
+        every trace entry, every draw (the generator ends in the same
+        state) and every launch record of the driver that filled a -1
+        array and filtered it — walk lengths 0 and 1, ``-1`` seeds and a
+        batch stranded at step 0 included."""
+        got = _walk_run(kind, *case)
+        want = _oracle_run(kind, *case)
         np.testing.assert_array_equal(got[0], want[0])
         assert got[1] == want[1]
         assert got[2] == want[2]
