@@ -59,8 +59,8 @@ def _fraction(system_name: str, device_kind: str, algo_name: str) -> float:
     trainer = Trainer(
         pipeline, model, ds, device=device, train_device=V100, batch_size=256
     )
-    result = trainer.train(2, max_batches_per_epoch=4)
-    return result.sampling_fraction
+    serial, _ = trainer.train(2, max_batches_per_epoch=4)
+    return serial.sampling_fraction
 
 
 @pytest.mark.parametrize("framework,device,system,algos", ROWS)

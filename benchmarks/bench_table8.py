@@ -66,8 +66,8 @@ def _train(algorithm: str, system_name: str) -> tuple[float, float]:
     trainer = Trainer(
         pipeline, model, ds, device=device, train_device=V100, batch_size=256
     )
-    result = trainer.train(6, max_batches_per_epoch=6)
-    return result.total_seconds, result.final_accuracy
+    serial, _ = trainer.train(6, max_batches_per_epoch=6)
+    return serial.total_seconds, serial.final_accuracy
 
 
 @pytest.mark.parametrize("algorithm", sorted(CONFIGS))

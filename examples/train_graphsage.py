@@ -43,7 +43,7 @@ def main() -> None:
         pipeline, model, dataset, device=V100, batch_size=512, lr=0.05
     )
 
-    result = trainer.train(epochs=8, max_batches_per_epoch=8)
+    result, _ = trainer.train(epochs=8, max_batches_per_epoch=8)
     print("\nper-epoch training accuracy:")
     for epoch, acc in enumerate(result.accuracy_history, start=1):
         print(f"  epoch {epoch}: {acc * 100:.2f}%")

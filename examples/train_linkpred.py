@@ -63,7 +63,7 @@ def main() -> None:
         task=task,
     )
 
-    result = trainer.train(epochs=4, max_batches_per_epoch=8)
+    result, _ = trainer.train(epochs=4, max_batches_per_epoch=8)
     print("\nper-epoch AUC (positive pair outscores negative):")
     for epoch, auc in enumerate(result.accuracy_history, start=1):
         print(f"  epoch {epoch}: {auc:.3f}")

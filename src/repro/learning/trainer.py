@@ -8,20 +8,20 @@ launch), and the model's forward/backward are charged as dense-compute
 launches sized by their true FLOP counts.  Accuracy is real — the model
 actually trains on the synthetic labels.
 
-One epoch loop schedules every batch on the ``sample`` / ``transfer`` /
-``compute`` queues; a clock is one reading of it — :class:`Trainer` sums
-busy time, :class:`~repro.pipeline.PipelinedTrainer` takes the makespan.
-One run can keep two training contexts (ledgers) — the configured
-feature store's and an uncached one — so a single pass over the batches
-yields both the pipelined and the serial result
-(:func:`~repro.pipeline.run_pipeline_cell`).
+:class:`Trainer`'s one epoch loop schedules every batch on the
+``sample`` / ``transfer`` / ``compute`` queues and charges each gather
+and compute launch to two training contexts (ledgers): an uncached one
+and the configured feature store's.  :meth:`Trainer.train` reads the run
+on both clocks — the serial one (summed busy time, uncached ledger) and
+the pipelined one (the overlap's makespan, the store's ledger).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-from collections.abc import Callable
+import math
+import numbers
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from repro.cache import CacheStats, FeatureSource, plan_gather
 from repro.core import GraphSample, minibatches, new_rng
 from repro.datasets import Dataset
 from repro.device import DeviceSpec, ExecutionContext
+from repro.errors import ShapeError
 from repro.learning.models import SampledGNN
 from repro.learning.nn import SGD
 from repro.profile.spans import Profiler, maybe_span
@@ -38,6 +39,41 @@ from repro.tasks import NodeClassificationTask, Task, TaskBatch
 #: How many batches the sampler may run ahead of the trainer; 2 is the
 #: classic double-buffering depth (one batch in flight per stage).
 DEFAULT_PREFETCH_DEPTH = 2
+
+
+def check_run_shape(
+    *,
+    epochs: int = 1,
+    batch_size: int = 1,
+    max_batches: int | None = None,
+    prefetch_depth: int = 1,
+    seed: int = 0,
+    lr: float = 1.0,
+) -> None:
+    """Refuse a run shape no epoch can honour with a ``ShapeError``.
+
+    A knob the caller leaves out takes a value that passes;
+    ``max_batches=None`` means every batch.
+    """
+    counts = {"epochs": epochs, "batch size": batch_size,
+              "prefetch depth": prefetch_depth, "seed": seed}
+    if max_batches is not None:
+        counts["max batches"] = max_batches
+    for name, value in counts.items():
+        if not isinstance(value, numbers.Integral):
+            raise ShapeError(f"{name} must be an integer, got {value!r}")
+    if epochs < 1 or batch_size < 1:
+        raise ShapeError(
+            f"epochs and batch size must be >= 1, got {epochs} and {batch_size}"
+        )
+    if max_batches is not None and max_batches < 1:
+        raise ShapeError(f"max batches must be >= 1 or None, got {max_batches}")
+    if prefetch_depth < 1:
+        raise ShapeError(f"prefetch depth must be at least 1, got {prefetch_depth}")
+    if seed < 0:
+        raise ShapeError(f"seed must be >= 0, got {seed}")
+    if not (isinstance(lr, numbers.Real) and 0.0 < lr < math.inf):
+        raise ShapeError(f"learning rate must be finite and positive, got {lr!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -50,11 +86,6 @@ class QueueReport:
     end_seconds: float
     launches: int
 
-    @property
-    def utilization(self) -> float:
-        """Occupied fraction of the full makespan this queue ran under."""
-        return self.busy_seconds / self.end_seconds if self.end_seconds else 0.0
-
 
 @dataclasses.dataclass
 class TrainResult:
@@ -62,8 +93,9 @@ class TrainResult:
 
     ``sampling_seconds`` / ``training_seconds`` are the busy (occupied)
     seconds of the sampling and training contexts; ``total_seconds`` is
-    the trainer's clock — their sum for :class:`Trainer`, the overlap
-    makespan for a pipelined run, where the surplus *is* the overlap win.
+    the clock that read the run — their sum on the serial clock, the
+    overlap makespan on the pipelined one, where the surplus *is* the
+    overlap win.
     """
 
     epochs: int
@@ -88,26 +120,25 @@ class TrainResult:
         """What the queued work would cost with no overlap at all."""
         return sum(r.busy_seconds for r in self.queue_reports)
 
-    @property
-    def overlap_reduction(self) -> float:
-        """Fractional time saved vs running the queues back-to-back."""
-        serial = self.serialized_seconds
-        if serial <= 0.0:
-            return 0.0
-        return 1.0 - self.total_seconds / serial
-
 
 class Trainer:
     """Mini-batch trainer wiring a sampling pipeline to a sampled GNN.
 
-    Its clock is serial: the gather charges every row over PCIe (no
-    feature store), and the total is the sum of both contexts' busy time.
+    features:
+        The feature table as the training device reaches it; ``None``
+        (the default) is the uncached source, every row over PCIe.  Its
+        pinned bytes are charged to the training context's memory pool.
+    prefetch_depth:
+        Staging-buffer bound: sampling of batch ``i`` may not start
+        before compute of batch ``i - prefetch_depth`` finished.  Must
+        be at least 1; 2 (the default) gives classic double buffering.
+    prefetch:
+        When True (the default), batch ``i+1``'s feature fetch overlaps
+        batch ``i``'s compute — the async-prefetch loader.  False models
+        a synchronous loader: a batch's fetch may not start until the
+        previous batch's compute finished, which serializes the miss
+        traffic the tiered store's overlap would otherwise hide.
     """
-
-    #: The schedule's knobs (see :class:`~repro.pipeline.PipelinedTrainer`);
-    #: no schedule moves busy time, so neither reaches the serial clock.
-    prefetch_depth = DEFAULT_PREFETCH_DEPTH
-    prefetch = True
 
     def __init__(
         self,
@@ -121,19 +152,28 @@ class Trainer:
         lr: float = 0.05,
         seed: int = 0,
         task: Task | None = None,
+        features: FeatureSource | None = None,
+        prefetch_depth: int = DEFAULT_PREFETCH_DEPTH,
+        prefetch: bool = True,
     ) -> None:
+        check_run_shape(
+            batch_size=batch_size, prefetch_depth=prefetch_depth, seed=seed,
+            lr=lr,
+        )
         self.pipeline = pipeline
         self.model = model
         self.dataset = dataset
-        #: The feature table as the training device reaches it; every
-        #: batch's gather is charged through it.
-        self.features = FeatureSource(dataset, cache_ratio=0.0)
+        if features is None:
+            features = FeatureSource(dataset, cache_ratio=0.0)
+        self.features = features
         #: Device running the *sampling* kernels. Training compute runs on
         #: ``train_device`` (default: same device) — the paper's CPU rows
         #: sample on the CPU but still train on the GPU.
         self.device = device
         self.train_device = train_device if train_device is not None else device
         self.batch_size = batch_size
+        self.prefetch_depth = prefetch_depth
+        self.prefetch = prefetch
         self.optimizer = SGD(model.parameters(), lr=lr)
         self.rng = new_rng(seed)
         #: Workload definition: what an epoch iterates, how a mini-batch
@@ -190,34 +230,32 @@ class Trainer:
         epochs: int,
         max_batches_per_epoch: int | None,
         profiler: Profiler | None,
-        clock: Callable[[ExecutionContext, ExecutionContext], float],
-        serial: list[TrainResult] | None = None,
-    ) -> TrainResult:
-        """The one epoch loop; ``clock`` reads ``total_seconds`` off it.
+    ) -> tuple[TrainResult, TrainResult]:
+        """The one epoch loop; returns its ``(serial, pipelined)`` readings.
 
         Batch ``i``'s transfer waits on its sampling, its compute on its
         transfer, and sampling runs at most ``prefetch_depth`` batches
         ahead of compute.  Python runs serially under any schedule.
 
-        ``serial`` (a list) asks for a second ledger: every gather and
-        ``train_fwd_bwd`` launch is also charged to an uncached training
-        context, and the serial-clock result read off it is appended to
-        the list.  ``ExecutionContext.record`` prices a launch without
-        regard to its start, so that result equals a standalone
-        :class:`Trainer` run's in every field but its queues'
-        ``end_seconds``, which follow this run's schedule (nothing reads
-        them).
+        Every gather and ``train_fwd_bwd`` launch is charged to two
+        training contexts: the configured source's, whose schedule drives
+        the loop and which the profiler sees, and an uncached one.
+        ``ExecutionContext.record`` prices a launch without regard to its
+        start, so the serial reading equals an uncached run's in every
+        field but its queues' ``end_seconds``, which follow this run's
+        schedule (nothing reads them).
         """
         features = self.features
         features.reset_stats()  # the source outlives a run; its tally does not
+        uncached = FeatureSource(self.dataset, cache_ratio=0.0)
         sample_ctx = ExecutionContext(
             self.device, graph_on_device=self.dataset.graph_on_device
         )
-        train_ctx = self._train_context(features)
-        ledgers = [(features, train_ctx)]
-        if serial is not None:
-            uncached = FeatureSource(self.dataset, cache_ratio=0.0)
-            ledgers.append((uncached, self._train_context(uncached)))
+        ledgers = [
+            (source, self._train_context(source))
+            for source in (features, uncached)
+        ]
+        (_, train_ctx), (_, serial_ctx) = ledgers
         if profiler is not None:
             profiler.attach(sample_ctx)
             train_ctx.profiler = profiler
@@ -281,15 +319,13 @@ class Trainer:
             acc_history.append(float(np.mean(epoch_acc)) if epoch_acc else 0.0)
 
         def result(
-            source: FeatureSource,
-            ctx: ExecutionContext,
-            read: Callable[[ExecutionContext, ExecutionContext], float],
+            source: FeatureSource, ctx: ExecutionContext, total: float
         ) -> TrainResult:
             return TrainResult(
                 epochs=epochs,
                 final_accuracy=acc_history[-1] if acc_history else 0.0,
                 final_loss=last_loss,
-                total_seconds=read(sample_ctx, ctx),
+                total_seconds=total,
                 sampling_seconds=sample_ctx.busy_seconds,
                 training_seconds=ctx.busy_seconds,
                 accuracy_history=list(acc_history),
@@ -307,25 +343,30 @@ class Trainer:
                 cache_stats=source.stats(),
             )
 
-        if serial is not None:
-            serial.append(result(*ledgers[1], _serial_clock))
-        return result(features, train_ctx, clock)
+        # A launch outside every named queue starts at its context's
+        # makespan, so the pipelined clock is ``elapsed``, not a queue end.
+        serial = result(
+            uncached, serial_ctx,
+            sample_ctx.busy_seconds + serial_ctx.busy_seconds,
+        )
+        pipelined = result(
+            features, train_ctx, max(sample_ctx.elapsed, train_ctx.elapsed)
+        )
+        return serial, pipelined
 
     def train(
         self,
         epochs: int,
         *,
         max_batches_per_epoch: int | None = None,
-    ) -> TrainResult:
-        """Train ``epochs`` epochs under the serial clock.
+        profiler: Profiler | None = None,
+    ) -> tuple[TrainResult, TrainResult]:
+        """Train ``epochs`` epochs once; return ``(serial, pipelined)``.
 
-        ``busy_seconds`` adds launches in issue order, exactly as one
-        in-order queue's ``elapsed`` would, so the schedule's overlap
-        never reaches this clock.
+        The serial reading sums both contexts' busy time over the
+        uncached ledger (Table 1's clock); the pipelined one is the
+        overlap's makespan over the configured store's ledger.  The
+        profiler sees the pipelined ledger.
         """
-        return self._run(epochs, max_batches_per_epoch, None, _serial_clock)
-
-
-def _serial_clock(sample: ExecutionContext, train: ExecutionContext) -> float:
-    """The serial clock: both contexts' busy time, summed."""
-    return sample.busy_seconds + train.busy_seconds
+        check_run_shape(epochs=epochs, max_batches=max_batches_per_epoch)
+        return self._run(epochs, max_batches_per_epoch, profiler)

@@ -20,6 +20,7 @@ FAST_EXAMPLES = [
     "heterogeneous_metapath.py",
     "pass_attention_training.py",
     "serve_online.py",
+    "train_graphsage.py",
     "train_linkpred.py",
 ]
 

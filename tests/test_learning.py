@@ -199,7 +199,7 @@ class TestTrainer:
             ds.features.shape[1], 32, ds.num_classes, num_layers=2, rng=rng
         )
         trainer = Trainer(pipe, model, ds, device=V100, batch_size=128)
-        result = trainer.train(4, max_batches_per_epoch=6)
+        result, _ = trainer.train(4, max_batches_per_epoch=6)
         assert result.final_accuracy > 0.8
         assert 0.0 < result.sampling_fraction < 1.0
         assert result.total_seconds == (

@@ -72,7 +72,8 @@ class TestSplitDeviceTraining:
                 pipe, model, ds, device=sample_device, train_device=V100,
                 batch_size=64,
             )
-            return trainer.train(1, max_batches_per_epoch=4).sampling_fraction
+            serial, _ = trainer.train(1, max_batches_per_epoch=4)
+            return serial.sampling_fraction
 
         assert run(CPU) > run(V100)
         assert run(CPU) > 0.8

@@ -226,7 +226,7 @@ class TestLinkPredictionTask:
             pipeline, model, pd, device=V100, batch_size=128, lr=0.05,
             seed=0, task=task,
         )
-        result = trainer.train(epochs=2, max_batches_per_epoch=4)
+        result, _ = trainer.train(epochs=2, max_batches_per_epoch=4)
         assert np.isfinite(result.final_loss)
         assert 0.0 <= result.final_accuracy <= 1.0
         assert len(result.accuracy_history) == 2
@@ -248,7 +248,7 @@ class TestLinkPredictionTask:
                 pipeline, model, pd, device=V100, batch_size=64,
                 lr=0.05, seed=0, task=task,
             )
-            result = trainer.train(epochs=1, max_batches_per_epoch=3)
+            result, _ = trainer.train(epochs=1, max_batches_per_epoch=3)
             return result.final_loss, result.final_accuracy
 
         assert run() == run()

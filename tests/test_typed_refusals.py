@@ -409,8 +409,9 @@ class TestPipelineFlagBoundaries:
 
 
 class TestPipelineCellBoundaries:
-    """``run_pipeline_cell`` refuses a non-integer epoch shape or a negative
-    seed with a ``ShapeError`` before it builds a sampler or draws."""
+    """``run_pipeline_cell`` and ``Trainer`` refuse a non-integer or empty
+    epoch shape, a negative seed or a non-positive learning rate with a
+    ``ShapeError`` before they build a sampler, draw or train."""
 
     @pytest.mark.parametrize(
         ("knob", "message"),
@@ -424,6 +425,7 @@ class TestPipelineCellBoundaries:
                 "prefetch depth must be an integer, got 1.5",
             ),
             ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"prefetch_depth": 0}, "prefetch depth must be at least 1, got 0"),
         ],
         ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items())
         if isinstance(v, dict) else None,
@@ -432,7 +434,8 @@ class TestPipelineCellBoundaries:
         """``max_batches=2.5``, ``batch_size=2.5`` and ``epochs=1.5`` (or
         ``None``) raised a raw ``TypeError`` and ``seed=-1`` NumPy's raw
         ``ValueError``, most after the sampler was built;
-        ``prefetch_depth=1.5`` was accepted."""
+        ``prefetch_depth=1.5`` was accepted and ``0`` refused only after
+        the build."""
         from repro.algorithms.base import Algorithm
         from repro.datasets import load_dataset
         from repro.pipeline import run_pipeline_cell
@@ -445,27 +448,35 @@ class TestPipelineCellBoundaries:
         with pytest.raises(ShapeError, match=re.escape(message)):
             run_pipeline_cell("graphsage", dataset, device=V100, **knob)
 
-
-class TestFeatureStoreBoundaries:
-    """A store knob the configuration cannot honour is refused with a
-    ``ShapeError`` before any store exists, not dropped."""
-
     @pytest.mark.parametrize(
-        "build",
-        ["FeatureSource", "PipelinedTrainer", "ClusterSimulator",
-         "run_pipeline_cell"],
+        ("knob", "message"),
+        [
+            ({"max_batches_per_epoch": -1}, "max batches must be >= 1 or None"),
+            ({"max_batches_per_epoch": 0}, "max batches must be >= 1 or None"),
+            ({"epochs": 0}, "epochs and batch size must be >= 1"),
+            ({"epochs": 1.5}, "epochs must be an integer, got 1.5"),
+            ({"batch_size": 2.5}, "batch size must be an integer, got 2.5"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"prefetch_depth": 0}, "prefetch depth must be at least 1, got 0"),
+            ({"lr": np.nan}, "learning rate must be finite and positive"),
+            ({"lr": np.inf}, "learning rate must be finite and positive"),
+            ({"lr": 0.0}, "learning rate must be finite and positive"),
+        ],
+        ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items())
+        if isinstance(v, dict) else None,
     )
-    def test_host_tier_ratio_without_tiers(self, build, monkeypatch):
-        """Each of these dropped ``host_tier_ratio=0.3`` silently and ran
-        the flat cache; only the CLI refused the flag."""
-        from repro.cache import FeatureSource, store
+    def test_trainer_refuses_before_training(self, knob, message, monkeypatch):
+        """``Trainer`` refused none of these: ``max_batches_per_epoch=-1``
+        dropped each epoch's last batch, ``0`` and ``epochs=0`` returned a
+        NaN loss, ``epochs=1.5`` / ``batch_size=2.5`` raised a raw
+        ``TypeError``, ``seed=-1`` NumPy's ``ValueError``, a NaN or
+        infinite ``lr`` trained to a NaN loss and ``lr=0`` trained
+        nothing."""
         from repro.datasets import load_dataset
-        from repro.learning import GraphSAGEModel
-        from repro.pipeline import PipelinedTrainer, run_pipeline_cell
-        from repro.serve import ClusterSimulator
+        from repro.learning import GraphSAGEModel, Trainer
 
-        def no_store(*args, **kwargs):
-            raise AssertionError("built a store before refusing")
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before refusing")
 
         dataset = load_dataset("pd", scale=0.1)
         pipeline = make_algorithm("graphsage", fanouts=(3,)).build(
@@ -475,12 +486,40 @@ class TestFeatureStoreBoundaries:
             dataset.features.shape[1], 8, dataset.num_classes,
             num_layers=1, rng=new_rng(0),
         )
+        run = {"epochs": 1}
+        run.update(
+            (k, v) for k, v in knob.items()
+            if k in ("epochs", "max_batches_per_epoch")
+        )
+        init = {k: v for k, v in knob.items() if k not in run}
+        monkeypatch.setattr(Trainer, "_run", no_training)
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            Trainer(pipeline, model, dataset, device=V100, **init).train(**run)
+
+
+class TestFeatureStoreBoundaries:
+    """A store knob the configuration cannot honour is refused with a
+    ``ShapeError`` before any store exists, not dropped."""
+
+    @pytest.mark.parametrize(
+        "build",
+        ["FeatureSource", "ClusterSimulator", "run_pipeline_cell"],
+    )
+    def test_host_tier_ratio_without_tiers(self, build, monkeypatch):
+        """Each of these dropped ``host_tier_ratio=0.3`` silently and ran
+        the flat cache; only the CLI refused the flag."""
+        from repro.cache import FeatureSource, store
+        from repro.datasets import load_dataset
+        from repro.pipeline import run_pipeline_cell
+        from repro.serve import ClusterSimulator
+
+        def no_store(*args, **kwargs):
+            raise AssertionError("built a store before refusing")
+
+        dataset = load_dataset("pd", scale=0.1)
         builds = {
             "FeatureSource": lambda: FeatureSource(
                 dataset, host_tier_ratio=0.3
-            ),
-            "PipelinedTrainer": lambda: PipelinedTrainer(
-                pipeline, model, dataset, device=V100, host_tier_ratio=0.3
             ),
             "ClusterSimulator": lambda: ClusterSimulator(
                 dataset, device=V100, host_tier_ratio=0.3
