@@ -164,7 +164,11 @@ class LayeredPipeline(Pipeline):
         tensors = self.tensors_fn and self.tensors_fn()
 
         def hop(layer: CompiledSampler, frontier_sets: list[np.ndarray]) -> list:
-            return layer.run_superbatch(frontier_sets, tensors=tensors, ctx=ctx, rng=rng)
+            # Each piece stands in for its matrix until a reader needs it.
+            pieces = layer.run_superbatch(
+                frontier_sets, tensors=tensors, ctx=ctx, rng=rng
+            )
+            return [(piece, piece.next_frontiers) for piece in pieces]
 
         return self._sample(seed_batches, hop, ctx)
 

@@ -20,12 +20,16 @@ from __future__ import annotations
 import dataclasses
 import enum
 from collections.abc import Callable, Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.matrix import Matrix
 from repro.errors import ShapeError
 from repro.sparse.formats import sorted_unique
+
+if TYPE_CHECKING:
+    from repro.ir.superbatch_ops import SplitPiece
 
 
 class Step(enum.Enum):
@@ -37,22 +41,37 @@ class Step(enum.Enum):
     FINALIZE = "finalize"
 
 
-@dataclasses.dataclass
 class SampledLayer:
     """One layer of a graph sample.
 
     ``matrix`` is the sampled bipartite block between ``output_nodes``
     (rows, the newly sampled nodes) and ``input_nodes`` (columns, the
-    frontiers that requested them), all in original graph ids.
+    frontiers that requested them), all in original graph ids.  It may be
+    handed in unbuilt, as a super-batch piece
+    (:class:`~repro.ir.superbatch_ops.SplitPiece`): the piece is resolved
+    on the first read of ``matrix``, so code that reads only the node sets
+    never builds it.
     """
 
-    matrix: Matrix
-    input_nodes: np.ndarray
-    output_nodes: np.ndarray
+    def __init__(
+        self,
+        matrix: "Matrix | SplitPiece",
+        input_nodes: np.ndarray,
+        output_nodes: np.ndarray,
+    ) -> None:
+        self._matrix = matrix
+        self.input_nodes = input_nodes
+        self.output_nodes = output_nodes
+
+    @property
+    def matrix(self) -> Matrix:
+        if not isinstance(self._matrix, Matrix):
+            self._matrix = self._matrix.matrix
+        return self._matrix
 
     @property
     def num_edges(self) -> int:
-        return self.matrix.nnz
+        return self._matrix.nnz
 
 
 @dataclasses.dataclass

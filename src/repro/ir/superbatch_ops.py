@@ -23,7 +23,7 @@ from repro.core import random as rnd
 from repro.core.matrix import Matrix
 from repro.device import NULL_CONTEXT, ExecutionContext
 from repro.errors import ShapeError
-from repro.sparse import CSC, INDEX_DTYPE
+from repro.sparse import CSC, INDEX_DTYPE, as_index_array
 from repro.sparse.compact import _relabel
 from repro.sparse.formats import (
     FrontierRanges,
@@ -230,52 +230,92 @@ def sb_collective_sample(
     return Matrix(sub, row_ids=row_ids, col_ids=matrix.col_ids, ctx=ctx)
 
 
+class SplitPiece:
+    """One batch's share of a split super-batched sample.
+
+    :func:`split_sample` fills in ``next_frontiers`` — the piece's unique
+    sampled rows in original ids, which the next hop reads — and ``nnz``.
+    The piece's own CSC and :class:`Matrix` (rows renumbered to
+    ``next_frontiers``, every ``CSC`` / ``Matrix`` check run) are built
+    on the first read of :attr:`matrix` and kept, so a caller that only
+    walks frontiers (a serving fetch) never builds them.  A piece unpacks
+    as the one-layer pair ``(matrix, next_frontiers)``.
+    """
+
+    def __init__(
+        self,
+        merged: Matrix,
+        cols: tuple[int, int],
+        edges: tuple[int, int],
+        uniq: np.ndarray,
+        num_graph_rows: int,
+        ctx: ExecutionContext,
+    ) -> None:
+        self._merged = merged
+        self._ctx = ctx
+        self._cols = cols
+        self._edges = edges
+        self._uniq = uniq
+        merged_row_ids = uniq if merged.row_ids is None else merged.row_ids[uniq]
+        self.next_frontiers = as_index_array(merged_row_ids % num_graph_rows)
+        self.nnz = edges[1] - edges[0]
+
+    @functools.cached_property
+    def matrix(self) -> Matrix:
+        merged = self._merged
+        csc = merged.get("csc")
+        (lo, hi), (e_lo, e_hi) = self._cols, self._edges
+        piece_csc = CSC(
+            indptr=csc.indptr[lo : hi + 1] - e_lo,
+            rows=np.searchsorted(self._uniq, csc.rows[e_lo:e_hi]).astype(
+                INDEX_DTYPE
+            ),
+            values=None if csc.values is None else csc.values[e_lo:e_hi],
+            shape=(len(self._uniq), hi - lo),
+            edge_ids=None if csc.edge_ids is None else csc.edge_ids[e_lo:e_hi],
+        )
+        return Matrix(
+            piece_csc,
+            row_ids=self.next_frontiers,
+            col_ids=(
+                np.arange(lo, hi, dtype=INDEX_DTYPE)
+                if merged.col_ids is None
+                else merged.col_ids[lo:hi]
+            ),
+            ctx=self._ctx,
+        )
+
+    def __iter__(self):
+        return iter((self.matrix, self.next_frontiers))
+
+
 def split_sample(
     matrix: Matrix,
     batch_ptr: np.ndarray,
     num_graph_rows: int,
     ctx: ExecutionContext = NULL_CONTEXT,
-) -> list[Matrix]:
-    """Split a super-batched sample back into per-batch matrices.
+) -> list[SplitPiece]:
+    """Split a super-batched sample back into per-batch pieces.
 
     Because the merged sample's columns are grouped by batch, each piece
     is a *contiguous segment* of the CSC arrays — splitting is mostly
     pointer arithmetic plus a per-piece row renumbering, charged as one
     lightweight kernel over the piece's own edges (not a full generic
-    slice + compaction, which would eat the batching gains back).
+    slice + compaction, which would eat the batching gains back).  Each
+    piece's unique rows are found here; its matrix is built on read
+    (:class:`SplitPiece`).
     """
     csc = matrix.get("csc")
-    out: list[Matrix] = []
+    out: list[SplitPiece] = []
     total_edges = 0
     for b in range(len(batch_ptr) - 1):
         lo, hi = int(batch_ptr[b]), int(batch_ptr[b + 1])
         e_lo, e_hi = int(csc.indptr[lo]), int(csc.indptr[hi])
-        rows_b = csc.rows[e_lo:e_hi]
-        uniq, inv = sorted_unique(rows_b, csc.shape[0], return_inverse=True)
-        piece_csc = CSC(
-            indptr=csc.indptr[lo : hi + 1] - e_lo,
-            rows=inv.astype(INDEX_DTYPE),
-            values=None if csc.values is None else csc.values[e_lo:e_hi],
-            shape=(len(uniq), hi - lo),
-            edge_ids=None if csc.edge_ids is None else csc.edge_ids[e_lo:e_hi],
-        )
-        merged_row_ids = (
-            uniq if matrix.row_ids is None else matrix.row_ids[uniq]
-        )
-        piece_col_ids = (
-            np.arange(lo, hi, dtype=INDEX_DTYPE)
-            if matrix.col_ids is None
-            else matrix.col_ids[lo:hi]
-        )
+        uniq = sorted_unique(csc.rows[e_lo:e_hi], csc.shape[0])
         out.append(
-            Matrix(
-                piece_csc,
-                row_ids=merged_row_ids % num_graph_rows,
-                col_ids=piece_col_ids,
-                ctx=ctx,
-            )
+            SplitPiece(matrix, (lo, hi), (e_lo, e_hi), uniq, num_graph_rows, ctx)
         )
-        total_edges += len(rows_b)
+        total_edges += e_hi - e_lo
     ctx.record(
         "sb_split",
         bytes_read=total_edges * (_ITEM + _VAL),

@@ -32,10 +32,28 @@ assert through.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 
 import numpy as np
 
 from repro.errors import ShapeError
+
+
+def _node_ids(nodes: object, num_nodes: int) -> np.ndarray:
+    """``nodes`` as an id array, refused unless every id is an integer in
+    ``[0, num_nodes)`` — a negative id would wrap, a float one fail deep
+    in NumPy's indexing."""
+    ids = np.asarray(nodes)
+    if ids.size == 0:
+        return ids.astype(np.int64)
+    if ids.dtype.kind not in "iu":
+        raise ShapeError(f"node ids must be integers, got dtype {ids.dtype}")
+    low, high = int(ids.min()), int(ids.max())
+    if low < 0 or high >= num_nodes:
+        raise ShapeError(
+            f"node ids span [{low}, {high}], outside [0, {num_nodes})"
+        )
+    return ids
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,17 +82,12 @@ class ShardView:
 
     def contains(self, nodes: np.ndarray) -> np.ndarray:
         """Boolean array: which of ``nodes`` this shard owns."""
-        nodes = np.asarray(nodes)
-        if nodes.size == 0:
-            return np.zeros(0, dtype=bool)
-        return self.mask[nodes]
+        return self.mask[_node_ids(nodes, self.mask.size)]
 
     def remote_count(self, nodes: np.ndarray) -> int:
         """How many of ``nodes`` live on *other* shards (link traffic)."""
-        nodes = np.asarray(nodes)
-        if nodes.size == 0:
-            return 0
-        return int(nodes.size) - int(np.count_nonzero(self.mask[nodes]))
+        owned = self.contains(nodes)
+        return int(owned.size) - int(np.count_nonzero(owned))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,7 +109,7 @@ class GraphPartition:
 
     def shard_of(self, nodes: np.ndarray) -> np.ndarray:
         """Shard id of each of ``nodes``."""
-        return self.assignment[np.asarray(nodes)]
+        return self.assignment[_node_ids(nodes, self.assignment.size)]
 
     def view(self, shard_id: int) -> ShardView:
         """The :class:`ShardView` a replica owning ``shard_id`` holds."""
@@ -125,9 +138,24 @@ class GraphPartition:
 # Assignment builders
 # ----------------------------------------------------------------------
 def _check_shards(num_shards: int) -> None:
+    if not isinstance(num_shards, numbers.Integral) or isinstance(num_shards, bool):
+        raise ShapeError(f"shard count must be an integer, got {num_shards!r}")
     if num_shards < 1:
         raise ShapeError(
             f"partition needs at least one shard, got {num_shards}"
+        )
+
+
+def _check_hash(num_shards: int, seed: int) -> None:
+    _check_shards(num_shards)
+    # ``seed + 1`` must fit the uint64 the hash mixes it as.
+    if (
+        not isinstance(seed, numbers.Integral)
+        or isinstance(seed, bool)
+        or not 0 <= seed < 2**64 - 1
+    ):
+        raise ShapeError(
+            f"hash seed must be an integer in [0, 2**64 - 1), got {seed!r}"
         )
 
 
@@ -166,7 +194,7 @@ def hash_assignment(
     modulo would alias with any id-correlated structure the synthetic
     generators bake in).
     """
-    _check_shards(num_shards)
+    _check_hash(num_shards, seed)
     # splitmix64 arithmetic is mod-2^64 by design; silence NumPy's
     # overflow warning for the deliberate wraparound.
     with np.errstate(over="ignore"):
@@ -182,6 +210,7 @@ def hash_assignment(
 
 def hash_partition(graph, num_shards: int, *, seed: int = 0) -> GraphPartition:
     """Partition a graph's nodes by hashing ids onto shards."""
+    _check_hash(num_shards, seed)
     indptr, rows = _graph_csc(graph)
     num_nodes = len(indptr) - 1
     assignment = hash_assignment(num_nodes, num_shards, seed=seed)
@@ -212,26 +241,35 @@ def greedy_partition(graph, num_shards: int) -> GraphPartition:
     """
     _check_shards(num_shards)
     indptr, rows = _graph_csc(graph)
-    num_nodes = len(indptr) - 1
     degrees = np.diff(indptr)
-    assignment = np.full(num_nodes, -1, dtype=np.int64)
-    loads = np.zeros(num_shards, dtype=np.float64)
+    # Shard ids shifted by one, so 0 marks an unplaced node and one
+    # bincount over a node's neighbors counts every shard's placed ones.
+    placed = np.zeros(len(indptr) - 1, dtype=np.int64)
+    loads = [0.0] * num_shards
     # Fair share of degree per shard; the +1 keeps a degenerate all-
     # isolated graph from dividing by zero.
     budget = max(float(degrees.sum()) / num_shards, 1.0)
+    # Each shard's degree-budget factor, kept in step with its load.
+    room = [1.0] * num_shards
     order = np.argsort(-degrees.astype(np.float64), kind="stable")
-    for node in order:
-        neighbors = rows[indptr[node] : indptr[node + 1]]
-        placed = assignment[neighbors]
+    starts, degree_of = indptr.tolist(), degrees.tolist()
+    for node in order.tolist():
         affinity = np.bincount(
-            placed[placed >= 0], minlength=num_shards
-        ).astype(np.float64)
-        score = affinity * np.maximum(0.0, 1.0 - loads / budget)
-        # argmax with deterministic ties: best score, then lightest
-        # shard, then lowest id (lexsort's last key is most significant).
-        best = np.lexsort((np.arange(num_shards), loads, -score))[0]
-        assignment[node] = best
-        loads[best] += float(degrees[node])
+            placed[rows[starts[node] : starts[node + 1]]],
+            minlength=num_shards + 1,
+        ).tolist()
+        # Best score, then lightest shard, then lowest id.
+        best, best_score = 0, -1.0
+        for shard in range(num_shards):
+            score = affinity[shard + 1] * room[shard]
+            if score > best_score or (
+                score == best_score and loads[shard] < loads[best]
+            ):
+                best, best_score = shard, score
+        placed[node] = best + 1
+        loads[best] += degree_of[node]
+        room[best] = max(0.0, 1.0 - loads[best] / budget)
+    assignment = placed - 1
     return GraphPartition(
         method="greedy",
         num_shards=num_shards,

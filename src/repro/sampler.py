@@ -169,12 +169,13 @@ class CompiledSampler:
         tensors: dict[str, np.ndarray] | None = None,
         ctx: ExecutionContext = NULL_CONTEXT,
         rng: np.random.Generator | None = None,
-    ) -> list[tuple[Matrix, np.ndarray]]:
+    ) -> list[superbatch_ops.SplitPiece]:
         """Sample several independent mini-batches in one launch sequence.
 
         The compiled program must follow the standard one-layer contract
         ``(sample_matrix, next_frontiers)``; each batch's results are
-        split back out and returned in order.
+        split back out and returned in order, as pieces that unpack as
+        that pair and build their matrix on first read.
         """
         if self.structure != ("leaf", "leaf"):
             raise TraceError(
@@ -208,10 +209,9 @@ class CompiledSampler:
             outputs = interp.run(inputs, rng)
             matrix = outputs[0]
             assert isinstance(matrix, Matrix)
-            pieces = superbatch_ops.split_sample(
+            return superbatch_ops.split_sample(
                 matrix, batch_ptr, self.graph.shape[0], ctx
             )
-            return [(piece, piece.row()) for piece in pieces]
 
     # ------------------------------------------------------------------
     def choose_superbatch_size(

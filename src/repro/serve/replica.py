@@ -37,6 +37,7 @@ import numpy as np
 
 from repro.algorithms import TABLE8_PARAMS, make_algorithm
 from repro.cache import FeatureSource, plan_gather
+from repro.core import GraphSample
 from repro.datasets import Dataset
 from repro.device import DeviceSpec, ExecutionContext, LinkSpec
 from repro.errors import ServeError
@@ -45,7 +46,7 @@ from repro.profile.spans import Profiler, maybe_span
 from repro.serve.compose import BatchComposer, BatchPlan, make_composer
 from repro.serve.metrics import FLEET_COUNTERS, RequestLog
 from repro.serve.workload import Request
-from repro.sparse.formats import sorted_unique
+from repro.sparse.formats import as_index_array
 from repro.stats import SlidingWindow
 from repro.tasks import Task, make_task
 
@@ -186,6 +187,31 @@ class ServePolicy:
             queue_capacity=queue_capacity if shed else None,
             slo=slo if degrade else None,
         )
+
+
+def fetch_union(samples: list[GraphSample]) -> tuple[np.ndarray, int]:
+    """The sorted union of the samples' ``all_nodes``, and the rows it
+    saves over fetching each sample's own ``all_nodes``.
+
+    One sort of ``node * R + request`` keys (``R`` samples) serves both:
+    the distinct keys are every sample's distinct nodes, and they come
+    out grouped by node, so the union is the node of each group.  (A
+    flag scan over the ``R·N`` key space costs more than the sort.)
+    """
+    parts = [
+        [sample.seeds, *(layer.output_nodes for layer in sample.layers)]
+        for sample in samples
+    ]
+    nodes = as_index_array(np.concatenate([p for ps in parts for p in ps]))
+    owner = np.repeat(np.arange(len(samples)), [sum(map(len, ps)) for ps in parts])
+    keys = np.sort(nodes * len(samples) + owner)
+    node_of = keys // len(samples)
+    new_key = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new_key[1:])
+    new_node = np.ones(len(keys), dtype=bool)
+    np.not_equal(node_of[1:], node_of[:-1], out=new_node[1:])
+    union = node_of[new_node]
+    return union, int(np.count_nonzero(new_key)) - len(union)
 
 
 class Replica:
@@ -654,11 +680,8 @@ class Replica:
                     samples = pipeline.sample_superbatch(
                         seed_sets, ctx=self.sample_ctx, rng=self._rng
                     )
-                    per_request = [sample.all_nodes for sample in samples]
-                    nodes = sorted_unique(np.concatenate(per_request))
-                    self.dedup_rows += sum(n.size for n in per_request) - int(
-                        nodes.size
-                    )
+                    nodes, saved = fetch_union(samples)
+                    self.dedup_rows += saved
                     self.superbatch_requests += len(batch)
                     self.superbatch_batches += 1
                 else:

@@ -284,14 +284,10 @@ class _RankSampler:
 
 def _first_occurrences(values: np.ndarray) -> np.ndarray:
     """``values`` without its repeats, each kept where it first appears."""
-    order = np.argsort(values, kind="stable")
-    ranked = values[order]
-    repeat = ranked[1:] == ranked[:-1]
-    if not repeat.any():
+    firsts = dict.fromkeys(values.tolist())
+    if len(firsts) == len(values):
         return values
-    keep = np.ones(len(values), dtype=bool)
-    keep[order[1:][repeat]] = False
-    return values[keep]
+    return np.fromiter(firsts, dtype=values.dtype, count=len(firsts))
 
 
 def generate_workload(

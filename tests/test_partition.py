@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import Matrix
+from repro.core import Matrix, from_edges
 from repro.datasets import load_dataset
 from repro.errors import ShapeError
 from repro.partition import (
@@ -29,6 +29,12 @@ from repro.partition import (
     hash_assignment,
     hash_partition,
     make_partition,
+)
+from repro.partition.partitioners import (
+    _check_shards,
+    _edge_cut_fraction,
+    _graph_csc,
+    _shard_degree_sums,
 )
 from repro.sparse import CSC
 
@@ -118,6 +124,89 @@ class TestGreedyPartition:
         part = greedy_partition(pd_graph, 3)
         assert np.all(part.assignment >= 0)
         assert np.all(part.assignment < 3)
+
+
+def _parent_greedy_partition(graph, num_shards: int) -> GraphPartition:
+    """The per-node ``lexsort`` loop ``greedy_partition`` replaced, kept
+    verbatim as its oracle."""
+    _check_shards(num_shards)
+    indptr, rows = _graph_csc(graph)
+    num_nodes = len(indptr) - 1
+    degrees = np.diff(indptr)
+    assignment = np.full(num_nodes, -1, dtype=np.int64)
+    loads = np.zeros(num_shards, dtype=np.float64)
+    # Fair share of degree per shard; the +1 keeps a degenerate all-
+    # isolated graph from dividing by zero.
+    budget = max(float(degrees.sum()) / num_shards, 1.0)
+    order = np.argsort(-degrees.astype(np.float64), kind="stable")
+    for node in order:
+        neighbors = rows[indptr[node] : indptr[node + 1]]
+        placed = assignment[neighbors]
+        affinity = np.bincount(
+            placed[placed >= 0], minlength=num_shards
+        ).astype(np.float64)
+        score = affinity * np.maximum(0.0, 1.0 - loads / budget)
+        # argmax with deterministic ties: best score, then lightest
+        # shard, then lowest id (lexsort's last key is most significant).
+        best = np.lexsort((np.arange(num_shards), loads, -score))[0]
+        assignment[node] = best
+        loads[best] += float(degrees[node])
+    return GraphPartition(
+        method="greedy",
+        num_shards=num_shards,
+        assignment=assignment,
+        edge_cut=_edge_cut_fraction(indptr, rows, assignment),
+        shard_degrees=_shard_degree_sums(degrees, assignment, num_shards),
+    )
+
+
+def _edges(num_nodes: int, pairs: list[tuple[int, int]]) -> Matrix:
+    src, dst = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return from_edges(src, dst, num_nodes)
+
+
+#: Small graphs that stress the tie-break and the degenerate paths.
+_ADVERSARIAL = {
+    # Every node has in-degree 2: the visit order and every early
+    # placement are pure ties.
+    "equal_degrees": _edges(
+        9, [(v, (v + 1) % 9) for v in range(9)] + [(v, (v + 4) % 9) for v in range(9)]
+    ),
+    "self_loops": _edges(6, [(v, v) for v in range(6)] + [(0, 1), (2, 3), (4, 5)]),
+    "multi_edges": _edges(5, [(0, 1)] * 4 + [(1, 2)] * 3 + [(3, 4), (4, 3), (2, 0)]),
+    "isolated": _edges(10, [(0, 1), (1, 0), (2, 3)]),
+    "no_edges": _edges(4, []),
+}
+
+
+class TestGreedyOracle:
+    """``greedy_partition`` equals the parent loop it replaced."""
+
+    @staticmethod
+    def _assert_same(got: GraphPartition, want: GraphPartition) -> None:
+        np.testing.assert_array_equal(got.assignment, want.assignment)
+        assert got.assignment.dtype == want.assignment.dtype
+        assert got.edge_cut == want.edge_cut
+        np.testing.assert_array_equal(got.shard_degrees, want.shard_degrees)
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 3, 4, 8])
+    @pytest.mark.parametrize("name", ["pd", "lj"])
+    def test_datasets(self, name, num_shards):
+        graph = load_dataset(name).graph
+        self._assert_same(
+            greedy_partition(graph, num_shards),
+            _parent_greedy_partition(graph, num_shards),
+        )
+
+    @pytest.mark.parametrize("num_shards", [1, 2, 3, 7, 16])
+    @pytest.mark.parametrize("name", sorted(_ADVERSARIAL))
+    def test_adversarial_graphs(self, name, num_shards):
+        # k = 7 and 16 exceed several graphs' node counts.
+        graph = _ADVERSARIAL[name]
+        self._assert_same(
+            greedy_partition(graph, num_shards),
+            _parent_greedy_partition(graph, num_shards),
+        )
 
 
 class TestShardView:

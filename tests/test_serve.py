@@ -44,7 +44,8 @@ from repro.serve import (
     summarize,
 )
 from repro.serve.metrics import RequestLog
-from repro.serve.workload import _RankSampler
+from repro.serve.workload import _first_occurrences, _RankSampler
+from repro.sparse.formats import sorted_unique
 from repro.tasks import edge_endpoints_of
 
 
@@ -56,7 +57,29 @@ def pd():
 # ----------------------------------------------------------------------
 # Workload generation
 # ----------------------------------------------------------------------
+def _argsort_first_occurrences(values):
+    """The argsort dedup ``_first_occurrences`` replaced, as its oracle."""
+    order = np.argsort(values, kind="stable")
+    ranked = values[order]
+    repeat = ranked[1:] == ranked[:-1]
+    if not repeat.any():
+        return values
+    keep = np.ones(len(values), dtype=bool)
+    keep[order[1:][repeat]] = False
+    return values[keep]
+
+
 class TestWorkload:
+    @pytest.mark.parametrize("span", [1, 2, 5, 40, 10_000])
+    def test_first_occurrences_equal_the_argsort_dedup(self, span):
+        rng = np.random.default_rng(span)
+        for size in (0, 1, 7, 300):
+            values = rng.integers(0, span, size)
+            got = _first_occurrences(values)
+            want = _argsort_first_occurrences(values)
+            np.testing.assert_array_equal(got, want)
+            assert got.dtype == want.dtype
+
     def test_same_spec_same_stream(self):
         spec = WorkloadSpec(num_requests=64, arrival_rate=1000.0, seed=7)
         a = generate_workload(spec, num_nodes=500)
@@ -1000,6 +1023,67 @@ class TestComposedServing:
 # ----------------------------------------------------------------------
 # Serving-loop regressions (the PR 7 bugfix sweep)
 # ----------------------------------------------------------------------
+def _all_nodes_union(samples):
+    """The fetch union as it was built before ``fetch_union``: each
+    request's ``all_nodes``, then their union."""
+    per_request = [sample.all_nodes for sample in samples]
+    nodes = sorted_unique(np.concatenate(per_request))
+    return nodes, sum(n.size for n in per_request) - int(nodes.size)
+
+
+class TestFetchUnion:
+    """The one-pass fetch union equals the per-request ``all_nodes``
+    reference, call for call and session for session."""
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_sessions_equal_the_per_request_reference(self, pd, seed, monkeypatch):
+        from repro.serve import replica
+
+        calls = []
+        real = replica.fetch_union
+
+        def checked(samples):
+            got, want = real(samples), _all_nodes_union(samples)
+            np.testing.assert_array_equal(got[0], want[0])
+            assert got[0].dtype == want[0].dtype and got[1] == want[1]
+            calls.append(len(samples))
+            return got
+
+        spec = WorkloadSpec(
+            num_requests=192,
+            arrival_rate=400_000.0,
+            seeds_per_request=4,
+            max_seeds_per_request=32,
+            seed=seed,
+        )
+        session = dict(
+            device=V100, spec=spec, policy=PIN_POLICY, composer="superbatch",
+            num_replicas=2, router="shard", partition="greedy", seed=seed,
+        )
+        monkeypatch.setattr(replica, "fetch_union", checked)
+        _, got = run_cluster_session(pd, **session)
+        monkeypatch.setattr(replica, "fetch_union", _all_nodes_union)
+        _, want = run_cluster_session(pd, **session)
+        assert calls and max(calls) > 1
+        assert got.dedup_rows == want.dedup_rows > 0
+        assert got.fingerprint() == want.fingerprint()
+
+    def test_single_and_empty_samples(self, pd):
+        from repro.core import GraphSample, SampledLayer
+        from repro.serve.replica import fetch_union
+
+        layer = SampledLayer(None, np.array([4, 1]), np.array([9, 4, 4]))
+        samples = [
+            GraphSample(seeds=np.array([4, 1]), layers=[layer]),
+            GraphSample(seeds=np.array([], dtype=np.int64), layers=[]),
+            GraphSample(seeds=np.array([9]), layers=[]),
+        ]
+        for window in (samples[:1], samples[1:2], samples):
+            got, want = fetch_union(window), _all_nodes_union(window)
+            np.testing.assert_array_equal(got[0], want[0])
+            assert got[1] == want[1]
+
+
 class TestServeLoopRegressions:
     def test_in_flight_stays_bounded_over_long_stream(self, pd):
         """``_in_flight`` once grew one entry per request for the whole

@@ -96,8 +96,9 @@ class TestSegmentedOps:
         )
         assert len(pieces) == 2
         for piece, cols in zip(pieces, ([1, 2], [3, 4])):
-            np.testing.assert_array_equal(piece.column(), cols)
-            assert piece.row_ids.max() < small_graph.shape[0]
+            np.testing.assert_array_equal(piece.matrix.column(), cols)
+            assert piece.matrix.row_ids is piece.next_frontiers
+            assert piece.next_frontiers.max() < small_graph.shape[0]
 
 
 class TestRunSuperbatch:
@@ -367,3 +368,189 @@ class TestSharedExtraction:
         got = superbatch_ops.sb_slice_cols(small_graph, stale, batch_ptr)
         want = superbatch_ops.sb_slice_cols(small_graph, frontiers, batch_ptr)
         np.testing.assert_array_equal(to_dense(got), to_dense(want))
+
+
+def _parent_split_sample(matrix, batch_ptr, num_graph_rows, ctx):
+    """The eager ``split_sample`` that built every piece's matrix, kept
+    verbatim as the oracle of the pieces built on read."""
+    from repro.core.matrix import Matrix
+    from repro.sparse import CSC, INDEX_DTYPE
+    from repro.sparse.formats import sorted_unique
+
+    _ITEM, _VAL = superbatch_ops._ITEM, superbatch_ops._VAL
+    csc = matrix.get("csc")
+    out: list[Matrix] = []
+    total_edges = 0
+    for b in range(len(batch_ptr) - 1):
+        lo, hi = int(batch_ptr[b]), int(batch_ptr[b + 1])
+        e_lo, e_hi = int(csc.indptr[lo]), int(csc.indptr[hi])
+        rows_b = csc.rows[e_lo:e_hi]
+        uniq, inv = sorted_unique(rows_b, csc.shape[0], return_inverse=True)
+        piece_csc = CSC(
+            indptr=csc.indptr[lo : hi + 1] - e_lo,
+            rows=inv.astype(INDEX_DTYPE),
+            values=None if csc.values is None else csc.values[e_lo:e_hi],
+            shape=(len(uniq), hi - lo),
+            edge_ids=None if csc.edge_ids is None else csc.edge_ids[e_lo:e_hi],
+        )
+        merged_row_ids = (
+            uniq if matrix.row_ids is None else matrix.row_ids[uniq]
+        )
+        piece_col_ids = (
+            np.arange(lo, hi, dtype=INDEX_DTYPE)
+            if matrix.col_ids is None
+            else matrix.col_ids[lo:hi]
+        )
+        out.append(
+            Matrix(
+                piece_csc,
+                row_ids=merged_row_ids % num_graph_rows,
+                col_ids=piece_col_ids,
+                ctx=ctx,
+            )
+        )
+        total_edges += len(rows_b)
+    ctx.record(
+        "sb_split",
+        bytes_read=total_edges * (_ITEM + _VAL),
+        bytes_written=total_edges * _ITEM,
+        flops=total_edges * max(1.0, np.log2(max(total_edges, 2))),
+        tasks=max(total_edges, 1),
+    )
+    return out
+
+
+def _merged_windows(graph, layer, batches, K, monkeypatch):
+    """Every merged sample ``run_superbatch`` hands ``split_sample``."""
+    seen = []
+    real = superbatch_ops.split_sample
+
+    def capture(matrix, batch_ptr, num_graph_rows, ctx):
+        seen.append((matrix, batch_ptr, num_graph_rows))
+        return real(matrix, batch_ptr, num_graph_rows, ctx)
+
+    sampler = compile_sampler(layer, graph, batches[0], constants={"K": K})
+    with monkeypatch.context() as patch:
+        patch.setattr(superbatch_ops, "split_sample", capture)
+        sampler.run_superbatch(batches, rng=new_rng(4))
+    return seen
+
+
+class TestSplitOracle:
+    """Pieces built on read equal the parent's eager pieces field for
+    field and dtype for dtype, under an identical ``sb_split`` ledger."""
+
+    @staticmethod
+    def _fields(matrix):
+        csc = matrix.get("csc")
+        return {
+            "indptr": csc.indptr,
+            "rows": csc.rows,
+            "values": csc.values,
+            "edge_ids": csc.edge_ids,
+            "row_ids": matrix.row_ids,
+            "col_ids": matrix.col_ids,
+        }
+
+    def _assert_split_equal(self, matrix, batch_ptr, num_graph_rows):
+        import dataclasses
+
+        got_ctx, want_ctx = ExecutionContext(V100), ExecutionContext(V100)
+        pieces = superbatch_ops.split_sample(
+            matrix, batch_ptr, num_graph_rows, got_ctx
+        )
+        want = _parent_split_sample(matrix, batch_ptr, num_graph_rows, want_ctx)
+        assert [dataclasses.astuple(x) for x in got_ctx.launches] == [
+            dataclasses.astuple(x) for x in want_ctx.launches
+        ]
+        assert len(pieces) == len(want)
+        for piece, expected in zip(pieces, want):
+            assert piece.nnz == expected.nnz
+            np.testing.assert_array_equal(piece.next_frontiers, expected.row())
+            assert piece.next_frontiers.dtype == expected.row().dtype
+            got = piece.matrix
+            assert got.shape == expected.shape
+            assert got.ctx is got_ctx
+            assert piece.matrix is got  # built once, then kept
+            for name, value in self._fields(expected).items():
+                actual = self._fields(got)[name]
+                if value is None:
+                    assert actual is None, name
+                else:
+                    np.testing.assert_array_equal(actual, value, err_msg=name)
+                    assert actual.dtype == value.dtype, name
+        # Building the pieces charges nothing.
+        assert len(got_ctx.launches) == 1
+
+    @pytest.mark.parametrize(
+        ("layer", "K"), [(sage_layer, 3), (ladies_layer, 6)], ids=["sage", "ladies"]
+    )
+    def test_windows(self, layer, K, small_graph, monkeypatch):
+        batches = [np.arange(8), np.arange(50, 61), np.arange(100, 105)]
+        for window in (batches, batches[:1]):
+            for matrix, batch_ptr, rows in _merged_windows(
+                small_graph, layer, window, K, monkeypatch
+            ):
+                self._assert_split_equal(matrix, batch_ptr, rows)
+
+    def test_zero_edge_and_empty_pieces(self):
+        from repro.core.matrix import from_edges
+
+        # Node 5 has no in-edges, so a batch of it splits to zero edges.
+        graph = from_edges(np.array([0, 1, 2, 3]), np.array([1, 2, 3, 4]), 6)
+        for frontiers, batch_ptr in (
+            ([1, 5, 2], [0, 1, 2, 3]),
+            ([5], [0, 1]),
+            ([1, 2], [0, 0, 2, 2]),
+        ):
+            block = superbatch_ops.sb_slice_cols(
+                graph, np.array(frontiers), np.array(batch_ptr)
+            )
+            self._assert_split_equal(block, np.array(batch_ptr), 6)
+
+
+def test_superbatch_serving_session_builds_no_piece_matrix(monkeypatch):
+    """Serving reads only a sample's node sets, so no piece of a fused
+    window ever builds its matrix — the saving of building pieces on read
+    cannot regress silently.  Training, which reads them, does build."""
+    from repro.algorithms import make_algorithm
+    from repro.datasets import load_dataset
+    from repro.serve import ServePolicy, WorkloadSpec, run_cluster_session
+
+    built = []
+    build = superbatch_ops.SplitPiece.matrix.func
+    monkeypatch.setattr(
+        superbatch_ops.SplitPiece,
+        "matrix",
+        property(lambda piece: built.append(piece) or build(piece)),
+    )
+    pd = load_dataset("pd", scale=0.25)
+    _, report = run_cluster_session(
+        pd,
+        device=V100,
+        spec=WorkloadSpec(
+            num_requests=192,
+            arrival_rate=400_000.0,
+            process="bursty",
+            seeds_per_request=8,
+            max_seeds_per_request=32,
+            seed=3,
+        ),
+        policy=ServePolicy(max_batch=8, max_wait=5e-4, queue_capacity=32),
+        composer="superbatch",
+        num_replicas=2,
+        router="shard",
+        partition="greedy",
+        feature_tiers=True,
+        p2p=True,
+        seed=3,
+    )
+    assert report.superbatch_batches > 0 and report.dedup_rows > 0
+    assert built == []
+    pipeline = make_algorithm("graphsage").build(pd.graph, pd.train_ids[:8])
+    samples = pipeline.sample_superbatch(
+        [pd.train_ids[:8], pd.train_ids[8:16]], rng=new_rng(0)
+    )
+    assert built == []
+    assert samples[1].layers[0].matrix.nnz == samples[1].layers[0].num_edges
+    assert len(built) == 1

@@ -563,6 +563,81 @@ class TestFeatureStoreBoundaries:
         np.testing.assert_array_equal(store.cached_ids, pinned)
 
 
+class TestPartitionBoundaries:
+    """The partitioners refuse a non-integer shard count or a seed the hash
+    cannot mix, and shard lookups refuse ids that are not graph nodes, with
+    a ``ShapeError`` before any work."""
+
+    @staticmethod
+    def _graph():
+        from repro.core import from_edges
+
+        return from_edges(np.array([0, 1, 2, 3]), np.array([1, 2, 3, 0]), 4)
+
+    @pytest.mark.parametrize(
+        ("build", "message"),
+        [
+            pytest.param(
+                lambda p, g: p.greedy_partition(g, 2.5), "got 2.5", id="greedy-2.5"
+            ),
+            pytest.param(
+                lambda p, g: p.greedy_partition(g, True), "got True", id="greedy-True"
+            ),
+            pytest.param(
+                lambda p, g: p.hash_partition(g, 2.5), "got 2.5", id="hash-2.5"
+            ),
+            pytest.param(
+                lambda p, g: p.make_partition("greedy", g, 2.5), "got 2.5", id="make-2.5"
+            ),
+            pytest.param(
+                lambda p, g: p.hash_partition(g, 2, seed=-5), "got -5", id="hash-seed-5"
+            ),
+            pytest.param(
+                lambda p, g: p.hash_partition(g, 2, seed=1.5), "got 1.5", id="hash-seed1.5"
+            ),
+            pytest.param(
+                lambda p, g: p.hash_assignment(4, 2, seed=-5), "got -5", id="assign-seed-5"
+            ),
+        ],
+    )
+    def test_builders_refuse_before_reading_the_graph(self, build, message, monkeypatch):
+        """2.5 and ``True`` shards raised a raw ``TypeError`` in the greedy
+        loop (the hash truncated 2.5 silently); seed -5 a raw
+        ``OverflowError``."""
+        from repro.partition import partitioners
+
+        def no_read(graph):
+            raise AssertionError("read the graph before refusing")
+
+        graph = self._graph()
+        monkeypatch.setattr(partitioners, "_graph_csc", no_read)
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            build(partitioners, graph)
+
+    @pytest.mark.parametrize(
+        ("lookup", "nodes", "message"),
+        [
+            ("contains", [-1], "node ids span [-1, -1], outside [0, 4)"),
+            ("contains", [4], "node ids span [4, 4], outside [0, 4)"),
+            ("contains", [0.5], "node ids must be integers, got dtype float64"),
+            ("remote_count", [-1, 0], "node ids span [-1, 0], outside [0, 4)"),
+            ("remote_count", [1.0], "node ids must be integers, got dtype float64"),
+            ("shard_of", [-1], "node ids span [-1, -1], outside [0, 4)"),
+            ("shard_of", [1.5, 2.0], "node ids must be integers, got dtype float64"),
+        ],
+    )
+    def test_lookups_refuse_non_nodes(self, lookup, nodes, message):
+        """``contains([-1])`` read the last node, ``remote_count([-1, 0])``
+        returned 0, ``shard_of([-1])`` wrapped and float ids raised a raw
+        ``IndexError``."""
+        from repro.partition import hash_partition
+
+        partition = hash_partition(self._graph(), 2)
+        owner = partition if lookup == "shard_of" else partition.view(0)
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            getattr(owner, lookup)(np.array(nodes))
+
+
 class TestEpochFlagBoundaries:
     """An epoch shape with no batches in it exits 2 — not a ``range()`` /
     ``IndexError`` traceback, a silently dropped batch, or a NaN loss
