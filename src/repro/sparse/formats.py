@@ -40,7 +40,7 @@ LAYOUTS = ("csc", "coo", "csr")
 #: ``sorted_unique`` scatters into a flag array only while the id space is
 #: at most this many times the input (DESIGN.md, "Host kernels", has the
 #: measurements).
-_UNIQUE_BOUND_RATIO = 64
+_UNIQUE_BOUND_RATIO = 8
 
 #: Axis 0 and 1 as the index fields (COO has both; CSR/CSC the minor one)
 #: and the kernel-name strings spell them.
@@ -345,37 +345,31 @@ def frontier_ranges(matrix: "CSR | CSC", frontiers: object) -> FrontierRanges:
     return FrontierRanges(matrix, frontier_ids(frontiers, matrix.shape[matrix.axis]))
 
 
-def sorted_unique(
-    ids: np.ndarray, bound: int | None = None, return_inverse: bool = False
-) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-    """``np.unique`` for ids known to lie in ``[0, bound)``, without the sort.
+def sorted_unique(ids: np.ndarray, bound: int | None = None) -> np.ndarray:
+    """``np.unique`` for ids known to lie in ``[0, bound)``.
 
     Scatters a flag per id into a ``bound``-long array and reads the set
-    flags back in order; the inverse goes through a rank table.  The
-    output equals ``np.unique(ids, return_inverse=return_inverse)``
-    exactly.  ``bound`` defaults to ``ids.max() + 1``; an id outside
-    ``[0, bound)`` raises :class:`ShapeError`.  Non-integer ids, and id
-    spaces more than ``_UNIQUE_BOUND_RATIO`` times larger than the input
-    (where scanning the flags costs more than sorting the ids), are
-    handed to ``np.unique``.
+    flags back in order; the output equals ``np.unique(ids)`` exactly.
+    ``bound`` defaults to ``ids.max() + 1``; an id outside ``[0, bound)``
+    raises :class:`ShapeError`.  An id space more than
+    ``_UNIQUE_BOUND_RATIO`` times larger than the input, where scanning
+    the flags costs more than sorting the ids, is sorted instead and each
+    run of equal ids kept once.  Non-integer ids are handed to
+    ``np.unique``.
     """
     ids = np.asarray(ids)
     if ids.ndim != 1:
         raise ShapeError(f"id array must be 1-D, got shape {ids.shape}")
     if ids.dtype.kind not in "iu" or len(ids) == 0:
-        return np.unique(ids, return_inverse=return_inverse)
+        return np.unique(ids)
     low, high = int(ids.min()), int(ids.max())
     if bound is None:
         bound = high + 1
     if low < 0 or high >= bound:
         raise ShapeError(f"ids span [{low}, {high}], outside [0, {bound})")
     if bound > _UNIQUE_BOUND_RATIO * len(ids):
-        return np.unique(ids, return_inverse=return_inverse)
+        ids = np.sort(ids)
+        return ids[np.concatenate(([True], ids[1:] != ids[:-1]))]
     flags = np.zeros(bound, dtype=bool)
     flags[ids] = True
-    unique = np.flatnonzero(flags)
-    if not return_inverse:
-        return unique.astype(ids.dtype, copy=False)
-    rank = np.empty(bound, dtype=np.intp)
-    rank[unique] = np.arange(len(unique), dtype=np.intp)
-    return unique.astype(ids.dtype, copy=False), rank[ids]
+    return np.flatnonzero(flags).astype(ids.dtype, copy=False)

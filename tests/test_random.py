@@ -199,20 +199,33 @@ def _assert_matches_oracle(keys, indptr, k):
 
 #: Segment lengths on both sides of every bin edge up to 128.
 _EDGE_LENGTHS = [0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 128, 129]
-#: How keys are drawn: continuous, tie-heavy, the LADIES shape, hostile,
-#: ``top_k_per_segment``'s negated scores, and a different kind per row.
+#: How keys are drawn: continuous, tie-heavy, keys a few ulps apart (they
+#: agree above the column bits the kernel tags), the LADIES shape,
+#: hostile, ``top_k_per_segment``'s negated scores, both signed zeros,
+#: and a different kind per row.
 _KEY_SHAPES = (
     "continuous",
     "ties",
+    "near_ties",
     "inf_heavy",
     "nan_and_inf",
     "negative",
+    "signed_zeros",
     "mixed_rows",
 )
-#: Per-row kinds of "mixed_rows": what the threshold kernel has to tell
-#: apart inside one block — equal keys straddling the cut, rows short of
-#: selectable keys, rows with none — next to ordinary full rows.
-_ROW_KINDS = ("continuous", "ties", "inf_heavy", "all_inf", "all_nan", "negative")
+#: Per-row kinds of "mixed_rows": what the kernel has to tell apart
+#: inside one block — equal and near-equal keys straddling the cut, rows
+#: short of selectable keys, rows with none — next to ordinary full rows.
+_ROW_KINDS = (
+    "continuous",
+    "ties",
+    "near_ties",
+    "inf_heavy",
+    "all_inf",
+    "all_nan",
+    "negative",
+    "signed_zeros",
+)
 
 
 def _draw_keys(shape, n, rng):
@@ -220,8 +233,17 @@ def _draw_keys(shape, n, rng):
         return rng.random(n)
     if shape == "ties":
         return rng.integers(0, 4, size=n).astype(np.float64)
+    if shape == "near_ties":
+        # Runs of keys 0-3 ulps above one of three values.
+        keys = rng.integers(1, 4, size=n).astype(np.float64)
+        for _ in range(3):
+            step = rng.random(n) < 0.5
+            keys[step] = np.nextafter(keys[step], np.inf)
+        return keys
     if shape == "negative":
         return -rng.integers(0, 6, size=n).astype(np.float64) / 2
+    if shape == "signed_zeros":
+        return rng.choice(np.array([0.0, -0.0, 0.5, -0.5]), size=n)
     if shape == "all_inf":
         return np.full(n, np.inf)
     if shape == "all_nan":
@@ -334,6 +356,19 @@ class TestRaceSelectAgainstLexsortOracle:
             segmented_race_select(keys, indptr, 4), [1, 4, 0, 2]
         )
 
+    @pytest.mark.parametrize("block_elems", [8, 1 << 18])
+    def test_last_segments_narrower_than_the_block_width(self, block_elems):
+        """The rows whose window would run past the end of the keys."""
+        keys = np.array(
+            [0.9, 0.2, 0.7, 0.4, 0.6, 0.1, 0.8, 0.3, 0.5, 0.05, 0.3, 0.1, 0.2]
+        )
+        indptr = np.array([0, 10, 11, 13])
+        with mock.patch.object(rnd, "_RACE_BLOCK_ELEMS", block_elems):
+            np.testing.assert_array_equal(
+                segmented_race_select(keys, indptr, 2), [9, 5, 10, 11, 12]
+            )
+            _assert_matches_oracle(keys, indptr, 2)
+
     def test_segment_wider_than_the_block_limit_is_one_row(self):
         rng = np.random.default_rng(3)
         indptr = np.array([0, 2, 1002, 1010])
@@ -355,11 +390,19 @@ class TestRaceSelectRefusals:
             (np.array([1, 2, 4]), 1),  # does not start at 0
             (np.array([], dtype=np.int64), 1),  # no pointer at all
             (np.array([[0, 4]]), 1),  # not 1-D
+            (np.array([0, 2, 4]), 1.5),  # float k
+            (np.array([0, 2, 4]), np.array([1.0, 2.0])),  # float per-segment k
+            (np.array([0.0, 2.0, 4.0]), 1),  # float indptr
+            (np.array([0, 2, 4]), True),  # bool k
         ],
     )
     def test_malformed_input_raises_shape_error(self, indptr, k):
         with pytest.raises(ShapeError):
             segmented_race_select(np.ones(4), indptr, k)
+
+    def test_complex_keys_raise_shape_error(self):
+        with pytest.raises(ShapeError):
+            segmented_race_select(np.ones(4, dtype=complex), np.array([0, 4]), 1)
 
     def test_zero_segments_and_zero_k_are_legal(self):
         empty = np.empty(0, dtype=np.int64)
@@ -383,12 +426,17 @@ class TestOneSelectPath:
         ] == []
 
     def test_select_has_no_index_sort_chain_left(self):
-        """One block kernel, not two: value sort and threshold replaced
-        the ``argpartition`` chain, it did not join it."""
+        """One block kernel, not two: the block sorts once, in place, and
+        its only ``argsort`` is the stable redo of near-tied rows — no
+        value sort and threshold, no ``argpartition`` chain."""
         for function in (segmented_race_select, rnd._race_select_block):
             source = inspect.getsource(function)
             assert "argpartition" not in source
             assert "take_along_axis" not in source
+        kernel = inspect.getsource(rnd._race_select_block)
+        assert kernel.count("sort(") == 2
+        assert kernel.count("block.sort(axis=1)") == 1
+        assert kernel.count('argsort(exact, axis=1, kind="stable")') == 1
 
     def test_benchmark_facing_names_and_signatures_unchanged(self):
         """``perfbench`` wraps these two by module attribute and reads

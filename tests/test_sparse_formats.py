@@ -128,12 +128,6 @@ def _assert_same_as_np_unique(ids, bound=None):
     want = np.unique(ids)
     np.testing.assert_array_equal(got, want)
     assert got.dtype == want.dtype
-    got, got_inverse = sorted_unique(ids, bound, return_inverse=True)
-    want, want_inverse = np.unique(ids, return_inverse=True)
-    np.testing.assert_array_equal(got, want)
-    np.testing.assert_array_equal(got_inverse, want_inverse)
-    assert (got.dtype, got_inverse.dtype) == (want.dtype, want_inverse.dtype)
-    assert got_inverse.shape == want_inverse.shape
 
 
 class TestSortedUnique:
@@ -181,9 +175,8 @@ class TestSortedUnique:
         ],
     )
     def test_out_of_range_ids_raise_shape_error(self, ids, bound):
-        for return_inverse in (False, True):
-            with pytest.raises(ShapeError):
-                sorted_unique(np.array(ids), bound, return_inverse)
+        with pytest.raises(ShapeError):
+            sorted_unique(np.array(ids), bound)
 
 
 class TestDenseOracle:

@@ -375,7 +375,6 @@ def _parent_split_sample(matrix, batch_ptr, num_graph_rows, ctx):
     verbatim as the oracle of the pieces built on read."""
     from repro.core.matrix import Matrix
     from repro.sparse import CSC, INDEX_DTYPE
-    from repro.sparse.formats import sorted_unique
 
     _ITEM, _VAL = superbatch_ops._ITEM, superbatch_ops._VAL
     csc = matrix.get("csc")
@@ -385,7 +384,7 @@ def _parent_split_sample(matrix, batch_ptr, num_graph_rows, ctx):
         lo, hi = int(batch_ptr[b]), int(batch_ptr[b + 1])
         e_lo, e_hi = int(csc.indptr[lo]), int(csc.indptr[hi])
         rows_b = csc.rows[e_lo:e_hi]
-        uniq, inv = sorted_unique(rows_b, csc.shape[0], return_inverse=True)
+        uniq, inv = np.unique(rows_b, return_inverse=True)
         piece_csc = CSC(
             indptr=csc.indptr[lo : hi + 1] - e_lo,
             rows=inv.astype(INDEX_DTYPE),
