@@ -5,7 +5,6 @@ from repro.core.ecsf import (
     SampledLayer,
     Step,
     minibatches,
-    run_layers,
 )
 from repro.core.hetero import HeteroGraph, hetero_from_typed_edges
 from repro.core.matrix import Matrix, from_edges
@@ -35,7 +34,6 @@ __all__ = [
     "minibatches",
     "new_rng",
     "push_ppr",
-    "run_layers",
     "topk_ppr_neighbors",
     "uniform_walk_step",
 ]

@@ -12,14 +12,14 @@ stack of layers, each decomposable into four steps:
 
 This module provides the step vocabulary (:mod:`repro.ir.ops` files every
 operator a user program can write under one of the four) and the
-layer-stacking driver shared by all algorithm implementations.
+per-layer sample records; the layer-stacking driver every algorithm
+shares is :class:`repro.algorithms.base.LayeredPipeline`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-from collections.abc import Callable, Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -95,39 +95,6 @@ class GraphSample:
     @property
     def num_edges(self) -> int:
         return sum(layer.num_edges for layer in self.layers)
-
-
-#: Signature of a one-layer sampler: (A, frontiers, fanout) -> (sample, next).
-OneLayerFn = Callable[[Matrix, np.ndarray, int], tuple[Matrix, np.ndarray]]
-
-
-def run_layers(
-    graph: Matrix,
-    seeds: np.ndarray,
-    fanouts: Sequence[int],
-    one_layer: OneLayerFn,
-) -> GraphSample:
-    """Stack ``one_layer`` over ``fanouts``, threading frontiers through.
-
-    This is the driver every ECSF algorithm shares; only ``one_layer``
-    differs between algorithms.  Layers stop early if a frontier set
-    becomes empty (all walks hit dead ends).
-    """
-    frontiers = np.asarray(seeds)
-    layers: list[SampledLayer] = []
-    for fanout in fanouts:
-        if len(frontiers) == 0:
-            break
-        sample, next_frontiers = one_layer(graph, frontiers, fanout)
-        layers.append(
-            SampledLayer(
-                matrix=sample,
-                input_nodes=frontiers,
-                output_nodes=next_frontiers,
-            )
-        )
-        frontiers = next_frontiers
-    return GraphSample(seeds=np.asarray(seeds), layers=layers)
 
 
 def minibatches(

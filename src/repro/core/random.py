@@ -25,16 +25,16 @@ _DEFAULT_SEED = 2023
 
 #: Largest dense scratch block, in elements, ``segmented_race_select``
 #: pads segments into — the padded size up to which a call is one block,
-#: and half the keys from which ``_host_map`` uses the pool (DESIGN.md,
-#: "Host kernels", has the measurements).
+#: and half the keys from which the pool engages (``_pool_engages``;
+#: DESIGN.md, "Host kernels", has the measurements).
 _RACE_BLOCK_ELEMS = 1 << 18
 
 #: ``+inf`` as a key image: every image at or above it is a key the race
 #: never selects.
 _INF_IMAGE = np.float64(np.inf).view(np.int64)
 
-#: The host thread pool ``_host_map`` runs on, and the process that built
-#: it: a pool does not survive ``fork``, so a child builds its own.
+#: The host thread pool (``_host_pool``), and the process that built it:
+#: a pool does not survive ``fork``, so a child builds its own.
 _POOL = None
 _POOL_PID = -1
 _POOL_LOCK = threading.Lock()
@@ -79,29 +79,46 @@ def _host_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _host_map(fn, items: list[tuple], size: int) -> list:
-    """``[fn(*item) for item in items]``, in order, on the host thread pool
-    when the work is worth splitting.
+def _pool_engages(items: int, size: int) -> bool:
+    """Whether ``items`` pieces of work sharing ``size`` keys run on the
+    host thread pool.
 
-    The pool runs when the process may use two or more CPUs, there are
-    two or more items and ``size`` — the keys the items share — fills at
-    least one ``_RACE_BLOCK_ELEMS`` block for each of two workers; below
-    that, the per-thread scratch costs more resident memory than the
-    split saves time (DESIGN.md, "Host parallelism").  ``fn`` must draw
-    nothing and write only its own output or its own slice: every draw
-    stays on the calling thread, in stream order.
+    They do when the process may use two or more CPUs, there are two or
+    more pieces and the keys fill at least one ``_RACE_BLOCK_ELEMS``
+    block for each of two workers; below that, the per-thread scratch
+    costs more resident memory than the split saves time (DESIGN.md,
+    "Host parallelism").
     """
-    if len(items) < 2 or size < 2 * _RACE_BLOCK_ELEMS or (cpus := _host_cpus()) < 2:
-        return [fn(*item) for item in items]
+    return items >= 2 and size >= 2 * _RACE_BLOCK_ELEMS and _host_cpus() >= 2
+
+
+def _host_pool():
+    """The host thread pool, built on first use in this process."""
     global _POOL, _POOL_PID
     with _POOL_LOCK:
         if _POOL_PID != os.getpid():
             from concurrent.futures import ThreadPoolExecutor
 
-            _POOL = ThreadPoolExecutor(cpus, thread_name_prefix="repro-host")
+            _POOL = ThreadPoolExecutor(_host_cpus(), thread_name_prefix="repro-host")
             _POOL_PID = os.getpid()
-        pool = _POOL
-    return list(pool.map(fn, *zip(*items)))
+        return _POOL
+
+
+def _inline_map(fn, items: list[tuple], size: int) -> list:
+    """``[fn(*item) for item in items]`` on the calling thread."""
+    return [fn(*item) for item in items]
+
+
+def _host_map(fn, items: list[tuple], size: int) -> list:
+    """``[fn(*item) for item in items]``, in order, on the host thread pool
+    when :func:`_pool_engages`.
+
+    ``fn`` must draw nothing, submit nothing and write only its own
+    output: every draw stays on the calling thread, in stream order.
+    """
+    if not _pool_engages(len(items), size):
+        return _inline_map(fn, items, size)
+    return list(_host_pool().map(fn, *zip(*items)))
 
 
 def weighted_choice_without_replacement(
@@ -250,7 +267,16 @@ def segmented_race_select(
         )
     if np.any(k_array < 0):
         raise ShapeError("k must be non-negative")
-    cap = np.minimum(lengths, k_array)
+    return _race_select(keys, indptr, k_array, _host_map)
+
+
+def _race_select(keys: np.ndarray, indptr: np.ndarray, k, map_blocks) -> np.ndarray:
+    """:func:`segmented_race_select` on checked input, its blocks run
+    through ``map_blocks`` (:func:`_host_map` or, on a pool worker, which
+    must never submit, :func:`_inline_map`)."""
+    lengths = np.diff(indptr)
+    n_seg = len(lengths)
+    cap = np.minimum(lengths, k)
     active = np.flatnonzero(cap > 0)
     if len(active) == 0:
         return np.empty(0, dtype=np.int64)
@@ -281,7 +307,7 @@ def segmented_race_select(
     taken = np.zeros(n_seg, dtype=np.int64)
     pieces = []
     for rows, (picks, counts) in zip(
-        block_rows, _host_map(_race_select_block, blocks, len(keys))
+        block_rows, map_blocks(_race_select_block, blocks, len(keys))
     ):
         taken[rows] = counts
         pieces.append(picks)
@@ -303,11 +329,16 @@ def _race_select_counts(
     totals agree, every segment got exactly that.
     """
     picks = segmented_race_select(keys, indptr, k)
+    return picks, _pick_counts(picks, indptr, k)
+
+
+def _pick_counts(picks: np.ndarray, indptr: np.ndarray, k) -> np.ndarray:
+    """How many of the race's ``picks`` fell in each indptr segment."""
     counts = np.minimum(np.diff(indptr), k)
     if len(picks) != counts.sum():
         owner = np.searchsorted(indptr, picks, side="right") - 1
         counts = np.bincount(owner, minlength=len(counts))
-    return picks, counts
+    return counts
 
 
 def _key_images(keys: np.ndarray) -> np.ndarray:

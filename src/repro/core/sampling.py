@@ -52,6 +52,21 @@ class CollectiveResult:
     selected_rows: np.ndarray
 
 
+def _check_fanout(k) -> None:
+    """Refuse a fan-out that is not an integer ``>= 1`` (bool is not one;
+    NumPy integers are), before any draw."""
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
+        raise ShapeError(f"fanout k must be an integer, got {k!r}")
+    if k <= 0:
+        raise ShapeError(f"fanout k must be positive, got {k}")
+
+
+def _check_real_probs(probs: np.ndarray) -> None:
+    """Refuse complex, string or object ``probs``, before any draw."""
+    if probs.dtype.kind not in "biuf":
+        raise ShapeError(f"probs must be real numbers, got dtype {probs.dtype}")
+
+
 def _edge_keys(
     nnz: int,
     values: np.ndarray | None,
@@ -80,8 +95,7 @@ def individual_sample(
     weighted) edges return what they have when sampling without
     replacement.
     """
-    if k <= 0:
-        raise ShapeError(f"fanout k must be positive, got {k}")
+    _check_fanout(k)
     rng = rng if rng is not None else rnd.new_rng()
     csc = to_csc(matrix, ctx)
     bias = _resolve_edge_bias(csc, probs)
@@ -117,8 +131,7 @@ def labor_sample(
     marginal.  Surviving edges carry Horvitz–Thompson importance weights
     ``w_e / pi_c`` so aggregations stay unbiased.
     """
-    if k <= 0:
-        raise ShapeError(f"fanout k must be positive, got {k}")
+    _check_fanout(k)
     rng = rng if rng is not None else rnd.new_rng()
     csc = to_csc(matrix, ctx)
     deg = np.diff(csc.indptr).astype(np.int64)
@@ -174,13 +187,15 @@ def fused_extract_individual_sample(
     reads only the frontier index ranges and writes only the sampled
     edges, which is the memory saving Figure 10's "C" bar measures.
 
-    A weighted race without replacement draws its Exp(1) keys in one
-    pass, in candidate order, and turns them into keys in chunks of
-    frontiers, each gathering its own weights — on the host thread pool
-    when the candidates fill two race blocks.
+    A weighted race without replacement draws its Exp(1) keys in
+    candidate order.  When the pool engages it streams: the calling
+    thread draws chunks of frontiers of about one race block each, in
+    order, and submits each to the pool before drawing the next; a worker
+    gathers the chunk's weights, keys and race-selects it
+    (:func:`_race_chunk`).  Otherwise it draws once, keys the draws
+    chunk by chunk and selects once.
     """
-    if k <= 0:
-        raise ShapeError(f"fanout k must be positive, got {k}")
+    _check_fanout(k)
     frontiers = frontier_ids(frontiers, graph_csc.shape[1])
     # Only a biased race reads the candidates' weights; an unbiased one
     # never gathers the frontier ranges at all.
@@ -190,6 +205,7 @@ def fused_extract_individual_sample(
             raise ShapeError(
                 f"per-edge probs shape {source.shape} != nnz ({graph_csc.nnz},)"
             )
+        _check_real_probs(source)
     elif graph_csc._has_nonuniform_values():
         source = graph_csc.values
     else:
@@ -200,31 +216,50 @@ def fused_extract_individual_sample(
     sub_indptr = _indptr_from_counts(lengths)
     total = int(sub_indptr[-1])
 
-    if source is not None and not replace and total:
-        keys = rng.standard_exponential(total)
+    weighted_race = source is not None and not replace and total > 0
+    chunks = []
+    if weighted_race:
         # Frontier bounds of chunks of about one race block of candidates.
         bounds = np.searchsorted(
             sub_indptr, np.arange(0, total, rnd._RACE_BLOCK_ELEMS)
         ).tolist() + [len(frontiers)]
-        chunks = [
-            (keys[sub_indptr[a] : sub_indptr[b]], source, starts[a:b], lengths[a:b])
-            for a, b in zip(bounds, bounds[1:])
-            if b > a
+        chunks = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
+    if rnd._pool_engages(len(chunks), total):
+        pool = rnd._host_pool()
+        futures = [
+            pool.submit(
+                _race_chunk,
+                rng.standard_exponential(int(sub_indptr[b] - sub_indptr[a])),
+                source, starts[a:b], lengths[a:b], k,
+            )
+            for a, b in chunks
         ]
-        rnd._host_map(_gather_race_keys, chunks, total)
-        picks_local, counts = rnd._race_select_counts(keys, sub_indptr, k)
+        pieces = [future.result() for future in futures]
+        picks = np.concatenate([picks for picks, _ in pieces])
+        counts = np.concatenate([counts for _, counts in pieces])
     else:
-        bias = (
-            None
-            if source is None
-            else source[gather_ranges(starts, lengths)].astype(np.float64)
-        )
-        picks_local, counts = _pick_per_segment(
-            sub_indptr, bias, k, replace, rng
-        )
-    # Picks are grouped by frontier: shift each group from its extracted
-    # range back to the frontier's range in the graph.
-    picks = picks_local + np.repeat(starts - sub_indptr[:-1], counts)
+        if weighted_race:
+            keys = rng.standard_exponential(total)
+            # Chunk by chunk: one gather of every candidate's weight costs
+            # more time and memory than the chunks' cache-sized ones.
+            for a, b in chunks:
+                rnd._race_keys_in_place(
+                    keys[sub_indptr[a] : sub_indptr[b]],
+                    source[gather_ranges(starts[a:b], lengths[a:b])],
+                )
+            picks_local, counts = rnd._race_select_counts(keys, sub_indptr, k)
+        else:
+            bias = (
+                None
+                if source is None
+                else source[gather_ranges(starts, lengths)].astype(np.float64)
+            )
+            picks_local, counts = _pick_per_segment(
+                sub_indptr, bias, k, replace, rng
+            )
+        # Picks are grouped by frontier: shift each group from its
+        # extracted range back to the frontier's range in the graph.
+        picks = picks_local + np.repeat(starts - sub_indptr[:-1], counts)
     out = CSC(
         indptr=_indptr_from_counts(counts),
         rows=graph_csc.rows[picks],
@@ -253,12 +288,22 @@ def fused_extract_individual_sample(
     return out
 
 
-def _gather_race_keys(
-    draws: np.ndarray, source: np.ndarray, starts: np.ndarray, lengths: np.ndarray
-) -> None:
-    """One chunk of a fused weighted race: gather the chunk's candidate
-    weights from ``source`` and turn its slice of the draws into keys."""
+def _race_chunk(
+    draws: np.ndarray,
+    source: np.ndarray,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    k: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One streamed chunk of a fused weighted race, on a pool worker: turn
+    the chunk's draws into keys in place from its weights in ``source``,
+    race-select its frontiers' ranges with the blocks run inline (a
+    worker never submits), and return their graph positions and counts."""
     rnd._race_keys_in_place(draws, source[gather_ranges(starts, lengths)])
+    indptr = _indptr_from_counts(lengths)
+    picks = rnd._race_select(draws, indptr, k, rnd._inline_map)
+    counts = rnd._pick_counts(picks, indptr, k)
+    return picks + np.repeat(starts - indptr[:-1], counts), counts
 
 
 def fused_extract_reduce(
@@ -405,11 +450,13 @@ def _resolve_edge_bias(
             raise ShapeError(
                 f"per-edge probs shape {probs.shape} != nnz ({csc.nnz},)"
             )
-        return probs.astype(np.float64)
-    if probs.nnz != csc.nnz or probs.shape != csc.shape:
-        raise ShapeError("probs matrix topology differs from target matrix")
-    probs_csc = to_csc(probs)
-    return edge_values(probs_csc).astype(np.float64)
+        values = probs
+    else:
+        if probs.nnz != csc.nnz or probs.shape != csc.shape:
+            raise ShapeError("probs matrix topology differs from target matrix")
+        values = edge_values(to_csc(probs))
+    _check_real_probs(values)
+    return values.astype(np.float64)
 
 
 def _pick_per_segment(

@@ -11,8 +11,8 @@ from repro.core import (
     Step,
     minibatches,
     new_rng,
-    run_layers,
 )
+from repro.algorithms.base import LayeredPipeline
 from repro.ir import STEP_OF_OP
 
 
@@ -23,17 +23,18 @@ def test_step_vocabulary_covers_table4():
     assert STEP_OF_OP["row"] is Step.FINALIZE
 
 
-class TestRunLayers:
+class TestLayeredPipeline:
     def test_stacks_layers(self, small_graph):
-        rng = new_rng(0)
+        def hop(fanout):
+            def one_layer(frontiers, ctx, rng):
+                sampled = small_graph[:, frontiers].individual_sample(fanout, rng=rng)
+                return sampled, sampled.row()
 
-        def one_layer(graph, frontiers, fanout):
-            sub = graph[:, frontiers]
-            sampled = sub.individual_sample(fanout, rng=rng)
-            return sampled, sampled.row()
+            return one_layer
 
         seeds = np.array([1, 2, 3])
-        sample = run_layers(small_graph, seeds, [2, 3], one_layer)
+        pipeline = LayeredPipeline([hop(2), hop(3)])
+        sample = pipeline.sample_batch(seeds, rng=new_rng(0))
         assert len(sample.layers) == 2
         np.testing.assert_array_equal(sample.layers[0].input_nodes, seeds)
         np.testing.assert_array_equal(
@@ -51,11 +52,11 @@ class TestRunLayers:
         np.testing.assert_array_equal(sample.all_nodes, [1, 2, 5])
 
     def test_stops_on_empty_frontier(self, small_graph):
-        def dead_end(graph, frontiers, fanout):
-            sub = graph[:, frontiers]
-            return sub, np.array([], dtype=np.int64)
+        def dead_end(frontiers, ctx, rng):
+            return small_graph[:, frontiers], np.array([], dtype=np.int64)
 
-        sample = run_layers(small_graph, np.array([1]), [2, 2, 2], dead_end)
+        pipeline = LayeredPipeline([dead_end] * 3)
+        sample = pipeline.sample_batch(np.array([1]), rng=new_rng(0))
         assert len(sample.layers) == 1
 
 

@@ -1,7 +1,7 @@
 """The host thread pool under the Select: pooled runs equal inline runs
-bit for bit, workers only ever run the two untraced helpers, draws stay
-on the calling thread, and the pool follows the affinity mask and
-survives ``fork``."""
+bit for bit, workers only ever run the two untraced helpers and never
+submit, draws stay on the calling thread, and the pool follows the
+affinity mask and survives ``fork``."""
 
 from __future__ import annotations
 
@@ -18,9 +18,9 @@ import pytest
 
 from repro.core import random as rnd
 from repro.core import sampling
-from repro.core.random import exponential_race_keys, segmented_race_select
+from repro.core.random import segmented_race_select
 from repro.sparse import CSC
-from repro.sparse.formats import _indptr_from_counts, gather_ranges
+from repro.sparse.formats import _indptr_from_counts
 
 #: A block limit small enough that the inputs below are many blocks and
 #: fill the two-block rule, so they take the pool.
@@ -59,10 +59,47 @@ def _weighted_graph(seed=0, cols=300):
     return csc, rng.permutation(cols)[: cols // 2]
 
 
-def _sample(csc, frontiers, seed):
+def _sample(csc, frontiers, seed, k=5):
     rng = np.random.default_rng(seed)
-    out = sampling.fused_extract_individual_sample(csc, frontiers, 5, rng=rng)
+    out = sampling.fused_extract_individual_sample(csc, frontiers, k, rng=rng)
     return out, rng.bit_generator.state
+
+
+def _assert_same_sample(a, b):
+    (a, a_state), (b, b_state) = a, b
+    for field in ("indptr", "rows", "values", "edge_ids"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.dtype == y.dtype
+        np.testing.assert_array_equal(x, y)
+    assert a_state == b_state
+
+
+def _graph_of(lengths, values):
+    indptr = _indptr_from_counts(np.asarray(lengths))
+    nnz = int(indptr[-1])
+    return CSC(
+        indptr=indptr,
+        rows=np.arange(nnz) % len(lengths),
+        values=np.asarray(values, dtype=np.float32),
+        shape=(len(lengths), len(lengths)),
+    )
+
+
+def _run_with_timeout(body, timeout=120):
+    """Run ``body`` on a daemon thread; fail instead of hanging."""
+    failures = []
+
+    def guarded():
+        try:
+            body()
+        except Exception as exc:  # reported below, on the test thread
+            failures.append(exc)
+
+    worker = threading.Thread(target=guarded, daemon=True)
+    worker.start()
+    worker.join(timeout=timeout)
+    assert not worker.is_alive(), "the pooled sample did not finish"
+    assert failures == []
 
 
 class _RecordingExecutor(Executor):
@@ -76,6 +113,19 @@ class _RecordingExecutor(Executor):
         future = Future()
         future.set_result(fn(*args, **kwargs))
         return future
+
+
+class _NoNestingPool(ThreadPoolExecutor):
+    """A pool whose workers may not submit: a nested submit raises
+    instead of waiting for a worker that may never be free."""
+
+    def __init__(self, workers):
+        super().__init__(workers, thread_name_prefix="no-nesting")
+
+    def submit(self, fn, /, *args, **kwargs):
+        if threading.current_thread().name.startswith("no-nesting"):
+            raise RuntimeError("a pool worker submitted work")
+        return super().submit(fn, *args, **kwargs)
 
 
 class TestPooledEqualsInline:
@@ -93,7 +143,7 @@ class TestPooledEqualsInline:
         _sample(*_weighted_graph(), seed=1)
         assert set(stub.submitted) == {
             rnd._race_select_block,
-            sampling._gather_race_keys,
+            sampling._race_chunk,
         }
 
     def test_fused_weighted_sample_pooled_equals_inline(
@@ -101,65 +151,89 @@ class TestPooledEqualsInline:
     ):
         csc, frontiers = _weighted_graph(3)
         monkeypatch.setattr(rnd, "_host_cpus", lambda: 1)
-        inline, inline_state = _sample(csc, frontiers, seed=9)
+        inline = _sample(csc, frontiers, seed=9)
         monkeypatch.setattr(rnd, "_host_cpus", lambda: 2)
-        pooled, pooled_state = _sample(csc, frontiers, seed=9)
+        pooled = _sample(csc, frontiers, seed=9)
         assert rnd._POOL is not None
-        for field in ("indptr", "rows", "values", "edge_ids"):
-            a, b = getattr(inline, field), getattr(pooled, field)
-            assert a.dtype == b.dtype
-            np.testing.assert_array_equal(a, b)
-        assert inline_state == pooled_state
+        _assert_same_sample(inline, pooled)
 
-    def test_chunked_keys_equal_one_pass_keys_under_contention(
+    def test_streamed_draws_and_picks_equal_the_inline_one_draw_path(
         self, fresh_pool, monkeypatch
     ):
         """Eight workers on however few CPUs, the interpreter switching
-        threads every microsecond: a chunk writing outside its slice, or
-        a draw taken off the calling thread, would move a key."""
+        threads every microsecond: a chunk drawn out of order or off the
+        calling thread, or a worker writing outside its own chunk, would
+        move a pick or the generator's end state."""
         csc, frontiers = _weighted_graph(5)
-        starts = csc.indptr[frontiers]
-        flat = gather_ranges(starts, csc.indptr[frontiers + 1] - starts)
+        monkeypatch.setattr(rnd, "_host_cpus", lambda: 1)
+        expected = [_sample(csc, frontiers, seed) for seed in range(20)]
         pool = ThreadPoolExecutor(8)
         monkeypatch.setattr(rnd, "_POOL", pool)
         monkeypatch.setattr(rnd, "_POOL_PID", os.getpid())
         monkeypatch.setattr(rnd, "_host_cpus", lambda: 2)
-        seen = []
-        select = rnd._race_select_counts
-
-        def spy(keys, indptr, k):
-            seen.append(keys.copy())
-            return select(keys, indptr, k)
-
-        monkeypatch.setattr(rnd, "_race_select_counts", spy)
-        failures = []
 
         def body():
-            try:
-                for seed in range(20):
-                    _sample(csc, frontiers, seed)
-                    expected = exponential_race_keys(
-                        csc.values[flat], np.random.default_rng(seed)
-                    )
-                    if not np.array_equal(
-                        seen[-1].view(np.uint64), expected.view(np.uint64)
-                    ):
-                        failures.append(seed)
-            except Exception as exc:  # reported below, on the test thread
-                failures.append(exc)
+            for seed in range(20):
+                _assert_same_sample(expected[seed], _sample(csc, frontiers, seed))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            worker = threading.Thread(target=body, daemon=True)
-            worker.start()
-            worker.join(timeout=120)
+            _run_with_timeout(body)
         finally:
             sys.setswitchinterval(interval)
             pool.shutdown(wait=False)
-        assert not worker.is_alive(), "pooled key chunks did not finish"
-        assert failures == []
-        assert len(seen) == 20
+
+    def test_a_hub_inside_one_chunk_never_submits_from_a_worker(
+        self, fresh_pool, monkeypatch
+    ):
+        """Every chunk is a one-edge column then a hub wider than two
+        blocks: its select is two binned blocks, enough to pool.  Were a
+        worker to submit them, both workers of a 2-worker pool could wait
+        on futures no worker is free to run; this pool refuses the
+        submit instead."""
+        lengths = [1, 4 * _SMALL_BLOCK] * 8
+        csc = _graph_of(lengths, np.linspace(0.1, 1.0, sum(lengths)))
+        frontiers = np.arange(len(lengths))
+        monkeypatch.setattr(rnd, "_host_cpus", lambda: 1)
+        expected = _sample(csc, frontiers, seed=4)
+        pool = _NoNestingPool(2)
+        monkeypatch.setattr(rnd, "_POOL", pool)
+        monkeypatch.setattr(rnd, "_POOL_PID", os.getpid())
+        monkeypatch.setattr(rnd, "_host_cpus", lambda: 2)
+        try:
+            _run_with_timeout(
+                lambda: _assert_same_sample(expected, _sample(csc, frontiers, 4)),
+                timeout=60,
+            )
+        finally:
+            pool.shutdown(wait=False)
+
+    @pytest.mark.parametrize("k", [1, 3, 40])
+    def test_pooled_equals_inline_with_bad_weights_and_empty_frontiers_on_chunk_edges(
+        self, fresh_pool, monkeypatch, k
+    ):
+        """Zero, negative and NaN weights, and empty frontiers first and
+        last in the call and at every chunk bound, one chunk with no
+        candidates at all."""
+        half = _SMALL_BLOCK // 2
+        lengths = [0] + [half, half, 0] * 6 + [3 * _SMALL_BLOCK, 0, 0]
+        values = np.random.default_rng(k).random(sum(lengths)) - 0.2
+        values[::7] = 0.0
+        values[::11] = np.nan
+        csc = _graph_of(lengths, values)
+        frontiers = np.arange(len(lengths))
+        # The first frontier at or past every block multiple is empty.
+        bounds = np.searchsorted(
+            csc.indptr, np.arange(0, csc.nnz, _SMALL_BLOCK)
+        )
+        assert not np.diff(csc.indptr)[bounds].any()
+        monkeypatch.setattr(rnd, "_host_cpus", lambda: 1)
+        inline = _sample(csc, frontiers, seed=k, k=k)
+        monkeypatch.setattr(rnd, "_host_cpus", lambda: 2)
+        pooled = _sample(csc, frontiers, seed=k, k=k)
+        assert rnd._POOL is not None
+        _assert_same_sample(inline, pooled)
 
 
 class TestPoolLifetime:

@@ -346,6 +346,87 @@ class TestFusedExtractSelectBoundaries:
         assert rng.bit_generator.state == untouched
 
 
+def _fused(csc, k, probs=None, **kwargs):
+    from repro.core.sampling import fused_extract_individual_sample
+
+    return fused_extract_individual_sample(csc, np.arange(8), k, probs, **kwargs)
+
+
+def _individual(csc, k, probs=None, **kwargs):
+    from repro.core.sampling import individual_sample
+
+    return individual_sample(csc, k, probs, **kwargs)
+
+
+def _labor(csc, k, probs=None, replace=False, **kwargs):
+    from repro.core.sampling import labor_sample
+
+    return labor_sample(csc, k, **kwargs)
+
+
+class TestFanoutAndProbsBoundaries:
+    """The node-wise samplers share one fan-out check — an integer, not a
+    bool, at least 1 — and refuse non-real ``probs``, with a
+    ``ShapeError`` before the first draw or launch."""
+
+    @pytest.mark.parametrize(
+        ("sample", "replace"),
+        [(_fused, False), (_fused, True), (_individual, False),
+         (_individual, True), (_labor, False)],
+    )
+    @pytest.mark.parametrize(
+        ("k", "message"),
+        [
+            (2.5, "fanout k must be an integer, got 2.5"),
+            (np.float64(2.0), "fanout k must be an integer, got np.float64(2.0)"),
+            (0.5, "fanout k must be an integer, got 0.5"),
+            (True, "fanout k must be an integer, got True"),
+            ("3", "fanout k must be an integer, got '3'"),
+        ],
+    )
+    def test_fanout_refused_before_any_draw_or_launch(
+        self, sample, replace, k, message, small_graph
+    ):
+        """A float or bool ``k`` was refused only after the draw without
+        replacement, sampled ``int(k)`` with it and in ``labor_sample``;
+        ``'3'`` raised a raw ``TypeError``."""
+        ctx = ExecutionContext(V100)
+        rng = new_rng(0)
+        untouched = rng.bit_generator.state
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            sample(small_graph.get("csc"), k, replace=replace, rng=rng, ctx=ctx)
+        assert ctx.launch_count() == 0
+        assert rng.bit_generator.state == untouched
+
+    @pytest.mark.parametrize("sample", [_fused, _individual, _labor])
+    @pytest.mark.parametrize("k", [3, np.int32(3), np.uint8(3)])
+    def test_numpy_integer_fanout_is_accepted(self, sample, k, small_graph):
+        csc = small_graph.get("csc")
+        expected = sample(csc, 3, rng=new_rng(0))
+        got = sample(csc, k, rng=new_rng(0))
+        np.testing.assert_array_equal(got.indptr, expected.indptr)
+        np.testing.assert_array_equal(got.rows, expected.rows)
+
+    @pytest.mark.parametrize("sample", [_fused, _individual])
+    @pytest.mark.parametrize("replace", [False, True])
+    @pytest.mark.parametrize("dtype", ["complex128", "U32"])
+    def test_non_real_probs_refused_before_any_draw_or_launch(
+        self, sample, replace, dtype, small_graph
+    ):
+        """Complex or string ``probs`` raised a raw NumPy error after the
+        fused draw; ``individual_sample`` dropped the imaginary part with
+        a ``ComplexWarning`` and parsed the strings."""
+        csc = small_graph.get("csc")
+        probs = new_rng(1).random(csc.nnz).astype(dtype)
+        ctx = ExecutionContext(V100)
+        rng = new_rng(0)
+        untouched = rng.bit_generator.state
+        with pytest.raises(ShapeError, match="probs must be real numbers"):
+            sample(csc, 3, probs, replace=replace, rng=rng, ctx=ctx)
+        assert ctx.launch_count() == 0
+        assert rng.bit_generator.state == untouched
+
+
 class TestServeFlagBoundaries:
     """A ``serve`` flag value the library cannot honour exits 2 where it
     enters — no NumPy traceback, no NaN-derived record in the lane."""
