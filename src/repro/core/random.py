@@ -80,11 +80,11 @@ def _host_cpus() -> int:
 
 
 def _pool_engages(items: int, size: int) -> bool:
-    """Whether ``items`` pieces of work sharing ``size`` keys run on the
-    host thread pool.
+    """Whether ``items`` chunks of a weighted race sharing ``size`` keys
+    stream through the host thread pool (``sampling._select``).
 
     They do when the process may use two or more CPUs, there are two or
-    more pieces and the keys fill at least one ``_RACE_BLOCK_ELEMS``
+    more chunks and the keys fill at least one ``_RACE_BLOCK_ELEMS``
     block for each of two workers; below that, the per-thread scratch
     costs more resident memory than the split saves time (DESIGN.md,
     "Host parallelism").
@@ -102,23 +102,6 @@ def _host_pool():
             _POOL = ThreadPoolExecutor(_host_cpus(), thread_name_prefix="repro-host")
             _POOL_PID = os.getpid()
         return _POOL
-
-
-def _inline_map(fn, items: list[tuple], size: int) -> list:
-    """``[fn(*item) for item in items]`` on the calling thread."""
-    return [fn(*item) for item in items]
-
-
-def _host_map(fn, items: list[tuple], size: int) -> list:
-    """``[fn(*item) for item in items]``, in order, on the host thread pool
-    when :func:`_pool_engages`.
-
-    ``fn`` must draw nothing, submit nothing and write only its own
-    output: every draw stays on the calling thread, in stream order.
-    """
-    if not _pool_engages(len(items), size):
-        return _inline_map(fn, items, size)
-    return list(_host_pool().map(fn, *zip(*items)))
 
 
 def weighted_choice_without_replacement(
@@ -240,9 +223,9 @@ def segmented_race_select(
     segments by power-of-two width class (the thread / warp / block split
     C-SAW and NextDoor use for skewed frontiers) and pads every bin into
     blocks of at most that many elements (one row when a single segment
-    is longer); a few huge segments are simply the widest bin.  Those
-    blocks run on the host thread pool (:func:`_host_map`) and their
-    picks are scattered back on the calling thread.
+    is longer); a few huge segments are simply the widest bin.  The
+    blocks run in turn on the calling thread and their picks are
+    scattered back to segment order.
     """
     keys = np.asarray(keys)
     indptr = np.asarray(indptr)
@@ -267,13 +250,12 @@ def segmented_race_select(
         )
     if np.any(k_array < 0):
         raise ShapeError("k must be non-negative")
-    return _race_select(keys, indptr, k_array, _host_map)
+    return _race_select(keys, indptr, k_array)
 
 
-def _race_select(keys: np.ndarray, indptr: np.ndarray, k, map_blocks) -> np.ndarray:
-    """:func:`segmented_race_select` on checked input, its blocks run
-    through ``map_blocks`` (:func:`_host_map` or, on a pool worker, which
-    must never submit, :func:`_inline_map`)."""
+def _race_select(keys: np.ndarray, indptr: np.ndarray, k) -> np.ndarray:
+    """:func:`segmented_race_select` on checked input, untraced: what a
+    pool worker's chunk (``sampling._race_chunk``) runs."""
     lengths = np.diff(indptr)
     n_seg = len(lengths)
     cap = np.minimum(lengths, k)
@@ -299,17 +281,12 @@ def _race_select(keys: np.ndarray, indptr: np.ndarray, k, map_blocks) -> np.ndar
         rows_per_block = max(1, _RACE_BLOCK_ELEMS >> int(c))
         for lo in range(0, len(in_bin), rows_per_block):
             block_rows.append(in_bin[lo : lo + rows_per_block])
-    # The blocks are independent: each reads the shared images and
-    # returns its own picks, so they may run on the host pool.
-    blocks = [
-        (images, indptr[rows], lengths[rows], cap[rows]) for rows in block_rows
-    ]
     taken = np.zeros(n_seg, dtype=np.int64)
     pieces = []
-    for rows, (picks, counts) in zip(
-        block_rows, map_blocks(_race_select_block, blocks, len(keys))
-    ):
-        taken[rows] = counts
+    for rows in block_rows:
+        picks, taken[rows] = _race_select_block(
+            images, indptr[rows], lengths[rows], cap[rows]
+        )
         pieces.append(picks)
     # Blocks ran in bin order; scatter their picks back to segment order.
     out_ptr = _indptr_from_counts(taken)
@@ -318,22 +295,13 @@ def _race_select(keys: np.ndarray, indptr: np.ndarray, k, map_blocks) -> np.ndar
     return out
 
 
-def _race_select_counts(
-    keys: np.ndarray, indptr: np.ndarray, k: int | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`segmented_race_select` plus how many picks each segment got.
+def _pick_counts(picks: np.ndarray, indptr: np.ndarray, k) -> np.ndarray:
+    """How many of the race's ``picks`` fell in each indptr segment.
 
-    Package-private, for callers that lay the picks out as a pointer
-    array.  A segment gets ``min(k, length)`` picks unless it ran out of
+    A segment gets ``min(k, length)`` picks unless it ran out of
     selectable keys first, and no segment can get more — so when the
     totals agree, every segment got exactly that.
     """
-    picks = segmented_race_select(keys, indptr, k)
-    return picks, _pick_counts(picks, indptr, k)
-
-
-def _pick_counts(picks: np.ndarray, indptr: np.ndarray, k) -> np.ndarray:
-    """How many of the race's ``picks`` fell in each indptr segment."""
     counts = np.minimum(np.diff(indptr), k)
     if len(picks) != counts.sum():
         owner = np.searchsorted(indptr, picks, side="right") - 1

@@ -4,7 +4,8 @@ These implement the two Select operators of Table 4:
 
 * ``individual_sample(K, probs)`` — every frontier (column) independently
   samples up to ``K`` of its in-edges, probability proportional to the
-  per-edge ``probs`` (uniform when omitted);
+  per-edge ``probs``; omitted ``probs`` bias by the matrix's values when
+  they vary and are uniform only when they do not (ROADMAP direction 5);
 * ``collective_sample(K, node_probs)`` — ``K`` of the matrix's *row*
   nodes are sampled jointly across all frontiers, probability
   proportional to ``node_probs``; the result keeps only edges between the
@@ -67,17 +68,6 @@ def _check_real_probs(probs: np.ndarray) -> None:
         raise ShapeError(f"probs must be real numbers, got dtype {probs.dtype}")
 
 
-def _edge_keys(
-    nnz: int,
-    values: np.ndarray | None,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Race keys per edge: uniform when unweighted, Exp(1)/w when biased."""
-    if values is None:
-        return rng.random(nnz)
-    return rnd.exponential_race_keys(values, rng)
-
-
 def individual_sample(
     matrix: SparseFormat,
     k: int,
@@ -90,7 +80,9 @@ def individual_sample(
     """Per-column sampling of up to ``k`` edges; returns a CSC sub-matrix.
 
     ``probs`` supplies per-edge sampling bias, either as a matrix with the
-    same topology or as a raw per-edge array; edges keep their original
+    same topology or as a raw per-edge array; omitted, it is the matrix's
+    own values whenever they vary, and the sample is uniform only when
+    they do not (:func:`_resolve_edge_bias`).  Edges keep their original
     values in the output.  Columns with fewer than ``k`` (positively
     weighted) edges return what they have when sampling without
     replacement.
@@ -99,8 +91,9 @@ def individual_sample(
     rng = rng if rng is not None else rnd.new_rng()
     csc = to_csc(matrix, ctx)
     bias = _resolve_edge_bias(csc, probs)
-    picks, counts = _pick_per_segment(csc.indptr, bias, k, replace, rng)
-    out = _build_csc_from_picks(csc, picks, counts)
+    out, _ = _select(
+        csc, csc.indptr[:-1], np.diff(csc.indptr), bias, k, replace, rng
+    )
     ctx.record(
         "individual_sample",
         bytes_read=csc.shape[1] * 2 * _ITEM
@@ -185,52 +178,74 @@ def fused_extract_individual_sample(
     Semantically identical to ``individual_sample(A[:, frontiers], k)``
     but the extracted subgraph is never written to memory: the kernel
     reads only the frontier index ranges and writes only the sampled
-    edges, which is the memory saving Figure 10's "C" bar measures.
-
-    A weighted race without replacement draws its Exp(1) keys in
-    candidate order.  When the pool engages it streams: the calling
-    thread draws chunks of frontiers of about one race block each, in
-    order, and submits each to the pool before drawing the next; a worker
-    gathers the chunk's weights, keys and race-selects it
-    (:func:`_race_chunk`).  Otherwise it draws once, keys the draws
-    chunk by chunk and selects once.
+    edges, which is the memory saving Figure 10's "C" bar measures.  Both
+    run one select (:func:`_select`), this one over the frontiers' ranges
+    in the graph.
     """
     _check_fanout(k)
     frontiers = frontier_ids(frontiers, graph_csc.shape[1])
-    # Only a biased race reads the candidates' weights; an unbiased one
-    # never gathers the frontier ranges at all.
-    if probs_edge_values is not None:
-        source = np.asarray(probs_edge_values)
-        if source.shape != (graph_csc.nnz,):
-            raise ShapeError(
-                f"per-edge probs shape {source.shape} != nnz ({graph_csc.nnz},)"
-            )
-        _check_real_probs(source)
-    elif graph_csc._has_nonuniform_values():
-        source = graph_csc.values
-    else:
-        source = None
+    probs = None if probs_edge_values is None else np.asarray(probs_edge_values)
+    bias = _resolve_edge_bias(graph_csc, probs)
     rng = rng if rng is not None else rnd.new_rng()
     starts = graph_csc.indptr[frontiers]
     lengths = graph_csc.indptr[frontiers + 1] - starts
-    sub_indptr = _indptr_from_counts(lengths)
-    total = int(sub_indptr[-1])
+    out, total = _select(graph_csc, starts, lengths, bias, k, replace, rng)
+    # Fused accounting: indptr lookups + sampled output only. The bias
+    # scan (when biased) still reads the candidate edges once, and pays
+    # the same 2 flops/edge (key generation + race compare) the unfused
+    # individual_sample charges — fusion saves memory, not arithmetic.
+    read = len(frontiers) * 2 * _ITEM + (total * _VAL if bias is not None else 0)
+    graph_read = read + out.nnz * _ITEM
+    ctx.record(
+        "fused_extract_individual_sample",
+        bytes_read=graph_read,
+        bytes_written=out.nbytes(),
+        flops=float(total) * (2.0 if bias is not None else 1.0),
+        tasks=max(total, 1),  # edge-parallel
+        graph_bytes=graph_read,
+    )
+    return out
 
-    weighted_race = source is not None and not replace and total > 0
+
+def _select(
+    csc: CSC,
+    starts: np.ndarray,
+    lengths: np.ndarray,
+    weights: np.ndarray | None,
+    k: int,
+    replace: bool,
+    rng: np.random.Generator,
+) -> tuple[CSC, int]:
+    """The Select of both node-wise samplers: up to ``k`` of the edges in
+    every range ``[starts, starts + lengths)`` of ``csc``, biased by their
+    ``weights`` (uniform when None), as a CSC with one column per range;
+    and how many candidate edges the ranges hold.
+
+    A weighted race without replacement draws its Exp(1) keys in
+    candidate order.  When the pool engages it streams: the calling
+    thread draws chunks of ranges of about one race block each, in
+    order, and submits each to the pool before drawing the next; a worker
+    gathers the chunk's weights, keys and race-selects it
+    (:func:`_race_chunk`).  Otherwise it draws once, keys the draws
+    chunk by chunk and selects once.  The uniform race draws
+    ``rng.random(total)``.
+    """
+    indptr = _indptr_from_counts(lengths)
+    total = int(indptr[-1])
     chunks = []
-    if weighted_race:
-        # Frontier bounds of chunks of about one race block of candidates.
+    if weights is not None and not replace and total > 0:
+        # Range bounds of chunks of about one race block of candidates.
         bounds = np.searchsorted(
-            sub_indptr, np.arange(0, total, rnd._RACE_BLOCK_ELEMS)
-        ).tolist() + [len(frontiers)]
+            indptr, np.arange(0, total, rnd._RACE_BLOCK_ELEMS)
+        ).tolist() + [len(lengths)]
         chunks = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
     if rnd._pool_engages(len(chunks), total):
         pool = rnd._host_pool()
         futures = [
             pool.submit(
                 _race_chunk,
-                rng.standard_exponential(int(sub_indptr[b] - sub_indptr[a])),
-                source, starts[a:b], lengths[a:b], k,
+                rng.standard_exponential(int(indptr[b] - indptr[a])),
+                weights, starts[a:b], lengths[a:b], k,
             )
             for a, b in chunks
         ]
@@ -238,70 +253,62 @@ def fused_extract_individual_sample(
         picks = np.concatenate([picks for picks, _ in pieces])
         counts = np.concatenate([counts for _, counts in pieces])
     else:
-        if weighted_race:
-            keys = rng.standard_exponential(total)
-            # Chunk by chunk: one gather of every candidate's weight costs
-            # more time and memory than the chunks' cache-sized ones.
-            for a, b in chunks:
-                rnd._race_keys_in_place(
-                    keys[sub_indptr[a] : sub_indptr[b]],
-                    source[gather_ranges(starts[a:b], lengths[a:b])],
+        if total == 0:
+            local = np.empty(0, dtype=INDEX_DTYPE)
+            counts = np.zeros(len(lengths), dtype=INDEX_DTYPE)
+        elif replace:
+            if weights is None:
+                seg_ids, local = rnd.segmented_uniform_with_replacement(
+                    lengths, k, rng
                 )
-            picks_local, counts = rnd._race_select_counts(keys, sub_indptr, k)
+                local += indptr[seg_ids]
+            else:
+                bias = weights[gather_ranges(starts, lengths)].astype(np.float64)
+                local = _segmented_biased_with_replacement(indptr, bias, k, rng)
+                seg_ids = _segments_of(local, indptr)
+            counts = np.bincount(seg_ids, minlength=len(lengths))
         else:
-            bias = (
-                None
-                if source is None
-                else source[gather_ranges(starts, lengths)].astype(np.float64)
-            )
-            picks_local, counts = _pick_per_segment(
-                sub_indptr, bias, k, replace, rng
-            )
-        # Picks are grouped by frontier: shift each group from its
-        # extracted range back to the frontier's range in the graph.
-        picks = picks_local + np.repeat(starts - sub_indptr[:-1], counts)
+            if weights is None:
+                keys = rng.random(total)
+            else:
+                keys = rng.standard_exponential(total)
+                # Chunk by chunk: one gather of every candidate's weight
+                # costs more time and memory than the chunks' cache-sized
+                # ones.
+                for a, b in chunks:
+                    rnd._race_keys_in_place(
+                        keys[indptr[a] : indptr[b]],
+                        weights[gather_ranges(starts[a:b], lengths[a:b])],
+                    )
+            local = rnd.segmented_race_select(keys, indptr, k)
+            counts = rnd._pick_counts(local, indptr, k)
+        # Picks are grouped by range: shift each group from its place
+        # among the candidates back to its range in ``csc``.
+        picks = local + np.repeat(starts - indptr[:-1], counts)
     out = CSC(
         indptr=_indptr_from_counts(counts),
-        rows=graph_csc.rows[picks],
-        values=None if graph_csc.values is None else graph_csc.values[picks],
-        shape=(graph_csc.shape[0], len(frontiers)),
-        edge_ids=(
-            picks
-            if graph_csc.edge_ids is None
-            else graph_csc.edge_ids[picks]
-        ),
+        rows=csc.rows[picks],
+        values=None if csc.values is None else csc.values[picks],
+        shape=(csc.shape[0], len(lengths)),
+        edge_ids=picks if csc.edge_ids is None else csc.edge_ids[picks],
     )
-    # Fused accounting: indptr lookups + sampled output only. The bias
-    # scan (when biased) still reads the candidate edges once, and pays
-    # the same 2 flops/edge (key generation + race compare) the unfused
-    # individual_sample charges — fusion saves memory, not arithmetic.
-    read = len(frontiers) * 2 * _ITEM + (total * _VAL if source is not None else 0)
-    graph_read = read + out.nnz * _ITEM
-    ctx.record(
-        "fused_extract_individual_sample",
-        bytes_read=graph_read,
-        bytes_written=out.nbytes(),
-        flops=float(total) * (2.0 if source is not None else 1.0),
-        tasks=max(total, 1),  # edge-parallel
-        graph_bytes=graph_read,
-    )
-    return out
+    return out, total
 
 
 def _race_chunk(
     draws: np.ndarray,
-    source: np.ndarray,
+    weights: np.ndarray,
     starts: np.ndarray,
     lengths: np.ndarray,
     k: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One streamed chunk of a fused weighted race, on a pool worker: turn
-    the chunk's draws into keys in place from its weights in ``source``,
-    race-select its frontiers' ranges with the blocks run inline (a
-    worker never submits), and return their graph positions and counts."""
-    rnd._race_keys_in_place(draws, source[gather_ranges(starts, lengths)])
+    """One streamed chunk of a weighted race, on a pool worker: turn the
+    chunk's draws into keys in place from its ranges' ``weights``,
+    race-select the ranges (untraced, on this thread) and return their
+    picks' positions in ``weights`` and the count per range."""
+    rnd._race_keys_in_place(draws, weights[gather_ranges(starts, lengths)])
     indptr = _indptr_from_counts(lengths)
-    picks = rnd._race_select(draws, indptr, k, rnd._inline_map)
+    picks = rnd._race_select(draws, indptr, k)
     counts = rnd._pick_counts(picks, indptr, k)
     return picks + np.repeat(starts - indptr[:-1], counts), counts
 
@@ -374,8 +381,7 @@ def collective_sample(
     specifies.  The returned matrix is compacted to ``K x T`` with
     ``selected_rows`` holding the chosen (local) row indices.
     """
-    if k <= 0:
-        raise ShapeError(f"layer width k must be positive, got {k}")
+    _check_fanout(k)
     rng = rng if rng is not None else rnd.new_rng()
     csc = to_csc(matrix, ctx)
     if node_probs is None:
@@ -440,11 +446,14 @@ def _distinct_rows_with_replacement(
 def _resolve_edge_bias(
     csc: CSC, probs: SparseFormat | np.ndarray | None
 ) -> np.ndarray | None:
-    """Normalize the ``probs`` argument to a per-edge float array or None."""
+    """The per-edge weights ``probs`` names, in their own dtype, or None
+    for a uniform select.
+
+    Omitted ``probs`` are the matrix's own values whenever they vary, so
+    a weighted graph is sampled biased (ROADMAP direction 5).
+    """
     if probs is None:
-        if csc._has_nonuniform_values():
-            return csc.values.astype(np.float64)
-        return None
+        return csc.values if csc._has_nonuniform_values() else None
     if isinstance(probs, np.ndarray):
         if probs.shape != (csc.nnz,):
             raise ShapeError(
@@ -456,35 +465,7 @@ def _resolve_edge_bias(
             raise ShapeError("probs matrix topology differs from target matrix")
         values = edge_values(to_csc(probs))
     _check_real_probs(values)
-    return values.astype(np.float64)
-
-
-def _pick_per_segment(
-    indptr: np.ndarray,
-    bias: np.ndarray | None,
-    k: int,
-    replace: bool,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flat edge positions selected for every indptr segment, grouped by
-    segment, and how many each segment got."""
-    n_seg = len(indptr) - 1
-    nnz = int(indptr[-1])
-    if nnz == 0:
-        return np.empty(0, dtype=INDEX_DTYPE), np.zeros(n_seg, dtype=INDEX_DTYPE)
-    if replace:
-        if bias is None:
-            seg_ids, offsets = rnd.segmented_uniform_with_replacement(
-                np.diff(indptr), k, rng
-            )
-            picks = (indptr[seg_ids] + offsets).astype(INDEX_DTYPE)
-        else:
-            picks = _segmented_biased_with_replacement(indptr, bias, k, rng)
-            seg_ids = _segments_of(picks, indptr)
-        return picks, np.bincount(seg_ids, minlength=n_seg)
-    keys = _edge_keys(nnz, bias, rng)
-    picks, counts = rnd._race_select_counts(keys, indptr, k)
-    return picks.astype(INDEX_DTYPE, copy=False), counts
+    return values
 
 
 def _segmented_biased_with_replacement(
@@ -508,22 +489,6 @@ def _segments_of(flat_positions: np.ndarray, indptr: np.ndarray) -> np.ndarray:
     """Segment index owning each flat position."""
     return (np.searchsorted(indptr, flat_positions, side="right") - 1).astype(
         INDEX_DTYPE
-    )
-
-
-def _build_csc_from_picks(
-    csc: CSC, picks: np.ndarray, counts: np.ndarray
-) -> CSC:
-    """Assemble the sampled CSC given flat edge positions (segment-sorted)
-    and the number of them in each column."""
-    return CSC(
-        indptr=_indptr_from_counts(counts),
-        rows=csc.rows[picks],
-        values=None if csc.values is None else csc.values[picks],
-        shape=csc.shape,
-        edge_ids=(
-            picks if csc.edge_ids is None else csc.edge_ids[picks]
-        ),
     )
 
 

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core import random as rnd
 from repro.core.matrix import Matrix
+from repro.core.sampling import _check_fanout
 from repro.device import NULL_CONTEXT, ExecutionContext
 from repro.errors import ShapeError
 from repro.sparse import CSC, INDEX_DTYPE, as_index_array
@@ -183,6 +184,7 @@ def sb_collective_sample(
     independent per segment, matching the paper's ``segmented collective
     sample`` replacement operator.
     """
+    _check_fanout(k)
     rng = rng if rng is not None else rnd.new_rng()
     num_batches = len(batch_ptr) - 1
     csc = matrix.get("csc")

@@ -1,5 +1,6 @@
-"""The host thread pool under the Select: pooled runs equal inline runs
-bit for bit, workers only ever run the two untraced helpers and never
+"""The host thread pool under the Select: the weighted race of both
+node-wise samplers streams through it, pooled runs equal inline runs bit
+for bit, workers only ever run the one untraced chunk helper and never
 submit, draws stay on the calling thread, and the pool follows the
 affinity mask and survives ``fork``."""
 
@@ -23,7 +24,7 @@ from repro.sparse import CSC
 from repro.sparse.formats import _indptr_from_counts
 
 #: A block limit small enough that the inputs below are many blocks and
-#: fill the two-block rule, so they take the pool.
+#: chunks and fill the two-chunk rule, so weighted races stream.
 _SMALL_BLOCK = 32
 
 
@@ -62,6 +63,12 @@ def _weighted_graph(seed=0, cols=300):
 def _sample(csc, frontiers, seed, k=5):
     rng = np.random.default_rng(seed)
     out = sampling.fused_extract_individual_sample(csc, frontiers, k, rng=rng)
+    return out, rng.bit_generator.state
+
+
+def _unfused(csc, probs, seed, k=5):
+    rng = np.random.default_rng(seed)
+    out = sampling.individual_sample(csc, k, probs, rng=rng)
     return out, rng.bit_generator.state
 
 
@@ -129,22 +136,45 @@ class _NoNestingPool(ThreadPoolExecutor):
 
 
 class TestPooledEqualsInline:
-    def test_only_the_two_private_helpers_are_submitted(
-        self, fresh_pool, monkeypatch
-    ):
-        """Traced entry points (the select, the fused sample, the key
-        draw, ``ctx.record``) stay on the calling thread, where the
-        benchmark's span stack lives."""
+    def test_only_the_chunk_helper_is_submitted(self, fresh_pool, monkeypatch):
+        """Traced entry points (the select, both samplers, the key draw,
+        ``ctx.record``) stay on the calling thread, where the benchmark's
+        span stack lives; a select of many blocks runs them there too."""
         stub = _RecordingExecutor()
         monkeypatch.setattr(rnd, "_POOL", stub)
         monkeypatch.setattr(rnd, "_POOL_PID", os.getpid())
         monkeypatch.setattr(rnd, "_host_cpus", lambda: 2)
         segmented_race_select(*_select_input(), 5)
-        _sample(*_weighted_graph(), seed=1)
-        assert set(stub.submitted) == {
-            rnd._race_select_block,
-            sampling._race_chunk,
-        }
+        assert stub.submitted == []
+        csc, frontiers = _weighted_graph()
+        _sample(csc, frontiers, seed=1)
+        _unfused(csc, None, seed=1)
+        assert set(stub.submitted) == {sampling._race_chunk}
+
+    @pytest.mark.parametrize("dtype", ["float32", "bool", "int32", "matrix"])
+    def test_unfused_weighted_sample_pooled_equals_inline(
+        self, fresh_pool, monkeypatch, dtype
+    ):
+        """``individual_sample`` streams the same race as the fused kernel,
+        over its columns' ranges, with ``probs`` in their own dtype."""
+        csc, _ = _weighted_graph(4)
+        raw = np.random.default_rng(8).random(csc.nnz) * 4 - 0.5
+        if dtype == "matrix":
+            probs = CSC(
+                indptr=csc.indptr, rows=csc.rows,
+                values=raw.astype(np.float32), shape=csc.shape,
+            )
+        elif dtype == "bool":
+            probs = raw > 1.0
+        else:
+            probs = raw.astype(dtype)
+        monkeypatch.setattr(rnd, "_host_cpus", lambda: 1)
+        inline = _unfused(csc, probs, seed=6)
+        assert rnd._POOL is None
+        monkeypatch.setattr(rnd, "_host_cpus", lambda: 2)
+        pooled = _unfused(csc, probs, seed=6)
+        assert rnd._POOL is not None
+        _assert_same_sample(inline, pooled)
 
     def test_fused_weighted_sample_pooled_equals_inline(
         self, fresh_pool, monkeypatch
@@ -265,19 +295,19 @@ class TestPoolLifetime:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_pool_survives_fork(self, fresh_pool, monkeypatch):
         """A pool used before ``fork`` never runs a task the child submits:
-        the child's first pooled select builds its own pool."""
+        the child's first streamed sample builds its own pool."""
         monkeypatch.setattr(rnd, "_host_cpus", lambda: 2)
-        keys, indptr = _select_input(7)
-        expected = segmented_race_select(keys, indptr, 5)
+        csc, frontiers = _weighted_graph(7)
+        expected, _ = _sample(csc, frontiers, seed=2)
         parent_pool = rnd._POOL
         assert parent_pool is not None
         pid = os.fork()
         if pid == 0:  # the child never returns into pytest
             code = 1
             try:
-                picks = segmented_race_select(keys, indptr, 5)
+                picks, _ = _sample(csc, frontiers, seed=2)
                 code = int(
-                    not np.array_equal(picks, expected)
+                    not np.array_equal(picks.edge_ids, expected.edge_ids)
                     or rnd._POOL is parent_pool
                 )
             finally:
@@ -290,6 +320,6 @@ class TestPoolLifetime:
             if time.monotonic() > deadline:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-                pytest.fail("the pooled select hung in the forked child")
+                pytest.fail("the streamed sample hung in the forked child")
             time.sleep(0.01)
         assert os.waitstatus_to_exitcode(status) == 0

@@ -427,6 +427,60 @@ class TestFanoutAndProbsBoundaries:
         assert rng.bit_generator.state == untouched
 
 
+def _collective(graph, k, **kwargs):
+    from repro.core.sampling import collective_sample
+
+    return collective_sample(graph.get("csc"), k, **kwargs)
+
+
+def _sb_collective(graph, k, **kwargs):
+    from repro.ir.superbatch_ops import sb_collective_sample
+
+    # Two batches of 100 rows in the 200-node graph's row space.
+    return sb_collective_sample(graph, k, np.array([0, 100, 200]), **kwargs)
+
+
+class TestLayerWidthBoundaries:
+    """The layer-wise samplers refuse a width the node-wise ones refuse,
+    with the same ``ShapeError`` before the first draw or launch."""
+
+    @pytest.mark.parametrize(
+        ("sample", "k", "message"),
+        [
+            (_collective, 2.5, "fanout k must be an integer, got 2.5"),
+            (
+                _collective,
+                np.float64(2.0),
+                "fanout k must be an integer, got np.float64(2.0)",
+            ),
+            (_collective, True, "fanout k must be an integer, got True"),
+            (_sb_collective, 2.5, "fanout k must be an integer, got 2.5"),
+            (
+                _sb_collective,
+                np.float64(2.0),
+                "fanout k must be an integer, got np.float64(2.0)",
+            ),
+            (_sb_collective, True, "fanout k must be an integer, got True"),
+            (_sb_collective, 0, "fanout k must be positive, got 0"),
+            (_sb_collective, -1, "fanout k must be positive, got -1"),
+        ],
+    )
+    def test_width_refused_before_any_draw_or_launch(
+        self, sample, k, message, small_graph
+    ):
+        """``collective_sample`` drew its keys for a float width and then
+        raised a raw ``TypeError``, and sampled one row for ``True``;
+        ``sb_collective_sample`` drew its keys before refusing a float,
+        bool or negative width, and returned an empty layer for 0."""
+        ctx = ExecutionContext(V100)
+        rng = new_rng(0)
+        untouched = rng.bit_generator.state
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            sample(small_graph, k, rng=rng, ctx=ctx)
+        assert ctx.launch_count() == 0
+        assert rng.bit_generator.state == untouched
+
+
 class TestServeFlagBoundaries:
     """A ``serve`` flag value the library cannot honour exits 2 where it
     enters — no NumPy traceback, no NaN-derived record in the lane."""
