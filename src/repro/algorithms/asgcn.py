@@ -62,8 +62,3 @@ class ASGCN(Algorithm):
         if self.w_att is None or self.w_att.shape != (feature_dim,):
             rng = np.random.default_rng(self.seed)
             self.w_att = rng.standard_normal(feature_dim).astype(np.float32) * 0.1
-
-    def apply_gradient(self, grad: np.ndarray, lr: float = 1e-3) -> None:
-        """Trainer hook: update the scorer between batches."""
-        assert self.w_att is not None
-        self.w_att = (self.w_att - lr * grad.astype(np.float32)).astype(np.float32)

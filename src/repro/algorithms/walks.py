@@ -11,7 +11,6 @@ subgraph induction the walk algorithms finish with live here too.
 from __future__ import annotations
 
 import dataclasses
-import numbers
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -21,7 +20,7 @@ from repro.core import new_rng, sampling
 from repro.core.matrix import Matrix
 from repro.core.random import segmented_race_select
 from repro.device import NULL_CONTEXT, ExecutionContext
-from repro.errors import ShapeError
+from repro.errors import ShapeError, check_count, check_ids
 from repro.sparse import COO, CSC, INDEX_DTYPE, to_csc
 
 
@@ -59,13 +58,14 @@ def check_walk_parameters(
     num_walks: object = 0,
     restart_prob: object = 0.0,
 ) -> None:
-    """Refuse a walk parameter no walk can run with, before any draw."""
-    for name, value in (("walk length", walk_length), ("num_walks", num_walks)):
-        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
-            raise ShapeError(f"{name} must be an integer, got {value!r}")
-        if value < 0:
-            raise ShapeError(f"{name} must be >= 0, got {value}")
-    if not isinstance(restart_prob, numbers.Real) or not 0.0 <= restart_prob <= 1.0:
+    """Refuse a walk parameter no walk can run with, before any draw.
+
+    ``restart_prob`` is a real number (a bool is not) in ``[0, 1]``.
+    """
+    check_count("walk length", walk_length, low=0)
+    check_count("num_walks", num_walks, low=0)
+    real = np.asarray(restart_prob).dtype.kind in "iuf"
+    if not (real and 0.0 <= restart_prob <= 1.0):
         raise ShapeError(f"restart_prob must be in [0, 1], got {restart_prob!r}")
 
 
@@ -106,18 +106,9 @@ def walk(
     result; a walker the step does not move stays dead.  Seeds are checked
     here, once: every later node is one the step read out of the graph.
     """
-    check_walk_parameters(walk_length=walk_length)
-    num_nodes = graph.shape[1]  # a walker's node indexes the CSC's columns
-    raw = np.asarray(seeds)
-    if raw.ndim != 1 or (raw.size and raw.dtype.kind not in "iu"):
-        raise ShapeError(
-            f"walk seeds must be a 1-D integer array, got shape {raw.shape} "
-            f"of dtype {raw.dtype}"
-        )
-    seeds = raw.astype(INDEX_DTYPE, copy=False)
-    bad = seeds[(seeds < -1) | (seeds >= num_nodes)]
-    if len(bad):
-        raise ShapeError(f"walk seed {int(bad[0])} is outside [-1, {num_nodes})")
+    check_count("walk length", walk_length, low=0)
+    # A walker's node indexes the CSC's columns.
+    seeds = check_ids("walk seed", seeds, graph.shape[1], low=-1)
     rng = rng if rng is not None else new_rng(None)
     csc = graph.get("csc")
     degree = csc.col_degrees()

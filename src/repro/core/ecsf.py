@@ -25,7 +25,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.matrix import Matrix
-from repro.errors import ShapeError
+from repro.errors import check_count
 from repro.sparse.formats import sorted_unique
 
 if TYPE_CHECKING:
@@ -106,8 +106,7 @@ def minibatches(
     drop_last: bool = False,
 ) -> list[np.ndarray]:
     """Split seed nodes into mini-batches for one epoch."""
-    if batch_size < 1:
-        raise ShapeError(f"batch size must be >= 1, got {batch_size}")
+    check_count("batch size", batch_size)
     node_ids = np.asarray(node_ids)
     if shuffle:
         rng = rng if rng is not None else np.random.default_rng()

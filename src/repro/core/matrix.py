@@ -175,9 +175,9 @@ class Matrix:
         row_key, col_key = key
         result = self
         if not _is_full_slice(col_key):
-            result = result.slice_cols(as_index_array(col_key))
+            result = result.slice_cols(col_key)
         if not _is_full_slice(row_key):
-            result = result.slice_rows(as_index_array(row_key))
+            result = result.slice_rows(row_key)
         if _is_full_slice(row_key) and _is_full_slice(col_key):
             return self
         return result
@@ -197,12 +197,12 @@ class Matrix:
     def _slice(self, ids: np.ndarray, axis: int, layout: str | None) -> "Matrix":
         from repro.sparse import slice_columns, slice_rows
 
-        ids = as_index_array(ids)
         src = self.get(layout) if layout else self._source_along(axis)
         out = (slice_rows, slice_columns)[axis](
             src, ids, self.ctx, graph_read=self.is_base_graph
         )
-        return self._spawn_selected(out, axis, ids)
+        # The kernel refused any ``ids`` that are not ids of this axis.
+        return self._spawn_selected(out, axis, as_index_array(ids))
 
     def _source_along(self, axis: int) -> SparseFormat:
         """The storage compressed along ``axis`` (rows: CSR, columns: CSC)

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core import random as rnd
 from repro.device import NULL_CONTEXT, ExecutionContext
-from repro.errors import FormatError, ShapeError
+from repro.errors import ShapeError, check_count, check_ids
 from repro.sparse import (
     CSC,
     INDEX_DTYPE,
@@ -36,7 +36,6 @@ from repro.sparse.compact import _relabel
 from repro.sparse.formats import (
     FrontierRanges,
     _indptr_from_counts,
-    frontier_ids,
     frontier_ranges,
     gather_ranges,
 )
@@ -51,15 +50,6 @@ class CollectiveResult:
 
     matrix: CSC
     selected_rows: np.ndarray
-
-
-def _check_fanout(k) -> None:
-    """Refuse a fan-out that is not an integer ``>= 1`` (bool is not one;
-    NumPy integers are), before any draw."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ShapeError(f"fanout k must be an integer, got {k!r}")
-    if k <= 0:
-        raise ShapeError(f"fanout k must be positive, got {k}")
 
 
 def _check_real_probs(probs: np.ndarray) -> None:
@@ -87,7 +77,7 @@ def individual_sample(
     weighted) edges return what they have when sampling without
     replacement.
     """
-    _check_fanout(k)
+    check_count("fanout k", k)
     rng = rng if rng is not None else rnd.new_rng()
     csc = to_csc(matrix, ctx)
     bias = _resolve_edge_bias(csc, probs)
@@ -124,7 +114,7 @@ def labor_sample(
     marginal.  Surviving edges carry Horvitz–Thompson importance weights
     ``w_e / pi_c`` so aggregations stay unbiased.
     """
-    _check_fanout(k)
+    check_count("fanout k", k)
     rng = rng if rng is not None else rnd.new_rng()
     csc = to_csc(matrix, ctx)
     deg = np.diff(csc.indptr).astype(np.int64)
@@ -182,8 +172,8 @@ def fused_extract_individual_sample(
     run one select (:func:`_select`), this one over the frontiers' ranges
     in the graph.
     """
-    _check_fanout(k)
-    frontiers = frontier_ids(frontiers, graph_csc.shape[1])
+    check_count("fanout k", k)
+    frontiers = check_ids("frontier", frontiers, graph_csc.shape[1])
     probs = None if probs_edge_values is None else np.asarray(probs_edge_values)
     bias = _resolve_edge_bias(graph_csc, probs)
     rng = rng if rng is not None else rnd.new_rng()
@@ -381,7 +371,7 @@ def collective_sample(
     specifies.  The returned matrix is compacted to ``K x T`` with
     ``selected_rows`` holding the chosen (local) row indices.
     """
-    _check_fanout(k)
+    check_count("fanout k", k)
     rng = rng if rng is not None else rnd.new_rng()
     csc = to_csc(matrix, ctx)
     if node_probs is None:
@@ -510,7 +500,7 @@ def uniform_walk_step(
     must be node ids and ``bias_edge_values`` finite and non-negative;
     anything else is refused before any draw or launch.
     """
-    frontiers = frontier_ids(frontiers, graph_csc.shape[1])
+    frontiers = check_ids("frontier", frontiers, graph_csc.shape[1])
     if bias_edge_values is not None:
         bias_edge_values = np.asarray(bias_edge_values, dtype=np.float64)
         if bias_edge_values.shape != (graph_csc.nnz,):

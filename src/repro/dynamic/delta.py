@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.core.matrix import Matrix, from_edges
 from repro.device.context import NULL_CONTEXT, ExecutionContext
-from repro.errors import ShapeError
+from repro.errors import ShapeError, check_ids
 from repro.sparse.formats import CSC, INDEX_DTYPE, VALUE_DTYPE, as_index_array
 
 __all__ = ["AppliedUpdate", "DeltaGraph"]
@@ -152,20 +152,14 @@ class DeltaGraph:
 
     # -- mutation --------------------------------------------------------
 
-    def _check_endpoints(self, src: np.ndarray, dst: np.ndarray) -> None:
+    def _check_endpoints(self, src, dst) -> tuple[np.ndarray, np.ndarray]:
+        src = check_ids("edge source", src, self.num_nodes)
+        dst = check_ids("edge destination", dst, self.num_nodes)
         if src.shape != dst.shape:
             raise ShapeError(
                 f"edge endpoint arrays disagree: {src.shape} vs {dst.shape}"
             )
-        if src.size and (
-            src.min() < 0
-            or dst.min() < 0
-            or src.max() >= self.num_nodes
-            or dst.max() >= self.num_nodes
-        ):
-            raise ShapeError(
-                f"edge endpoints out of range for {self.num_nodes} nodes"
-            )
+        return src, dst
 
     def insert_edges(self, src, dst, weights=None) -> int:
         """Append edges to the insert buffer; returns the count.
@@ -174,9 +168,7 @@ class DeltaGraph:
         default to 1.0); it is ignored for unweighted bases so the
         graph's weightedness never flips mid-stream.
         """
-        src = as_index_array(src)
-        dst = as_index_array(dst)
-        self._check_endpoints(src, dst)
+        src, dst = self._check_endpoints(src, dst)
         if self.weighted:
             if weights is None:
                 vals = np.ones(src.size, dtype=VALUE_DTYPE)
@@ -208,9 +200,7 @@ class DeltaGraph:
         live match are counted in :attr:`missed_deletes` and ignored —
         a delete racing a delete is a no-op, not an error.
         """
-        src = as_index_array(src)
-        dst = as_index_array(dst)
-        self._check_endpoints(src, dst)
+        src, dst = self._check_endpoints(src, dst)
         n = self.num_nodes
         applied = 0
         for u, v in zip(src.tolist(), dst.tolist()):
@@ -242,8 +232,8 @@ class DeltaGraph:
     def apply(self, batch) -> AppliedUpdate:
         """Apply one :class:`~repro.dynamic.stream.UpdateBatch`."""
         delete = np.asarray(batch.delete, dtype=bool)
-        src = as_index_array(batch.src)
-        dst = as_index_array(batch.dst)
+        src = np.asarray(batch.src)
+        dst = np.asarray(batch.dst)
         weights = getattr(batch, "weights", None)
         missed_before = self.missed_deletes
         inserted = self.insert_edges(

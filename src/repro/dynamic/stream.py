@@ -68,10 +68,6 @@ class UpdateBatch:
     def num_deletes(self) -> int:
         return int(np.count_nonzero(self.delete))
 
-    @property
-    def num_inserts(self) -> int:
-        return self.num_edges - self.num_deletes
-
 
 @dataclasses.dataclass(frozen=True)
 class UpdateSpec:

@@ -3,9 +3,16 @@
 Every error raised by this package derives from :class:`GSamplerError` so
 that callers can catch framework errors without masking programming
 mistakes (``TypeError`` etc. propagate unchanged).
+
+It also says, once, what a count and an id array are at a public
+boundary: :func:`check_count` and :func:`check_ids`.
 """
 
 from __future__ import annotations
+
+import numbers
+
+import numpy as np
 
 
 class GSamplerError(Exception):
@@ -70,3 +77,40 @@ class ServeError(GSamplerError):
     never fire (zero max batch), and SLO targets that cannot be expressed
     on the simulated clock.
     """
+
+
+def check_count(
+    name: str, value: object, *, low: int = 1,
+    error: type[GSamplerError] = ShapeError,
+) -> int:
+    """``value`` as an ``int``, refused unless it is a Python or NumPy
+    integer (bool is not one) that is ``>= low``.
+
+    ``error`` is the type raised; serving knobs raise ``ServeError``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise error(f"{name} must be >= {low}, got {value!r}")
+    return int(value)
+
+
+def check_ids(name: str, values: object, extent: int, *, low: int = 0) -> np.ndarray:
+    """``values`` as an int64 id array, refused with a ``ShapeError``
+    unless it is 1-D, integer (bool is not) and every id lies in
+    ``[low, extent)``.
+
+    An empty array of any dtype is empty ids.  A passing check costs one
+    ``min`` and one ``max``; the first offending id is found only to name
+    it.
+    """
+    ids = np.asarray(values)
+    if ids.ndim != 1:
+        raise ShapeError(f"{name} ids must be 1-D, got shape {ids.shape}")
+    if ids.size:
+        if ids.dtype.kind not in "iu":
+            raise ShapeError(f"{name} ids must be integers, got dtype {ids.dtype}")
+        if int(ids.min()) < low or int(ids.max()) >= extent:
+            bad = ids[(ids < low) | (ids >= extent)][0]
+            raise ShapeError(f"{name} {int(bad)} is outside [{low}, {extent})")
+    return ids.astype(np.int64, copy=False)

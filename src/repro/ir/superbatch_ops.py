@@ -21,15 +21,13 @@ import numpy as np
 
 from repro.core import random as rnd
 from repro.core.matrix import Matrix
-from repro.core.sampling import _check_fanout
 from repro.device import NULL_CONTEXT, ExecutionContext
-from repro.errors import ShapeError
+from repro.errors import ShapeError, check_count, check_ids
 from repro.sparse import CSC, INDEX_DTYPE, as_index_array
 from repro.sparse.compact import _relabel
 from repro.sparse.formats import (
     FrontierRanges,
     _indptr_from_counts,
-    frontier_ids,
     sorted_unique,
 )
 
@@ -73,7 +71,7 @@ def block_ranges(
         if frontiers.of(csc) and frontiers.batch_ptr is batch_ptr:
             return frontiers
         frontiers = frontiers.ids
-    ids = frontier_ids(frontiers, csc.shape[1])
+    ids = check_ids("frontier", frontiers, csc.shape[1])
     batch_ptr = np.asarray(batch_ptr)
     if (
         batch_ptr.ndim != 1
@@ -184,7 +182,7 @@ def sb_collective_sample(
     independent per segment, matching the paper's ``segmented collective
     sample`` replacement operator.
     """
-    _check_fanout(k)
+    check_count("fanout k", k)
     rng = rng if rng is not None else rnd.new_rng()
     num_batches = len(batch_ptr) - 1
     csc = matrix.get("csc")

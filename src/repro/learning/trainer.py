@@ -30,7 +30,7 @@ from repro.cache import CacheStats, FeatureSource, plan_gather
 from repro.core import GraphSample, minibatches, new_rng
 from repro.datasets import Dataset
 from repro.device import DeviceSpec, ExecutionContext
-from repro.errors import ShapeError
+from repro.errors import ShapeError, check_count
 from repro.learning.models import SampledGNN
 from repro.learning.nn import SGD
 from repro.profile.spans import Profiler, maybe_span
@@ -55,23 +55,12 @@ def check_run_shape(
     A knob the caller leaves out takes a value that passes;
     ``max_batches=None`` means every batch.
     """
-    counts = {"epochs": epochs, "batch size": batch_size,
-              "prefetch depth": prefetch_depth, "seed": seed}
+    check_count("epochs", epochs)
+    check_count("batch size", batch_size)
     if max_batches is not None:
-        counts["max batches"] = max_batches
-    for name, value in counts.items():
-        if not isinstance(value, numbers.Integral):
-            raise ShapeError(f"{name} must be an integer, got {value!r}")
-    if epochs < 1 or batch_size < 1:
-        raise ShapeError(
-            f"epochs and batch size must be >= 1, got {epochs} and {batch_size}"
-        )
-    if max_batches is not None and max_batches < 1:
-        raise ShapeError(f"max batches must be >= 1 or None, got {max_batches}")
-    if prefetch_depth < 1:
-        raise ShapeError(f"prefetch depth must be at least 1, got {prefetch_depth}")
-    if seed < 0:
-        raise ShapeError(f"seed must be >= 0, got {seed}")
+        check_count("max batches", max_batches)
+    check_count("prefetch depth", prefetch_depth)
+    check_count("seed", seed, low=0)
     if not (isinstance(lr, numbers.Real) and 0.0 < lr < math.inf):
         raise ShapeError(f"learning rate must be finite and positive, got {lr!r}")
 

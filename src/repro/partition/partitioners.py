@@ -32,28 +32,10 @@ assert through.
 from __future__ import annotations
 
 import dataclasses
-import numbers
 
 import numpy as np
 
-from repro.errors import ShapeError
-
-
-def _node_ids(nodes: object, num_nodes: int) -> np.ndarray:
-    """``nodes`` as an id array, refused unless every id is an integer in
-    ``[0, num_nodes)`` — a negative id would wrap, a float one fail deep
-    in NumPy's indexing."""
-    ids = np.asarray(nodes)
-    if ids.size == 0:
-        return ids.astype(np.int64)
-    if ids.dtype.kind not in "iu":
-        raise ShapeError(f"node ids must be integers, got dtype {ids.dtype}")
-    low, high = int(ids.min()), int(ids.max())
-    if low < 0 or high >= num_nodes:
-        raise ShapeError(
-            f"node ids span [{low}, {high}], outside [0, {num_nodes})"
-        )
-    return ids
+from repro.errors import ShapeError, check_count, check_ids
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,7 +64,7 @@ class ShardView:
 
     def contains(self, nodes: np.ndarray) -> np.ndarray:
         """Boolean array: which of ``nodes`` this shard owns."""
-        return self.mask[_node_ids(nodes, self.mask.size)]
+        return self.mask[check_ids("node", nodes, self.mask.size)]
 
     def remote_count(self, nodes: np.ndarray) -> int:
         """How many of ``nodes`` live on *other* shards (link traffic)."""
@@ -109,7 +91,7 @@ class GraphPartition:
 
     def shard_of(self, nodes: np.ndarray) -> np.ndarray:
         """Shard id of each of ``nodes``."""
-        return self.assignment[_node_ids(nodes, self.assignment.size)]
+        return self.assignment[check_ids("node", nodes, self.assignment.size)]
 
     def view(self, shard_id: int) -> ShardView:
         """The :class:`ShardView` a replica owning ``shard_id`` holds."""
@@ -137,26 +119,11 @@ class GraphPartition:
 # ----------------------------------------------------------------------
 # Assignment builders
 # ----------------------------------------------------------------------
-def _check_shards(num_shards: int) -> None:
-    if not isinstance(num_shards, numbers.Integral) or isinstance(num_shards, bool):
-        raise ShapeError(f"shard count must be an integer, got {num_shards!r}")
-    if num_shards < 1:
-        raise ShapeError(
-            f"partition needs at least one shard, got {num_shards}"
-        )
-
-
 def _check_hash(num_shards: int, seed: int) -> None:
-    _check_shards(num_shards)
+    check_count("shard count", num_shards)
     # ``seed + 1`` must fit the uint64 the hash mixes it as.
-    if (
-        not isinstance(seed, numbers.Integral)
-        or isinstance(seed, bool)
-        or not 0 <= seed < 2**64 - 1
-    ):
-        raise ShapeError(
-            f"hash seed must be an integer in [0, 2**64 - 1), got {seed!r}"
-        )
+    if check_count("hash seed", seed, low=0) >= 2**64 - 1:
+        raise ShapeError(f"hash seed must be < 2**64 - 1, got {seed!r}")
 
 
 def _graph_csc(graph):
@@ -239,7 +206,7 @@ def greedy_partition(graph, num_shards: int) -> GraphPartition:
     break toward the less-loaded shard, then the lower shard id, so the
     result is deterministic.
     """
-    _check_shards(num_shards)
+    check_count("shard count", num_shards)
     indptr, rows = _graph_csc(graph)
     degrees = np.diff(indptr)
     # Shard ids shifted by one, so 0 marks an unplaced node and one

@@ -347,10 +347,6 @@ class ServeReport:
     migrated_bytes: int = 0
 
     @property
-    def shed_rate(self) -> float:
-        return self.shed / self.requests if self.requests else 0.0
-
-    @property
     def availability(self) -> float:
         """Fraction of offered requests that were answered."""
         return self.completed / self.requests if self.requests else 1.0

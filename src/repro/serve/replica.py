@@ -40,7 +40,7 @@ from repro.cache import FeatureSource, plan_gather
 from repro.core import GraphSample
 from repro.datasets import Dataset
 from repro.device import DeviceSpec, ExecutionContext, LinkSpec
-from repro.errors import ServeError
+from repro.errors import ServeError, check_count
 from repro.partition import ShardView
 from repro.profile.spans import Profiler, maybe_span
 from repro.serve.compose import BatchComposer, BatchPlan, make_composer
@@ -139,25 +139,18 @@ class ServePolicy:
     min_samples: int = 32
 
     def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ServeError(
-                f"max batch must be at least 1, got {self.max_batch}"
-            )
+        check_count("max batch", self.max_batch, error=ServeError)
         if not (math.isfinite(self.max_wait) and self.max_wait >= 0.0):
             raise ServeError(
                 f"max wait must be finite and non-negative, got {self.max_wait}"
             )
-        if self.queue_capacity is not None and self.queue_capacity < 1:
-            raise ServeError(
-                "queue capacity must be at least 1 (or None for "
-                f"unbounded), got {self.queue_capacity}"
-            )
+        if self.queue_capacity is not None:
+            check_count("queue capacity", self.queue_capacity, error=ServeError)
         if self.slo is not None and not (
             math.isfinite(self.slo) and self.slo > 0.0
         ):
             raise ServeError(f"SLO must be finite and positive, got {self.slo}")
-        if self.min_samples < 1:
-            raise ServeError("min_samples must be positive")
+        check_count("min_samples", self.min_samples, error=ServeError)
 
     @classmethod
     def preset(

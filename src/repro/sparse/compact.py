@@ -14,7 +14,7 @@ import dataclasses
 import numpy as np
 
 from repro.device import NULL_CONTEXT, ExecutionContext
-from repro.errors import FormatError, ShapeError
+from repro.errors import FormatError, ShapeError, check_ids
 from repro.sparse import kernels
 from repro.sparse.formats import (
     COO,
@@ -114,8 +114,7 @@ def _compact(
     if keep is None:
         keep = np.asarray(_occupied(matrix, axis, ctx), dtype=INDEX_DTYPE)
     else:
-        keep = np.asarray(keep, dtype=INDEX_DTYPE)
-        _check_keep(keep, matrix.shape[axis], axis)
+        keep = _check_keep(keep, matrix.shape[axis], axis)
     if matrix.axis == axis:
         # Along the compressed axis relabeling *is* a range-gather slice,
         # and is recorded as one.
@@ -136,20 +135,19 @@ def _compact(
     return CompactResult(out, *ids)
 
 
-def _check_keep(keep: np.ndarray, extent: int, axis: int) -> None:
+def _check_keep(keep: object, extent: int, axis: int) -> np.ndarray:
     """A caller-chosen survivor set names each kept index once, in range.
 
     A negative id would wrap onto the last index and a repeated one would
     leave an empty local row or column behind.
     """
-    name = _AXES[axis][:-1]
-    bad = keep[(keep < 0) | (keep >= extent)]
-    if len(bad):
-        raise ShapeError(f"keep {name} id {int(bad[0])} is outside [0, {extent})")
+    name = f"keep {_AXES[axis][:-1]}"
+    keep = check_ids(name, keep, extent)
     ordered = np.sort(keep)
     repeated = ordered[1:][ordered[1:] == ordered[:-1]]
     if len(repeated):
-        raise ShapeError(f"keep {name} id {int(repeated[0])} is repeated")
+        raise ShapeError(f"{name} {int(repeated[0])} is repeated")
+    return keep
 
 
 def _relabel(matrix: SparseFormat, keep: np.ndarray, axis: int) -> SparseFormat:

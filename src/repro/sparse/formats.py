@@ -27,7 +27,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from repro.errors import FormatError, ShapeError
+from repro.errors import FormatError, ShapeError, check_ids
 
 #: dtype used for all index arrays.
 INDEX_DTYPE = np.int64
@@ -279,20 +279,6 @@ def gather_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return np.repeat(shift, lengths) + np.arange(total, dtype=INDEX_DTYPE)
 
 
-def frontier_ids(frontiers: object, num_cols: int) -> np.ndarray:
-    """Frontier column ids as an index array, refused unless every one is
-    an integer in ``[0, num_cols)`` — a negative id would wrap and a
-    fractional one be truncated silently."""
-    raw = np.asarray(frontiers)
-    if raw.size and raw.dtype.kind not in "iu":
-        raise ShapeError(f"frontier ids must be integers, got dtype {raw.dtype}")
-    ids = as_index_array(raw)
-    bad = ids[(ids < 0) | (ids >= num_cols)]
-    if len(bad):
-        raise ShapeError(f"frontier {int(bad[0])} is outside [0, {num_cols})")
-    return ids
-
-
 class FrontierRanges:
     """The edge ranges of checked ``ids`` in one compressed topology.
 
@@ -342,7 +328,9 @@ def frontier_ranges(matrix: "CSR | CSC", frontiers: object) -> FrontierRanges:
         if frontiers.of(matrix):
             return frontiers
         frontiers = frontiers.ids
-    return FrontierRanges(matrix, frontier_ids(frontiers, matrix.shape[matrix.axis]))
+    return FrontierRanges(
+        matrix, check_ids("frontier", frontiers, matrix.shape[matrix.axis])
+    )
 
 
 def sorted_unique(ids: np.ndarray, bound: int | None = None) -> np.ndarray:

@@ -21,7 +21,7 @@ from collections.abc import Callable, Sequence
 import numpy as np
 
 from repro.device import NULL_CONTEXT, ExecutionContext
-from repro.errors import FormatError, ShapeError
+from repro.errors import FormatError, ShapeError, check_ids
 from repro.sparse.formats import (
     COO,
     CSC,
@@ -95,12 +95,12 @@ def _slice(
     if not isinstance(matrix, (COO, CSR, CSC)):
         raise FormatError(f"cannot slice {type(matrix).__name__}")
     ranges = ids if isinstance(ids, FrontierRanges) else None
-    ids = as_index_array(ids if ranges is None else ranges.ids)
     extent = matrix.shape[axis]
-    if len(ids) and (ids.min() < 0 or ids.max() >= extent):
-        raise ShapeError(
-            f"slice ids out of range: {_SLICE_AXES[axis]} must be in [0, {extent})"
-        )
+    ids = check_ids(
+        f"slice {_SLICE_AXES[axis][:-1]}",
+        ids if ranges is None else ranges.ids,
+        extent,
+    )
     shape = (len(ids), matrix.shape[1]) if axis == 0 else (matrix.shape[0], len(ids))
     if matrix.axis == axis:
         if ranges is None or not ranges.of(matrix):

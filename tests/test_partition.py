@@ -20,7 +20,7 @@ import pytest
 
 from repro.core import Matrix, from_edges
 from repro.datasets import load_dataset
-from repro.errors import ShapeError
+from repro.errors import ShapeError, check_count
 from repro.partition import (
     PARTITION_METHODS,
     GraphPartition,
@@ -31,7 +31,6 @@ from repro.partition import (
     make_partition,
 )
 from repro.partition.partitioners import (
-    _check_shards,
     _edge_cut_fraction,
     _graph_csc,
     _shard_degree_sums,
@@ -129,7 +128,7 @@ class TestGreedyPartition:
 def _parent_greedy_partition(graph, num_shards: int) -> GraphPartition:
     """The per-node ``lexsort`` loop ``greedy_partition`` replaced, kept
     verbatim as its oracle."""
-    _check_shards(num_shards)
+    check_count("shard count", num_shards)
     indptr, rows = _graph_csc(graph)
     num_nodes = len(indptr) - 1
     degrees = np.diff(indptr)

@@ -15,9 +15,9 @@ from repro.algorithms import make_algorithm
 from repro.algorithms.walks import uniform_walk
 from repro.baselines import make_system
 from repro.bench import measure_cell
-from repro.core import new_rng
+from repro.core import minibatches, new_rng
 from repro.device import V100, ExecutionContext
-from repro.errors import GSamplerError, ShapeError
+from repro.errors import GSamplerError, ServeError, ShapeError
 from repro.sparse import COO, compact_cols, compact_rows, convert
 
 
@@ -89,10 +89,10 @@ class TestIndexBoundaries:
     @pytest.mark.parametrize(
         ("keep", "message"),
         [
-            ([-1], "id -1 is outside [0, 4)"),
-            ([1, 4], "id 4 is outside [0, 4)"),
-            ([0, 0], "id 0 is repeated"),
-            ([3, 1, 3], "id 3 is repeated"),
+            ([-1], "-1 is outside [0, 4)"),
+            ([1, 4], "4 is outside [0, 4)"),
+            ([0, 0], "0 is repeated"),
+            ([3, 1, 3], "3 is repeated"),
         ],
     )
     def test_compact_keep(self, layout, axis, keep, message):
@@ -118,13 +118,12 @@ class TestIndexBoundaries:
             (
                 [1.7, 2.2],
                 3,
-                "walk seeds must be a 1-D integer array, got shape (2,) of "
-                "dtype float64",
+                "walk seed ids must be integers, got dtype float64",
             ),
             (
                 [[0, 1], [2, 3]],
                 3,
-                "walk seeds must be a 1-D integer array, got shape (2, 2)",
+                "walk seed ids must be 1-D, got shape (2, 2)",
             ),
         ],
     )
@@ -155,6 +154,7 @@ class TestWalkParameterBoundaries:
             ("pinsage", {"restart_prob": np.nan}, "must be in [0, 1], got nan"),
             ("hetgnn", {"restart_prob": 2.0}, "must be in [0, 1], got 2.0"),
             ("hetgnn", {"restart_prob": np.nan}, "must be in [0, 1], got nan"),
+            ("pinsage", {"restart_prob": True}, "must be in [0, 1], got True"),
             ("pinsage", {"num_walks": -1}, "num_walks must be >= 0, got -1"),
             ("hetgnn", {"num_walks": -1}, "num_walks must be >= 0, got -1"),
         ],
@@ -172,9 +172,10 @@ class TestWalkParameterBoundaries:
             ({"restart_prob": 2.0}, "restart_prob must be in [0, 1], got 2.0"),
             ({"restart_prob": -0.1}, "restart_prob must be in [0, 1], got -0.1"),
             ({"restart_prob": np.nan}, "restart_prob must be in [0, 1], got nan"),
+            ({"restart_prob": True}, "restart_prob must be in [0, 1], got True"),
             ({"num_walks": -1}, "num_walks must be >= 0, got -1"),
             ({"num_walks": 1.5}, "num_walks must be an integer, got 1.5"),
-            ({"frontiers": [0.5, 1.5]}, "walk seeds must be a 1-D integer array"),
+            ({"frontiers": [0.5, 1.5]}, "walk seed ids must be integers"),
         ],
     )
     def test_restart_walk_visit_counts(self, params, message, small_graph):
@@ -314,8 +315,8 @@ class TestFusedExtractSelectBoundaries:
     @pytest.mark.parametrize(
         ("frontiers", "k", "probs_len", "message"),
         [
-            ([0, 1], 0, 0, "fanout k must be positive, got 0"),
-            ([0, 1], -3, 0, "fanout k must be positive, got -3"),
+            ([0, 1], 0, 0, "fanout k must be >= 1, got 0"),
+            ([0, 1], -3, 0, "fanout k must be >= 1, got -3"),
             ([-1, 0], 2, 0, "frontier -1 is outside [0, 200)"),
             ([0, 200], 2, 0, "frontier 200 is outside [0, 200)"),
             ([0.7, 1.2], 2, 0, "frontier ids must be integers, got dtype float64"),
@@ -461,8 +462,8 @@ class TestLayerWidthBoundaries:
                 "fanout k must be an integer, got np.float64(2.0)",
             ),
             (_sb_collective, True, "fanout k must be an integer, got True"),
-            (_sb_collective, 0, "fanout k must be positive, got 0"),
-            (_sb_collective, -1, "fanout k must be positive, got -1"),
+            (_sb_collective, 0, "fanout k must be >= 1, got 0"),
+            (_sb_collective, -1, "fanout k must be >= 1, got -1"),
         ],
     )
     def test_width_refused_before_any_draw_or_launch(
@@ -523,7 +524,7 @@ class TestPipelineFlagBoundaries:
             (["--hbm-budget-mb", "nan"], "pool capacity must be >= 0"),
             (["--hbm-budget-mb", "inf"], "pool capacity must be >= 0"),
             (["--hbm-budget-mb", "-1"], "pool capacity must be >= 0"),
-            (["--prefetch-depth", "0"], "prefetch depth must be at least 1"),
+            (["--prefetch-depth", "0"], "prefetch depth must be >= 1"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )
@@ -560,7 +561,7 @@ class TestPipelineCellBoundaries:
                 "prefetch depth must be an integer, got 1.5",
             ),
             ({"seed": -1}, "seed must be >= 0, got -1"),
-            ({"prefetch_depth": 0}, "prefetch depth must be at least 1, got 0"),
+            ({"prefetch_depth": 0}, "prefetch depth must be >= 1, got 0"),
         ],
         ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items())
         if isinstance(v, dict) else None,
@@ -586,13 +587,13 @@ class TestPipelineCellBoundaries:
     @pytest.mark.parametrize(
         ("knob", "message"),
         [
-            ({"max_batches_per_epoch": -1}, "max batches must be >= 1 or None"),
-            ({"max_batches_per_epoch": 0}, "max batches must be >= 1 or None"),
-            ({"epochs": 0}, "epochs and batch size must be >= 1"),
+            ({"max_batches_per_epoch": -1}, "max batches must be >= 1, got -1"),
+            ({"max_batches_per_epoch": 0}, "max batches must be >= 1, got 0"),
+            ({"epochs": 0}, "epochs must be >= 1, got 0"),
             ({"epochs": 1.5}, "epochs must be an integer, got 1.5"),
             ({"batch_size": 2.5}, "batch size must be an integer, got 2.5"),
             ({"seed": -1}, "seed must be >= 0, got -1"),
-            ({"prefetch_depth": 0}, "prefetch depth must be at least 1, got 0"),
+            ({"prefetch_depth": 0}, "prefetch depth must be >= 1, got 0"),
             ({"lr": np.nan}, "learning rate must be finite and positive"),
             ({"lr": np.inf}, "learning rate must be finite and positive"),
             ({"lr": 0.0}, "learning rate must be finite and positive"),
@@ -752,12 +753,12 @@ class TestPartitionBoundaries:
     @pytest.mark.parametrize(
         ("lookup", "nodes", "message"),
         [
-            ("contains", [-1], "node ids span [-1, -1], outside [0, 4)"),
-            ("contains", [4], "node ids span [4, 4], outside [0, 4)"),
+            ("contains", [-1], "node -1 is outside [0, 4)"),
+            ("contains", [4], "node 4 is outside [0, 4)"),
             ("contains", [0.5], "node ids must be integers, got dtype float64"),
-            ("remote_count", [-1, 0], "node ids span [-1, 0], outside [0, 4)"),
+            ("remote_count", [-1, 0], "node -1 is outside [0, 4)"),
             ("remote_count", [1.0], "node ids must be integers, got dtype float64"),
-            ("shard_of", [-1], "node ids span [-1, -1], outside [0, 4)"),
+            ("shard_of", [-1], "node -1 is outside [0, 4)"),
             ("shard_of", [1.5, 2.0], "node ids must be integers, got dtype float64"),
         ],
     )
@@ -783,8 +784,8 @@ class TestEpochFlagBoundaries:
         [
             (["--batch-size", "0"], "batch size must be >= 1"),
             (["--batch-size", "-3"], "batch size must be >= 1"),
-            (["--max-batches", "0"], "max batches must be >= 1 or None"),
-            (["--max-batches", "-1"], "max batches must be >= 1 or None"),
+            (["--max-batches", "0"], "max batches must be >= 1, got 0"),
+            (["--max-batches", "-1"], "max batches must be >= 1, got -1"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )
@@ -810,7 +811,7 @@ class TestEpochFlagBoundaries:
     def test_zero_epochs_is_refused_not_recorded_as_nan(self, tmp_path, capsys):
         argv = ["pipeline", "graphsage", "--scale", "0.1"]
         assert cli.main([*argv, "--epochs", "0", "--out-dir", str(tmp_path)]) == 2
-        assert "epochs and batch size must be >= 1" in capsys.readouterr().err
+        assert "epochs must be >= 1, got 0" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_max_batches_is_refused_before_any_dataset(self, monkeypatch):
@@ -920,3 +921,223 @@ class TestUnknownIsNotNA:
         dependents = {d for ds in cli._DEPENDENT_DESTS.values() for d in ds}
         assert dependents == _MOVED.keys()
 
+
+
+def _no_load(*args, **kwargs):
+    raise AssertionError("loaded a dataset before refusing")
+
+
+def _sample_call(name):
+    from repro.core import sampling
+
+    def call(k, graph, rng, ctx):
+        csc = graph.get("csc")
+        if name == "fused_extract_individual_sample":
+            return sampling.fused_extract_individual_sample(
+                csc, np.arange(8), k, rng=rng, ctx=ctx
+            )
+        return getattr(sampling, name)(csc, k, rng=rng, ctx=ctx)
+
+    return call
+
+
+def _trainer_knob(name):
+    from repro.learning.trainer import check_run_shape
+
+    return lambda value, graph, rng, ctx: check_run_shape(**{name: value})
+
+
+def _policy_knob(name):
+    from repro.serve import ServePolicy
+
+    return lambda value, graph, rng, ctx: ServePolicy(**{name: value})
+
+
+def _partition(build):
+    from repro.partition import partitioners
+
+    return lambda value, graph, rng, ctx: build(partitioners, graph, value)
+
+
+def _restart_walks(value, graph, rng, ctx):
+    from repro.algorithms.walks import restart_walk_visit_counts
+
+    return restart_walk_visit_counts(
+        graph, np.array([0, 1]), num_walks=value, walk_length=3,
+        restart_prob=0.5, rng=rng, ctx=ctx,
+    )
+
+
+#: ``(name, low, error, call(value, graph, rng, ctx))``: every count a
+#: public boundary takes, passed ``value``.
+_COUNT_BOUNDARIES = [
+    *[(f"check_run_shape {knob}", 0 if knob == "seed" else 1, ShapeError,
+       _trainer_knob(knob))
+      for knob in ("epochs", "batch_size", "max_batches", "prefetch_depth", "seed")],
+    *[(f"ServePolicy {knob}", 1, ServeError, _policy_knob(knob))
+      for knob in ("max_batch", "queue_capacity", "min_samples")],
+    *[(f"{name} k", 1, ShapeError, _sample_call(name))
+      for name in ("individual_sample", "labor_sample", "collective_sample",
+                   "fused_extract_individual_sample")],
+    ("sb_collective_sample k", 1, ShapeError,
+     lambda k, graph, rng, ctx: _sb_collective(graph, k, rng=rng, ctx=ctx)),
+    ("walk walk_length", 0, ShapeError,
+     lambda v, graph, rng, ctx: uniform_walk(graph, np.array([0, 1]), v, rng=rng, ctx=ctx)),
+    ("check_walk_parameters walk_length", 0, ShapeError,
+     lambda v, graph, rng, ctx: make_algorithm("deepwalk", walk_length=v)),
+    ("restart_walk_visit_counts num_walks", 0, ShapeError, _restart_walks),
+    ("greedy_partition shards", 1, ShapeError,
+     _partition(lambda p, g, v: p.greedy_partition(g, v))),
+    ("hash_partition shards", 1, ShapeError,
+     _partition(lambda p, g, v: p.hash_partition(g, v))),
+    ("hash_partition seed", 0, ShapeError,
+     _partition(lambda p, g, v: p.hash_partition(g, 2, seed=v))),
+    ("minibatches batch_size", 1, ShapeError,
+     lambda v, graph, rng, ctx: minibatches(np.arange(16), v, rng=rng)),
+    ("measure_cell max_batches", 1, ShapeError,
+     lambda v, graph, rng, ctx: measure_cell("gsampler", "graphsage", "pd", max_batches=v)),
+]
+
+
+def _count_cases():
+    for name, low, error, call in _COUNT_BOUNDARIES:
+        for value in (2.5, np.float64(2.0), True, low - 1):
+            if value == low - 1:
+                message = f"must be >= {low}, got {value!r}"
+            else:
+                message = f"must be an integer, got {value!r}"
+            yield pytest.param(call, value, error, message, id=f"{name}={value!r}")
+
+
+def _slice(kernel, layout):
+    from repro.sparse import kernels
+
+    return lambda ids, graph, rng, ctx: getattr(kernels, kernel)(
+        graph.get(layout), ids, ctx
+    )
+
+
+def _keep(compact):
+    return lambda ids, graph, rng, ctx: compact(graph.get("csc"), ctx, ids)
+
+
+def _lookup(name):
+    def call(ids, graph, rng, ctx):
+        from repro.partition import hash_partition
+
+        partition = hash_partition(graph, 2)
+        owner = partition if name == "shard_of" else partition.view(0)
+        return getattr(owner, name)(ids)
+
+    return call
+
+
+def _delta(name):
+    def call(ids, graph, rng, ctx):
+        from repro.dynamic.delta import DeltaGraph
+
+        return getattr(DeltaGraph(graph), name)(ids, np.zeros(len(ids), np.int64))
+
+    return call
+
+
+def _frontier_call(name):
+    def call(ids, graph, rng, ctx):
+        from repro.core import sampling
+        from repro.ir import superbatch_ops
+        from repro.sparse.formats import frontier_ranges
+
+        csc = graph.get("csc")
+        if name == "fused_extract_individual_sample":
+            return sampling.fused_extract_individual_sample(csc, ids, 2, rng=rng, ctx=ctx)
+        if name == "uniform_walk_step":
+            return sampling.uniform_walk_step(csc, ids, rng=rng, ctx=ctx)
+        if name == "sb_slice_cols":
+            batch_ptr = np.array([0, len(ids)])
+            return superbatch_ops.sb_slice_cols(graph, ids, batch_ptr, ctx)
+        return frontier_ranges(csc, ids)
+
+    return call
+
+
+#: ``(name, low, call(ids, graph, rng, ctx))``: every id array a public
+#: boundary takes, over the 200 nodes of ``small_graph``.
+_ID_BOUNDARIES = [
+    *[(f"{name} frontiers", 0, _frontier_call(name))
+      for name in ("fused_extract_individual_sample", "uniform_walk_step",
+                   "sb_slice_cols", "frontier_ranges")],
+    ("slice_columns csc", 0, _slice("slice_columns", "csc")),
+    ("slice_columns coo", 0, _slice("slice_columns", "coo")),
+    ("slice_rows csr", 0, _slice("slice_rows", "csr")),
+    ("slice_rows csc", 0, _slice("slice_rows", "csc")),
+    ("Matrix[:, ids]", 0, lambda ids, graph, rng, ctx: graph[:, ids]),
+    ("Matrix[ids, :]", 0, lambda ids, graph, rng, ctx: graph[ids, :]),
+    ("compact_rows keep", 0, _keep(compact_rows)),
+    ("compact_cols keep", 0, _keep(compact_cols)),
+    ("walk seeds", -1, lambda ids, graph, rng, ctx: uniform_walk(graph, ids, 3, rng=rng, ctx=ctx)),
+    ("ShardView.contains", 0, _lookup("contains")),
+    ("GraphPartition.shard_of", 0, _lookup("shard_of")),
+    ("DeltaGraph.insert_edges", 0, _delta("insert_edges")),
+    ("DeltaGraph.delete_edges", 0, _delta("delete_edges")),
+]
+
+
+def _id_cases():
+    for name, low, call in _ID_BOUNDARIES:
+        for ids, message in (
+            ([0.7], "ids must be integers, got dtype float64"),
+            ([True, False], "ids must be integers, got dtype bool"),
+            ([low - 1], f"{low - 1} is outside [{low}, 200)"),
+            ([200], f"200 is outside [{low}, 200)"),
+        ):
+            yield pytest.param(call, np.array(ids), message, id=f"{name}={ids}")
+
+
+class TestBoundaryVocabulary:
+    """Every public count and id-array boundary refuses the same inputs in
+    the same words (``repro.errors.check_count`` / ``check_ids``) with a
+    ``GSamplerError`` before it draws or launches."""
+
+    @pytest.mark.parametrize(("call", "value", "error", "message"), _count_cases())
+    def test_count_refused_before_any_draw(
+        self, call, value, error, message, small_graph, monkeypatch
+    ):
+        """At the parent of this table ``minibatches(ids, 2.5)`` drew its
+        permutation and raised a raw ``TypeError``; ``ServePolicy`` took a
+        float or bool ``max_batch``, a float ``queue_capacity`` or
+        ``min_samples``; ``check_run_shape`` took ``True`` for any knob."""
+        monkeypatch.setattr(harness, "load_dataset", _no_load)
+        ctx = ExecutionContext(V100)
+        rng = new_rng(0)
+        untouched = rng.bit_generator.state
+        with pytest.raises(error, match=re.escape(message)):
+            call(value, small_graph, rng, ctx)
+        assert ctx.launch_count() == 0
+        assert rng.bit_generator.state == untouched
+
+    @pytest.mark.parametrize(("call", "ids", "message"), _id_cases())
+    def test_ids_refused_before_any_draw(self, call, ids, message, small_graph):
+        """At the parent ``A[:, [0.7]]`` sliced column 0, a bool mask was
+        read as ids by every slice, and ``DeltaGraph`` inserted the edge
+        its truncated float endpoints named."""
+        ctx = ExecutionContext(V100)
+        rng = new_rng(0)
+        untouched = rng.bit_generator.state
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            call(ids, small_graph, rng, ctx)
+        assert ctx.launch_count() == 0
+        assert rng.bit_generator.state == untouched
+
+    def test_an_empty_float_frontier_samples_an_empty_layer(self, small_graph):
+        """``np.array([])`` is float64: empty ids of any dtype are ids."""
+        from repro.core import fused_extract_individual_sample, individual_sample
+
+        empty = np.array([])
+        fused = fused_extract_individual_sample(
+            small_graph.get("csc"), empty, 3, rng=new_rng(0)
+        )
+        sliced = individual_sample(
+            small_graph[:, empty].get("csc"), 3, rng=new_rng(0)
+        )
+        for layer in (fused, sliced):
+            assert layer.shape == (200, 0) and layer.nnz == 0
