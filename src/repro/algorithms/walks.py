@@ -20,7 +20,7 @@ from repro.core import new_rng, sampling
 from repro.core.matrix import Matrix
 from repro.core.random import segmented_race_select
 from repro.device import NULL_CONTEXT, ExecutionContext
-from repro.errors import ShapeError, check_count, check_ids
+from repro.errors import check_count, check_ids, check_real
 from repro.sparse import COO, CSC, INDEX_DTYPE, to_csc
 
 
@@ -64,9 +64,7 @@ def check_walk_parameters(
     """
     check_count("walk length", walk_length, low=0)
     check_count("num_walks", num_walks, low=0)
-    real = np.asarray(restart_prob).dtype.kind in "iuf"
-    if not (real and 0.0 <= restart_prob <= 1.0):
-        raise ShapeError(f"restart_prob must be in [0, 1], got {restart_prob!r}")
+    check_real("restart_prob", restart_prob, "[0, 1]")
 
 
 #: One walk step: ``step(csc, degree, history, alive, nodes, rng, ctx) ->

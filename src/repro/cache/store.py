@@ -23,7 +23,7 @@ from repro.cache.tiered import (
 )
 from repro.device.interconnect import LinkSpec
 from repro.device.memory import MemoryPool
-from repro.errors import ServeError, ShapeError
+from repro.errors import ServeError, ShapeError, check_real
 
 
 class FeatureSource:
@@ -70,8 +70,7 @@ class FeatureSource:
         fleet_size: int = 1,
         owned_mask: np.ndarray | None = None,
     ) -> None:
-        if not 0.0 <= cache_ratio <= 1.0:  # catches NaN too
-            raise ShapeError(f"cache ratio must be in [0, 1], got {cache_ratio}")
+        check_real("cache ratio", cache_ratio, "[0, 1]")
         if p2p and not feature_tiers:
             raise ServeError(
                 "p2p feature fetch needs the tiered store (feature_tiers)"

@@ -47,7 +47,7 @@ from repro.cache.gather import GatherPlan
 from repro.cache.ranking import degree_order
 from repro.device.interconnect import LinkSpec, p2p_cheaper_than_host
 from repro.device.memory import Allocation, MemoryPool
-from repro.errors import MemoryBudgetError, ShapeError
+from repro.errors import MemoryBudgetError, ShapeError, check_real
 
 #: Fraction of nodes planned for HBM when the caller does not choose
 #: one.  At the catalog's skew, 10% of nodes by degree covers well over
@@ -247,14 +247,8 @@ class TieredFeatureStore:
         p2p: bool = False,
         owned_mask: np.ndarray | None = None,
     ) -> None:
-        if not 0.0 <= device_ratio <= 1.0:
-            raise ShapeError(
-                f"device tier ratio must be in [0, 1], got {device_ratio}"
-            )
-        if not 0.0 <= host_ratio <= 1.0:
-            raise ShapeError(
-                f"host tier ratio must be in [0, 1], got {host_ratio}"
-            )
+        check_real("device tier ratio", device_ratio, "[0, 1]")
+        check_real("host tier ratio", host_ratio, "[0, 1]")
         num_nodes = int(features.shape[0])
         _check_scores(scores, num_nodes)
         if not 0 <= replica_id < max(num_replicas, 1):

@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
-import math
 import pathlib
 import sys
 from collections.abc import Sequence
@@ -41,7 +40,7 @@ from repro.bench import format_table, measure_cell
 from repro.cache import DEFAULT_CACHE_RATIO, DEFAULT_HOST_TIER_RATIO
 from repro.datasets import available_datasets, load_dataset
 from repro.device import DEVICES, LINKS, get_device
-from repro.errors import DeviceError, GSamplerError, ServeError
+from repro.errors import DeviceError, GSamplerError, ServeError, check_real
 from repro.partition import PARTITION_METHODS
 from repro.pipeline import (
     DEFAULT_PREFETCH_DEPTH,
@@ -617,8 +616,7 @@ def _hbm_budget(args: argparse.Namespace) -> int | None:
     mb = args.hbm_budget_mb
     if mb is None:
         return None
-    if not 0.0 <= mb < math.inf:  # catches NaN too
-        raise DeviceError(f"pool capacity must be >= 0 and finite, got {mb} MiB")
+    check_real("--hbm-budget-mb", mb, "[0, inf)", error=DeviceError)
     return int(mb * 2**20)
 
 
@@ -753,14 +751,11 @@ def _cmd_pipeline(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """The ``serve`` command: one online serving session + lane record."""
-    gate = args.min_availability
-    if gate is not None and not 0.0 <= gate <= 1.0:
-        raise ServeError(
-            f"--min-availability is a fraction in [0, 1], got {gate}"
+    if args.min_availability is not None:
+        check_real(
+            "--min-availability", args.min_availability, "[0, 1]", error=ServeError
         )
     hbm_budget = _hbm_budget(args)
-    dataset = load_dataset(args.dataset, scale=args.scale)
-    profiler = Profiler()
     failures = None
     if args.kill:
         events = []
@@ -825,6 +820,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             compact_every=args.compact_every,
             repartition_threshold=args.repartition_threshold,
         )
+    dataset = load_dataset(args.dataset, scale=args.scale)
+    profiler = Profiler()
     with profiler.activate():
         simulator, report = run_cluster_session(
             dataset,

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.matrix import Matrix
 from repro.device import NULL_CONTEXT, ExecutionContext
-from repro.errors import ShapeError
+from repro.errors import ShapeError, check_real
 from repro.sparse import VALUE_DTYPE
 
 _ITEM = 8
@@ -41,8 +41,7 @@ def global_pagerank(
     Each iteration is one SpMM against the column-normalized adjacency;
     iterations stop at ``tolerance`` in L1.  The result sums to one.
     """
-    if not 0.0 < damping < 1.0:
-        raise ShapeError(f"damping must be in (0, 1), got {damping}")
+    check_real("damping", damping, "(0, 1)")
     n = graph.shape[0]
     if n == 0:
         return np.zeros(0, dtype=VALUE_DTYPE)
@@ -91,8 +90,7 @@ def push_ppr(
     ``epsilon * degree``.  Touches only the source's neighborhood, which
     is what makes per-seed PPR affordable.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ShapeError(f"alpha must be in (0, 1), got {alpha}")
+    check_real("alpha", alpha, "(0, 1)")
     n = graph.shape[0]
     if not 0 <= source < n:
         raise ShapeError(f"source {source} out of range for {n} nodes")

@@ -1,19 +1,15 @@
 """Random-number utilities shared by the sampling kernels.
 
-The GPU samplers in the paper (and in SkyWalker, which gSampler compares
-against) rely on two classic tricks that we reproduce here in vectorized
-form:
-
-* the **exponential race** (equivalently Gumbel top-k): drawing
-  ``Exp(1) / w_i`` per item and keeping the ``k`` smallest yields a
-  weighted sample *without* replacement in one parallel pass;
-* the **alias method**: O(1) weighted sampling *with* replacement after an
-  O(n) table build, which is what SkyWalker's kernels implement.
+The weighted samplers rely on the **exponential race** (equivalently
+Gumbel top-k), reproduced here in vectorized form: drawing
+``Exp(1) / w_i`` per item and keeping the ``k`` smallest yields a
+weighted sample *without* replacement in one parallel pass.  Weighted
+draws *with* replacement are inverse-CDF scans per segment
+(``repro.core.sampling``).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import threading
 
@@ -122,63 +118,6 @@ def weighted_choice_without_replacement(
         return np.flatnonzero(weights > 0).astype(np.int64)
     idx = np.argpartition(keys, take - 1)[:take]
     return idx.astype(np.int64)
-
-
-def weighted_choice_with_replacement(
-    weights: np.ndarray, k: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Indices of ``k`` items drawn with replacement, prob ∝ weight."""
-    weights = np.asarray(weights, dtype=np.float64)
-    total = weights.sum()
-    if total <= 0 or k <= 0:
-        return np.empty(0, dtype=np.int64)
-    cdf = np.cumsum(weights)
-    targets = rng.random(k) * total
-    return np.searchsorted(cdf, targets, side="right").astype(np.int64)
-
-
-@dataclasses.dataclass
-class AliasTable:
-    """Walker's alias table for O(1) weighted draws with replacement."""
-
-    prob: np.ndarray
-    alias: np.ndarray
-
-    @classmethod
-    def build(cls, weights: np.ndarray) -> "AliasTable":
-        """Construct the table in O(n) from non-negative weights."""
-        weights = np.asarray(weights, dtype=np.float64)
-        n = len(weights)
-        if n == 0:
-            raise ShapeError("cannot build an alias table over zero items")
-        total = weights.sum()
-        if total <= 0:
-            # Degenerate: uniform over all items.
-            scaled = np.ones(n, dtype=np.float64)
-        else:
-            scaled = weights * (n / total)
-        prob = np.ones(n, dtype=np.float64)
-        alias = np.arange(n, dtype=np.int64)
-        small = [i for i in range(n) if scaled[i] < 1.0]
-        large = [i for i in range(n) if scaled[i] >= 1.0]
-        while small and large:
-            s = small.pop()
-            l = large.pop()
-            prob[s] = scaled[s]
-            alias[s] = l
-            scaled[l] = (scaled[l] + scaled[s]) - 1.0
-            if scaled[l] < 1.0:
-                small.append(l)
-            else:
-                large.append(l)
-        return cls(prob=prob, alias=alias)
-
-    def sample(self, k: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw ``k`` indices with replacement."""
-        n = len(self.prob)
-        slots = rng.integers(0, n, size=k)
-        accept = rng.random(k) < self.prob[slots]
-        return np.where(accept, slots, self.alias[slots]).astype(np.int64)
 
 
 def segmented_uniform_with_replacement(

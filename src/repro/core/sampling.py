@@ -370,6 +370,10 @@ def collective_sample(
     per-edge bias (1 for unweighted) is aggregated per row, as the paper
     specifies.  The returned matrix is compacted to ``K x T`` with
     ``selected_rows`` holding the chosen (local) row indices.
+
+    ``replace=True`` draws the same layer: redrawing with replacement
+    until ``k`` distinct rows land is successive sampling, whose row set
+    is distributed as the exponential race's.
     """
     check_count("fanout k", k)
     rng = rng if rng is not None else rnd.new_rng()
@@ -384,53 +388,17 @@ def collective_sample(
             raise ShapeError(
                 f"node_probs shape {node_probs.shape} != rows ({csc.shape[0]},)"
             )
-    if replace:
-        selected, rounds = _distinct_rows_with_replacement(node_probs, k, rng)
-    else:
-        selected = np.sort(rnd.weighted_choice_without_replacement(node_probs, k, rng))
-        rounds = 1
+    selected = np.sort(rnd.weighted_choice_without_replacement(node_probs, k, rng))
     sub = _relabel(csc, selected, 0)
     ctx.record(
         "collective_sample",
         bytes_read=node_probs.nbytes
         + csc.nnz * (_ITEM + (_VAL if csc.values is not None else 0)),
         bytes_written=sub.nbytes() + selected.nbytes,
-        flops=csc.shape[0] * rounds + csc.nnz,
+        flops=csc.shape[0] + csc.nnz,
         tasks=max(csc.nnz, 1),
     )
     return CollectiveResult(matrix=sub, selected_rows=selected)
-
-
-def _distinct_rows_with_replacement(
-    node_probs: np.ndarray, k: int, rng: np.random.Generator
-) -> tuple[np.ndarray, int]:
-    """With-replacement draws repeated until ``k`` distinct rows land.
-
-    A single batch of ``k`` draws deduplicated would silently shrink the
-    layer below ``k``; redrawing until ``k`` distinct rows accumulate
-    keeps the layer width while staying a with-replacement process.  The
-    distinct-row sequence this produces is distributed exactly as
-    successive weighted draws without replacement (Efraimidis–Spirakis),
-    so the replace=True layer matches the race-select path the
-    super-batch kernel always uses.  Returns the sorted distinct rows
-    and the number of draw rounds (for cost accounting).
-    """
-    avail = int(np.count_nonzero(node_probs > 0))
-    target = min(k, avail)
-    chosen = np.zeros(len(node_probs), dtype=bool)
-    count = 0
-    rounds = 0
-    while count < target:
-        rounds += 1
-        draws = rnd.weighted_choice_with_replacement(node_probs, k, rng)
-        fresh = draws[~chosen[draws]]
-        # First occurrence per row, in draw order, capped at the deficit
-        # — extra distinct rows in the same round must not slip in.
-        _, first = np.unique(fresh, return_index=True)
-        fresh = fresh[np.sort(first)][: target - count]
-        chosen[fresh] = True
-        count += len(fresh)
-    return np.flatnonzero(chosen).astype(INDEX_DTYPE), max(rounds, 1)
 
 
 def _resolve_edge_bias(
@@ -487,9 +455,8 @@ def uniform_walk_step(
     frontiers: np.ndarray,
     rng: np.random.Generator | None = None,
     ctx: ExecutionContext = NULL_CONTEXT,
-    bias_edge_values: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One random-walk step: pick one in-neighbor per frontier.
+    """One random-walk step: pick one uniform in-neighbor per frontier.
 
     Returns the next node per frontier, with ``-1`` for dead ends
     (frontiers without in-edges).  Used by DeepWalk/Node2Vec/PinSAGE.
@@ -497,39 +464,17 @@ def uniform_walk_step(
     The uniform pick draws what ``segmented_uniform_with_replacement(
     lengths, 1, rng)`` would — one ``rng.random`` per frontier with
     in-edges, in frontier order — without its k-way repeat.  Frontiers
-    must be node ids and ``bias_edge_values`` finite and non-negative;
-    anything else is refused before any draw or launch.
+    must be node ids; anything else is refused before any draw or launch.
+    Node2Vec's biased step is its own (``repro.algorithms.node2vec``).
     """
     frontiers = check_ids("frontier", frontiers, graph_csc.shape[1])
-    if bias_edge_values is not None:
-        bias_edge_values = np.asarray(bias_edge_values, dtype=np.float64)
-        if bias_edge_values.shape != (graph_csc.nnz,):
-            raise ShapeError(
-                f"per-edge bias shape {bias_edge_values.shape} != nnz "
-                f"({graph_csc.nnz},)"
-            )
-        if not np.all(np.isfinite(bias_edge_values) & (bias_edge_values >= 0)):
-            raise ShapeError("walk bias must be finite and non-negative")
     rng = rng if rng is not None else rnd.new_rng()
     starts = graph_csc.indptr[frontiers]
     lengths = graph_csc.indptr[frontiers + 1] - starts
     nxt = np.full(len(frontiers), -1, dtype=INDEX_DTYPE)
-    if bias_edge_values is None:
-        moving = np.flatnonzero(lengths > 0)
-        nxt[moving] = _walk_draw(
-            graph_csc, frontiers[moving], lengths[moving], len(frontiers), rng, ctx
-        )
-        return nxt
-    flat = gather_ranges(starts, lengths)
-    sub_indptr = _indptr_from_counts(lengths)
-    picks = _segmented_biased_with_replacement(
-        sub_indptr, bias_edge_values[flat], 1, rng
-    )
-    nxt[_segments_of(picks, sub_indptr)] = graph_csc.rows[flat[picks]]
-    # The biased inverse-CDF scan reads every candidate edge's row id and
-    # weight before picking, and is charged for all of them.
-    _record_walk_step(
-        ctx, len(frontiers), len(flat), len(flat) * (_ITEM + _VAL)
+    moving = np.flatnonzero(lengths > 0)
+    nxt[moving] = _walk_draw(
+        graph_csc, frontiers[moving], lengths[moving], len(frontiers), rng, ctx
     )
     return nxt
 
@@ -553,20 +498,16 @@ def _walk_draw(
     # below ``length`` for every length under ``2**53``: no clamp needed.
     offsets = (rng.random(len(nodes)) * lengths).astype(INDEX_DTYPE)
     nxt = graph_csc.rows[graph_csc.indptr[nodes] + offsets]
-    # Uniform picks read indptr plus the one chosen row per frontier.
-    _record_walk_step(ctx, num_frontiers, int(lengths.sum()), num_frontiers * _ITEM)
-    return nxt
-
-
-def _record_walk_step(
-    ctx: ExecutionContext, num_frontiers: int, total: int, candidate_bytes: int
-) -> None:
-    read = num_frontiers * 2 * _ITEM + candidate_bytes
+    # Uniform picks read indptr plus the one chosen row per frontier; one
+    # lane per candidate edge.
+    read = num_frontiers * 3 * _ITEM
+    lanes = max(int(lengths.sum()), 1)
     ctx.record(
         "walk_step",
         bytes_read=read,
         bytes_written=num_frontiers * _ITEM,
-        flops=float(max(total, 1)),
-        tasks=max(total, 1),  # alias-table lanes per edge
+        flops=float(lanes),
+        tasks=lanes,
         graph_bytes=read,
     )
+    return nxt

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 
 import numpy as np
 
 from repro.core.matrix import Matrix, from_edges
 from repro.datasets import synthetic
-from repro.errors import ShapeError
+from repro.errors import ShapeError, check_real
 
 
 @dataclasses.dataclass
@@ -85,23 +84,25 @@ def available_datasets() -> list[str]:
     return sorted(_SPECS)
 
 
-@functools.lru_cache(maxsize=8)
 def load_dataset(name: str, scale: float = 1.0, seed: int = 2023) -> Dataset:
     """Build (and cache) one of the stand-in datasets.
 
     ``scale`` multiplies node and edge counts; 1.0 is the laptop default
-    documented above.
+    documented above.  It is checked before the cache is read, whose
+    keys do not tell ``True`` from ``1.0``.
     """
+    check_real("dataset scale", scale, "(0, inf)")
+    return _build_dataset(name, scale, seed)
+
+
+@functools.lru_cache(maxsize=8)
+def _build_dataset(name: str, scale: float, seed: int) -> Dataset:
     try:
         spec = _SPECS[name.lower()]
     except KeyError:
         raise ShapeError(
             f"unknown dataset {name!r}; available: {available_datasets()}"
         ) from None
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise ShapeError(
-            f"dataset scale must be finite and positive, got {scale}"
-        )
     rng = np.random.default_rng(seed)
     blocks = None
     if spec.generator == "rmat":

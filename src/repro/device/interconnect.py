@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.errors import DeviceError
+from repro.errors import DeviceError, check_real
 
 
 @dataclasses.dataclass(frozen=True)
@@ -44,16 +44,14 @@ class LinkSpec:
     latency: float
 
     def __post_init__(self) -> None:
-        if self.bandwidth <= 0.0:
-            raise DeviceError(
-                f"{self.name}: link bandwidth must be positive, "
-                f"got {self.bandwidth}"
-            )
-        if self.latency < 0.0:
-            raise DeviceError(
-                f"{self.name}: link latency must be non-negative, "
-                f"got {self.latency}"
-            )
+        check_real(
+            f"{self.name} link bandwidth", self.bandwidth, "(0, inf)",
+            error=DeviceError,
+        )
+        check_real(
+            f"{self.name} link latency", self.latency, "[0, inf)",
+            error=DeviceError,
+        )
 
     def transfer_time(self, nbytes: float) -> float:
         """Simulated seconds to move ``nbytes`` over this link.
@@ -88,10 +86,7 @@ class LinkSpec:
             raise DeviceError(
                 f"{self.name}: cannot transfer {nbytes} bytes"
             )
-        if chunk_bytes <= 0.0:
-            raise DeviceError(
-                f"{self.name}: chunk size must be positive, got {chunk_bytes}"
-            )
+        check_real("chunk size", chunk_bytes, "(0, inf)", error=DeviceError)
         if nbytes == 0.0:
             return 0.0
         chunks = int(-(-nbytes // chunk_bytes))

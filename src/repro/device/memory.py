@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.errors import DeviceError, MemoryBudgetError
+from repro.errors import DeviceError, MemoryBudgetError, check_count
 
 
 @dataclasses.dataclass
@@ -34,8 +34,8 @@ class MemoryPool:
     """
 
     def __init__(self, capacity: int | None = None) -> None:
-        if capacity is not None and capacity < 0:
-            raise DeviceError(f"pool capacity must be >= 0, got {capacity}")
+        if capacity is not None:
+            check_count("pool capacity", capacity, low=0, error=DeviceError)
         self.capacity = capacity
         self._next_id = 0
         self._live: dict[int, Allocation] = {}

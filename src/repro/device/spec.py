@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.errors import DeviceError
+from repro.errors import DeviceError, check_real
 
 #: Bytes per gigabyte, used by the specs below.
 GB = 1024**3
@@ -61,12 +61,16 @@ class DeviceSpec:
     uva_cache_hit_rate: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.bandwidth <= 0 or self.flops <= 0:
-            raise DeviceError(f"{self.name}: bandwidth and flops must be positive")
-        if not 0.0 < self.min_occupancy <= 1.0:
-            raise DeviceError(f"{self.name}: min_occupancy must be in (0, 1]")
-        if not 0.0 <= self.uva_cache_hit_rate < 1.0:
-            raise DeviceError(f"{self.name}: uva_cache_hit_rate must be in [0, 1)")
+        for knob, interval in (
+            ("bandwidth", "(0, inf)"),
+            ("flops", "(0, inf)"),
+            ("min_occupancy", "(0, 1]"),
+            ("uva_cache_hit_rate", "[0, 1)"),
+        ):
+            check_real(
+                f"{self.name} {knob}", getattr(self, knob), interval,
+                error=DeviceError,
+            )
 
     def occupancy(self, tasks: int) -> float:
         """Fraction of peak throughput reached by a launch of ``tasks``."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.errors import ServeError
+from repro.errors import ServeError, check_count, check_real
 
 __all__ = ["DynamicPolicy"]
 
@@ -40,19 +40,10 @@ class DynamicPolicy:
     repartition_threshold: float | None = None
 
     def __post_init__(self) -> None:
-        if self.snapshot_every < 0.0:
-            raise ServeError(
-                f"snapshot epoch must be >= 0, got {self.snapshot_every}"
-            )
-        if self.compact_every < 0:
-            raise ServeError(
-                f"compact cadence must be >= 0, got {self.compact_every}"
-            )
-        if (
-            self.repartition_threshold is not None
-            and self.repartition_threshold <= 0.0
-        ):
-            raise ServeError(
-                "repartition threshold must be positive, got "
-                f"{self.repartition_threshold}"
+        check_real("snapshot epoch", self.snapshot_every, "[0, inf)", error=ServeError)
+        check_count("compact cadence", self.compact_every, low=0, error=ServeError)
+        if self.repartition_threshold is not None:
+            check_real(
+                "repartition threshold", self.repartition_threshold, "(0, inf)",
+                error=ServeError,
             )

@@ -35,7 +35,7 @@ import dataclasses
 import numpy as np
 
 from repro.core import new_rng
-from repro.errors import ServeError
+from repro.errors import ServeError, check_count, check_real
 
 __all__ = ["UpdateBatch", "UpdateSpec", "generate_update_stream"]
 
@@ -85,21 +85,11 @@ class UpdateSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.num_edges <= 0:
-            raise ServeError(
-                f"update stream needs at least one edge, got {self.num_edges}"
-            )
-        if self.rate <= 0.0:
-            raise ServeError(
-                f"ingest rate must be positive, got {self.rate}"
-            )
-        if not 0.0 <= self.delete_fraction < 1.0:
-            raise ServeError(
-                "delete fraction must be in [0, 1), got "
-                f"{self.delete_fraction}"
-            )
-        if self.skew < 0.0:
-            raise ServeError(f"skew must be non-negative, got {self.skew}")
+        check_count("update stream edges", self.num_edges, error=ServeError)
+        check_real("ingest rate", self.rate, "(0, inf)", error=ServeError)
+        check_real("delete fraction", self.delete_fraction, "[0, 1)", error=ServeError)
+        check_real("skew", self.skew, "[0, inf)", error=ServeError)
+        check_count("seed", self.seed, low=0, error=ServeError)
 
     @property
     def num_batches(self) -> int:
@@ -123,10 +113,7 @@ def generate_update_stream(
     # scope, so a top-level serve import here would close a cycle.
     from repro.serve.workload import _RankSampler
 
-    if num_nodes < 2:
-        raise ServeError(
-            f"update stream needs at least two nodes, got {num_nodes}"
-        )
+    check_count("update stream nodes", num_nodes, low=2, error=ServeError)
     if hotness is None:
         hot_order = np.arange(num_nodes, dtype=np.int64)
     else:

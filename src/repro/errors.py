@@ -4,12 +4,14 @@ Every error raised by this package derives from :class:`GSamplerError` so
 that callers can catch framework errors without masking programming
 mistakes (``TypeError`` etc. propagate unchanged).
 
-It also says, once, what a count and an id array are at a public
-boundary: :func:`check_count` and :func:`check_ids`.
+It also says, once, what a count, a real-valued knob and an id array
+are at a public boundary: :func:`check_count`, :func:`check_real` and
+:func:`check_ids`.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
@@ -93,6 +95,29 @@ def check_count(
     if value < low:
         raise error(f"{name} must be >= {low}, got {value!r}")
     return int(value)
+
+
+def check_real(
+    name: str, value: object, interval: str, *,
+    error: type[GSamplerError] = ShapeError,
+) -> float:
+    """``value``, refused unless it is a finite real number (bool is not
+    one) inside ``interval``, written ``"[0, 1]"``, ``"(0, inf)"``, ...:
+    a bracket is a closed end, a parenthesis an open one.
+
+    ``error`` is the type raised, as for :func:`check_count`.
+    """
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    inside = (
+        not isinstance(value, bool)
+        and isinstance(value, numbers.Real)
+        and (isinstance(value, numbers.Integral) or math.isfinite(value))
+        and (low < value if interval[0] == "(" else low <= value)
+        and (value < high if interval[-1] == ")" else value <= high)
+    )
+    if not inside:
+        raise error(f"{name} must be in {interval}, got {value!r}")
+    return value
 
 
 def check_ids(name: str, values: object, extent: int, *, low: int = 0) -> np.ndarray:

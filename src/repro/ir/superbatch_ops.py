@@ -180,7 +180,9 @@ def sb_collective_sample(
     ``matrix`` must be in block-diagonal row space (from
     :func:`sb_slice_cols`); row block ``b`` is segment ``b``.  Sampling is
     independent per segment, matching the paper's ``segmented collective
-    sample`` replacement operator.
+    sample`` replacement operator.  ``replace`` is ignored, as in
+    :func:`~repro.core.sampling.collective_sample`: the race draws its
+    row sets either way.
     """
     check_count("fanout k", k)
     rng = rng if rng is not None else rnd.new_rng()

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
-import numbers
 
 import numpy as np
 
@@ -30,7 +28,7 @@ from repro.cache import CacheStats, FeatureSource, plan_gather
 from repro.core import GraphSample, minibatches, new_rng
 from repro.datasets import Dataset
 from repro.device import DeviceSpec, ExecutionContext
-from repro.errors import ShapeError, check_count
+from repro.errors import check_count, check_real
 from repro.learning.models import SampledGNN
 from repro.learning.nn import SGD
 from repro.profile.spans import Profiler, maybe_span
@@ -61,8 +59,7 @@ def check_run_shape(
         check_count("max batches", max_batches)
     check_count("prefetch depth", prefetch_depth)
     check_count("seed", seed, low=0)
-    if not (isinstance(lr, numbers.Real) and 0.0 < lr < math.inf):
-        raise ShapeError(f"learning rate must be finite and positive, got {lr!r}")
+    check_real("learning rate", lr, "(0, inf)")
 
 
 @dataclasses.dataclass(frozen=True)

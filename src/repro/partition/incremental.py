@@ -32,7 +32,7 @@ import dataclasses
 
 import numpy as np
 
-from repro.errors import ShapeError
+from repro.errors import ShapeError, check_count, check_real
 from repro.partition.partitioners import (
     GraphPartition,
     _edge_cut_fraction,
@@ -169,12 +169,9 @@ def incremental_rebalance(
     push the receiver past the donor (overshoot guard); the loop stops
     at ``max_moves``, when balance is met, or when no candidate remains.
     """
-    if max_moves <= 0:
-        raise ShapeError(f"max moves must be positive, got {max_moves}")
-    if target_balance < 1.0:
-        raise ShapeError(
-            f"target balance must be >= 1, got {target_balance}"
-        )
+    check_count("shards", num_shards)
+    check_count("max moves", max_moves)
+    check_real("target balance", target_balance, "[1, inf)")
     csc = graph.get("csc")
     indptr, rows = csc.indptr, csc.rows
     num_nodes = len(indptr) - 1

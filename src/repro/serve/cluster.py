@@ -60,7 +60,7 @@ from repro.cache import (
 )
 from repro.datasets import Dataset
 from repro.device import DeviceSpec, LinkSpec, default_link_for, get_link
-from repro.errors import ServeError
+from repro.errors import ServeError, check_count
 from repro.partition import GraphPartition, make_partition
 from repro.profile.spans import Profiler, maybe_span
 from repro.serve.compose import BatchComposer
@@ -178,10 +178,7 @@ class ClusterSimulator:
         dynamic: DynamicPolicy | None = None,
         task: str = "node",
     ) -> None:
-        if num_replicas < 1:
-            raise ServeError(
-                f"cluster needs at least one replica, got {num_replicas}"
-            )
+        check_count("replicas", num_replicas, error=ServeError)
         self.dataset = dataset
         self.algorithm = algorithm
         self.device = device

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.errors import ServeError
+from repro.errors import ServeError, check_count, check_real
 from repro.stats import percentile
 
 __all__ = ["AutoscalePolicy", "Autoscaler", "ScaleEvent"]
@@ -80,40 +80,21 @@ class AutoscalePolicy:
     spinup: float = 1e-3
 
     def __post_init__(self) -> None:
-        if self.min_replicas < 1:
-            raise ServeError(
-                f"min replicas must be at least 1, got {self.min_replicas}"
-            )
-        if self.max_replicas < self.min_replicas:
-            raise ServeError(
-                f"max replicas ({self.max_replicas}) must be >= min "
-                f"replicas ({self.min_replicas})"
-            )
-        if self.interval <= 0.0:
-            raise ServeError(
-                f"autoscale interval must be positive, got {self.interval}"
-            )
-        if self.high_p99 <= 0.0:
-            raise ServeError(
-                f"high p99 threshold must be positive, got {self.high_p99}"
-            )
-        if self.low_occupancy < 0.0 or self.high_occupancy <= self.low_occupancy:
-            raise ServeError(
-                "occupancy thresholds must satisfy 0 <= low < high, got "
-                f"low={self.low_occupancy} high={self.high_occupancy}"
-            )
-        if self.cooldown < 0.0:
-            raise ServeError(
-                f"cooldown must be non-negative, got {self.cooldown}"
-            )
-        if self.spinup < 0.0:
-            raise ServeError(
-                f"spin-up delay must be non-negative, got {self.spinup}"
-            )
-        if self.min_samples < 1:
-            raise ServeError(
-                f"min samples must be positive, got {self.min_samples}"
-            )
+        check_count("min replicas", self.min_replicas, error=ServeError)
+        check_count(
+            "max replicas", self.max_replicas, low=self.min_replicas,
+            error=ServeError,
+        )
+        check_real("autoscale interval", self.interval, "(0, inf)", error=ServeError)
+        check_real("high p99", self.high_p99, "(0, inf)", error=ServeError)
+        check_real("low occupancy", self.low_occupancy, "[0, inf)", error=ServeError)
+        check_real(
+            "high occupancy", self.high_occupancy,
+            f"({self.low_occupancy}, inf)", error=ServeError,
+        )
+        check_real("cooldown", self.cooldown, "[0, inf)", error=ServeError)
+        check_real("spin-up delay", self.spinup, "[0, inf)", error=ServeError)
+        check_count("min samples", self.min_samples, error=ServeError)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import dataclasses
 
-from repro.errors import ServeError
+from repro.errors import ServeError, check_count, check_real
 from repro.serve.control import EVENT_PRIORITY, close_meters
 from repro.serve.metrics import RequestLog
 from repro.serve.workload import Request
@@ -56,19 +56,10 @@ class FailureEvent:
     downtime: float | None = None
 
     def __post_init__(self) -> None:
-        if self.time < 0.0:
-            raise ServeError(
-                f"failure time must be non-negative, got {self.time}"
-            )
-        if self.replica < 0:
-            raise ServeError(
-                f"failure replica id must be non-negative, got {self.replica}"
-            )
-        if self.downtime is not None and self.downtime <= 0.0:
-            raise ServeError(
-                "failure downtime must be positive (or None for a "
-                f"permanent kill), got {self.downtime}"
-            )
+        check_real("failure time", self.time, "[0, inf)", error=ServeError)
+        check_count("failure replica", self.replica, low=0, error=ServeError)
+        if self.downtime is not None:
+            check_real("failure downtime", self.downtime, "(0, inf)", error=ServeError)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -94,10 +85,7 @@ class FailureSpec:
                 f"unknown orphan policy {self.orphans!r}; available: "
                 f"{list(ORPHAN_POLICIES)}"
             )
-        if self.spinup < 0.0:
-            raise ServeError(
-                f"spin-up delay must be non-negative, got {self.spinup}"
-            )
+        check_real("spin-up delay", self.spinup, "[0, inf)", error=ServeError)
         # Tuple-ify so hand-built lists validate too.
         object.__setattr__(self, "events", tuple(self.events))
 

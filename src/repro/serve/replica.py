@@ -40,7 +40,7 @@ from repro.cache import FeatureSource, plan_gather
 from repro.core import GraphSample
 from repro.datasets import Dataset
 from repro.device import DeviceSpec, ExecutionContext, LinkSpec
-from repro.errors import ServeError, check_count
+from repro.errors import ServeError, check_count, check_real
 from repro.partition import ShardView
 from repro.profile.spans import Profiler, maybe_span
 from repro.serve.compose import BatchComposer, BatchPlan, make_composer
@@ -140,16 +140,11 @@ class ServePolicy:
 
     def __post_init__(self) -> None:
         check_count("max batch", self.max_batch, error=ServeError)
-        if not (math.isfinite(self.max_wait) and self.max_wait >= 0.0):
-            raise ServeError(
-                f"max wait must be finite and non-negative, got {self.max_wait}"
-            )
+        check_real("max wait", self.max_wait, "[0, inf)", error=ServeError)
         if self.queue_capacity is not None:
             check_count("queue capacity", self.queue_capacity, error=ServeError)
-        if self.slo is not None and not (
-            math.isfinite(self.slo) and self.slo > 0.0
-        ):
-            raise ServeError(f"SLO must be finite and positive, got {self.slo}")
+        if self.slo is not None:
+            check_real("SLO", self.slo, "(0, inf)", error=ServeError)
         check_count("min_samples", self.min_samples, error=ServeError)
 
     @classmethod

@@ -38,7 +38,7 @@ import math
 import numpy as np
 
 from repro.core import new_rng
-from repro.errors import ServeError
+from repro.errors import ServeError, check_count, check_real
 from repro.tasks import available_tasks, make_task
 
 #: Arrival process names understood by :func:`generate_workload`.
@@ -133,43 +133,23 @@ class WorkloadSpec:
                 f"unknown workload task {self.task!r}; "
                 f"available: {list(available_tasks())}"
             )
-        if self.num_requests <= 0:
-            raise ServeError(
-                f"workload needs at least one request, got {self.num_requests}"
-            )
-        if not (math.isfinite(self.arrival_rate) and self.arrival_rate > 0.0):
-            raise ServeError(
-                "arrival rate must be finite and positive, got "
-                f"{self.arrival_rate}"
-            )
+        check_count("num requests", self.num_requests, error=ServeError)
+        check_real("arrival rate", self.arrival_rate, "(0, inf)", error=ServeError)
         if self.process not in ARRIVAL_PROCESSES:
             raise ServeError(
                 f"unknown arrival process {self.process!r}; "
                 f"available: {list(ARRIVAL_PROCESSES)}"
             )
-        if self.seeds_per_request <= 0:
-            raise ServeError(
-                "each request needs at least one seed, got "
-                f"{self.seeds_per_request}"
+        check_count("seeds per request", self.seeds_per_request, error=ServeError)
+        if self.max_seeds_per_request is not None:
+            check_count(
+                "max seeds per request", self.max_seeds_per_request,
+                low=self.seeds_per_request, error=ServeError,
             )
-        if (
-            self.max_seeds_per_request is not None
-            and self.max_seeds_per_request < self.seeds_per_request
-        ):
-            raise ServeError(
-                f"max seeds per request ({self.max_seeds_per_request}) "
-                f"must be >= seeds per request ({self.seeds_per_request})"
-            )
-        if self.skew < 0.0:
-            raise ServeError(f"skew must be non-negative, got {self.skew}")
-        if self.burst_factor < 1.0:
-            raise ServeError(
-                f"burst factor must be >= 1, got {self.burst_factor}"
-            )
-        if self.burst_period <= 0.0:
-            raise ServeError(
-                f"burst period must be positive, got {self.burst_period}"
-            )
+        check_real("skew", self.skew, "[0, inf)", error=ServeError)
+        check_real("burst factor", self.burst_factor, "[1, inf)", error=ServeError)
+        check_real("burst period", self.burst_period, "(0, inf)", error=ServeError)
+        check_count("seed", self.seed, low=0, error=ServeError)
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,7 @@ import numpy as np
 from repro.core import new_rng
 from repro.core.matrix import Matrix, from_edges
 from repro.dynamic import DeltaGraph, UpdateSpec, generate_update_stream
-from repro.errors import GSamplerError
+from repro.errors import GSamplerError, check_count, check_real
 from repro.sampler import compile_sampler
 from repro.verify.equivalence import (
     _SEED_STRIDE,
@@ -114,12 +114,8 @@ def check_dynamic_equivalence(
     edge set (chi-square/KS) and (b) the compacted graph *is* that fresh
     rebuild, bit for bit, storage and samples alike.
     """
-    if trials < 1:
-        raise GSamplerError(
-            f"verification needs at least 1 trial, got {trials}"
-        )
-    if not 0.0 < alpha < 1.0:
-        raise GSamplerError(f"alpha must be in (0, 1), got {alpha}")
+    check_count("trials", trials, error=GSamplerError)
+    check_real("alpha", alpha, "(0, 1)", error=GSamplerError)
     specs = builtin_specs()
     if algorithm not in specs:
         raise GSamplerError(

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.core import new_rng
 from repro.core.matrix import Matrix, from_edges
-from repro.errors import GSamplerError, TraceError
+from repro.errors import GSamplerError, TraceError, check_count, check_real
 from repro.sampler import CompiledSampler, OptimizationConfig, compile_sampler
 from repro.verify.oracle import EagerOracle, trace_oracle
 from repro.verify.stats import TestResult, bonferroni, chi2_homogeneity, ks_2samp
@@ -275,15 +275,12 @@ def check_distribution_equivalence(
     Bonferroni-corrected across all variants; the report passes only if
     every adjusted p-value exceeds ``alpha``.
     """
-    if trials < 1:
-        raise GSamplerError(f"verification needs at least 1 trial, got {trials}")
-    if superbatch_batches is not None and superbatch_batches < 0:
-        raise GSamplerError(
-            "super-batch verification needs a non-negative batch count "
-            f"(0 disables it), got {superbatch_batches}"
+    check_count("trials", trials, error=GSamplerError)
+    if superbatch_batches is not None:
+        check_count(
+            "super-batch batches", superbatch_batches, low=0, error=GSamplerError
         )
-    if not 0.0 < alpha < 1.0:
-        raise GSamplerError(f"alpha must be in (0, 1), got {alpha}")
+    check_real("alpha", alpha, "(0, 1)", error=GSamplerError)
     frontiers = np.asarray(frontiers)
     oracle = trace_oracle(
         fn, graph, frontiers, constants=constants, tensors=tensors
@@ -389,10 +386,8 @@ def check_serving_equivalence(
     (row-space collisions, RNG coupling, split mis-slicing) shifts the
     marginals and fails the chi-square/KS comparison.
     """
-    if trials < 1:
-        raise GSamplerError(f"verification needs at least 1 trial, got {trials}")
-    if not 0.0 < alpha < 1.0:
-        raise GSamplerError(f"alpha must be in (0, 1), got {alpha}")
+    check_count("trials", trials, error=GSamplerError)
+    check_real("alpha", alpha, "(0, 1)", error=GSamplerError)
     if not seed_sets:
         raise GSamplerError("serving verification needs at least one request")
     seed_sets = [np.asarray(s) for s in seed_sets]

@@ -27,7 +27,7 @@ import dataclasses
 import numpy as np
 
 from repro.core import new_rng
-from repro.errors import GSamplerError
+from repro.errors import GSamplerError, check_count, check_real
 from repro.tasks import (
     edge_endpoints_of,
     edge_keys,
@@ -95,12 +95,8 @@ def check_linkpred_equivalence(
     seed: int = 0,
 ) -> LinkpredCheck:
     """Run all three halves of the link-prediction contract."""
-    if trials < 1:
-        raise GSamplerError(
-            f"verification needs at least 1 trial, got {trials}"
-        )
-    if not 0.0 < alpha < 1.0:
-        raise GSamplerError(f"alpha must be in (0, 1), got {alpha}")
+    check_count("trials", trials, error=GSamplerError)
+    check_real("alpha", alpha, "(0, 1)", error=GSamplerError)
     graph = verification_graph(num_nodes, avg_degree, seed=graph_seed)
     src, dst = edge_endpoints_of(graph)
     live_keys = np.sort(edge_keys(src, dst, num_nodes))

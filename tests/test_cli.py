@@ -201,7 +201,7 @@ class TestRunEpilogue:
         monkeypatch.setattr("repro.cli.load_dataset", no_dataset)
         argv = _SERVE + ["--min-availability", gate, "--out-dir", str(tmp_path)]
         assert main(argv) == 2
-        assert "--min-availability is a fraction in [0, 1]" in capsys.readouterr().err
+        assert "--min-availability must be in [0, 1]" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("spec", ["1", "x@1", "1@soon", "1@1:later"])

@@ -1,4 +1,4 @@
-"""Tests for the sampling RNG utilities: races, alias tables, segments."""
+"""Tests for the sampling RNG utilities: races and segments."""
 
 from __future__ import annotations
 
@@ -13,13 +13,11 @@ from hypothesis import strategies as st
 
 from repro.core import random as rnd
 from repro.core.random import (
-    AliasTable,
     _pick_counts,
     exponential_race_keys,
     new_rng,
     segmented_race_select,
     segmented_uniform_with_replacement,
-    weighted_choice_with_replacement,
     weighted_choice_without_replacement,
 )
 from repro.errors import ShapeError
@@ -58,37 +56,6 @@ class TestWeightedChoice:
             np.array([1.0, 0.0, 2.0]), 5, rng
         )
         assert set(idx) == {0, 2}
-
-    def test_with_replacement_distribution(self):
-        rng = new_rng(4)
-        idx = weighted_choice_with_replacement(np.array([3.0, 1.0]), 8000, rng)
-        frac = (idx == 0).mean()
-        assert 0.70 < frac < 0.80
-
-    def test_with_replacement_empty_weights(self):
-        rng = new_rng(5)
-        assert len(weighted_choice_with_replacement(np.zeros(3), 5, rng)) == 0
-
-
-class TestAliasTable:
-    def test_empty_rejected(self):
-        with pytest.raises(ShapeError):
-            AliasTable.build(np.array([]))
-
-    def test_distribution_matches_weights(self):
-        rng = new_rng(6)
-        weights = np.array([1.0, 2.0, 3.0, 4.0])
-        table = AliasTable.build(weights)
-        draws = table.sample(40_000, rng)
-        counts = np.bincount(draws, minlength=4) / 40_000
-        np.testing.assert_allclose(counts, weights / weights.sum(), atol=0.02)
-
-    def test_degenerate_uniform(self):
-        rng = new_rng(7)
-        table = AliasTable.build(np.zeros(3))
-        draws = table.sample(3000, rng)
-        counts = np.bincount(draws, minlength=3) / 3000
-        np.testing.assert_allclose(counts, [1 / 3] * 3, atol=0.05)
 
 
 class TestSegmentedUniform:

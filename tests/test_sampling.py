@@ -221,17 +221,6 @@ class TestWalkStep:
             else:
                 assert csc.col_degrees()[f] == 0
 
-    def test_biased_walk_step(self, rng):
-        csc = _csc(rng, rows=30, cols=30, nnz=200)
-        bias = np.zeros(csc.nnz)
-        bias[10] = 1.0
-        frontiers = np.arange(30)
-        nxt = uniform_walk_step(
-            csc, frontiers, rng=new_rng(1), bias_edge_values=bias
-        )
-        # Only the column owning edge 10 can step; everyone else is -1.
-        assert (nxt >= 0).sum() == 1
-
     def test_largest_draw_picks_the_last_in_edge(self):
         """The walk step has no clamp on ``u * length``: the largest
         ``u`` below 1 must still land on a column's last in-edge."""
@@ -336,7 +325,7 @@ class TestCostModelParity:
 
     def test_collective_replace_keeps_layer_width(self, rng):
         # A single deduplicated batch of draws used to shrink the layer
-        # below k; redrawing until k distinct rows keeps the width.
+        # below k; the race draws k distinct rows.
         csc = _csc(rng, rows=50, cols=20, nnz=400, weighted=True)
         result = collective_sample(csc, 12, replace=True, rng=new_rng(0))
         assert len(result.selected_rows) == 12
@@ -375,25 +364,3 @@ class TestCostModelParity:
         # 8 bytes/edge for the row id; the weighted matrix adds 4 for the
         # value, the unweighted one must not charge values it never reads.
         assert w.bytes_read - u.bytes_read == weighted.nnz * 4
-
-    def test_biased_walk_charges_candidate_rows(self, rng):
-        from repro.device import ExecutionContext
-
-        csc = _csc(rng, rows=30, cols=30, nnz=200, weighted=True)
-        frontiers = np.arange(30)
-        lengths = csc.col_degrees()[frontiers]
-        bias = np.ones(csc.nnz)
-        biased_ctx, uniform_ctx = ExecutionContext(), ExecutionContext()
-        uniform_walk_step(
-            csc, frontiers, rng=new_rng(3), ctx=biased_ctx, bias_edge_values=bias
-        )
-        uniform_walk_step(csc, frontiers, rng=new_rng(3), ctx=uniform_ctx)
-        biased = self._record(biased_ctx, "walk_step")
-        uniform = self._record(uniform_ctx, "walk_step")
-        # The inverse-CDF scan touches every candidate edge's row id and
-        # weight (8 + 4 bytes); the uniform path reads one row/frontier.
-        assert biased.bytes_read == len(frontiers) * 2 * 8 + int(
-            lengths.sum()
-        ) * (8 + 4)
-        assert uniform.bytes_read == len(frontiers) * 2 * 8 + len(frontiers) * 8
-        assert biased.bytes_read > uniform.bytes_read

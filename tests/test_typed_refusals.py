@@ -4,6 +4,7 @@ misspelt algorithm is never reported as one of the paper's N/A cells."""
 
 from __future__ import annotations
 
+import dataclasses
 import re
 
 import numpy as np
@@ -12,12 +13,23 @@ import pytest
 import repro.bench.harness as harness
 from repro import cli, sampler
 from repro.algorithms import make_algorithm
-from repro.algorithms.walks import uniform_walk
+from repro.algorithms.walks import check_walk_parameters, uniform_walk
 from repro.baselines import make_system
 from repro.bench import measure_cell
+from repro.cache import FeatureSource, TieredFeatureStore
 from repro.core import minibatches, new_rng
-from repro.device import V100, ExecutionContext
-from repro.errors import GSamplerError, ServeError, ShapeError
+from repro.datasets import load_dataset
+from repro.device import NVLINK, V100, ExecutionContext, MemoryPool
+from repro.dynamic import DynamicPolicy, UpdateSpec
+from repro.errors import DeviceError, GSamplerError, ServeError, ShapeError
+from repro.learning.trainer import check_run_shape
+from repro.serve import (
+    AutoscalePolicy,
+    FailureEvent,
+    FailureSpec,
+    ServePolicy,
+    WorkloadSpec,
+)
 from repro.sparse import COO, compact_cols, compact_rows, convert
 
 
@@ -197,45 +209,27 @@ class TestWalkParameterBoundaries:
 
 class TestWalkStepBoundaries:
     """The exported ``uniform_walk_step`` refuses a frontier that is not a
-    node and a bias no walker can follow, before it draws or launches."""
+    node before it draws or launches."""
 
     @pytest.mark.parametrize(
-        ("frontiers", "bias", "message"),
+        ("frontiers", "message"),
         [
-            ([-1, 0], None, "frontier -1 is outside [0, 200)"),
-            ([0, 200], None, "frontier 200 is outside [0, 200)"),
-            ([1.5], None, "frontier ids must be integers, got dtype float64"),
-            ([0, 1], "negative", "walk bias must be finite and non-negative"),
-            ([0, 1], "nan", "walk bias must be finite and non-negative"),
-            ([0, 1], "short", "per-edge bias shape"),
+            ([-1, 0], "frontier -1 is outside [0, 200)"),
+            ([0, 200], "frontier 200 is outside [0, 200)"),
+            ([1.5], "frontier ids must be integers, got dtype float64"),
         ],
     )
-    def test_refused_before_any_draw_or_launch(
-        self, frontiers, bias, message, small_graph
-    ):
+    def test_refused_before_any_draw_or_launch(self, frontiers, message, small_graph):
         """Frontier ``-1`` returned ``-1`` and charged its launch 1 flop;
-        ``1.5`` walked from 1; a negative or NaN bias stranded every walker
-        without an error."""
+        ``1.5`` walked from 1."""
         from repro.core import uniform_walk_step
 
-        csc = small_graph.get("csc")
-        weights = np.ones(csc.nnz)
-        if bias == "negative":
-            weights[3] = -1.0
-        elif bias == "nan":
-            weights[3] = np.nan
-        elif bias == "short":
-            weights = weights[:-1]
         ctx = ExecutionContext(V100)
         rng = new_rng(0)
         untouched = rng.bit_generator.state
         with pytest.raises(ShapeError, match=re.escape(message)):
             uniform_walk_step(
-                csc,
-                np.array(frontiers),
-                rng=rng,
-                ctx=ctx,
-                bias_edge_values=None if bias is None else weights,
+                small_graph.get("csc"), np.array(frontiers), rng=rng, ctx=ctx
             )
         assert ctx.launch_count() == 0
         assert rng.bit_generator.state == untouched
@@ -489,16 +483,16 @@ class TestServeFlagBoundaries:
     @pytest.mark.parametrize(
         ("flags", "message"),
         [
-            (["--scale", "0"], "scale must be finite and positive"),
-            (["--scale", "-1"], "scale must be finite and positive"),
-            (["--arrival-rate", "nan"], "arrival rate must be finite"),
-            (["--arrival-rate", "inf"], "arrival rate must be finite"),
-            (["--max-wait-ms", "nan"], "max wait must be finite"),
-            (["--slo-ms", "nan"], "SLO must be finite"),
+            (["--scale", "0"], "scale must be in (0, inf)"),
+            (["--scale", "-1"], "scale must be in (0, inf)"),
+            (["--arrival-rate", "nan"], "arrival rate must be in (0, inf)"),
+            (["--arrival-rate", "inf"], "arrival rate must be in (0, inf)"),
+            (["--max-wait-ms", "nan"], "max wait must be in [0, inf)"),
+            (["--slo-ms", "nan"], "SLO must be in (0, inf)"),
             (["--cache-ratio", "-0.5"], "cache ratio must be in [0, 1]"),
-            (["--hbm-budget-mb", "-1"], "pool capacity must be >= 0"),
-            (["--hbm-budget-mb", "nan"], "pool capacity must be >= 0"),
-            (["--hbm-budget-mb", "inf"], "pool capacity must be >= 0"),
+            (["--hbm-budget-mb", "-1"], "--hbm-budget-mb must be in [0, inf)"),
+            (["--hbm-budget-mb", "nan"], "--hbm-budget-mb must be in [0, inf)"),
+            (["--hbm-budget-mb", "inf"], "--hbm-budget-mb must be in [0, inf)"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
     )
@@ -521,9 +515,9 @@ class TestPipelineFlagBoundaries:
             (["--cache-ratio", "-0.5"], "cache ratio must be in [0, 1]"),
             (["--cache-ratio", "nan"], "cache ratio must be in [0, 1]"),
             (["--cache-ratio", "1.5"], "cache ratio must be in [0, 1]"),
-            (["--hbm-budget-mb", "nan"], "pool capacity must be >= 0"),
-            (["--hbm-budget-mb", "inf"], "pool capacity must be >= 0"),
-            (["--hbm-budget-mb", "-1"], "pool capacity must be >= 0"),
+            (["--hbm-budget-mb", "nan"], "--hbm-budget-mb must be in [0, inf)"),
+            (["--hbm-budget-mb", "inf"], "--hbm-budget-mb must be in [0, inf)"),
+            (["--hbm-budget-mb", "-1"], "--hbm-budget-mb must be in [0, inf)"),
             (["--prefetch-depth", "0"], "prefetch depth must be >= 1"),
         ],
         ids=lambda v: " ".join(v) if isinstance(v, list) else None,
@@ -594,9 +588,9 @@ class TestPipelineCellBoundaries:
             ({"batch_size": 2.5}, "batch size must be an integer, got 2.5"),
             ({"seed": -1}, "seed must be >= 0, got -1"),
             ({"prefetch_depth": 0}, "prefetch depth must be >= 1, got 0"),
-            ({"lr": np.nan}, "learning rate must be finite and positive"),
-            ({"lr": np.inf}, "learning rate must be finite and positive"),
-            ({"lr": 0.0}, "learning rate must be finite and positive"),
+            ({"lr": np.nan}, "learning rate must be in (0, inf)"),
+            ({"lr": np.inf}, "learning rate must be in (0, inf)"),
+            ({"lr": 0.0}, "learning rate must be in (0, inf)"),
         ],
         ids=lambda v: ",".join(f"{k}={x}" for k, x in v.items())
         if isinstance(v, dict) else None,
@@ -941,18 +935,6 @@ def _sample_call(name):
     return call
 
 
-def _trainer_knob(name):
-    from repro.learning.trainer import check_run_shape
-
-    return lambda value, graph, rng, ctx: check_run_shape(**{name: value})
-
-
-def _policy_knob(name):
-    from repro.serve import ServePolicy
-
-    return lambda value, graph, rng, ctx: ServePolicy(**{name: value})
-
-
 def _partition(build):
     from repro.partition import partitioners
 
@@ -968,13 +950,36 @@ def _restart_walks(value, graph, rng, ctx):
     )
 
 
+def _knob(factory, knob, **fixed):
+    """``call(value, graph, rng, ctx)`` that calls ``factory`` with
+    ``knob=value`` over ``fixed``."""
+    return lambda value, graph, rng, ctx: factory(**fixed, **{knob: value})
+
+
+def _failure_event(name):
+    fixed = {"time": 0.0, "replica": 0}
+    fixed.pop(name, None)
+    return _knob(FailureEvent, name, **fixed)
+
+
+def _rebalance(name):
+    def call(value, graph, rng, ctx):
+        from repro.partition.incremental import incremental_rebalance
+
+        assignment = np.zeros(graph.shape[0], dtype=np.int64)
+        kwargs = {"num_shards": 2, name: value}
+        return incremental_rebalance(graph, assignment, **kwargs)
+
+    return call
+
+
 #: ``(name, low, error, call(value, graph, rng, ctx))``: every count a
 #: public boundary takes, passed ``value``.
 _COUNT_BOUNDARIES = [
     *[(f"check_run_shape {knob}", 0 if knob == "seed" else 1, ShapeError,
-       _trainer_knob(knob))
+       _knob(check_run_shape, knob))
       for knob in ("epochs", "batch_size", "max_batches", "prefetch_depth", "seed")],
-    *[(f"ServePolicy {knob}", 1, ServeError, _policy_knob(knob))
+    *[(f"ServePolicy {knob}", 1, ServeError, _knob(ServePolicy, knob))
       for knob in ("max_batch", "queue_capacity", "min_samples")],
     *[(f"{name} k", 1, ShapeError, _sample_call(name))
       for name in ("individual_sample", "labor_sample", "collective_sample",
@@ -996,6 +1001,21 @@ _COUNT_BOUNDARIES = [
      lambda v, graph, rng, ctx: minibatches(np.arange(16), v, rng=rng)),
     ("measure_cell max_batches", 1, ShapeError,
      lambda v, graph, rng, ctx: measure_cell("gsampler", "graphsage", "pd", max_batches=v)),
+    *[(f"WorkloadSpec {knob}", 1, ServeError, _knob(WorkloadSpec, knob))
+      for knob in ("num_requests", "seeds_per_request")],
+    ("WorkloadSpec seed", 0, ServeError, _knob(WorkloadSpec, "seed")),
+    ("WorkloadSpec max_seeds_per_request", 8, ServeError,
+     _knob(WorkloadSpec, "max_seeds_per_request")),
+    *[(f"AutoscalePolicy {knob}", 1, ServeError, _knob(AutoscalePolicy, knob))
+      for knob in ("min_replicas", "max_replicas", "min_samples")],
+    ("FailureEvent replica", 0, ServeError, _failure_event("replica")),
+    ("DynamicPolicy compact_every", 0, ServeError,
+     _knob(DynamicPolicy, "compact_every")),
+    ("UpdateSpec num_edges", 1, ServeError, _knob(UpdateSpec, "num_edges")),
+    ("UpdateSpec seed", 0, ServeError, _knob(UpdateSpec, "seed")),
+    *[(f"incremental_rebalance {knob}", 1, ShapeError, _rebalance(knob))
+      for knob in ("num_shards", "max_moves")],
+    ("MemoryPool capacity", 0, DeviceError, _knob(MemoryPool, "capacity")),
 ]
 
 
@@ -1093,10 +1113,110 @@ def _id_cases():
             yield pytest.param(call, np.array(ids), message, id=f"{name}={ids}")
 
 
+def _ppr(name, value, graph, rng, ctx):
+    from repro.core import ppr
+
+    if name == "damping":
+        return ppr.global_pagerank(graph, damping=value, ctx=ctx)
+    return ppr.push_ppr(graph, 0, alpha=value, ctx=ctx)
+
+
+#: ``(name, knob, interval, error, call(value, graph, rng, ctx))``: every
+#: real-valued knob a public boundary takes, passed ``value``.
+_REAL_BOUNDARIES = [
+    *[(f"WorkloadSpec {knob}", name, interval, ServeError, _knob(WorkloadSpec, knob))
+      for knob, name, interval in (
+          ("arrival_rate", "arrival rate", "(0, inf)"),
+          ("skew", "skew", "[0, inf)"),
+          ("burst_factor", "burst factor", "[1, inf)"),
+          ("burst_period", "burst period", "(0, inf)"),
+      )],
+    *[(f"ServePolicy {knob}", name, interval, ServeError, _knob(ServePolicy, knob))
+      for knob, name, interval in (
+          ("max_wait", "max wait", "[0, inf)"),
+          ("slo", "SLO", "(0, inf)"),
+      )],
+    *[(f"AutoscalePolicy {knob}", name, interval, ServeError,
+       _knob(AutoscalePolicy, knob))
+      for knob, name, interval in (
+          ("interval", "autoscale interval", "(0, inf)"),
+          ("high_p99", "high p99", "(0, inf)"),
+          ("low_occupancy", "low occupancy", "[0, inf)"),
+          ("high_occupancy", "high occupancy", "(1.0, inf)"),
+          ("cooldown", "cooldown", "[0, inf)"),
+          ("spinup", "spin-up delay", "[0, inf)"),
+      )],
+    ("FailureEvent time", "failure time", "[0, inf)", ServeError,
+     _failure_event("time")),
+    ("FailureEvent downtime", "failure downtime", "(0, inf)", ServeError,
+     _failure_event("downtime")),
+    ("FailureSpec spinup", "spin-up delay", "[0, inf)", ServeError,
+     _knob(FailureSpec, "spinup", events=())),
+    ("DynamicPolicy snapshot_every", "snapshot epoch", "[0, inf)", ServeError,
+     _knob(DynamicPolicy, "snapshot_every")),
+    ("DynamicPolicy repartition_threshold", "repartition threshold", "(0, inf)",
+     ServeError, _knob(DynamicPolicy, "repartition_threshold")),
+    *[(f"UpdateSpec {knob}", name, interval, ServeError, _knob(UpdateSpec, knob))
+      for knob, name, interval in (
+          ("rate", "ingest rate", "(0, inf)"),
+          ("delete_fraction", "delete fraction", "[0, 1)"),
+          ("skew", "skew", "[0, inf)"),
+      )],
+    ("incremental_rebalance target_balance", "target balance", "[1, inf)",
+     ShapeError, _rebalance("target_balance")),
+    ("check_run_shape lr", "learning rate", "(0, inf)", ShapeError,
+     _knob(check_run_shape, "lr")),
+    ("check_walk_parameters restart_prob", "restart_prob", "[0, 1]", ShapeError,
+     _knob(check_walk_parameters, "restart_prob")),
+    ("FeatureSource cache_ratio", "cache ratio", "[0, 1]", ShapeError,
+     _knob(FeatureSource, "cache_ratio", dataset=None)),
+    *[(f"TieredFeatureStore {knob}", name, "[0, 1]", ShapeError,
+       _knob(TieredFeatureStore, knob, features=None, scores=None, pool=MemoryPool()))
+      for knob, name in (("device_ratio", "device tier ratio"),
+                         ("host_ratio", "host tier ratio"))],
+    ("load_dataset scale", "dataset scale", "(0, inf)", ShapeError,
+     _knob(load_dataset, "scale", name="pd")),
+    *[(f"DeviceSpec {knob}", f"v100 {knob}", interval, DeviceError,
+       lambda v, graph, rng, ctx, knob=knob: dataclasses.replace(V100, **{knob: v}))
+      for knob, interval in (
+          ("bandwidth", "(0, inf)"),
+          ("flops", "(0, inf)"),
+          ("min_occupancy", "(0, 1]"),
+          ("uva_cache_hit_rate", "[0, 1)"),
+      )],
+    *[(f"LinkSpec {knob}", f"nvlink link {knob}", interval, DeviceError,
+       lambda v, graph, rng, ctx, knob=knob: dataclasses.replace(NVLINK, **{knob: v}))
+      for knob, interval in (("bandwidth", "(0, inf)"), ("latency", "[0, inf)"))],
+    ("LinkSpec.bulk_transfer_time chunk_bytes", "chunk size", "(0, inf)", DeviceError,
+     lambda v, graph, rng, ctx: NVLINK.bulk_transfer_time(1.0, chunk_bytes=v)),
+    *[(f"ppr {knob}", knob, "(0, 1)", ShapeError,
+       lambda v, graph, rng, ctx, knob=knob: _ppr(knob, v, graph, rng, ctx))
+      for knob in ("damping", "alpha")],
+]
+
+
+def _outside(interval):
+    """A finite value just outside each finite end of ``interval``."""
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    if np.isfinite(low):
+        yield low if interval[0] == "(" else low - 0.5
+    if np.isfinite(high):
+        yield high if interval[-1] == ")" else high + 0.5
+
+
+def _real_cases():
+    for label, name, interval, error, call in _REAL_BOUNDARIES:
+        hostile = (True, np.float64("nan"), float("inf"), -float("inf"), "0.5")
+        for value in (*hostile, *_outside(interval)):
+            message = f"{name} must be in {interval}, got {value!r}"
+            yield pytest.param(call, value, error, message, id=f"{label}={value!r}")
+
+
 class TestBoundaryVocabulary:
-    """Every public count and id-array boundary refuses the same inputs in
-    the same words (``repro.errors.check_count`` / ``check_ids``) with a
-    ``GSamplerError`` before it draws or launches."""
+    """Every public count, real-valued knob and id-array boundary refuses
+    the same inputs in the same words (``repro.errors.check_count`` /
+    ``check_real`` / ``check_ids``) with a ``GSamplerError`` before it
+    draws or launches."""
 
     @pytest.mark.parametrize(("call", "value", "error", "message"), _count_cases())
     def test_count_refused_before_any_draw(
@@ -1114,6 +1234,85 @@ class TestBoundaryVocabulary:
             call(value, small_graph, rng, ctx)
         assert ctx.launch_count() == 0
         assert rng.bit_generator.state == untouched
+
+    @pytest.mark.parametrize(("call", "value", "error", "message"), _real_cases())
+    def test_real_refused_before_any_draw(
+        self, call, value, error, message, small_graph, monkeypatch
+    ):
+        """At the parent of this table ``WorkloadSpec``, ``AutoscalePolicy``,
+        ``FailureEvent``, ``DynamicPolicy``, ``UpdateSpec``, ``LinkSpec``
+        and ``load_dataset`` took NaN, infinite or bool knobs, and
+        ``check_run_shape`` trained at ``lr=True``."""
+        monkeypatch.setattr(harness, "load_dataset", _no_load)
+        ctx = ExecutionContext(V100)
+        rng = new_rng(0)
+        untouched = rng.bit_generator.state
+        with pytest.raises(error, match=re.escape(message)):
+            call(value, small_graph, rng, ctx)
+        assert ctx.launch_count() == 0
+        assert rng.bit_generator.state == untouched
+
+    @pytest.mark.parametrize(
+        ("value", "interval"),
+        [
+            (0, "[0, 1]"),
+            (1, "[0, 1]"),
+            (np.int64(1), "[1, inf)"),
+            (np.float32(0.25), "(0, 1)"),
+            (10**400, "[0, inf)"),
+            (-3, "(-inf, 0]"),
+        ],
+    )
+    def test_real_accepts_ints_and_numpy_scalars_unchanged(self, value, interval):
+        from repro.errors import check_real
+
+        assert check_real("knob", value, interval) is value
+
+    @pytest.mark.parametrize(
+        ("value", "interval"),
+        [
+            (np.True_, "[0, 1]"),
+            (None, "[0, 1]"),
+            (1j, "[0, 1]"),
+            (np.array(0.5), "[0, 1]"),
+            (0, "(0, 1]"),
+            (1, "[0, 1)"),
+            (-1e-12, "[0, 1]"),
+            (1 + 1e-12, "[0, 1]"),
+        ],
+    )
+    def test_real_refused_with_the_error_asked_for(self, value, interval):
+        from repro.errors import check_real
+
+        message = f"knob must be in {interval}, got {value!r}"
+        with pytest.raises(ServeError, match=re.escape(message)):
+            check_real("knob", value, interval, error=ServeError)
+
+    @pytest.mark.parametrize(
+        ("flags", "message"),
+        [
+            (["--autoscale", "--scale-interval-ms", "nan"],
+             "autoscale interval must be in (0, inf), got nan"),
+            (["--ingest-rate", "inf"], "ingest rate must be in (0, inf), got inf"),
+            (["--kill", "0@nan"], "failure time must be in [0, inf), got nan"),
+            (["--skew", "nan"], "skew must be in [0, inf), got nan"),
+            (["--seed", "-1"], "seed must be >= 0, got -1"),
+        ],
+        ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+    )
+    def test_serve_flag_refused_before_any_dataset(
+        self, flags, message, tmp_path, capsys, monkeypatch
+    ):
+        """At the parent the first two ran the whole session and died on a
+        raw ``ValueError`` writing the record, ``--kill 0@nan`` wrote a
+        lane, ``--skew nan`` was refused by the rank sampler after the
+        dataset loaded and ``--seed -1`` died on NumPy's ``ValueError``."""
+        monkeypatch.setattr(cli, "load_dataset", _no_load)
+        argv = ["serve", "--requests", "48", "--scale", "0.1", *flags]
+        assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(("call", "ids", "message"), _id_cases())
     def test_ids_refused_before_any_draw(self, call, ids, message, small_graph):

@@ -390,7 +390,7 @@ class TestVerifyCli:
             timeout=120,
         )
         assert done.returncode == 2, done.stderr[-2000:]
-        assert "non-negative batch count" in done.stderr
+        assert "super-batch batches must be >= 0" in done.stderr
 
     def test_a_run_that_yields_no_sample_raises(self):
         with pytest.raises(GSamplerError, match="yielded no sample"):

@@ -31,7 +31,6 @@ from repro.sparse.formats import gather_ranges
 from tests.conftest import to_dense
 
 _ITEM = 8
-_VAL = 4
 
 
 class TestUniformWalk:
@@ -95,45 +94,28 @@ def _oracle_walk(graph, seeds, walk_length, step, *, ctx=NULL_CONTEXT, rng=None)
     return WalkResult(trace=trace)
 
 
-def _oracle_walk_step(
-    graph_csc, frontiers, rng=None, ctx=NULL_CONTEXT, bias_edge_values=None
-):
+def _oracle_walk_step(graph_csc, frontiers, rng=None, ctx=NULL_CONTEXT):
     rng = rng if rng is not None else new_rng()
     frontiers = np.asarray(frontiers, dtype=INDEX_DTYPE)
     starts = graph_csc.indptr[frontiers]
     lengths = graph_csc.indptr[frontiers + 1] - starts
     total = int(lengths.sum())
     nxt = np.full(len(frontiers), -1, dtype=INDEX_DTYPE)
-    if bias_edge_values is None:
-        moving = np.flatnonzero(lengths > 0)
-        if len(moving):
-            span = lengths[moving]
-            offsets = (rng.random(len(moving)) * span).astype(INDEX_DTYPE)
-            # Guard against u * length rounding up onto the length.
-            np.minimum(offsets, span - 1, out=offsets)
-            nxt[moving] = graph_csc.rows[starts[moving] + offsets]
-    else:
-        flat = gather_ranges(starts, lengths)
-        sub_indptr = np.zeros(len(frontiers) + 1, dtype=INDEX_DTYPE)
-        np.cumsum(lengths, out=sub_indptr[1:])
-        picks = _segmented_biased_with_replacement(
-            sub_indptr, np.asarray(bias_edge_values, dtype=np.float64)[flat], 1, rng
-        )
-        seg = _segments_of(picks, sub_indptr)
-        nxt[seg] = graph_csc.rows[flat[picks]]
-    # Uniform picks read indptr plus the one chosen row per frontier;
-    # the biased inverse-CDF scan reads every candidate edge's row id
-    # and weight before picking, and must be charged for all of them.
-    if bias_edge_values is None:
-        read = len(frontiers) * 2 * _ITEM + len(frontiers) * _ITEM
-    else:
-        read = len(frontiers) * 2 * _ITEM + total * (_ITEM + _VAL)
+    moving = np.flatnonzero(lengths > 0)
+    if len(moving):
+        span = lengths[moving]
+        offsets = (rng.random(len(moving)) * span).astype(INDEX_DTYPE)
+        # Guard against u * length rounding up onto the length.
+        np.minimum(offsets, span - 1, out=offsets)
+        nxt[moving] = graph_csc.rows[starts[moving] + offsets]
+    # Uniform picks read indptr plus the one chosen row per frontier.
+    read = len(frontiers) * 2 * _ITEM + len(frontiers) * _ITEM
     ctx.record(
         "walk_step",
         bytes_read=read,
         bytes_written=nxt.nbytes,
         flops=float(max(total, 1)),
-        tasks=max(total, 1),  # alias-table lanes per edge
+        tasks=max(total, 1),
         graph_bytes=read,
     )
     return nxt
