@@ -228,7 +228,9 @@ class Algorithm:
         raise NotImplementedError
 
     def init_tensors(self, feature_dim: int) -> None:
-        """(Re)initialise the trainable ``tensors`` for ``feature_dim``."""
+        """(Re)initialise the trainable ``tensors`` for ``feature_dim``;
+        every algorithm that declares ``tensors`` defines it."""
+        raise NotImplementedError
 
     def bound_tensors(self, features: np.ndarray) -> dict[str, np.ndarray]:
         """What ``layer`` takes after ``K``; pipelines read it per batch,

@@ -30,10 +30,6 @@ class SaintSample:
     #: GraphSAINT's loss/aggregation normalization.
     node_counts: np.ndarray
 
-    @property
-    def num_edges(self) -> int:
-        return self.matrix.nnz
-
 
 def saint_finalize(
     graph: Matrix, result: walks.WalkResult, ctx: ExecutionContext

@@ -35,10 +35,6 @@ class ShadowSample:
     matrix: Matrix  # induced adjacency over ``nodes`` (local x local)
     expansion: GraphSample  # the fanout expansion that chose the nodes
 
-    @property
-    def num_edges(self) -> int:
-        return self.matrix.nnz
-
 
 @dataclasses.dataclass
 class ShaDow(Algorithm):

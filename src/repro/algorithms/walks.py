@@ -34,19 +34,6 @@ class WalkResult:
 
     trace: np.ndarray
 
-    @property
-    def walk_length(self) -> int:
-        return self.trace.shape[0] - 1
-
-    @property
-    def num_walkers(self) -> int:
-        return self.trace.shape[1]
-
-    def visited_nodes(self) -> np.ndarray:
-        """Unique non-dead nodes touched by any walker."""
-        flat = self.trace[self.trace >= 0]
-        return np.unique(flat)
-
 
 #: The walk parameters an algorithm may take, checked when it is made.
 WALK_PARAMETERS = ("walk_length", "num_walks", "restart_prob")

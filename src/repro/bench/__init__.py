@@ -5,7 +5,6 @@ from repro.bench.harness import (
     DEFAULT_SUPERBATCH,
     EpochStats,
     measure_cell,
-    normalize,
     run_sampling_epoch,
     speedup_over_best_baseline,
 )
@@ -17,7 +16,6 @@ __all__ = [
     "EpochStats",
     "format_table",
     "measure_cell",
-    "normalize",
     "run_sampling_epoch",
     "speedup_over_best_baseline",
 ]

@@ -15,8 +15,6 @@ import dataclasses
 import functools
 import time
 
-import numpy as np
-
 from repro.algorithms import make_algorithm
 from repro.baselines import BaselineSystem, make_system
 from repro.core import minibatches, new_rng
@@ -172,12 +170,6 @@ def measure_cell(
         )
     except UnsupportedAlgorithmError:
         return None
-
-
-def normalize(rows: dict[str, float], reference: str) -> dict[str, float]:
-    """Normalize a {system: seconds} row so ``reference`` is 1.0."""
-    ref = rows[reference]
-    return {k: (v / ref if ref > 0 else float("inf")) for k, v in rows.items()}
 
 
 def speedup_over_best_baseline(

@@ -9,3 +9,5 @@ both the alias and this module.
 """
 
 from repro.cache.tiered import TieredFeatureStore as FeatureCache
+
+__all__ = ["FeatureCache"]

@@ -161,16 +161,6 @@ class CacheStats:
         }
         return counts[tier] / total
 
-    @property
-    def evicted_rows(self) -> int:
-        """Rows the requested ratio wanted but the budget refused.
-
-        A released store reports zero here: :meth:`~TieredFeatureStore.release`
-        clears ``requested_rows`` along with the pinned rows, so a
-        voluntary teardown is never mistaken for budget pressure.
-        """
-        return self.requested_rows - self.cached_rows
-
     @classmethod
     def merged(cls, stats: "list[CacheStats | None]") -> "CacheStats | None":
         """Sum per-replica snapshots into one cluster-level snapshot.
@@ -442,20 +432,3 @@ class TieredFeatureStore:
         self._p2p_hits = 0
         self._host_hits = 0
         self._remote_hits = 0
-
-    def release(self) -> None:
-        """Return the HBM tier to the pool (idempotent).
-
-        Former device rows fall back to the host tier (they are still in
-        host DRAM — releasing the pin does not tier them out to remote),
-        and ``requested_rows`` clears so ``evicted_rows`` reads 0.
-        """
-        if self.allocation is not None:
-            self.pool.free(self.allocation)
-            self.allocation = None
-            self._tier[self.cached_ids] = TIER_HOST
-            self.host_ids = np.sort(
-                np.concatenate([self.host_ids, self.cached_ids])
-            )
-            self.cached_ids = self.cached_ids[:0]
-            self.requested_rows = 0

@@ -92,10 +92,6 @@ class GraphSample:
             parts.append(layer.output_nodes)
         return sorted_unique(np.concatenate(parts))
 
-    @property
-    def num_edges(self) -> int:
-        return sum(layer.num_edges for layer in self.layers)
-
 
 def minibatches(
     node_ids: np.ndarray,

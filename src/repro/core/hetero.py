@@ -61,10 +61,6 @@ class HeteroGraph:
 
     # ------------------------------------------------------------------
     @property
-    def node_types(self) -> list[str]:
-        return sorted(self.num_nodes)
-
-    @property
     def edge_types(self) -> list[Relation]:
         return sorted(self.relations)
 

@@ -138,11 +138,6 @@ class Matrix:
             is_base_graph=False,
         )
 
-    @property
-    def values(self) -> np.ndarray:
-        """Per-edge values of the primary storage (ones when unweighted)."""
-        return edge_values(self.any_storage())
-
     def with_values(self, values: np.ndarray) -> "Matrix":
         """Same topology, new per-edge values (order of primary storage)."""
         values = np.asarray(values)
@@ -158,12 +153,6 @@ class Matrix:
     def nbytes(self) -> int:
         """Total bytes across all materialized layouts."""
         return sum(s.nbytes() for s in self._storages.values())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Matrix(shape={self.shape}, nnz={self.nnz}, "
-            f"layouts={self.available_layouts})"
-        )
 
     # ------------------------------------------------------------------
     # Extract step

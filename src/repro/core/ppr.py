@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.matrix import Matrix
 from repro.device import NULL_CONTEXT, ExecutionContext
-from repro.errors import ShapeError, check_real
+from repro.errors import ShapeError, check_count, check_real
 from repro.sparse import VALUE_DTYPE
 
 _ITEM = 8
@@ -42,6 +42,8 @@ def global_pagerank(
     iterations stop at ``tolerance`` in L1.  The result sums to one.
     """
     check_real("damping", damping, "(0, 1)")
+    max_iterations = check_count("max_iterations", max_iterations)
+    check_real("tolerance", tolerance, "[0, inf)")
     n = graph.shape[0]
     if n == 0:
         return np.zeros(0, dtype=VALUE_DTYPE)
@@ -91,8 +93,11 @@ def push_ppr(
     is what makes per-seed PPR affordable.
     """
     check_real("alpha", alpha, "(0, 1)")
+    check_real("epsilon", epsilon, "(0, inf)")
+    max_pushes = check_count("max_pushes", max_pushes)
+    source = check_count("source", source, low=0)
     n = graph.shape[0]
-    if not 0 <= source < n:
+    if source >= n:
         raise ShapeError(f"source {source} out of range for {n} nodes")
     csc = graph.get("csc")
     degrees = np.diff(csc.indptr)
@@ -150,6 +155,7 @@ def topk_ppr_neighbors(
     This is ShaDow's PPR-neighborhood construction: the subgraph for a
     seed is induced over its top-k PPR nodes instead of a sampled tree.
     """
+    k = check_count("k", k, low=0)
     scores = push_ppr(graph, source, alpha=alpha, epsilon=epsilon, ctx=ctx)
     scores[source] = 0.0
     positive = int(np.count_nonzero(scores > 0))

@@ -61,10 +61,6 @@ class AppliedUpdate:
     deleted: int
     missed_deletes: int
 
-    @property
-    def applied(self) -> int:
-        return self.inserted + self.deleted
-
 
 class DeltaGraph:
     """Immutable base CSC + append-only edge deltas with tombstones.
@@ -129,12 +125,6 @@ class DeltaGraph:
     @property
     def num_live_edges(self) -> int:
         return int(np.count_nonzero(self._base_alive)) + sum(self._extra_alive)
-
-    @property
-    def delta_edges(self) -> int:
-        """Pending delta size: insert buffer entries + base tombstones."""
-        tombstones = self.base_nnz - int(np.count_nonzero(self._base_alive))
-        return len(self._extra_src) + tombstones
 
     def degrees(self) -> np.ndarray:
         """Current live in-degree per node (copy; safe to mutate)."""

@@ -64,10 +64,6 @@ class UpdateBatch:
     def num_edges(self) -> int:
         return int(self.src.shape[0])
 
-    @property
-    def num_deletes(self) -> int:
-        return int(np.count_nonzero(self.delete))
-
 
 @dataclasses.dataclass(frozen=True)
 class UpdateSpec:
@@ -90,10 +86,6 @@ class UpdateSpec:
         check_real("delete fraction", self.delete_fraction, "[0, 1)", error=ServeError)
         check_real("skew", self.skew, "[0, inf)", error=ServeError)
         check_count("seed", self.seed, low=0, error=ServeError)
-
-    @property
-    def num_batches(self) -> int:
-        return -(-self.num_edges // BATCH_EDGES)
 
 
 def generate_update_stream(

@@ -35,18 +35,6 @@ class Node:
     #: Whether to compact isolated rows out of the output.
     compact_rows: bool = False
 
-    def key(self) -> tuple:
-        """Structural hash key for CSE (valid only for pure ops)."""
-        return (self.op, self.inputs, _freeze(self.attrs))
-
-
-def _freeze(obj: object) -> object:
-    if isinstance(obj, dict):
-        return tuple(sorted((k, _freeze(v)) for k, v in obj.items()))
-    if isinstance(obj, (list, tuple)):
-        return tuple(_freeze(v) for v in obj)
-    return obj
-
 
 class DataFlowGraph:
     """An ordered DAG of :class:`Node` objects."""

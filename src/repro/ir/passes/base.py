@@ -72,18 +72,6 @@ class PassReport:
     #: iteration, including no-op runs), in execution order.
     stats: list[PassStat] = dataclasses.field(default_factory=list)
 
-    @property
-    def wall_seconds(self) -> float:
-        return sum(s.wall_seconds for s in self.stats)
-
-    def rewrite_counts(self) -> dict[str, int]:
-        """Total rewrites attributed to each pass name."""
-        totals: dict[str, int] = {}
-        for stat in self.stats:
-            if stat.changed:
-                totals[stat.name] = totals.get(stat.name, 0) + stat.rewrites
-        return totals
-
 
 def run_measured_pass(
     p: Pass, ir: DataFlowGraph, *, iteration: int = 1

@@ -52,8 +52,7 @@ class PartitionTracker:
     """Tracks partition-quality drift as edge deltas land.
 
     The tracker never reads the graph: each applied batch adjusts the
-    per-shard degree sums (one ``bincount`` over the batch) and counts
-    streamed edges whose endpoints straddle shards.  ``degree_balance``
+    per-shard degree sums (one ``bincount`` over the batch).  ``degree_balance``
     therefore always reflects the *live* degree distribution, while
     ``edge_cut`` stays the installed partition's static figure — the
     drift signal is the balance, which is also what the greedy
@@ -70,8 +69,6 @@ class PartitionTracker:
             np.float64
         ).copy()
         self.baseline_balance = self.degree_balance()
-        self.streamed_edges = 0
-        self.streamed_cut_edges = 0
 
     def apply_updates(
         self, src: np.ndarray, dst: np.ndarray, delete: np.ndarray
@@ -89,10 +86,6 @@ class PartitionTracker:
             weights=sign,
             minlength=self.partition.num_shards,
         )
-        self.streamed_edges += int(src.size)
-        self.streamed_cut_edges += int(
-            np.count_nonzero(assignment[src] != assignment[dst])
-        )
 
     def degree_balance(self) -> float:
         """Max live shard degree over mean (1.0 = perfect balance)."""
@@ -103,12 +96,6 @@ class PartitionTracker:
     def drift(self) -> float:
         """Balance degradation since the baseline partition."""
         return self.degree_balance() - self.baseline_balance
-
-    def streamed_cut_fraction(self) -> float:
-        """Cut fraction among streamed edges (new-edge locality)."""
-        if not self.streamed_edges:
-            return 0.0
-        return self.streamed_cut_edges / self.streamed_edges
 
     def needs_rebalance(self, threshold: float) -> bool:
         """Has balance drifted past ``threshold`` over the baseline?"""
@@ -142,10 +129,6 @@ class MigrationPlan:
     def rows_into(self, shard_id: int) -> np.ndarray:
         """Moved nodes whose new owner is ``shard_id``."""
         return self.moved_nodes[self.targets == shard_id]
-
-    def rows_out_of(self, shard_id: int) -> np.ndarray:
-        """Moved nodes leaving ``shard_id``."""
-        return self.moved_nodes[self.sources == shard_id]
 
 
 def incremental_rebalance(

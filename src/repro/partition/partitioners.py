@@ -85,10 +85,6 @@ class GraphPartition:
     #: Per-shard total in-degree (the balance the greedy method targets).
     shard_degrees: np.ndarray
 
-    @property
-    def num_nodes(self) -> int:
-        return int(self.assignment.size)
-
     def shard_of(self, nodes: np.ndarray) -> np.ndarray:
         """Shard id of each of ``nodes``."""
         return self.assignment[check_ids("node", nodes, self.assignment.size)]
@@ -106,14 +102,6 @@ class GraphPartition:
             mask=mask,
             degree_sum=int(self.shard_degrees[shard_id]),
         )
-
-    def views(self) -> list[ShardView]:
-        return [self.view(i) for i in range(self.num_shards)]
-
-    def degree_balance(self) -> float:
-        """Max shard degree over mean shard degree (1.0 = perfect)."""
-        mean = float(self.shard_degrees.mean())
-        return float(self.shard_degrees.max()) / mean if mean > 0 else 1.0
 
 
 # ----------------------------------------------------------------------

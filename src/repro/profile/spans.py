@@ -209,9 +209,6 @@ class Profiler:
     def spans_by_category(self, category: str) -> list[Span]:
         return [s for s in self.spans if s.category == category]
 
-    def children(self, span: Span) -> list[Span]:
-        return [s for s in self.spans if s.parent == span.index]
-
 
 #: The process-wide active profiler; ``None`` keeps every hook on its
 #: zero-overhead path.

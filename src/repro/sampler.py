@@ -30,7 +30,7 @@ import numpy as np
 from repro.core import new_rng
 from repro.core.matrix import Matrix
 from repro.device import NULL_CONTEXT, ExecutionContext
-from repro.errors import MemoryBudgetError, TraceError
+from repro.errors import TraceError
 from repro.ir.graph import DataFlowGraph
 from repro.ir.interpreter import Interpreter
 from repro.ir.passes import (
@@ -212,53 +212,6 @@ class CompiledSampler:
             return superbatch_ops.split_sample(
                 matrix, batch_ptr, self.graph.shape[0], ctx
             )
-
-    # ------------------------------------------------------------------
-    def choose_superbatch_size(
-        self,
-        example_batch: np.ndarray | Sequence[np.ndarray],
-        *,
-        memory_budget: int,
-        tensors: dict[str, np.ndarray] | None = None,
-        max_size: int = 64,
-    ) -> int:
-        """Grid-search the largest super-batch fitting the memory budget.
-
-        Mirrors the paper: the user gives a sampling memory budget and
-        gSampler probes batch multiples, measuring the simulated peak
-        memory of each, and keeps the largest that fits.
-
-        ``example_batch`` may also be a sequence of heterogeneous seed
-        sets (a representative serving request mix): the probe then
-        cycles through them, so the chosen window reflects the actual
-        per-request size distribution rather than one uniform batch.
-        """
-        if isinstance(example_batch, np.ndarray):
-            examples: list[np.ndarray] = [example_batch]
-        else:
-            examples = [np.asarray(b) for b in example_batch]
-            if not examples:
-                raise TraceError(
-                    "choose_superbatch_size needs at least one example batch"
-                )
-        best = 1
-        size = 2
-        while size <= max_size:
-            probe_ctx = ExecutionContext()
-            try:
-                self.run_superbatch(
-                    [examples[i % len(examples)] for i in range(size)],
-                    tensors=tensors,
-                    ctx=probe_ctx,
-                    rng=new_rng(0),
-                )
-            except (TraceError, MemoryBudgetError):
-                break
-            if probe_ctx.memory.peak_bytes > memory_budget:
-                break
-            best = size
-            size *= 2
-        return best
 
 
 def compile_sampler(

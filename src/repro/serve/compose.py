@@ -134,9 +134,6 @@ class BatchComposer(abc.ABC):
         replica's drain loop always makes progress.
         """
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}()"
-
 
 class FifoComposer(BatchComposer):
     """The legacy dynamic batcher: oldest ``max_batch`` requests, FIFO.

@@ -197,7 +197,7 @@ class IngestSession:
                 "shard_migration", session.link, incoming, now, bulk=True
             )
             self.migrated_bytes += nbytes
-        session.router.repartition(session.partition)
+        session.router.partition = session.partition
         # Moved rows change owners, so every replica's residency verdict
         # for them is stale.
         for replica in session.replicas:

@@ -71,6 +71,10 @@ class Router:
     #: (the no-failover baseline) but still respects fleet membership.
     mask_dead = True
 
+    #: The shard map the session serves under.  Only the shard-affinity
+    #: router reads it; the ingest rebalancer replaces it on every router.
+    partition: GraphPartition | None = None
+
     def eligible(self, replicas: list[Replica], now: float) -> list[int]:
         """Replica indices this router may select at ``now``.
 
@@ -90,10 +94,6 @@ class Router:
         self, request: Request, replicas: list[Replica], now: float
     ) -> int:
         raise NotImplementedError
-
-    def repartition(self, partition: GraphPartition) -> None:
-        """The graph was repartitioned mid-session; only routers that
-        read the shard map care."""
 
 
 class RoundRobinRouter(Router):
@@ -187,9 +187,6 @@ class ShardAffinityRouter(Router):
     name = "shard"
 
     def __init__(self, partition: GraphPartition) -> None:
-        self.partition = partition
-
-    def repartition(self, partition: GraphPartition) -> None:
         self.partition = partition
 
     def route(

@@ -82,11 +82,6 @@ class Request:
     arrival: float
     seeds: np.ndarray
 
-    @property
-    def pairs(self) -> np.ndarray:
-        """The payload viewed as ``(pairs, 2)`` endpoint pairs."""
-        return self.seeds.reshape(-1, 2)
-
 
 @dataclasses.dataclass(frozen=True)
 class WorkloadSpec:

@@ -15,7 +15,7 @@ from repro.sparse.compact import (
     occupied_cols,
     occupied_rows,
 )
-from repro.sparse.convert import convert, to_coo, to_csc, to_csr
+from repro.sparse.convert import convert, to_csc
 from repro.sparse.formats import (
     COO,
     CSC,
@@ -82,7 +82,5 @@ __all__ = [
     "slice_rows",
     "sorted_unique",
     "spmm",
-    "to_coo",
     "to_csc",
-    "to_csr",
 ]

@@ -119,20 +119,6 @@ def convert(
     return fn(matrix, ctx)
 
 
-def to_coo(matrix: SparseFormat, ctx: ExecutionContext = NULL_CONTEXT) -> COO:
-    """Convenience wrapper returning a COO view of any format."""
-    result = convert(matrix, "coo", ctx)
-    assert isinstance(result, COO)
-    return result
-
-
-def to_csr(matrix: SparseFormat, ctx: ExecutionContext = NULL_CONTEXT) -> CSR:
-    """Convenience wrapper returning a CSR view of any format."""
-    result = convert(matrix, "csr", ctx)
-    assert isinstance(result, CSR)
-    return result
-
-
 def to_csc(matrix: SparseFormat, ctx: ExecutionContext = NULL_CONTEXT) -> CSC:
     """Convenience wrapper returning a CSC view of any format."""
     result = convert(matrix, "csc", ctx)

@@ -44,7 +44,6 @@ class SlidingWindow:
     def __init__(self, size: int) -> None:
         if size < 1:
             raise ValueError(f"window size must be positive, got {size}")
-        self.size = size
         self._samples: deque[float] = deque(maxlen=size)
 
     def push(self, value: float) -> None:
@@ -52,10 +51,6 @@ class SlidingWindow:
 
     def __len__(self) -> int:
         return len(self._samples)
-
-    @property
-    def full(self) -> bool:
-        return len(self._samples) == self.size
 
     def values(self) -> np.ndarray:
         """The window's samples, oldest first."""

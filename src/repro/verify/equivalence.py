@@ -18,8 +18,7 @@ failure is reproducible bit-for-bit by rerunning with the printed seed.
 from __future__ import annotations
 
 import dataclasses
-import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from repro.core import new_rng
 from repro.core.matrix import Matrix, from_edges
 from repro.errors import GSamplerError, TraceError, check_count, check_real
 from repro.sampler import CompiledSampler, OptimizationConfig, compile_sampler
-from repro.verify.oracle import EagerOracle, trace_oracle
+from repro.verify.oracle import trace_oracle
 from repro.verify.stats import TestResult, bonferroni, chi2_homogeneity, ks_2samp
 
 __all__ = [

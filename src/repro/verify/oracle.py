@@ -25,7 +25,7 @@ import numpy as np
 from repro.core import new_rng
 from repro.core.matrix import Matrix
 from repro.errors import TraceError
-from repro.ir.graph import DataFlowGraph, Node
+from repro.ir.graph import DataFlowGraph
 from repro.ir.trace import trace
 from repro.sampler import _unflatten
 from repro.sparse import edge_endpoints, edge_values

@@ -6,14 +6,14 @@ import numpy as np
 import pytest
 
 from repro.core.matrix import Matrix, from_edges
-from repro.sparse import COO, SparseFormat, edge_values, to_coo
+from repro.sparse import COO, SparseFormat, convert, edge_values
 
 
 def to_dense(matrix: SparseFormat | Matrix) -> np.ndarray:
     """Dense oracle: accumulate duplicate edges additively."""
     if isinstance(matrix, Matrix):
         matrix = matrix.get("coo")
-    coo = to_coo(matrix)
+    coo = convert(matrix, "coo")
     dense = np.zeros(coo.shape, dtype=np.float64)
     np.add.at(dense, (coo.rows, coo.cols), edge_values(coo).astype(np.float64))
     return dense

@@ -244,24 +244,6 @@ class TestSuperbatchEquality:
         )
         assert pipe.samplers[0].run_superbatch([]) == []
 
-    def test_choose_superbatch_size_heterogeneous_examples(self, pd):
-        from repro.algorithms import make_algorithm
-
-        pipe = make_algorithm("graphsage", fanouts=(4, 4)).build(
-            pd.graph, pd.train_ids[:64]
-        )
-        sampler = pipe.samplers[0]
-        mixed = [np.arange(4), np.arange(17), np.arange(2)]
-        size = sampler.choose_superbatch_size(
-            mixed, memory_budget=1 << 30, max_size=16
-        )
-        assert 1 <= size <= 16
-        # Identical budget, uniform example: the classic call still works.
-        uniform = sampler.choose_superbatch_size(
-            np.arange(8), memory_budget=1 << 30, max_size=16
-        )
-        assert 1 <= uniform <= 16
-
 
 # ----------------------------------------------------------------------
 # Construction / validation

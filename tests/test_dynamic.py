@@ -135,9 +135,10 @@ class TestDeltaGraph:
         delta.insert_edges([3], [1])
         delta.delete_edges([0], [3])
         live = delta.num_live_edges
-        delta.compact()
-        assert delta.delta_edges == 0
-        assert delta.base_nnz == live
+        compacted = delta.compact()
+        assert delta.base_nnz == live == delta.num_live_edges
+        # No insert buffer or tombstone is left to charge a merge for.
+        assert delta.merge_workload() == DeltaGraph(compacted).merge_workload()
         assert delta.compactions == 1
         # Counters are session-lifetime.
         assert delta.inserted_edges == 1 and delta.deleted_edges == 1
@@ -182,7 +183,7 @@ class TestUpdateStream:
         spec = UpdateSpec(num_edges=64, delete_fraction=0.3, seed=4)
         a = generate_update_stream(spec, num_nodes=50)
         b = generate_update_stream(spec, num_nodes=50)
-        assert len(a) == len(b) == spec.num_batches
+        assert len(a) == len(b) == 64 // 8  # eight edges a batch
         for x, y in zip(a, b):
             assert x.time == y.time
             np.testing.assert_array_equal(x.src, y.src)
@@ -281,7 +282,7 @@ class TestServeWhileIngesting:
     def test_dynamic_report_fields(self, pd):
         _, report = _dynamic_session(pd)
         assert report.dynamic
-        assert report.update_batches == UPDATES.num_batches
+        assert report.update_batches == 192 // 8  # eight edges a batch
         assert report.ingested_edges + report.deleted_edges > 0
         assert report.snapshots + report.compactions > 0
         assert report.max_staleness_ms >= report.mean_staleness_ms >= 0.0
@@ -384,6 +385,12 @@ class TestDynamicVerify:
         assert check.samples_identical
         assert check.compact_digest == check.fresh_digest
         assert check.passed
+        line = check.describe()
+        assert line.startswith(
+            f"dynamic[graphsage]: storage == fresh ({check.compact_digest[:12]}), "
+            "samples ==, snapshot-vs-rebuilt: chi2="
+        )
+        assert line.endswith("[ok] [ok]")
 
     def test_graph_digest_distinguishes_graphs(self):
         from repro.verify import graph_digest

@@ -40,7 +40,6 @@ class TestLayeredPipeline:
         np.testing.assert_array_equal(
             sample.layers[1].input_nodes, sample.layers[0].output_nodes
         )
-        assert sample.num_edges == sum(l.num_edges for l in sample.layers)
 
     def test_all_nodes_union(self):
         layer = SampledLayer(

@@ -12,7 +12,6 @@ from repro.bench import (
     EpochStats,
     format_table,
     measure_cell,
-    normalize,
     run_sampling_epoch,
     speedup_over_best_baseline,
 )
@@ -92,10 +91,6 @@ class TestMeasureCell:
 
 
 class TestHelpers:
-    def test_normalize(self):
-        out = normalize({"a": 2.0, "b": 6.0}, "a")
-        assert out == {"a": 1.0, "b": 3.0}
-
     def test_speedup_over_best_baseline(self):
         rows = {"gsampler": 1.0, "x": 5.0, "y": 3.0, "z": None}
         assert speedup_over_best_baseline(rows, "gsampler") == 3.0

@@ -33,7 +33,7 @@ def bipartite():
 
 class TestConstruction:
     def test_types_and_relations(self, bipartite):
-        assert bipartite.node_types == ["item", "user"]
+        assert sorted(bipartite.num_nodes) == ["item", "user"]
         assert len(bipartite.edge_types) == 2
 
     def test_shape_validated_against_node_counts(self):

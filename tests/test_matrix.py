@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.matrix import Matrix, from_edges
 from repro.errors import FormatError, ShapeError
-from repro.sparse import COO
+from repro.sparse import COO, edge_values
 
 from tests.conftest import to_dense
 
@@ -135,7 +135,7 @@ class TestCompute:
         ones = np.ones(small_graph.nnz, dtype=np.float32)
         out = small_graph.with_values(ones)
         assert out.nnz == small_graph.nnz
-        np.testing.assert_array_equal(out.values, ones)
+        np.testing.assert_array_equal(edge_values(out.any_storage()), ones)
         with pytest.raises(ShapeError):
             small_graph.with_values(np.ones(3))
 
@@ -177,3 +177,84 @@ class TestSelectAndFinalize:
         dense = to_dense(small_graph)
         for r, c, v in zip(rows, cols, vals):
             assert dense[r, c] == pytest.approx(float(v), rel=1e-5)
+
+
+# ----------------------------------------------------------------------
+# Eager == compiled == oracle, per operator
+# ----------------------------------------------------------------------
+_FRONTIERS = np.array([1, 4, 7, 10, 13, 16])
+_WEIGHTS = np.linspace(0.5, 2.0, len(_FRONTIERS)).astype(np.float32)
+
+
+def _col_sums(A, f):
+    return A[:, f].sum(axis=1)
+
+
+#: One program per Table-4 operator, over ``A``, the frontiers ``f`` and a
+#: dense ``X`` with one row per frontier.
+_PROGRAMS = {
+    "A @ X": lambda A, f, X: A[:, f] @ X,
+    "A[rows, :]": lambda A, f, X: A[f, :],
+    "compact": lambda A, f, X: A[:, f].compact(),
+    "lifted constant": lambda A, f, X: A[:, f].mul(_WEIGHTS, axis=1),
+    "column": lambda A, f, X: A[:, f].column(),
+    "tensor sum": lambda A, f, X: _col_sums(A, f).sum(),
+    "add": lambda A, f, X: A[:, f].add(_col_sums(A, f), axis=1),
+    "sub": lambda A, f, X: A[:, f].sub(_col_sums(A, f), axis=1),
+    "mul": lambda A, f, X: A[:, f].mul(_col_sums(A, f), axis=1),
+    "mean": lambda A, f, X: A[:, f].mean(axis=1),
+    "max": lambda A, f, X: A[:, f].max(axis=1),
+    "min": lambda A, f, X: A[:, f].min(axis=1),
+    "relu": lambda A, f, X: (A[:, f] - 0.5).relu(),
+    "exp": lambda A, f, X: (A[:, f] / 4.0).exp(),
+    "log": lambda A, f, X: (2.0 * A[:, f]).log(),
+    "reflected tensor operators": lambda A, f, X: (
+        1.0 + _col_sums(A, f),
+        2.0 * _col_sums(A, f),
+        3.0 - _col_sums(A, f),
+        1.0 / _col_sums(A, f),
+        _col_sums(A, f) / 2.0,
+    ),
+}
+
+
+def _flat(value) -> list[np.ndarray]:
+    if isinstance(value, tuple):
+        return [part for item in value for part in _flat(item)]
+    if isinstance(value, Matrix):
+        return [to_dense(value)]
+    return [np.asarray(value, dtype=np.float64)]
+
+
+class TestEagerCompiledOracle:
+    """Each operator gives one answer three ways: eagerly on ``Matrix``,
+    traced and compiled with every pass on, and through the eager
+    oracle's reference handlers."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        rng = np.random.default_rng(11)
+        n = 20
+        src = np.concatenate([np.roll(np.arange(n), 1), rng.integers(0, n, 80)])
+        dst = np.concatenate([np.arange(n), rng.integers(0, n, 80)])
+        keys = np.unique(src * n + dst)
+        weights = (rng.random(len(keys)) + 0.1).astype(np.float32)
+        return from_edges(keys // n, keys % n, n, weights=weights)
+
+    @pytest.mark.parametrize("name", list(_PROGRAMS))
+    def test_three_ways_agree(self, name, graph):
+        from repro.sampler import compile_sampler
+        from repro.verify import trace_oracle
+
+        program = _PROGRAMS[name]
+        tensors = {"X": np.arange(18, dtype=np.float32).reshape(6, 3) / 10}
+        eager = program(graph, _FRONTIERS, **tensors)
+        compiled = compile_sampler(
+            program, graph, _FRONTIERS, tensors=tensors, debug=True
+        ).run(_FRONTIERS, tensors=tensors)
+        oracle = trace_oracle(program, graph, _FRONTIERS, tensors=tensors).run(
+            _FRONTIERS, tensors=tensors
+        )
+        for got in (compiled, oracle):
+            for want, part in zip(_flat(eager), _flat(got), strict=True):
+                np.testing.assert_allclose(part, want, rtol=1e-6)

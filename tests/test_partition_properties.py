@@ -62,7 +62,7 @@ class TestPartitionOfUnity:
         assert partition.assignment.max() < num_shards
         # ...and the views tile the node set without overlap.
         counts = np.zeros(graph.shape[1], dtype=np.int64)
-        for view in partition.views():
+        for view in map(partition.view, range(num_shards)):
             counts[view.nodes] += 1
             assert np.array_equal(np.flatnonzero(view.mask), view.nodes)
         assert np.all(counts == 1)
@@ -138,7 +138,6 @@ class TestPartitionTracker:
         tracker = PartitionTracker(partition)
         rng = new_rng(7)
         expected = partition.shard_degrees.astype(np.float64).copy()
-        total = 0
         for _ in range(10):
             n = int(rng.integers(1, 16))
             src = rng.integers(0, graph.shape[1], n)
@@ -149,10 +148,7 @@ class TestPartitionTracker:
             expected += np.bincount(
                 partition.assignment[dst], weights=sign, minlength=3
             )
-            total += n
         np.testing.assert_allclose(tracker.shard_degrees, expected)
-        assert tracker.streamed_edges == total
-        assert 0.0 <= tracker.streamed_cut_fraction() <= 1.0
 
     def test_skewed_inserts_raise_drift_and_rebase_clears_it(self):
         graph = _random_graph(seed=8)
@@ -169,7 +165,6 @@ class TestPartitionTracker:
         assert not tracker.needs_rebalance(tracker.drift * 2)
         tracker.rebase(partition)
         assert tracker.drift == 0.0
-        assert tracker.streamed_edges == 0
 
 
 # ----------------------------------------------------------------------
@@ -204,7 +199,7 @@ class TestIncrementalRebalance:
         )
         assert plan.migration_bytes(1024) == plan.num_moved * 1024
         in_rows = sum(plan.rows_into(s).size for s in range(2))
-        out_rows = sum(plan.rows_out_of(s).size for s in range(2))
+        out_rows = sum(np.count_nonzero(plan.sources == s) for s in range(2))
         assert in_rows == out_rows == plan.num_moved
 
     def test_balance_never_worsens(self):
@@ -240,7 +235,7 @@ class TestIncrementalRebalance:
             graph,
             partition.assignment,
             2,
-            target_balance=max(partition.degree_balance(), 1.0),
+            target_balance=max(PartitionTracker(partition).degree_balance(), 1.0),
         )
         assert plan.num_moved == 0
         np.testing.assert_array_equal(plan.assignment, partition.assignment)

@@ -312,7 +312,7 @@ class TestLinkpredWorkload:
         for r in requests:
             assert r.seeds.dtype == np.int64
             assert len(r.seeds) == 16  # 4 pos + 4 neg pairs, flattened
-            pairs = r.pairs
+            pairs = r.seeds.reshape(-1, 2)
             assert pairs.shape == (8, 2)
             keys = edge_keys(pairs[:, 0], pairs[:, 1], pd.num_nodes)
             idx = np.minimum(np.searchsorted(live, keys), len(live) - 1)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from repro.device import CPU, ExecutionContext
 from repro.errors import FormatError
-from repro.sparse import COO, convert, to_coo, to_csc, to_csr
+from repro.sparse import COO, convert, to_csc
 
 from tests.conftest import random_coo, to_dense
 
@@ -27,8 +27,8 @@ def test_all_direction_round_trips(rng, source, target):
 def test_conversion_preserves_edge_ids(rng):
     coo = random_coo(rng)
     coo.edge_ids = np.arange(coo.nnz)
-    csr = to_csr(coo)
-    back = to_coo(csr)
+    csr = convert(coo, "csr")
+    back = convert(csr, "coo")
     # Each edge id must still label the same (row, col, value) triple.
     orig = {
         (int(r), int(c)): int(e)
@@ -45,7 +45,7 @@ def test_conversion_preserves_values_alignment(rng):
         (int(r), int(c)): float(v)
         for r, c, v in zip(coo.rows, coo.cols, coo.values)
     }
-    back = to_coo(csc)
+    back = convert(csc, "coo")
     for r, c, v in zip(back.rows, back.cols, back.values):
         assert orig[(int(r), int(c))] == pytest.approx(float(v))
 
@@ -65,10 +65,10 @@ def test_conversion_costs_are_asymmetric(rng):
     (coo->csr), reproducing Table 5's 0.36ms vs 2.40ms asymmetry."""
     coo = random_coo(rng, rows=200, cols=200, nnz=3000)
     ctx_compress = ExecutionContext(CPU)
-    to_csr(coo, ctx_compress)
-    csr = to_csr(coo)
+    convert(coo, "csr", ctx_compress)
+    csr = convert(coo, "csr")
     ctx_decompress = ExecutionContext(CPU)
-    to_coo(csr, ctx_decompress)
+    convert(csr, "coo", ctx_decompress)
     assert ctx_compress.elapsed > 3 * ctx_decompress.elapsed
 
 
@@ -78,7 +78,7 @@ def test_empty_matrix_conversions():
         out = convert(empty, layout)
         assert out.nnz == 0
         assert out.shape == (5, 7)
-        round_trip = to_coo(out)
+        round_trip = convert(out, "coo")
         assert round_trip.nnz == 0
 
 

@@ -215,20 +215,6 @@ class TestRunSuperbatch:
         with pytest.raises(TraceError):
             sampler.run_superbatch([np.arange(4)])
 
-    def test_choose_superbatch_size(self, small_graph):
-        sampler = compile_sampler(
-            sage_layer, small_graph, np.arange(8), constants={"K": 3}
-        )
-        size = sampler.choose_superbatch_size(
-            np.arange(8), memory_budget=1 << 22, max_size=16
-        )
-        assert 1 <= size <= 16
-        # A tiny budget forces size 1.
-        tiny = sampler.choose_superbatch_size(
-            np.arange(8), memory_budget=1, max_size=16
-        )
-        assert tiny == 1
-
     def test_nested_structure_rejected(self, small_graph):
         # The contract check must reject *nested* tuple structures too,
         # not just single-leaf programs.
@@ -242,56 +228,6 @@ class TestRunSuperbatch:
         )
         with pytest.raises(TraceError, match="one-layer contract"):
             sampler.run_superbatch([np.arange(4)])
-
-
-class TestChooseSuperbatchSize:
-    @pytest.fixture
-    def sampler(self, small_graph):
-        return compile_sampler(
-            sage_layer, small_graph, np.arange(8), constants={"K": 3}
-        )
-
-    def _peak_for(self, sampler, size: int) -> int:
-        ctx = ExecutionContext()
-        sampler.run_superbatch(
-            [np.arange(8)] * size, ctx=ctx, rng=new_rng(0)
-        )
-        return ctx.memory.peak_bytes
-
-    def test_chosen_size_respects_budget(self, sampler):
-        budget = self._peak_for(sampler, 4) + 1
-        size = sampler.choose_superbatch_size(
-            np.arange(8), memory_budget=budget, max_size=64
-        )
-        assert self._peak_for(sampler, size) <= budget
-        # The search keeps the *largest* fitting probe: doubling busts it.
-        assert self._peak_for(sampler, size * 2) > budget
-
-    def test_max_size_cap_wins_over_budget(self, sampler):
-        size = sampler.choose_superbatch_size(
-            np.arange(8), memory_budget=1 << 40, max_size=8
-        )
-        assert size == 8
-
-    def test_non_power_of_two_cap(self, sampler):
-        # The probe doubles 2, 4, 8, ...; a cap of 12 must still be
-        # honored (largest probed size not exceeding it is 8).
-        size = sampler.choose_superbatch_size(
-            np.arange(8), memory_budget=1 << 40, max_size=12
-        )
-        assert size == 8
-
-    def test_non_power_of_two_budget(self, sampler):
-        # An awkward odd budget between probe peaks picks the probe
-        # just below it, never the one above.
-        peak2 = self._peak_for(sampler, 2)
-        peak4 = self._peak_for(sampler, 4)
-        assert peak2 < peak4
-        budget = (peak2 + peak4) // 2 + 1
-        size = sampler.choose_superbatch_size(
-            np.arange(8), memory_budget=budget, max_size=64
-        )
-        assert size == 2
 
 
 class TestSharedExtraction:

@@ -1016,6 +1016,10 @@ _COUNT_BOUNDARIES = [
     *[(f"incremental_rebalance {knob}", 1, ShapeError, _rebalance(knob))
       for knob in ("num_shards", "max_moves")],
     ("MemoryPool capacity", 0, DeviceError, _knob(MemoryPool, "capacity")),
+    *[(f"ppr {knob}", low, ShapeError,
+       lambda v, graph, rng, ctx, knob=knob: _ppr(knob, v, graph, rng, ctx))
+      for knob, low in (("max_iterations", 1), ("max_pushes", 1), ("source", 0),
+                        ("k", 0))],
 ]
 
 
@@ -1116,9 +1120,13 @@ def _id_cases():
 def _ppr(name, value, graph, rng, ctx):
     from repro.core import ppr
 
-    if name == "damping":
-        return ppr.global_pagerank(graph, damping=value, ctx=ctx)
-    return ppr.push_ppr(graph, 0, alpha=value, ctx=ctx)
+    if name in ("damping", "max_iterations", "tolerance"):
+        return ppr.global_pagerank(graph, **{name: value}, ctx=ctx)
+    if name == "source":
+        return ppr.push_ppr(graph, value, ctx=ctx)
+    if name == "k":
+        return ppr.topk_ppr_neighbors(graph, 0, value, ctx=ctx)
+    return ppr.push_ppr(graph, 0, **{name: value}, ctx=ctx)
 
 
 #: ``(name, knob, interval, error, call(value, graph, rng, ctx))``: every
@@ -1189,9 +1197,10 @@ _REAL_BOUNDARIES = [
       for knob, interval in (("bandwidth", "(0, inf)"), ("latency", "[0, inf)"))],
     ("LinkSpec.bulk_transfer_time chunk_bytes", "chunk size", "(0, inf)", DeviceError,
      lambda v, graph, rng, ctx: NVLINK.bulk_transfer_time(1.0, chunk_bytes=v)),
-    *[(f"ppr {knob}", knob, "(0, 1)", ShapeError,
+    *[(f"ppr {knob}", knob, interval, ShapeError,
        lambda v, graph, rng, ctx, knob=knob: _ppr(knob, v, graph, rng, ctx))
-      for knob in ("damping", "alpha")],
+      for knob, interval in (("damping", "(0, 1)"), ("alpha", "(0, 1)"),
+                             ("epsilon", "(0, inf)"), ("tolerance", "[0, inf)"))],
 ]
 
 

@@ -18,6 +18,7 @@ Failing statistical tests print the root seed; rerun with
 
 from __future__ import annotations
 
+import dataclasses
 import subprocess
 import sys
 
@@ -33,6 +34,7 @@ from repro.sampler import OptimizationConfig, compile_sampler
 from repro.verify import (
     builtin_specs,
     check_invariants,
+    check_linkpred_equivalence,
     trace_oracle,
     verify_algorithm,
 )
@@ -361,6 +363,20 @@ class TestVerifyAlgorithmApi:
             v for v in report.variants if not v.passed
         ]
         assert "graphsage" in report.summary()
+
+    def test_linkpred_report_names_the_broken_half(self):
+        check = check_linkpred_equivalence(trials=40)
+        assert check.describe() == (
+            "linkpred: compaction ok over 48 pairs, negatives clean/det, "
+            "marginals 9/9 variants [ok]"
+        )
+        broken = dataclasses.replace(
+            check, compaction_ok=False, negatives_deterministic=False
+        )
+        assert broken.describe() == (
+            "linkpred: compaction BROKEN over 48 pairs, negatives clean/NONDET, "
+            "marginals 9/9 variants [FAIL]"
+        )
 
 
 class TestVerifyCli:

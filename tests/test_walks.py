@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms import walks
+from repro.algorithms import deepwalk_step, walks
 from repro.algorithms.node2vec import _adjacent_to_previous, node2vec_step
 from repro.algorithms.walks import (
     WalkResult,
@@ -25,6 +25,7 @@ from repro.core.matrix import from_edges
 from repro.core.sampling import _segmented_biased_with_replacement, _segments_of
 from repro.device import NULL_CONTEXT, ExecutionContext, V100
 from repro.errors import ShapeError
+from repro.sampler import compile_sampler
 from repro.sparse import INDEX_DTYPE
 from repro.sparse.formats import gather_ranges
 
@@ -38,8 +39,7 @@ class TestUniformWalk:
         result = uniform_walk(small_graph, np.arange(25), 10, rng=new_rng(0))
         dense = to_dense(small_graph)
         trace = result.trace
-        assert result.walk_length == 10
-        assert result.num_walkers == 25
+        assert trace.shape == (11, 25)
         for t in range(10):
             for w in range(25):
                 cur, nxt = trace[t, w], trace[t + 1, w]
@@ -54,11 +54,26 @@ class TestUniformWalk:
             if len(dead_from):
                 assert np.all(trace[dead_from[0] :, w] == -1)
 
-    def test_visited_nodes(self, small_graph):
-        result = uniform_walk(small_graph, np.array([3]), 5, rng=new_rng(2))
-        visited = result.visited_nodes()
-        assert 3 in visited
-        assert np.all(visited >= 0)
+    def test_deepwalk_step_is_one_walk_step(self):
+        """The matrix-form DeepWalk layer (GraphSAGE's with ``K=1``),
+        compiled, picks the same next node per seed as one step of the
+        walk lane's driver from the same generator state.  The graph is
+        unweighted: on a weighted one ``individual_sample`` biases by the
+        edge values."""
+        rng = np.random.default_rng(3)
+        n = 60
+        src = np.concatenate([np.roll(np.arange(n), 1), rng.integers(0, n, 240)])
+        dst = np.concatenate([np.arange(n), rng.integers(0, n, 240)])
+        keys = np.unique(src * n + dst)
+        graph = from_edges(keys // n, keys % n, n)
+        seeds = np.arange(0, n, 2)
+        sampler = compile_sampler(deepwalk_step, graph, seeds, debug=True)
+        sampled, frontiers = sampler.run(seeds, rng=new_rng(7))
+        rows, cols, _ = sampled.to_coo_arrays()
+        picked = dict(zip(cols.tolist(), rows.tolist()))
+        walked = uniform_walk(graph, seeds, 1, rng=new_rng(7)).trace[1]
+        assert [picked[s] for s in seeds.tolist()] == walked.tolist()
+        np.testing.assert_array_equal(frontiers, np.unique(walked))
 
     def test_charges_one_launch_per_step(self, small_graph):
         ctx = ExecutionContext(V100)
