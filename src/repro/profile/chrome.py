@@ -108,7 +108,13 @@ def to_chrome_trace(profiler: Profiler) -> dict[str, object]:
 
 
 def write_chrome_trace(profiler: Profiler, path: str | pathlib.Path) -> pathlib.Path:
-    """Serialize the trace to ``path`` and return it."""
+    """Serialize the trace to ``path``, compact, and return it.
+
+    Compact separators keep ``json.dumps`` on its C encoder; any
+    ``indent`` falls back to the pure-Python one, several times slower.
+    """
     path = pathlib.Path(path)
-    path.write_text(json.dumps(to_chrome_trace(profiler), indent=1))
+    path.write_text(
+        json.dumps(to_chrome_trace(profiler), separators=(",", ":"))
+    )
     return path

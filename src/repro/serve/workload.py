@@ -32,7 +32,9 @@ the property the serving determinism guard asserts end to end.
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -202,6 +204,10 @@ def rank_probabilities(num_nodes: int, skew: float) -> np.ndarray:
     return weights / weights.sum()
 
 
+#: Unit roundoff of float64, the relative error of one rounded operation.
+_U = 2.0**-53
+
+
 class _RankSampler:
     """Skewed draws over ``num_ranks`` hotness ranks, ``rank^-skew``.
 
@@ -226,8 +232,11 @@ class _RankSampler:
                 f"non-zero probability; cannot draw {largest} distinct ones"
             )
         self._probs = probs
-        self._cdf = np.cumsum(probs)
-        self._cdf /= self._cdf[-1]
+        csum = np.cumsum(probs)
+        self._cdf = csum / csum[-1]
+        # NumPy's unnormalised first-round sum, read one float at a time
+        # by the collision search: no Python object per rank.
+        self._csum = memoryview(csum)
 
     def draw_one(self, rng: np.random.Generator) -> int:
         """One rank; replays ``rng.choice(num_ranks)`` under the rank
@@ -243,18 +252,87 @@ class _RankSampler:
         )
         if len(found) == size:
             return found
-        # Ranks collided.  What choice() does next depends on which ones
-        # were found, so its loop is replayed, not re-derived: zero the
-        # found ranks, rebuild the CDF, draw the shortfall.
-        probs = self._probs.copy()
+        # Ranks collided.  choice() now zeroes the found ranks, rebuilds
+        # the CDF and draws the shortfall, until it has ``size``; each
+        # round draws exactly what it draws there.
+        found = found.tolist()
         while len(found) < size:
-            x = rng.random(size - len(found))
-            probs[found] = 0.0
-            cdf = np.cumsum(probs)
-            cdf /= cdf[-1]
-            fresh = _first_occurrences(cdf.searchsorted(x, side="right"))
-            found = np.concatenate([found, fresh])
-        return found
+            found += self._collision_round(found, rng.random(size - len(found)))
+        return np.array(found, dtype=np.intp)
+
+    def _collision_round(self, found: list[int], x: np.ndarray) -> list[int]:
+        """One collision round of ``choice``, in O(|F| + |x| · log n)
+        whenever every answer is certified.
+
+        NumPy computes ``cdf' = cumsum(p')`` with the found ranks ``F``
+        zeroed and answers ``searchsorted(cdf' / cdf'[-1], x, "right")``.
+        Rank ``i``'s entry is estimated as ``e[i] = csum[i] - M(i)``,
+        where ``csum`` is the first-round ``cumsum(p)`` and ``M(i)`` the
+        found mass up to ``i`` summed in rank order; the total as
+        ``T = csum[-1] - M_all``.  A found rank sits on a plateau of
+        ``cdf'`` and is never the answer, so each ``x`` is bisected on
+        ``csum`` for ``x·T + M`` inside the gap between found ranks
+        that holds it.
+
+        The bound.  Let ``c = csum[-1]``, ``n`` ranks, ``u = 2^-53``.  A
+        sum of non-negative terms in any order is off by at most
+        ``(terms - 1)·u`` times their exact sum, and every partial sum
+        of either cumsum is at most ``c·(1 + n·u)`` (rounding is
+        monotone and ``p' <= p``).  So ``csum[i]`` and ``cdf'[i]`` are
+        each within ``n·u·c`` of the exact zeroed sum (up to ``O(n²u²)``),
+        ``M(i)`` within ``|F|·u·c``, and the subtraction adds ``u·c``:
+        ``|e[i] - cdf'[i]|`` and ``|T - cdf'[-1]|`` are at most
+        ``E = (2n + |F| + 8)·u·c``, the ``+8`` covering the ``O(n²u²)``
+        terms (for ``n < 2^25``) and the rounding of ``E`` itself.
+
+        The certificate.  ``j`` is NumPy's answer iff its normalised
+        ``cdf'[j] > x`` and ``cdf'[j-1] <= x``.  NumPy's normalised
+        entry is at least ``(e[j] - E)/(T + E)·(1 - u)`` and ``cdf'[j-1]``
+        at most ``(e[j-1] + E)/(T - E)·(1 + u)``; ``1 ∓ 8u`` in place of
+        ``1 ∓ u`` also absorbs the four roundings of evaluating each
+        bound.  Any ``x`` that fails either side — a draw within about
+        ``E/T`` of an entry — or ``T - E <= 0`` sends the whole round to
+        :meth:`_replay_round`.
+        """
+        csum = self._csum
+        n = len(csum)
+        order = sorted(found)
+        masses = list(itertools.accumulate(self._probs[order].tolist()))
+        top = csum[-1]
+        total = top - masses[-1]
+        err = (2 * n + len(order) + 8) * _U * top
+        if total - err <= 0.0:
+            return self._replay_round(found, x)
+        # Estimated cdf' at the end of each gap, i.e. on the found rank
+        # that closes it.
+        ends = [csum[rank] - mass for rank, mass in zip(order, masses)]
+        shrink, grow = 1.0 - 8 * _U, 1.0 + 8 * _U
+        fresh = []
+        for xi in x.tolist():
+            k = bisect.bisect_right(ends, xi * total)
+            lo = order[k - 1] + 1 if k else 0
+            hi = order[k] if k < len(order) else n
+            below = masses[k - 1] if k else 0.0
+            j = bisect.bisect_right(csum, xi * total + below, lo, hi)
+            if j == hi:
+                return self._replay_round(found, x)
+            # NumPy's normalised cdf'[j - 1] is at most ``before``, its
+            # cdf'[j] at least ``at``.
+            before = (csum[j - 1] - below + err) / (total - err) * grow if j else 0.0
+            at = (csum[j] - below - err) / (total + err) * shrink
+            if not before <= xi < at:
+                return self._replay_round(found, x)
+            fresh.append(j)
+        return list(dict.fromkeys(fresh))
+
+    def _replay_round(self, found: list[int], x: np.ndarray) -> list[int]:
+        """One collision round as NumPy runs it: zero the found ranks,
+        ``cumsum``, normalise, draw ``x``."""
+        probs = self._probs.copy()
+        probs[found] = 0.0
+        cdf = np.cumsum(probs)
+        cdf /= cdf[-1]
+        return _first_occurrences(cdf.searchsorted(x, side="right")).tolist()
 
 
 def _first_occurrences(values: np.ndarray) -> np.ndarray:

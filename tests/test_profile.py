@@ -213,10 +213,12 @@ class TestChromeExport:
         assert {m["pid"] for m in metadata} == {HOST_PID, DEVICE_PID}
 
     def test_write_is_valid_json(self, pd, tmp_path):
-        path = write_chrome_trace(self._profiled_run(pd), tmp_path / "t.json")
+        profiler = self._profiled_run(pd)
+        path = write_chrome_trace(profiler, tmp_path / "t.json")
         loaded = json.loads(path.read_text())
         assert loaded["displayTimeUnit"] == "ms"
         assert loaded["traceEvents"]
+        assert loaded == to_chrome_trace(profiler)
 
     def test_device_track_nests_kernels_inside_batches(self, pd):
         profiler = self._profiled_run(pd)

@@ -167,6 +167,49 @@ class TestWorkload:
             assert sampler.draw_one(ours) == numpys.choice(n, p=probs)
         assert ours.random() == numpys.random()
 
+    def test_collision_round_refuses_a_draw_on_a_cdf_entry(self, monkeypatch):
+        """A draw equal to an entry of NumPy's renormalised CDF is where
+        the estimate cannot tell the two neighbours apart: the
+        certificate refuses it and NumPy's own round answers."""
+        n, found = 12_000, [0, 3, 17, 400]
+        sampler = _RankSampler(n, 1.1)
+        probs = rank_probabilities(n, 1.1)
+        probs[found] = 0.0
+        cdf = np.cumsum(probs)
+        cdf /= cdf[-1]
+        x = cdf[[5, 401]]
+        replays = []
+        replay = _RankSampler._replay_round
+
+        def counted(self, *args):
+            replays.append(args)
+            return replay(self, *args)
+
+        monkeypatch.setattr(_RankSampler, "_replay_round", counted)
+        got = sampler._collision_round(found, x)
+        assert got == _first_occurrences(cdf.searchsorted(x, "right")).tolist()
+        assert len(replays) == 1
+
+    def test_collision_search_carries_the_traffic(self, monkeypatch):
+        """The serve benchmarks' shape — 8…32 seeds at skew 1.1 over
+        12 000 ranks — never needs NumPy's round."""
+
+        def refuse(self, found, x):
+            raise AssertionError(f"fell back with {len(found)} found")
+
+        monkeypatch.setattr(_RankSampler, "_replay_round", refuse)
+        n = 12_000
+        probs = rank_probabilities(n, 1.1)
+        sampler = _RankSampler(n, 1.1, 32)
+        sizes = np.random.default_rng(1).integers(8, 33, size=2000).tolist()
+        ours, numpys = np.random.default_rng(2), np.random.default_rng(2)
+        for size in sizes:
+            np.testing.assert_array_equal(
+                sampler.draw(size, ours),
+                numpys.choice(n, size=size, replace=False, p=probs),
+            )
+        assert ours.random() == numpys.random()
+
     @pytest.mark.parametrize(
         "spec, digest",
         [
