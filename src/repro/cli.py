@@ -796,7 +796,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_seeds_per_request=args.max_seeds_per_request,
         skew=args.skew,
         seed=args.seed,
-        task=args.task,
     )
     policy = ServePolicy.preset(
         args.policy,

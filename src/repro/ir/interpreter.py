@@ -16,7 +16,7 @@ import numpy as np
 from repro.core import sampling
 from repro.core.matrix import Matrix
 from repro.device import ExecutionContext
-from repro.errors import PassError
+from repro.errors import PassError, ShapeError
 from repro.ir import superbatch_ops
 from repro.ir.graph import DataFlowGraph, Node
 from repro.sparse import CSC
@@ -412,11 +412,17 @@ class Interpreter:
     # ------------------------------------------------------------------
     def _op_t_binop(self, node, args, inputs, rng):
         a, b = (np.asarray(x) for x in args)
-        # Super-batched programs put per-(batch, node) vectors (length
-        # B*M) next to batch-invariant per-node vectors (length M); the
-        # block-diagonal semantics is that the invariant vector repeats
-        # per batch, so tile the shorter operand when lengths divide.
         if a.ndim == 1 and b.ndim == 1 and len(a) != len(b):
+            # Super-batched programs put per-(batch, node) vectors (length
+            # B*M) next to batch-invariant per-node vectors (length M);
+            # the block-diagonal semantics is that the invariant vector
+            # repeats per batch, so the shorter operand is tiled when the
+            # lengths divide.  A single-batch program has no such reading.
+            if not self._superbatched:
+                raise ShapeError(
+                    f"t_binop %{node.node_id}: operand lengths {len(a)} and "
+                    f"{len(b)} differ outside a super-batch"
+                )
             if len(b) and len(a) % len(b) == 0:
                 b = np.tile(b, len(a) // len(b))
             elif len(a) and len(b) % len(a) == 0:

@@ -296,6 +296,8 @@ def split_sample(
     batch_ptr: np.ndarray,
     num_graph_rows: int,
     ctx: ExecutionContext = NULL_CONTEXT,
+    *,
+    block_diagonal: bool = False,
 ) -> list[SplitPiece]:
     """Split a super-batched sample back into per-batch pieces.
 
@@ -304,16 +306,32 @@ def split_sample(
     pointer arithmetic plus a per-piece row renumbering, charged as one
     lightweight kernel over the piece's own edges (not a full generic
     slice + compaction, which would eat the batching gains back).  Each
-    piece's unique rows are found here; its matrix is built on read
+    piece's rows are found here; its matrix is built on read
     (:class:`SplitPiece`).
+
+    ``block_diagonal`` says the program ran in block-diagonal row space
+    (its IR holds an ``sb_batch_ptr`` node).  A piece's rows are then the
+    merged matrix's explicit rows in its block, edge or not: a collective
+    sample may pick a row with no edge into its batch (FastGCN's global
+    degree² bias does), and a single-batch run keeps that row too.
+    Otherwise they are the rows the piece's edges touch.
     """
     csc = matrix.get("csc")
+    num_batches = len(batch_ptr) - 1
+    block_rows = block_diagonal and matrix.row_ids is not None
+    if block_rows:
+        block = matrix.row_ids // num_graph_rows
+        order = np.argsort(block, kind="stable").astype(INDEX_DTYPE, copy=False)
+        row_ptr = np.searchsorted(block[order], np.arange(num_batches + 1))
     out: list[SplitPiece] = []
     total_edges = 0
-    for b in range(len(batch_ptr) - 1):
+    for b in range(num_batches):
         lo, hi = int(batch_ptr[b]), int(batch_ptr[b + 1])
         e_lo, e_hi = int(csc.indptr[lo]), int(csc.indptr[hi])
-        uniq = sorted_unique(csc.rows[e_lo:e_hi], csc.shape[0])
+        if block_rows:
+            uniq = order[row_ptr[b] : row_ptr[b + 1]]
+        else:
+            uniq = sorted_unique(csc.rows[e_lo:e_hi], csc.shape[0])
         out.append(
             SplitPiece(matrix, (lo, hi), (e_lo, e_hi), uniq, num_graph_rows, ctx)
         )

@@ -210,7 +210,11 @@ class CompiledSampler:
             matrix = outputs[0]
             assert isinstance(matrix, Matrix)
             return superbatch_ops.split_sample(
-                matrix, batch_ptr, self.graph.shape[0], ctx
+                matrix,
+                batch_ptr,
+                self.graph.shape[0],
+                ctx,
+                block_diagonal=any(n.op == "sb_batch_ptr" for n in ir.nodes()),
             )
 
 

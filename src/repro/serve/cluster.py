@@ -59,17 +59,12 @@ from repro.cache import (
     graph_degrees,
 )
 from repro.datasets import Dataset
-from repro.device import DeviceSpec, LinkSpec, default_link_for, get_link
+from repro.device import DeviceSpec, default_link_for, get_link
 from repro.errors import ServeError, check_count
-from repro.partition import GraphPartition, make_partition
+from repro.partition import make_partition
 from repro.profile.spans import Profiler, maybe_span
-from repro.serve.compose import BatchComposer
-from repro.serve.control import (
-    EVENT_PRIORITY,
-    AutoscalePolicy,
-    Autoscaler,
-    AutoscaleSession,
-)
+from repro.serve.compose import make_composer
+from repro.serve.control import EVENT_PRIORITY, AutoscalePolicy, AutoscaleSession
 from repro.serve.failures import FailureSession, FailureSpec
 from repro.serve.metrics import (
     FLEET_COUNTERS,
@@ -94,11 +89,13 @@ if typing.TYPE_CHECKING:
 class ClusterSimulator:
     """N serving replicas behind a router, on one simulated clock.
 
-    Owns the topology (partition, link, router, composers, fleet), routes
+    Owns the topology (partition, link, router, composer, fleet), routes
     arrivals and runs the event loop; kills, autoscale ticks and graph
-    updates are executed by session extensions (module docstring).  A
-    simulator serves **one** session: every counter starts in a
-    constructor, so :meth:`run` refuses a second call.
+    updates are executed by session extensions (module docstring).  The
+    constructor is the one place a serving name becomes an object: every
+    part a :class:`~repro.serve.replica.Replica` holds is built here and
+    handed to it.  A simulator serves **one** session: every counter
+    starts in a constructor, so :meth:`run` refuses a second call.
 
     Parameters
     ----------
@@ -112,35 +109,33 @@ class ClusterSimulator:
         :class:`~repro.cache.FeatureSource`.
     task:
         A :func:`repro.tasks.available_tasks` name: what request
-        payloads mean.  Resolved once; every replica shares the task.
+        payloads mean.  Resolved once; every replica shares the task,
+        and :meth:`build_workload` generates requests for it.
     num_replicas:
         Serving replicas to run (>= 1).
     router:
         A policy name from :data:`~repro.serve.router.ROUTER_POLICIES`
         or a pre-built :class:`~repro.serve.router.Router`.
     partition:
-        ``None`` (unpartitioned: every replica holds the whole graph), a
-        partitioner name (``hash``/``greedy``; one shard per replica),
-        or a pre-built :class:`~repro.partition.GraphPartition` with
-        ``num_shards == num_replicas``.
+        ``None`` (unpartitioned: every replica holds the whole graph) or
+        a partitioner name (``hash``/``greedy``; one shard per replica).
     link:
         Interconnect for cross-shard frontier fetches, re-replication
-        and shard migration: a name (``nvlink``/``pcie``), a
-        :class:`~repro.device.LinkSpec`, or ``None`` for the device's
-        default wiring (V100 -> NVLink).  Unsharded replicas' p2p bands
-        always ride the default wiring.
+        and shard migration: a name (``nvlink``/``pcie``) or ``None``
+        for the device's default wiring (V100 -> NVLink).  Unsharded
+        replicas' p2p bands always ride the default wiring.
     composer:
-        Batch-composition policy, as for the replica — or a sequence with
-        one entry per replica (heterogeneous clusters, e.g. an A/B lane
-        comparing fifo vs super-batch under one router).
+        A :data:`~repro.serve.compose.COMPOSER_POLICIES` name.  One
+        composer serves the whole fleet (composers are pure); a
+        super-batching one needs the algorithm's pipelines to support
+        super-batched execution.
     failures:
         Optional :class:`~repro.serve.failures.FailureSpec`: scheduled
         replica kills plus the orphan/failover policy (executed by a
         :class:`~repro.serve.failures.FailureSession`).
     autoscale:
-        Optional :class:`~repro.serve.control.AutoscalePolicy` (or a
-        pre-built :class:`~repro.serve.control.Autoscaler`), executed by
-        an :class:`~repro.serve.control.AutoscaleSession`.  The fleet is
+        Optional :class:`~repro.serve.control.AutoscalePolicy`, executed
+        by an :class:`~repro.serve.control.AutoscaleSession`.  The fleet is
         pre-built at ``max_replicas`` with replicas beyond
         ``num_replicas`` as inactive standbys; incompatible with a
         graph partition.
@@ -162,14 +157,14 @@ class ClusterSimulator:
         policy: ServePolicy | None = None,
         num_replicas: int = 1,
         router: str | Router = "round_robin",
-        partition: str | GraphPartition | None = None,
-        link: str | LinkSpec | None = None,
-        composer: str | BatchComposer | list | tuple = "fifo",
+        partition: str | None = None,
+        link: str | None = None,
+        composer: str = "fifo",
         cache_ratio: float = DEFAULT_CACHE_RATIO,
         seed: int = 0,
         profiler: Profiler | None = None,
         failures: FailureSpec | None = None,
-        autoscale: AutoscalePolicy | Autoscaler | None = None,
+        autoscale: AutoscalePolicy | None = None,
         feature_tiers: bool = False,
         host_tier_ratio: float = DEFAULT_HOST_TIER_RATIO,
         p2p: bool = False,
@@ -187,24 +182,16 @@ class ClusterSimulator:
         self.task = make_task(task)
         self.policy = policy if policy is not None else ServePolicy()
         self.profiler = profiler
-        if isinstance(partition, str):
-            partition = make_partition(
-                partition, dataset.graph, num_replicas, seed=seed
-            )
-        if partition is not None and partition.num_shards != num_replicas:
-            raise ServeError(
-                f"partition has {partition.num_shards} shards but the "
-                f"cluster has {num_replicas} replicas (one shard per "
-                "replica)"
-            )
-        self.partition = partition
+        self.partition = (
+            make_partition(partition, dataset.graph, num_replicas, seed=seed)
+            if partition is not None
+            else None
+        )
         # The fleet's wiring, resolved once: cross-shard hops, p2p bands,
         # re-replication and shard migration all ride what is set here.
         wiring = default_link_for(device.name)
-        if isinstance(link, str):
-            link = get_link(link)
-        self.link = link if link is not None else wiring
-        self.router = make_router(router, seed=seed, partition=partition)
+        self.link = get_link(link) if link is not None else wiring
+        self.router = make_router(router, seed=seed, partition=self.partition)
         # Session extensions, each built (and validated) from its keyword
         # before any replica exists.
         fleet = num_replicas
@@ -219,22 +206,26 @@ class ClusterSimulator:
             from repro.serve.ingest import IngestSession
 
             self.extensions.append(IngestSession(self, updates, dynamic))
-        if not isinstance(composer, (list, tuple)):
-            composer = [composer] * fleet
-        elif len(composer) != fleet:
-            raise ServeError(
-                f"got {len(composer)} composers for {fleet} "
-                "replicas (one per replica)"
-            )
+        #: The fleet's one composer (composers are pure, so replicas
+        #: share it).
+        self.composer = make_composer(composer)
         self.feature_tiers = feature_tiers
         #: One compile, shared by every replica (pipelines are stateless
         #: with respect to the execution context) — which is also why a
         #: graph refresh rebinds every compiled layer's graph just once.
         self.pipelines = build_pipelines(dataset, algorithm)
-        fleet_link = self.link if partition is not None else wiring
+        if self.composer.requires_superbatch and not all(
+            pipeline.supports_superbatch for pipeline in self.pipelines
+        ):
+            raise ServeError(
+                f"composer {self.composer.name!r} needs a super-batch "
+                f"capable algorithm; {algorithm!r} excludes super-batching"
+            )
+        sharded = self.partition is not None
+        fleet_link = self.link if sharded else wiring
         self.replicas = []
         for i in range(fleet):
-            shard = partition.view(i) if partition is not None else None
+            shard = self.partition.view(i) if sharded else None
             features = FeatureSource(
                 dataset,
                 cache_ratio=cache_ratio,
@@ -253,14 +244,13 @@ class ClusterSimulator:
             self.replicas.append(
                 Replica(
                     dataset,
-                    algorithm=algorithm,
                     device=device,
                     policy=self.policy,
                     seed=seed,
                     profiler=profiler,
                     replica_id=i,
                     pipelines=self.pipelines,
-                    composer=composer[i],
+                    composer=self.composer,
                     queue_prefix=f"r{i}:" if fleet > 1 else "",
                     shard=shard,
                     link=fleet_link,
@@ -279,18 +269,13 @@ class ClusterSimulator:
     def num_replicas(self) -> int:
         return len(self.replicas)
 
-    @property
-    def composer_name(self) -> str:
-        """Session-level composer label: the shared policy name, or
-        ``"mixed"`` for a heterogeneous cluster."""
-        names = {r.composer.name for r in self.replicas}
-        return names.pop() if len(names) == 1 else "mixed"
-
     def build_workload(self, spec: WorkloadSpec) -> list[Request]:
-        """Generate the spec's request stream over this graph's nodes."""
+        """Generate the spec's request stream for the session's task
+        over this graph's nodes."""
         graph = self.dataset.graph
         return generate_workload(
             spec,
+            task=self.task,
             num_nodes=self.dataset.num_nodes,
             hotness=graph_degrees(graph),
             edges=self.task.request_edges(graph),
@@ -395,7 +380,7 @@ class ClusterSimulator:
         report.replicas = self.num_replicas
         report.router = self.router.name
         report.per_replica = replica_breakdown(self.logs, self.replicas)
-        report.composer = self.composer_name
+        report.composer = self.composer.name
         report.task = self.task.name
         report.feature_tiers = self.feature_tiers
         for name in FLEET_COUNTERS:
@@ -422,11 +407,6 @@ def run_cluster_session(
     """
     cluster = ClusterSimulator(dataset, seed=seed, **cluster_kwargs)
     if spec is None:
-        spec = WorkloadSpec(seed=seed, task=cluster.task.name)
-    elif spec.task != cluster.task.name:
-        raise ServeError(
-            f"workload spec task {spec.task!r} does not match the "
-            f"session task {cluster.task.name!r}"
-        )
+        spec = WorkloadSpec(seed=seed)
     workload = cluster.build_workload(spec)
     return cluster, cluster.run(workload)

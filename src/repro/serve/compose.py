@@ -235,10 +235,8 @@ class SuperbatchComposer(BatchComposer):
         )
 
 
-def make_composer(composer: str | BatchComposer) -> BatchComposer:
-    """Build a composer from a policy name (passes instances through)."""
-    if isinstance(composer, BatchComposer):
-        return composer
+def make_composer(composer: str) -> BatchComposer:
+    """Build a composer from a policy name."""
     if composer == "fifo":
         return FifoComposer()
     if composer == "binned":

@@ -185,32 +185,24 @@ class AutoscaleSession:
     partitions."""
 
     def __init__(
-        self,
-        session,
-        autoscale: AutoscalePolicy | Autoscaler,
-        num_replicas: int,
+        self, session, policy: AutoscalePolicy, num_replicas: int
     ) -> None:
-        scaler = (
-            Autoscaler(autoscale)
-            if isinstance(autoscale, AutoscalePolicy)
-            else autoscale
-        )
         if session.partition is not None:
             raise ServeError(
                 "autoscaling is incompatible with a graph partition: "
                 "sharding ties the fleet size to the shard count"
             )
-        bounds = scaler.policy
-        if not bounds.min_replicas <= num_replicas <= bounds.max_replicas:
+        if not policy.min_replicas <= num_replicas <= policy.max_replicas:
             raise ServeError(
                 f"initial fleet of {num_replicas} lies outside the "
-                f"autoscaler's [{bounds.min_replicas}, "
-                f"{bounds.max_replicas}] bounds"
+                f"autoscaler's [{policy.min_replicas}, "
+                f"{policy.max_replicas}] bounds"
             )
         self.session = session
-        self.scaler = scaler
+        #: The controller deciding each tick.
+        self.scaler = Autoscaler(policy)
         #: Replicas to pre-build (initial fleet plus standbys).
-        self.fleet_size = bounds.max_replicas
+        self.fleet_size = policy.max_replicas
 
     def events(self, ordered: list):
         """One tick per ``interval`` up to the last arrival."""

@@ -43,12 +43,12 @@ from repro.device import DeviceSpec, ExecutionContext, LinkSpec
 from repro.errors import ServeError, check_count, check_real
 from repro.partition import ShardView
 from repro.profile.spans import Profiler, maybe_span
-from repro.serve.compose import BatchComposer, BatchPlan, make_composer
+from repro.serve.compose import BatchComposer, BatchPlan
 from repro.serve.metrics import FLEET_COUNTERS, RequestLog
 from repro.serve.workload import Request
 from repro.sparse.formats import as_index_array
 from repro.stats import SlidingWindow
-from repro.tasks import Task, make_task
+from repro.tasks import Task
 
 #: Degradation-ladder depth: 0 = full fidelity, 1 = reduced fanout,
 #: 2 = reduced fanout + cached-only features.
@@ -205,12 +205,13 @@ def fetch_union(samples: list[GraphSample]) -> tuple[np.ndarray, int]:
 class Replica:
     """One serving replica: its device contexts plus the parts it is handed.
 
+    Every part arrives built — :class:`~repro.serve.cluster.ClusterSimulator`
+    is the one place a serving name becomes an object.
+
     Parameters
     ----------
     dataset:
         The graph being served; seeds index its nodes.
-    algorithm:
-        A :data:`repro.algorithms.TABLE8_PARAMS` key (used when ``pipelines`` is omitted).
     device:
         Device spec for sampling *and* feature transfer.  The feature
         table itself is host-resident (the serving deployment), so cache
@@ -220,91 +221,67 @@ class Replica:
     seed:
         Session seed; replica ``replica_id`` derives its own RNG stream
         from it (:func:`replica_rng`).
+    profiler:
+        Records this replica's spans and launches, or ``None``.
     replica_id:
-        Position of this replica in its cluster (0 for standalone).
+        Position of this replica in its cluster.
     pipelines:
-        Pre-compiled ``[full, degraded]`` pipeline pair shared across a
-        cluster; compiled here when omitted.
+        The compiled ``[full, degraded]`` pipeline pair (shared across a
+        cluster).
     composer:
-        Batch-composition policy — a :data:`~repro.serve.compose.COMPOSER_POLICIES`
-        name or a pre-built :class:`~repro.serve.compose.BatchComposer`.
-        ``"fifo"`` (the default) replays the pre-composer batcher
-        bit-identically; ``"superbatch"`` requires the algorithm's
-        pipelines to support super-batched execution.
+        The fleet's :class:`~repro.serve.compose.BatchComposer`.
     queue_prefix:
         Prefix for the device queue names (``"r1:"`` in a cluster), so
         each replica's timelines render as its own thread-row group in
-        the Chrome trace.  Empty for standalone/1-replica use, keeping
-        the original ``sample``/``transfer`` names.
+        the Chrome trace.  Empty for a 1-replica cluster, keeping the
+        original ``sample``/``transfer`` names.
     shard:
-        The :class:`~repro.partition.ShardView` this replica owns, when
-        the cluster is graph-partitioned.
+        The :class:`~repro.partition.ShardView` this replica owns, or
+        ``None`` when the cluster is not graph-partitioned.
     link:
         Interconnect to the rest of the fleet: frontier nodes sampled
         outside ``shard`` are fetched from their owner over it, and the
         feature source's p2p rows ride it too.
     task:
         The :class:`~repro.tasks.Task` that decodes request payloads
-        into sampler seeds (node classification when omitted —
-        byte-identical to the pre-task replica).
+        into sampler seeds.
     active:
         False for an autoscaler standby, which receives no traffic.
     features:
         The :class:`~repro.cache.FeatureSource` fronting the feature
         table: its pool backs the I/O context, its wires are the I/O
-        queues, its store (if any) is :attr:`cache`.  The default flat
-        cache when omitted.
+        queues, its store (if any) is :attr:`cache`.
     """
 
     def __init__(
         self,
         dataset: Dataset,
         *,
-        algorithm: str = "graphsage",
         device: DeviceSpec,
-        policy: ServePolicy | None = None,
-        seed: int = 0,
-        profiler: Profiler | None = None,
-        replica_id: int = 0,
-        pipelines: list | None = None,
-        composer: str | BatchComposer = "fifo",
-        queue_prefix: str = "",
-        shard: ShardView | None = None,
-        link: LinkSpec | None = None,
-        task: Task | None = None,
-        active: bool = True,
-        features: FeatureSource | None = None,
+        policy: ServePolicy,
+        seed: int,
+        profiler: Profiler | None,
+        replica_id: int,
+        pipelines: list,
+        composer: BatchComposer,
+        queue_prefix: str,
+        shard: ShardView | None,
+        link: LinkSpec,
+        task: Task,
+        active: bool,
+        features: FeatureSource,
     ) -> None:
-        if shard is not None and link is None:
-            raise ServeError(
-                "a sharded replica needs an interconnect link to fetch "
-                "remote frontier rows over"
-            )
-        self.algorithm = algorithm
         self.device = device
-        self.task = task if task is not None else make_task("node")
-        self.policy = policy if policy is not None else ServePolicy()
+        self.task = task
+        self.policy = policy
         self.profiler = profiler
         self.replica_id = replica_id
         self.shard = shard
         self.link = link
         self._rng = replica_rng(seed, replica_id)
-        self._pipelines = (
-            pipelines
-            if pipelines is not None
-            else build_pipelines(dataset, algorithm)
-        )
-        self.composer = make_composer(composer)
-        if self.composer.requires_superbatch and not all(
-            pipeline.supports_superbatch for pipeline in self._pipelines
-        ):
-            raise ServeError(
-                f"composer {self.composer.name!r} needs a super-batch "
-                f"capable algorithm; {algorithm!r} excludes super-batching"
-            )
-        self.features = (
-            features if features is not None else FeatureSource(dataset)
-        )
+        self._pipelines = pipelines
+        self.composer = composer
+        self.features = features
         #: The store fronting the feature table (``None`` without one).
         self.cache = self.features.store
         self._prefix = queue_prefix

@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.core import new_rng
 from repro.errors import ServeError, check_count, check_real
-from repro.tasks import available_tasks, make_task
+from repro.tasks import Task
 
 #: Arrival process names understood by :func:`generate_workload`.
 ARRIVAL_PROCESSES = ("poisson", "bursty", "diurnal")
@@ -117,19 +117,8 @@ class WorkloadSpec:
     #: default puts several cycles inside a typical run.
     burst_period: float = 0.05
     seed: int = 0
-    #: Workload task, a :func:`repro.tasks.available_tasks` name: what
-    #: one seed unit *is*.  ``"node"`` (the default, RNG-stream-identical
-    #: to the pre-task subsystem) draws ``seeds_per_request`` seed nodes;
-    #: a pair task draws that many positive edges plus as many negative
-    #: pairs, shipped as flattened endpoint pairs (see :class:`Request`).
-    task: str = "node"
 
     def __post_init__(self) -> None:
-        if self.task not in available_tasks():
-            raise ServeError(
-                f"unknown workload task {self.task!r}; "
-                f"available: {list(available_tasks())}"
-            )
         check_count("num requests", self.num_requests, error=ServeError)
         check_real("arrival rate", self.arrival_rate, "(0, inf)", error=ServeError)
         if self.process not in ARRIVAL_PROCESSES:
@@ -346,6 +335,7 @@ def _first_occurrences(values: np.ndarray) -> np.ndarray:
 def generate_workload(
     spec: WorkloadSpec,
     *,
+    task: Task,
     num_nodes: int,
     hotness: np.ndarray | None = None,
     edges: tuple[np.ndarray, np.ndarray] | None = None,
@@ -357,11 +347,13 @@ def generate_workload(
     the feature cache's ordering so rank-0 requests hit its hottest
     pinned row.  When omitted, rank equals node id.
 
-    What a rank names and what a request ships is the spec's task's
-    call: node requests ship the drawn nodes, sorted; pair tasks need
+    What a rank names and what a request ships is ``task``'s call (the
+    session's :class:`~repro.tasks.Task`): node requests ship
+    ``seeds_per_request`` drawn nodes, sorted; pair tasks need
     ``edges`` — the graph's ``(src, dst)`` endpoint arrays — rank those
     by their source's hotness, and ship each drawn positive edge plus a
-    forged negative, all on the spec's single RNG stream.
+    forged negative as flattened endpoint pairs (see :class:`Request`),
+    all on the spec's single RNG stream.
     """
     largest = (
         spec.max_seeds_per_request
@@ -378,11 +370,10 @@ def generate_workload(
             raise ServeError(
                 f"hotness shape {hotness.shape} != nodes ({num_nodes},)"
             )
-    task = make_task(spec.task)
     units = task.request_units(num_nodes, hotness, edges)
     if len(units) < largest:
         raise ServeError(
-            f"cannot draw {largest} distinct {spec.task} units from "
+            f"cannot draw {largest} distinct {task.name} units from "
             f"{len(units)}"
         )
     ranks = _RankSampler(len(units), spec.skew, largest)

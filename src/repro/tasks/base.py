@@ -82,7 +82,8 @@ def unique_and_compact_node_pairs(
 class Task(abc.ABC):
     """Workload protocol threaded through training, pipeline, and serve."""
 
-    #: Registry name; also the ``--task`` CLI value and ``WorkloadSpec.task``.
+    #: Registry name; also the ``--task`` CLI value and the serving
+    #: session's ``task=``.
     name: str = ""
 
     @abc.abstractmethod

@@ -29,7 +29,7 @@ from repro.device import ExecutionContext, get_device
 ALGORITHM_GOLDEN = {
     "asgcn": "8e6e22f925bbe8e97d852c3a681e49370cea4e41c17c7112a22aff05f0a33e2e",
     "deepwalk": "74503e9ddba2dc6cf6c4141fcc8423ceeaa1eb28997d35f81aee2c68666f0142",
-    "fastgcn": "ef8c0f7e0c1e949cfc22f150087196f5c272d31e3d867d258af943fc5814e291",
+    "fastgcn": "d734315b09d881a390f9e0a75969d6cffca4b38b15e5e74ce2c81b55bd09007e",
     "gcn_bs": "8ec6073dc10b934f8f8e424ec776d93ff2377b4b57e6437b491b735cbb559f8a",
     "graphsage": "d575236fc382285f37da630f2f4284a045880040b24eec5a4feed4c6a4e51f66",
     "graphsaint": "1d32f0b5ffd25d0f7d601abfccb6d4f473a531fcb75454d368e9c9d5b9b2ab37",

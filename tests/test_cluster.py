@@ -48,6 +48,10 @@ from repro.serve import (
     replica_rng,
     run_cluster_session,
 )
+from repro.tasks import make_task
+
+#: The session task direct ``generate_workload`` callers pass.
+NODE = make_task("node")
 
 #: sha256 of ``repr(report.fingerprint())`` for the reference session
 #: below, captured from the pre-refactor monolithic simulator
@@ -264,7 +268,9 @@ class TestRouterEdgeCases:
         """An in-flight entry whose batch completes exactly at ``now`` is
         answered, not outstanding: the prune keeps strictly-later
         completions only."""
-        replica = Replica(pd, device=V100, policy=REFERENCE_POLICY, seed=0)
+        replica = ClusterSimulator(
+            pd, device=V100, policy=REFERENCE_POLICY
+        ).replicas[0]
         sentinel = object()
         replica._in_flight = [(1.0, sentinel), (2.0, sentinel)]
         assert replica.outstanding(0.5) == 2
@@ -453,7 +459,8 @@ class TestHeterogeneousWorkload:
             seed=1,
         )
         sizes = {
-            len(r.seeds) for r in generate_workload(spec, num_nodes=1000)
+            len(r.seeds)
+            for r in generate_workload(spec, task=NODE, num_nodes=1000)
         }
         assert min(sizes) >= 2 and max(sizes) <= 32
         assert len(sizes) > 1  # actually heterogeneous
@@ -462,8 +469,8 @@ class TestHeterogeneousWorkload:
         from repro.serve import generate_workload
 
         spec = WorkloadSpec(num_requests=32, arrival_rate=1000.0, seed=9)
-        a = generate_workload(spec, num_nodes=500)
-        b = generate_workload(spec, num_nodes=500)
+        a = generate_workload(spec, task=NODE, num_nodes=500)
+        b = generate_workload(spec, task=NODE, num_nodes=500)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.seeds, y.seeds)
             assert len(x.seeds) == spec.seeds_per_request
@@ -481,21 +488,9 @@ class TestClusterValidation:
         with pytest.raises(ServeError):
             ClusterSimulator(pd, device=V100, num_replicas=0)
 
-    def test_partition_shard_count_must_match(self, pd):
-        partition = make_partition("hash", pd.graph, 3, seed=0)
-        with pytest.raises(ServeError):
-            ClusterSimulator(
-                pd, device=V100, num_replicas=2, partition=partition
-            )
-
     def test_shard_router_needs_partition(self, pd):
         with pytest.raises(ServeError):
             ClusterSimulator(pd, device=V100, num_replicas=2, router="shard")
-
-    def test_sharded_replica_needs_link(self, pd):
-        partition = make_partition("hash", pd.graph, 2, seed=0)
-        with pytest.raises(ServeError):
-            Replica(pd, device=V100, shard=partition.view(0), link=None)
 
     def test_prebuilt_router_accepted(self, pd):
         cluster = ClusterSimulator(

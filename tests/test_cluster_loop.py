@@ -31,7 +31,6 @@ from repro.dynamic import DynamicPolicy, UpdateBatch
 from repro.errors import ServeError
 from repro.serve import (
     AutoscalePolicy,
-    Autoscaler,
     ClusterSimulator,
     FailureEvent,
     FailureSpec,
@@ -40,6 +39,7 @@ from repro.serve import (
     ServePolicy,
     WorkloadSpec,
 )
+from repro.serve.control import AutoscaleSession
 
 
 @pytest.fixture(scope="module")
@@ -123,20 +123,17 @@ class TestSameTimestampOrder:
         interval = 5e-4
         ticks: dict[float, list[bool]] = {}
 
-        class SpyScaler(Autoscaler):
-            def decide(self, now, replicas):
-                ticks[now] = [r.alive for r in replicas]
-                return None
+        def spy_decide(now, replicas):
+            ticks[now] = [r.alive for r in replicas]
+            return None
 
         cluster = ClusterSimulator(
             pd,
             device=V100,
             num_replicas=2,
             router="jsq",
-            autoscale=SpyScaler(
-                AutoscalePolicy(
-                    min_replicas=2, max_replicas=2, interval=interval
-                )
+            autoscale=AutoscalePolicy(
+                min_replicas=2, max_replicas=2, interval=interval
             ),
             failures=FailureSpec(
                 events=(
@@ -145,6 +142,10 @@ class TestSameTimestampOrder:
                 ),
             ),
         )
+        (scaling,) = [
+            e for e in cluster.extensions if isinstance(e, AutoscaleSession)
+        ]
+        scaling.scaler.decide = spy_decide
         cluster.run(_requests(0.0, 1.2e-3))
         assert interval + interval == 2 * interval  # the instants coincide
         assert ticks[interval] == [True, False]  # kill ran before tick 1

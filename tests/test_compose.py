@@ -34,11 +34,9 @@ from repro.serve import (
     COMPOSER_POLICIES,
     ClusterSimulator,
     FifoComposer,
-    Replica,
     Request,
     ServePolicy,
     SizeBinnedComposer,
-    SuperbatchComposer,
     WorkloadSpec,
     clamp_fire,
     make_composer,
@@ -253,10 +251,6 @@ class TestMakeComposer:
         for name in COMPOSER_POLICIES:
             assert make_composer(name).name == name
 
-    def test_instances_pass_through(self):
-        composer = SuperbatchComposer()
-        assert make_composer(composer) is composer
-
     def test_unknown_name_rejected(self):
         with pytest.raises(ServeError):
             make_composer("lifo")
@@ -276,17 +270,16 @@ class TestMakeComposer:
             assert not plans[name].superbatch
             assert len(plans[name].indices) <= policy.max_batch
 
-    def test_superbatch_requires_capable_pipeline(self, pd):
+    def test_superbatch_requires_capable_pipeline(self, pd, monkeypatch):
         class _NoSuperbatch:
             supports_superbatch = False
 
-        with pytest.raises(ServeError):
-            Replica(
-                pd,
-                device=V100,
-                composer="superbatch",
-                pipelines=[_NoSuperbatch(), _NoSuperbatch()],
-            )
+        monkeypatch.setattr(
+            "repro.serve.cluster.build_pipelines",
+            lambda dataset, algorithm: [_NoSuperbatch(), _NoSuperbatch()],
+        )
+        with pytest.raises(ServeError, match="needs a super-batch"):
+            ClusterSimulator(pd, device=V100, composer="superbatch")
 
     def test_seed_bin_boundaries(self):
         assert seed_bin(1) == 1

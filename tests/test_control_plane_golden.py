@@ -25,13 +25,13 @@ from repro.device import V100
 from repro.dynamic import DynamicPolicy, UpdateSpec
 from repro.serve import (
     AutoscalePolicy,
-    Autoscaler,
     FailureEvent,
     FailureSpec,
     ServePolicy,
     WorkloadSpec,
     run_cluster_session,
 )
+from repro.serve.control import AutoscaleSession
 
 SPEC = WorkloadSpec(num_requests=300, arrival_rate=150_000.0, seed=7)
 POLICY = ServePolicy(max_batch=8, max_wait=5e-4, queue_capacity=32, slo=2e-3)
@@ -144,8 +144,8 @@ def _blind_shed(pd):
     )
 
 
-def _autoscale(pd, scaler):
-    return _session(pd, num_replicas=1, autoscale=scaler)
+def _autoscale(pd):
+    return _session(pd, num_replicas=1, autoscale=AUTOSCALE_POLICY)
 
 
 def _ingest_rebalance(pd):
@@ -181,17 +181,14 @@ def _failures_and_ingest(pd):
     )
 
 
-def _new_scaler():
-    return Autoscaler(
-        AutoscalePolicy(
-            min_replicas=1,
-            max_replicas=4,
-            interval=2e-4,
-            high_p99=1e-3,
-            cooldown=4e-4,
-            high_occupancy=6.0,
-        )
-    )
+AUTOSCALE_POLICY = AutoscalePolicy(
+    min_replicas=1,
+    max_replicas=4,
+    interval=2e-4,
+    high_p99=1e-3,
+    cooldown=4e-4,
+    high_occupancy=6.0,
+)
 
 
 class TestControlPlaneGolden:
@@ -213,8 +210,11 @@ class TestControlPlaneGolden:
         assert _digest(cluster, report) == BLIND_SHED_PIN
 
     def test_autoscale(self, pd):
-        scaler = _new_scaler()
-        cluster, report = _autoscale(pd, scaler)
+        cluster, report = _autoscale(pd)
+        (scaling,) = [
+            e for e in cluster.extensions if isinstance(e, AutoscaleSession)
+        ]
+        scaler = scaling.scaler
         assert report.scale_ups == 3
         assert _digest(cluster, report, scaler) == AUTOSCALE_PIN
 

@@ -40,6 +40,7 @@ from repro.serve import (
     run_cluster_session,
     summarize,
 )
+from repro.serve.control import AutoscaleSession
 
 
 @pytest.fixture(scope="module")
@@ -323,22 +324,28 @@ class TestAutoscaler:
     def test_scale_log_counts_live_replicas_only(self, pd):
         """A killed replica stays ``active``; the scale log's fleet size
         must count it out, as :meth:`Autoscaler.decide` does."""
-        scaler = Autoscaler(
-            AutoscalePolicy(
+        cluster, _ = run_cluster_session(
+            pd,
+            device=V100,
+            spec=SPEC,
+            policy=POLICY,
+            num_replicas=2,
+            router="jsq",
+            autoscale=AutoscalePolicy(
                 min_replicas=1,
                 max_replicas=4,
                 interval=2e-4,
                 high_p99=1e-3,
                 cooldown=4e-4,
                 high_occupancy=6.0,
-            )
-        )
-        _chaos(
-            pd,
-            replicas=2,
-            autoscale=scaler,
+            ),
             failures=FailureSpec.single_kill(1, 2e-4),
+            seed=7,
         )
+        (scaling,) = [
+            e for e in cluster.extensions if isinstance(e, AutoscaleSession)
+        ]
+        scaler = scaling.scaler
         assert [e.action for e in scaler.events] == ["up", "up"]
         assert [e.detail for e in scaler.events] == [2, 3]
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import new_rng
 from repro.device import ExecutionContext, V100
-from repro.errors import PassError
+from repro.errors import PassError, ShapeError
 from repro.ir.graph import DataFlowGraph
 from repro.ir.interpreter import Interpreter
 from repro.ir.trace import trace
@@ -123,17 +123,38 @@ class TestExecutionMachinery:
         sample, _ = sampler.run(np.arange(6), rng=new_rng(2))
         assert sample.nnz <= 12  # still correct under a forced layout
 
-    def test_tiled_broadcast_for_superbatch_vectors(self):
+    @staticmethod
+    def _mul(superbatched):
+        """``a * b`` over two input vectors, in a super-batched program
+        (one holding an ``sb_batch_ptr`` node) or a single-batch one."""
         ir = DataFlowGraph()
+        if superbatched:
+            ir.add_node("sb_batch_ptr", (), {"name": "_batch_ptr"})
         a = ir.add_node("input_tensor", (), {"name": "a"})
         b = ir.add_node("input_tensor", (), {"name": "b"})
         op = ir.add_node("t_binop", (a.node_id, b.node_id), {"op": "mul"})
         ir.outputs = [op.node_id]
-        interp = Interpreter(ir, ExecutionContext(V100))
-        (out,) = interp.run(
-            {"a": np.arange(6.0), "b": np.array([1.0, 2.0])}, new_rng(0)
+        return Interpreter(ir, ExecutionContext(V100))
+
+    def test_tiled_broadcast_for_superbatch_vectors(self):
+        (out,) = self._mul(superbatched=True).run(
+            {
+                "a": np.arange(6.0),
+                "b": np.array([1.0, 2.0]),
+                "_batch_ptr": np.array([0, 1, 2, 3]),
+            },
+            new_rng(0),
         )
         np.testing.assert_allclose(out, np.arange(6.0) * [1, 2, 1, 2, 1, 2])
+
+    def test_mismatched_vectors_refused_outside_a_superbatch(self):
+        """Lengths that divide each other (6 and 2) tile only under the
+        block-diagonal reading; a single-batch program is refused."""
+        interp = self._mul(superbatched=False)
+        with pytest.raises(ShapeError, match="6 and 2 differ outside"):
+            interp.run(
+                {"a": np.arange(6.0), "b": np.array([1.0, 2.0])}, new_rng(0)
+            )
 
     def test_intermediates_freed_incrementally(self, small_graph):
         """Peak memory must be below the sum of all intermediates."""

@@ -32,7 +32,6 @@ from repro.device import V100
 from repro.errors import ServeError
 from repro.serve import (
     ClusterSimulator,
-    Replica,
     Request,
     ServePolicy,
     WorkloadSpec,
@@ -46,7 +45,11 @@ from repro.serve import (
 from repro.serve.metrics import RequestLog
 from repro.serve.workload import _first_occurrences, _RankSampler
 from repro.sparse.formats import sorted_unique
-from repro.tasks import edge_endpoints_of
+from repro.tasks import edge_endpoints_of, make_task
+
+
+#: The session tasks direct ``generate_workload`` callers pass.
+NODE, LINKPRED = make_task("node"), make_task("linkpred")
 
 
 @pytest.fixture(scope="module")
@@ -82,8 +85,8 @@ class TestWorkload:
 
     def test_same_spec_same_stream(self):
         spec = WorkloadSpec(num_requests=64, arrival_rate=1000.0, seed=7)
-        a = generate_workload(spec, num_nodes=500)
-        b = generate_workload(spec, num_nodes=500)
+        a = generate_workload(spec, task=NODE, num_nodes=500)
+        b = generate_workload(spec, task=NODE, num_nodes=500)
         assert [r.arrival for r in a] == [r.arrival for r in b]
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.seeds, y.seeds)
@@ -130,7 +133,9 @@ class TestWorkload:
             num_requests=200, arrival_rate=1000.0, seeds_per_request=4,
             skew=1.5, seed=3,
         )
-        requests = generate_workload(spec, num_nodes=100, hotness=hotness)
+        requests = generate_workload(
+            spec, task=NODE, num_nodes=100, hotness=hotness
+        )
         seeds = np.concatenate([r.seeds for r in requests])
         hot_share = np.mean(seeds >= 80)  # top-20% nodes by hotness
         assert hot_share > 0.5
@@ -211,10 +216,11 @@ class TestWorkload:
         assert ours.random() == numpys.random()
 
     @pytest.mark.parametrize(
-        "spec, digest",
+        "spec, task, digest",
         [
             (
                 WorkloadSpec(num_requests=256, seed=5),
+                NODE,
                 "d2b43e9c9a5284363e98365209fe8ea9bb4dac76a79013e8579809f2f9bc2bc8",
             ),
             (
@@ -224,21 +230,24 @@ class TestWorkload:
                     process="bursty",
                     max_seeds_per_request=32,
                 ),
+                NODE,
                 "91274c76c147ea890475f64ce2ba62cf058887e2b3ba176fb5d91bb3a0e53290",
             ),
             (
-                WorkloadSpec(num_requests=64, seed=7, task="linkpred"),
+                WorkloadSpec(num_requests=64, seed=7),
+                LINKPRED,
                 "9fc7b062b7b12420de6f10b89dde6f0a067d4556ee1be5b93a733dac3429ac6b",
             ),
         ],
         ids=["node", "node-8..32-seeds", "linkpred"],
     )
     def test_stream_equals_the_one_recorded_before_the_cdf_was_hoisted(
-        self, pd, spec, digest
+        self, pd, spec, task, digest
     ):
         """Digests recorded with ``rng.choice(..., p=...)`` per request."""
         requests = generate_workload(
             spec,
+            task=task,
             num_nodes=pd.num_nodes,
             hotness=graph_degrees(pd.graph),
             edges=edge_endpoints_of(pd.graph),
@@ -253,11 +262,14 @@ class TestWorkload:
     def test_underflowing_skew_is_refused_before_any_draw(self, task):
         """``rank ** -400`` is 0 past rank 6; NumPy's own complaint came
         from inside ``choice``, as a ``ValueError``."""
-        spec = WorkloadSpec(num_requests=4, skew=400.0, task=task)
+        spec = WorkloadSpec(num_requests=4, skew=400.0)
         ring = np.arange(1000, dtype=np.int64)
         with pytest.raises(ServeError, match=r"skew 400\.0 leaves 6 of 1000 .* 8"):
             generate_workload(
-                spec, num_nodes=1000, edges=(ring, (ring + 1) % 1000)
+                spec,
+                task=make_task(task),
+                num_nodes=1000,
+                edges=(ring, (ring + 1) % 1000),
             )
 
     def test_one_rank_sampler(self):
@@ -281,10 +293,8 @@ class TestWorkload:
             WorkloadSpec(burst_factor=0.5)
         with pytest.raises(ServeError):
             generate_workload(
-                WorkloadSpec(seeds_per_request=64), num_nodes=32
+                WorkloadSpec(seeds_per_request=64), task=NODE, num_nodes=32
             )
-        with pytest.raises(ServeError):
-            WorkloadSpec(task="lunar")
 
     def test_seed_payload_validation(self):
         from repro.serve.workload import as_seed_units
@@ -302,7 +312,7 @@ class TestWorkload:
         spec = WorkloadSpec(
             num_requests=8, arrival_rate=1000.0, seeds_per_request=1
         )
-        requests = generate_workload(spec, num_nodes=1)
+        requests = generate_workload(spec, task=NODE, num_nodes=1)
         for r in requests:
             np.testing.assert_array_equal(r.seeds, [0])
 
@@ -311,7 +321,7 @@ class TestWorkload:
             num_requests=32, arrival_rate=1000.0, seeds_per_request=4,
             max_seeds_per_request=4,
         )
-        requests = generate_workload(spec, num_nodes=100)
+        requests = generate_workload(spec, task=NODE, num_nodes=100)
         assert {len(r.seeds) for r in requests} == {4}
 
     def test_zero_skew_workload_is_uniformish(self):
@@ -319,7 +329,7 @@ class TestWorkload:
             num_requests=400, arrival_rate=1000.0, seeds_per_request=4,
             skew=0.0, seed=5,
         )
-        requests = generate_workload(spec, num_nodes=100)
+        requests = generate_workload(spec, task=NODE, num_nodes=100)
         seeds = np.concatenate([r.seeds for r in requests])
         # Uniform draws put ~20% of mass in any 20-id band.
         hot_share = np.mean(seeds >= 80)
@@ -336,9 +346,9 @@ class TestLinkpredWorkload:
         return edge_endpoints_of(pd.graph)
 
     def test_requires_edges(self):
-        spec = WorkloadSpec(num_requests=4, task="linkpred")
+        spec = WorkloadSpec(num_requests=4)
         with pytest.raises(ServeError):
-            generate_workload(spec, num_nodes=100)
+            generate_workload(spec, task=LINKPRED, num_nodes=100)
 
     def test_pair_payload_contract(self, pd):
         from repro.tasks import edge_keys
@@ -347,10 +357,10 @@ class TestLinkpredWorkload:
         live = np.sort(edge_keys(src, dst, pd.num_nodes))
         spec = WorkloadSpec(
             num_requests=32, arrival_rate=1000.0, seeds_per_request=4,
-            task="linkpred", seed=11,
+            seed=11,
         )
         requests = generate_workload(
-            spec, num_nodes=pd.num_nodes, edges=(src, dst)
+            spec, task=LINKPRED, num_nodes=pd.num_nodes, edges=(src, dst)
         )
         for r in requests:
             assert r.seeds.dtype == np.int64
@@ -367,11 +377,10 @@ class TestLinkpredWorkload:
 
     def test_same_spec_same_pair_stream(self, pd):
         src, dst = self._edges(pd)
-        spec = WorkloadSpec(
-            num_requests=16, arrival_rate=1000.0, task="linkpred", seed=2
-        )
-        a = generate_workload(spec, num_nodes=pd.num_nodes, edges=(src, dst))
-        b = generate_workload(spec, num_nodes=pd.num_nodes, edges=(src, dst))
+        spec = WorkloadSpec(num_requests=16, arrival_rate=1000.0, seed=2)
+        kwargs = dict(task=LINKPRED, num_nodes=pd.num_nodes, edges=(src, dst))
+        a = generate_workload(spec, **kwargs)
+        b = generate_workload(spec, **kwargs)
         for x, y in zip(a, b):
             np.testing.assert_array_equal(x.seeds, y.seeds)
 
@@ -381,8 +390,7 @@ class TestLinkpredWorkload:
                 pd,
                 device=V100,
                 spec=WorkloadSpec(
-                    num_requests=48, arrival_rate=20000.0, task="linkpred",
-                    seed=3,
+                    num_requests=48, arrival_rate=20000.0, seed=3
                 ),
                 task="linkpred",
                 seed=3,
@@ -1163,7 +1171,7 @@ class TestServeLoopRegressions:
             slo=1e-3,
             min_samples=16,
         )
-        sim = Replica(pd, device=V100, policy=policy, seed=0)
+        sim = ClusterSimulator(pd, device=V100, policy=policy).replicas[0]
         # Step change: every completion suddenly breaches the SLO.
         transitions = self._ladder_transitions(sim, [5e-3] * 48)
         assert sim._level == 2
@@ -1180,7 +1188,7 @@ class TestServeLoopRegressions:
             slo=1e-3,
             min_samples=16,
         )
-        sim = Replica(pd, device=V100, policy=policy, seed=0)
+        sim = ClusterSimulator(pd, device=V100, policy=policy).replicas[0]
         sim._level = 2
         # Step recovery: latencies land well under RECOVER_MARGIN * slo.
         transitions = self._ladder_transitions(sim, [1e-4] * 48)
@@ -1198,7 +1206,7 @@ class TestServeLoopRegressions:
             slo=1e-3,
             min_samples=16,
         )
-        sim = Replica(pd, device=V100, policy=policy, seed=0)
+        sim = ClusterSimulator(pd, device=V100, policy=policy).replicas[0]
         # Alternate just-over / just-under the SLO for 160 completions.
         latencies = [1.05e-3 if i % 2 else 0.95e-3 for i in range(160)]
         transitions = self._ladder_transitions(sim, latencies)

@@ -12,9 +12,9 @@ import repro
 from repro import cli
 from repro.datasets import load_dataset
 from repro.device import V100
-from repro.errors import ServeError
+from repro.errors import GSamplerError
 from repro.pipeline import run_pipeline_cell
-from repro.serve import ClusterSimulator, WorkloadSpec
+from repro.serve import ClusterSimulator
 from repro.tasks import available_tasks
 
 SRC = pathlib.Path(repro.__file__).parent
@@ -110,17 +110,15 @@ class TestStoreForkIsKnownToOnePackage:
 
 
 class TestTaskIsKnownToOnePackage:
-    def test_cli_choices_and_workload_spec_read_the_task_registry(self):
+    def test_cli_choices_and_session_task_read_the_task_registry(self, pd):
         parser = cli._build_parser()
         serve = parser._subparsers._group_actions[0].choices["serve"]
         (task_flag,) = [
             action for action in serve._actions if action.dest == "task"
         ]
         assert tuple(task_flag.choices) == available_tasks()
-        for name in available_tasks():
-            assert WorkloadSpec(task=name).task == name
-        with pytest.raises(ServeError, match="unknown workload task"):
-            WorkloadSpec(task="lunar")
+        with pytest.raises(GSamplerError, match="unknown task 'lunar'"):
+            ClusterSimulator(pd, device=V100, task="lunar")
 
     def test_serve_package_spells_no_task_name(self):
         """No second name list, no string compare: under ``repro/serve``

@@ -306,6 +306,49 @@ class TestSharedExtraction:
         np.testing.assert_array_equal(to_dense(got), to_dense(want))
 
 
+#: Every algorithm whose compiled layers run super-batched.
+SUPERBATCH_ALGORITHMS = ("asgcn", "fastgcn", "graphsage", "labor", "ladies", "vrgcn")
+
+
+def test_superbatch_algorithms_are_the_capable_ones():
+    from repro.algorithms import available_algorithms, make_algorithm
+
+    capable = {n for n in available_algorithms() if make_algorithm(n).superbatch}
+    assert capable == set(SUPERBATCH_ALGORITHMS)
+
+
+@pytest.fixture(scope="module")
+def pd_small():
+    from repro.datasets import load_dataset
+
+    return load_dataset("pd", scale=0.05)
+
+
+@pytest.mark.parametrize("name", SUPERBATCH_ALGORITHMS)
+def test_superbatch_of_one_is_the_batch_run(name, pd_small):
+    """``run_superbatch([seeds])`` is ``run(seeds)`` under the same draws:
+    the same COO arrays, the same next frontiers, the generator left in
+    the same state.  (FastGCN's pieces used to lose the collectively
+    sampled rows with no edge into their batch: 417 of 512 frontiers.)"""
+    from repro.algorithms import make_algorithm
+
+    seeds = pd_small.train_ids[:32]
+    pipeline = make_algorithm(name).build(
+        pd_small.graph, seeds, features=pd_small.features
+    )
+    tensors = pipeline.tensors_fn and pipeline.tensors_fn()
+    for sampler in pipeline.samplers:
+        single, fused = new_rng(7), new_rng(7)
+        matrix, frontiers = sampler.run(seeds, tensors=tensors, rng=single)
+        (piece,) = sampler.run_superbatch([seeds], tensors=tensors, rng=fused)
+        for got, want in zip(
+            piece.matrix.to_coo_arrays(), matrix.to_coo_arrays()
+        ):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(piece.next_frontiers, frontiers)
+        assert fused.bit_generator.state == single.bit_generator.state
+
+
 def _parent_split_sample(matrix, batch_ptr, num_graph_rows, ctx):
     """The eager ``split_sample`` that built every piece's matrix, kept
     verbatim as the oracle of the pieces built on read."""
@@ -360,9 +403,9 @@ def _merged_windows(graph, layer, batches, K, monkeypatch):
     seen = []
     real = superbatch_ops.split_sample
 
-    def capture(matrix, batch_ptr, num_graph_rows, ctx):
-        seen.append((matrix, batch_ptr, num_graph_rows))
-        return real(matrix, batch_ptr, num_graph_rows, ctx)
+    def capture(matrix, batch_ptr, num_graph_rows, ctx, **kwargs):
+        seen.append((matrix, batch_ptr, num_graph_rows, kwargs))
+        return real(matrix, batch_ptr, num_graph_rows, ctx, **kwargs)
 
     sampler = compile_sampler(layer, graph, batches[0], constants={"K": K})
     with monkeypatch.context() as patch:
@@ -387,12 +430,12 @@ class TestSplitOracle:
             "col_ids": matrix.col_ids,
         }
 
-    def _assert_split_equal(self, matrix, batch_ptr, num_graph_rows):
+    def _assert_split_equal(self, matrix, batch_ptr, num_graph_rows, **kwargs):
         import dataclasses
 
         got_ctx, want_ctx = ExecutionContext(V100), ExecutionContext(V100)
         pieces = superbatch_ops.split_sample(
-            matrix, batch_ptr, num_graph_rows, got_ctx
+            matrix, batch_ptr, num_graph_rows, got_ctx, **kwargs
         )
         want = _parent_split_sample(matrix, batch_ptr, num_graph_rows, want_ctx)
         assert [dataclasses.astuple(x) for x in got_ctx.launches] == [
@@ -423,10 +466,10 @@ class TestSplitOracle:
     def test_windows(self, layer, K, small_graph, monkeypatch):
         batches = [np.arange(8), np.arange(50, 61), np.arange(100, 105)]
         for window in (batches, batches[:1]):
-            for matrix, batch_ptr, rows in _merged_windows(
+            for matrix, batch_ptr, rows, kwargs in _merged_windows(
                 small_graph, layer, window, K, monkeypatch
             ):
-                self._assert_split_equal(matrix, batch_ptr, rows)
+                self._assert_split_equal(matrix, batch_ptr, rows, **kwargs)
 
     def test_zero_edge_and_empty_pieces(self):
         from repro.core.matrix import from_edges
