@@ -108,19 +108,42 @@ class LayeredPipeline(Pipeline):
         self.supports_superbatch = supports_superbatch
         self.finalize = finalize
 
-    def _sample(
+    def sample_batch(
+        self,
+        seeds: np.ndarray,
+        *,
+        ctx: ExecutionContext = NULL_CONTEXT,
+        rng: np.random.Generator | None = None,
+    ) -> object:
+        return self.sample_superbatch([seeds], ctx=ctx, rng=rng)[0]
+
+    def sample_superbatch(
         self,
         seed_batches: Sequence[np.ndarray],
-        hop_all: Callable[[CompiledSampler | Hop, list[np.ndarray]], list],
-        ctx: ExecutionContext,
+        *,
+        ctx: ExecutionContext = NULL_CONTEXT,
+        rng: np.random.Generator | None = None,
     ) -> list:
-        """Hop every batch through the layers until all frontiers are empty."""
+        """Hop every batch through the layers until all frontiers are
+        empty; a batch is a super-batch of one, which every pipeline
+        samples."""
+        if len(seed_batches) > 1 and not self.supports_superbatch:
+            raise NotImplementedError("this algorithm excludes super-batching")
+        rng = rng if rng is not None else new_rng(None)
+        tensors = self.tensors_fn and self.tensors_fn()
         frontier_sets = [np.asarray(b) for b in seed_batches]
         layers: list[list[SampledLayer]] = [[] for _ in frontier_sets]
         for layer in self.layers:
             if not any(len(f) for f in frontier_sets):
                 break
-            results = hop_all(layer, frontier_sets)
+            if isinstance(layer, CompiledSampler):
+                # Each piece stands in for its matrix until a reader needs it.
+                pieces = layer.run_superbatch(
+                    frontier_sets, tensors=tensors, ctx=ctx, rng=rng
+                )
+                results = [(piece, piece.next_frontiers) for piece in pieces]
+            else:
+                results = [layer(frontier_sets[0], ctx, rng)]
             for sampled, frontiers, (matrix, nxt) in zip(layers, frontier_sets, results):
                 sampled.append(
                     SampledLayer(matrix=matrix, input_nodes=frontiers, output_nodes=nxt)
@@ -133,44 +156,6 @@ class LayeredPipeline(Pipeline):
         if self.finalize is not None:
             samples = [self.finalize(s, ctx) for s in samples]
         return samples
-
-    def sample_batch(
-        self,
-        seeds: np.ndarray,
-        *,
-        ctx: ExecutionContext = NULL_CONTEXT,
-        rng: np.random.Generator | None = None,
-    ) -> object:
-        rng = rng if rng is not None else new_rng(None)
-        tensors = self.tensors_fn and self.tensors_fn()
-
-        def hop(layer: CompiledSampler | Hop, frontier_sets: list[np.ndarray]) -> list:
-            if isinstance(layer, CompiledSampler):
-                return [layer.run(frontier_sets[0], tensors=tensors, ctx=ctx, rng=rng)]
-            return [layer(frontier_sets[0], ctx, rng)]
-
-        return self._sample([seeds], hop, ctx)[0]
-
-    def sample_superbatch(
-        self,
-        seed_batches: Sequence[np.ndarray],
-        *,
-        ctx: ExecutionContext = NULL_CONTEXT,
-        rng: np.random.Generator | None = None,
-    ) -> list:
-        if not self.supports_superbatch:
-            raise NotImplementedError("this algorithm excludes super-batching")
-        rng = rng if rng is not None else new_rng(None)
-        tensors = self.tensors_fn and self.tensors_fn()
-
-        def hop(layer: CompiledSampler, frontier_sets: list[np.ndarray]) -> list:
-            # Each piece stands in for its matrix until a reader needs it.
-            pieces = layer.run_superbatch(
-                frontier_sets, tensors=tensors, ctx=ctx, rng=rng
-            )
-            return [(piece, piece.next_frontiers) for piece in pieces]
-
-        return self._sample(seed_batches, hop, ctx)
 
 
 #: Fanout list used when an algorithm follows the DGL/PyG GraphSAGE

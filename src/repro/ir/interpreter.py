@@ -7,6 +7,12 @@ accounting every intermediate's device memory in the context's pool —
 freeing it after its last use, the way a stream-ordered caching allocator
 would.  This is where fusion's memory saving and super-batching's
 occupancy gain become measurable.
+
+A batch is a super-batch of one.  A run carries a batch pointer over its
+concatenated frontiers; with more than one batch, the nodes the compiled
+program decided to segment (:func:`segmented_nodes`) call their
+:mod:`~repro.ir.superbatch_ops` kernel, and every other node, like every
+node of a one-batch run, its single-batch kernel.
 """
 
 from __future__ import annotations
@@ -22,6 +28,47 @@ from repro.ir.graph import DataFlowGraph, Node
 from repro.sparse import CSC
 from repro.sparse import kernels as K
 from repro.sparse.formats import FrontierRanges, frontier_ranges
+
+
+def _reduces_rows(node: Node) -> bool:
+    """Whether ``node`` aggregates across the row dimension, and so would
+    mix batches that shared one row space."""
+    axis = node.attrs.get("reduce_axis" if node.op == "fused_map_reduce" else "axis")
+    return node.op == "collective_sample" or (
+        node.op in ("reduce", "fused_map_reduce", "fused_extract_reduce")
+        and axis == 0
+    )
+
+
+def _must_segment(ir: DataFlowGraph, node: Node) -> bool:
+    """A collective sample always; a column slice when it slices the base
+    graph (where batches would share one row space); an extract-reduce of
+    the base graph only if it also reduces per row."""
+    if node.op == "collective_sample":
+        return True
+    if node.op != "slice_cols" and not (
+        node.op == "fused_extract_reduce" and node.attrs.get("axis") == 0
+    ):
+        return False
+    src = ir.node(node.inputs[0])
+    return src.op in ("input_graph", "input_precomputed") and getattr(
+        src.attrs.get("_meta"), "is_base_graph", False
+    )
+
+
+def segmented_nodes(ir: DataFlowGraph) -> frozenset[int]:
+    """The ids of the nodes that run segmented by batch in a super-batch
+    (Section 4.4), decided once per compiled program.
+
+    None, unless some node aggregates across rows: a purely node-wise
+    program (GraphSAGE, walks) is batch-oblivious, so concatenating the
+    batches alone keeps them independent.  Otherwise every batch gets its
+    own row block (block-diagonal row ids ``b * M + node``), which the
+    nodes :func:`_must_segment` names build and read.
+    """
+    if not any(_reduces_rows(node) for node in ir.nodes()):
+        return frozenset()
+    return frozenset(n.node_id for n in ir.nodes() if _must_segment(ir, n))
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
@@ -47,7 +94,11 @@ _T_UNOPS = {
 
 
 class Interpreter:
-    """Executes one IR graph per call, with per-run RNG and inputs."""
+    """Executes one IR graph per call, with per-run RNG and inputs.
+
+    ``segmented`` names the nodes that run segmented by batch when a run
+    carries more than one batch (:func:`segmented_nodes`).
+    """
 
     def __init__(
         self,
@@ -55,13 +106,18 @@ class Interpreter:
         ctx: ExecutionContext,
         *,
         precomputed: dict[str, object] | None = None,
+        segmented: frozenset[int] = frozenset(),
     ) -> None:
         self.ir = ir
         self.ctx = ctx
         self.precomputed = precomputed or {}
+        self.segmented = segmented
         self._last_use = self._compute_last_uses()
-        #: Row ids are block-diagonal (``b * M + node``) in this program.
-        self._superbatched = any(n.op == "sb_batch_ptr" for n in ir.nodes())
+        #: The last node to read the batch pointer.
+        self._last_segment = max(
+            (i for i, n in enumerate(ir.nodes()) if n.node_id in segmented),
+            default=-1,
+        )
 
     def _compute_last_uses(self) -> dict[int, int]:
         """Map node id -> id of the last node that consumes it.
@@ -81,18 +137,35 @@ class Interpreter:
         self,
         inputs: dict[str, object],
         rng: np.random.Generator,
+        batch_ptr: np.ndarray | None = None,
     ) -> list[object]:
-        """Execute the graph; returns output values in order."""
+        """Execute the graph over the batches ``batch_ptr`` delimits in
+        the concatenated frontiers (``None`` is one batch); returns
+        output values in order."""
+        self._batch_ptr = batch_ptr
+        #: The nodes segmenting in this run: none in a one-batch run.  Row
+        #: ids are block-diagonal (``b * M + node``) in a run that segments.
+        self._segmenting = (
+            self.segmented
+            if batch_ptr is not None and len(batch_ptr) > 2
+            else frozenset()
+        )
         env: dict[int, object] = {}
         handles: dict[int, object] = {}
-        #: This run's frontier ranges, by the IR values of the frontiers
-        #: (and batch pointer) they were gathered for.
-        self._ranges: dict[tuple[int, ...], FrontierRanges] = {}
-        for node in self.ir.nodes():
+        #: This run's frontier ranges, by the IR value of the frontiers
+        #: they were gathered for and whether they are block ranges.
+        self._ranges: dict[tuple[int, bool], FrontierRanges] = {}
+        if self._segmenting:
+            # The pointer lives on the device from the start of the run
+            # until its last segmenting reader is done.
+            ptr_handle = self.ctx.memory.alloc(batch_ptr.nbytes, tag="batch_ptr")
+        for position, node in enumerate(self.ir.nodes()):
             value = self._execute(node, env, inputs, rng)
             env[node.node_id] = value
             self._account_alloc(node, value, handles)
             self._release_dead(node, env, handles)
+            if self._segmenting and position == self._last_segment:
+                self.ctx.memory.free(ptr_handle)
         outputs = [env[i] for i in self.ir.outputs]
         for handle in handles.values():
             self.ctx.memory.free(handle)  # type: ignore[arg-type]
@@ -171,23 +244,31 @@ class Interpreter:
     # ------------------------------------------------------------------
     # Extract
     # ------------------------------------------------------------------
-    def _shared_ranges(self, node, csc, frontiers, batch_ptr=None):
-        """The ranges of ``frontiers`` (per ``batch_ptr`` when
-        super-batched) in ``csc``, gathered once per run for every kernel
-        that reads the same frontiers out of the same topology — a hop's
-        column slice of ``A`` and its extract-reduce of ``A ** 2``."""
-        key = tuple(node.inputs[1:])
+    def _shared_ranges(self, node, csc, frontiers):
+        """The ranges of ``frontiers`` in ``csc`` (per batch when ``node``
+        segments), gathered once per run for every kernel that reads the
+        same frontiers out of the same topology — a hop's column slice of
+        ``A`` and its extract-reduce of ``A ** 2``."""
+        segments = node.node_id in self._segmenting
+        key = (node.inputs[1], segments)
         ranges = self._ranges.get(key)
         if ranges is None or not ranges.of(csc):
             ranges = self._ranges[key] = (
-                frontier_ranges(csc, frontiers)
-                if batch_ptr is None
-                else superbatch_ops.block_ranges(csc, frontiers, batch_ptr)
+                superbatch_ops.block_ranges(csc, frontiers, self._batch_ptr)
+                if segments
+                else frontier_ranges(csc, frontiers)
             )
         return ranges
 
     def _op_slice_cols(self, node, args, inputs, rng):
         matrix, idx = args
+        if node.node_id in self._segmenting:
+            return superbatch_ops.sb_slice_cols(
+                matrix,
+                self._shared_ranges(node, matrix.get("csc"), idx),
+                self._batch_ptr,
+                self.ctx,
+            )
         source = matrix._source_along(1)
         if not isinstance(source, CSC):
             return matrix.slice_cols(np.asarray(idx))
@@ -278,6 +359,15 @@ class Interpreter:
     def _op_collective_sample(self, node, args, inputs, rng):
         matrix = args[0]
         probs = np.asarray(args[1]) if node.attrs.get("has_probs") else None
+        if node.node_id in self._segmenting:
+            return superbatch_ops.sb_collective_sample(
+                matrix,
+                node.attrs["k"],
+                self._batch_ptr,
+                probs,
+                rng=rng,
+                ctx=self.ctx,
+            )
         return matrix.collective_sample(
             node.attrs["k"],
             probs,
@@ -340,24 +430,18 @@ class Interpreter:
     def _op_fused_extract_reduce(self, node, args, inputs, rng):
         graph, frontiers = args
         csc = graph.get("csc")
+        ranges = self._shared_ranges(node, csc, frontiers)
+        if node.node_id in self._segmenting:
+            return superbatch_ops.sb_fused_extract_reduce(
+                graph,
+                ranges,
+                self._batch_ptr,
+                node.attrs["op"],
+                node.attrs["axis"],
+                self.ctx,
+            )
         return sampling.fused_extract_reduce(
-            csc,
-            self._shared_ranges(node, csc, frontiers),
-            node.attrs["op"],
-            node.attrs["axis"],
-            ctx=self.ctx,
-        )
-
-    def _op_sb_fused_extract_reduce(self, node, args, inputs, rng):
-        graph, frontiers, batch_ptr = args
-        csc = graph.get("csc")
-        return superbatch_ops.sb_fused_extract_reduce(
-            graph,
-            self._shared_ranges(node, csc, frontiers, batch_ptr),
-            batch_ptr,
-            node.attrs["op"],
-            node.attrs["axis"],
-            self.ctx,
+            csc, ranges, node.attrs["op"], node.attrs["axis"], ctx=self.ctx
         )
 
     def _op_fused_map_chain(self, node, args, inputs, rng):
@@ -378,36 +462,6 @@ class Interpreter:
         )
 
     # ------------------------------------------------------------------
-    # Super-batch operators
-    # ------------------------------------------------------------------
-    def _op_sb_slice_cols(self, node, args, inputs, rng):
-        matrix, frontiers, batch_ptr = args
-        csc = matrix.get("csc")
-        return superbatch_ops.sb_slice_cols(
-            matrix,
-            self._shared_ranges(node, csc, frontiers, batch_ptr),
-            batch_ptr,
-            self.ctx,
-        )
-
-    def _op_sb_collective_sample(self, node, args, inputs, rng):
-        matrix = args[0]
-        batch_ptr = np.asarray(args[1])
-        probs = np.asarray(args[2]) if node.attrs.get("has_probs") else None
-        return superbatch_ops.sb_collective_sample(
-            matrix,
-            node.attrs["k"],
-            batch_ptr,
-            probs,
-            replace=node.attrs.get("replace", False),
-            rng=rng,
-            ctx=self.ctx,
-        )
-
-    def _op_sb_batch_ptr(self, node, args, inputs, rng):
-        return np.asarray(inputs["_batch_ptr"])
-
-    # ------------------------------------------------------------------
     # Dense tensor operators
     # ------------------------------------------------------------------
     def _op_t_binop(self, node, args, inputs, rng):
@@ -417,8 +471,9 @@ class Interpreter:
             # B*M) next to batch-invariant per-node vectors (length M);
             # the block-diagonal semantics is that the invariant vector
             # repeats per batch, so the shorter operand is tiled when the
-            # lengths divide.  A single-batch program has no such reading.
-            if not self._superbatched:
+            # lengths divide.  A run that segments nothing has no such
+            # reading.
+            if not self._segmenting:
                 raise ShapeError(
                     f"t_binop %{node.node_id}: operand lengths {len(a)} and "
                     f"{len(b)} differ outside a super-batch"
@@ -444,7 +499,7 @@ class Interpreter:
 
     def _op_t_index(self, node, args, inputs, rng):
         base, idx = (np.asarray(x) for x in args)
-        if self._superbatched:
+        if self._segmenting:
             # The same block-diagonal reading as in ``_op_t_binop``: a
             # per-(batch, node) vector (length B*M) is read in place, a
             # batch-invariant per-node one (length M) repeats per batch.

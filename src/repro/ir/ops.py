@@ -4,7 +4,7 @@ The compiler reasons about *classes* of a small closed vocabulary — which
 ECSF step an operator belongs to (Section 3), whether it changes graph
 structure (Section 4.3: only those get layout decisions), whether it is a
 random draw (CSE must not merge it), whether it is an edge map that may
-fuse or hoist (Section 4.2), what its segmented twin is (Section 4.4).
+fuse or hoist (Section 4.2).
 Each fact is one field of one :class:`OpSpec` row here; passes and the
 invariant checker ask ``OPS[node.op]`` instead of keeping name lists of
 their own.  The vocabulary is closed: an operator without a row is
@@ -12,9 +12,8 @@ rejected by :func:`repro.verify.invariants.check_invariants`, and
 ``tests/test_ops_table.py`` fails when a row lacks its interpreter
 handler (or a handler its row).
 
-Operand tokens: ``matrix`` / ``tensor`` / ``ptr`` (the ``sb_batch_ptr``
-node, matched by identity) / ``any``; a ``?`` prefix marks an optional
-trailing operand, ``*`` a variadic tail.
+Operand tokens: ``matrix`` / ``tensor`` / ``any``; a ``?`` prefix marks
+an optional trailing operand, ``*`` a variadic tail.
 """
 
 from __future__ import annotations
@@ -47,24 +46,18 @@ class OpSpec:
     edge_map: bool = False
     #: The per-edge result ignores which frontiers were sliced (hoistable).
     edge_local: bool = False
-    #: The segmented operator that replaces this one in a block-diagonal
-    #: super-batch; its ``ptr`` operand says where the pointer is spliced.
-    superbatch_form: str | None = None
 
 
 _M, _T = "matrix", "tensor"
 
 OPS: dict[str, OpSpec] = {
-    # Leaves: traced inputs and constants, hoisted values, the batch pointer.
+    # Leaves: traced inputs and constants, hoisted values.
     "input_graph": OpSpec(produces=_M),
     "input_tensor": OpSpec(),
     "input_precomputed": OpSpec(produces="any"),  # a hoisted matrix or tensor
     "const": OpSpec(),
-    "sb_batch_ptr": OpSpec(),
     # Extract.
-    "slice_cols": OpSpec(
-        (_M, _T), _M, Step.EXTRACT, native_layout="csc", superbatch_form="sb_slice_cols"
-    ),
+    "slice_cols": OpSpec((_M, _T), _M, Step.EXTRACT, native_layout="csc"),
     "slice_rows": OpSpec((_M, _T), _M, Step.EXTRACT, native_layout="csr"),
     # Compute: edge maps, reductions, sparse-dense products.
     "map_scalar": OpSpec((_M,), _M, Step.COMPUTE, edge_map=True, edge_local=True),
@@ -82,7 +75,7 @@ OPS: dict[str, OpSpec] = {
     ),
     "collective_sample": OpSpec(
         (_M, "?tensor"), _M, Step.SELECT, impure=True, native_layout="csc",
-        takes_probs=True, superbatch_form="sb_collective_sample",
+        takes_probs=True,
     ),
     "labor_sample": OpSpec((_M,), _M, Step.SELECT, impure=True, native_layout="csc"),
     # Finalize.
@@ -100,17 +93,9 @@ OPS: dict[str, OpSpec] = {
     "fused_extract_select": OpSpec(
         (_M, _T, "?tensor"), _M, impure=True, native_layout="csc", takes_probs=True
     ),
-    "fused_extract_reduce": OpSpec(
-        (_M, _T), _T, superbatch_form="sb_fused_extract_reduce"
-    ),
+    "fused_extract_reduce": OpSpec((_M, _T), _T),
     "fused_map_chain": OpSpec((_M, "*any"), _M),
     "fused_map_reduce": OpSpec((_M, "*any"), _T),
-    # Segmented forms, inserted by the super-batch rewrite.
-    "sb_slice_cols": OpSpec((_M, _T, "ptr"), _M, native_layout="csc"),
-    "sb_collective_sample": OpSpec(
-        (_M, "ptr", "?tensor"), _M, impure=True, native_layout="csc", takes_probs=True
-    ),
-    "sb_fused_extract_reduce": OpSpec((_M, _T, "ptr"), _T),
 }
 
 #: Operators whose results are random draws; never CSE-merge these.

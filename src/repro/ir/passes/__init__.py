@@ -1,4 +1,4 @@
-"""IR optimization passes: cleanup, fusion, pre-processing, layout, batch."""
+"""IR optimization passes: cleanup, fusion, pre-processing, layout."""
 
 from repro.ir.passes.base import (
     Pass,
@@ -19,7 +19,6 @@ from repro.ir.passes.fusion import (
 )
 from repro.ir.passes.layout import GreedyLayoutPass, LayoutSelectionPass
 from repro.ir.passes.preprocess import PreprocessPass
-from repro.ir.passes.superbatch import SuperBatchPass, needs_block_diagonal
 
 __all__ = [
     "CommonSubexpressionElimination",
@@ -36,6 +35,4 @@ __all__ = [
     "PassStat",
     "PreprocessPass",
     "run_measured_pass",
-    "SuperBatchPass",
-    "needs_block_diagonal",
 ]

@@ -112,10 +112,9 @@ class PassManager:
 
     With ``debug=True`` every pass transition is additionally vetted by
     the full IR invariant checker (:mod:`repro.verify.invariants`):
-    topological order, layout legality, operand-kind consistency, and
-    super-batch pointer discipline.  A buggy pass then fails immediately,
-    with the offending pass named in the error, instead of producing a
-    silently skewed sampler.  The default (``debug=False``) keeps only
+    topological order, layout legality and operand-kind consistency.  A
+    buggy pass then fails immediately, with the offending pass named in
+    the error, instead of producing a silently skewed sampler.  The default (``debug=False``) keeps only
     the cheap structural ``validate`` on the hot compile path.
     """
 

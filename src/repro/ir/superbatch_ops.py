@@ -16,6 +16,7 @@ input for the compute operators").
 from __future__ import annotations
 
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -171,7 +172,6 @@ def sb_collective_sample(
     batch_ptr: np.ndarray,
     node_probs: np.ndarray | None = None,
     *,
-    replace: bool = False,
     rng: np.random.Generator | None = None,
     ctx: ExecutionContext = NULL_CONTEXT,
 ) -> Matrix:
@@ -180,9 +180,8 @@ def sb_collective_sample(
     ``matrix`` must be in block-diagonal row space (from
     :func:`sb_slice_cols`); row block ``b`` is segment ``b``.  Sampling is
     independent per segment, matching the paper's ``segmented collective
-    sample`` replacement operator.  ``replace`` is ignored, as in
-    :func:`~repro.core.sampling.collective_sample`: the race draws its
-    row sets either way.
+    sample`` replacement operator.  Its race draws row sets, so there is
+    no ``replace`` to honour.
     """
     check_count("fanout k", k)
     rng = rng if rng is not None else rnd.new_rng()
@@ -291,6 +290,18 @@ class SplitPiece:
         return iter((self.matrix, self.next_frontiers))
 
 
+class WholePiece(NamedTuple):
+    """The sample of a super-batch of one: the run's own pair, unsplit.
+    It reads like a :class:`SplitPiece`."""
+
+    matrix: Matrix
+    next_frontiers: np.ndarray
+
+    @property
+    def nnz(self) -> int:
+        return self.matrix.nnz
+
+
 def split_sample(
     matrix: Matrix,
     batch_ptr: np.ndarray,
@@ -310,11 +321,12 @@ def split_sample(
     (:class:`SplitPiece`).
 
     ``block_diagonal`` says the program ran in block-diagonal row space
-    (its IR holds an ``sb_batch_ptr`` node).  A piece's rows are then the
-    merged matrix's explicit rows in its block, edge or not: a collective
-    sample may pick a row with no edge into its batch (FastGCN's global
-    degree² bias does), and a single-batch run keeps that row too.
-    Otherwise they are the rows the piece's edges touch.
+    (some of its nodes segment by batch:
+    :attr:`~repro.sampler.CompiledSampler.segmented`).  A piece's rows
+    are then the merged matrix's explicit rows in its block, edge or
+    not: a collective sample may pick a row with no edge into its batch
+    (FastGCN's global degree² bias does), and a single-batch run keeps
+    that row too.  Otherwise they are the rows the piece's edges touch.
     """
     csc = matrix.get("csc")
     num_batches = len(batch_ptr) - 1

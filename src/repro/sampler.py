@@ -2,9 +2,10 @@
 
 Workflow (Figure 4 of the paper): a user program written against the
 matrix-centric API is traced into a data-flow IR, optimization passes are
-applied (computation optimization, data-layout selection, super-batch
-rewriting), and the optimized IR is executed per mini-batch by the
-interpreter under the device simulator.
+applied (computation optimization, data-layout selection), the nodes that
+segment by batch in a super-batch are decided, and the optimized IR is
+executed per batch or super-batch by the interpreter under the device
+simulator.
 
 Example::
 
@@ -32,7 +33,7 @@ from repro.core.matrix import Matrix
 from repro.device import NULL_CONTEXT, ExecutionContext
 from repro.errors import TraceError
 from repro.ir.graph import DataFlowGraph
-from repro.ir.interpreter import Interpreter
+from repro.ir.interpreter import Interpreter, segmented_nodes
 from repro.ir.passes import (
     CommonSubexpressionElimination,
     DeadCodeElimination,
@@ -44,7 +45,6 @@ from repro.ir.passes import (
     LayoutSelectionPass,
     PassManager,
     PreprocessPass,
-    SuperBatchPass,
 )
 from repro.ir.passes.base import PassStat, run_measured_pass
 from repro.ir.trace import trace
@@ -89,7 +89,14 @@ class OptimizationConfig:
 
 
 class CompiledSampler:
-    """A traced, optimized, executable sampling program."""
+    """A traced, optimized, executable sampling program.
+
+    ``segmented`` is the program's one super-batch decision, made at
+    compile time: the ids of the nodes that run segmented by batch when
+    a run carries more than one batch (:func:`segmented_nodes`).  A
+    batch is a super-batch of one, so :meth:`run` and
+    :meth:`run_superbatch` are one interpreter call over the same IR.
+    """
 
     def __init__(
         self,
@@ -100,7 +107,7 @@ class CompiledSampler:
         precomputed: dict[str, object],
         config: OptimizationConfig,
         pass_log: list[str],
-        debug: bool = False,
+        segmented: frozenset[int],
         pass_stats: list[PassStat] | None = None,
     ) -> None:
         self.ir = ir
@@ -109,11 +116,10 @@ class CompiledSampler:
         self.precomputed = precomputed
         self.config = config
         self.pass_log = pass_log
-        self.debug = debug
+        self.segmented = segmented
         #: Per-pass compile measurements (wall time, IR deltas), in
-        #: execution order; extended when the super-batch rewrite runs.
+        #: execution order.
         self.pass_stats: list[PassStat] = list(pass_stats or [])
-        self._superbatch_ir: DataFlowGraph | None = None
 
     # ------------------------------------------------------------------
     def run(
@@ -131,36 +137,9 @@ class CompiledSampler:
         executor and the serving replica overlap sampling with transfer
         and compute.
         """
-        rng = rng if rng is not None else new_rng(None)
-        with maybe_span(
-            active_profiler(),
-            "sampler.run",
-            "exec",
-            batch_size=int(np.size(frontiers)),
-        ):
-            interp = Interpreter(self.ir, ctx, precomputed=self.precomputed)
-            inputs: dict[str, object] = {
-                "A": self.graph,
-                "frontiers": np.asarray(frontiers),
-            }
-            inputs.update(tensors or {})
-            outputs = interp.run(inputs, rng)
-            return _unflatten(self.structure, outputs)
-
-    # ------------------------------------------------------------------
-    def superbatch_ir(self) -> DataFlowGraph:
-        """The IR rewritten for super-batched execution (cached)."""
-        if self._superbatch_ir is None:
-            cloned = self.ir.clone()
-            self.pass_stats.append(run_measured_pass(SuperBatchPass(), cloned))
-            if self.debug:
-                from repro.verify.invariants import check_invariants
-
-                check_invariants(cloned, stage="superbatch")
-            else:
-                cloned.validate()
-            self._superbatch_ir = cloned
-        return self._superbatch_ir
+        return _unflatten(
+            self.structure, self._interpret([frontiers], tensors, ctx, rng)
+        )
 
     def run_superbatch(
         self,
@@ -169,13 +148,14 @@ class CompiledSampler:
         tensors: dict[str, np.ndarray] | None = None,
         ctx: ExecutionContext = NULL_CONTEXT,
         rng: np.random.Generator | None = None,
-    ) -> list[superbatch_ops.SplitPiece]:
+    ) -> list[superbatch_ops.SplitPiece | superbatch_ops.WholePiece]:
         """Sample several independent mini-batches in one launch sequence.
 
         The compiled program must follow the standard one-layer contract
         ``(sample_matrix, next_frontiers)``; each batch's results are
         split back out and returned in order, as pieces that unpack as
-        that pair and build their matrix on first read.
+        that pair and build their matrix on first read.  A super-batch
+        of one is :meth:`run`, launch for launch: nothing is split.
         """
         if self.structure != ("leaf", "leaf"):
             raise TraceError(
@@ -186,35 +166,53 @@ class CompiledSampler:
             # An empty fusion window is a no-op, not a concatenate error
             # (the serving composer may legitimately plan zero batches).
             return []
+        return self._interpret(frontier_batches, tensors, ctx, rng, split=True)
+
+    def _interpret(
+        self,
+        frontier_batches: Sequence[np.ndarray],
+        tensors: dict[str, np.ndarray] | None,
+        ctx: ExecutionContext,
+        rng: np.random.Generator | None,
+        *,
+        split: bool = False,
+    ) -> list:
+        """Run the IR once over the concatenated batches, under a batch
+        pointer (one batch is ``[0, n]``, and its span is a run's); the
+        flat outputs, or with ``split`` one piece per batch."""
         rng = rng if rng is not None else new_rng(None)
-        total_seeds = sum(int(np.size(b)) for b in frontier_batches)
-        with maybe_span(
-            active_profiler(),
-            "sampler.superbatch",
-            "exec",
-            num_batches=len(frontier_batches),
-            total_seeds=total_seeds,
-        ):
-            concat = np.concatenate([np.asarray(b) for b in frontier_batches])
-            batch_ptr = np.zeros(len(frontier_batches) + 1, dtype=np.int64)
-            np.cumsum([len(b) for b in frontier_batches], out=batch_ptr[1:])
-            ir = self.superbatch_ir()
-            interp = Interpreter(ir, ctx, precomputed=self.precomputed)
+        batches = [np.asarray(b) for b in frontier_batches]
+        batch_ptr = np.zeros(len(batches) + 1, dtype=np.int64)
+        np.cumsum([len(b) for b in batches], out=batch_ptr[1:])
+        if len(batches) == 1:
+            span = {"name": "sampler.run", "batch_size": int(batch_ptr[1])}
+        else:
+            span = {
+                "name": "sampler.superbatch",
+                "num_batches": len(batches),
+                "total_seeds": int(batch_ptr[-1]),
+            }
+        with maybe_span(active_profiler(), category="exec", **span):
+            interp = Interpreter(
+                self.ir, ctx, precomputed=self.precomputed, segmented=self.segmented
+            )
             inputs: dict[str, object] = {
                 "A": self.graph,
-                "frontiers": concat,
-                "_batch_ptr": batch_ptr,
+                "frontiers": batches[0] if len(batches) == 1 else np.concatenate(batches),
             }
             inputs.update(tensors or {})
-            outputs = interp.run(inputs, rng)
-            matrix = outputs[0]
-            assert isinstance(matrix, Matrix)
+            outputs = interp.run(inputs, rng, batch_ptr)
+            if not split:
+                return outputs
+            matrix, frontiers = outputs
+            if len(batches) == 1:
+                return [superbatch_ops.WholePiece(matrix, frontiers)]
             return superbatch_ops.split_sample(
                 matrix,
                 batch_ptr,
                 self.graph.shape[0],
                 ctx,
-                block_diagonal=any(n.op == "sb_batch_ptr" for n in ir.nodes()),
+                block_diagonal=bool(self.segmented),
             )
 
 
@@ -281,7 +279,7 @@ def compile_sampler(
             precomputed=precomputed,
             config=config,
             pass_log=pass_log,
-            debug=debug,
+            segmented=segmented_nodes(ir),
             pass_stats=pass_stats,
         )
 

@@ -15,11 +15,7 @@ here encode that contract explicitly:
 * **layout legality** — layout stamps name a real sparse layout and
   appear only on structure-changing matrix operators (Section 4.3:
   compute/finalize ops adopt their upstream layout and must never carry
-  their own decision);
-* **batch-ptr discipline** — after :class:`SuperBatchPass` there is at
-  most one ``sb_batch_ptr`` node, every super-batch operator references
-  it at the documented operand position, and no batch-mixing plain
-  operator survives the rewrite.
+  their own decision).
 
 :class:`~repro.ir.passes.base.PassManager` runs :func:`check_invariants`
 after every pass when constructed with ``debug=True``; the raised
@@ -37,11 +33,7 @@ from repro.sparse import LAYOUTS
 __all__ = ["check_invariants"]
 
 def _kind_matches(expected: str, actual: str) -> bool:
-    if expected == "any" or actual == "any":
-        return True
-    if expected == "ptr":
-        return False  # ptr operands are checked by node identity, not kind
-    return expected == actual
+    return expected == "any" or actual == "any" or expected == actual
 
 
 class _Checker:
@@ -111,8 +103,6 @@ class _Checker:
             for pos, dep in enumerate(node.inputs):
                 token = spec[pos] if pos < len(spec) else spec[-1]
                 expected = token.lstrip("?*")
-                if expected == "ptr":
-                    continue  # checked in check_batch_ptr_discipline
                 actual = OPS[self.ir.node(dep).op].produces
                 if not _kind_matches(expected, actual):
                     self.fail(
@@ -152,55 +142,6 @@ class _Checker:
                     "compaction but is not a structure operator"
                 )
 
-    # ------------------------------------------------------------------
-    def check_batch_ptr_discipline(self) -> None:
-        ptrs = [n for n in self.ir.nodes() if n.op == "sb_batch_ptr"]
-        sb_ops = [n for n in self.ir.nodes() if "ptr" in OPS[n.op].operands]
-        if len(ptrs) > 1:
-            self.fail(
-                f"{len(ptrs)} sb_batch_ptr nodes present; the super-batch "
-                "rewrite must introduce exactly one"
-            )
-        if sb_ops and not ptrs:
-            self.fail(
-                "super-batch operators present without an sb_batch_ptr node"
-            )
-        if not ptrs:
-            return
-        ptr = ptrs[0]
-        if not sb_ops:
-            self.fail(
-                f"sb_batch_ptr %{ptr.node_id} has no super-batch consumers; "
-                "the rewrite pass must remove an unused pointer"
-            )
-        for node in sb_ops:
-            pos = OPS[node.op].operands.index("ptr")
-            if node.inputs[pos] != ptr.node_id:
-                self.fail(
-                    f"node {node.node_id} ({node.op}) does not reference "
-                    f"sb_batch_ptr %{ptr.node_id} at operand {pos}"
-                )
-        # After the rewrite no batch-mixing plain op may survive: every
-        # collective sample and every base-graph column slice must have
-        # been converted to its segmented form.
-        for node in self.ir.nodes():
-            if node.op == "collective_sample":
-                self.fail(
-                    f"node {node.node_id}: plain collective_sample survives "
-                    "in a super-batched graph (would mix batches)"
-                )
-            if node.op == "slice_cols":
-                src = self.ir.node(node.inputs[0])
-                meta = src.attrs.get("_meta")
-                if src.op in ("input_graph", "input_precomputed") and getattr(
-                    meta, "is_base_graph", False
-                ):
-                    self.fail(
-                        f"node {node.node_id}: base-graph slice_cols not "
-                        "rewritten to sb_slice_cols (row spaces would be "
-                        "shared across batches)"
-                    )
-
 
 def check_invariants(ir: DataFlowGraph, *, stage: str = "") -> None:
     """Validate the full IR invariant set; raise
@@ -210,4 +151,3 @@ def check_invariants(ir: DataFlowGraph, *, stage: str = "") -> None:
     checker.check_structure()
     checker.check_operand_kinds()
     checker.check_layout_legality()
-    checker.check_batch_ptr_discipline()

@@ -5,8 +5,8 @@ samples.  This table pins the decisions themselves: for every registered
 algorithm whose pipeline exposes compiled ``samplers``, under all 8
 ``OptimizationConfig`` combinations, one sha256 over ``ir.pretty()`` (op,
 inputs, public attrs, ``layout`` / ``+compact`` stamps) and ``pass_log``
-of each distinct compiled layer, plus the super-batch rewrite where the
-pipeline supports it.  A refactor of the pass pipeline must leave every
+of each distinct compiled layer, plus the nodes it segments by batch
+where the pipeline super-batches.  A refactor of the pass pipeline must leave every
 digest unchanged; a PR that means to change a decision re-pins the one
 row it moved and says why.
 """
@@ -22,14 +22,14 @@ from repro.datasets import load_dataset
 from repro.sampler import OptimizationConfig
 
 GOLDEN = {
-    "asgcn": "e6060ebbce03f9da06c8086c356ff462b25ed4123c8fe16a47b69f88a18f98d5",
-    "fastgcn": "b57401e42a4e250420f84aace93021d9c4dd33105757d2868aa96f17ec06a481",
-    "graphsage": "4363a7efe2e86d5b0b9663a072e4e611a29cd110e609ff80acf035010ce1cf1e",
-    "labor": "8feb2ff6b0dc4fd4ed2ce71112ebdc39f9a09bc62cf8eeb46a702cd812f25849",
-    "ladies": "917ce5dd07edc5ed42ab938c922e09c991fac849199edadbab5d42890ebf2adf",
+    "asgcn": "7a16c50c0fe4c5c374d4f942fced442f7266b993aa222de275c7031a3d39dc10",
+    "fastgcn": "748ca03f3798a299e585b1c3f6c02ae08a2ba967cdad4a96e4107b695f22db52",
+    "graphsage": "a1c3dbb9088553a3d3d24d1886dcc8e75c6edadda31f34caaa8b9652f285da62",
+    "labor": "5b98cd01f927ba4b5886119a2ff6de93856445172ebf4c0fe5a61ea9dbb1d5de",
+    "ladies": "533e90b209d14289b4c7f44ccda9e71335fe6f9a4c9e6de44d71338c42624837",
     "pass": "a0bd5a46b74ddc72cf9bfafe801ff0265b77909426a1917d3454e5e38bbeecf4",
     "shadow": "e7f6f183e1b381f7568f37042b5d7ebfb15c64c43d8ecd69b84afd76c224f8ed",
-    "vrgcn": "12acd2d9f8f181eca990ba03deca7049696e5685d68d5f63a08c346438503bd3",
+    "vrgcn": "4ab492095d64e37295483fee89b9bff1d02bd5ea8e818818c68a9d99cd39222c",
 }
 
 
@@ -57,7 +57,7 @@ def _digest(name, dataset) -> str:
             digest.update(sampler.ir.pretty().encode())
             digest.update(repr(sampler.pass_log).encode())
             if pipeline.supports_superbatch:
-                digest.update(sampler.superbatch_ir().pretty().encode())
+                digest.update(repr(sorted(sampler.segmented)).encode())
     return digest.hexdigest()
 
 

@@ -124,37 +124,39 @@ class TestExecutionMachinery:
         assert sample.nnz <= 12  # still correct under a forced layout
 
     @staticmethod
-    def _mul(superbatched):
-        """``a * b`` over two input vectors, in a super-batched program
-        (one holding an ``sb_batch_ptr`` node) or a single-batch one."""
-        ir = DataFlowGraph()
-        if superbatched:
-            ir.add_node("sb_batch_ptr", (), {"name": "_batch_ptr"})
-        a = ir.add_node("input_tensor", (), {"name": "a"})
-        b = ir.add_node("input_tensor", (), {"name": "b"})
-        op = ir.add_node("t_binop", (a.node_id, b.node_id), {"op": "mul"})
-        ir.outputs = [op.node_id]
-        return Interpreter(ir, ExecutionContext(V100))
+    def _mul(graph, batch_ptr):
+        """``a * b`` over two input vectors, run beside a collective
+        sample — a program that segments — over the batches of
+        ``batch_ptr`` (``None``: one batch); returns the product."""
 
-    def test_tiled_broadcast_for_superbatch_vectors(self):
-        (out,) = self._mul(superbatched=True).run(
-            {
-                "a": np.arange(6.0),
-                "b": np.array([1.0, 2.0]),
-                "_batch_ptr": np.array([0, 1, 2, 3]),
-            },
-            new_rng(0),
+        def layer(A, frontiers, a, b, K):
+            sample_A = A[:, frontiers].collective_sample(K)
+            return sample_A, a * b
+
+        tensors = {"a": np.arange(6.0), "b": np.array([1.0, 2.0])}
+        sampler = compile_sampler(
+            layer, graph, np.arange(3), constants={"K": 1}, tensors=tensors
         )
+        assert sampler.segmented
+        interp = Interpreter(
+            sampler.ir, ExecutionContext(V100), segmented=sampler.segmented
+        )
+        inputs = {"A": graph, "frontiers": np.arange(3), **tensors}
+        return interp.run(inputs, new_rng(0), batch_ptr)[1]
+
+    def test_tiled_broadcast_for_superbatch_vectors(self, small_graph):
+        out = self._mul(small_graph, np.array([0, 1, 2, 3]))
         np.testing.assert_allclose(out, np.arange(6.0) * [1, 2, 1, 2, 1, 2])
 
-    def test_mismatched_vectors_refused_outside_a_superbatch(self):
+    @pytest.mark.parametrize("batch_ptr", [None, np.array([0, 3])])
+    def test_mismatched_vectors_refused_outside_a_superbatch(
+        self, small_graph, batch_ptr
+    ):
         """Lengths that divide each other (6 and 2) tile only under the
-        block-diagonal reading; a single-batch program is refused."""
-        interp = self._mul(superbatched=False)
+        block-diagonal reading of a run with more than one batch; a
+        batch, a super-batch of one, is refused."""
         with pytest.raises(ShapeError, match="6 and 2 differ outside"):
-            interp.run(
-                {"a": np.arange(6.0), "b": np.array([1.0, 2.0])}, new_rng(0)
-            )
+            self._mul(small_graph, batch_ptr)
 
     def test_intermediates_freed_incrementally(self, small_graph):
         """Peak memory must be below the sum of all intermediates."""

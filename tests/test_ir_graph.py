@@ -103,23 +103,7 @@ class TestMutation:
         )
 
 
-class TestClone:
-    def test_clone_is_independent(self):
-        ir = build_chain()
-        clone = ir.clone()
-        clone.node(clone.outputs[0]).attrs["scalar"] = 99
-        assert ir.node(ir.outputs[0]).attrs["scalar"] == 2.0
-        clone.add_node("const", (), {"_value": 5})
-        assert len(clone) == len(ir) + 1
-
-    def test_clone_preserves_layout_stamps(self):
-        ir = build_chain()
-        ir.nodes()[1].layout = "csr"
-        ir.nodes()[1].compact_rows = True
-        clone = ir.clone()
-        assert clone.nodes()[1].layout == "csr"
-        assert clone.nodes()[1].compact_rows
-
+class TestPretty:
     def test_pretty_renders(self):
         text = build_chain().pretty()
         assert "slice_cols" in text and "outputs:" in text

@@ -45,12 +45,6 @@ class TestCompleteness:
             assert OPS[name].produces == "matrix", name
             assert OPS[name].native_layout in LAYOUTS, name
 
-    def test_superbatch_forms_take_exactly_one_pointer(self):
-        forms = {s.superbatch_form for s in OPS.values() if s.superbatch_form}
-        assert forms == {n for n, s in OPS.items() if "ptr" in s.operands}
-        for form in forms:
-            assert OPS[form].operands.count("ptr") == 1, form
-
     def test_probs_operand_is_the_optional_tail(self):
         for name, spec in OPS.items():
             if spec.takes_probs:

@@ -129,14 +129,9 @@ class TestObserverContract:
                 ancestor = profiler.spans[ancestor.parent]
                 seen.add(ancestor.category)
             assert "epoch" in seen
-        # Pass spans nest under a compile span, except the lazy
-        # super-batch rewrite, which runs at first execution.
+        # Pass spans nest under a compile span: no pass runs at execution.
         for p in profiler.spans_by_category("pass"):
-            parent = profiler.spans[p.parent].category
-            if p.name == "pass:superbatch":
-                assert parent == "exec"
-            else:
-                assert parent == "compile"
+            assert profiler.spans[p.parent].category == "compile"
         # Kernel sim time accounts for the whole ledger.
         ctx = profiler.context
         assert ctx is not None
@@ -170,24 +165,6 @@ class TestPassStats:
         assert all(
             s.nodes_before >= s.nodes_after for s in sampler.pass_stats
         ), "no optimization pass grows this one-layer program"
-
-    def test_superbatch_rewrite_is_measured(self, pd):
-        from repro.sampler import compile_sampler
-
-        def layer(A, frontiers, K):
-            sub = A[:, frontiers]
-            sampled = sub.individual_sample(K)
-            return sampled, sampled.row()
-
-        sampler = compile_sampler(
-            layer, pd.graph, pd.train_ids[:64], constants={"K": 4}
-        )
-        before = len(sampler.pass_stats)
-        sampler.superbatch_ir()
-        assert len(sampler.pass_stats) == before + 1
-        assert sampler.pass_stats[-1].name == "superbatch"
-        sampler.superbatch_ir()  # cached: no second measurement
-        assert len(sampler.pass_stats) == before + 1
 
 
 class TestChromeExport:

@@ -8,7 +8,7 @@ import pytest
 from repro.core import new_rng
 from repro.device import ExecutionContext, V100
 from repro.errors import TraceError
-from repro.ir.passes.superbatch import SuperBatchPass, needs_block_diagonal
+from repro.ir.interpreter import segmented_nodes
 from repro.ir.trace import trace
 from repro.ir import superbatch_ops
 from repro.sampler import compile_sampler
@@ -29,26 +29,15 @@ def ladies_layer(A, frontiers, K):
     return sample_A, sample_A.row()
 
 
-class TestRewritePass:
-    def test_nodewise_needs_no_rewrite(self, small_graph):
+class TestSegmentDecision:
+    def test_nodewise_segments_nothing(self, small_graph):
         ir, _ = trace(sage_layer, small_graph, np.arange(4), constants={"K": 2})
-        assert not needs_block_diagonal(ir)
-        assert not SuperBatchPass().run(ir)
+        assert segmented_nodes(ir) == frozenset()
 
-    def test_layerwise_rewritten(self, small_graph):
+    def test_layerwise_segments_the_slice_and_the_select(self, small_graph):
         ir, _ = trace(ladies_layer, small_graph, np.arange(4), constants={"K": 3})
-        assert needs_block_diagonal(ir)
-        assert SuperBatchPass().run(ir)
-        ops = [n.op for n in ir.nodes()]
-        assert "sb_slice_cols" in ops
-        assert "sb_collective_sample" in ops
-        assert "collective_sample" not in ops
-        ir.validate()
-
-    def test_rewrite_is_idempotent(self, small_graph):
-        ir, _ = trace(ladies_layer, small_graph, np.arange(4), constants={"K": 3})
-        SuperBatchPass().run(ir)
-        assert not SuperBatchPass().run(ir)
+        ops = sorted(ir.node(i).op for i in segmented_nodes(ir))
+        assert ops == ["collective_sample", "slice_cols"]
 
 
 class TestSegmentedOps:
@@ -236,8 +225,6 @@ class TestSharedExtraction:
 
     @staticmethod
     def _run(name, dataset, monkeypatch, *, shared):
-        import dataclasses
-
         from repro.algorithms import make_algorithm
         from repro.ir.interpreter import Interpreter
         from repro.sparse import formats
@@ -270,7 +257,7 @@ class TestSharedExtraction:
         ]
         monkeypatch.undo()
         # Ledger first: reading a sample's arrays may convert layouts.
-        ledger = [dataclasses.astuple(launch) for launch in ctx.launches]
+        ledger = [tuple(launch) for launch in ctx.launches]
         return ledger, _arrays(samples), rng.bit_generator.state, len(gathers)
 
     @pytest.mark.parametrize("name", ["ladies", "asgcn"])
@@ -324,12 +311,22 @@ def pd_small():
     return load_dataset("pd", scale=0.05)
 
 
+def _charges(ctx):
+    return [
+        (l.name, l.bytes_read, l.bytes_written, l.flops, l.tasks)
+        for l in ctx.launches
+    ]
+
+
 @pytest.mark.parametrize("name", SUPERBATCH_ALGORITHMS)
 def test_superbatch_of_one_is_the_batch_run(name, pd_small):
     """``run_superbatch([seeds])`` is ``run(seeds)`` under the same draws:
     the same COO arrays, the same next frontiers, the generator left in
-    the same state.  (FastGCN's pieces used to lose the collectively
-    sampled rows with no edge into their batch: 417 of 512 frontiers.)"""
+    the same state, and the same launch ledger — no ``sb_*`` kernel and
+    no split.  (FastGCN's pieces used to lose the collectively sampled
+    rows with no edge into their batch: 417 of 512 frontiers.  The
+    ledgers differed for all six: GraphSAGE added an ``sb_split`` per
+    hop, LADIES ran ``sb_*`` kernels.)"""
     from repro.algorithms import make_algorithm
 
     seeds = pd_small.train_ids[:32]
@@ -339,14 +336,72 @@ def test_superbatch_of_one_is_the_batch_run(name, pd_small):
     tensors = pipeline.tensors_fn and pipeline.tensors_fn()
     for sampler in pipeline.samplers:
         single, fused = new_rng(7), new_rng(7)
-        matrix, frontiers = sampler.run(seeds, tensors=tensors, rng=single)
-        (piece,) = sampler.run_superbatch([seeds], tensors=tensors, rng=fused)
+        single_ctx, fused_ctx = ExecutionContext(V100), ExecutionContext(V100)
+        matrix, frontiers = sampler.run(
+            seeds, tensors=tensors, ctx=single_ctx, rng=single
+        )
+        (piece,) = sampler.run_superbatch(
+            [seeds], tensors=tensors, ctx=fused_ctx, rng=fused
+        )
+        assert _charges(fused_ctx) == _charges(single_ctx)
+        assert fused_ctx.memory.stats() == single_ctx.memory.stats()
         for got, want in zip(
             piece.matrix.to_coo_arrays(), matrix.to_coo_arrays()
         ):
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(piece.next_frontiers, frontiers)
+        assert piece.nnz == matrix.nnz
         assert fused.bit_generator.state == single.bit_generator.state
+
+
+#: The nodes each capable algorithm's distinct compiled layers segment by
+#: batch, by the computation knob (the layout and super-batch knobs move
+#: none): exactly the nodes the super-batch rewrite pass renamed to their
+#: ``sb_*`` forms before the decision moved onto the compiled program.
+SEGMENTED = {
+    "asgcn": {
+        "C0": [{(4, "slice_cols"), (10, "collective_sample")}],
+        "C1": [{(4, "slice_cols"), (10, "collective_sample")}],
+    },
+    "fastgcn": {
+        "C0": [{(2, "slice_cols"), (5, "collective_sample")}],
+        "C1": [{(2, "slice_cols"), (5, "collective_sample")}],
+    },
+    "graphsage": {"C0": [set(), set(), set()], "C1": [set(), set(), set()]},
+    "labor": {"C0": [set(), set(), set()], "C1": [set(), set(), set()]},
+    "ladies": {
+        "C0": [{(2, "slice_cols"), (5, "collective_sample")}],
+        "C1": [
+            {
+                (2, "slice_cols"),
+                (14, "fused_extract_reduce"),
+                (5, "collective_sample"),
+            }
+        ],
+    },
+    "vrgcn": {"C0": [set(), set()], "C1": [set(), set()]},
+}
+
+
+@pytest.mark.parametrize("name", SUPERBATCH_ALGORITHMS)
+def test_segment_decision_is_the_rewrite_table(name, pd_small):
+    from repro.algorithms import make_algorithm
+    from repro.sampler import OptimizationConfig
+
+    assert set(SEGMENTED) == set(SUPERBATCH_ALGORITHMS)
+    for config in OptimizationConfig.all_combinations():
+        pipeline = make_algorithm(name).build(
+            pd_small.graph,
+            pd_small.train_ids[:32],
+            features=pd_small.features,
+            config=config,
+        )
+        samplers = {id(s): s for s in pipeline.samplers}.values()
+        got = [
+            {(i, sampler.ir.node(i).op) for i in sampler.segmented}
+            for sampler in samplers
+        ]
+        assert got == SEGMENTED[name][config.label()[:2]], config.label()
 
 
 def _parent_split_sample(matrix, batch_ptr, num_graph_rows, ctx):
@@ -431,16 +486,12 @@ class TestSplitOracle:
         }
 
     def _assert_split_equal(self, matrix, batch_ptr, num_graph_rows, **kwargs):
-        import dataclasses
-
         got_ctx, want_ctx = ExecutionContext(V100), ExecutionContext(V100)
         pieces = superbatch_ops.split_sample(
             matrix, batch_ptr, num_graph_rows, got_ctx, **kwargs
         )
         want = _parent_split_sample(matrix, batch_ptr, num_graph_rows, want_ctx)
-        assert [dataclasses.astuple(x) for x in got_ctx.launches] == [
-            dataclasses.astuple(x) for x in want_ctx.launches
-        ]
+        assert got_ctx.launches == want_ctx.launches
         assert len(pieces) == len(want)
         for piece, expected in zip(pieces, want):
             assert piece.nnz == expected.nnz
@@ -465,11 +516,12 @@ class TestSplitOracle:
     )
     def test_windows(self, layer, K, small_graph, monkeypatch):
         batches = [np.arange(8), np.arange(50, 61), np.arange(100, 105)]
-        for window in (batches, batches[:1]):
-            for matrix, batch_ptr, rows, kwargs in _merged_windows(
-                small_graph, layer, window, K, monkeypatch
-            ):
-                self._assert_split_equal(matrix, batch_ptr, rows, **kwargs)
+        windows = _merged_windows(small_graph, layer, batches, K, monkeypatch)
+        assert windows
+        for matrix, batch_ptr, rows, kwargs in windows:
+            self._assert_split_equal(matrix, batch_ptr, rows, **kwargs)
+        # A window of one is the batch run: nothing is split.
+        assert not _merged_windows(small_graph, layer, batches[:1], K, monkeypatch)
 
     def test_zero_edge_and_empty_pieces(self):
         from repro.core.matrix import from_edges

@@ -997,6 +997,8 @@ _COUNT_BOUNDARIES = [
      _partition(lambda p, g, v: p.hash_partition(g, v))),
     ("hash_partition seed", 0, ShapeError,
      _partition(lambda p, g, v: p.hash_partition(g, 2, seed=v))),
+    ("load_dataset seed", 0, ShapeError,
+     _knob(load_dataset, "seed", name="pd", scale=0.01)),
     ("minibatches batch_size", 1, ShapeError,
      lambda v, graph, rng, ctx: minibatches(np.arange(16), v, rng=rng)),
     ("measure_cell max_batches", 1, ShapeError,
@@ -1321,6 +1323,36 @@ class TestBoundaryVocabulary:
         assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 2
         captured = capsys.readouterr()
         assert message in captured.err and captured.out == ""
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-5, 8.3e-05])
+    def test_scale_leaving_no_node_refused_before_any_build(
+        self, scale, monkeypatch
+    ):
+        """At the parent ``load_dataset("pd", scale=1e-6)`` built an empty
+        graph and then failed inside ``rng.choice``."""
+        from repro.datasets import catalog
+
+        monkeypatch.setattr(catalog, "_build_dataset", _no_load)
+        message = (
+            f"dataset scale {scale!r} leaves 'pd' no node; the smallest "
+            f"accepted scale is {1 / 12_000!r}"
+        )
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            load_dataset("pd", scale=scale)
+        with pytest.raises(ShapeError, match="dataset seed must be >= 0"):
+            load_dataset("pd", seed=-1)
+
+    def test_the_smallest_accepted_scale_builds_one_node(self):
+        assert load_dataset("pd", scale=1 / 12_000).num_nodes == 1
+
+    def test_pipeline_scale_leaving_no_node_exits_2(self, tmp_path, capsys):
+        """At the parent ``pipeline graphsage --scale 0.00001`` exited 1
+        with a traceback."""
+        argv = ["pipeline", "graphsage", "--scale", "0.00001"]
+        assert cli.main(argv + ["--out-dir", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert "dataset scale 1e-05 leaves 'pd' no node" in captured.err
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize(("call", "ids", "message"), _id_cases())

@@ -189,7 +189,7 @@ class TestSuperbatchSeesDistinctBatches:
 
         def t_index(self, node, args, inputs, rng):
             base, idx = (np.asarray(x) for x in args)
-            if self._superbatched:
+            if self._segmenting:
                 idx = idx % graph_rows
             return base[idx]
 

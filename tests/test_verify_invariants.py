@@ -7,7 +7,7 @@ import pytest
 
 from repro.errors import InvariantError
 from repro.ir.graph import DataFlowGraph
-from repro.ir.passes import PassManager, SuperBatchPass
+from repro.ir.passes import PassManager
 from repro.ir.passes.base import Pass
 from repro.ir.trace import trace
 from repro.sampler import compile_sampler
@@ -44,7 +44,6 @@ class TestCleanGraphs:
             debug=True,
         )
         check_invariants(sampler.ir)
-        check_invariants(sampler.superbatch_ir(), stage="superbatch")
 
 
 class TestStructure:
@@ -131,60 +130,6 @@ class TestLayoutLegality:
             if node.op == "map_scalar":
                 node.layout = "csc"
         with pytest.raises(InvariantError, match="not a structure operator"):
-            check_invariants(ir)
-
-
-class TestBatchPtrDiscipline:
-    def _superbatched(self, small_graph) -> DataFlowGraph:
-        def layer(A, frontiers, K):
-            sub_A = A[:, frontiers]
-            probs = (sub_A ** 2).sum(axis=0)
-            sample_A = sub_A.collective_sample(K, probs)
-            return sample_A, sample_A.row()
-
-        ir, _ = trace(layer, small_graph, np.arange(8), constants={"K": 4})
-        assert SuperBatchPass().run(ir)
-        return ir
-
-    def test_clean_rewrite_passes(self, small_graph):
-        check_invariants(self._superbatched(small_graph), stage="superbatch")
-
-    def test_duplicate_ptr(self, small_graph):
-        ir = self._superbatched(small_graph)
-        first = ir.nodes()[0]
-        ir.insert_before(
-            first.node_id, "sb_batch_ptr", (), {"name": "_batch_ptr"}
-        )
-        with pytest.raises(InvariantError, match="exactly one"):
-            check_invariants(ir)
-
-    def test_sb_op_missing_ptr(self, small_graph):
-        ir = self._superbatched(small_graph)
-        ptr = next(n for n in ir.nodes() if n.op == "sb_batch_ptr")
-        for node in ir.nodes():
-            if node.op == "sb_collective_sample":
-                node.inputs = tuple(i for i in node.inputs if i != ptr.node_id)
-        with pytest.raises(InvariantError):
-            check_invariants(ir)
-
-    def test_surviving_plain_collective_sample(self, small_graph):
-        ir = self._superbatched(small_graph)
-        for node in ir.nodes():
-            if node.op == "sb_collective_sample":
-                # Undo the op rename but keep the graph superbatched.
-                node.op = "collective_sample"
-                node.inputs = (node.inputs[0], *node.inputs[2:])
-        with pytest.raises(InvariantError, match="mix batches"):
-            check_invariants(ir)
-
-    def test_surviving_base_graph_slice(self, small_graph):
-        ir = self._superbatched(small_graph)
-        ptr = next(n for n in ir.nodes() if n.op == "sb_batch_ptr")
-        for node in ir.nodes():
-            if node.op == "sb_slice_cols":
-                node.op = "slice_cols"
-                node.inputs = tuple(i for i in node.inputs if i != ptr.node_id)
-        with pytest.raises(InvariantError, match="sb_slice_cols"):
             check_invariants(ir)
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from unittest import mock
 
@@ -181,7 +180,7 @@ _NUM_WALKS = 2
 
 
 def _ledger(ctx):
-    return [dataclasses.astuple(launch) for launch in ctx.launches]
+    return [tuple(launch) for launch in ctx.launches]
 
 
 def _oracle_run(kind, graph, seeds, walk_length, seed):
