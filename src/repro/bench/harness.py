@@ -106,7 +106,8 @@ def run_sampling_epoch(
             if use_superbatch:
                 for index, lo in enumerate(range(0, len(batches), superbatch)):
                     group = batches[lo : lo + superbatch]
-                    with span(f"batch[{index}]", "batch", size=len(group)):
+                    size = sum(len(b) for b in group)
+                    with span(f"batch[{index}]", "batch", size=size):
                         pipeline.sample_superbatch(group, ctx=ctx, rng=rng)
             else:
                 for index, batch in enumerate(batches):

@@ -95,11 +95,13 @@ def load_dataset(name: str, scale: float = 1.0, seed: int = 2023) -> Dataset:
     seed and the name are checked before any generation or cache read
     (the cache's keys do not tell ``True`` from ``1.0``); a scale that
     leaves PD no node is refused, naming the smallest accepted one.
+    Names are case-insensitive: ``"PD"`` and ``"pd"`` are one cache entry.
     """
     check_real("dataset scale", scale, "(0, inf)")
     check_count("dataset seed", seed, low=0)
+    key = name.lower()
     try:
-        spec = _SPECS[name.lower()]
+        spec = _SPECS[key]
     except KeyError:
         raise ShapeError(
             f"unknown dataset {name!r}; available: {available_datasets()}"
@@ -109,12 +111,12 @@ def load_dataset(name: str, scale: float = 1.0, seed: int = 2023) -> Dataset:
             f"dataset scale {scale!r} leaves {name!r} no node; the smallest "
             f"accepted scale is {1 / spec.scale_or_nodes!r}"
         )
-    return _build_dataset(name, scale, seed)
+    return _build_dataset(key, scale, seed)
 
 
 @functools.lru_cache(maxsize=8)
-def _build_dataset(name: str, scale: float, seed: int) -> Dataset:
-    spec = _SPECS[name.lower()]
+def _build_dataset(key: str, scale: float, seed: int) -> Dataset:
+    spec = _SPECS[key]
     rng = np.random.default_rng(seed)
     blocks = None
     if spec.generator == "rmat":
@@ -150,7 +152,7 @@ def _build_dataset(name: str, scale: float, seed: int) -> Dataset:
     n_train = max(1, int(num_nodes * spec.frontier_fraction))
     train_ids = rng.choice(num_nodes, size=n_train, replace=False).astype(np.int64)
     return Dataset(
-        name=name.lower(),
+        name=key,
         graph=graph,
         features=features,
         labels=labels,

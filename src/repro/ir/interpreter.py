@@ -12,7 +12,10 @@ A batch is a super-batch of one.  A run carries a batch pointer over its
 concatenated frontiers; with more than one batch, the nodes the compiled
 program decided to segment (:func:`segmented_nodes`) call their
 :mod:`~repro.ir.superbatch_ops` kernel, and every other node, like every
-node of a one-batch run, its single-batch kernel.
+node of a one-batch run, its single-batch kernel.  A segmented column
+slice is a :class:`~repro.ir.superbatch_ops.BlockSlice`: the segmented
+collective sample reads its ranges, and every other reader (a layout or
+compaction of the slice itself included) gets its built matrix.
 """
 
 from __future__ import annotations
@@ -166,7 +169,7 @@ class Interpreter:
             self._release_dead(node, env, handles)
             if self._segmenting and position == self._last_segment:
                 self.ctx.memory.free(ptr_handle)
-        outputs = [env[i] for i in self.ir.outputs]
+        outputs = [_built(env[i]) for i in self.ir.outputs]
         for handle in handles.values():
             self.ctx.memory.free(handle)  # type: ignore[arg-type]
         self._ranges.clear()
@@ -198,6 +201,12 @@ class Interpreter:
         rng: np.random.Generator,
     ) -> object:
         args = [env[i] for i in node.inputs]
+        if self._segmenting and not (
+            node.op == "collective_sample" and node.node_id in self._segmenting
+        ):
+            # Only the segmented collective sample reads a block slice's
+            # ranges; every other reader gets the built matrix.
+            args = [_built(arg) for arg in args]
         handler = getattr(self, f"_op_{node.op}", None)
         if handler is None:
             raise PassError(f"interpreter has no handler for op {node.op!r}")
@@ -206,6 +215,10 @@ class Interpreter:
         return value
 
     def _apply_layout(self, node: Node, value: object) -> object:
+        if isinstance(value, superbatch_ops.BlockSlice):
+            if node.layout in (None, "csc") and not node.compact_rows:
+                return value
+            value = value.matrix
         if not isinstance(value, Matrix):
             return value
         if node.layout is not None and node.layout not in value.available_layouts:
@@ -531,8 +544,15 @@ def _with_ctx(matrix: Matrix, ctx: ExecutionContext) -> Matrix:
     return clone
 
 
+def _built(value: object) -> object:
+    """``value``, with a block slice built into its matrix."""
+    if isinstance(value, superbatch_ops.BlockSlice):
+        return value.matrix
+    return value
+
+
 def _value_bytes(value: object) -> int:
-    if isinstance(value, Matrix):
+    if isinstance(value, (Matrix, superbatch_ops.BlockSlice)):
         return value.nbytes()
     if isinstance(value, np.ndarray):
         return value.nbytes

@@ -25,10 +25,11 @@ from repro.core.matrix import Matrix
 from repro.device import NULL_CONTEXT, ExecutionContext
 from repro.errors import ShapeError, check_count, check_ids
 from repro.sparse import CSC, INDEX_DTYPE, as_index_array
-from repro.sparse.compact import _relabel
 from repro.sparse.formats import (
+    VALUE_DTYPE,
     FrontierRanges,
     _indptr_from_counts,
+    _take,
     sorted_unique,
 )
 
@@ -53,6 +54,11 @@ class BlockRanges(FrontierRanges):
     def __init__(self, csc: CSC, ids: np.ndarray, batch_ptr: np.ndarray) -> None:
         super().__init__(csc, ids)
         self.batch_ptr = batch_ptr
+
+    @functools.cached_property
+    def column_ptr(self) -> np.ndarray:
+        """The slice's column pointer: where each frontier's edges start."""
+        return _indptr_from_counts(self.lengths)
 
     @functools.cached_property
     def block_rows(self) -> np.ndarray:
@@ -88,30 +94,65 @@ def block_ranges(
     return BlockRanges(csc, ids, batch_ptr)
 
 
+class BlockSlice:
+    """A hop's block-diagonal column slice (:func:`sb_slice_cols`), kept as
+    the ranges it reads until a reader needs the matrix.
+
+    The segmented collective sample reads :attr:`ranges` and the sliced
+    ``source`` directly; any other reader gets :attr:`matrix`, the
+    ``(B * M, T)`` block-diagonal CSC, built on first read and kept.
+    :meth:`nbytes` is that CSC's size, built or not: the device holds it.
+    """
+
+    def __init__(
+        self, ranges: BlockRanges, source: CSC, ctx: ExecutionContext
+    ) -> None:
+        self.ranges = ranges
+        self.source = source
+        self.ctx = ctx
+        num_batches = len(ranges.batch_ptr) - 1
+        self.shape = (num_batches * source.shape[0], len(ranges.ids))
+        self.nnz = int(ranges.lengths.sum())
+
+    def nbytes(self) -> int:
+        """Bytes of the block-diagonal CSC, exactly as built."""
+        index = np.dtype(INDEX_DTYPE).itemsize
+        value = 0 if self.source.values is None else np.dtype(VALUE_DTYPE).itemsize
+        # indptr, then rows, edge ids and values per edge.
+        return (self.shape[1] + 1 + 2 * self.nnz) * index + self.nnz * value
+
+    @functools.cached_property
+    def matrix(self) -> Matrix:
+        ranges, source = self.ranges, self.source
+        flat = ranges.flat
+        out = CSC(
+            indptr=ranges.column_ptr,
+            rows=ranges.block_rows,
+            values=None if source.values is None else source.values[flat],
+            shape=self.shape,
+            edge_ids=flat if source.edge_ids is None else source.edge_ids[flat],
+        )
+        return Matrix(out, col_ids=ranges.ids, ctx=self.ctx)
+
+
 def sb_slice_cols(
     matrix: Matrix,
     frontiers: np.ndarray | BlockRanges,
     batch_ptr: np.ndarray,
     ctx: ExecutionContext = NULL_CONTEXT,
-) -> Matrix:
+) -> BlockSlice:
     """Block-diagonal extract: slice all batches' frontiers in one launch.
 
-    The output has shape ``(B * M, T_total)`` with batch ``b``'s edges
+    The slice has shape ``(B * M, T_total)`` with batch ``b``'s edges
     offset into row block ``b`` — one kernel launch covering what eager
     execution would issue as ``B`` separate slices.  ``frontiers`` may be
     the ranges the hop's extract-reduce gathers from the same topology.
+    The launch is charged in full; the host builds the matrix only for a
+    reader that needs it (:class:`BlockSlice`).
     """
     csc = matrix.get("csc")
-    ranges = block_ranges(csc, frontiers, batch_ptr)
-    flat = ranges.flat
-    out = CSC(
-        indptr=_indptr_from_counts(ranges.lengths),
-        rows=ranges.block_rows,
-        values=None if csc.values is None else csc.values[flat],
-        shape=((len(ranges.batch_ptr) - 1) * matrix.shape[0], len(ranges.ids)),
-        edge_ids=flat if csc.edge_ids is None else csc.edge_ids[flat],
-    )
-    read = len(ranges.ids) * 2 * _ITEM + out.nnz * (_ITEM + _VAL)
+    out = BlockSlice(block_ranges(csc, frontiers, batch_ptr), csc, ctx)
+    read = len(out.ranges.ids) * 2 * _ITEM + out.nnz * (_ITEM + _VAL)
     ctx.record(
         "sb_slice_cols",
         bytes_read=read,
@@ -120,7 +161,7 @@ def sb_slice_cols(
         tasks=max(out.nnz, 1),  # edge-parallel gather
         graph_bytes=read if matrix.is_base_graph else 0.0,
     )
-    return Matrix(out, col_ids=ranges.ids, ctx=ctx)
+    return out
 
 
 def sb_fused_extract_reduce(
@@ -135,7 +176,8 @@ def sb_fused_extract_reduce(
 
     Per-row reductions must not mix batches, so batch ``b``'s
     contributions land in row block ``b`` of a ``B * M`` output vector —
-    the vector analogue of the block-diagonal matrix construction.
+    the vector analogue of the block-diagonal matrix construction, binned
+    batch by batch over graph rows.
     """
     if op != "sum":
         raise ShapeError(f"fused extract-reduce supports sum, got {op!r}")
@@ -149,11 +191,13 @@ def sb_fused_extract_reduce(
         if csc.values is None
         else csc.values[flat].astype(np.float64)
     )
-    out = np.bincount(
-        ranges.block_rows,
-        weights=vals,
-        minlength=(len(ranges.batch_ptr) - 1) * matrix.shape[0],
-    ).astype(np.float32)
+    num_rows = matrix.shape[0]
+    edge_ptr = ranges.column_ptr[ranges.batch_ptr]
+    out = np.empty((len(edge_ptr) - 1) * num_rows, dtype=np.float32)
+    for b, (lo, hi) in enumerate(zip(edge_ptr[:-1], edge_ptr[1:])):
+        out[b * num_rows : (b + 1) * num_rows] = np.bincount(
+            ranges.gathered[lo:hi], weights=vals[lo:hi], minlength=num_rows
+        )
     read = len(ranges.ids) * 2 * _ITEM + len(flat) * (_ITEM + _VAL)
     ctx.record(
         "sb_fused_extract_reduce",
@@ -167,7 +211,7 @@ def sb_fused_extract_reduce(
 
 
 def sb_collective_sample(
-    matrix: Matrix,
+    matrix: Matrix | BlockSlice,
     k: int,
     batch_ptr: np.ndarray,
     node_probs: np.ndarray | None = None,
@@ -182,17 +226,42 @@ def sb_collective_sample(
     independent per segment, matching the paper's ``segmented collective
     sample`` replacement operator.  Its race draws row sets, so there is
     no ``replace`` to honour.
+
+    One Exp(1) draw per row of the block space, in one call; only rows
+    of positive probability are keyed and raced.  The winners are marked
+    in a row mask, and only the edges into them are gathered — from an
+    unbuilt :class:`BlockSlice`'s ranges, batch by batch over graph rows.
     """
     check_count("fanout k", k)
     rng = rng if rng is not None else rnd.new_rng()
     num_batches = len(batch_ptr) - 1
-    csc = matrix.get("csc")
-    total_rows = csc.shape[0]
+    if isinstance(matrix, BlockSlice) and node_probs is None:
+        matrix = matrix.matrix  # the default bias reduces the built rows
+    total_rows, num_cols = matrix.shape
     if total_rows % num_batches != 0:
         raise ShapeError(
             f"row space {total_rows} is not divisible into {num_batches} batches"
         )
     rows_per_batch = total_rows // num_batches
+    if isinstance(matrix, BlockSlice):
+        ranges = matrix.ranges
+        values, edge_ids, positions = (
+            matrix.source.values, matrix.source.edge_ids, ranges.flat
+        )
+        col_ptr, edge_rows = ranges.column_ptr, ranges.gathered
+        edge_ptr = col_ptr[ranges.batch_ptr]
+        # Batch b's edges hold graph rows: they read row block b.
+        segments = [
+            (edge_ptr[b], edge_ptr[b + 1], b * rows_per_batch, rows_per_batch)
+            for b in range(num_batches)
+        ]
+        row_ids, col_ids = None, ranges.ids
+    else:
+        csc = matrix.get("csc")
+        values, edge_ids, positions = csc.values, csc.edge_ids, None
+        col_ptr, edge_rows = csc.indptr, csc.rows
+        segments = [(0, csc.nnz, 0, total_rows)]  # rows already in block space
+        row_ids, col_ids = matrix.row_ids, matrix.col_ids
     if node_probs is None:
         from repro.sparse import reduce_rows
 
@@ -208,27 +277,56 @@ def sb_collective_sample(
             raise ShapeError(
                 f"node_probs shape {node_probs.shape} != rows ({total_rows},)"
             )
-    # One exponential race across all rows, k winners per batch segment.
-    keys = rnd.exponential_race_keys(node_probs, rng)
-    seg_ptr = np.arange(num_batches + 1, dtype=INDEX_DTYPE) * rows_per_batch
-    selected = rnd.segmented_race_select(keys, seg_ptr, k)
-    selected = np.sort(selected).astype(INDEX_DTYPE)
+    # One exponential race across all rows, k winners per batch segment;
+    # a row of no positive probability can never win, so it is not keyed.
+    keys = rng.standard_exponential(total_rows)
+    live = np.flatnonzero(node_probs > 0)
+    keys = keys[live]
+    rnd._race_keys_in_place(keys, node_probs[live])
+    seg_ptr = np.searchsorted(
+        live, np.arange(num_batches + 1, dtype=INDEX_DTYPE) * rows_per_batch
+    )
+    selected = live[rnd.segmented_race_select(keys, seg_ptr, k)]
+    selected.sort()
 
-    sub = _relabel(csc, selected, 0)
+    won = np.zeros(total_rows, dtype=bool)
+    won[selected] = True
+    rank = np.empty(total_rows, dtype=INDEX_DTYPE)  # read only where won
+    rank[selected] = np.arange(len(selected), dtype=INDEX_DTYPE)
+    hits, new_rows = [], []
+    for lo, hi, base, extent in segments:
+        rows = edge_rows[lo:hi]
+        hit = np.flatnonzero(won[base : base + extent][rows])
+        hits.append(hit + lo)
+        new_rows.append(rank[base : base + extent][rows[hit]])
+    hits = np.concatenate(hits)
+    if positions is None:
+        source_pos, edge_ids = hits, _take(edge_ids, hits)
+    else:
+        source_pos = positions[hits]
+        edge_ids = source_pos if edge_ids is None else edge_ids[source_pos]
+    sub = CSC(
+        indptr=np.searchsorted(hits, col_ptr),
+        rows=np.concatenate(new_rows),
+        values=_take(values, source_pos),
+        shape=(len(selected), num_cols),
+        edge_ids=edge_ids,
+    )
+    nnz = int(col_ptr[-1])
     ctx.record(
         "sb_collective_sample",
         bytes_read=node_probs.nbytes
-        + csc.nnz * (_ITEM + (_VAL if csc.values is not None else 0)),
+        + nnz * (_ITEM + (_VAL if values is not None else 0)),
         bytes_written=sub.nbytes() + selected.nbytes,
-        flops=total_rows + csc.nnz,
-        tasks=max(csc.nnz, 1),
+        flops=total_rows + nnz,
+        tasks=max(nnz, 1),
     )
     # The external row ids stay in block-diagonal space too: the debias
     # steps index per-(batch, node) vectors with them (the interpreter's
     # super-batched ``t_index`` folds them for batch-invariant per-node
     # vectors), and :func:`split_sample` folds them on the way out.
-    row_ids = selected if matrix.row_ids is None else matrix.row_ids[selected]
-    return Matrix(sub, row_ids=row_ids, col_ids=matrix.col_ids, ctx=ctx)
+    row_ids = selected if row_ids is None else row_ids[selected]
+    return Matrix(sub, row_ids=row_ids, col_ids=col_ids, ctx=ctx)
 
 
 class SplitPiece:

@@ -89,9 +89,9 @@ def compact_rows(
     """Drop isolated rows, renumbering survivors to ``0..R-1``.
 
     ``keep_rows`` overrides the survivor set with rows the caller chose
-    rather than occupancy.  (The collective samplers do not come through
-    here: their own launch record covers the restriction, so they call
-    the record-free :func:`_relabel` body directly.)
+    rather than occupancy.  (The collective sample does not come through
+    here: its own launch record covers the restriction, so it calls the
+    record-free :func:`_relabel` body directly.)
     """
     return _compact(matrix, 0, ctx, keep_rows)
 
@@ -156,9 +156,9 @@ def _relabel(matrix: SparseFormat, keep: np.ndarray, axis: int) -> SparseFormat:
     For COO and *across* a compressed axis, where one index list of the
     surviving edges gathers every per-edge array and edge order (so every
     pointer segment) survives.  ``keep`` must name distinct in-range ids
-    (:func:`_compact` checks a caller's; the collective samplers pass
-    sorted selections).  Records nothing: ``compact_*`` and the
-    collective samplers price it as part of their own launch.
+    (:func:`_compact` checks a caller's; the collective sample passes a
+    sorted selection).  Records nothing: ``compact_*`` and the
+    collective sample price it as part of their own launch.
     """
     lut = np.full(matrix.shape[axis], -1, dtype=INDEX_DTYPE)
     lut[keep] = np.arange(len(keep), dtype=INDEX_DTYPE)

@@ -112,3 +112,14 @@ class TestCatalog:
 
     def test_caching(self):
         assert load_dataset("pd", scale=0.1) is load_dataset("pd", scale=0.1)
+
+    def test_names_are_one_cache_entry_in_any_case(self):
+        """``"pd"`` and ``"PD"`` used to be two builds, two objects and two
+        of the cache's slots."""
+        from repro.datasets import catalog
+
+        misses = catalog._build_dataset.cache_info().misses
+        lower = load_dataset("pd", scale=0.1, seed=4046)
+        assert load_dataset("PD", scale=0.1, seed=4046) is lower
+        assert lower.name == "pd"
+        assert catalog._build_dataset.cache_info().misses == misses + 1

@@ -139,6 +139,26 @@ class TestObserverContract:
         assert total == pytest.approx(ctx.elapsed)
 
 
+    def test_batch_span_sizes_count_seeds_under_every_system(self, pd):
+        """A super-batched span's ``size`` was its group's batch count: a
+        5-batch epoch read 4, 1 under ``gsampler`` and 128 x 5 under
+        ``dgl-gpu``."""
+        from repro.baselines import make_system
+
+        sizes = {}
+        for name in ("gsampler", "dgl-gpu"):
+            profiler = Profiler()
+            run_sampling_epoch(
+                make_system(name), "graphsage", pd,
+                device=V100, batch_size=128, max_batches=5, profiler=profiler,
+            )
+            sizes[name] = [
+                s.attrs["size"] for s in profiler.spans_by_category("batch")
+            ]
+        assert len(sizes["gsampler"]) < len(sizes["dgl-gpu"]) == 5
+        assert sum(sizes["gsampler"]) == sum(sizes["dgl-gpu"]) == 5 * 128
+
+
 class TestPassStats:
     def test_compile_produces_per_pass_stats(self, pd):
         from repro.ir.passes.base import PassStat

@@ -4,12 +4,19 @@ training behavior."""
 from __future__ import annotations
 
 import importlib
+import pathlib
 import pkgutil
+import re
 
 import numpy as np
 import pytest
 
 import repro
+
+
+#: The first CHANGES.md entry written under the size rule; the entries
+#: before it are history and stay as they are.
+FIRST_SIZED_ENTRY = 46
 
 
 def _walk_modules():
@@ -46,6 +53,25 @@ class TestDocumentation:
     def test_top_level_exports_resolve(self):
         for name in repro.__all__:
             assert getattr(repro, name) is not None
+
+
+    def test_changes_entries_stay_short(self):
+        """Every CHANGES.md entry numbered ``FIRST_SIZED_ENTRY`` or later —
+        its ``- PR`` line and the lines after it up to the next entry,
+        ``FOUND:`` lines included — is at most 5 lines and 1 000 bytes."""
+        text = (pathlib.Path(__file__).parents[1] / "CHANGES.md").read_text()
+        entries: list[tuple[int, list[str]]] = []
+        for line in text.splitlines():
+            head = re.match(r"- PR (\d+)\b", line)
+            if head:
+                entries.append((int(head.group(1)), []))
+            if entries and line.strip():
+                entries[-1][1].append(line)
+        checked = [(n, lines) for n, lines in entries if n >= FIRST_SIZED_ENTRY]
+        for number, lines in checked:
+            size = len("\n".join(lines).encode())
+            assert len(lines) <= 5, f"PR {number}: {len(lines)} lines"
+            assert size <= 1000, f"PR {number}: {size} bytes"
 
 
 class TestSplitDeviceTraining:

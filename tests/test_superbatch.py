@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -46,8 +48,9 @@ class TestSegmentedOps:
         batch_ptr = np.array([0, 2, 4])
         out = superbatch_ops.sb_slice_cols(small_graph, frontiers, batch_ptr)
         n = small_graph.shape[0]
-        assert out.shape == (2 * n, 4)
-        dense = to_dense(out)
+        assert out.shape == out.matrix.shape == (2 * n, 4)
+        assert out.nbytes() == out.matrix.nbytes()
+        dense = to_dense(out.matrix)
         # Batch 0's columns only touch row block 0; batch 1's only block 1.
         assert not dense[n:, :2].any()
         assert not dense[:n, 2:].any()
@@ -81,7 +84,7 @@ class TestSegmentedOps:
         batch_ptr = np.array([0, 2, 4])
         block = superbatch_ops.sb_slice_cols(small_graph, frontiers, batch_ptr)
         pieces = superbatch_ops.split_sample(
-            block, batch_ptr, small_graph.shape[0]
+            block.matrix, batch_ptr, small_graph.shape[0]
         )
         assert len(pieces) == 2
         for piece, cols in zip(pieces, ([1, 2], [3, 4])):
@@ -290,7 +293,7 @@ class TestSharedExtraction:
         stale = superbatch_ops.block_ranges(other.get("csc"), frontiers, batch_ptr)
         got = superbatch_ops.sb_slice_cols(small_graph, stale, batch_ptr)
         want = superbatch_ops.sb_slice_cols(small_graph, frontiers, batch_ptr)
-        np.testing.assert_array_equal(to_dense(got), to_dense(want))
+        np.testing.assert_array_equal(to_dense(got.matrix), to_dense(want.matrix))
 
 
 #: Every algorithm whose compiled layers run super-batched.
@@ -536,7 +539,7 @@ class TestSplitOracle:
             block = superbatch_ops.sb_slice_cols(
                 graph, np.array(frontiers), np.array(batch_ptr)
             )
-            self._assert_split_equal(block, np.array(batch_ptr), 6)
+            self._assert_split_equal(block.matrix, np.array(batch_ptr), 6)
 
 
 def test_superbatch_serving_session_builds_no_piece_matrix(monkeypatch):
@@ -584,3 +587,233 @@ def test_superbatch_serving_session_builds_no_piece_matrix(monkeypatch):
     assert built == []
     assert samples[1].layers[0].matrix.nnz == samples[1].layers[0].num_edges
     assert len(built) == 1
+
+
+# ----------------------------------------------------------------------
+# The deferred block slice.  The segmented operators' earlier bodies,
+# which built the block-diagonal slice and relabelled it, are kept
+# verbatim as their oracle.
+# ----------------------------------------------------------------------
+def _materialized_sb_slice_cols(matrix, frontiers, batch_ptr, ctx):
+    """``sb_slice_cols`` building the block-diagonal CSC eagerly."""
+    from repro.core.matrix import Matrix
+    from repro.sparse import CSC
+    from repro.sparse.formats import _indptr_from_counts
+
+    _ITEM, _VAL = superbatch_ops._ITEM, superbatch_ops._VAL
+    csc = matrix.get("csc")
+    ranges = superbatch_ops.block_ranges(csc, frontiers, batch_ptr)
+    flat = ranges.flat
+    out = CSC(
+        indptr=_indptr_from_counts(ranges.lengths),
+        rows=ranges.block_rows,
+        values=None if csc.values is None else csc.values[flat],
+        shape=((len(ranges.batch_ptr) - 1) * matrix.shape[0], len(ranges.ids)),
+        edge_ids=flat if csc.edge_ids is None else csc.edge_ids[flat],
+    )
+    read = len(ranges.ids) * 2 * _ITEM + out.nnz * (_ITEM + _VAL)
+    ctx.record(
+        "sb_slice_cols",
+        bytes_read=read,
+        bytes_written=out.nbytes(),
+        flops=out.nnz * 2.0,
+        tasks=max(out.nnz, 1),
+        graph_bytes=read if matrix.is_base_graph else 0.0,
+    )
+    return Matrix(out, col_ids=ranges.ids, ctx=ctx)
+
+
+def _materialized_sb_fused_extract_reduce(matrix, frontiers, batch_ptr, op, axis, ctx):
+    """``sb_fused_extract_reduce`` binning over block rows."""
+    _ITEM, _VAL = superbatch_ops._ITEM, superbatch_ops._VAL
+    csc = matrix.get("csc")
+    ranges = superbatch_ops.block_ranges(csc, frontiers, batch_ptr)
+    flat = ranges.flat
+    vals = (
+        np.ones(len(flat), dtype=np.float64)
+        if csc.values is None
+        else csc.values[flat].astype(np.float64)
+    )
+    out = np.bincount(
+        ranges.block_rows,
+        weights=vals,
+        minlength=(len(ranges.batch_ptr) - 1) * matrix.shape[0],
+    ).astype(np.float32)
+    read = len(ranges.ids) * 2 * _ITEM + len(flat) * (_ITEM + _VAL)
+    ctx.record(
+        "sb_fused_extract_reduce",
+        bytes_read=read,
+        bytes_written=out.nbytes,
+        flops=float(len(flat)) * 2.0,
+        tasks=max(len(flat), 1),
+        graph_bytes=read if matrix.is_base_graph else 0.0,
+    )
+    return out
+
+
+def _materialized_sb_collective_sample(
+    matrix, k, batch_ptr, node_probs=None, *, rng=None, ctx
+):
+    """``sb_collective_sample`` keying every row and relabelling the
+    built slice."""
+    from repro.core import random as rnd
+    from repro.core.matrix import Matrix
+    from repro.sparse import INDEX_DTYPE, reduce_rows
+    from repro.sparse.compact import _relabel
+
+    _ITEM, _VAL = superbatch_ops._ITEM, superbatch_ops._VAL
+    num_batches = len(batch_ptr) - 1
+    csc = matrix.get("csc")
+    total_rows = csc.shape[0]
+    rows_per_batch = total_rows // num_batches
+    if node_probs is None:
+        node_probs = reduce_rows(csc, "sum", ctx).astype(np.float64)
+    else:
+        node_probs = np.asarray(node_probs, dtype=np.float64)
+        if node_probs.shape == (rows_per_batch,):
+            node_probs = np.tile(node_probs, num_batches)
+    keys = rnd.exponential_race_keys(node_probs, rng)
+    seg_ptr = np.arange(num_batches + 1, dtype=INDEX_DTYPE) * rows_per_batch
+    selected = rnd.segmented_race_select(keys, seg_ptr, k)
+    selected = np.sort(selected).astype(INDEX_DTYPE)
+    sub = _relabel(csc, selected, 0)
+    ctx.record(
+        "sb_collective_sample",
+        bytes_read=node_probs.nbytes
+        + csc.nnz * (_ITEM + (_VAL if csc.values is not None else 0)),
+        bytes_written=sub.nbytes() + selected.nbytes,
+        flops=total_rows + csc.nnz,
+        tasks=max(csc.nnz, 1),
+    )
+    row_ids = selected if matrix.row_ids is None else matrix.row_ids[selected]
+    return Matrix(sub, row_ids=row_ids, col_ids=matrix.col_ids, ctx=ctx)
+
+
+_MATERIALIZED = {
+    "sb_slice_cols": _materialized_sb_slice_cols,
+    "sb_fused_extract_reduce": _materialized_sb_fused_extract_reduce,
+    "sb_collective_sample": _materialized_sb_collective_sample,
+}
+
+LAYERWISE = ("ladies", "fastgcn", "asgcn")
+
+
+@pytest.fixture(scope="module")
+def pd_quarter():
+    from repro.datasets import load_dataset
+
+    return load_dataset("pd", scale=0.25)
+
+
+def _layerwise_epoch(name, dataset, config, num_batches, monkeypatch, *, oracle):
+    """Samples, ledger, pool stats and generator state of ``num_batches``
+    batches of 32 seeds sampled as one super-batch."""
+    from repro.algorithms import make_algorithm
+    from tests.test_algorithm_golden import _arrays
+
+    seeds = dataset.train_ids[: 32 * num_batches]
+    batches = [seeds[i : i + 32] for i in range(0, len(seeds), 32)]
+    pipeline = make_algorithm(name).build(
+        dataset.graph, batches[0], features=dataset.features, config=config
+    )
+    ctx, rng = ExecutionContext(V100), new_rng(5)
+    with monkeypatch.context() as patch:
+        if oracle:
+            for attr, body in _MATERIALIZED.items():
+                patch.setattr(superbatch_ops, attr, body)
+        samples = pipeline.sample_superbatch(batches, ctx=ctx, rng=rng)
+    # Ledger first: reading a sample's arrays may convert layouts.
+    ledger = [tuple(launch) for launch in ctx.launches]
+    stats = ctx.memory.stats()
+    return ledger, stats, rng.bit_generator.state, _arrays(samples)
+
+
+@pytest.mark.parametrize("num_batches", [1, 3])
+@pytest.mark.parametrize("name", LAYERWISE)
+def test_deferred_slice_equals_the_materialized_oracle(
+    name, num_batches, pd_quarter, monkeypatch
+):
+    """Sampling from the slice's ranges keeps every sample, launch, pool
+    stat and draw of building the slice and relabelling it, in all 8
+    configs — LADIES under ``C0D0`` included, where the slice is laid out
+    as COO and read by a second node."""
+    from repro.sampler import OptimizationConfig
+
+    for config in OptimizationConfig.all_combinations():
+        got = _layerwise_epoch(
+            name, pd_quarter, config, num_batches, monkeypatch, oracle=False
+        )
+        want = _layerwise_epoch(
+            name, pd_quarter, config, num_batches, monkeypatch, oracle=True
+        )
+        for part, got_part, want_part in zip(
+            ("ledger", "pool stats", "generator", "samples"), got, want
+        ):
+            assert got_part == want_part, (config.label(), part)
+        if num_batches > 1:
+            assert any(launch[0] == "sb_collective_sample" for launch in got[0])
+
+
+def test_ladies_c0d0_slice_is_coo_with_a_second_reader(pd_small):
+    from repro.algorithms import make_algorithm
+    from repro.sampler import OptimizationConfig
+
+    pipeline = make_algorithm("ladies").build(
+        pd_small.graph,
+        pd_small.train_ids[:32],
+        config=OptimizationConfig(computation=False, layout=False),
+    )
+    (sampler,) = {id(s): s for s in pipeline.samplers}.values()
+    (slice_id,) = [
+        i for i in sampler.segmented if sampler.ir.node(i).op == "slice_cols"
+    ]
+    assert sampler.ir.node(slice_id).layout == "coo"
+    readers = [n.op for n in sampler.ir.nodes() if slice_id in n.inputs]
+    assert sorted(readers) == ["collective_sample", "map_scalar"]
+
+
+#: How many times each super-batched hop builds its block-diagonal CSC, by
+#: the computation knob: never where the segmented collective sample is
+#: its only reader; once where a row reduce or an edge map reads it too.
+BUILDS_PER_HOP = {
+    "ladies": {"C0": 1, "C1": 0},
+    "fastgcn": {"C0": 0, "C1": 0},
+    "asgcn": {"C0": 1, "C1": 1},
+}
+
+
+@pytest.mark.parametrize("name", LAYERWISE)
+def test_block_slice_is_built_only_for_a_reader_that_needs_it(
+    name, pd_small, monkeypatch
+):
+    from repro.algorithms import make_algorithm
+    from repro.sampler import OptimizationConfig
+
+    built = []
+    build = superbatch_ops.BlockSlice.matrix.func
+    counted = functools.cached_property(
+        lambda block: built.append(block) or build(block)
+    )
+    counted.__set_name__(superbatch_ops.BlockSlice, "matrix")
+    monkeypatch.setattr(superbatch_ops.BlockSlice, "matrix", counted)
+    slices = []
+    real = superbatch_ops.sb_slice_cols
+    monkeypatch.setattr(
+        superbatch_ops,
+        "sb_slice_cols",
+        lambda *args: slices.append(real(*args)) or slices[-1],
+    )
+    for config in OptimizationConfig.all_combinations():
+        del built[:], slices[:]
+        pipeline = make_algorithm(name).build(
+            pd_small.graph,
+            pd_small.train_ids[:32],
+            features=pd_small.features,
+            config=config,
+        )
+        pipeline.sample_superbatch(
+            [pd_small.train_ids[i : i + 32] for i in (0, 32, 64)], rng=new_rng(3)
+        )
+        assert slices, config.label()
+        per_hop = BUILDS_PER_HOP[name][config.label()[:2]]
+        assert len(built) == per_hop * len(slices), config.label()
