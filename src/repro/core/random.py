@@ -172,10 +172,13 @@ def segmented_race_select(
         raise ShapeError("indptr must be a 1-D pointer array starting at 0")
     if indptr.dtype.kind not in "iu":
         raise ShapeError(f"indptr must be integer, got dtype {indptr.dtype}")
-    lengths = np.diff(indptr)
-    n_seg = len(lengths)
-    if np.any(lengths < 0):
+    # Neighbours compared, not differenced: an unsigned difference wraps.
+    if (indptr[1:] < indptr[:-1]).any():
         raise ShapeError("indptr must be non-decreasing")
+    # int64 positions: an unsigned pointer would promote the picks to float.
+    indptr = indptr.astype(np.int64, copy=False)
+    lengths = indptr[1:] - indptr[:-1]
+    n_seg = len(lengths)
     if keys.shape != (int(indptr[-1]),):
         raise ShapeError("keys length must equal indptr[-1]")
     if keys.dtype.kind not in "biuf":
@@ -187,31 +190,33 @@ def segmented_race_select(
         raise ShapeError(
             f"per-segment k has shape {k_array.shape}, expected ({n_seg},)"
         )
-    if np.any(k_array < 0):
+    if (k_array < 0).any():
         raise ShapeError("k must be non-negative")
-    return _race_select(keys, indptr, k_array)
+    return _race_select(keys, indptr, lengths, np.minimum(lengths, k_array))
 
 
-def _race_select(keys: np.ndarray, indptr: np.ndarray, k) -> np.ndarray:
-    """:func:`segmented_race_select` on checked input, untraced: what a
-    pool worker's chunk (``sampling._race_chunk``) runs."""
-    lengths = np.diff(indptr)
-    n_seg = len(lengths)
-    cap = np.minimum(lengths, k)
+def _race_select(
+    keys: np.ndarray, indptr: np.ndarray, lengths: np.ndarray, cap: np.ndarray
+) -> np.ndarray:
+    """:func:`segmented_race_select` on checked input, untraced, given the
+    segments' ``lengths`` and their caps ``min(length, k)``: what a pool
+    worker's chunk (``sampling._race_chunk``) runs."""
     active = np.flatnonzero(cap > 0)
     if len(active) == 0:
         return np.empty(0, dtype=np.int64)
     images = _key_images(keys)
-    active_lengths = lengths[active]
-    if len(active) * int(active_lengths.max()) <= _RACE_BLOCK_ELEMS:
-        return _race_select_block(
-            images, indptr[active], active_lengths, cap[active]
-        )[0]
+    if len(active) == len(cap):
+        # Every segment selects: the one block's rows are the segments.
+        starts, widths, caps = indptr[:-1], lengths, cap
+    else:
+        starts, widths, caps = indptr[active], lengths[active], cap[active]
+    if len(active) * int(widths.max()) <= _RACE_BLOCK_ELEMS:
+        return _race_select_block(images, starts, widths, caps)[0]
     from repro.sparse.formats import _indptr_from_counts, gather_ranges
 
     # frexp's exponent of (length - 1) is its bit length: class c holds
     # the segments of 2**(c-1) < length <= 2**c.
-    width_class = np.frexp(active_lengths - 1)[1].astype(np.uint8)
+    width_class = np.frexp(widths - 1)[1].astype(np.uint8)
     binned = active[np.argsort(width_class, kind="stable")]
     bin_ptr = _indptr_from_counts(np.bincount(width_class))
     block_rows = []
@@ -220,7 +225,7 @@ def _race_select(keys: np.ndarray, indptr: np.ndarray, k) -> np.ndarray:
         rows_per_block = max(1, _RACE_BLOCK_ELEMS >> int(c))
         for lo in range(0, len(in_bin), rows_per_block):
             block_rows.append(in_bin[lo : lo + rows_per_block])
-    taken = np.zeros(n_seg, dtype=np.int64)
+    taken = np.zeros(len(cap), dtype=np.int64)
     pieces = []
     for rows in block_rows:
         picks, taken[rows] = _race_select_block(
@@ -234,18 +239,18 @@ def _race_select(keys: np.ndarray, indptr: np.ndarray, k) -> np.ndarray:
     return out
 
 
-def _pick_counts(picks: np.ndarray, indptr: np.ndarray, k) -> np.ndarray:
-    """How many of the race's ``picks`` fell in each indptr segment.
+def _pick_counts(picks: np.ndarray, indptr: np.ndarray, cap: np.ndarray) -> np.ndarray:
+    """How many of the race's ``picks`` fell in each indptr segment, given
+    the segments' caps ``min(length, k)``.
 
-    A segment gets ``min(k, length)`` picks unless it ran out of
-    selectable keys first, and no segment can get more — so when the
-    totals agree, every segment got exactly that.
+    A segment gets its cap unless it ran out of selectable keys first,
+    and no segment can get more — so when the totals agree, every segment
+    got exactly that.
     """
-    counts = np.minimum(np.diff(indptr), k)
-    if len(picks) != counts.sum():
-        owner = np.searchsorted(indptr, picks, side="right") - 1
-        counts = np.bincount(owner, minlength=len(counts))
-    return counts
+    if len(picks) == cap.sum():
+        return cap
+    owner = np.searchsorted(indptr, picks, side="right") - 1
+    return np.bincount(owner, minlength=len(cap))
 
 
 def _key_images(keys: np.ndarray) -> np.ndarray:

@@ -217,19 +217,22 @@ def _select(
     order, and submits each to the pool before drawing the next; a worker
     gathers the chunk's weights, keys and race-selects it
     (:func:`_race_chunk`).  Otherwise it draws once, keys the draws
-    chunk by chunk and selects once.  The uniform race draws
-    ``rng.random(total)``.
+    chunk by chunk and selects once.  Chunks exist only from the pool
+    floor, ``2 * _RACE_BLOCK_ELEMS`` candidates, up; below it the ranges
+    are one chunk.  The uniform race draws ``rng.random(total)``.
     """
     indptr = _indptr_from_counts(lengths)
     total = int(indptr[-1])
-    chunks = []
-    if weights is not None and not replace and total > 0:
+    # Each range's offset from its candidates' place to its edges in ``csc``.
+    shift = starts - indptr[:-1]
+    chunks = [(0, len(lengths))]
+    if weights is not None and not replace and total >= 2 * rnd._RACE_BLOCK_ELEMS:
         # Range bounds of chunks of about one race block of candidates.
         bounds = np.searchsorted(
             indptr, np.arange(0, total, rnd._RACE_BLOCK_ELEMS)
         ).tolist() + [len(lengths)]
         chunks = [(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
-    if rnd._pool_engages(len(chunks), total):
+    if len(chunks) > 1 and rnd._pool_engages(len(chunks), total):
         pool = rnd._host_pool()
         futures = [
             pool.submit(
@@ -264,17 +267,17 @@ def _select(
                 keys = rng.standard_exponential(total)
                 # Chunk by chunk: one gather of every candidate's weight
                 # costs more time and memory than the chunks' cache-sized
-                # ones.
+                # ones.  A candidate's edge is its place plus its range's
+                # shift: ``gather_ranges`` over the pointer already built.
                 for a, b in chunks:
-                    rnd._race_keys_in_place(
-                        keys[indptr[a] : indptr[b]],
-                        weights[gather_ranges(starts[a:b], lengths[a:b])],
-                    )
+                    lo, hi = indptr[a], indptr[b]
+                    edges = np.repeat(shift[a:b], lengths[a:b]) + np.arange(lo, hi)
+                    rnd._race_keys_in_place(keys[lo:hi], weights[edges])
             local = rnd.segmented_race_select(keys, indptr, k)
-            counts = rnd._pick_counts(local, indptr, k)
+            counts = rnd._pick_counts(local, indptr, np.minimum(lengths, k))
         # Picks are grouped by range: shift each group from its place
         # among the candidates back to its range in ``csc``.
-        picks = local + np.repeat(starts - indptr[:-1], counts)
+        picks = local + np.repeat(shift, counts)
     out = CSC(
         indptr=_indptr_from_counts(counts),
         rows=csc.rows[picks],
@@ -298,8 +301,9 @@ def _race_chunk(
     picks' positions in ``weights`` and the count per range."""
     rnd._race_keys_in_place(draws, weights[gather_ranges(starts, lengths)])
     indptr = _indptr_from_counts(lengths)
-    picks = rnd._race_select(draws, indptr, k)
-    counts = rnd._pick_counts(picks, indptr, k)
+    cap = np.minimum(lengths, k)
+    picks = rnd._race_select(draws, indptr, lengths, cap)
+    counts = rnd._pick_counts(picks, indptr, cap)
     return picks + np.repeat(starts - indptr[:-1], counts), counts
 
 

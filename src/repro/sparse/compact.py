@@ -66,7 +66,7 @@ def _occupied(
         read = matrix.indptr.nbytes
         work = flops = matrix.shape[axis]  # one pointer entry per lane
     else:
-        ids = kernels.edge_endpoints(matrix, ctx)[axis]
+        ids = kernels._edge_index_across(matrix, axis, ctx)
         out = sorted_unique(ids, matrix.shape[axis])
         read = ids.nbytes
         work = matrix.nnz  # one edge per lane, sorted

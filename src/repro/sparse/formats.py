@@ -158,7 +158,7 @@ class _Compressed:
             )
         if self.indptr[0] != 0 or self.indptr[-1] != self.nnz:
             raise FormatError("indptr must start at 0 and end at nnz")
-        if np.any(np.diff(self.indptr) < 0):
+        if (self.indptr[1:] < self.indptr[:-1]).any():
             raise FormatError("indptr must be non-decreasing")
         _check_edge_payload(self)
 

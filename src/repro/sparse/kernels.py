@@ -208,15 +208,33 @@ def edge_endpoints(
         return matrix.rows, matrix.cols
     if not isinstance(matrix, (CSR, CSC)):
         raise FormatError(f"unknown sparse container {type(matrix).__name__}")
-    endpoints = matrix._endpoints()
+    _record_expand(matrix, ctx)
+    return matrix._endpoints()
+
+
+def _edge_index_across(
+    matrix: SparseFormat, axis: int, ctx: ExecutionContext
+) -> np.ndarray:
+    """``edge_endpoints(matrix, ctx)[axis]`` for an ``axis`` no pointer
+    compresses, launch for launch: the device kernel still expands the
+    pointer, but the host reads a compressed matrix's ``minor`` array
+    and never builds the per-edge array the caller would throw away."""
+    if isinstance(matrix, COO):
+        return (matrix.rows, matrix.cols)[axis]
+    _record_expand(matrix, ctx)
+    return matrix.minor
+
+
+def _record_expand(matrix: CSR | CSC, ctx: ExecutionContext) -> None:
+    """Charge decompressing ``matrix``'s pointer to one index per edge."""
+    nnz = matrix.nnz
     ctx.record(
         "expand_indptr",
         bytes_read=matrix.indptr.nbytes,
-        bytes_written=endpoints[matrix.axis].nbytes,
-        flops=matrix.nnz,
-        tasks=max(matrix.nnz, 1),
+        bytes_written=nnz * _ITEM,
+        flops=nnz,
+        tasks=max(nnz, 1),
     )
-    return endpoints
 
 
 def _with_values(matrix: SparseFormat, values: np.ndarray) -> SparseFormat:
@@ -405,7 +423,7 @@ def _reduce(
         along and op in ("sum", "mean") and bool(np.all(np.isfinite(vals)))
     )
     if not prefix_sums:
-        groups = matrix._expand() if along else edge_endpoints(matrix, ctx)[axis]
+        groups = matrix._expand() if along else _edge_index_across(matrix, axis, ctx)
     if op in ("sum", "mean"):
         if prefix_sums:
             # Exact segmented sum; immune to the empty-segment corner

@@ -21,8 +21,17 @@ from repro.sparse import (
     occupied_cols,
     occupied_rows,
 )
+from repro.sparse import kernels
 from repro.sparse.compact import _relabel
-from repro.sparse.formats import _indptr_from_counts, _take
+from repro.sparse.formats import (
+    VALUE_DTYPE,
+    _AXES,
+    _Compressed,
+    _indptr_from_counts,
+    _take,
+    edge_values,
+    sorted_unique,
+)
 
 from tests.conftest import random_coo, to_dense
 
@@ -186,3 +195,123 @@ def test_relabel_matches_the_masked_oracle(case):
             continue
         np.testing.assert_array_equal(a, b)
         assert a.dtype == b.dtype
+
+
+# ----------------------------------------------------------------------
+# Occupancy and the cross-axis reduce read a compressed matrix's
+# ``minor`` array instead of expanding its pointer, yet charge the same
+# ``expand_indptr`` launch.  The older bodies, verbatim, are the oracle.
+# ----------------------------------------------------------------------
+def _older_occupied(matrix, axis, ctx):
+    if matrix.axis == axis:
+        out = np.flatnonzero(matrix._degrees() > 0).astype(INDEX_DTYPE)
+        read = matrix.indptr.nbytes
+        work = flops = matrix.shape[axis]  # one pointer entry per lane
+    else:
+        ids = kernels.edge_endpoints(matrix, ctx)[axis]
+        out = sorted_unique(ids, matrix.shape[axis])
+        read = ids.nbytes
+        work = matrix.nnz  # one edge per lane, sorted
+        flops = max(work, 1) * max(1.0, np.log2(max(work, 2)))
+    ctx.record(
+        f"occupied_{_AXES[axis]}",
+        bytes_read=read,
+        bytes_written=out.nbytes,
+        flops=flops,
+        tasks=max(work, 1),
+    )
+    return out
+
+
+def _older_reduce(matrix, op, axis, ctx):
+    if op not in ("sum", "mean", "max", "min"):
+        raise FormatError(f"unknown reduce op {op!r}")
+    vals = edge_values(matrix)
+    extent = matrix.shape[axis]
+    along = matrix.axis == axis
+    prefix_sums = (
+        along and op in ("sum", "mean") and bool(np.all(np.isfinite(vals)))
+    )
+    if not prefix_sums:
+        groups = (
+            matrix._expand() if along else kernels.edge_endpoints(matrix, ctx)[axis]
+        )
+    if op in ("sum", "mean"):
+        if prefix_sums:
+            csum = np.zeros(len(vals) + 1, dtype=np.float64)
+            np.cumsum(vals, dtype=np.float64, out=csum[1:])
+            out = csum[matrix.indptr[1:]] - csum[matrix.indptr[:-1]]
+        else:
+            out = np.bincount(
+                groups, weights=vals.astype(np.float64), minlength=extent
+            )
+        if op == "mean":
+            counts = (
+                matrix._degrees() if along else np.bincount(groups, minlength=extent)
+            )
+            with np.errstate(invalid="ignore", divide="ignore"):
+                out = out / counts
+            out[counts == 0] = 0.0
+        out = out.astype(VALUE_DTYPE)
+    else:
+        out = np.full(extent, -np.inf if op == "max" else np.inf, dtype=VALUE_DTYPE)
+        (np.maximum if op == "max" else np.minimum).at(out, groups, vals)
+    factor = 1.0 if along else 2.0  # scatter with atomics
+    ctx.record(
+        f"edge_reduce_{_AXES[axis]}_{op}",
+        bytes_read=(vals.nbytes + matrix.nnz * kernels._ITEM) * factor,
+        bytes_written=extent * kernels._VAL,
+        flops=matrix.nnz * factor,
+        tasks=max(matrix.nnz, 1),
+    )
+    return out
+
+
+def _occupancy_calls():
+    """``(name, new call, older call)`` for every call the tripwire runs:
+    both occupancies on either layout, and each reduce across the axis
+    the pointer compresses."""
+    calls = [
+        ("occupied_rows", occupied_rows, lambda m, ctx: _older_occupied(m, 0, ctx)),
+        ("occupied_cols", occupied_cols, lambda m, ctx: _older_occupied(m, 1, ctx)),
+    ]
+    for op in ("sum", "mean", "max", "min"):
+        calls.append((
+            f"cross-axis reduce {op}",
+            lambda m, ctx, op=op: kernels._reduce(m, op, 1 - m.axis, ctx),
+            lambda m, ctx, op=op: _older_reduce(m, op, 1 - m.axis, ctx),
+        ))
+    return calls
+
+
+@pytest.mark.parametrize("layout", ["csr", "csc"])
+@pytest.mark.parametrize(
+    ("name", "call", "older"),
+    _occupancy_calls(),
+    ids=[name for name, _, _ in _occupancy_calls()],
+)
+@pytest.mark.parametrize("empty", [False, True])
+def test_occupancy_reads_minor_without_expanding(
+    layout, name, call, older, empty, rng, monkeypatch
+):
+    """``row()``, ``col()`` and a cross-axis reduce never decompress the
+    pointer on the host, and leave the older code's result and ledger:
+    the device still pays ``expand_indptr``, ``nnz * 8`` bytes written."""
+    from repro.device import V100, ExecutionContext
+
+    nnz = 0 if empty else 90
+    matrix = convert(random_coo(rng, rows=40, cols=25, nnz=nnz), layout)
+    want_ctx = ExecutionContext(V100)
+    want = older(matrix, want_ctx)
+
+    def refuse(self):
+        raise AssertionError("expanded the pointer")
+
+    monkeypatch.setattr(_Compressed, "_expand", refuse)
+    got_ctx = ExecutionContext(V100)
+    got = call(matrix, got_ctx)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+    assert [tuple(l) for l in got_ctx.launches] == [
+        tuple(l) for l in want_ctx.launches
+    ]

@@ -341,6 +341,34 @@ class TestFusedExtractSelectBoundaries:
         assert rng.bit_generator.state == untouched
 
 
+
+class TestRaceSelectBoundaries:
+    """``segmented_race_select`` refuses a decreasing pointer of any
+    integer dtype with a ``ShapeError``."""
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64, np.uint32])
+    def test_decreasing_pointer(self, dtype):
+        """An unsigned pointer's ``np.diff`` wraps, so ``[0, 5, 3]`` as
+        ``uint64`` passed the old check and died in the block kernel with
+        NumPy's ``strides is incompatible`` ``ValueError``."""
+        from repro.core.random import segmented_race_select
+
+        with pytest.raises(ShapeError, match="indptr must be non-decreasing"):
+            segmented_race_select(np.ones(3), np.array([0, 5, 3], dtype=dtype), 2)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.uint64, np.uint32])
+    def test_a_valid_pointer_selects_as_its_int64_twin(self, dtype):
+        """A well-formed unsigned pointer used to fail on casting the
+        picks' float64 sum back to int64."""
+        from repro.core.random import segmented_race_select
+
+        keys = new_rng(3).random(12)
+        indptr = np.array([0, 4, 4, 9, 12])
+        np.testing.assert_array_equal(
+            segmented_race_select(keys, indptr.astype(dtype), 2),
+            segmented_race_select(keys, indptr, 2),
+        )
+
 def _fused(csc, k, probs=None, **kwargs):
     from repro.core.sampling import fused_extract_individual_sample
 
